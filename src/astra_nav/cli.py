@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -15,16 +16,7 @@ import numpy as np
 
 from . import localization, odometry, planner, rewards, sim
 from .errors import AstraError, UnknownConfigKeyError
-from .esdf import (
-    BinaryMap2D,
-    OccupancyGrid,
-    compress_grid,
-    load_grid,
-    make_mask,
-    mask_esdf,
-    save_grid,
-    signed_esdf,
-)
+from .esdf import format_grid, load_occupancy, make_mask, mask_esdf, save_grid, signed_esdf
 from .geom import Pose2, PoseTrajectory
 from .topomap import TopoMap
 
@@ -38,13 +30,22 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_flat_config(path, cls, where: str) -> dict:
+def _load_flat_config(path, cls, where: str):
+    """Build the config dataclass `cls` from a flat JSON object, rejecting unknown keys."""
     data = _load_json(path) if path else {}
     known = {f.name for f in fields(cls)}
     for key in data:
         if key not in known:
             raise UnknownConfigKeyError(key, where)
-    return data
+    return cls(**data)
+
+
+def _load_worlds(path) -> list:
+    """Every world directory inside `path`, or `path` itself when it holds none."""
+    dirs = []
+    if os.path.isdir(path):
+        dirs = [d for d in sorted(os.path.join(path, d) for d in os.listdir(path)) if os.path.isdir(d)]
+    return [sim.load_world(d) for d in dirs or [path]]
 
 
 # --- verb handlers -----------------------------------------------------------
@@ -118,11 +119,7 @@ def _cmd_reward_eval(args) -> int:
 
 
 def _cmd_esdf_compute(args) -> int:
-    grid = load_grid(args.occ_file)
-    grid2 = compress_grid(grid) if isinstance(grid, OccupancyGrid) else grid
-    if not isinstance(grid2, BinaryMap2D):
-        raise AstraError("esdf compute expects an occupancy grid file")
-    phi = signed_esdf(grid2)
+    phi = signed_esdf(load_occupancy(args.occ_file))
     if args.mask:
         poses = PoseTrajectory.from_jsonable(_load_json(args.mask))
         mask = make_mask(poses, phi, args.dilation)
@@ -130,19 +127,12 @@ def _cmd_esdf_compute(args) -> int:
     if args.out:
         save_grid(phi, args.out)
     else:
-        header = (
-            f"ESDF {phi.width} {phi.height} "
-            f"{phi.resolution!r} {phi.origin[0]!r} {phi.origin[1]!r}"
-        )
-        sys.stdout.write(header + "\n")
-        for row in phi.values:
-            sys.stdout.write(" ".join(repr(float(v)) for v in row) + "\n")
+        sys.stdout.write(format_grid(phi))
     return 0
 
 
 def _cmd_plan_train(args) -> int:
-    overrides = _load_flat_config(args.config, planner.TrainConfig, "train config")
-    config = planner.TrainConfig(**overrides)
+    config = _load_flat_config(args.config, planner.TrainConfig, "train config")
     if args.seed is not None:
         config.seed = args.seed
     dataset = sim.load_dataset(args.data, config.mask_alpha, config.mask_dilation)
@@ -162,18 +152,8 @@ def _cmd_plan_sample(args) -> int:
 
 
 def _cmd_plan_eval(args) -> int:
-    import os
-
     model = planner.VectorFieldModel.load(args.model)
-    world_dirs = sorted(
-        os.path.join(args.worlds, d)
-        for d in os.listdir(args.worlds)
-        if os.path.isdir(os.path.join(args.worlds, d))
-    )
-    if not world_dirs:
-        world_dirs = [args.worlds]
-    worlds = [sim.load_world(d) for d in world_dirs]
-    _emit(sim.evaluate_planner(model, worlds, seed=args.seed))
+    _emit(sim.evaluate_planner(model, _load_worlds(args.worlds), seed=args.seed))
     return 0
 
 
@@ -217,30 +197,17 @@ def _cmd_sim_run(args) -> int:
     world = sim.load_world(args.world)
     goal_doc = _load_json(args.goal)
     goal = goal_doc["instruction"] if "instruction" in goal_doc else Pose2(*goal_doc["pose"])
-    config = sim.NavConfig.from_dict(_load_flat_config(args.config, sim.NavConfig, "nav config"))
+    config = _load_flat_config(args.config, sim.NavConfig, "nav config")
     model = planner.VectorFieldModel.load(args.model) if args.model else None
-    if model is None and config.planner == "model":
-        config.planner = "oracle"
     report = sim.run_episode(world, goal, config, model, seed=args.seed)
     _emit(report.to_jsonable())
     return 0
 
 
 def _cmd_sim_eval(args) -> int:
-    import os
-
-    world_dirs = sorted(
-        os.path.join(args.worlds, d)
-        for d in os.listdir(args.worlds)
-        if os.path.isdir(os.path.join(args.worlds, d))
-    )
-    if not world_dirs:
-        world_dirs = [args.worlds]
-    worlds = [sim.load_world(d) for d in world_dirs]
-    config = sim.NavConfig.from_dict(_load_flat_config(args.config, sim.NavConfig, "nav config"))
+    worlds = _load_worlds(args.worlds)
+    config = _load_flat_config(args.config, sim.NavConfig, "nav config")
     model = planner.VectorFieldModel.load(args.model) if args.model else None
-    if model is None and config.planner == "model":
-        config.planner = "oracle"
     _emit(sim.eval_suite(worlds, args.episodes, config, model, master_seed=args.seed))
     return 0
 

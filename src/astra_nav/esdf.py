@@ -1,5 +1,13 @@
 """Occupancy grids, exact Euclidean distance transforms, and masked signed fields.
 
+Every grid is a `Grid`: values, resolution and origin. The dtype says what
+it holds: boolean values are occupancy (True = occupied) or a corridor mask,
+float values are a field in meters (signed ESDF, unsigned distance, masked
+ESDF). Only occupancy may be 3-D, values[z, row, col]; `compress_grid`
+flattens it to 2-D. Grid files follow the same split: OCC2 for occupancy,
+ESDF for a field. Distance transforms treat any nonzero value as occupied,
+so a 0/1 integer grid gives the same field as the boolean one.
+
 Grid geometry convention (frozen, tested): a 2D grid stores values[row, col]
 with the center of cell (row r, col c) at world point
 
@@ -20,6 +28,7 @@ grid diagonal resolution*hypot(width, height).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,95 +41,38 @@ log = logging.getLogger(__name__)
 _NO_TARGET = 1.0e7  # rows/cols placeholder well above any real grid extent
 
 
-def _check_geometry(values: np.ndarray, resolution: float, ndim: int):
-    if values.ndim != ndim or min(values.shape) < 1:
-        raise ValueError(f"grid values must be {ndim}-D with all dims >= 1")
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
-
-
 @dataclass
-class OccupancyGrid:
-    """3D occupancy, values[z, row, col] with True marking occupied voxels."""
+class Grid:
+    """values[row, col] on the lattice above; values[z, row, col] for 3-D occupancy.
+
+    Boolean values stay boolean; any other values are stored as floats.
+    """
 
     values: np.ndarray
     resolution: float
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=bool)
-        _check_geometry(self.values, self.resolution, 3)
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
-
-    @property
-    def depth(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-
-@dataclass
-class BinaryMap2D:
-    """2D occupancy, values[row, col] with True marking occupied cells."""
-
-    values: np.ndarray
-    resolution: float
-    origin: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=bool)
-        _check_geometry(self.values, self.resolution, 2)
+        values = np.asarray(self.values)
+        self.values = values if values.dtype == bool else np.asarray(values, dtype=float)
+        ndims = (2, 3) if values.dtype == bool else (2,)
+        if values.ndim not in ndims or min(values.shape) < 1:
+            raise ValueError("grid values must be 2-D, or 3-D occupancy, with all dims >= 1")
+        if not self.resolution > 0:
+            raise ValueError("resolution must be positive")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
-@dataclass
-class EsdfMap:
-    """Signed distance per cell, meters; geometry as BinaryMap2D."""
-
-    values: np.ndarray
-    resolution: float
-    origin: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_geometry(self.values, self.resolution, 2)
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class TrajMask:
-    """Boolean corridor mask around a reference trajectory; geometry as BinaryMap2D."""
-
-    values: np.ndarray
-    resolution: float
-    origin: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=bool)
-        _check_geometry(self.values, self.resolution, 2)
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
+# The benchmark builds its occupancy grids under this name.
+BinaryMap2D = Grid
 
 
 def same_geometry(a, b) -> bool:
@@ -131,9 +83,10 @@ def same_geometry(a, b) -> bool:
     )
 
 
-def compress_grid(grid: OccupancyGrid) -> BinaryMap2D:
-    """Flatten a 3D grid to 2D: a cell is occupied iff any voxel in its column is."""
-    return BinaryMap2D(grid.values.any(axis=0), grid.resolution, grid.origin)
+def compress_grid(grid: Grid) -> Grid:
+    """2-D occupancy of a 2-D or 3-D grid: a cell is occupied iff any voxel in its column is."""
+    values = grid.values.reshape(-1, grid.height, grid.width).any(axis=0)
+    return Grid(values, grid.resolution, grid.origin)
 
 
 def _nearest_along_rows(target: np.ndarray) -> np.ndarray:
@@ -179,7 +132,7 @@ def _envelope_1d(f: np.ndarray) -> np.ndarray:
     return d
 
 
-def edt_squared(map2d: BinaryMap2D, target: str = "occupied") -> np.ndarray:
+def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
     """Exact squared cell distance from every cell to the nearest target-class cell.
 
     Results are exact integers (as int64). If the grid has no cell of the
@@ -187,7 +140,8 @@ def edt_squared(map2d: BinaryMap2D, target: str = "occupied") -> np.ndarray:
     """
     if target not in ("occupied", "free"):
         raise ValueError("target must be 'occupied' or 'free'")
-    mask = map2d.values if target == "occupied" else ~map2d.values
+    occupied = map2d.values != 0
+    mask = occupied if target == "occupied" else ~occupied
     h, w = mask.shape
     if not mask.any():
         return np.full((h, w), w * w + h * h, dtype=np.int64)
@@ -199,23 +153,17 @@ def edt_squared(map2d: BinaryMap2D, target: str = "occupied") -> np.ndarray:
     return out.astype(np.int64)
 
 
-def edt(map2d: BinaryMap2D, target: str = "occupied") -> np.ndarray:
+def edt(map2d: Grid, target: str = "occupied") -> np.ndarray:
     """Exact Euclidean distance (meters) from every cell to the nearest target cell."""
     return np.sqrt(edt_squared(map2d, target).astype(float)) * map2d.resolution
 
 
-def distance_cap(map2d) -> float:
-    """Cap used when a class is absent: the grid diagonal in meters."""
-    h, w = map2d.values.shape[-2:]
-    return float(np.hypot(w, h) * map2d.resolution)
-
-
-def signed_esdf(map2d: BinaryMap2D) -> EsdfMap:
+def signed_esdf(map2d: Grid) -> Grid:
     """Signed field: +distance-to-occupied on free cells, -distance-to-free on occupied."""
     d_occ = edt(map2d, "occupied")
     d_free = edt(map2d, "free")
     values = np.where(map2d.values, -d_free, d_occ)
-    return EsdfMap(values, map2d.resolution, map2d.origin)
+    return Grid(values, map2d.resolution, map2d.origin)
 
 
 def _cell_centers(shape: tuple[int, int], resolution: float, origin) -> np.ndarray:
@@ -226,7 +174,7 @@ def _cell_centers(shape: tuple[int, int], resolution: float, origin) -> np.ndarr
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def make_mask(gt_poses: PoseTrajectory, geometry, dilation_radius: float) -> TrajMask:
+def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) -> Grid:
     """Mark every cell whose center lies within dilation_radius of the trajectory polyline."""
     if dilation_radius < 0:
         raise ValueError("dilation radius must be >= 0")
@@ -235,7 +183,7 @@ def make_mask(gt_poses: PoseTrajectory, geometry, dilation_radius: float) -> Tra
     pts = np.asarray([[p.x, p.y] for p in gt_poses.poses]) if len(gt_poses) else np.zeros((0, 2))
     mask = np.zeros(shape, dtype=bool)
     if len(pts) == 0:
-        return TrajMask(mask, res, origin)
+        return Grid(mask, res, origin)
     centers = _cell_centers(shape, res, origin)
     min_d = np.full(centers.shape[0], np.inf)
     if len(pts) == 1:
@@ -260,25 +208,25 @@ def make_mask(gt_poses: PoseTrajectory, geometry, dilation_radius: float) -> Tra
         ).all()
         if outside:
             log.warning("trajectory lies entirely outside the grid; mask is empty")
-    return TrajMask(mask, res, origin)
+    return Grid(mask, res, origin)
 
 
-def mask_esdf(phi: EsdfMap, mask: TrajMask, alpha: float) -> EsdfMap:
+def mask_esdf(phi: Grid, mask: Grid, alpha: float) -> Grid:
     """Attenuate the field inside the corridor: phi * (1 - alpha) there, phi elsewhere."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if not same_geometry(phi, mask):
         raise GeometryMismatchError("field and mask geometry differ")
     values = phi.values * (1.0 - alpha * mask.values)
-    return EsdfMap(values, phi.resolution, phi.origin)
+    return Grid(values, phi.resolution, phi.origin)
 
 
 def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
     """Shared bilinear kernel.
 
-    Returns (sampled values, d/dx, d/dy, out-of-bounds mask). Points outside
-    the cell-center lattice clamp to the border; clamped coordinates carry
-    zero gradient in the clamped direction.
+    Returns (sampled values, d/dx, d/dy). Points outside the cell-center
+    lattice clamp to the border; clamped coordinates carry zero gradient in
+    the clamped direction.
     """
     h, w = values.shape
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -286,7 +234,6 @@ def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
     gy = (pts[:, 1] - origin[1]) / resolution
     cx = np.clip(gx, 0.0, w - 1.0)
     cy = np.clip(gy, 0.0, h - 1.0)
-    oob = (gx != cx) | (gy != cy)
     ix = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
     iy = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
     u = cx - ix
@@ -302,90 +249,66 @@ def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
     dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
     inside_x = (gx == cx).astype(float)
     inside_y = (gy == cy).astype(float)
-    return out, du * inside_x / resolution, dv * inside_y / resolution, oob
+    return out, du * inside_x / resolution, dv * inside_y / resolution
 
 
-def sample_bilinear(phi: EsdfMap, points, with_oob: bool = False):
+def sample_bilinear(phi: Grid, points):
     """Bilinearly interpolate the field at world points (meters)."""
-    out, _, _, oob = _bilinear(phi.values, phi.resolution, phi.origin, points)
-    return (out, oob) if with_oob else out
-
-
-def sample_bilinear_with_grad(phi: EsdfMap, points):
-    """Values plus spatial gradient (d/dx, d/dy) at world points."""
-    out, dx, dy, _ = _bilinear(phi.values, phi.resolution, phi.origin, points)
-    return out, dx, dy
-
-
-def traj_esdf_sum(phi: EsdfMap, poses: PoseTrajectory) -> float:
-    """Sum of the sampled field over trajectory points, excluding the fixed start pose."""
-    if len(poses) <= 1:
-        return 0.0
-    pts = poses.as_array()[1:, :2]
-    return float(np.sum(sample_bilinear(phi, pts)))
+    return _bilinear(phi.values, phi.resolution, phi.origin, points)[0]
 
 
 # --- text file formats -------------------------------------------------------
 
-def save_grid(grid, path) -> None:
-    """Write OCC2 (occupancy) or ESDF (signed field) text files."""
-    if isinstance(grid, OccupancyGrid):
-        header = (
-            f"OCC2 {grid.width} {grid.height} {grid.depth} "
-            f"{grid.resolution!r} {grid.origin[0]!r} {grid.origin[1]!r}"
-        )
-        body = "\n".join(
-            " ".join("1" if v else "0" for v in row)
-            for plane in grid.values
-            for row in plane
-        )
-    elif isinstance(grid, BinaryMap2D):
-        header = (
-            f"OCC2 {grid.width} {grid.height} "
-            f"{grid.resolution!r} {grid.origin[0]!r} {grid.origin[1]!r}"
-        )
-        body = "\n".join(" ".join("1" if v else "0" for v in row) for row in grid.values)
-    elif isinstance(grid, EsdfMap):
-        header = (
-            f"ESDF {grid.width} {grid.height} "
-            f"{grid.resolution!r} {grid.origin[0]!r} {grid.origin[1]!r}"
-        )
-        body = "\n".join(" ".join(repr(float(v)) for v in row) for row in grid.values)
-    else:
-        raise TypeError(f"cannot serialize {type(grid).__name__}")
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + body + "\n")
-
-
 class GridParseError(AstraError):
-    """Malformed grid file; message carries the file and offending field."""
+    """Unreadable or malformed grid file; message carries the file and offending field."""
+
+
+# header dimension counts per magic: OCC2 is 2-D or 3-D, ESDF is 2-D
+_HEADER_DIMS = {"OCC2": (2, 3), "ESDF": (2,)}
+
+
+def format_grid(grid: Grid) -> str:
+    """OCC2 text for boolean occupancy (2-D or 3-D), ESDF text for a float field."""
+    if grid.values.dtype == bool:
+        magic, cell = "OCC2", lambda v: "1" if v else "0"
+    else:
+        magic, cell = "ESDF", lambda v: repr(float(v))
+    dims = " ".join(map(str, [grid.width, grid.height, *grid.values.shape[:-2]]))
+    header = f"{magic} {dims} {grid.resolution!r} {grid.origin[0]!r} {grid.origin[1]!r}"
+    rows = grid.values.reshape(-1, grid.width)
+    return header + "\n" + "\n".join(" ".join(cell(v) for v in row) for row in rows) + "\n"
+
+
+def save_grid(grid: Grid, path) -> None:
+    """Write the grid as an OCC2 or ESDF text file (see format_grid)."""
+    with open(path, "w") as fh:
+        fh.write(format_grid(grid))
 
 
 def _parse_header(tokens: list[str], path) -> tuple[str, list[int], float, tuple[float, float]]:
     magic = tokens[0]
-    if magic == "OCC2":
-        if len(tokens) == 7:
-            dims = [int(tokens[1]), int(tokens[2]), int(tokens[3])]
-            rest = tokens[4:]
-        elif len(tokens) == 6:
-            dims = [int(tokens[1]), int(tokens[2])]
-            rest = tokens[3:]
-        else:
-            raise GridParseError(f"{path}: OCC2 header needs 5 or 6 fields, got {len(tokens) - 1}")
-    elif magic == "ESDF":
-        if len(tokens) != 6:
-            raise GridParseError(f"{path}: ESDF header needs 5 fields, got {len(tokens) - 1}")
-        dims = [int(tokens[1]), int(tokens[2])]
-        rest = tokens[3:]
-    else:
+    if magic not in _HEADER_DIMS:
         raise GridParseError(f"{path}: unknown grid magic {magic!r} (line 1, field 1)")
-    return magic, dims, float(rest[0]), (float(rest[1]), float(rest[2]))
+    n_dims = len(tokens) - 4
+    if n_dims not in _HEADER_DIMS[magic]:
+        want = " or ".join(str(n + 3) for n in _HEADER_DIMS[magic])
+        raise GridParseError(f"{path}: {magic} header needs {want} fields, got {len(tokens) - 1}")
+    dims = [int(t) for t in tokens[1 : 1 + n_dims]]
+    res, ox, oy = (float(t) for t in tokens[1 + n_dims :])
+    if min(dims) < 1:
+        raise GridParseError(f"{path}: grid dimensions must be >= 1, got {dims} (line 1)")
+    if not (0 < res < math.inf and math.isfinite(ox) and math.isfinite(oy)):
+        raise GridParseError(f"{path}: resolution must be positive and origin finite (line 1)")
+    return magic, dims, res, (ox, oy)
 
 
-def load_grid(path):
-    """Read a grid file; returns OccupancyGrid, BinaryMap2D, or EsdfMap per its header."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+def load_grid(path) -> Grid:
+    """Read an OCC2 (boolean occupancy) or ESDF (float field) text file."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
+        raise GridParseError(f"{path}: cannot read grid file: {e}") from e
     if not lines or not lines[0].strip():
         raise GridParseError(f"{path}: empty file (line 1)")
     try:
@@ -393,20 +316,20 @@ def load_grid(path):
     except ValueError as e:
         raise GridParseError(f"{path}: bad header value (line 1): {e}") from e
     body = " ".join(lines[1:]).split()
-    if magic == "OCC2" and len(dims) == 3:
-        w, h, d = dims
-        expected = w * h * d
-    else:
-        w, h = dims[0], dims[1]
-        expected = w * h
+    expected = math.prod(dims)
     if len(body) != expected:
         raise GridParseError(f"{path}: expected {expected} cell values, got {len(body)} (line 2+)")
     try:
         flat = np.array([float(t) for t in body])
     except ValueError as e:
         raise GridParseError(f"{path}: bad cell value (line 2+): {e}") from e
-    if magic == "ESDF":
-        return EsdfMap(flat.reshape(h, w), res, origin)
-    if len(dims) == 3:
-        return OccupancyGrid(flat.reshape(d, h, w) != 0, res, origin)
-    return BinaryMap2D(flat.reshape(h, w) != 0, res, origin)
+    values = flat.reshape(dims[::-1])  # header order is width, height[, depth]
+    return Grid(values != 0 if magic == "OCC2" else values, res, origin)
+
+
+def load_occupancy(path) -> Grid:
+    """Read a grid file as 2-D occupancy: a 3-D volume is compressed, an ESDF file rejected."""
+    grid = load_grid(path)
+    if grid.values.dtype != bool:
+        raise GridParseError(f"{path}: expected an OCC2 occupancy grid, got an ESDF field")
+    return compress_grid(grid)

@@ -115,9 +115,6 @@ class LocalizationConfig:
     angle_beta: float = 0.5  # meters of penalty per radian of orientation difference
     fine_mode: str = "weighted"  # "weighted" | "nearest"
     softmax_temperature: float = 1.0
-    goal_r0: float = 10.0
-    goal_r_step: float = 10.0
-    goal_r_max: float = 100.0
     synonyms: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_SYNONYMS))
 
 
@@ -365,11 +362,6 @@ def heuristic_oracle(ctx: QueryContext, node: MapNode) -> float:
 
 
 # --- adapter wire formats ----------------------------------------------------
-
-def extractor_request(image_ref: str) -> dict:
-    """Request payload for a remote landmark extractor."""
-    return {"image_ref": image_ref}
-
 
 def parse_extractor_response(payload: dict) -> list[LandmarkObservation]:
     """Decode a remote extractor response: {"observations": [{category, visual_attributes}]}."""

@@ -10,8 +10,9 @@ so the one-shot reconstruction x~ = x_t - t * v recovers x1 exactly when
 v equals u. The full planning loss subtracts a clearance bonus,
 lambda * sum of the masked signed-distance field sampled along the pose
 trajectory reconstructed from x~; its gradient is accumulated by hand
-through the bilinear interpolation and the SE(2) pose recurrence, so both
-losses expose exact reverse-mode parameter gradients.
+through the bilinear interpolation and the SE(2) pose recurrence, so the
+loss exposes exact reverse-mode parameter gradients; at lambda = 0 it is the
+plain flow-matching loss.
 
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
 down to t = 0: x <- x - dt * v(x, t | c).
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AstraError
-from .esdf import BinaryMap2D, EsdfMap, edt, sample_bilinear, signed_esdf
+from .esdf import Grid, _bilinear, edt, sample_bilinear, signed_esdf
 from .geom import ActionTrajectory, Pose2, PoseTrajectory, actions_to_poses
 
 
@@ -219,12 +220,17 @@ def reconstruct(x_t: np.ndarray, t, v: np.ndarray) -> np.ndarray:
 @dataclass
 class PlanningSample:
     """One training example: expert actions, conditioning, the world-frame start
-    pose, and the (already masked) field the clearance bonus samples."""
+    pose, and the (already masked) field the clearance bonus samples. Samples
+    built from worlds also carry their occupancy file, the expert poses as
+    [[x, y, theta], ...] and the index of their world."""
 
     actions: np.ndarray
     condition: object
     start: Pose2 = field(default_factory=Pose2)
-    phi: EsdfMap | None = None
+    phi: Grid | None = None
+    grid_ref: str | None = None
+    gt_poses: list | None = None
+    world_index: int | None = None
 
     def __post_init__(self):
         self.actions = np.asarray(self.actions, dtype=float).reshape(-1, 3)
@@ -259,15 +265,13 @@ def _penalty_and_grad(samples, actions: np.ndarray, starts: np.ndarray):
     pose recurrence with the usual reverse accumulation: position adjoints
     pass through unchanged, heading adjoints collect the rotated-step terms.
     """
-    from .esdf import _bilinear  # shared kernel
-
     b, n, _ = actions.shape
     poses = _poses_from_actions(actions, starts)
     values = np.zeros((b, n))
     gx = np.zeros((b, n))
     gy = np.zeros((b, n))
     for i, s in enumerate(samples):
-        out, dx, dy, _ = _bilinear(s.phi.values, s.phi.resolution, s.phi.origin, poses[i, 1:, :2])
+        out, dx, dy = _bilinear(s.phi.values, s.phi.resolution, s.phi.origin, poses[i, 1:, :2])
         values[i], gx[i], gy[i] = out, dx, dy
     dact = np.zeros_like(actions)
     ax_adj = np.zeros(b)
@@ -284,33 +288,6 @@ def _penalty_and_grad(samples, actions: np.ndarray, starts: np.ndarray):
         dact[:, k - 1, 2] = at_adj
         at_adj = at_adj + ax_adj * (-s * dx - c * dy) + ay_adj * (c * dx - s * dy)
     return values.sum(axis=1), dact
-
-
-def cfm_loss_at(model: VectorFieldModel, x1, cond, t, x0):
-    """Deterministic flow-matching loss and parameter gradients at given (t, x0)."""
-    x1 = np.atleast_2d(x1)
-    cond = np.atleast_2d(cond)
-    t = np.asarray(t, dtype=float).ravel()
-    x0 = np.atleast_2d(x0)
-    b = x1.shape[0]
-    xt = (1.0 - t)[:, None] * x1 + t[:, None] * x0
-    u = x0 - x1
-    inp = np.concatenate([xt, t[:, None], cond], axis=1)
-    v, acts = model._forward_cached(inp)
-    diff = v - u
-    loss = float(np.sum(diff * diff) / b)
-    grads = model.backward(acts, 2.0 * diff / b)
-    return loss, grads
-
-
-def cfm_loss(model: VectorFieldModel, x1, cond, rng):
-    """Flow-matching loss on a batch; t ~ U[0,1], x0 ~ N(0, I) drawn from rng."""
-    x1 = np.atleast_2d(x1)
-    if x1.shape[0] == 0:
-        raise PlannerError("batch must be nonempty")
-    t = rng.random(x1.shape[0])
-    x0 = rng.standard_normal(x1.shape)
-    return cfm_loss_at(model, x1, cond, t, x0)
 
 
 def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
@@ -335,7 +312,7 @@ def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
         if any(s.phi is None for s in samples):
             raise PlannerError("planning loss with lambda != 0 needs a field on every sample")
         n = model.n_actions
-        x_rec = xt - t[:, None] * v
+        x_rec = reconstruct(xt, t, v)
         sums, dact = _penalty_and_grad(samples, x_rec.reshape(b, n, 3), starts)
         penalty = float(sums.mean())
         # d(loss)/dv += -lam/b * d(sum)/dx~ * dx~/dv, and dx~/dv = -t
@@ -425,14 +402,12 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
 class PlanSample:
     actions: ActionTrajectory
     poses: PoseTrajectory
-    collided: bool
     mean_step: float
 
     def to_jsonable(self) -> dict:
         return {
             "actions": self.actions.to_jsonable(),
             "poses": self.poses.to_jsonable(),
-            "collided": self.collided,
             "mean_step": self.mean_step,
         }
 
@@ -442,10 +417,7 @@ def sample(
     condition,
     steps: int,
     rng,
-    grid: BinaryMap2D | None = None,
-    footprint_radius: float = 0.3,
     start: Pose2 = Pose2(),
-    dist_field: EsdfMap | None = None,
 ) -> PlanSample:
     """Draw one trajectory by Euler integration from noise at t=1 down to t=0."""
     if steps < 1:
@@ -458,23 +430,20 @@ def sample(
         x = x - dt * vf_eval(model, x, t, c)
     actions = ActionTrajectory(x.reshape(model.n_actions, 3))
     poses = actions_to_poses(actions, start)
-    collided = False
-    if grid is not None or dist_field is not None:
-        collided = collision_check(poses, grid, footprint_radius, dist_field)
     step_norms = np.hypot(actions.steps[:, 0], actions.steps[:, 1])
-    return PlanSample(actions, poses, collided, float(step_norms.mean()) if len(actions) else 0.0)
+    return PlanSample(actions, poses, float(step_norms.mean()) if len(actions) else 0.0)
 
 
-def distance_field(grid: BinaryMap2D) -> EsdfMap:
+def distance_field(grid: Grid) -> Grid:
     """Unsigned distance-to-occupied as a sampleable field (for collision checks)."""
-    return EsdfMap(edt(grid, "occupied"), grid.resolution, grid.origin)
+    return Grid(edt(grid, "occupied"), grid.resolution, grid.origin)
 
 
 def collision_check(
     poses: PoseTrajectory,
-    grid: BinaryMap2D | None,
+    grid: Grid | None,
     footprint_radius: float = 0.3,
-    dist_field: EsdfMap | None = None,
+    dist_field: Grid | None = None,
 ) -> bool:
     """True iff any pose center's interpolated free-space distance drops below
     the footprint radius."""
@@ -491,9 +460,9 @@ def collision_check(
 
 
 def occupancy_features(
-    grid: BinaryMap2D,
+    grid: Grid,
     pose: Pose2,
-    phi: EsdfMap | None = None,
+    phi: Grid | None = None,
     extent: float = 2.0,
     cells: int = 16,
 ) -> np.ndarray:

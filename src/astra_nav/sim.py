@@ -21,17 +21,15 @@ import heapq
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError, UnknownConfigKeyError
+from .errors import AstraError
 from .esdf import (
-    BinaryMap2D,
-    EsdfMap,
-    OccupancyGrid,
+    Grid,
     compress_grid,
-    load_grid,
+    load_occupancy,
     make_mask,
     mask_esdf,
     sample_bilinear,
@@ -101,41 +99,29 @@ _FUNCTIONS = {
 
 
 @dataclass
-class MovingObstacle:
-    """Constant-velocity disc, used only to exercise collision accounting."""
-
-    x: float
-    y: float
-    vx: float
-    vy: float
-    radius: float = 0.3
-
-
-@dataclass
 class World:
-    grid: OccupancyGrid
+    grid: Grid  # occupancy: 3-D as generated, 2-D as loaded
     map: TopoMap
     start_xy: list[tuple[float, float]]
     seed: int = 0
     source_dir: str | None = None
-    moving_obstacles: list[MovingObstacle] = field(default_factory=list)
 
     def __post_init__(self):
         self._grid2d = None
         self._dist = None
         self._phi = None
 
-    def grid2d(self) -> BinaryMap2D:
+    def grid2d(self) -> Grid:
         if self._grid2d is None:
             self._grid2d = compress_grid(self.grid)
         return self._grid2d
 
-    def dist_field(self) -> EsdfMap:
+    def dist_field(self) -> Grid:
         if self._dist is None:
             self._dist = distance_field(self.grid2d())
         return self._dist
 
-    def phi(self) -> EsdfMap:
+    def phi(self) -> Grid:
         if self._phi is None:
             self._phi = signed_esdf(self.grid2d())
         return self._phi
@@ -168,7 +154,7 @@ def _connected(free: np.ndarray) -> bool:
     return count == total
 
 
-def _segment_clear(dist: EsdfMap, a, b, clearance: float) -> bool:
+def _segment_clear(dist: Grid, a, b, clearance: float) -> bool:
     """All points sampled every half-cell along a->b keep at least `clearance`."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -180,7 +166,7 @@ def _segment_clear(dist: EsdfMap, a, b, clearance: float) -> bool:
 
 
 def _build_lattice_map(
-    grid2: BinaryMap2D, dist: EsdfMap, node_clearance: float, link_radius: float = 2.0
+    grid2: Grid, dist: Grid, node_clearance: float, link_radius: float = 2.0
 ) -> TopoMap:
     """Nodes on a 1 m lattice over free space; lattice-neighbor edges plus
     proximity links under link_radius, all requiring a clear straight segment."""
@@ -229,7 +215,7 @@ def _node_graph_connected(topo: TopoMap) -> bool:
     return len(seen) == len(topo.nodes)
 
 
-def _place_landmarks(world_map: TopoMap, grid2: BinaryMap2D, count: int, rng) -> None:
+def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
     free = ~grid2.values
     occ = grid2.values
     near_wall = np.zeros_like(free)
@@ -308,7 +294,7 @@ def generate_world(
             occ2[r : r + bh, c : c + bw] = True
         if not _connected(~occ2):
             continue
-        grid2 = BinaryMap2D(occ2, resolution)
+        grid2 = Grid(occ2, resolution)
         dist = distance_field(grid2)
         topo = _build_lattice_map(grid2, dist, node_clearance=0.3)
         if len(topo.nodes) < 4 or not _node_graph_connected(topo):
@@ -317,7 +303,7 @@ def generate_world(
         report = topo.validate()
         if not report.ok:
             raise SimError(f"generated map failed validation: {report.violations[:3]}")
-        grid3 = OccupancyGrid(_extrude(occ2, depth, rng), resolution)
+        grid3 = Grid(_extrude(occ2, depth, rng), resolution)
         start_xy = [
             (n.pose.position[0], n.pose.position[1])
             for n in sorted(topo.nodes.values(), key=lambda n: n.id)
@@ -329,41 +315,6 @@ def generate_world(
     raise SimError(f"could not generate a connected world at density {obstacle_density}")
 
 
-def generate_corridor_world(
-    seed: int,
-    length_m: float = 12.0,
-    height_m: float = 5.0,
-    resolution: float = 0.25,
-) -> World:
-    """Corridor with a doorway wall: the standard fixture for clearance tests."""
-    rng = np.random.default_rng(seed)
-    w = int(round(length_m / resolution))
-    h = int(round(height_m / resolution))
-    occ2 = np.ones((h, w), dtype=bool)
-    band_w = float(rng.uniform(1.5, 2.5))
-    band_c = float(rng.uniform(height_m * 0.35, height_m * 0.65))
-    lo = max(1, int(round((band_c - band_w / 2) / resolution)))
-    hi = min(h - 1, int(round((band_c + band_w / 2) / resolution)))
-    occ2[lo:hi, 1:-1] = False
-    door_x = int(round(float(rng.uniform(0.4, 0.6)) * w))
-    gap = max(5, int(round(float(rng.uniform(1.2, 1.6)) / resolution)))
-    gap_lo = int(rng.integers(lo, max(lo + 1, hi - gap)))
-    occ2[:, door_x : door_x + 2] = True
-    occ2[gap_lo : gap_lo + gap, door_x : door_x + 2] = False
-    grid2 = BinaryMap2D(occ2, resolution)
-    dist = distance_field(grid2)
-    topo = _build_lattice_map(grid2, dist, node_clearance=0.3)
-    if len(topo.nodes) < 2 or not _node_graph_connected(topo):
-        return generate_corridor_world(seed + 1000, length_m, height_m, resolution)
-    _place_landmarks(topo, grid2, 4, rng)
-    grid3 = OccupancyGrid(_extrude(occ2, 2, rng), resolution)
-    start_xy = [
-        (n.pose.position[0], n.pose.position[1])
-        for n in sorted(topo.nodes.values(), key=lambda n: n.id)
-    ]
-    return World(grid3, topo, start_xy, seed)
-
-
 # --- expert planner ----------------------------------------------------------
 
 _DIAG = math.sqrt(2.0)
@@ -373,7 +324,7 @@ _MOVES = [
 ]
 
 
-def _to_cell(grid2: BinaryMap2D, x: float, y: float) -> tuple[int, int]:
+def _to_cell(grid2: Grid, x: float, y: float) -> tuple[int, int]:
     c = int(round((x - grid2.origin[0]) / grid2.resolution))
     r = int(round((y - grid2.origin[1]) / grid2.resolution))
     return (min(max(r, 0), grid2.height - 1), min(max(c, 0), grid2.width - 1))
@@ -449,21 +400,19 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
 
 
 def oracle_plan(
-    world_or_grid,
+    world: World,
     start: Pose2,
     goal: Pose2,
     footprint_radius: float = 0.3,
     step: float = 0.25,
-    dist: EsdfMap | None = None,
     safety_margin: float = 0.25,
 ) -> PoseTrajectory:
     """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, fixed-step
     resampling. Headings follow the local direction of travel; the first pose is
     the exact start. Plans prefer footprint + margin clearance and retry at the
     bare footprint inflation before declaring the goal unreachable."""
-    grid2 = world_or_grid.grid2d() if isinstance(world_or_grid, World) else world_or_grid
-    if dist is None:
-        dist = world_or_grid.dist_field() if isinstance(world_or_grid, World) else distance_field(grid2)
+    grid2 = world.grid2d()
+    dist = world.dist_field()
     cells = None
     clearance = footprint_radius + grid2.resolution
     for margin in ((safety_margin, 0.0) if safety_margin > 0 else (0.0,)):
@@ -542,14 +491,6 @@ class NavConfig:
     fallback: bool = True
     euler_steps: int = 20
     seed: int = 0
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NavConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise UnknownConfigKeyError(key, "nav config")
-        return cls(**data)
 
 
 @dataclass
@@ -675,7 +616,7 @@ def run_episode(
 
     try:
         oracle_ref = oracle_plan(
-            world, start, goal_pose, config.footprint_radius, config.max_step, dist
+            world, start, goal_pose, config.footprint_radius, config.max_step
         )
     except UnreachableError:
         return EpisodeReport(False, "stuck")
@@ -687,7 +628,6 @@ def run_episode(
     best_goal_dist = math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
     stall = 0
     stall_limit = max(80, 4 * config.fix_every)
-    obstacles = [replace(o) for o in world.moving_obstacles]
 
     def goal_distance() -> float:
         return math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
@@ -717,7 +657,7 @@ def run_episode(
         if actions is None:  # oracle planner, or a fallback replacement segment
             try:
                 ref = oracle_plan(
-                    world, est_pose, subgoal, config.footprint_radius, config.max_step, dist
+                    world, est_pose, subgoal, config.footprint_radius, config.max_step
                 )
             except UnreachableError:
                 report.reason = "stuck"
@@ -758,13 +698,6 @@ def run_episode(
             clearance = float(sample_bilinear(dist, [(true_pose.x, true_pose.y)])[0])
             if clearance < config.footprint_radius:
                 report.collision_count += 1
-            for ob in obstacles:
-                ob.x += ob.vx * 0.1
-                ob.y += ob.vy * 0.1
-                if math.hypot(ob.x - true_pose.x, ob.y - true_pose.y) < (
-                    ob.radius + config.footprint_radius
-                ):
-                    report.collision_count += 1
             if executed % config.fix_every == 0:
                 fix = _global_fix(world, true_pose, config.fix_oracle_radius)
                 if fix is not None:
@@ -856,7 +789,6 @@ def build_planning_dataset(
     dataset: list[PlanningSample] = []
     for wi, world in enumerate(worlds):
         grid2 = world.grid2d()
-        dist = world.dist_field()
         phi = world.phi()
         grid_ref = os.path.join(world.source_dir, "grid.occ") if world.source_dir else None
         collected = 0
@@ -876,7 +808,6 @@ def build_planning_dataset(
                     Pose2(*g_xy, heading),
                     footprint_radius,
                     max_step,
-                    dist,
                 )
             except UnreachableError:
                 continue
@@ -898,16 +829,17 @@ def build_planning_dataset(
                     occupancy_features(grid2, start_pose, phi),
                 )
                 mask = make_mask(window, phi, mask_dilation)
-                sample_obj = PlanningSample(
-                    actions.steps,
-                    cond,
-                    start_pose,
-                    mask_esdf(phi, mask, mask_alpha),
+                dataset.append(
+                    PlanningSample(
+                        actions.steps,
+                        cond,
+                        start_pose,
+                        mask_esdf(phi, mask, mask_alpha),
+                        grid_ref,
+                        window.to_jsonable(),
+                        wi,
+                    )
                 )
-                sample_obj.grid_ref = grid_ref
-                sample_obj.gt_poses = window.to_jsonable()
-                sample_obj.world_index = wi
-                dataset.append(sample_obj)
                 collected += 1
                 if collected >= samples_per_world:
                     break
@@ -918,17 +850,15 @@ def save_dataset(dataset: list[PlanningSample], path) -> None:
     """JSON-lines export; needs grid_ref/gt_poses metadata on every sample."""
     with open(path, "w") as fh:
         for s in dataset:
-            grid_ref = getattr(s, "grid_ref", None)
-            gt_poses = getattr(s, "gt_poses", None)
-            if grid_ref is None or gt_poses is None:
+            if s.grid_ref is None or s.gt_poses is None:
                 raise SimError("dataset sample lacks grid_ref/gt_poses metadata")
             fh.write(
                 json.dumps(
                     {
                         "actions": [[float(v) for v in row] for row in s.actions],
                         "condition": s.condition.to_jsonable(),
-                        "grid_ref": grid_ref,
-                        "gt_poses": gt_poses,
+                        "grid_ref": s.grid_ref,
+                        "gt_poses": s.gt_poses,
                     }
                 )
                 + "\n"
@@ -939,7 +869,7 @@ def load_dataset(path, mask_alpha: float = 0.5, mask_dilation: float = 0.3):
     """Rebuild PlanningSamples from a JSON-lines file, recomputing masked fields
     per referenced grid."""
     base = os.path.dirname(os.path.abspath(path))
-    phis: dict[str, EsdfMap] = {}
+    phis: dict[str, Grid] = {}
     dataset = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -952,21 +882,20 @@ def load_dataset(path, mask_alpha: float = 0.5, mask_dilation: float = 0.3):
             grid_ref = rec["grid_ref"]
             full = grid_ref if os.path.isabs(grid_ref) else os.path.join(base, grid_ref)
             if full not in phis:
-                grid = load_grid(full)
-                grid2 = compress_grid(grid) if isinstance(grid, OccupancyGrid) else grid
-                phis[full] = signed_esdf(grid2)
+                phis[full] = signed_esdf(load_occupancy(full))
             phi = phis[full]
             gt = PoseTrajectory.from_jsonable(rec["gt_poses"])
             mask = make_mask(gt, phi, mask_dilation)
-            sample_obj = PlanningSample(
-                np.asarray(rec["actions"], dtype=float),
-                PlanningCondition.from_jsonable(rec["condition"]),
-                gt[0],
-                mask_esdf(phi, mask, mask_alpha),
+            dataset.append(
+                PlanningSample(
+                    np.asarray(rec["actions"], dtype=float),
+                    PlanningCondition.from_jsonable(rec["condition"]),
+                    gt[0],
+                    mask_esdf(phi, mask, mask_alpha),
+                    grid_ref,
+                    rec["gt_poses"],
+                )
             )
-            sample_obj.grid_ref = grid_ref
-            sample_obj.gt_poses = rec["gt_poses"]
-            dataset.append(sample_obj)
     return dataset
 
 
@@ -1022,9 +951,6 @@ def save_world(world: World, out_dir) -> None:
             {
                 "seed": world.seed,
                 "start_xy": [[float(x), float(y)] for x, y in world.start_xy],
-                "moving_obstacles": [
-                    [o.x, o.y, o.vx, o.vy, o.radius] for o in world.moving_obstacles
-                ],
             },
             fh,
             sort_keys=True,
@@ -1033,9 +959,7 @@ def save_world(world: World, out_dir) -> None:
 
 
 def load_world(world_dir) -> World:
-    grid = load_grid(os.path.join(world_dir, "grid.occ"))
-    if isinstance(grid, BinaryMap2D):
-        grid = OccupancyGrid(grid.values[None, :, :], grid.resolution, grid.origin)
+    grid = load_occupancy(os.path.join(world_dir, "grid.occ"))
     topo = TopoMap.load(os.path.join(world_dir, "map.json"))
     with open(os.path.join(world_dir, "world.json")) as fh:
         meta = json.load(fh)
@@ -1045,5 +969,4 @@ def load_world(world_dir) -> World:
         [tuple(p) for p in meta["start_xy"]],
         meta.get("seed", 0),
         source_dir=str(world_dir),
-        moving_obstacles=[MovingObstacle(*row) for row in meta.get("moving_obstacles", [])],
     )

@@ -291,6 +291,8 @@ class TopoMap:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "TopoMap":
+        if not isinstance(data, dict):
+            raise MapError(f"map document must be a JSON object, got {type(data).__name__}")
         m = cls()
         try:
             for i, nd in enumerate(data.get("nodes", [])):
@@ -328,11 +330,13 @@ class TopoMap:
 
     @classmethod
     def load(cls, path) -> "TopoMap":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise MapError(f"{path}: invalid JSON at line {e.lineno} col {e.colno}") from e
+        except json.JSONDecodeError as e:
+            raise MapError(f"{path}: invalid JSON at line {e.lineno} col {e.colno}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise MapError(f"{path}: cannot read map file: {e}") from e
         return cls.from_jsonable(data)
 
     def __eq__(self, other) -> bool:

@@ -5,11 +5,9 @@ import pytest
 
 from astra_nav.errors import GeometryMismatchError
 from astra_nav.esdf import (
-    BinaryMap2D,
-    EsdfMap,
-    OccupancyGrid,
+    Grid,
+    GridParseError,
     compress_grid,
-    distance_cap,
     edt,
     edt_squared,
     load_grid,
@@ -18,9 +16,9 @@ from astra_nav.esdf import (
     sample_bilinear,
     save_grid,
     signed_esdf,
-    traj_esdf_sum,
 )
-from astra_nav.geom import Pose2, PoseTrajectory
+from astra_nav.geom import Pose2, PoseTrajectory, poses_to_actions
+from astra_nav.planner import PlanningSample, VectorFieldModel, planning_loss_at
 
 
 def brute_force_sq(mask: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -36,12 +34,12 @@ def brute_force_sq(mask: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def bin2d(values, res=1.0, origin=(0.0, 0.0)):
-    return BinaryMap2D(np.asarray(values, dtype=bool), res, origin)
+    return Grid(np.asarray(values, dtype=bool), res, origin)
 
 
 class TestCompress:
     def test_empty(self):
-        grid = OccupancyGrid(np.zeros((3, 4, 5), bool), 0.5)
+        grid = Grid(np.zeros((3, 4, 5), bool), 0.5)
         out = compress_grid(grid)
         assert out.values.shape == (4, 5)
         assert not out.values.any()
@@ -49,7 +47,7 @@ class TestCompress:
     def test_single_voxel(self):
         vals = np.zeros((8, 6, 7), bool)
         vals[5, 3, 2] = True
-        out = compress_grid(OccupancyGrid(vals, 1.0))
+        out = compress_grid(Grid(vals, 1.0))
         expect = np.zeros((6, 7), bool)
         expect[3, 2] = True
         assert (out.values == expect).all()
@@ -59,8 +57,8 @@ class TestCompress:
         a[:, 1, 1] = True
         b = np.zeros((4, 3, 3), bool)
         b[2, 1, 1] = True
-        out_a = compress_grid(OccupancyGrid(a, 1.0))
-        out_b = compress_grid(OccupancyGrid(b, 1.0))
+        out_a = compress_grid(Grid(a, 1.0))
+        out_b = compress_grid(Grid(b, 1.0))
         assert (out_a.values == out_b.values).all()
 
 
@@ -75,7 +73,7 @@ class TestEdt:
     def test_all_free_is_capped(self):
         m = bin2d(np.zeros((4, 6)))
         d = edt(m, "occupied")
-        assert (d == distance_cap(m)).all()
+        assert (d == np.hypot(6, 4) * 1.0).all()
 
     def test_midpoint_between_two_obstacles(self):
         vals = np.zeros((1, 5))
@@ -91,6 +89,10 @@ class TestEdt:
             m = bin2d(mask)
             np.testing.assert_array_equal(edt_squared(m, "occupied"), brute_force_sq(mask, mask))
             np.testing.assert_array_equal(edt_squared(m, "free"), brute_force_sq(mask, ~mask))
+            # a 0/1 integer grid is the same occupancy as the boolean one
+            ints = Grid(mask.astype(int), 1.0)
+            np.testing.assert_array_equal(edt_squared(ints, "free"), brute_force_sq(mask, ~mask))
+            np.testing.assert_array_equal(signed_esdf(ints).values, signed_esdf(m).values)
 
 
 class TestSignedEsdf:
@@ -109,7 +111,7 @@ class TestSignedEsdf:
     def test_all_obstacle(self):
         m = bin2d(np.ones((3, 5)))
         phi = signed_esdf(m)
-        assert (phi.values == -distance_cap(m)).all()
+        assert (phi.values == -np.hypot(5, 3) * 1.0).all()
 
     def test_sign_convention(self):
         rng = np.random.default_rng(3)
@@ -153,12 +155,10 @@ class TestMask:
 
 class TestMaskEsdf:
     def _pair(self):
-        phi = EsdfMap(np.full((4, 4), 2.0), 1.0)
+        phi = Grid(np.full((4, 4), 2.0), 1.0)
         mvals = np.zeros((4, 4), bool)
         mvals[1:3, 1:3] = True
-        from astra_nav.esdf import TrajMask
-
-        return phi, TrajMask(mvals, 1.0)
+        return phi, Grid(mvals, 1.0)
 
     def test_alpha_zero_is_identity(self):
         phi, mask = self._pair()
@@ -178,94 +178,101 @@ class TestMaskEsdf:
 
     def test_geometry_mismatch(self):
         phi, _ = self._pair()
-        from astra_nav.esdf import TrajMask
-
         with pytest.raises(GeometryMismatchError):
-            mask_esdf(phi, TrajMask(np.zeros((3, 3), bool), 1.0), 0.5)
+            mask_esdf(phi, Grid(np.zeros((3, 3), bool), 1.0), 0.5)
 
 
 class TestBilinear:
     def test_cell_center_exact(self):
         rng = np.random.default_rng(1)
-        phi = EsdfMap(rng.normal(size=(5, 7)), 0.5, (1.0, -2.0))
+        phi = Grid(rng.normal(size=(5, 7)), 0.5, (1.0, -2.0))
         for r in range(5):
             for c in range(7):
                 pt = (1.0 + c * 0.5, -2.0 + r * 0.5)
                 assert sample_bilinear(phi, [pt])[0] == phi.values[r, c]
 
     def test_midpoint_linearity(self):
-        phi = EsdfMap(np.array([[1.0, 3.0]]), 1.0)
+        phi = Grid(np.array([[1.0, 3.0]]), 1.0)
         assert sample_bilinear(phi, [(0.5, 0.0)])[0] == pytest.approx(2.0)
 
     def test_corner_layout_hand_value(self):
         # corners: f(0,0)=1, f(+x,0)=2, f(0,+y)=3, f(+x,+y)=4; point (u, v) = (0.25, 0.75)
-        phi = EsdfMap(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0)
+        phi = Grid(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0)
         assert sample_bilinear(phi, [(0.25, 0.75)])[0] == pytest.approx(2.75)
 
-    def test_clamping_and_flag(self):
-        phi = EsdfMap(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0)
-        vals, oob = sample_bilinear(phi, [(-5.0, 0.0), (0.5, 0.5)], with_oob=True)
+    def test_clamping(self):
+        phi = Grid(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0)
+        vals = sample_bilinear(phi, [(-5.0, 0.0), (0.5, 0.5)])
         assert vals[0] == pytest.approx(1.0)
-        assert oob[0] and not oob[1]
+
+
+def traj_penalty(phi: Grid, poses: PoseTrajectory) -> float:
+    """The clearance penalty planning_loss_at returns for one sample following `poses`.
+
+    At t = 0 with x0 = 0 the one-shot reconstruction is the sample's own
+    actions, so the penalty is the field summed over the poses after the start.
+    """
+    actions = poses_to_actions(poses).steps
+    n = len(actions)
+    model = VectorFieldModel.create(n, 1, hidden=(2,), seed=0)
+    sample = PlanningSample(actions, np.zeros(1), poses[0], phi)
+    return planning_loss_at(model, [sample], 1.0, np.zeros(1), np.zeros((1, 3 * n)))[2]["penalty"]
 
 
 class TestTrajSum:
     def test_uniform_field(self):
-        phi = EsdfMap(np.full((6, 6), 1.5), 1.0)
+        phi = Grid(np.full((6, 6), 1.5), 1.0)
         poses = PoseTrajectory(tuple(Pose2(1 + k, 2, 0) for k in range(4)))
-        assert traj_esdf_sum(phi, poses) == pytest.approx(3 * 1.5)
+        assert traj_penalty(phi, poses) == pytest.approx(3 * 1.5)
 
     def test_empty_trajectory(self):
-        phi = EsdfMap(np.full((3, 3), 2.0), 1.0)
-        assert traj_esdf_sum(phi, PoseTrajectory((Pose2(),))) == 0.0
+        phi = Grid(np.full((3, 3), 2.0), 1.0)
+        assert traj_penalty(phi, PoseTrajectory((Pose2(),))) == 0.0
 
     def test_hand_summed(self):
-        phi = EsdfMap(np.array([[0.0, 1.0], [2.0, 3.0]]), 1.0)
+        phi = Grid(np.array([[0.0, 1.0], [2.0, 3.0]]), 1.0)
         poses = PoseTrajectory((Pose2(0, 0, 0), Pose2(0.5, 0.0, 0), Pose2(0.5, 0.5, 0), Pose2(1.0, 1.0, 0)))
         # bilinear: (0.5,0)->0.5, (0.5,0.5)->1.5, (1,1)->3
-        assert traj_esdf_sum(phi, poses) == pytest.approx(0.5 + 1.5 + 3.0)
+        assert traj_penalty(phi, poses) == pytest.approx(0.5 + 1.5 + 3.0)
 
     def test_linearity_in_field(self):
         rng = np.random.default_rng(5)
-        phi = EsdfMap(rng.normal(size=(8, 8)), 0.5)
+        phi = Grid(rng.normal(size=(8, 8)), 0.5)
         poses = PoseTrajectory(tuple(Pose2(*rng.uniform(0.5, 3.0, 2), 0) for _ in range(5)))
-        base = traj_esdf_sum(phi, poses)
-        scaled = traj_esdf_sum(EsdfMap(3.0 * phi.values, 0.5), poses)
+        base = traj_penalty(phi, poses)
+        scaled = traj_penalty(Grid(3.0 * phi.values, 0.5), poses)
         assert scaled == pytest.approx(3.0 * base)
 
 
 class TestGridFiles:
     def test_occupancy_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        grid = OccupancyGrid(rng.random((2, 5, 4)) < 0.4, 0.25, (1.5, -0.5))
-        path = tmp_path / "g.occ"
-        save_grid(grid, path)
-        loaded = load_grid(path)
-        assert isinstance(loaded, OccupancyGrid)
-        np.testing.assert_array_equal(loaded.values, grid.values)
-        assert loaded.resolution == grid.resolution
-        assert loaded.origin == grid.origin
+        for shape in ((2, 5, 4), (5, 4)):  # 3-D and 2-D OCC2
+            grid = Grid(rng.random(shape) < 0.4, 0.25, (1.5, -0.5))
+            path = tmp_path / "g.occ"
+            save_grid(grid, path)
+            loaded = load_grid(path)
+            assert loaded.values.dtype == bool
+            np.testing.assert_array_equal(loaded.values, grid.values)
+            assert loaded.resolution == grid.resolution
+            assert loaded.origin == grid.origin
 
     def test_esdf_round_trip(self, tmp_path):
-        phi = EsdfMap(np.array([[0.5, -1.25], [2.0, 0.0]]), 0.1, (0.0, 3.0))
+        phi = Grid(np.array([[0.5, -1.25], [2.0, 0.0]]), 0.1, (0.0, 3.0))
         path = tmp_path / "f.esdf"
         save_grid(phi, path)
         loaded = load_grid(path)
-        assert isinstance(loaded, EsdfMap)
+        assert loaded.values.dtype == float
         np.testing.assert_array_equal(loaded.values, phi.values)
 
     def test_bad_header_reports_line(self, tmp_path):
         path = tmp_path / "bad.occ"
         path.write_text("NOPE 1 2 3\n")
-        from astra_nav.esdf import GridParseError
-
         with pytest.raises(GridParseError, match="line 1"):
             load_grid(path)
 
     def test_wrong_cell_count(self, tmp_path):
         path = tmp_path / "short.occ"
         path.write_text("OCC2 3 2 1.0 0.0 0.0\n1 0 1\n")
-        from astra_nav.esdf import GridParseError
-
         with pytest.raises(GridParseError, match="expected 6"):
             load_grid(path)

@@ -13,7 +13,6 @@ from astra_nav.localization import (
     attribute_similarity,
     candidate_nodes,
     canonical_category,
-    extractor_request,
     fine_localize,
     goal_localize,
     heuristic_oracle,
@@ -356,9 +355,6 @@ class TestGoalLocalize:
 
 
 class TestAdapters:
-    def test_request_schema(self):
-        assert extractor_request("img-7.jpg") == {"image_ref": "img-7.jpg"}
-
     def test_response_round_trip(self):
         payload = {
             "observations": [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from astra_nav.errors import GeometryMismatchError
-from astra_nav.esdf import BinaryMap2D
+from astra_nav.esdf import Grid
 from astra_nav.geom import Pose2, PoseTrajectory, compose_se2
 from astra_nav.odometry import (
     FusionWeights,
@@ -20,16 +20,16 @@ from astra_nav.odometry import (
 
 
 def random_grid(rng, h=24, w=24, res=0.2):
-    return BinaryMap2D(rng.random((h, w)) < 0.35, res)
+    return Grid(rng.random((h, w)) < 0.35, res)
 
 
-def shifted(grid: BinaryMap2D, sx: int, sy: int) -> BinaryMap2D:
+def shifted(grid: Grid, sx: int, sy: int) -> Grid:
     out = np.zeros_like(grid.values)
     h, w = grid.values.shape
     ys, ye = max(0, sy), h + min(0, sy)
     xs, xe = max(0, sx), w + min(0, sx)
     out[ys:ye, xs:xe] = grid.values[ys - sy : ye - sy, xs - sx : xe - sx]
-    return BinaryMap2D(out, grid.resolution)
+    return Grid(out, grid.resolution)
 
 
 class TestCorrelationVolume:
@@ -45,14 +45,14 @@ class TestCorrelationVolume:
         assert vol.best_shift() == (1, 0)
 
     def test_uniform_grids_tie_to_center(self):
-        grid = BinaryMap2D(np.zeros((16, 16), bool), 0.2)
+        grid = Grid(np.zeros((16, 16), bool), 0.2)
         vol = correlation_volume(grid, grid)
         assert (vol.scores == 0).all()
         assert vol.best_shift() == (0, 0)
 
     def test_geometry_mismatch(self):
-        a = BinaryMap2D(np.zeros((8, 8), bool), 0.2)
-        b = BinaryMap2D(np.zeros((8, 9), bool), 0.2)
+        a = Grid(np.zeros((8, 8), bool), 0.2)
+        b = Grid(np.zeros((8, 9), bool), 0.2)
         with pytest.raises(GeometryMismatchError):
             correlation_volume(a, b)
 
@@ -83,8 +83,8 @@ class TestGridMatch:
 
     def test_pure_rotation(self):
         rng = np.random.default_rng(6)
-        grid = BinaryMap2D(rng.random((32, 32)) < 0.3, 0.2)
-        rotated = BinaryMap2D(rotate_grid(grid, 0.1) > 0.5, 0.2)
+        grid = Grid(rng.random((32, 32)) < 0.3, 0.2)
+        rotated = Grid(rotate_grid(grid, 0.1) > 0.5, 0.2)
         dx, dy, dth = grid_match(grid, rotated, angle_set=(-0.1, -0.05, 0.0, 0.05, 0.1))
         assert dth == pytest.approx(0.1)
         assert abs(dx) <= 0.2 and abs(dy) <= 0.2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from astra_nav.esdf import BinaryMap2D, EsdfMap
+from astra_nav.esdf import Grid
 from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
 from astra_nav.planner import (
     PlannerError,
@@ -12,8 +12,6 @@ from astra_nav.planner import (
     ShapeMismatchError,
     TrainConfig,
     VectorFieldModel,
-    cfm_loss,
-    cfm_loss_at,
     collision_check,
     distance_field,
     occupancy_features,
@@ -38,7 +36,7 @@ GOLDEN_SEED0 = [
 def smooth_field(n=12, res=0.5):
     xs = np.arange(n) * res
     vals = np.sin(xs[None, :] * 0.7) * 0.8 + np.cos(np.arange(n)[:, None] * 0.45) * 0.6
-    return EsdfMap(vals, res, (0.0, 0.0))
+    return Grid(vals, res, (0.0, 0.0))
 
 
 def tiny_samples(rng, n_actions=2, cond_dim=4, count=3):
@@ -114,13 +112,24 @@ class TestReconstruct:
             assert err.max() < 1e-12
 
 
+def cfm_samples(x1, cond):
+    """PlanningSamples without a field: the planning loss at lambda 0 needs none."""
+    return [PlanningSample(a, c) for a, c in zip(np.atleast_2d(x1), np.atleast_2d(cond))]
+
+
+def flow_loss_at(model, x1, cond, t, x0):
+    """Flow-matching loss and gradients: the planning loss at lambda 0."""
+    loss, grads, _ = planning_loss_at(model, cfm_samples(x1, cond), 0.0, t, x0)
+    return loss, grads
+
+
 class TestCfmLoss:
     def test_zero_fixture(self):
         m = VectorFieldModel.create(1, 2, hidden=(4,), seed=0)
         m.set_params(np.zeros(m.param_count))
         x1 = np.zeros((2, 3))
         cond = np.zeros((2, 2))
-        loss, grads = cfm_loss_at(m, x1, cond, np.array([0.3, 0.8]), np.zeros((2, 3)))
+        loss, grads = flow_loss_at(m, x1, cond, np.array([0.3, 0.8]), np.zeros((2, 3)))
         assert loss == 0.0
         assert (grads == 0).all()
 
@@ -132,7 +141,7 @@ class TestCfmLoss:
         x1 = np.array([[1.0, 0.5, -0.3]])
         u = x0 - x1
         m = VectorFieldModel([d_in, d_out], [np.zeros((d_in, d_out))], [u[0].copy()], n, c)
-        loss, _ = cfm_loss_at(m, x1, np.zeros((1, 2)), np.array([0.6]), x0)
+        loss, _ = flow_loss_at(m, x1, np.zeros((1, 2)), np.array([0.6]), x0)
         assert loss == pytest.approx(0.0, abs=1e-30)
 
     def test_hand_computed_1d(self):
@@ -141,13 +150,13 @@ class TestCfmLoss:
         m = VectorFieldModel.create(1, 1, hidden=(4,), seed=0)
         m.set_params(np.zeros(m.param_count))
         x1 = np.array([[1.0, 0.0, 0.0]])
-        loss, _ = cfm_loss_at(m, x1, np.zeros((1, 1)), np.array([0.5]), np.zeros((1, 3)))
+        loss, _ = flow_loss_at(m, x1, np.zeros((1, 1)), np.array([0.5]), np.zeros((1, 3)))
         assert loss == pytest.approx(1.0)
 
     def test_empty_batch_rejected(self):
         m = VectorFieldModel.create(1, 1, hidden=(4,), seed=0)
         with pytest.raises(PlannerError):
-            cfm_loss(m, np.zeros((0, 3)), np.zeros((0, 1)), np.random.default_rng(0))
+            planning_loss(m, [], 0.0, np.random.default_rng(0))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(1)
@@ -156,20 +165,18 @@ class TestCfmLoss:
         cond = rng.normal(size=(3, 4))
         t = rng.uniform(0.1, 0.9, 3)
         x0 = rng.normal(size=(3, 6))
-        _, grads = cfm_loss_at(m, x1, cond, t, x0)
+        _, grads = flow_loss_at(m, x1, cond, t, x0)
         p = m.get_params().copy()
         fd = np.zeros_like(grads)
         for i in range(p.size):
             h = 1e-5 * max(1.0, abs(p[i]))
-            for sign, buf in ((1, None), (-1, None)):
-                pass
             pp, pm = p.copy(), p.copy()
             pp[i] += h
             pm[i] -= h
             m.set_params(pp)
-            lp = cfm_loss_at(m, x1, cond, t, x0)[0]
+            lp = flow_loss_at(m, x1, cond, t, x0)[0]
             m.set_params(pm)
-            lm = cfm_loss_at(m, x1, cond, t, x0)[0]
+            lm = flow_loss_at(m, x1, cond, t, x0)[0]
             fd[i] = (lp - lm) / (2 * h)
         rel = np.abs(grads - fd) / np.maximum(1e-6, np.maximum(np.abs(grads), np.abs(fd)))
         assert rel.max() < 1e-4
@@ -177,6 +184,8 @@ class TestCfmLoss:
 
 class TestPlanningLoss:
     def test_lambda_zero_equals_cfm(self):
+        # at lambda 0 the loss is ||v(x_t, t | c) - (x0 - x1)||^2 averaged over the
+        # batch, whatever fields the samples carry
         rng = np.random.default_rng(5)
         samples = tiny_samples(rng)
         m = VectorFieldModel.create(2, 4, hidden=(8,), seed=1)
@@ -185,7 +194,11 @@ class TestPlanningLoss:
         loss_p, grads_p, parts = planning_loss_at(m, samples, 0.0, t, x0)
         x1 = np.stack([s.actions.ravel() for s in samples])
         cond = np.stack([np.asarray(s.condition, dtype=float) for s in samples])
-        loss_c, grads_c = cfm_loss_at(m, x1, cond, t, x0)
+        xt = (1.0 - t)[:, None] * x1 + t[:, None] * x0
+        v = m.forward(np.concatenate([xt, t[:, None], cond], axis=1))
+        assert loss_p == pytest.approx(np.sum((v - (x0 - x1)) ** 2) / 3, rel=1e-14)
+        assert loss_p == parts["cfm"]
+        loss_c, grads_c = flow_loss_at(m, x1, cond, t, x0)
         assert loss_p == loss_c
         np.testing.assert_array_equal(grads_p, grads_c)
         assert parts["penalty"] == 0.0
@@ -195,7 +208,7 @@ class TestPlanningLoss:
         c_val = 0.7
         samples = tiny_samples(rng)
         for s in samples:
-            s.phi = EsdfMap(np.full((12, 12), c_val), 0.5, (0.0, 0.0))
+            s.phi = Grid(np.full((12, 12), c_val), 0.5, (0.0, 0.0))
         m = VectorFieldModel.create(2, 4, hidden=(8,), seed=1)
         t = rng.uniform(0.1, 0.9, 3)
         x0 = rng.normal(size=(3, 6))
@@ -216,7 +229,7 @@ class TestPlanningLoss:
         lam, shift, n = 0.2, 0.9, 2
         base, _, _ = planning_loss_at(m, samples, lam, t, x0)
         for s in samples:
-            s.phi = EsdfMap(s.phi.values + shift, s.phi.resolution, s.phi.origin)
+            s.phi = Grid(s.phi.values + shift, s.phi.resolution, s.phi.origin)
         moved, _, _ = planning_loss_at(m, samples, lam, t, x0)
         assert moved == pytest.approx(base - lam * n * shift)
 
@@ -352,10 +365,10 @@ class TestCollision:
     def grid(self):
         vals = np.zeros((9, 9), bool)
         vals[4, 4] = True
-        return BinaryMap2D(vals, 0.2)
+        return Grid(vals, 0.2)
 
     def test_empty_grid_never_collides(self):
-        grid = BinaryMap2D(np.zeros((5, 5), bool), 0.2)
+        grid = Grid(np.zeros((5, 5), bool), 0.2)
         poses = PoseTrajectory((Pose2(0.4, 0.4, 0),))
         assert collision_check(poses, grid, 0.3) is False
 
@@ -379,7 +392,7 @@ class TestCollision:
 def test_occupancy_features_shape_and_content():
     vals = np.zeros((20, 20), bool)
     vals[:, 10:] = True  # occupied where x >= 2.5
-    grid = BinaryMap2D(vals, 0.25)
+    grid = Grid(vals, 0.25)
     feats = occupancy_features(grid, Pose2(2.0, 2.0, 0.0), extent=1.0, cells=8)
     assert feats.shape == (65,)
     patch = feats[:-1].reshape(8, 8)
