@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import localization, odometry, planner, rewards, sim
-from .errors import AstraError, UnknownConfigKeyError
+from .errors import AstraError, InputFileError, UnknownConfigKeyError, read_json, read_text
 from .esdf import format_grid, load_occupancy, make_mask, mask_esdf, save_grid, signed_esdf
 from .geom import Pose2, PoseTrajectory
 from .topomap import TopoMap
@@ -25,14 +25,26 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path, parse=lambda doc: doc):
+    """Read a JSON input file and build from it with `parse`; a file that cannot
+    be read or parsed, or whose content `parse` rejects, raises InputFileError."""
+    doc = read_json(path, InputFileError)
+    try:
+        return parse(doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise InputFileError(f"{path}: unexpected content: {e!r}") from e
+
+
+def _goal(doc):
+    """A goal file holds {"instruction": "..."} or {"pose": [x, y, theta]}."""
+    return doc["instruction"] if "instruction" in doc else Pose2(*doc["pose"])
 
 
 def _load_flat_config(path, cls, where: str):
     """Build the config dataclass `cls` from a flat JSON object, rejecting unknown keys."""
     data = _load_json(path) if path else {}
+    if not isinstance(data, dict):
+        raise InputFileError(f"{path}: {where} must be a JSON object")
     known = {f.name for f in fields(cls)}
     for key in data:
         if key not in known:
@@ -92,24 +104,38 @@ def _cmd_goal(args) -> int:
     return 0
 
 
-def _cmd_reward_eval(args) -> int:
-    pred = _load_json(args.pred)
-    gt = _load_json(args.gt)
-    weights = rewards.RewardWeights.from_jsonable(_load_json(args.weights) if args.weights else {})
+def _covis(doc):
+    return float(doc["covis"]) if "covis" in doc else None
+
+
+def _coarse_output(pred):
     output = rewards.CoarseOutput(
         bool(pred.get("format_valid", False)),
         {rewards.canonical_landmark(c, dict(a)) for c, a in pred.get("landmarks", [])},
         set(pred.get("ids", [])),
         [Pose2(*p) for p in pred.get("extra_poses", [])],
     )
+    return output, _covis(pred)
+
+
+def _coarse_truth(gt):
     truth = rewards.CoarseGroundTruth(
         {rewards.canonical_landmark(c, dict(a)) for c, a in gt.get("landmarks", [])},
         set(gt.get("ids", [])),
         Pose2(*gt["pose"]) if gt.get("pose") is not None else None,
     )
+    return truth, _covis(gt)
+
+
+def _cmd_reward_eval(args) -> int:
+    output, pred_covis = _load_json(args.pred, _coarse_output)
+    truth, gt_covis = _load_json(args.gt, _coarse_truth)
+    weights = rewards.RewardWeights()
+    if args.weights:
+        weights = _load_json(args.weights, rewards.RewardWeights.from_jsonable)
     result = rewards.coarse_reward(output, truth, weights)
-    if "covis" in pred and "covis" in gt:
-        r_covis = rewards.covis_reward(float(gt["covis"]), float(pred["covis"]))
+    if pred_covis is not None and gt_covis is not None:
+        r_covis = rewards.covis_reward(gt_covis, pred_covis)
         result["covis"] = r_covis
         result["covis_total"] = rewards.covis_total(
             result["format"], r_covis, weights.covis_lambda
@@ -121,7 +147,7 @@ def _cmd_reward_eval(args) -> int:
 def _cmd_esdf_compute(args) -> int:
     phi = signed_esdf(load_occupancy(args.occ_file))
     if args.mask:
-        poses = PoseTrajectory.from_jsonable(_load_json(args.mask))
+        poses = _load_json(args.mask, PoseTrajectory.from_jsonable)
         mask = make_mask(poses, phi, args.dilation)
         phi = mask_esdf(phi, mask, args.alpha)
     if args.out:
@@ -144,7 +170,7 @@ def _cmd_plan_train(args) -> int:
 
 def _cmd_plan_sample(args) -> int:
     model = planner.VectorFieldModel.load(args.model)
-    cond = planner.PlanningCondition.from_jsonable(_load_json(args.cond))
+    cond = _load_json(args.cond, planner.PlanningCondition.from_jsonable)
     rng = np.random.default_rng(args.seed)
     plan = planner.sample(model, cond, args.steps, rng)
     _emit(plan.to_jsonable())
@@ -159,10 +185,11 @@ def _cmd_plan_eval(args) -> int:
 
 def _cmd_odom_eval(args) -> int:
     increments = []
-    with open(args.log) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    lines = read_text(args.log, odometry.OdometryError).split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
             rec = json.loads(line)
             increments.append(
                 odometry.SensorIncrement(
@@ -172,7 +199,11 @@ def _cmd_odom_eval(args) -> int:
                     tuple(rec["vision"]) if rec.get("vision") is not None else None,
                 )
             )
-    gt = PoseTrajectory.from_jsonable(_load_json(args.gt))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise odometry.OdometryError(f"{args.log}:{line_no}: malformed record: {e!r}") from e
+    gt = _load_json(args.gt, PoseTrajectory.from_jsonable)
+    if len(gt) == 0:
+        raise odometry.OdometryError(f"{args.gt}: ground truth holds no poses")
     est = odometry.dead_reckon(increments, gt[0])
     _emit(odometry.traj_metrics(est, gt))
     return 0
@@ -195,8 +226,7 @@ def _cmd_sim_gen(args) -> int:
 
 def _cmd_sim_run(args) -> int:
     world = sim.load_world(args.world)
-    goal_doc = _load_json(args.goal)
-    goal = goal_doc["instruction"] if "instruction" in goal_doc else Pose2(*goal_doc["pose"])
+    goal = _load_json(args.goal, _goal)
     config = _load_flat_config(args.config, sim.NavConfig, "nav config")
     model = planner.VectorFieldModel.load(args.model) if args.model else None
     report = sim.run_episode(world, goal, config, model, seed=args.seed)

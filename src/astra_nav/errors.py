@@ -4,6 +4,8 @@ Every domain error raised by this package derives from AstraError so
 callers (and the CLI) can separate expected failures from bugs.
 """
 
+import json
+
 
 class AstraError(Exception):
     """Base class for all domain errors raised by astra_nav."""
@@ -23,3 +25,26 @@ class UnknownConfigKeyError(AstraError):
     def __init__(self, key: str, where: str = "config"):
         super().__init__(f"unknown {where} key: {key!r}")
         self.key = key
+
+
+class InputFileError(AstraError):
+    """An input file is missing, unreadable or not valid JSON."""
+
+
+def read_text(path, error: type[AstraError]) -> str:
+    """The text of the file at `path`; raise `error` naming the file when it
+    cannot be read."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"{path}: cannot read file: {e}") from e
+
+
+def read_json(path, error: type[AstraError]):
+    """Parse the JSON file at `path`; raise `error` naming the file when it cannot
+    be read or parsed."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: invalid JSON at line {e.lineno} col {e.colno}") from e

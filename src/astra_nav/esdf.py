@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError, GeometryMismatchError
+from .errors import AstraError, GeometryMismatchError, read_text
 from .geom import PoseTrajectory
 
 log = logging.getLogger(__name__)
@@ -221,12 +221,12 @@ def mask_esdf(phi: Grid, mask: Grid, alpha: float) -> Grid:
     return Grid(values, phi.resolution, phi.origin)
 
 
-def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
-    """Shared bilinear kernel.
+def _cell_weights(values: np.ndarray, resolution: float, origin, pts):
+    """Index and weight arithmetic of the bilinear kernel.
 
-    Returns (sampled values, d/dx, d/dy). Points outside the cell-center
-    lattice clamp to the border; clamped coordinates carry zero gradient in
-    the clamped direction.
+    Returns the continuous cell coordinates (gx, gy), their border-clamped
+    copies (cx, cy), the fractional offsets (u, v) and the corner values
+    (f00, f10, f01, f11).
     """
     h, w = values.shape
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -236,15 +236,27 @@ def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
     cy = np.clip(gy, 0.0, h - 1.0)
     ix = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
     iy = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
-    u = cx - ix
-    v = cy - iy
     jx = np.minimum(ix + 1, w - 1)
     jy = np.minimum(iy + 1, h - 1)
-    f00 = values[iy, ix]
-    f10 = values[iy, jx]
-    f01 = values[jy, ix]
-    f11 = values[jy, jx]
-    out = f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
+    corners = (values[iy, ix], values[iy, jx], values[jy, ix], values[jy, jx])
+    return (gx, gy), (cx, cy), (cx - ix, cy - iy), corners
+
+
+def _interpolate(u, v, f00, f10, f01, f11):
+    return f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
+
+
+def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
+    """Bilinear kernel with gradient.
+
+    Returns (sampled values, d/dx, d/dy). Points outside the cell-center
+    lattice clamp to the border; clamped coordinates carry zero gradient in
+    the clamped direction.
+    """
+    (gx, gy), (cx, cy), (u, v), (f00, f10, f01, f11) = _cell_weights(
+        values, resolution, origin, pts
+    )
+    out = _interpolate(u, v, f00, f10, f01, f11)
     du = (f10 - f00) * (1 - v) + (f11 - f01) * v
     dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
     inside_x = (gx == cx).astype(float)
@@ -253,8 +265,9 @@ def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
 
 
 def sample_bilinear(phi: Grid, points):
-    """Bilinearly interpolate the field at world points (meters)."""
-    return _bilinear(phi.values, phi.resolution, phi.origin, points)[0]
+    """Bilinearly interpolate the field at world points (meters); values only."""
+    _, _, (u, v), corners = _cell_weights(phi.values, phi.resolution, phi.origin, points)
+    return _interpolate(u, v, *corners)
 
 
 # --- text file formats -------------------------------------------------------
@@ -304,11 +317,7 @@ def _parse_header(tokens: list[str], path) -> tuple[str, list[int], float, tuple
 
 def load_grid(path) -> Grid:
     """Read an OCC2 (boolean occupancy) or ESDF (float field) text file."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as e:
-        raise GridParseError(f"{path}: cannot read grid file: {e}") from e
+    lines = read_text(path, GridParseError).split("\n")
     if not lines or not lines[0].strip():
         raise GridParseError(f"{path}: empty file (line 1)")
     try:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AstraError
+from .errors import AstraError, read_json
 from .geom import Pose2
 from .topomap import MapNode, TopoMap
 
@@ -382,11 +382,11 @@ def parse_extractor_response(payload: dict) -> list[LandmarkObservation]:
 
 def load_query(path) -> tuple[QueryContext, list[LandmarkObservation]]:
     """Read a query file: {"query_ctx": {pose?, landmark_ids?}, "observations": [...]}."""
-    import json
-
-    with open(path) as fh:
-        data = json.load(fh)
-    ctx_raw = data.get("query_ctx", {})
-    pose = Pose2(*ctx_raw["pose"]) if ctx_raw.get("pose") is not None else None
-    ctx = QueryContext(pose, set(ctx_raw.get("landmark_ids", [])))
-    return ctx, parse_extractor_response(data)
+    data = read_json(path, LocalizationError)
+    try:
+        ctx_raw = data.get("query_ctx", {})
+        pose = Pose2(*ctx_raw["pose"]) if ctx_raw.get("pose") is not None else None
+        ctx = QueryContext(pose, set(ctx_raw.get("landmark_ids", [])))
+        return ctx, parse_extractor_response(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise LocalizationError(f"{path}: malformed query: {e!r}") from e

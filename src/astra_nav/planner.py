@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AstraError
+from .errors import AstraError, read_json
 from .esdf import Grid, _bilinear, edt, sample_bilinear, signed_esdf
 from .geom import ActionTrajectory, Pose2, PoseTrajectory, actions_to_poses
 
@@ -178,18 +178,20 @@ class VectorFieldModel:
 
     @classmethod
     def load(cls, path) -> "VectorFieldModel":
-        with open(path) as fh:
-            doc = json.load(fh)
-        sizes = doc["layer_sizes"]
-        model = cls(
-            sizes,
-            [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
-            [np.zeros(b) for b in sizes[1:]],
-            doc["n_actions"],
-            doc["cond_dim"],
-            doc.get("activation", "tanh"),
-        )
-        model.set_params(np.asarray(doc["weights"], dtype=float))
+        doc = read_json(path, PlannerError)
+        try:
+            sizes = doc["layer_sizes"]
+            model = cls(
+                sizes,
+                [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
+                [np.zeros(b) for b in sizes[1:]],
+                doc["n_actions"],
+                doc["cond_dim"],
+                doc.get("activation", "tanh"),
+            )
+            model.set_params(np.asarray(doc["weights"], dtype=float))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+            raise PlannerError(f"{path}: malformed model file: {e!r}") from e
         return model
 
 

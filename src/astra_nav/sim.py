@@ -6,6 +6,9 @@ planner runs 8-connected A* on an obstacle map inflated by the footprint
 radius (plus one cell of margin) and then shortcut-smooths the cell path,
 keeping every sampled point at or above the inflated clearance, so its
 output never trips the collision check at the same footprint radius.
+Clearance along straight segments is checked in batches: `_segments_clear`
+samples every segment of a smoothing step, or every near neighbour of a
+lattice node, in one bilinear lookup.
 
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global
@@ -17,6 +20,7 @@ between periodic global fixes.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError
+from .errors import AstraError, read_json, read_text
 from .esdf import (
     Grid,
     compress_grid,
@@ -154,15 +158,28 @@ def _connected(free: np.ndarray) -> bool:
     return count == total
 
 
-def _segment_clear(dist: Grid, a, b, clearance: float) -> bool:
-    """All points sampled every half-cell along a->b keep at least `clearance`."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.hypot(*(b - a)))
-    n = max(2, int(length / (dist.resolution / 2.0)) + 1)
-    ts = np.linspace(0.0, 1.0, n)
-    pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-    return bool((sample_bilinear(dist, pts) >= clearance).all())
+def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
+    """Per segment a->b[m], whether every point sampled along it keeps `clearance`.
+
+    `a` is one point or one per segment, `b` is (M, 2). A segment of length L
+    is sampled at n = max(2, int(L / (res / 2)) + 1) evenly spaced points,
+    both ends included, the points `np.linspace(0, 1, n)` gives; all segments
+    share one `sample_bilinear` call.
+    """
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    if len(b) == 0:
+        return np.zeros(0, dtype=bool)
+    a = np.broadcast_to(np.asarray(a, dtype=float), b.shape)
+    d = b - a
+    n = np.maximum(2, (np.hypot(d[:, 0], d[:, 1]) / (dist.resolution / 2.0)).astype(np.intp) + 1)
+    seg = np.repeat(np.arange(len(b)), n)
+    ends = np.cumsum(n)
+    k = np.arange(ends[-1]) - np.repeat(ends - n, n)
+    ts = k * (1.0 / (n - 1))[seg]
+    ts[ends - 1] = 1.0
+    pts = a[seg] + ts[:, None] * d[seg]
+    too_close = sample_bilinear(dist, pts) < clearance
+    return np.bincount(seg[too_close], minlength=len(b)) == 0
 
 
 def _build_lattice_map(
@@ -185,15 +202,19 @@ def _build_lattice_map(
                 positions[nid] = (x, y)
                 idx += 1
     ids = sorted(positions)
+    xy = np.array([positions[nid] for nid in ids]).reshape(-1, 2)
     for i, a in enumerate(ids):
         ax, ay = positions[a]
-        for b in ids[i + 1 :]:
-            bx, by = positions[b]
-            d = math.hypot(bx - ax, by - ay)
-            if d >= link_radius:
-                continue
-            if _segment_clear(dist, (ax, ay), (bx, by), node_clearance):
-                topo.add_edge(a, b, _pose6(bx - ax, by - ay))
+        # |dx| and |dy| bound the distance from below, so the box drops no link
+        box = np.abs(xy[i + 1 :] - (ax, ay)).max(axis=1) < link_radius
+        near = [
+            j for j in (i + 1 + np.flatnonzero(box)).tolist()
+            if math.hypot(xy[j, 0] - ax, xy[j, 1] - ay) < link_radius
+        ]
+        for j, clear in zip(near, _segments_clear(dist, (ax, ay), xy[near], node_clearance)):
+            if clear:
+                bx, by = positions[ids[j]]
+                topo.add_edge(a, ids[j], _pose6(bx - ax, by - ay))
     return topo
 
 
@@ -341,38 +362,59 @@ def _nearest_open(blocked: np.ndarray, cell: tuple[int, int]) -> tuple[int, int]
     return tuple(open_cells[order[0]])
 
 
+@functools.lru_cache(maxsize=8)
+def _hypot_table(h: int, w: int) -> np.ndarray:
+    """math.hypot(r, c) for 0 <= r < h, 0 <= c < w; read-only, shared by callers."""
+    table = np.array([[math.hypot(r, c) for c in range(w)] for r in range(h)])
+    table.flags.writeable = False
+    return table
+
+
 def _astar(blocked: np.ndarray, start: tuple[int, int], goal: tuple[int, int]):
+    """8-connected A* from start to goal cell; the (row, col) path, or None.
+
+    Cells are flat indices into the grid padded with a one-cell wall, so a
+    move needs no bounds check. Ties in f are broken by push order.
+    """
     h, w = blocked.shape
-
-    def heur(cell):
-        return math.hypot(cell[0] - goal[0], cell[1] - goal[1])
-
-    g = {start: 0.0}
-    came = {}
+    stride = w + 2
+    wall = np.ones((h + 2, stride), dtype=bool)
+    wall[1:-1, 1:-1] = blocked
+    wall = wall.ravel().tolist()
+    rows = np.abs(np.arange(h + 2) - (int(goal[0]) + 1))
+    cols = np.abs(np.arange(stride) - (int(goal[1]) + 1))
+    heur = _hypot_table(h + 2, stride)[rows[:, None], cols[None, :]].ravel().tolist()
+    moves = [(dr * stride + dc, cost) for dr, dc, cost in _MOVES]
+    g = [math.inf] * len(wall)
+    came = [-1] * len(wall)
+    closed = bytearray(len(wall))
+    src = (int(start[0]) + 1) * stride + int(start[1]) + 1
+    dst = (int(goal[0]) + 1) * stride + int(goal[1]) + 1
+    g[src] = 0.0
     counter = 0
-    heap = [(heur(start), 0, start)]
-    closed = set()
+    heap = [(heur[src], 0, src)]
     while heap:
         _, _, cur = heapq.heappop(heap)
-        if cur in closed:
+        if closed[cur]:
             continue
-        if cur == goal:
+        if cur == dst:
             path = [cur]
-            while cur in came:
+            while came[cur] >= 0:
                 cur = came[cur]
                 path.append(cur)
-            return path[::-1]
-        closed.add(cur)
-        for dr, dc, cost in _MOVES:
-            rr, cc = cur[0] + dr, cur[1] + dc
-            if not (0 <= rr < h and 0 <= cc < w) or blocked[rr, cc]:
+            return [(i // stride - 1, i % stride - 1) for i in reversed(path)]
+        closed[cur] = 1
+        base = g[cur]
+        for offset, cost in moves:
+            nxt = cur + offset
+            if wall[nxt]:
                 continue
-            cand = g[cur] + cost
-            if cand < g.get((rr, cc), math.inf):
-                g[(rr, cc)] = cand
-                came[(rr, cc)] = cur
+            cand = base + cost
+            if cand < g[nxt]:
+                g[nxt] = cand
+                came[nxt] = cur
                 counter += 1
-                heapq.heappush(heap, (cand + heur((rr, cc)), counter, (rr, cc)))
+                heapq.heappush(heap, (cand + heur[nxt], counter, nxt))
     return None
 
 
@@ -410,7 +452,12 @@ def oracle_plan(
     """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, fixed-step
     resampling. Headings follow the local direction of travel; the first pose is
     the exact start. Plans prefer footprint + margin clearance and retry at the
-    bare footprint inflation before declaring the goal unreachable."""
+    bare footprint inflation before declaring the goal unreachable.
+
+    Smoothing keeps the start and, from each kept point i, jumps to the
+    farthest path point j >= i + 2 whose straight segment from i stays at
+    clearance, else to i + 1. One `_segments_clear` call checks every
+    candidate j of a step in one bilinear lookup."""
     grid2 = world.grid2d()
     dist = world.dist_field()
     cells = None
@@ -432,13 +479,12 @@ def oracle_plan(
     pts += [(ox + c * res, oy + r * res) for r, c in cells]
     pts.append((goal.x, goal.y))
     pts = np.asarray(pts)
-    # shortcut smoothing: greedily jump to the farthest point still at clearance
+    # shortcut smoothing: the farthest candidate still at clearance, per step
     keep = [0]
     i = 0
     while i < len(pts) - 1:
-        j = len(pts) - 1
-        while j > i + 1 and not _segment_clear(dist, pts[i], pts[j], clearance):
-            j -= 1
+        clear = np.flatnonzero(_segments_clear(dist, pts[i], pts[i + 2 :], clearance))
+        j = i + 2 + int(clear[-1]) if len(clear) else i + 1
         keep.append(j)
         i = j
     smooth = pts[keep]
@@ -871,31 +917,25 @@ def load_dataset(path, mask_alpha: float = 0.5, mask_dilation: float = 0.3):
     base = os.path.dirname(os.path.abspath(path))
     phis: dict[str, Grid] = {}
     dataset = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SimError(f"{path}:{line_no}: invalid JSON: {e}") from e
+    for line_no, line in enumerate(read_text(path, SimError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
             grid_ref = rec["grid_ref"]
             full = grid_ref if os.path.isabs(grid_ref) else os.path.join(base, grid_ref)
-            if full not in phis:
-                phis[full] = signed_esdf(load_occupancy(full))
-            phi = phis[full]
             gt = PoseTrajectory.from_jsonable(rec["gt_poses"])
-            mask = make_mask(gt, phi, mask_dilation)
-            dataset.append(
-                PlanningSample(
-                    np.asarray(rec["actions"], dtype=float),
-                    PlanningCondition.from_jsonable(rec["condition"]),
-                    gt[0],
-                    mask_esdf(phi, mask, mask_alpha),
-                    grid_ref,
-                    rec["gt_poses"],
-                )
-            )
+            actions = np.asarray(rec["actions"], dtype=float)
+            condition = PlanningCondition.from_jsonable(rec["condition"])
+            start = gt[0]
+        except (IndexError, KeyError, TypeError, ValueError) as e:
+            raise SimError(f"{path}:{line_no}: malformed dataset record: {e!r}") from e
+        if full not in phis:
+            phis[full] = signed_esdf(load_occupancy(full))
+        phi = phis[full]
+        mask = make_mask(gt, phi, mask_dilation)
+        masked = mask_esdf(phi, mask, mask_alpha)
+        dataset.append(PlanningSample(actions, condition, start, masked, grid_ref, rec["gt_poses"]))
     return dataset
 
 
@@ -961,12 +1001,11 @@ def save_world(world: World, out_dir) -> None:
 def load_world(world_dir) -> World:
     grid = load_occupancy(os.path.join(world_dir, "grid.occ"))
     topo = TopoMap.load(os.path.join(world_dir, "map.json"))
-    with open(os.path.join(world_dir, "world.json")) as fh:
-        meta = json.load(fh)
-    return World(
-        grid,
-        topo,
-        [tuple(p) for p in meta["start_xy"]],
-        meta.get("seed", 0),
-        source_dir=str(world_dir),
-    )
+    meta_path = os.path.join(world_dir, "world.json")
+    meta = read_json(meta_path, SimError)
+    try:
+        start_xy = [(float(x), float(y)) for x, y in meta["start_xy"]]
+        seed = meta.get("seed", 0)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise SimError(f"{meta_path}: malformed world file: {e!r}") from e
+    return World(grid, topo, start_xy, seed, source_dir=str(world_dir))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MapError
+from .errors import MapError, read_json
 from .geom import Pose2
 
 
@@ -330,14 +330,7 @@ class TopoMap:
 
     @classmethod
     def load(cls, path) -> "TopoMap":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise MapError(f"{path}: invalid JSON at line {e.lineno} col {e.colno}") from e
-        except (OSError, UnicodeDecodeError) as e:
-            raise MapError(f"{path}: cannot read map file: {e}") from e
-        return cls.from_jsonable(data)
+        return cls.from_jsonable(read_json(path, MapError))
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from astra_nav import cli, sim
+from astra_nav import cli, planner, sim
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,9 @@ def files(tmp_path_factory):
     sim.save_dataset(data, paths["data.jsonl"])
     paths["cond.json"] = root / "cond.json"
     paths["cond.json"].write_text(json.dumps(data[0].condition.to_jsonable()))
+    paths["model.json"] = root / "fixture-model.json"
+    cond_dim = data[0].condition.vector().size
+    planner.VectorFieldModel.create(8, cond_dim, hidden=(8,)).save(paths["model.json"])
     paths["node_ids"] = node_ids
     paths["category"] = lm.category
     return paths
@@ -124,6 +127,75 @@ def test_missing_files_exit_1(files, capsys):
     assert_json_error(*run(capsys, "esdf", "compute", missing))
     assert_json_error(*run(capsys, "map", "validate", missing))
     assert_json_error(*run(capsys, "sim", "eval", "--worlds", missing))
+
+
+# Every JSON or JSON-lines file argument of the CLI, as a command taking that file.
+FILE_ARGS = {
+    "localize:query": lambda f, p: ("localize", "--map", f["map"], "--query", p),
+    "reward:pred": lambda f, p: ("reward", "eval", "--pred", p, "--gt", f["gt.json"]),
+    "reward:gt": lambda f, p: ("reward", "eval", "--pred", f["pred.json"], "--gt", p),
+    "reward:weights": lambda f, p: (
+        "reward", "eval", "--pred", f["pred.json"], "--gt", f["gt.json"], "--weights", p
+    ),
+    "esdf:mask": lambda f, p: ("esdf", "compute", f["world"] / "grid.occ", "--mask", p),
+    "plan-train:data": lambda f, p: ("plan", "train", "--data", p, "--out", f["root"] / "m.json"),
+    "plan-train:config": lambda f, p: (
+        "plan", "train", "--data", f["data.jsonl"], "--config", p, "--out", f["root"] / "m.json"
+    ),
+    "plan-sample:model": lambda f, p: ("plan", "sample", "--model", p, "--cond", f["cond.json"]),
+    "plan-sample:cond": lambda f, p: ("plan", "sample", "--model", f["model.json"], "--cond", p),
+    "plan-eval:model": lambda f, p: ("plan", "eval", "--model", p, "--worlds", f["worlds"]),
+    "odom:log": lambda f, p: ("odom", "eval", "--log", p, "--gt", f["odom_gt.json"]),
+    "odom:gt": lambda f, p: ("odom", "eval", "--log", f["odom.jsonl"], "--gt", p),
+    "sim-run:goal": lambda f, p: ("sim", "run", "--world", f["world"], "--goal", p),
+    "sim-run:config": lambda f, p: (
+        "sim", "run", "--world", f["world"], "--goal", f["goal.json"], "--config", p
+    ),
+    "sim-run:model": lambda f, p: (
+        "sim", "run", "--world", f["world"], "--goal", f["goal.json"], "--model", p
+    ),
+    "sim-eval:config": lambda f, p: ("sim", "eval", "--worlds", f["worlds"], "--config", p),
+    "sim-eval:model": lambda f, p: ("sim", "eval", "--worlds", f["worlds"], "--model", p),
+}
+BAD_FILES = {
+    "missing": None,
+    "directory": "",
+    "not-json": "{not json\n",
+    "wrong-shape": "[1, 2]\n",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize("arg", sorted(FILE_ARGS))
+def test_bad_input_file_exits_1(files, capsys, arg, bad):
+    path = files["root"] / f"bad-{bad}"
+    if bad == "directory":
+        path.mkdir(exist_ok=True)
+    elif BAD_FILES[bad] is not None:
+        path.write_text(BAD_FILES[bad])
+    assert_json_error(*run(capsys, *FILE_ARGS[arg](files, path)))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"start_xy": 3}', "[]"],
+    ids=["missing", "not-json", "start-xy-not-a-list", "list"],
+)
+def test_bad_world_file_exits_1(files, capsys, tmp_path, content):
+    world_dir = tmp_path / "world"
+    shutil.copytree(files["world"], world_dir)
+    (world_dir / "world.json").unlink()
+    if content is not None:
+        (world_dir / "world.json").write_text(content)
+    code, out, err = run(capsys, "sim", "run", "--world", world_dir, "--goal", files["goal.json"])
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "SimError"
+
+
+def test_odom_eval_without_ground_truth_poses_exits_1(files, capsys):
+    path = files["root"] / "empty-gt.json"
+    path.write_text("[]")
+    assert_json_error(*run(capsys, "odom", "eval", "--log", files["odom.jsonl"], "--gt", path))
 
 
 def test_world_with_esdf_grid_exits_1(files, capsys):

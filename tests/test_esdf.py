@@ -6,6 +6,7 @@ import pytest
 from astra_nav.errors import GeometryMismatchError
 from astra_nav.esdf import (
     Grid,
+    _bilinear,
     GridParseError,
     compress_grid,
     edt,
@@ -204,6 +205,18 @@ class TestBilinear:
         phi = Grid(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0)
         vals = sample_bilinear(phi, [(-5.0, 0.0), (0.5, 0.5)])
         assert vals[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (9, 13)])
+    def test_values_equal_gradient_kernel(self, shape):
+        # the values-only sampler must match the gradient kernel bit for bit,
+        # inside the lattice and on points clamped to its border
+        rng = np.random.default_rng(7)
+        phi = Grid(rng.normal(size=shape), 0.3, (-1.0, 2.0))
+        lo = np.array(phi.origin) - 1.0
+        hi = np.array(phi.origin) + np.array([phi.width, phi.height]) * phi.resolution + 1.0
+        pts = np.concatenate([rng.uniform(lo, hi, size=(500, 2)), [lo, hi, phi.origin]])
+        want = _bilinear(phi.values, phi.resolution, phi.origin, pts)[0]
+        assert sample_bilinear(phi, pts).tobytes() == want.tobytes()
 
 
 def traj_penalty(phi: Grid, poses: PoseTrajectory) -> float:

@@ -1,9 +1,15 @@
+import heapq
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astra_nav import sim
+from astra_nav.esdf import Grid, sample_bilinear
+from astra_nav.geom import Pose2, PoseTrajectory
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +65,224 @@ def test_eval_suite_is_deterministic(world):
     runs = [json.dumps(sim.eval_suite([world], 4, config, master_seed=3)) for _ in range(2)]
     assert runs[0] == runs[1]
     assert json.loads(runs[0])["episodes"] == 4
+
+
+# --- references: the scalar expert planner that the batched one replaced --------------
+
+def ref_segment_points(dist, a, b):
+    """Points every half-cell along a->b, both ends included."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    length = float(np.hypot(*(b - a)))
+    n = max(2, int(length / (dist.resolution / 2.0)) + 1)
+    ts = np.linspace(0.0, 1.0, n)
+    return a[None, :] + ts[:, None] * (b - a)[None, :]
+
+
+def ref_segment_clear(dist, a, b, clearance):
+    """All points sampled every half-cell along a->b keep at least `clearance`."""
+    return bool((sample_bilinear(dist, ref_segment_points(dist, a, b)) >= clearance).all())
+
+
+def ref_astar(blocked, start, goal):
+    h, w = blocked.shape
+
+    def heur(cell):
+        return math.hypot(cell[0] - goal[0], cell[1] - goal[1])
+
+    g = {start: 0.0}
+    came = {}
+    counter = 0
+    heap = [(heur(start), 0, start)]
+    closed = set()
+    while heap:
+        _, _, cur = heapq.heappop(heap)
+        if cur in closed:
+            continue
+        if cur == goal:
+            path = [cur]
+            while cur in came:
+                cur = came[cur]
+                path.append(cur)
+            return path[::-1]
+        closed.add(cur)
+        for dr, dc, cost in sim._MOVES:
+            rr, cc = cur[0] + dr, cur[1] + dc
+            if not (0 <= rr < h and 0 <= cc < w) or blocked[rr, cc]:
+                continue
+            cand = g[cur] + cost
+            if cand < g.get((rr, cc), math.inf):
+                g[(rr, cc)] = cand
+                came[(rr, cc)] = cur
+                counter += 1
+                heapq.heappush(heap, (cand + heur((rr, cc)), counter, (rr, cc)))
+    return None
+
+
+def ref_oracle_plan(world, start, goal, footprint_radius=0.3, step=0.25, safety_margin=0.25):
+    """oracle_plan with one clearance check per candidate, farthest first."""
+    grid2 = world.grid2d()
+    dist = world.dist_field()
+    cells = None
+    clearance = footprint_radius + grid2.resolution
+    for margin in ((safety_margin, 0.0) if safety_margin > 0 else (0.0,)):
+        clearance = footprint_radius + grid2.resolution + margin
+        blocked = dist.values < clearance
+        s_cell = sim._nearest_open(blocked, sim._to_cell(grid2, start.x, start.y))
+        g_cell = sim._nearest_open(blocked, sim._to_cell(grid2, goal.x, goal.y))
+        if s_cell is None or g_cell is None:
+            continue
+        cells = ref_astar(blocked, s_cell, g_cell)
+        if cells is not None:
+            break
+    if cells is None:
+        raise sim.UnreachableError("start and goal are not connected at this clearance")
+    res, (ox, oy) = grid2.resolution, grid2.origin
+    pts = [(start.x, start.y)]
+    pts += [(ox + c * res, oy + r * res) for r, c in cells]
+    pts.append((goal.x, goal.y))
+    pts = np.asarray(pts)
+    keep = [0]
+    i = 0
+    while i < len(pts) - 1:
+        j = len(pts) - 1
+        while j > i + 1 and not ref_segment_clear(dist, pts[i], pts[j], clearance):
+            j -= 1
+        keep.append(j)
+        i = j
+    dense = sim.resample_polyline(pts[keep], step)
+    poses = [start]
+    for k in range(1, len(dense)):
+        dx, dy = dense[k] - dense[k - 1]
+        heading = math.atan2(dy, dx) if (dx or dy) else poses[-1].theta
+        poses.append(Pose2(dense[k][0], dense[k][1], heading))
+    return PoseTrajectory(tuple(poses))
+
+
+def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
+    """_build_lattice_map checking every node pair on its own."""
+    topo = sim.TopoMap()
+    res = grid2.resolution
+    step_cells = max(1, round(1.0 / res))
+    positions = {}
+    idx = 0
+    for r in range(0, grid2.height, step_cells):
+        for c in range(0, grid2.width, step_cells):
+            x = grid2.origin[0] + c * res
+            y = grid2.origin[1] + r * res
+            if not grid2.values[r, c] and sample_bilinear(dist, [(x, y)])[0] >= node_clearance:
+                nid = f"n-{idx:03d}"
+                topo.add_node(sim.MapNode(nid, sim._pose6(x, y), image_ref=f"frame-{idx:04d}.jpg"))
+                positions[nid] = (x, y)
+                idx += 1
+    ids = sorted(positions)
+    for i, a in enumerate(ids):
+        ax, ay = positions[a]
+        for b in ids[i + 1 :]:
+            bx, by = positions[b]
+            if math.hypot(bx - ax, by - ay) >= link_radius:
+                continue
+            if ref_segment_clear(dist, (ax, ay), (bx, by), node_clearance):
+                topo.add_edge(a, b, sim._pose6(bx - ax, by - ay))
+    return topo
+
+
+@pytest.fixture(scope="module")
+def worlds48():
+    return [sim.generate_world(s, 48) for s in (0, 1, 2)]
+
+
+def test_segments_clear_matches_scalar_reference(world):
+    dist = world.dist_field()
+    res = dist.resolution
+    extent = np.array([dist.width, dist.height]) * res
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-0.5, extent + 0.5, size=(300, 2))
+    b = rng.uniform(-0.5, extent + 0.5, size=(300, 2))
+    b[:40] = a[:40]  # zero length
+    angle = rng.uniform(-math.pi, math.pi, size=40)
+    b[40:80] = a[40:80] + res * np.stack([np.cos(angle), np.sin(angle)], axis=1)  # one cell
+    b[80:100] = a[80:100] + (res, 0.0)  # one cell along a row
+    for clearance in (0.0, 0.3, 0.55, 1.0):
+        want = [ref_segment_clear(dist, p, q, clearance) for p, q in zip(a, b)]
+        assert sim._segments_clear(dist, a, b, clearance).tolist() == want
+        # one start point shared by every segment, as oracle_plan and the lattice map call it
+        assert sim._segments_clear(dist, a[0], b, clearance).tolist() == [
+            ref_segment_clear(dist, a[0], q, clearance) for q in b
+        ]
+    mixed = sim._segments_clear(dist, a, b, 0.3)
+    assert mixed.any() and not mixed.all()
+
+
+def test_segments_clear_samples_reference_points(world, monkeypatch):
+    # one sample_bilinear call, at exactly the points the scalar check sampled
+    dist = world.dist_field()
+    rng = np.random.default_rng(1)
+    # one segment for each sample count n = 2..100; for some n, (n - 1) * (1 / (n - 1)) < 1
+    lengths = (np.arange(99) + 0.5) * dist.resolution / 2.0
+    angle = rng.uniform(-math.pi, math.pi, size=99)
+    a = rng.uniform(0.0, 6.0, size=(99, 2))
+    b = a + lengths[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    a, b = np.concatenate([a, a[:5]]), np.concatenate([b, a[:5]])
+    calls = []
+
+    def recording(phi, pts):
+        calls.append(pts)
+        return sample_bilinear(phi, pts)
+
+    monkeypatch.setattr(sim, "sample_bilinear", recording)
+    sim._segments_clear(dist, a, b, 0.3)
+    want = np.concatenate([ref_segment_points(dist, p, q) for p, q in zip(a, b)])
+    assert len(calls) == 1
+    assert calls[0].tobytes() == want.tobytes()
+    empty = sim._segments_clear(dist, a[0], np.zeros((0, 2)), 0.3)
+    assert empty.dtype == bool and empty.shape == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_astar_matches_dict_reference(data):
+    h = data.draw(st.integers(1, 12), label="h")
+    w = data.draw(st.integers(1, 12), label="w")
+    cells = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w), label="blocked")
+    blocked = np.array(cells, dtype=bool).reshape(h, w)
+    cell = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    start, goal = data.draw(cell, label="start"), data.draw(cell, label="goal")
+    assert sim._astar(blocked, start, goal) == ref_astar(blocked, start, goal)
+
+
+def test_astar_matches_dict_reference_on_open_grids():
+    # open floors produce the most f ties, so the push-order tie-break decides the path
+    rng = np.random.default_rng(3)
+    for density in (0.0, 0.05, 0.2):
+        blocked = rng.random((30, 40)) < density
+        for _ in range(10):
+            start = (int(rng.integers(30)), int(rng.integers(40)))
+            goal = (int(rng.integers(30)), int(rng.integers(40)))
+            assert sim._astar(blocked, start, goal) == ref_astar(blocked, start, goal)
+
+
+def test_oracle_plan_matches_greedy_reference(worlds48):
+    rng = np.random.default_rng(11)
+    for world in worlds48:
+        free = np.argwhere(~world.grid2d().values) * world.grid.resolution
+        for _ in range(7):
+            # free-space points near walls exercise the nearest-open-cell snap
+            s_xy, g_xy = free[rng.integers(len(free), size=2)][:, ::-1]
+            start = Pose2(*s_xy, float(rng.uniform(-math.pi, math.pi)))
+            goal = Pose2(*g_xy, 0.0)
+            try:
+                want = ref_oracle_plan(world, start, goal)
+            except sim.UnreachableError:
+                with pytest.raises(sim.UnreachableError):
+                    sim.oracle_plan(world, start, goal)
+                continue
+            got = sim.oracle_plan(world, start, goal)
+            assert got.as_array().tobytes() == want.as_array().tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lattice_map_matches_pairwise_reference(monkeypatch, worlds48, seed):
+    monkeypatch.setattr(sim, "_build_lattice_map", ref_build_lattice_map)
+    want = sim.generate_world(seed, 48).map.to_jsonable()
+    assert worlds48[seed].map.to_jsonable() == want
