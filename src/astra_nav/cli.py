@@ -15,7 +15,14 @@ from dataclasses import fields
 import numpy as np
 
 from . import localization, odometry, planner, rewards, sim
-from .errors import AstraError, InputFileError, UnknownConfigKeyError, read_json, read_text
+from .errors import (
+    AstraError,
+    InputFileError,
+    UnknownConfigKeyError,
+    is_finite_number,
+    read_json,
+    read_text,
+)
 from .esdf import format_grid, load_occupancy, make_mask, mask_esdf, save_grid, signed_esdf
 from .geom import Pose2, PoseTrajectory
 from .topomap import TopoMap
@@ -36,8 +43,17 @@ def _load_json(path, parse=lambda doc: doc):
 
 
 def _goal(doc):
-    """A goal file holds {"instruction": "..."} or {"pose": [x, y, theta]}."""
-    return doc["instruction"] if "instruction" in doc else Pose2(*doc["pose"])
+    """A goal file holds {"instruction": "..."} (a non-empty string) or
+    {"pose": [x, y, theta]} (three finite numbers)."""
+    if "instruction" in doc:
+        text = doc["instruction"]
+        if not isinstance(text, str) or not text.strip():
+            raise ValueError("goal instruction must be a non-empty string")
+        return text
+    pose = doc["pose"]
+    if not (isinstance(pose, list) and len(pose) == 3 and all(map(is_finite_number, pose))):
+        raise ValueError("goal pose must be three finite numbers [x, y, theta]")
+    return Pose2(*pose)
 
 
 def _load_flat_config(path, cls, where: str):

@@ -1,10 +1,13 @@
-"""Shared exception hierarchy.
+"""Shared exception hierarchy and input-file helpers.
 
 Every domain error raised by this package derives from AstraError so
-callers (and the CLI) can separate expected failures from bugs.
+callers (and the CLI) can separate expected failures from bugs. The helpers
+read and check values that arrive from outside the program.
 """
 
 import json
+import math
+import numbers
 
 
 class AstraError(Exception):
@@ -48,3 +51,8 @@ def read_json(path, error: type[AstraError]):
         return json.loads(read_text(path, error))
     except json.JSONDecodeError as e:
         raise error(f"{path}: invalid JSON at line {e.lineno} col {e.colno}") from e
+
+
+def is_finite_number(value) -> bool:
+    """Whether an input value is a finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)

@@ -8,6 +8,16 @@ flattens it to 2-D. Grid files follow the same split: OCC2 for occupancy,
 ESDF for a field. Distance transforms treat any nonzero value as occupied,
 so a 0/1 integer grid gives the same field as the boolean one.
 
+The exact squared transform runs in two passes. A column pass finds, in
+every column, the squared row distance sq to the nearest target cell. A row
+pass then sweeps column offsets k = 1, 2, ..., lowering each entry (r, c)
+with sq[r, c - k] + k^2 and sq[r, c + k] + k^2, and stops once k^2 reaches
+the largest entry: a column k or more away adds at least k^2, so it cannot
+lower any entry. Every value is an integer below 2^53, so the float
+arithmetic is exact. The sweep needs O(h * w) memory and one pass per
+offset up to the largest distance in cells (at most the width), so grids
+where every cell lies near a target finish in a few passes.
+
 Grid geometry convention (frozen, tested): a 2D grid stores values[row, col]
 with the center of cell (row r, col c) at world point
 
@@ -104,39 +114,17 @@ def _nearest_along_rows(target: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _envelope_1d(f: np.ndarray) -> np.ndarray:
-    """1D squared-distance transform d[i] = min_j f[j] + (i-j)^2.
-
-    Lower envelope of parabolas; exact for integer-valued f.
-    """
-    n = f.shape[0]
-    d = np.empty(n)
-    v = np.zeros(n, dtype=np.intp)
-    z = np.empty(n + 1)
-    z[0], z[1] = -np.inf, np.inf
-    k = 0
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
-
-
 def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
     """Exact squared cell distance from every cell to the nearest target-class cell.
 
-    Results are exact integers (as int64). If the grid has no cell of the
-    target class, every entry is the squared diagonal width^2 + height^2.
+    A column pass gives sq, the squared row distance to the nearest target
+    in each column. The row pass then sweeps column offsets k = 1, 2, ...:
+    out[r, c] = min over |c' - c| < k of sq[r, c'] + (c - c')^2. A column k
+    or more away adds at least k^2, so once k^2 >= out.max() (or k = width)
+    no farther column can lower any entry and the sweep stops. Every value
+    is an integer below 2^53, so the float arithmetic is exact. Results are
+    int64. If the grid has no cell of the target class, every entry is the
+    squared diagonal width^2 + height^2.
     """
     if target not in ("occupied", "free"):
         raise ValueError("target must be 'occupied' or 'free'")
@@ -147,9 +135,12 @@ def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
         return np.full((h, w), w * w + h * h, dtype=np.int64)
     col_dist = _nearest_along_rows(mask)
     sq = col_dist * col_dist
-    out = np.empty((h, w))
-    for r in range(h):
-        out[r] = _envelope_1d(sq[r])
+    out = sq.copy()
+    k = 1
+    while k < w and k * k < out.max():
+        np.minimum(out[:, k:], sq[:, :-k] + k * k, out=out[:, k:])
+        np.minimum(out[:, :-k], sq[:, k:] + k * k, out=out[:, :-k])
+        k += 1
     return out.astype(np.int64)
 
 

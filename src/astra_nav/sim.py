@@ -7,8 +7,9 @@ radius (plus one cell of margin) and then shortcut-smooths the cell path,
 keeping every sampled point at or above the inflated clearance, so its
 output never trips the collision check at the same footprint radius.
 Clearance along straight segments is checked in batches: `_segments_clear`
-samples every segment of a smoothing step, or every near neighbour of a
-lattice node, in one bilinear lookup.
+samples every segment of a smoothing step, or every candidate link of the
+lattice map, in one bilinear lookup. The lattice map makes two lookups in
+all: one places every node, one checks every link.
 
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global
@@ -24,12 +25,13 @@ import functools
 import heapq
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError, read_json, read_text
+from .errors import AstraError, is_finite_number, read_json, read_text
 from .esdf import (
     Grid,
     compress_grid,
@@ -136,26 +138,29 @@ def _pose6(x: float, y: float) -> Pose6:
 
 
 def _connected(free: np.ndarray) -> bool:
-    """True iff the free cells form one 8-connected component."""
+    """True iff the free cells form one 8-connected component.
+
+    Grows the component of the first free cell by a 3x3 dilation masked by
+    `free` until its cell count stops growing.
+    """
     total = int(free.sum())
     if total == 0:
         return False
-    h, w = free.shape
-    seed_cell = tuple(np.argwhere(free)[0])
     seen = np.zeros_like(free)
-    stack = [seed_cell]
-    seen[seed_cell] = True
-    count = 0
-    while stack:
-        r, c = stack.pop()
-        count += 1
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and free[rr, cc] and not seen[rr, cc]:
-                    seen[rr, cc] = True
-                    stack.append((rr, cc))
-    return count == total
+    seen[tuple(np.argwhere(free)[0])] = True
+    count = 1
+    while True:
+        grown = seen.copy()
+        grown[1:] |= seen[:-1]
+        grown[:-1] |= seen[1:]
+        rows = grown.copy()
+        grown[:, 1:] |= rows[:, :-1]
+        grown[:, :-1] |= rows[:, 1:]
+        grown &= free
+        grown_count = int(grown.sum())
+        if grown_count == count:
+            return count == total
+        seen, count = grown, grown_count
 
 
 def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
@@ -186,35 +191,43 @@ def _build_lattice_map(
     grid2: Grid, dist: Grid, node_clearance: float, link_radius: float = 2.0
 ) -> TopoMap:
     """Nodes on a 1 m lattice over free space; lattice-neighbor edges plus
-    proximity links under link_radius, all requiring a clear straight segment."""
+    proximity links under link_radius, all requiring a clear straight segment.
+
+    One `sample_bilinear` call places every node and one `_segments_clear`
+    call checks every candidate link."""
     topo = TopoMap()
     res = grid2.resolution
     step_cells = max(1, round(1.0 / res))
+    lattice = [
+        (r, c, grid2.origin[0] + c * res, grid2.origin[1] + r * res)
+        for r in range(0, grid2.height, step_cells)
+        for c in range(0, grid2.width, step_cells)
+    ]
+    clearance = sample_bilinear(dist, [(x, y) for _, _, x, y in lattice])
     positions = {}
-    idx = 0
-    for r in range(0, grid2.height, step_cells):
-        for c in range(0, grid2.width, step_cells):
-            x = grid2.origin[0] + c * res
-            y = grid2.origin[1] + r * res
-            if not grid2.values[r, c] and sample_bilinear(dist, [(x, y)])[0] >= node_clearance:
-                nid = f"n-{idx:03d}"
-                topo.add_node(MapNode(nid, _pose6(x, y), image_ref=f"frame-{idx:04d}.jpg"))
-                positions[nid] = (x, y)
-                idx += 1
+    for (r, c, x, y), d in zip(lattice, clearance.tolist()):
+        if not grid2.values[r, c] and d >= node_clearance:
+            idx = len(positions)
+            nid = f"n-{idx:03d}"
+            topo.add_node(MapNode(nid, _pose6(x, y), image_ref=f"frame-{idx:04d}.jpg"))
+            positions[nid] = (x, y)
     ids = sorted(positions)
     xy = np.array([positions[nid] for nid in ids]).reshape(-1, 2)
-    for i, a in enumerate(ids):
-        ax, ay = positions[a]
+    links = []
+    for i in range(len(ids)):
+        ax, ay = xy[i]
         # |dx| and |dy| bound the distance from below, so the box drops no link
         box = np.abs(xy[i + 1 :] - (ax, ay)).max(axis=1) < link_radius
-        near = [
-            j for j in (i + 1 + np.flatnonzero(box)).tolist()
+        links += [
+            (i, j) for j in (i + 1 + np.flatnonzero(box)).tolist()
             if math.hypot(xy[j, 0] - ax, xy[j, 1] - ay) < link_radius
         ]
-        for j, clear in zip(near, _segments_clear(dist, (ax, ay), xy[near], node_clearance)):
-            if clear:
-                bx, by = positions[ids[j]]
-                topo.add_edge(a, ids[j], _pose6(bx - ax, by - ay))
+    pairs = np.array(links, dtype=np.intp).reshape(-1, 2)
+    clear = _segments_clear(dist, xy[pairs[:, 0]], xy[pairs[:, 1]], node_clearance)
+    for (i, j), ok in zip(links, clear.tolist()):
+        if ok:
+            (ax, ay), (bx, by) = positions[ids[i]], positions[ids[j]]
+            topo.add_edge(ids[i], ids[j], _pose6(bx - ax, by - ay))
     return topo
 
 
@@ -537,6 +550,24 @@ class NavConfig:
     fallback: bool = True
     euler_steps: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        def check(names, ok, rule):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise SimError(f"{name} must be {rule}, got {value!r}")
+
+        check(("execute_steps", "fix_every", "euler_steps"),
+              lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+              "an integer >= 1")
+        check(("max_step", "budget_factor"),
+              lambda v: is_finite_number(v) and v > 0, "positive and finite")
+        check(("footprint_radius", "goal_tolerance", "lookahead", "fix_oracle_radius",
+               "wheel_trans_sigma", "wheel_rot_sigma", "imu_sigma",
+               "exec_trans_sigma", "exec_rot_sigma"),
+              lambda v: is_finite_number(v) and v >= 0, "finite and >= 0")
+        check(("planner",), lambda v: v in ("model", "oracle"), "'model' or 'oracle'")
 
 
 @dataclass

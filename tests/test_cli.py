@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import shutil
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,6 +176,83 @@ def test_bad_input_file_exits_1(files, capsys, arg, bad):
     elif BAD_FILES[bad] is not None:
         path.write_text(BAD_FILES[bad])
     assert_json_error(*run(capsys, *FILE_ARGS[arg](files, path)))
+
+
+# Goal files that parse as JSON but hold no usable goal.
+BAD_GOALS = {
+    "pose-string": {"pose": ["a", 1, 0]},
+    "pose-empty": {"pose": []},
+    "pose-two": {"pose": [1.0, 2.0]},
+    "pose-four": {"pose": [1.0, 2.0, 0.0, 0.0]},
+    "pose-bool": {"pose": [True, 1.0, 0.0]},
+    "pose-nan": {"pose": [1.0, float("nan"), 0.0]},
+    "pose-inf": {"pose": [1.0, 2.0, float("inf")]},
+    "pose-null": {"pose": [None, 1.0, 0.0]},
+    "pose-object": {"pose": {"x": 1.0, "y": 2.0, "theta": 0.0}},
+    "instruction-empty": {"instruction": ""},
+    "instruction-blank": {"instruction": "  "},
+    "instruction-number": {"instruction": 5},
+    "instruction-list": {"instruction": ["sofa"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GOALS))
+def test_bad_goal_exits_1(files, capsys, name):
+    path = files["root"] / f"goal-{name}.json"
+    path.write_text(json.dumps(BAD_GOALS[name]))
+    code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "InputFileError"
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Nav configs that name only known keys but hold values the loop cannot run with;
+# without a check, zero execute_steps loops forever and zero fix_every divides by zero.
+BAD_NAV_CONFIGS = {
+    "execute-steps-0": {"execute_steps": 0},
+    "execute-steps-float": {"execute_steps": 2.5},
+    "fix-every-0": {"fix_every": 0},
+    "fix-every-negative": {"fix_every": -3},
+    "euler-steps-0": {"euler_steps": 0},
+    "max-step-0": {"max_step": 0.0},
+    "max-step-inf": {"max_step": float("inf")},
+    "budget-factor-negative": {"budget_factor": -1.0},
+    "footprint-negative": {"footprint_radius": -0.1},
+    "goal-tolerance-nan": {"goal_tolerance": float("nan")},
+    "lookahead-string": {"lookahead": "far"},
+    "imu-sigma-negative": {"imu_sigma": -0.01},
+    "exec-rot-sigma-bool": {"exec_rot_sigma": True},
+    "planner-unknown": {"planner": "random"},
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "eval"])
+@pytest.mark.parametrize("name", sorted(BAD_NAV_CONFIGS))
+def test_bad_nav_config_exits_1(files, capsys, name, verb):
+    path = files["root"] / f"nav-{name}.json"
+    path.write_text(json.dumps({"planner": "oracle", **BAD_NAV_CONFIGS[name]}))
+    where = ("--world", files["world"], "--goal", files["goal.json"]) if verb == "run" else (
+        "--worlds", files["worlds"], "--episodes", "2"
+    )
+    with time_limit(60.0):
+        code, out, err = run(capsys, "sim", verb, *where, "--config", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "SimError"
 
 
 @pytest.mark.parametrize(

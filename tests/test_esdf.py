@@ -95,6 +95,39 @@ class TestEdt:
             np.testing.assert_array_equal(edt_squared(ints, "free"), brute_force_sq(mask, ~mask))
             np.testing.assert_array_equal(signed_esdf(ints).values, signed_esdf(m).values)
 
+    @staticmethod
+    def assert_both_targets_match(mask):
+        m = bin2d(mask)
+        np.testing.assert_array_equal(edt_squared(m, "occupied"), brute_force_sq(mask, mask))
+        np.testing.assert_array_equal(edt_squared(m, "free"), brute_force_sq(mask, ~mask))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (40, 3), (3, 40)])
+    def test_single_target_in_each_corner(self, shape):
+        # the farthest cell is a full width away, so the column-offset sweep runs to its end
+        h, w = shape
+        for r, c in [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]:
+            mask = np.zeros(shape, dtype=bool)
+            mask[r, c] = True
+            self.assert_both_targets_match(mask)  # one occupied cell
+            self.assert_both_targets_match(~mask)  # one free cell: all but one occupied
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (5, 17), (17, 5), (12, 31)])
+    def test_all_but_one_occupied(self, shape):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            mask = np.ones(shape, dtype=bool)
+            mask[rng.integers(shape[0]), rng.integers(shape[1])] = False
+            self.assert_both_targets_match(mask)
+
+    def test_sparse_targets_on_non_square_grids(self):
+        # few targets leave large distances, so the sweep runs many offsets
+        rng = np.random.default_rng(11)
+        for h, w in [(2, 37), (37, 2), (13, 29), (29, 13), (39, 38)]:
+            for density in (0.001, 0.01, 0.05):
+                mask = rng.random((h, w)) < density
+                mask[rng.integers(h), rng.integers(w)] = True
+                self.assert_both_targets_match(mask)
+
 
 class TestSignedEsdf:
     def test_single_obstacle_pixel(self):

@@ -187,6 +187,29 @@ def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
     return topo
 
 
+def ref_connected(free):
+    """The stack-based flood fill that the dilation replaced."""
+    total = int(free.sum())
+    if total == 0:
+        return False
+    h, w = free.shape
+    seed_cell = tuple(np.argwhere(free)[0])
+    seen = np.zeros_like(free)
+    stack = [seed_cell]
+    seen[seed_cell] = True
+    count = 0
+    while stack:
+        r, c = stack.pop()
+        count += 1
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w and free[rr, cc] and not seen[rr, cc]:
+                    seen[rr, cc] = True
+                    stack.append((rr, cc))
+    return count == total
+
+
 @pytest.fixture(scope="module")
 def worlds48():
     return [sim.generate_world(s, 48) for s in (0, 1, 2)]
@@ -281,8 +304,62 @@ def test_oracle_plan_matches_greedy_reference(worlds48):
             assert got.as_array().tobytes() == want.as_array().tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lattice_map_matches_pairwise_reference(monkeypatch, worlds48, seed):
+@pytest.mark.parametrize(
+    "seed,size",
+    [pytest.param(s, 48, id=str(s)) for s in (0, 1, 2)]
+    + [pytest.param(s, 96, id=f"{s}-96") for s in (0, 1)],  # 96 is the benchmark's map size
+)
+def test_lattice_map_matches_pairwise_reference(monkeypatch, worlds48, seed, size):
+    got = worlds48[seed] if size == 48 else sim.generate_world(seed, size)
     monkeypatch.setattr(sim, "_build_lattice_map", ref_build_lattice_map)
-    want = sim.generate_world(seed, 48).map.to_jsonable()
-    assert worlds48[seed].map.to_jsonable() == want
+    want = sim.generate_world(seed, size).map.to_jsonable()
+    assert got.map.to_jsonable() == want
+
+
+def test_lattice_map_makes_two_lookups(world, monkeypatch):
+    # one lookup places every node and one checks every link, whatever the map's size
+    calls = []
+
+    def counting(phi, pts):
+        calls.append(len(pts))
+        return sample_bilinear(phi, pts)
+
+    monkeypatch.setattr(sim, "sample_bilinear", counting)
+    topo = sim._build_lattice_map(world.grid2d(), world.dist_field(), node_clearance=0.3)
+    assert len(calls) == 2
+    assert len(topo.nodes) > 1 and topo.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_connected_matches_flood_fill_reference(data):
+    h = data.draw(st.integers(1, 20), label="h")
+    w = data.draw(st.integers(1, 20), label="w")
+    cells = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w), label="free")
+    free = np.array(cells, dtype=bool).reshape(h, w)
+    assert sim._connected(free) == ref_connected(free)
+
+
+def test_connected_edge_cases():
+    cases = [
+        np.ones((1, 1), bool),
+        np.zeros((1, 1), bool),
+        np.ones((20, 20), bool),
+        np.zeros((20, 20), bool),
+        np.eye(7, dtype=bool),  # free cells touch only diagonally: one 8-connected component
+        np.eye(7, dtype=bool)[::-1],
+        np.indices((8, 9)).sum(axis=0) % 2 == 0,  # checkerboard
+        np.kron(np.eye(3, dtype=bool), np.ones((2, 2), bool)),  # blocks joined at corners
+        np.array([[1, 0, 1]], dtype=bool),  # two free cells a cell apart
+        np.array([[1, 0, 0], [0, 0, 1]], dtype=bool),  # a knight's move apart
+    ]
+    # a serpentine corridor: the dilation needs one step per cell along it
+    snake = np.zeros((9, 9), bool)
+    snake[::2] = True
+    snake[1::4, -1] = True
+    snake[3::4, 0] = True
+    cases += [snake, snake & ~np.eye(9, dtype=bool)]
+    for free in cases:
+        assert sim._connected(free) == ref_connected(free), free.astype(int)
+    assert [sim._connected(free) for free in cases[4:10]] == [True, True, True, True, False, False]
+    assert sim._connected(snake)
