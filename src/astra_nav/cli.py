@@ -42,6 +42,21 @@ def _load_json(path, parse=lambda doc: doc):
         raise InputFileError(f"{path}: unexpected content: {e!r}") from e
 
 
+def _pose(value) -> Pose2:
+    """A JSON pose: a list of three finite numbers [x, y, theta]. Anything else
+    raises ValueError, which `_load_json` reports as InputFileError."""
+    if not (isinstance(value, list) and len(value) == 3 and all(map(is_finite_number, value))):
+        raise ValueError(f"a pose must be three finite numbers [x, y, theta], got {value!r}")
+    return Pose2(*value)
+
+
+def _poses(value) -> list[Pose2]:
+    """A JSON list of poses, each checked by `_pose`."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of poses, got {value!r}")
+    return [_pose(p) for p in value]
+
+
 def _goal(doc):
     """A goal file holds {"instruction": "..."} (a non-empty string) or
     {"pose": [x, y, theta]} (three finite numbers)."""
@@ -50,10 +65,7 @@ def _goal(doc):
         if not isinstance(text, str) or not text.strip():
             raise ValueError("goal instruction must be a non-empty string")
         return text
-    pose = doc["pose"]
-    if not (isinstance(pose, list) and len(pose) == 3 and all(map(is_finite_number, pose))):
-        raise ValueError("goal pose must be three finite numbers [x, y, theta]")
-    return Pose2(*pose)
+    return _pose(doc["pose"])
 
 
 def _load_flat_config(path, cls, where: str):
@@ -129,7 +141,7 @@ def _coarse_output(pred):
         bool(pred.get("format_valid", False)),
         {rewards.canonical_landmark(c, dict(a)) for c, a in pred.get("landmarks", [])},
         set(pred.get("ids", [])),
-        [Pose2(*p) for p in pred.get("extra_poses", [])],
+        _poses(pred.get("extra_poses", [])),
     )
     return output, _covis(pred)
 
@@ -138,7 +150,7 @@ def _coarse_truth(gt):
     truth = rewards.CoarseGroundTruth(
         {rewards.canonical_landmark(c, dict(a)) for c, a in gt.get("landmarks", [])},
         set(gt.get("ids", [])),
-        Pose2(*gt["pose"]) if gt.get("pose") is not None else None,
+        _pose(gt["pose"]) if gt.get("pose") is not None else None,
     )
     return truth, _covis(gt)
 
@@ -163,7 +175,7 @@ def _cmd_reward_eval(args) -> int:
 def _cmd_esdf_compute(args) -> int:
     phi = signed_esdf(load_occupancy(args.occ_file))
     if args.mask:
-        poses = _load_json(args.mask, PoseTrajectory.from_jsonable)
+        poses = PoseTrajectory(tuple(_load_json(args.mask, _poses)))
         mask = make_mask(poses, phi, args.dilation)
         phi = mask_esdf(phi, mask, args.alpha)
     if args.out:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,25 +158,43 @@ def signed_esdf(map2d: Grid) -> Grid:
     return Grid(values, map2d.resolution, map2d.origin)
 
 
-def _cell_centers(shape: tuple[int, int], resolution: float, origin) -> np.ndarray:
-    h, w = shape
-    xs = origin[0] + np.arange(w) * resolution
-    ys = origin[1] + np.arange(h) * resolution
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+def _cell_box(shape, resolution: float, origin, lo, hi) -> tuple[slice, slice]:
+    """Rows and columns whose cell centers can lie in the world box [lo, hi],
+    grown by one cell so that rounding cannot drop a cell; NaN bounds give
+    the whole grid."""
+    size = np.array(shape[::-1])
+    first = np.floor((np.asarray(lo) - resolution - origin) / resolution)
+    last = np.ceil((np.asarray(hi) + resolution - origin) / resolution)
+    c0, r0 = (int(v) for v in np.fmin(np.fmax(first, 0), size))
+    c1, r1 = (int(v) for v in np.fmax(np.fmin(last + 1, size), (c0, r0)))
+    return slice(r0, r1), slice(c0, c1)
 
 
 def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) -> Grid:
-    """Mark every cell whose center lies within dilation_radius of the trajectory polyline."""
+    """Mark every cell whose center lies within dilation_radius of the trajectory polyline.
+
+    Distances are computed only on the cells that the trajectory's bounding
+    box, grown by the radius and one cell, overlaps: no other cell can lie
+    within the radius.
+    """
     if dilation_radius < 0:
         raise ValueError("dilation radius must be >= 0")
     shape = geometry.values.shape[-2:]
     res, origin = geometry.resolution, geometry.origin
-    pts = np.asarray([[p.x, p.y] for p in gt_poses.poses]) if len(gt_poses) else np.zeros((0, 2))
+    poses = gt_poses.as_array()
+    if not np.isfinite(poses).all():
+        raise ValueError("trajectory poses must be finite")
+    pts = poses[:, :2]
     mask = np.zeros(shape, dtype=bool)
     if len(pts) == 0:
         return Grid(mask, res, origin)
-    centers = _cell_centers(shape, res, origin)
+    rows, cols = _cell_box(
+        shape, res, origin, pts.min(axis=0) - dilation_radius, pts.max(axis=0) + dilation_radius
+    )
+    xs = origin[0] + np.arange(cols.start, cols.stop) * res
+    ys = origin[1] + np.arange(rows.start, rows.stop) * res
+    gx, gy = np.meshgrid(xs, ys)
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
     min_d = np.full(centers.shape[0], np.inf)
     if len(pts) == 1:
         min_d = np.hypot(*(centers - pts[0]).T)
@@ -190,7 +209,7 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
                 proj = a + t[:, None] * ab
                 d = np.hypot(*(centers - proj).T)
             np.minimum(min_d, d, out=min_d)
-    mask = (min_d <= dilation_radius).reshape(shape)
+    mask[rows, cols] = (min_d <= dilation_radius).reshape(gx.shape)
     if not mask.any():
         lo = (origin[0] - res / 2, origin[1] - res / 2)
         hi = (origin[0] + (shape[1] - 0.5) * res, origin[1] + (shape[0] - 0.5) * res)
@@ -212,24 +231,54 @@ def mask_esdf(phi: Grid, mask: Grid, alpha: float) -> Grid:
     return Grid(values, phi.resolution, phi.origin)
 
 
-def _cell_weights(values: np.ndarray, resolution: float, origin, pts):
-    """Index and weight arithmetic of the bilinear kernel.
+class FieldStack(NamedTuple):
+    """Fields laid back to back in one flat array, with each field's offset
+    into it, height, width, resolution and origin. A single field has scalar
+    columns; a stack of B fields has (B, 1) columns, which broadcast against
+    (B, n) query points so row i samples field i."""
+
+    flat: np.ndarray
+    offset: object
+    height: object
+    width: object
+    resolution: object
+    ox: object
+    oy: object
+
+
+def stack_fields(fields: list[Grid]) -> FieldStack:
+    """One flat copy of the given 2-D fields, in order, for a batched lookup."""
+    shapes = np.array([f.values.shape for f in fields], dtype=np.intp)
+    sizes = shapes[:, 0] * shapes[:, 1]
+    return FieldStack(
+        np.concatenate([f.values.ravel() for f in fields]),
+        (np.cumsum(sizes) - sizes)[:, None],
+        shapes[:, :1],
+        shapes[:, 1:],
+        np.array([[f.resolution] for f in fields], dtype=float),
+        np.array([[f.origin[0]] for f in fields]),
+        np.array([[f.origin[1]] for f in fields]),
+    )
+
+
+def _cell_weights(fields: FieldStack, pts):
+    """Index and weight arithmetic of the bilinear kernel at pts[..., :2].
 
     Returns the continuous cell coordinates (gx, gy), their border-clamped
     copies (cx, cy), the fractional offsets (u, v) and the corner values
     (f00, f10, f01, f11).
     """
-    h, w = values.shape
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    gx = (pts[:, 0] - origin[0]) / resolution
-    gy = (pts[:, 1] - origin[1]) / resolution
+    flat, offset, h, w, resolution, ox, oy = fields
+    gx = (pts[..., 0] - ox) / resolution
+    gy = (pts[..., 1] - oy) / resolution
     cx = np.clip(gx, 0.0, w - 1.0)
     cy = np.clip(gy, 0.0, h - 1.0)
-    ix = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
-    iy = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
+    ix = np.minimum(np.floor(cx).astype(np.intp), np.maximum(w - 2, 0))
+    iy = np.minimum(np.floor(cy).astype(np.intp), np.maximum(h - 2, 0))
     jx = np.minimum(ix + 1, w - 1)
     jy = np.minimum(iy + 1, h - 1)
-    corners = (values[iy, ix], values[iy, jx], values[jy, ix], values[jy, jx])
+    row0, row1 = offset + iy * w, offset + jy * w
+    corners = (flat[row0 + ix], flat[row0 + jx], flat[row1 + ix], flat[row1 + jx])
     return (gx, gy), (cx, cy), (cx - ix, cy - iy), corners
 
 
@@ -237,27 +286,28 @@ def _interpolate(u, v, f00, f10, f01, f11):
     return f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
 
 
-def _bilinear(values: np.ndarray, resolution: float, origin, pts: np.ndarray):
+def _bilinear(fields: FieldStack, pts):
     """Bilinear kernel with gradient.
 
     Returns (sampled values, d/dx, d/dy). Points outside the cell-center
     lattice clamp to the border; clamped coordinates carry zero gradient in
     the clamped direction.
     """
-    (gx, gy), (cx, cy), (u, v), (f00, f10, f01, f11) = _cell_weights(
-        values, resolution, origin, pts
-    )
+    (gx, gy), (cx, cy), (u, v), (f00, f10, f01, f11) = _cell_weights(fields, pts)
     out = _interpolate(u, v, f00, f10, f01, f11)
     du = (f10 - f00) * (1 - v) + (f11 - f01) * v
     dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
     inside_x = (gx == cx).astype(float)
     inside_y = (gy == cy).astype(float)
+    resolution = fields.resolution
     return out, du * inside_x / resolution, dv * inside_y / resolution
 
 
 def sample_bilinear(phi: Grid, points):
     """Bilinearly interpolate the field at world points (meters); values only."""
-    _, _, (u, v), corners = _cell_weights(phi.values, phi.resolution, phi.origin, points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    field = FieldStack(phi.values.ravel(), 0, *phi.values.shape, phi.resolution, *phi.origin)
+    _, _, (u, v), corners = _cell_weights(field, pts)
     return _interpolate(u, v, *corners)
 
 

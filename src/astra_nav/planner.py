@@ -15,7 +15,10 @@ loss exposes exact reverse-mode parameter gradients; at lambda = 0 it is the
 plain flow-matching loss.
 
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
-down to t = 0: x <- x - dt * v(x, t | c).
+down to t = 0: x <- x - dt * v(x, t | c). The K candidates of one condition
+are integrated together, one forward pass per step; a single plan is the
+K = 1 case. Training builds the dataset's arrays once, and each batch
+samples all its masked fields in one gather.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AstraError, read_json
-from .esdf import Grid, _bilinear, edt, sample_bilinear, signed_esdf
+from .esdf import Grid, _bilinear, edt, sample_bilinear, signed_esdf, stack_fields
 from .geom import ActionTrajectory, Pose2, PoseTrajectory, actions_to_poses
 
 
@@ -195,18 +198,35 @@ class VectorFieldModel:
         return model
 
 
+def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
+    """(k, 3n + 1 + c) network input with the condition columns written once;
+    `_eval_field` fills the trajectory and time columns per evaluation."""
+    c = _cond_vector(cond)
+    if c.size != model.cond_dim:
+        raise ShapeMismatchError(f"condition has {c.size} entries, expected {model.cond_dim}")
+    n3 = 3 * model.n_actions
+    inp = np.empty((k, n3 + 1 + c.size))
+    inp[:, n3 + 1 :] = c
+    return inp
+
+
+def _eval_field(model: VectorFieldModel, inp: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """One forward pass of the field at rows x (k, 3n) and time t."""
+    n3 = 3 * model.n_actions
+    inp[:, :n3] = x
+    inp[:, n3] = t
+    out = model.forward(inp)
+    if not np.isfinite(out).all():
+        raise PlannerError("vector field produced non-finite output")
+    return out
+
+
 def vf_eval(model: VectorFieldModel, x_t: np.ndarray, t: float, cond) -> np.ndarray:
     """Evaluate the vector field at one flattened trajectory point."""
     x_t = np.asarray(x_t, dtype=float).ravel()
     if x_t.size != 3 * model.n_actions:
         raise ShapeMismatchError(f"x_t has {x_t.size} entries, expected {3 * model.n_actions}")
-    c = _cond_vector(cond)
-    if c.size != model.cond_dim:
-        raise ShapeMismatchError(f"condition has {c.size} entries, expected {model.cond_dim}")
-    out = model.forward(np.concatenate([x_t, [float(t)], c]))
-    if not np.isfinite(out).all():
-        raise PlannerError("vector field produced non-finite output")
-    return out
+    return _eval_field(model, _field_input(model, cond, 1), x_t, float(t))[0]
 
 
 def reconstruct(x_t: np.ndarray, t, v: np.ndarray) -> np.ndarray:
@@ -238,11 +258,36 @@ class PlanningSample:
         self.actions = np.asarray(self.actions, dtype=float).reshape(-1, 3)
 
 
-def _batch_arrays(samples: list[PlanningSample]):
-    x1 = np.stack([s.actions.ravel() for s in samples])
-    cond = np.stack([_cond_vector(s.condition) for s in samples])
-    starts = np.array([[s.start.x, s.start.y, s.start.theta] for s in samples])
-    return x1, cond, starts
+@dataclass
+class PlanningBatch:
+    """Array form of PlanningSamples: flattened actions x1 (B, 3n), condition
+    vectors (B, c), start poses (B, 3) as [x, y, theta] rows, and each
+    sample's masked field (None where a sample has none)."""
+
+    x1: np.ndarray
+    cond: np.ndarray
+    starts: np.ndarray
+    fields: list
+
+    @classmethod
+    def of(cls, samples) -> "PlanningBatch":
+        """The samples' arrays; a PlanningBatch is returned as it is."""
+        if isinstance(samples, PlanningBatch):
+            return samples
+        return cls(
+            np.stack([s.actions.ravel() for s in samples]),
+            np.stack([_cond_vector(s.condition) for s in samples]),
+            np.array([[s.start.x, s.start.y, s.start.theta] for s in samples]),
+            [s.phi for s in samples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.fields)
+
+    def take(self, rows) -> "PlanningBatch":
+        return PlanningBatch(
+            self.x1[rows], self.cond[rows], self.starts[rows], [self.fields[i] for i in rows]
+        )
 
 
 def _poses_from_actions(actions: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -260,21 +305,18 @@ def _poses_from_actions(actions: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return poses
 
 
-def _penalty_and_grad(samples, actions: np.ndarray, starts: np.ndarray):
+def _penalty_and_grad(fields: list[Grid], actions: np.ndarray, starts: np.ndarray):
     """Clearance bonus sum(phi~) per sample plus its gradient w.r.t. the actions.
 
-    The spatial gradient from bilinear sampling back-propagates through the
-    pose recurrence with the usual reverse accumulation: position adjoints
-    pass through unchanged, heading adjoints collect the rotated-step terms.
+    Row i samples fields[i]; all rows are looked up together in one flat
+    copy of the batch's fields. The spatial gradient from bilinear sampling
+    back-propagates through the pose recurrence with the usual reverse
+    accumulation: position adjoints pass through unchanged, heading adjoints
+    collect the rotated-step terms.
     """
     b, n, _ = actions.shape
     poses = _poses_from_actions(actions, starts)
-    values = np.zeros((b, n))
-    gx = np.zeros((b, n))
-    gy = np.zeros((b, n))
-    for i, s in enumerate(samples):
-        out, dx, dy = _bilinear(s.phi.values, s.phi.resolution, s.phi.origin, poses[i, 1:, :2])
-        values[i], gx[i], gy[i] = out, dx, dy
+    values, gx, gy = _bilinear(stack_fields(fields), poses[:, 1:, :2])
     dact = np.zeros_like(actions)
     ax_adj = np.zeros(b)
     ay_adj = np.zeros(b)
@@ -295,10 +337,12 @@ def _penalty_and_grad(samples, actions: np.ndarray, starts: np.ndarray):
 def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
     """Total loss = CFM - lambda * mean_b sum_k phi~(pose_k), with exact gradients.
 
-    Returns (loss, flat param gradients, {"cfm":, "penalty":}); the penalty is
-    the batch mean of the per-trajectory field sums.
+    `samples` is a list of PlanningSamples or a PlanningBatch. Returns (loss,
+    flat param gradients, {"cfm":, "penalty":}); the penalty is the batch
+    mean of the per-trajectory field sums.
     """
-    x1, cond, starts = _batch_arrays(samples)
+    batch = PlanningBatch.of(samples)
+    x1, cond, starts = batch.x1, batch.cond, batch.starts
     b = x1.shape[0]
     t = np.asarray(t, dtype=float).ravel()
     x0 = np.atleast_2d(x0)
@@ -311,11 +355,11 @@ def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
     dv = 2.0 * diff / b
     penalty = 0.0
     if lam != 0.0:
-        if any(s.phi is None for s in samples):
+        if any(f is None for f in batch.fields):
             raise PlannerError("planning loss with lambda != 0 needs a field on every sample")
         n = model.n_actions
         x_rec = reconstruct(xt, t, v)
-        sums, dact = _penalty_and_grad(samples, x_rec.reshape(b, n, 3), starts)
+        sums, dact = _penalty_and_grad(batch.fields, x_rec.reshape(b, n, 3), starts)
         penalty = float(sums.mean())
         # d(loss)/dv += -lam/b * d(sum)/dx~ * dx~/dv, and dx~/dv = -t
         dv = dv + (lam / b) * t[:, None] * dact.reshape(b, 3 * n)
@@ -325,7 +369,8 @@ def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
 
 
 def planning_loss(model: VectorFieldModel, samples, lam, rng):
-    if not samples:
+    """The planning loss at times and noise drawn from rng."""
+    if not len(samples):
         raise PlannerError("batch must be nonempty")
     t = rng.random(len(samples))
     x0 = rng.standard_normal((len(samples), 3 * model.n_actions))
@@ -357,14 +402,17 @@ class TrainConfig:
 def train(dataset: list[PlanningSample], config: TrainConfig):
     """Momentum-SGD training, deterministic per seed.
 
+    The dataset's arrays are built once; each batch takes its rows of them.
+
     Returns (model, log); the log holds one entry per epoch with the mean
     flow-matching term and mean clearance bonus. A non-finite loss aborts,
     restoring the last finite epoch checkpoint.
     """
     if not dataset:
         raise PlannerError("training dataset must be nonempty")
+    data = PlanningBatch.of(dataset)
     n_actions = dataset[0].actions.shape[0]
-    cond_dim = _cond_vector(dataset[0].condition).size
+    cond_dim = data.cond.shape[1]
     model = VectorFieldModel.create(n_actions, cond_dim, config.hidden, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     velocity = np.zeros(model.param_count)
@@ -375,7 +423,7 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
         cfm_terms, penalty_terms = [], []
         diverged = False
         for lo in range(0, len(order), config.batch_size):
-            batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
+            batch = data.take(order[lo : lo + config.batch_size])
             loss, grads, parts = planning_loss(model, batch, config.esdf_lambda, rng)
             if not math.isfinite(loss) or not np.isfinite(grads).all():
                 diverged = True
@@ -414,6 +462,23 @@ class PlanSample:
         }
 
 
+def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int = 1) -> np.ndarray:
+    """Draw k trajectories under one condition together, as (k, n, 3) actions.
+
+    The (k, 3n) noise comes from one draw, the same stream as k draws of 3n,
+    and each Euler step from t=1 down to t=0 is one forward pass over all k.
+    """
+    if steps < 1:
+        raise PlannerError("steps must be >= 1")
+    inp = _field_input(model, condition, k)
+    x = rng.standard_normal((k, 3 * model.n_actions))
+    dt = 1.0 / steps
+    for i in range(steps):
+        t = 1.0 - i * dt
+        x = x - dt * _eval_field(model, inp, x, t)
+    return x.reshape(k, model.n_actions, 3)
+
+
 def sample(
     model: VectorFieldModel,
     condition,
@@ -422,15 +487,7 @@ def sample(
     start: Pose2 = Pose2(),
 ) -> PlanSample:
     """Draw one trajectory by Euler integration from noise at t=1 down to t=0."""
-    if steps < 1:
-        raise PlannerError("steps must be >= 1")
-    c = _cond_vector(condition)
-    x = rng.standard_normal(3 * model.n_actions)
-    dt = 1.0 / steps
-    for i in range(steps):
-        t = 1.0 - i * dt
-        x = x - dt * vf_eval(model, x, t, c)
-    actions = ActionTrajectory(x.reshape(model.n_actions, 3))
+    actions = ActionTrajectory(sample_actions(model, condition, steps, rng)[0])
     poses = actions_to_poses(actions, start)
     step_norms = np.hypot(actions.steps[:, 0], actions.steps[:, 1])
     return PlanSample(actions, poses, float(step_norms.mean()) if len(actions) else 0.0)

@@ -205,6 +205,63 @@ def test_bad_goal_exits_1(files, capsys, name):
     assert json.loads(err)["error"] == "InputFileError"
 
 
+# Pose values that are not three finite numbers, for every pose a JSON input holds.
+BAD_POSES = {
+    "string": ["a", 1, 0],
+    "x-string": ["x", 0, 0],
+    "nan": [1.0, float("nan"), 0.0],
+    "inf": [float("-inf"), 0.0, 0.0],
+    "theta-nan": [0.0, 0.0, float("nan")],
+    "bool": [True, 0.0, 0.0],
+    "null": [None, 0.0, 0.0],
+    "two": [1.0, 2.0],
+    "four": [1.0, 2.0, 0.0, 0.0],
+    "object": {"x": 1.0, "y": 2.0, "theta": 0.0},
+}
+POSE_INPUTS = {
+    # (file written, command) for a file holding `pose` where a pose belongs
+    "reward-extra-poses": lambda f, pose: (
+        {"format_valid": True, "landmarks": [["sofa", {}]], "ids": ["n-000"], "extra_poses": [pose]},
+        lambda p: ("reward", "eval", "--pred", p, "--gt", f["gt.json"]),
+    ),
+    "reward-gt-pose": lambda f, pose: (
+        {"landmarks": [["sofa", {}]], "ids": ["n-000"], "pose": pose},
+        lambda p: ("reward", "eval", "--pred", f["pred.json"], "--gt", p),
+    ),
+    "esdf-mask": lambda f, pose: (
+        [[0.5, 0.5, 0.0], pose],
+        lambda p: ("esdf", "compute", f["world"] / "grid.occ", "--mask", p),
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(POSE_INPUTS))
+@pytest.mark.parametrize("name", sorted(BAD_POSES))
+def test_bad_pose_exits_1(files, capsys, where, name):
+    doc, command = POSE_INPUTS[where](files, BAD_POSES[name])
+    path = files["root"] / f"pose-{where}-{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command(path))
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "InputFileError"
+
+
+@pytest.mark.parametrize("where", sorted(POSE_INPUTS))
+def test_good_pose_exits_0(files, capsys, where):
+    doc, command = POSE_INPUTS[where](files, [1.0, 2, -0.5])
+    path = files["root"] / f"pose-{where}-good.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command(path))
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_mask_file_not_a_list_exits_1(files, capsys):
+    path = files["root"] / "mask-object.json"
+    path.write_text(json.dumps({"poses": [[0.5, 0.5, 0.0]]}))
+    assert_json_error(*run(capsys, "esdf", "compute", files["world"] / "grid.occ", "--mask", path))
+
+
 @contextlib.contextmanager
 def time_limit(seconds: float):
     """Raise TimeoutError in the body once `seconds` of wall time have passed."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astra_nav.errors import GeometryMismatchError
 from astra_nav.esdf import (
@@ -17,6 +19,7 @@ from astra_nav.esdf import (
     sample_bilinear,
     save_grid,
     signed_esdf,
+    stack_fields,
 )
 from astra_nav.geom import Pose2, PoseTrajectory, poses_to_actions
 from astra_nav.planner import PlanningSample, VectorFieldModel, planning_loss_at
@@ -187,6 +190,109 @@ class TestMask:
         assert any("outside" in rec.message for rec in caplog.records)
 
 
+def ref_make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) -> np.ndarray:
+    """Mask values from segment distances evaluated on every cell of the grid."""
+    h, w = geometry.values.shape[-2:]
+    res, origin = geometry.resolution, geometry.origin
+    pts = np.asarray([[p.x, p.y] for p in gt_poses.poses]).reshape(-1, 2)
+    if len(pts) == 0:
+        return np.zeros((h, w), dtype=bool)
+    gx, gy = np.meshgrid(origin[0] + np.arange(w) * res, origin[1] + np.arange(h) * res)
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    min_d = np.full(centers.shape[0], np.inf)
+    if len(pts) == 1:
+        min_d = np.hypot(*(centers - pts[0]).T)
+    else:
+        for a, b in zip(pts[:-1], pts[1:]):
+            ab = b - a
+            denom = float(ab @ ab)
+            if denom == 0.0:
+                d = np.hypot(*(centers - a).T)
+            else:
+                t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
+                d = np.hypot(*(centers - (a + t[:, None] * ab)).T)
+            np.minimum(min_d, d, out=min_d)
+    return (min_d <= dilation_radius).reshape(h, w)
+
+
+@st.composite
+def mask_cases(draw):
+    """A grid geometry, a trajectory and a radius. Points lie inside the grid,
+    across its border or outside it; some sit on cell centers, where radius-0
+    and whole-cell radii meet distances exactly; some poses repeat."""
+    h, w = draw(st.integers(1, 14), label="h"), draw(st.integers(1, 14), label="w")
+    res = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]), label="res")
+    origin = (draw(st.floats(-3, 3), label="ox"), draw(st.floats(-3, 3), label="oy"))
+    on_centers = draw(st.booleans(), label="on_centers")
+    if on_centers:
+        coord = st.tuples(st.integers(-4, w + 3), st.integers(-4, h + 3))
+        cells = draw(st.lists(coord, min_size=1, max_size=6), label="cells")
+        pts = [(origin[0] + c * res, origin[1] + r * res) for c, r in cells]
+    else:
+        frac = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))
+        fracs = draw(st.lists(frac, min_size=1, max_size=6), label="fracs")
+        pts = [(origin[0] + u * w * res, origin[1] + v * h * res) for u, v in fracs]
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3), label="repeats"):
+        pts.insert(i, pts[i])
+    radius = draw(
+        st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]).map(lambda k: k * res),
+                  st.floats(0.0, 3.0)),
+        label="radius",
+    )
+    poses = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
+    return bin2d(np.zeros((h, w)), res, origin), poses, radius
+
+
+class TestMaskBox:
+    """make_mask evaluates only the trajectory's box; the full grid is the reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mask_cases())
+    def test_matches_full_grid_reference(self, case):
+        geom, poses, radius = case
+        got = make_mask(poses, geom, radius)
+        assert got.values.tobytes() == ref_make_mask(poses, geom, radius).tobytes()
+        assert (got.resolution, got.origin) == (geom.resolution, geom.origin)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 11)])
+    def test_named_cases(self, shape):
+        geom = bin2d(np.zeros(shape), 0.25, (-0.5, 0.75))
+        h, w = shape
+        far = (-0.5 + 3 * w * 0.25, 0.75 + 3 * h * 0.25)
+        corner = (-0.5 - 0.3, 0.75 - 0.3)  # just outside the first cell, one box cell
+        cases = {
+            "single": [(0.0, 1.0)],
+            "repeated": [(0.0, 1.0)] * 3 + [(0.4, 1.3)] * 2,
+            "crossing": [(-2.0, 0.9), (5.0, 1.1)],
+            "outside": [far, (far[0] + 1.0, far[1])],
+            "corner": [corner],
+            "on-centers": [(-0.5, 0.75), (-0.5 + 0.25 * (w - 1), 0.75 + 0.25 * (h - 1))],
+        }
+        for pts in cases.values():
+            poses = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
+            for radius in (0.0, 0.25, 0.3, 0.5, math.inf, math.nan):
+                want = ref_make_mask(poses, geom, radius)
+                assert make_mask(poses, geom, radius).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_non_finite_pose_rejected(self, bad, field):
+        geom = bin2d(np.zeros((4, 4)))
+        row = [1.0, 1.0, 0.0]
+        row[field] = bad
+        poses = PoseTrajectory((Pose2(0.0, 0.0, 0.0), Pose2(*row)))
+        with pytest.raises(ValueError):
+            make_mask(poses, geom, 0.5)
+
+    def test_outside_grid_still_warns_and_is_empty(self, caplog):
+        geom = bin2d(np.zeros((5, 5)), 0.5)
+        poses = PoseTrajectory((Pose2(-10, -10, 0), Pose2(-9, -10, 0)))
+        with caplog.at_level("WARNING"):
+            mask = make_mask(poses, geom, 0.3)
+        assert not mask.values.any()
+        assert any("outside" in rec.message for rec in caplog.records)
+
+
 class TestMaskEsdf:
     def _pair(self):
         phi = Grid(np.full((4, 4), 2.0), 1.0)
@@ -248,7 +354,7 @@ class TestBilinear:
         lo = np.array(phi.origin) - 1.0
         hi = np.array(phi.origin) + np.array([phi.width, phi.height]) * phi.resolution + 1.0
         pts = np.concatenate([rng.uniform(lo, hi, size=(500, 2)), [lo, hi, phi.origin]])
-        want = _bilinear(phi.values, phi.resolution, phi.origin, pts)[0]
+        want = _bilinear(stack_fields([phi]), pts[None])[0][0]
         assert sample_bilinear(phi, pts).tobytes() == want.tobytes()
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from astra_nav.esdf import Grid
+from astra_nav import planner, sim
+from astra_nav.esdf import Grid, stack_fields
 from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
 from astra_nav.planner import (
     PlannerError,
@@ -19,6 +20,7 @@ from astra_nav.planner import (
     planning_loss_at,
     reconstruct,
     sample,
+    sample_actions,
     train,
     vf_eval,
 )
@@ -324,8 +326,9 @@ class _TrueField:
         self.cond_dim = 1
 
     def forward(self, inp):
-        x = inp[: 3 * self.n_actions]
-        t = inp[3 * self.n_actions]
+        # rows of [x, t, c], as the sampler passes them
+        x = inp[:, : 3 * self.n_actions]
+        t = inp[:, 3 * self.n_actions : 3 * self.n_actions + 1]
         return (x - self.x1) / t
 
 
@@ -406,3 +409,200 @@ def test_condition_vector_layout():
     np.testing.assert_allclose(cond.vector(), [1, 2, 0.5, 0.2, -0.1, 9.0, 8.0])
     rebuilt = PlanningCondition.from_jsonable(cond.to_jsonable())
     np.testing.assert_allclose(rebuilt.vector(), cond.vector())
+
+
+# --- references: the per-sample training path and one-at-a-time sampling ------
+
+def ref_bilinear(values, resolution, origin, pts):
+    """The one-field bilinear kernel with gradient that training used per sample."""
+    h, w = values.shape
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    gx = (pts[:, 0] - origin[0]) / resolution
+    gy = (pts[:, 1] - origin[1]) / resolution
+    cx = np.clip(gx, 0.0, w - 1.0)
+    cy = np.clip(gy, 0.0, h - 1.0)
+    ix = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
+    iy = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
+    jx = np.minimum(ix + 1, w - 1)
+    jy = np.minimum(iy + 1, h - 1)
+    f00, f10, f01, f11 = values[iy, ix], values[iy, jx], values[jy, ix], values[jy, jx]
+    u, v = cx - ix, cy - iy
+    out = f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
+    du = (f10 - f00) * (1 - v) + (f11 - f01) * v
+    dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
+    inside_x = (gx == cx).astype(float)
+    inside_y = (gy == cy).astype(float)
+    return out, du * inside_x / resolution, dv * inside_y / resolution
+
+
+def ref_penalty_and_grad(samples, actions, starts):
+    """Clearance bonus and action gradient with one field lookup per sample."""
+    b, n, _ = actions.shape
+    poses = planner._poses_from_actions(actions, starts)
+    values, gx, gy = np.zeros((b, n)), np.zeros((b, n)), np.zeros((b, n))
+    for i, s in enumerate(samples):
+        values[i], gx[i], gy[i] = ref_bilinear(s.phi.values, s.phi.resolution, s.phi.origin, poses[i, 1:, :2])
+    dact = np.zeros_like(actions)
+    ax_adj, ay_adj, at_adj = np.zeros(b), np.zeros(b), np.zeros(b)
+    for k in range(n, 0, -1):
+        ax_adj = ax_adj + gx[:, k - 1]
+        ay_adj = ay_adj + gy[:, k - 1]
+        th = poses[:, k - 1, 2]
+        c, s = np.cos(th), np.sin(th)
+        dx, dy = actions[:, k - 1, 0], actions[:, k - 1, 1]
+        dact[:, k - 1, 0] = ax_adj * c + ay_adj * s
+        dact[:, k - 1, 1] = -ax_adj * s + ay_adj * c
+        dact[:, k - 1, 2] = at_adj
+        at_adj = at_adj + ax_adj * (-s * dx - c * dy) + ay_adj * (c * dx - s * dy)
+    return values.sum(axis=1), dact
+
+
+def ref_planning_loss(model, samples, lam, rng):
+    """The planning loss with the batch's arrays rebuilt from its samples."""
+    t = rng.random(len(samples))
+    x0 = rng.standard_normal((len(samples), 3 * model.n_actions))
+    x1 = np.stack([s.actions.ravel() for s in samples])
+    cond = np.stack([planner._cond_vector(s.condition) for s in samples])
+    starts = np.array([[s.start.x, s.start.y, s.start.theta] for s in samples])
+    b = x1.shape[0]
+    xt = (1.0 - t)[:, None] * x1 + t[:, None] * x0
+    v, acts = model._forward_cached(np.concatenate([xt, t[:, None], cond], axis=1))
+    diff = v - (x0 - x1)
+    cfm = float(np.sum(diff * diff) / b)
+    dv = 2.0 * diff / b
+    penalty = 0.0
+    if lam != 0.0:
+        n = model.n_actions
+        sums, dact = ref_penalty_and_grad(samples, reconstruct(xt, t, v).reshape(b, n, 3), starts)
+        penalty = float(sums.mean())
+        dv = dv + (lam / b) * t[:, None] * dact.reshape(b, 3 * n)
+    return cfm - lam * penalty, model.backward(acts, dv), {"cfm": cfm, "penalty": penalty}
+
+
+def ref_train(dataset, config):
+    """Momentum SGD over batches of samples (no divergence handling needed here)."""
+    model = VectorFieldModel.create(
+        dataset[0].actions.shape[0], planner._cond_vector(dataset[0].condition).size,
+        config.hidden, seed=config.seed,
+    )
+    rng = np.random.default_rng(config.seed + 1)
+    velocity = np.zeros(model.param_count)
+    log = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(dataset))
+        cfm_terms, penalty_terms = [], []
+        for lo in range(0, len(order), config.batch_size):
+            batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
+            _, grads, parts = ref_planning_loss(model, batch, config.esdf_lambda, rng)
+            velocity = config.momentum * velocity - config.learning_rate * grads
+            model.set_params(model.get_params() + velocity)
+            cfm_terms.append(parts["cfm"])
+            penalty_terms.append(parts["penalty"])
+        log.append({
+            "epoch": epoch,
+            "cfm": float(np.mean(cfm_terms)),
+            "penalty": float(np.mean(penalty_terms)),
+            "loss": float(np.mean(cfm_terms) - config.esdf_lambda * np.mean(penalty_terms)),
+        })
+    return model, log
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset():
+    """Expert windows from worlds of two sizes, so a batch mixes field geometries."""
+    worlds = [sim.generate_world(0, 24), sim.generate_world(1, 32)]
+    data = sim.build_planning_dataset(worlds, 6, n_actions=8, seed=0)
+    assert {s.phi.values.shape for s in data} == {(24, 24), (32, 32)}
+    return data
+
+
+def random_fields(rng, count):
+    """Fields of differing shape, resolution and origin, one per sample."""
+    fields = []
+    for _ in range(count):
+        h, w = (int(v) for v in rng.integers(1, 9, size=2))
+        fields.append(Grid(rng.normal(size=(h, w)), float(rng.choice([0.1, 0.25, 0.3, 1.0])),
+                           tuple(rng.uniform(-2.0, 2.0, size=2))))
+    return fields
+
+
+def test_penalty_gather_matches_per_sample_reference():
+    # one flat gather over mixed geometries gives the per-sample lookups bit for bit,
+    # inside the lattices and on points clamped to their borders
+    rng = np.random.default_rng(21)
+    for n in (1, 3, 16):
+        fields = random_fields(rng, 12)
+        samples = [PlanningSample(np.zeros((n, 3)), np.zeros(1), phi=f) for f in fields]
+        actions = rng.normal(0.0, 1.5, size=(12, n, 3))
+        starts = rng.uniform(-3.0, 6.0, size=(12, 3))
+        got = planner._penalty_and_grad(fields, actions, starts)
+        want = ref_penalty_and_grad(samples, actions, starts)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_train_matches_per_sample_reference(mixed_dataset, lam):
+    config = TrainConfig(epochs=3, batch_size=4, hidden=(16,), seed=2, esdf_lambda=lam)
+    model, log = train(mixed_dataset, config)
+    ref_model, ref_log = ref_train(mixed_dataset, config)
+    assert model.get_params().tobytes() == ref_model.get_params().tobytes()
+    assert log == ref_log
+
+
+def test_training_epoch_gathers_fields_once_per_batch(mixed_dataset, monkeypatch):
+    gathers = []
+
+    def counting(fields):
+        gathers.append(len(fields))
+        return stack_fields(fields)
+
+    monkeypatch.setattr(planner, "stack_fields", counting)
+    train(mixed_dataset, TrainConfig(epochs=1, batch_size=5, hidden=(8,), esdf_lambda=0.1))
+    n = len(mixed_dataset)
+    assert gathers == [5] * (n // 5) + ([n % 5] if n % 5 else [])
+
+
+def test_batched_sampler_matches_sequential_samples():
+    m = VectorFieldModel.create(4, 5, hidden=(16, 16), seed=3)
+    cond = np.linspace(-1.0, 1.0, 5)
+    for k in (1, 2, 7):
+        rows = sample_actions(m, cond, 20, np.random.default_rng(k), k)
+        rng = np.random.default_rng(k)
+        seq = np.stack([sample(m, cond, 20, rng).actions.steps for _ in range(k)])
+        assert rows.shape == (k, 4, 3)
+        np.testing.assert_allclose(rows, seq, rtol=0, atol=1e-12)
+        if k == 1:
+            assert rows.tobytes() == seq.tobytes()
+
+
+def test_batched_sampler_draws_the_sequential_noise():
+    # with a zero field the Euler steps leave the noise as it was drawn
+    m = VectorFieldModel.create(3, 2, hidden=(8,), seed=0)
+    m.set_params(np.zeros(m.param_count))
+    rows = sample_actions(m, np.zeros(2), 5, np.random.default_rng(4), 6)
+    rng = np.random.default_rng(4)
+    noise = np.stack([rng.standard_normal(9) for _ in range(6)])
+    assert rows.reshape(6, 9).tobytes() == noise.tobytes()
+
+
+def test_sampler_checks_shapes_once_and_finiteness_per_step(monkeypatch):
+    m = VectorFieldModel.create(2, 3, hidden=(8,), seed=1)
+    with pytest.raises(ShapeMismatchError):
+        sample_actions(m, np.zeros(4), 5, np.random.default_rng(0), 3)
+    with pytest.raises(PlannerError):
+        sample_actions(m, np.zeros(3), 0, np.random.default_rng(0), 3)
+    calls = []
+    original = VectorFieldModel.forward
+
+    def poisoned(self, x):
+        calls.append(x.shape)
+        out = original(self, x)
+        if len(calls) == 3:
+            out[1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(VectorFieldModel, "forward", poisoned)
+    with pytest.raises(PlannerError):
+        sample_actions(m, np.zeros(3), 10, np.random.default_rng(0), 4)
+    assert calls == [(4, 10)] * 3

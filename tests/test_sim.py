@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astra_nav import sim
+from astra_nav import planner, sim
 from astra_nav.esdf import Grid, sample_bilinear
-from astra_nav.geom import Pose2, PoseTrajectory
+from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
 
 
 @pytest.fixture(scope="module")
@@ -363,3 +363,87 @@ def test_connected_edge_cases():
         assert sim._connected(free) == ref_connected(free), free.astype(int)
     assert [sim._connected(free) for free in cases[4:10]] == [True, True, True, True, False, False]
     assert sim._connected(snake)
+
+
+def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_condition, seed,
+                         footprint_radius=0.3, max_step=0.25, euler_steps=20):
+    """Rollouts one at a time: a sample, its pose trajectory and a collision check each;
+    returns the summary and every rollout's collision flag."""
+    conditions = sim.build_planning_dataset(
+        worlds, n_conditions_per_world, n_actions=model.n_actions, seed=seed,
+        footprint_radius=footprint_radius, max_step=max_step,
+    )
+    rng = np.random.default_rng(seed + 1)
+    flags, velocities = [], []
+    for cond_sample in conditions:
+        dist = worlds[cond_sample.world_index].dist_field()
+        for _ in range(rollouts_per_condition):
+            plan = planner.sample(model, cond_sample.condition, euler_steps, rng)
+            poses = actions_to_poses(plan.actions, cond_sample.start)
+            flags.append(planner.collision_check(poses, None, footprint_radius, dist))
+            velocities.append(plan.mean_step / max_step)
+    summary = {
+        "rollouts": len(flags),
+        "collision_rate": sum(flags) / len(flags),
+        "mean_velocity": float(np.mean(velocities)),
+    }
+    return summary, flags
+
+
+@pytest.fixture(scope="module")
+def eval_model(worlds48):
+    data = sim.build_planning_dataset(worlds48, 8, seed=0)
+    model, _ = planner.train(data, planner.TrainConfig(epochs=40, hidden=(32, 32), seed=0))
+    return model
+
+
+@pytest.mark.parametrize("footprint", [0.05, 0.3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_evaluate_planner_matches_sequential_rollouts(worlds48, eval_model, monkeypatch, seed, footprint):
+    # batched rows round differently from single-row products (about 1e-15), so the
+    # check is the same collision flag on every rollout and the same summary
+    want, want_flags = ref_evaluate_planner(eval_model, worlds48, 4, 6, seed, footprint)
+    flags = []
+    rollouts = sim._rollouts
+
+    def recording(*args):
+        collided, mean_step = rollouts(*args)
+        flags.extend(collided.tolist())
+        return collided, mean_step
+
+    monkeypatch.setattr(sim, "_rollouts", recording)
+    got = sim.evaluate_planner(eval_model, worlds48, 4, 6, seed=seed, footprint_radius=footprint)
+    assert flags == want_flags
+    assert 0 < sum(flags) < len(flags)
+    assert got["rollouts"] == want["rollouts"]
+    assert got["collision_rate"] == want["collision_rate"]
+    assert got["mean_velocity"] == pytest.approx(want["mean_velocity"], rel=0, abs=1e-12)
+
+
+def test_evaluate_planner_runs_each_condition_as_one_batch(worlds48, eval_model, monkeypatch):
+    conditions = sim.build_planning_dataset(worlds48, 3, n_actions=eval_model.n_actions, seed=5)
+    monkeypatch.setattr(sim, "build_planning_dataset", lambda *args, **kwargs: conditions)
+    forwards, lookups = [], []
+    forward = planner.VectorFieldModel.forward
+
+    def counting_forward(self, x):
+        forwards.append(len(x))
+        return forward(self, x)
+
+    def counting_lookup(phi, pts):
+        lookups.append(np.size(pts) // 2)
+        return sample_bilinear(phi, pts)
+
+    monkeypatch.setattr(planner.VectorFieldModel, "forward", counting_forward)
+    monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
+    out = sim.evaluate_planner(eval_model, worlds48, 3, 5, seed=5, euler_steps=7)
+    assert out["rollouts"] == 5 * len(conditions)
+    assert forwards == [5] * (7 * len(conditions))
+    assert lookups == [5 * (eval_model.n_actions + 1)] * len(conditions)
+
+
+def test_evaluate_planner_without_rollouts(worlds48, eval_model):
+    out = sim.evaluate_planner(eval_model, worlds48[:1], 2, 0, seed=0)
+    assert out == {"rollouts": 0, "collision_rate": 0.0, "mean_velocity": 0.0}
+    with pytest.raises(sim.SimError):
+        sim.evaluate_planner(eval_model, worlds48[:1], 2, 1, seed=0, footprint_radius=-0.1)
