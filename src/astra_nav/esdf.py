@@ -158,6 +158,11 @@ def signed_esdf(map2d: Grid) -> Grid:
     return Grid(values, map2d.resolution, map2d.origin)
 
 
+class MaskError(AstraError, ValueError):
+    """Invalid corridor-mask input: a negative dilation, an alpha outside
+    [0, 1] or a non-finite trajectory pose."""
+
+
 def _cell_box(shape, resolution: float, origin, lo, hi) -> tuple[slice, slice]:
     """Rows and columns whose cell centers can lie in the world box [lo, hi],
     grown by one cell so that rounding cannot drop a cell; NaN bounds give
@@ -178,12 +183,12 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
     within the radius.
     """
     if dilation_radius < 0:
-        raise ValueError("dilation radius must be >= 0")
+        raise MaskError("dilation radius must be >= 0")
     shape = geometry.values.shape[-2:]
     res, origin = geometry.resolution, geometry.origin
     poses = gt_poses.as_array()
     if not np.isfinite(poses).all():
-        raise ValueError("trajectory poses must be finite")
+        raise MaskError("trajectory poses must be finite")
     pts = poses[:, :2]
     mask = np.zeros(shape, dtype=bool)
     if len(pts) == 0:
@@ -224,7 +229,7 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
 def mask_esdf(phi: Grid, mask: Grid, alpha: float) -> Grid:
     """Attenuate the field inside the corridor: phi * (1 - alpha) there, phi elsewhere."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+        raise MaskError("alpha must lie in [0, 1]")
     if not same_geometry(phi, mask):
         raise GeometryMismatchError("field and mask geometry differ")
     values = phi.values * (1.0 - alpha * mask.values)

@@ -1,10 +1,8 @@
-"""Grid-correlation relative pose estimation, sensor fusion, and trajectory metrics.
+"""Odometry fusion and trajectory metrics.
 
-The matcher builds a normalized cross-correlation volume between two
-top-down grids over a small odd search window (7x7 cells by default) and
-reads the relative translation off the argmax, sweeping a small set of
-candidate rotations. Wheel, gyro, and grid-matching increments are fused
-by weighted averaging with renormalization over the sources present.
+Wheel, gyro, and visual-odometry increments are fused by weighted
+averaging with renormalization over the sources present, and fused
+increments are folded into a trajectory by SE(2) composition.
 
 Metrics follow the usual trajectory-evaluation triple:
   ATE  root-mean-square positional error, no alignment;
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError, GeometryMismatchError
+from .errors import AstraError
 from .geom import Pose2, PoseTrajectory, compose_se2, wrap_angle
 
 
@@ -30,7 +28,7 @@ class OdometryError(AstraError):
 @dataclass
 class SensorIncrement:
     """One fusion step: wheel (dx, dy, dtheta), gyro heading increment, optional
-    grid-matching (dx, dy, dtheta); dt in seconds."""
+    visual-odometry (dx, dy, dtheta); dt in seconds."""
 
     dt: float
     wheel: tuple[float, float, float] | None = None
@@ -54,117 +52,6 @@ class FusionWeights:
         for name in ("wheel_trans", "vision_trans", "wheel_rot", "imu_rot", "vision_rot"):
             if getattr(self, name) < 0:
                 raise OdometryError(f"fusion weight {name} must be >= 0")
-
-
-@dataclass
-class CorrelationVolume:
-    """scores[sy + c, sx + c] holds the match quality for cell shift (sx, sy),
-    where c = window // 2 is the zero-shift center."""
-
-    scores: np.ndarray
-    resolution: float
-
-    @property
-    def window(self) -> int:
-        return self.scores.shape[0]
-
-    def best_shift(self) -> tuple[int, int]:
-        """Argmax cell shift (sx, sy); ties resolve toward the center, then row-major."""
-        c = self.window // 2
-        best = None
-        for sy in range(-c, c + 1):
-            for sx in range(-c, c + 1):
-                score = self.scores[sy + c, sx + c]
-                key = (-score, sx * sx + sy * sy, sy, sx)
-                if best is None or key < best[0]:
-                    best = (key, (sx, sy))
-        return best[1]
-
-
-def _grid_values(grid) -> np.ndarray:
-    values = grid.values if hasattr(grid, "values") else np.asarray(grid)
-    return np.asarray(values, dtype=float)
-
-
-def _ncc(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized cross-correlation; 0 when either patch has zero variance."""
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((da * db).sum()) / denom
-
-
-def correlation_volume(prev, curr, window: int = 7) -> CorrelationVolume:
-    """Correlate curr against prev shifted over all cell offsets in the window.
-
-    score(sx, sy) compares curr(p) with prev(p - (sx, sy)) over the valid
-    overlap, so content that moved by +s cells peaks at offset s.
-    """
-    a = _grid_values(prev)
-    b = _grid_values(curr)
-    if a.shape != b.shape:
-        raise GeometryMismatchError("grids must share shape")
-    res_a = getattr(prev, "resolution", None)
-    res_b = getattr(curr, "resolution", None)
-    if res_a is not None and res_b is not None and res_a != res_b:
-        raise GeometryMismatchError("grids must share resolution")
-    if window % 2 == 0 or window < 1:
-        raise OdometryError("search window must be an odd positive integer")
-    h, w = a.shape
-    if window > min(h, w):
-        raise OdometryError("search window exceeds grid size")
-    c = window // 2
-    scores = np.zeros((window, window))
-    for sy in range(-c, c + 1):
-        for sx in range(-c, c + 1):
-            ys, ye = max(0, sy), h + min(0, sy)
-            xs, xe = max(0, sx), w + min(0, sx)
-            cur = b[ys:ye, xs:xe]
-            prv = a[ys - sy : ye - sy, xs - sx : xe - sx]
-            scores[sy + c, sx + c] = _ncc(cur, prv)
-    return CorrelationVolume(scores, res_a if res_a is not None else 1.0)
-
-
-def rotate_grid(grid, angle: float):
-    """Rotate grid content counter-clockwise about the grid center (nearest neighbor)."""
-    values = _grid_values(grid)
-    h, w = values.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    ca, sa = math.cos(-angle), math.sin(-angle)
-    src_x = ca * (xs - cx) - sa * (ys - cy) + cx
-    src_y = sa * (xs - cx) + ca * (ys - cy) + cy
-    sx = np.rint(src_x).astype(int)
-    sy = np.rint(src_y).astype(int)
-    valid = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
-    out = np.zeros_like(values)
-    out[valid] = values[sy[valid], sx[valid]]
-    return out
-
-
-_DEFAULT_ANGLES = tuple(np.round(np.arange(-0.2, 0.2001, 0.05), 10))
-
-
-def grid_match(prev, curr, window: int = 7, angle_set=_DEFAULT_ANGLES) -> tuple[float, float, float]:
-    """Relative (dx, dy, dtheta) between two grids: argmax of the correlation
-    volume over a rotation sweep; ties prefer the smallest |angle|, then the
-    center-closest shift."""
-    if not len(angle_set):
-        raise OdometryError("angle_set must be nonempty")
-    a = _grid_values(prev)
-    res = getattr(prev, "resolution", 1.0)
-    best = None
-    for angle in sorted(angle_set, key=lambda x: (abs(x), x)):
-        derot = rotate_grid(curr, -angle)
-        vol = correlation_volume(a, derot, window)
-        sx, sy = vol.best_shift()
-        score = vol.scores[sy + vol.window // 2, sx + vol.window // 2]
-        key = (-score, abs(angle), angle, sx * sx + sy * sy, sy, sx)
-        if best is None or key < best[0]:
-            best = (key, (sx * res, sy * res, float(angle)))
-    return best[1]
 
 
 def fuse_increment(

@@ -80,15 +80,30 @@ def _cond_vector(cond) -> np.ndarray:
     return np.asarray(cond, dtype=float).ravel()
 
 
+def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
+    """Per-layer weight and bias views into one flat buffer laid out as
+    W1, b1, W2, b2, ...; Wi has shape (d_in, d_out)."""
+    weights, biases = [], []
+    pos = 0
+    for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[pos : pos + d_in * d_out].reshape(d_in, d_out))
+        pos += d_in * d_out
+        biases.append(flat[pos : pos + d_out])
+        pos += d_out
+    return weights, biases
+
+
 class VectorFieldModel:
-    """Fully-connected vector field with tanh hidden layers and a linear head."""
+    """Fully-connected vector field with tanh hidden layers and a linear head.
+
+    All parameters live in one flat buffer, `params`; `weights[i]` and
+    `biases[i]` are views into it.
+    """
 
     def __init__(self, layer_sizes, weights, biases, n_actions, cond_dim, activation="tanh"):
         if activation != "tanh":
             raise PlannerError(f"unsupported activation: {activation!r}")
         self.layer_sizes = list(layer_sizes)
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
         self.n_actions = int(n_actions)
         self.cond_dim = int(cond_dim)
         self.activation = activation
@@ -98,6 +113,14 @@ class VectorFieldModel:
                 f"layer sizes {self.layer_sizes} incompatible with "
                 f"n_actions={self.n_actions}, cond_dim={self.cond_dim}"
             )
+        sizes = self.layer_sizes
+        self.params = np.empty(sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])))
+        self.weights, self.biases = _layer_views(self.params, sizes)
+        given = [np.asarray(p, dtype=float) for p in (*weights, *biases)]
+        if [p.shape for p in given] != [p.shape for p in (*self.weights, *self.biases)]:
+            raise ShapeMismatchError(f"weight and bias shapes do not match layer sizes {sizes}")
+        for view, value in zip((*self.weights, *self.biases), given):
+            view[...] = value
 
     @classmethod
     def create(cls, n_actions: int, cond_dim: int, hidden=(128, 128, 128), seed: int = 0):
@@ -113,21 +136,16 @@ class VectorFieldModel:
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def get_params(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)])
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
         if flat.size != self.param_count:
             raise ShapeMismatchError(f"expected {self.param_count} parameters, got {flat.size}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos : pos + b.size].copy()
-            pos += b.size
+        self.params[...] = flat.ravel()
 
     # -- forward / backward ---------------------------------------------------
 
@@ -151,19 +169,17 @@ class VectorFieldModel:
         out = acts[-1]
         return (out[0] if squeeze else out), acts
 
-    def backward(self, acts, dout: np.ndarray):
-        """Parameter gradients given d(loss)/d(output); returns a flat vector."""
+    def backward(self, acts, dout: np.ndarray) -> np.ndarray:
+        """Parameter gradients given d(loss)/d(output), laid out as `params`."""
         delta = np.atleast_2d(dout)
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grads = np.empty_like(self.params)
+        grads_w, grads_b = _layer_views(grads, self.layer_sizes)
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            grads_w[i][...] = acts[i].T @ delta
+            grads_b[i][...] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-        return np.concatenate(
-            [np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)]
-        )
+        return grads
 
     # -- persistence ----------------------------------------------------------
 
@@ -173,7 +189,7 @@ class VectorFieldModel:
             "activation": self.activation,
             "n_actions": self.n_actions,
             "cond_dim": self.cond_dim,
-            "weights": [float(v) for v in self.get_params()],
+            "weights": self.params.tolist(),
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -219,14 +235,6 @@ def _eval_field(model: VectorFieldModel, inp: np.ndarray, x: np.ndarray, t: floa
     if not np.isfinite(out).all():
         raise PlannerError("vector field produced non-finite output")
     return out
-
-
-def vf_eval(model: VectorFieldModel, x_t: np.ndarray, t: float, cond) -> np.ndarray:
-    """Evaluate the vector field at one flattened trajectory point."""
-    x_t = np.asarray(x_t, dtype=float).ravel()
-    if x_t.size != 3 * model.n_actions:
-        raise ShapeMismatchError(f"x_t has {x_t.size} entries, expected {3 * model.n_actions}")
-    return _eval_field(model, _field_input(model, cond, 1), x_t, float(t))[0]
 
 
 def reconstruct(x_t: np.ndarray, t, v: np.ndarray) -> np.ndarray:
@@ -429,7 +437,7 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
                 diverged = True
                 break
             velocity = config.momentum * velocity - config.learning_rate * grads
-            model.set_params(model.get_params() + velocity)
+            model.params += velocity
             cfm_terms.append(parts["cfm"])
             penalty_terms.append(parts["penalty"])
         if diverged:

@@ -264,9 +264,7 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
         cells = np.argwhere(free)
     order = rng.permutation(len(cells))
     node_ids = sorted(world_map.nodes)
-    node_pos = {
-        nid: np.asarray(world_map.nodes[nid].pose.position[:2]) for nid in node_ids
-    }
+    node_xy = np.array([world_map.nodes[nid].pose.position[:2] for nid in node_ids])
     placed = 0
     for k in order:
         if placed >= count:
@@ -274,9 +272,7 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
         r, c = cells[k]
         x = grid2.origin[0] + c * grid2.resolution
         y = grid2.origin[1] + r * grid2.resolution
-        dists = sorted(
-            (float(np.linalg.norm(node_pos[nid] - (x, y))), nid) for nid in node_ids
-        )
+        dists = sorted(zip(np.linalg.norm(node_xy - (x, y), axis=1).tolist(), node_ids))
         visible = [nid for d, nid in dists if d <= 2.5][:3] or [dists[0][1]]
         category = _CATEGORIES[int(rng.integers(len(_CATEGORIES)))]
         lm = Landmark(
@@ -851,7 +847,7 @@ def eval_suite(
 
 # --- expert dataset and planner evaluation -----------------------------------
 
-def build_planning_dataset(
+def expert_windows(
     worlds: list[World],
     samples_per_world: int,
     n_actions: int = 16,
@@ -859,17 +855,15 @@ def build_planning_dataset(
     footprint_radius: float = 0.3,
     max_step: float = 0.25,
     lookahead: float = 2.0,
-    mask_alpha: float = 0.5,
-    mask_dilation: float = 0.3,
-) -> list[PlanningSample]:
-    """Expert windows: oracle paths cut into n-action chunks with conditions and
-    per-sample masked fields."""
+):
+    """Expert windows: oracle paths between random start points cut into
+    n-action chunks. Yields (world index, pose window of n + 1 poses,
+    condition at the window's first pose), samples_per_world per world at
+    most."""
     rng = np.random.default_rng(seed)
-    dataset: list[PlanningSample] = []
     for wi, world in enumerate(worlds):
         grid2 = world.grid2d()
         phi = world.phi()
-        grid_ref = os.path.join(world.source_dir, "grid.occ") if world.source_dir else None
         collected = 0
         guard = 0
         while collected < samples_per_world and guard < samples_per_world * 20:
@@ -894,7 +888,6 @@ def build_planning_dataset(
             stride = max(1, n_actions // 2)
             for lo in range(0, len(arr) - n_actions - 1, stride):
                 window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
-                actions = poses_to_actions(window)
                 start_pose = window[0]
                 subgoal = select_subgoal(path, start_pose, lookahead)
                 prev_len = (
@@ -902,26 +895,47 @@ def build_planning_dataset(
                     if lo > 0
                     else 0.0
                 )
-                cond = PlanningCondition(
+                yield wi, window, PlanningCondition(
                     relative_pose(start_pose, subgoal),
                     (prev_len, 0.0),
                     occupancy_features(grid2, start_pose, phi),
                 )
-                mask = make_mask(window, phi, mask_dilation)
-                dataset.append(
-                    PlanningSample(
-                        actions.steps,
-                        cond,
-                        start_pose,
-                        mask_esdf(phi, mask, mask_alpha),
-                        grid_ref,
-                        window.to_jsonable(),
-                        wi,
-                    )
-                )
                 collected += 1
                 if collected >= samples_per_world:
                     break
+
+
+def build_planning_dataset(
+    worlds: list[World],
+    samples_per_world: int,
+    n_actions: int = 16,
+    seed: int = 0,
+    footprint_radius: float = 0.3,
+    max_step: float = 0.25,
+    lookahead: float = 2.0,
+    mask_alpha: float = 0.5,
+    mask_dilation: float = 0.3,
+) -> list[PlanningSample]:
+    """The expert windows as training samples, each with its masked field."""
+    dataset: list[PlanningSample] = []
+    windows = expert_windows(
+        worlds, samples_per_world, n_actions, seed, footprint_radius, max_step, lookahead
+    )
+    for wi, window, cond in windows:
+        world = worlds[wi]
+        phi = world.phi()
+        mask = make_mask(window, phi, mask_dilation)
+        dataset.append(
+            PlanningSample(
+                poses_to_actions(window).steps,
+                cond,
+                window[0],
+                mask_esdf(phi, mask, mask_alpha),
+                os.path.join(world.source_dir, "grid.occ") if world.source_dir else None,
+                window.to_jsonable(),
+                wi,
+            )
+        )
     return dataset
 
 
@@ -972,12 +986,12 @@ def load_dataset(path, mask_alpha: float = 0.5, mask_dilation: float = 0.3):
     return dataset
 
 
-def _rollouts(model: VectorFieldModel, cond_sample: PlanningSample, dist: Grid,
+def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose2, dist: Grid,
               k: int, euler_steps: int, rng, footprint_radius: float):
-    """k rollouts under one expert-window condition, sampled as one batch and
+    """k rollouts from start under one condition, sampled as one batch and
     checked with one field lookup: (collided flags, mean step lengths)."""
-    actions = sample_actions(model, cond_sample.condition, euler_steps, rng, k)
-    starts = np.tile(cond_sample.start.as_tuple(), (k, 1))
+    actions = sample_actions(model, condition, euler_steps, rng, k)
+    starts = np.tile(start.as_tuple(), (k, 1))
     xy = _poses_from_actions(actions, starts)[..., :2]
     clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
@@ -998,21 +1012,16 @@ def evaluate_planner(
     expert-window conditions, with each condition's rollouts run together."""
     if footprint_radius < 0:
         raise SimError("footprint radius must be >= 0")
-    conditions = build_planning_dataset(
-        worlds,
-        n_conditions_per_world,
-        n_actions=model.n_actions,
-        seed=seed,
-        footprint_radius=footprint_radius,
-        max_step=max_step,
-    )
     rng = np.random.default_rng(seed + 1)
     collided = 0
     velocities = []
     dists = [w.dist_field() for w in worlds]
-    for cond_sample in conditions:
+    windows = expert_windows(
+        worlds, n_conditions_per_world, model.n_actions, seed, footprint_radius, max_step
+    )
+    for wi, window, cond in windows:
         flags, mean_step = _rollouts(
-            model, cond_sample, dists[cond_sample.world_index],
+            model, cond, window[0], dists[wi],
             rollouts_per_condition, euler_steps, rng, footprint_radius,
         )
         collided += int(flags.sum())

@@ -262,6 +262,23 @@ def test_mask_file_not_a_list_exits_1(files, capsys):
     assert_json_error(*run(capsys, "esdf", "compute", files["world"] / "grid.occ", "--mask", path))
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--dilation", "-1"), ("--dilation", "-inf"), ("--alpha", "-0.5"), ("--alpha", "2"), ("--alpha", "nan")],
+)
+def test_bad_mask_parameter_exits_1(files, capsys, option, value):
+    grid = files["world"] / "grid.occ"
+    code, out, err = run(capsys, "esdf", "compute", grid, "--mask", files["traj.json"], f"{option}={value}")
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "MaskError"
+
+
+def test_nan_dilation_masks_nothing(files, capsys):
+    grid = files["world"] / "grid.occ"
+    unmasked = run(capsys, "esdf", "compute", grid)
+    assert run(capsys, "esdf", "compute", grid, "--mask", files["traj.json"], "--dilation", "nan") == unmasked
+
+
 @contextlib.contextmanager
 def time_limit(seconds: float):
     """Raise TimeoutError in the body once `seconds` of wall time have passed."""

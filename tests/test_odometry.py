@@ -3,96 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from astra_nav.errors import GeometryMismatchError
-from astra_nav.esdf import Grid
 from astra_nav.geom import Pose2, PoseTrajectory, compose_se2
 from astra_nav.odometry import (
     FusionWeights,
     OdometryError,
     SensorIncrement,
-    correlation_volume,
     dead_reckon,
     fuse_increment,
-    grid_match,
-    rotate_grid,
     traj_metrics,
 )
-
-
-def random_grid(rng, h=24, w=24, res=0.2):
-    return Grid(rng.random((h, w)) < 0.35, res)
-
-
-def shifted(grid: Grid, sx: int, sy: int) -> Grid:
-    out = np.zeros_like(grid.values)
-    h, w = grid.values.shape
-    ys, ye = max(0, sy), h + min(0, sy)
-    xs, xe = max(0, sx), w + min(0, sx)
-    out[ys:ye, xs:xe] = grid.values[ys - sy : ye - sy, xs - sx : xe - sx]
-    return Grid(out, grid.resolution)
-
-
-class TestCorrelationVolume:
-    def test_identical_grids_peak_at_center(self):
-        grid = random_grid(np.random.default_rng(0))
-        vol = correlation_volume(grid, grid)
-        assert vol.best_shift() == (0, 0)
-        assert vol.scores[3, 3] == pytest.approx(1.0)
-
-    def test_unit_shift(self):
-        grid = random_grid(np.random.default_rng(1))
-        vol = correlation_volume(grid, shifted(grid, 1, 0))
-        assert vol.best_shift() == (1, 0)
-
-    def test_uniform_grids_tie_to_center(self):
-        grid = Grid(np.zeros((16, 16), bool), 0.2)
-        vol = correlation_volume(grid, grid)
-        assert (vol.scores == 0).all()
-        assert vol.best_shift() == (0, 0)
-
-    def test_geometry_mismatch(self):
-        a = Grid(np.zeros((8, 8), bool), 0.2)
-        b = Grid(np.zeros((8, 9), bool), 0.2)
-        with pytest.raises(GeometryMismatchError):
-            correlation_volume(a, b)
-
-    def test_even_window_rejected(self):
-        grid = random_grid(np.random.default_rng(2))
-        with pytest.raises(OdometryError):
-            correlation_volume(grid, grid, window=6)
-
-    def test_recovers_all_window_shifts(self):
-        rng = np.random.default_rng(3)
-        for trial in range(10):
-            grid = random_grid(rng)
-            for sx in range(-3, 4):
-                for sy in range(-3, 4):
-                    vol = correlation_volume(grid, shifted(grid, sx, sy))
-                    assert vol.best_shift() == (sx, sy), (trial, sx, sy)
-
-
-class TestGridMatch:
-    def test_identical(self):
-        grid = random_grid(np.random.default_rng(4))
-        assert grid_match(grid, grid) == (0.0, 0.0, 0.0)
-
-    def test_pure_translation(self):
-        grid = random_grid(np.random.default_rng(5))
-        dx, dy, dth = grid_match(grid, shifted(grid, 2, 0))
-        assert (dx, dy, dth) == (pytest.approx(0.4), 0.0, 0.0)
-
-    def test_pure_rotation(self):
-        rng = np.random.default_rng(6)
-        grid = Grid(rng.random((32, 32)) < 0.3, 0.2)
-        rotated = Grid(rotate_grid(grid, 0.1) > 0.5, 0.2)
-        dx, dy, dth = grid_match(grid, rotated, angle_set=(-0.1, -0.05, 0.0, 0.05, 0.1))
-        assert dth == pytest.approx(0.1)
-        assert abs(dx) <= 0.2 and abs(dy) <= 0.2
-
-    def test_empty_angle_set(self):
-        grid = random_grid(np.random.default_rng(7))
-        with pytest.raises(OdometryError):
-            grid_match(grid, grid, angle_set=())
 
 
 class TestFusion:

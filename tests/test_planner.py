@@ -22,7 +22,6 @@ from astra_nav.planner import (
     sample,
     sample_actions,
     train,
-    vf_eval,
 )
 
 GOLDEN_SEED0 = [
@@ -33,6 +32,14 @@ GOLDEN_SEED0 = [
     -0.6471279652194855,
     -0.4935917979550649,
 ]
+
+
+def vf_eval(model, x_t, t, cond):
+    """The vector field at one flattened trajectory point."""
+    x_t = np.asarray(x_t, dtype=float).ravel()
+    if x_t.size != 3 * model.n_actions:
+        raise ShapeMismatchError(f"x_t has {x_t.size} entries, expected {3 * model.n_actions}")
+    return planner._eval_field(model, planner._field_input(model, cond, 1), x_t, float(t))[0]
 
 
 def smooth_field(n=12, res=0.5):
@@ -606,3 +613,88 @@ def test_sampler_checks_shapes_once_and_finiteness_per_step(monkeypatch):
     with pytest.raises(PlannerError):
         sample_actions(m, np.zeros(3), 10, np.random.default_rng(0), 4)
     assert calls == [(4, 10)] * 3
+
+
+def shares_params(model):
+    """Whether every layer's weights and biases are views into model.params."""
+    return all(
+        np.shares_memory(p, model.params) for p in (*model.weights, *model.biases)
+    ) and model.param_count == sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+
+
+def ref_backward(model, acts, dout):
+    """Per-layer gradients concatenated as W1, b1, W2, b2, ..."""
+    delta = np.atleast_2d(dout)
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (1.0 - acts[i] ** 2)
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)])
+
+
+class TestFlatParams:
+    def test_layers_are_views_after_create_load_and_train(self, tmp_path, mixed_dataset):
+        m = VectorFieldModel.create(3, 5, hidden=(16, 8), seed=3)
+        assert shares_params(m)
+        m.save(tmp_path / "m.json")
+        loaded = VectorFieldModel.load(tmp_path / "m.json")
+        assert shares_params(loaded)
+        assert loaded.params.tobytes() == m.params.tobytes()
+        trained, _ = train(mixed_dataset, TrainConfig(epochs=2, batch_size=5, hidden=(8,)))
+        assert shares_params(trained)
+
+    def test_layout_is_w1_b1_w2_b2(self):
+        m = VectorFieldModel.create(2, 3, hidden=(8, 4), seed=1)
+        want = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(m.weights, m.biases)])
+        assert m.get_params().tobytes() == want.tobytes()
+        m.set_params(np.arange(m.param_count, dtype=float))
+        assert m.weights[0][0, 1] == 1.0 and m.biases[0][0] == m.weights[0].size
+        assert m.weights[1][0, 0] == m.weights[0].size + m.biases[0].size
+
+    def test_get_params_is_a_copy_and_set_params_checks_size(self):
+        m = VectorFieldModel.create(2, 3, hidden=(8,), seed=0)
+        before = m.params.copy()
+        p = m.get_params()
+        p += 1.0
+        assert m.params.tobytes() == before.tobytes()
+        for size in (m.param_count - 1, m.param_count + 1, 0):
+            with pytest.raises(ShapeMismatchError):
+                m.set_params(np.zeros(size))
+        assert m.params.tobytes() == before.tobytes()
+
+    def test_constructor_checks_layer_shapes(self):
+        n, c = 2, 3
+        d_in, d_out = 3 * n + 1 + c, 3 * n
+        with pytest.raises(ShapeMismatchError):
+            VectorFieldModel([d_in, d_out], [np.zeros((d_out, d_in))], [np.zeros(d_out)], n, c)
+        with pytest.raises(ShapeMismatchError):
+            VectorFieldModel([d_in, d_out], [np.zeros((d_in, d_out))], [np.zeros(1)], n, c)
+        with pytest.raises(ShapeMismatchError):
+            VectorFieldModel([d_in, d_out], [], [], n, c)
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 8, 4)])
+    def test_backward_matches_per_layer_concatenation(self, hidden):
+        m = VectorFieldModel.create(3, 4, hidden=hidden, seed=5)
+        rng = np.random.default_rng(6)
+        for rows in (1, 7):
+            _, acts = m._forward_cached(rng.normal(size=(rows, m.layer_sizes[0])))
+            dout = rng.normal(size=(rows, m.layer_sizes[-1]))
+            assert m.backward(acts, dout).tobytes() == ref_backward(m, acts, dout).tobytes()
+
+    def test_train_steps_in_place(self, mixed_dataset, monkeypatch):
+        counts = {"get_params": 0, "set_params": 0}
+        for name in counts:
+            original = getattr(VectorFieldModel, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(VectorFieldModel, name, counting)
+        epochs = 3
+        train(mixed_dataset, TrainConfig(epochs=epochs, batch_size=2, hidden=(8,)))
+        assert len(mixed_dataset) > 2 * epochs
+        # one checkpoint before training and one per epoch, none per batch
+        assert counts == {"get_params": epochs + 1, "set_params": 0}

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astra_nav import planner, sim
-from astra_nav.esdf import Grid, sample_bilinear
-from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
+from astra_nav.esdf import Grid, make_mask, mask_esdf, sample_bilinear
+from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses, poses_to_actions, relative_pose
 
 
 @pytest.fixture(scope="module")
@@ -421,8 +421,8 @@ def test_evaluate_planner_matches_sequential_rollouts(worlds48, eval_model, monk
 
 
 def test_evaluate_planner_runs_each_condition_as_one_batch(worlds48, eval_model, monkeypatch):
-    conditions = sim.build_planning_dataset(worlds48, 3, n_actions=eval_model.n_actions, seed=5)
-    monkeypatch.setattr(sim, "build_planning_dataset", lambda *args, **kwargs: conditions)
+    conditions = list(sim.expert_windows(worlds48, 3, n_actions=eval_model.n_actions, seed=5))
+    monkeypatch.setattr(sim, "expert_windows", lambda *args, **kwargs: iter(conditions))
     forwards, lookups = [], []
     forward = planner.VectorFieldModel.forward
 
@@ -447,3 +447,73 @@ def test_evaluate_planner_without_rollouts(worlds48, eval_model):
     assert out == {"rollouts": 0, "collision_rate": 0.0, "mean_velocity": 0.0}
     with pytest.raises(sim.SimError):
         sim.evaluate_planner(eval_model, worlds48[:1], 2, 1, seed=0, footprint_radius=-0.1)
+
+
+def test_evaluate_planner_builds_no_masks(worlds48, eval_model, monkeypatch):
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("evaluate_planner needs no mask")
+
+    monkeypatch.setattr(sim, "make_mask", refused)
+    monkeypatch.setattr(sim, "mask_esdf", refused)
+    out = sim.evaluate_planner(eval_model, worlds48, 2, 2, seed=0)
+    assert out["rollouts"] == 2 * 2 * len(worlds48)
+    assert calls == []
+
+
+def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
+                               footprint_radius=0.3, max_step=0.25, lookahead=2.0,
+                               mask_alpha=0.5, mask_dilation=0.3):
+    """The dataset built in one loop, windows and masks together."""
+    rng = np.random.default_rng(seed)
+    dataset = []
+    for wi, world in enumerate(worlds):
+        grid2, phi = world.grid2d(), world.phi()
+        collected = guard = 0
+        while collected < samples_per_world and guard < samples_per_world * 20:
+            guard += 1
+            n = len(world.start_xy)
+            si, gi = rng.integers(n), rng.integers(n)
+            s_xy, g_xy = world.start_xy[int(si)], world.start_xy[int(gi)]
+            if math.hypot(g_xy[0] - s_xy[0], g_xy[1] - s_xy[1]) < 2.0:
+                continue
+            heading = math.atan2(g_xy[1] - s_xy[1], g_xy[0] - s_xy[0])
+            try:
+                path = sim.oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading),
+                                       footprint_radius, max_step)
+            except sim.UnreachableError:
+                continue
+            arr = path.as_array()
+            for lo in range(0, len(arr) - n_actions - 1, max(1, n_actions // 2)):
+                window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
+                start = window[0]
+                prev_len = math.hypot(*(arr[lo][:2] - arr[lo - 1][:2])) if lo > 0 else 0.0
+                cond = planner.PlanningCondition(
+                    relative_pose(start, sim.select_subgoal(path, start, lookahead)),
+                    (prev_len, 0.0),
+                    planner.occupancy_features(grid2, start, phi),
+                )
+                masked = mask_esdf(phi, make_mask(window, phi, mask_dilation), mask_alpha)
+                dataset.append(planner.PlanningSample(
+                    poses_to_actions(window).steps, cond, start, masked, None,
+                    window.to_jsonable(), wi,
+                ))
+                collected += 1
+                if collected >= samples_per_world:
+                    break
+    return dataset
+
+
+@pytest.mark.parametrize("seed, per_world, n_actions", [(0, 8, 16), (3, 5, 8), (7, 40, 4)])
+def test_dataset_matches_one_loop_reference(worlds48, seed, per_world, n_actions):
+    got = sim.build_planning_dataset(worlds48, per_world, n_actions=n_actions, seed=seed)
+    want = ref_build_planning_dataset(worlds48, per_world, n_actions=n_actions, seed=seed)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.actions.tobytes() == w.actions.tobytes()
+        assert g.condition.vector().tobytes() == w.condition.vector().tobytes()
+        assert g.start == w.start
+        assert g.phi.values.tobytes() == w.phi.values.tobytes()
+        assert (g.grid_ref, g.gt_poses, g.world_index) == (w.grid_ref, w.gt_poses, w.world_index)
