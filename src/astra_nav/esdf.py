@@ -271,13 +271,16 @@ def _cell_weights(fields: FieldStack, pts):
 
     Returns the continuous cell coordinates (gx, gy), their border-clamped
     copies (cx, cy), the fractional offsets (u, v) and the corner values
-    (f00, f10, f01, f11).
+    (f00, f10, f01, f11). The clamp is np.minimum(np.maximum(g, 0.0), hi):
+    np.clip(g, 0.0, hi) without np.clip's Python-level wrapper. Both keep
+    NaN; a coordinate of -0.0 clamps to +0.0, where np.clip gives either
+    sign depending on the array's layout.
     """
     flat, offset, h, w, resolution, ox, oy = fields
     gx = (pts[..., 0] - ox) / resolution
     gy = (pts[..., 1] - oy) / resolution
-    cx = np.clip(gx, 0.0, w - 1.0)
-    cy = np.clip(gy, 0.0, h - 1.0)
+    cx = np.minimum(np.maximum(gx, 0.0), w - 1.0)
+    cy = np.minimum(np.maximum(gy, 0.0), h - 1.0)
     ix = np.minimum(np.floor(cx).astype(np.intp), np.maximum(w - 2, 0))
     iy = np.minimum(np.floor(cy).astype(np.intp), np.maximum(h - 2, 0))
     jx = np.minimum(ix + 1, w - 1)

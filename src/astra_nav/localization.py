@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AstraError, read_json
+from .errors import AstraError, is_finite_number, read_json
 from .geom import Pose2
 from .topomap import MapNode, TopoMap
 
@@ -303,10 +303,12 @@ def goal_localize(
     """Find the node of the nearest landmark whose description covers all terms.
 
     The search starts within r0 of the current pose and widens by r_step until
-    r_max; raises GoalNotFoundError if nothing matches by then.
+    r_max; raises GoalNotFoundError if nothing matches by then, and
+    LocalizationError if a radius is not a positive finite number.
     """
-    if r0 <= 0:
-        raise ValueError("initial search radius must be positive")
+    for name, value in (("r0", r0), ("r_step", r_step), ("r_max", r_max)):
+        if not (is_finite_number(value) and value > 0):
+            raise LocalizationError(f"search radius {name} must be positive and finite, got {value!r}")
     terms = [t.lower() for t in instruction_terms if t]
     matching_landmarks = [
         lm for lm in topo.landmarks.values() if all(t in _landmark_text_tokens(lm) for t in terms)

@@ -11,6 +11,13 @@ samples every segment of a smoothing step, or every candidate link of the
 lattice map, in one bilinear lookup. The lattice map makes two lookups in
 all: one places every node, one checks every link.
 
+What the expert planner needs of a world at one clearance is a function of
+the world alone, so `World.planning_grid(clearance)` builds it once and
+keeps it: the blocked cells, the one-cell-walled flat list that `_astar`
+searches, and the nearest open cell of every cell a plan has snapped. A
+plan then pays only for its own search, smoothing and resampling. Nothing
+that depends on the start or goal of a plan is kept.
+
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global
 node path, then repeatedly pick a lookahead subgoal, let the local planner
@@ -46,7 +53,6 @@ from .geom import (
     ActionTrajectory,
     Pose2,
     PoseTrajectory,
-    actions_to_poses,
     compose_se2,
     poses_to_actions,
     relative_pose,
@@ -108,6 +114,14 @@ _FUNCTIONS = {
 
 @dataclass
 class World:
+    """A grid world, its node map and its start points.
+
+    The arrays derived from the grid are built on first use and kept, since
+    they depend on the world alone: the 2-D occupancy, the distance field,
+    the signed field, and one planning grid per clearance the expert planner
+    has asked for (see `planning_grid`).
+    """
+
     grid: Grid  # occupancy: 3-D as generated, 2-D as loaded
     map: TopoMap
     start_xy: list[tuple[float, float]]
@@ -118,6 +132,7 @@ class World:
         self._grid2d = None
         self._dist = None
         self._phi = None
+        self._planning: dict[float, _PlanningGrid] = {}
 
     def grid2d(self) -> Grid:
         if self._grid2d is None:
@@ -133,6 +148,14 @@ class World:
         if self._phi is None:
             self._phi = signed_esdf(self.grid2d())
         return self._phi
+
+    def planning_grid(self, clearance: float) -> _PlanningGrid:
+        """The expert planner's grid of cells closer than `clearance` to an
+        obstacle, built once per clearance."""
+        grid = self._planning.get(clearance)
+        if grid is None:
+            grid = self._planning[clearance] = _PlanningGrid(self.dist_field().values < clearance)
+        return grid
 
 
 def _pose6(x: float, y: float) -> Pose6:
@@ -310,6 +333,14 @@ def generate_world(
     connected free space, a connected node lattice, and wall-side landmarks."""
     if not 0.0 <= obstacle_density <= 0.4:
         raise SimError("obstacle density must lie in [0, 0.4]")
+    if size < 3:
+        raise SimError(f"world size must be at least 3 cells, got {size}")
+    if landmark_count < 0:
+        raise SimError(f"landmark count must be >= 0, got {landmark_count}")
+    if depth < 1:
+        raise SimError(f"depth must be at least 1, got {depth}")
+    if not (is_finite_number(resolution) and resolution > 0):
+        raise SimError(f"resolution must be positive and finite, got {resolution!r}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         occ2 = np.zeros((size, size), dtype=bool)
@@ -373,34 +404,66 @@ def _nearest_open(blocked: np.ndarray, cell: tuple[int, int]) -> tuple[int, int]
     return tuple(open_cells[order[0]])
 
 
+class _PlanningGrid:
+    """The A* search space of one world at one clearance.
+
+    `blocked` marks the cells closer than the clearance to an obstacle;
+    `wall` is the same grid padded with a one-cell wall, flattened row by
+    row into a list of `stride` = width + 2 entries per row; `nearest_open`
+    keeps the snapped cell of each cell it has been asked about.
+    """
+
+    def __init__(self, blocked: np.ndarray):
+        h, w = blocked.shape
+        padded = np.ones((h + 2, w + 2), dtype=bool)
+        padded[1:-1, 1:-1] = blocked
+        self.blocked = blocked
+        self.stride = w + 2
+        self.wall = padded.ravel().tolist()
+        self._snapped: dict[tuple[int, int], tuple[int, int] | None] = {}
+
+    def nearest_open(self, cell: tuple[int, int]) -> tuple[int, int] | None:
+        if cell not in self._snapped:
+            self._snapped[cell] = _nearest_open(self.blocked, cell)
+        return self._snapped[cell]
+
+
 @functools.lru_cache(maxsize=8)
-def _hypot_table(h: int, w: int) -> np.ndarray:
-    """math.hypot(r, c) for 0 <= r < h, 0 <= c < w; read-only, shared by callers."""
-    table = np.array([[math.hypot(r, c) for c in range(w)] for r in range(h)])
-    table.flags.writeable = False
-    return table
+def _hypot_rows(h: int, w: int) -> tuple[tuple[float, ...], ...]:
+    """math.hypot(r, c) for 0 <= r < h, 0 <= c < w, one tuple per r."""
+    return tuple(tuple(math.hypot(r, c) for c in range(w)) for r in range(h))
 
 
-def _astar(blocked: np.ndarray, start: tuple[int, int], goal: tuple[int, int]):
+def _heuristic(h: int, w: int, goal: int) -> list[float]:
+    """math.hypot of the row and column offsets from every cell of an h x w
+    grid to the cell at flat index `goal`, as a flat list.
+
+    Row r holds row |r - gr| of `_hypot_rows` read outward from column gc in
+    both directions, so the list shares the table's float objects.
+    """
+    gr, gc = divmod(goal, w)
+    rows = _hypot_rows(h, w)
+    lines = [row[gc:0:-1] + row[: w - gc] for row in rows[: max(gr, h - 1 - gr) + 1]]
+    heur: list[float] = []
+    for r in range(h):
+        heur += lines[abs(r - gr)]
+    return heur
+
+
+def _astar(wall: list, stride: int, start: tuple[int, int], goal: tuple[int, int]):
     """8-connected A* from start to goal cell; the (row, col) path, or None.
 
-    Cells are flat indices into the grid padded with a one-cell wall, so a
-    move needs no bounds check. Ties in f are broken by push order.
+    `wall` is a `_PlanningGrid.wall`: the blocked grid padded with a
+    one-cell wall and flattened with row stride `stride`, so a move needs no
+    bounds check. Ties in f are broken by push order.
     """
-    h, w = blocked.shape
-    stride = w + 2
-    wall = np.ones((h + 2, stride), dtype=bool)
-    wall[1:-1, 1:-1] = blocked
-    wall = wall.ravel().tolist()
-    rows = np.abs(np.arange(h + 2) - (int(goal[0]) + 1))
-    cols = np.abs(np.arange(stride) - (int(goal[1]) + 1))
-    heur = _hypot_table(h + 2, stride)[rows[:, None], cols[None, :]].ravel().tolist()
     moves = [(dr * stride + dc, cost) for dr, dc, cost in _MOVES]
     g = [math.inf] * len(wall)
     came = [-1] * len(wall)
     closed = bytearray(len(wall))
     src = (int(start[0]) + 1) * stride + int(start[1]) + 1
     dst = (int(goal[0]) + 1) * stride + int(goal[1]) + 1
+    heur = _heuristic(len(wall) // stride, stride, dst)
     g[src] = 0.0
     counter = 0
     heap = [(heur[src], 0, src)]
@@ -430,7 +493,12 @@ def _astar(blocked: np.ndarray, start: tuple[int, int], goal: tuple[int, int]):
 
 
 def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
-    """Points at fixed arc-length spacing along a polyline (endpoints kept)."""
+    """Points at fixed arc-length spacing along a polyline (endpoints kept).
+
+    Target s lies on the first segment j whose end cum[j + 1] is not below
+    s (the last segment at most), at t = (s - cum[j]) / len[j], or t = 0 on
+    a zero-length segment.
+    """
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return points.copy()
@@ -442,14 +510,9 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
         return points[:1].copy()
     n = max(1, int(math.ceil(total / step)))
     targets = np.linspace(0.0, total, n + 1)
-    out = np.empty((n + 1, 2))
-    j = 0
-    for i, s in enumerate(targets):
-        while j < len(lens) - 1 and cum[j + 1] < s:
-            j += 1
-        t = 0.0 if lens[j] == 0 else (s - cum[j]) / lens[j]
-        out[i] = points[j] + t * seg[j]
-    return out
+    j = np.searchsorted(cum[1:-1], targets)
+    t = np.divide(targets - cum[j], lens[j], out=np.zeros(n + 1), where=lens[j] != 0)
+    return points[j] + t[:, None] * seg[j]
 
 
 def oracle_plan(
@@ -475,12 +538,12 @@ def oracle_plan(
     clearance = footprint_radius + grid2.resolution
     for margin in ((safety_margin, 0.0) if safety_margin > 0 else (0.0,)):
         clearance = footprint_radius + grid2.resolution + margin
-        blocked = dist.values < clearance
-        s_cell = _nearest_open(blocked, _to_cell(grid2, start.x, start.y))
-        g_cell = _nearest_open(blocked, _to_cell(grid2, goal.x, goal.y))
+        grid = world.planning_grid(clearance)
+        s_cell = grid.nearest_open(_to_cell(grid2, start.x, start.y))
+        g_cell = grid.nearest_open(_to_cell(grid2, goal.x, goal.y))
         if s_cell is None or g_cell is None:
             continue
-        cells = _astar(blocked, s_cell, g_cell)
+        cells = _astar(grid.wall, grid.stride, s_cell, g_cell)
         if cells is not None:
             break
     if cells is None:
@@ -719,10 +782,9 @@ def run_episode(
                 (step_lengths[-1] if step_lengths else 0.0, 0.0),
                 occupancy_features(grid2, est_pose, phi),
             )
-            plan = plan_sample(model, cond, config.euler_steps, rng)
+            plan = plan_sample(model, cond, config.euler_steps, rng, est_pose)
             report.planner_calls += 1
-            world_poses = actions_to_poses(plan.actions, est_pose)
-            if collision_check(world_poses, None, config.footprint_radius, dist):
+            if collision_check(plan.poses, None, config.footprint_radius, dist):
                 if config.fallback:
                     report.fallback_count += 1
                 else:
@@ -739,11 +801,10 @@ def run_episode(
                 break
             if len(ref) < 2:
                 ref = PoseTrajectory((est_pose, subgoal))
-            actions = poses_to_actions(ref)
-            if len(actions) == 0:
-                report.reason = "stuck"
-                break
+            # only the steps this cycle executes
+            actions = poses_to_actions(PoseTrajectory(ref.poses[: config.execute_steps + 1]))
 
+        executed_xy = []
         for a in actions.steps[: config.execute_steps]:
             a = _clip_action(np.asarray(a, dtype=float), config.max_step)
             step_len = math.hypot(a[0], a[1])
@@ -770,9 +831,7 @@ def run_episode(
             executed += 1
             step_lengths.append(math.hypot(exec_inc[0], exec_inc[1]))
             report.path_length += step_lengths[-1]
-            clearance = float(sample_bilinear(dist, [(true_pose.x, true_pose.y)])[0])
-            if clearance < config.footprint_radius:
-                report.collision_count += 1
+            executed_xy.append((true_pose.x, true_pose.y))
             if executed % config.fix_every == 0:
                 fix = _global_fix(world, true_pose, config.fix_oracle_radius)
                 if fix is not None:
@@ -780,6 +839,9 @@ def run_episode(
                     est_pose = Pose2(fix.x, fix.y, est_pose.theta)
             if goal_distance() <= config.goal_tolerance:
                 break
+        # one lookup for the cycle's executed true poses; it never steers the loop
+        clearance = sample_bilinear(dist, executed_xy)
+        report.collision_count += int(np.count_nonzero(clearance < config.footprint_radius))
         d = goal_distance()
         if d < best_goal_dist - 0.05:
             best_goal_dist = d

@@ -329,6 +329,59 @@ def test_bad_nav_config_exits_1(files, capsys, name, verb):
     assert json.loads(err)["error"] == "SimError"
 
 
+# Search radii that never widen (0, NaN) or never stop (inf) looped forever.
+BAD_GOAL_RADII = {
+    "r-step-0": ("--r-step", "0"),
+    "r-step-nan": ("--r-step", "nan"),
+    "r-max-inf": ("--r-max", "inf"),
+    "r0-nan": ("--r0", "nan"),
+    "r0-negative": ("--r0", "-1"),
+    "r0-0": ("--r0", "0"),
+    "r-max-negative": ("--r-max", "-5"),
+}
+
+
+@pytest.mark.parametrize("matching", [False, True], ids=["no-match", "match"])
+@pytest.mark.parametrize("name", sorted(BAD_GOAL_RADII))
+def test_bad_goal_radius_exits_1(files, capsys, name, matching):
+    term = files["category"] if matching else "zebra"
+    with time_limit(30.0):
+        code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", term, *BAD_GOAL_RADII[name])
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "LocalizationError"
+
+
+def test_default_goal_radii_still_search(files, capsys):
+    code, out, _ = run(capsys, "goal", "--map", files["map"], "--terms", files["category"])
+    assert code == 0
+    assert json.loads(out)["node_id"] in files["node_ids"]
+    code, _, err = run(capsys, "goal", "--map", files["map"], "--terms", "zebra")
+    assert_json_error(code, "", err)
+    assert json.loads(err)["error"] == "GoalNotFoundError"
+
+
+@pytest.mark.parametrize("size", [-4, 0, 1, 2])
+def test_too_small_world_exits_1(files, capsys, size):
+    out_dir = files["root"] / f"tiny{size}"
+    with time_limit(60.0):
+        code, out, err = run(capsys, "sim", "gen", "--size", size, "--out", out_dir)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "SimError"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"landmark_count": -1}, {"depth": 0}, {"resolution": 0.0}, {"resolution": -0.25},
+     {"resolution": float("nan")}, {"resolution": float("inf")}],
+    ids=["landmarks-negative", "depth-0", "resolution-0", "resolution-negative", "resolution-nan",
+         "resolution-inf"],
+)
+def test_generate_world_rejects_bad_parameters(kwargs):
+    with pytest.raises(sim.SimError):
+        sim.generate_world(0, 16, **kwargs)
+
+
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", '{"start_xy": 3}', "[]"],

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from astra_nav import esdf
 from astra_nav.errors import GeometryMismatchError
 from astra_nav.esdf import (
     Grid,
     _bilinear,
+    _cell_weights,
     GridParseError,
     compress_grid,
     edt,
@@ -356,6 +358,98 @@ class TestBilinear:
         pts = np.concatenate([rng.uniform(lo, hi, size=(500, 2)), [lo, hi, phi.origin]])
         want = _bilinear(stack_fields([phi]), pts[None])[0][0]
         assert sample_bilinear(phi, pts).tobytes() == want.tobytes()
+
+
+def ref_cell_weights(fields, pts):
+    """_cell_weights clamping with np.clip."""
+    flat, offset, h, w, resolution, ox, oy = fields
+    gx = (pts[..., 0] - ox) / resolution
+    gy = (pts[..., 1] - oy) / resolution
+    cx = np.clip(gx, 0.0, w - 1.0)
+    cy = np.clip(gy, 0.0, h - 1.0)
+    ix = np.minimum(np.floor(cx).astype(np.intp), np.maximum(w - 2, 0))
+    iy = np.minimum(np.floor(cy).astype(np.intp), np.maximum(h - 2, 0))
+    jx = np.minimum(ix + 1, w - 1)
+    jy = np.minimum(iy + 1, h - 1)
+    row0, row1 = offset + iy * w, offset + jy * w
+    corners = (flat[row0 + ix], flat[row0 + jx], flat[row1 + ix], flat[row1 + jx])
+    return (gx, gy), (cx, cy), (cx - ix, cy - iy), corners
+
+
+def unsigned_zero(a: np.ndarray) -> bytes:
+    """The bytes of a with -0.0 read as +0.0; NaN and every other value keep their bits."""
+    return np.where(a == 0, 0.0, a).tobytes()
+
+
+def kernel_outcome(fn, *args):
+    """The bytes of every array that fn returns, or the type of the error it raises
+    (a NaN coordinate may index outside the field). The clamped coordinates and
+    offsets are compared without the sign of a zero: np.clip itself gives -0.0 or
+    +0.0 for -0.0 depending on the array's layout."""
+    with np.errstate(invalid="ignore"):
+        try:
+            g, c, uv, corners = fn(*args)
+        except IndexError as e:
+            return type(e)
+    return [a.tobytes() for a in g + corners] + [unsigned_zero(a) for a in c + uv]
+
+
+class TestClampKernel:
+    """The bilinear kernel clamps with np.minimum/np.maximum, as np.clip did."""
+
+    SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, -2.5, 0.3, 1e300, -1e-320]
+
+    def fields(self, signed_zeros: bool):
+        rng = np.random.default_rng(5)
+        out = []
+        for shape in [(1, 1), (1, 6), (5, 1), (7, 9)]:
+            values = rng.normal(size=shape)
+            values[rng.random(shape) < 0.3] = 0.0
+            if signed_zeros:
+                values[rng.random(shape) < 0.3] = -0.0
+            for origin in [(0.0, 0.0), (-1.0, 2.0)]:
+                out.append(Grid(values, 0.5, origin))
+        return out
+
+    def points(self, phi):
+        hi = [phi.origin[0] + (phi.width - 1) * phi.resolution,
+              phi.origin[1] + (phi.height - 1) * phi.resolution]
+        xs = self.SPECIAL + [phi.origin[0], hi[0], hi[0] + 0.7]
+        ys = self.SPECIAL + [phi.origin[1], hi[1], hi[1] + 0.7]
+        return np.array([(x, y) for x in xs for y in ys])
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_cell_weights_match_clip(self, signed_zeros):
+        for phi in self.fields(signed_zeros):
+            single = esdf.FieldStack(phi.values.ravel(), 0, *phi.values.shape, phi.resolution, *phi.origin)
+            stack = stack_fields([phi, phi])
+            for pt in self.points(phi):
+                for fields, pts in [(single, pt[None]), (stack, np.stack([pt[None], pt[None]]))]:
+                    want = kernel_outcome(ref_cell_weights, fields, pts)
+                    assert kernel_outcome(_cell_weights, fields, pts) == want, (phi.values.shape, pt)
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_samplers_match_clip(self, monkeypatch, signed_zeros):
+        # bit for bit on fields without -0.0 values, which is every field the
+        # library builds except a masked one at alpha 1; with -0.0 values in the
+        # field a zero result may differ in its sign only
+        def lookups(phi, pts):
+            return [sample_bilinear(phi, pts), *_bilinear(stack_fields([phi, phi]), np.stack([pts, pts[::-1]]))]
+
+        cases = []
+        for phi in self.fields(signed_zeros):
+            pts = self.points(phi)
+            pts = pts[~np.isnan(pts).any(axis=1)]  # NaN points index outside the field
+            with np.errstate(invalid="ignore"):
+                cases.append((phi, pts, lookups(phi, pts)))
+        monkeypatch.setattr(esdf, "_cell_weights", ref_cell_weights)
+        for phi, pts, got in cases:
+            with np.errstate(invalid="ignore"):
+                want = lookups(phi, pts)
+            if signed_zeros:
+                assert [unsigned_zero(a) for a in got] == [unsigned_zero(a) for a in want]
+            else:
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def traj_penalty(phi: Grid, poses: PoseTrajectory) -> float:

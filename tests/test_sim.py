@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import json
 import math
@@ -119,6 +120,56 @@ def ref_astar(blocked, start, goal):
     return None
 
 
+def astar(blocked, start, goal):
+    """sim._astar on the walled list of a fresh planning grid."""
+    grid = sim._PlanningGrid(blocked)
+    return sim._astar(grid.wall, grid.stride, start, goal)
+
+
+def ref_nearest_open(blocked, cell):
+    """The open cell nearest to `cell`, ties to the lowest (row, col); None if none is open."""
+    if not blocked[cell]:
+        return cell
+    open_cells = np.argwhere(~blocked)
+    if len(open_cells) == 0:
+        return None
+    d2 = (open_cells[:, 0] - cell[0]) ** 2 + (open_cells[:, 1] - cell[1]) ** 2
+    order = np.lexsort((open_cells[:, 1], open_cells[:, 0], d2))
+    return tuple(open_cells[order[0]])
+
+
+def ref_resample_polyline(points, step):
+    """resample_polyline walking the segments in a Python loop."""
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        return points.copy()
+    seg = np.diff(points, axis=0)
+    lens = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    total = cum[-1]
+    if total == 0:
+        return points[:1].copy()
+    n = max(1, int(math.ceil(total / step)))
+    targets = np.linspace(0.0, total, n + 1)
+    out = np.empty((n + 1, 2))
+    j = 0
+    for i, s in enumerate(targets):
+        while j < len(lens) - 1 and cum[j + 1] < s:
+            j += 1
+        t = 0.0 if lens[j] == 0 else (s - cum[j]) / lens[j]
+        out[i] = points[j] + t * seg[j]
+    return out
+
+
+def ref_heuristic(h, w, goal):
+    """The heuristic list gathered from a math.hypot table and converted with tolist()."""
+    table = np.array([[math.hypot(r, c) for c in range(w)] for r in range(h)])
+    gr, gc = divmod(goal, w)
+    rows = np.abs(np.arange(h) - gr)
+    cols = np.abs(np.arange(w) - gc)
+    return table[rows[:, None], cols[None, :]].ravel().tolist()
+
+
 def ref_oracle_plan(world, start, goal, footprint_radius=0.3, step=0.25, safety_margin=0.25):
     """oracle_plan with one clearance check per candidate, farthest first."""
     grid2 = world.grid2d()
@@ -128,8 +179,8 @@ def ref_oracle_plan(world, start, goal, footprint_radius=0.3, step=0.25, safety_
     for margin in ((safety_margin, 0.0) if safety_margin > 0 else (0.0,)):
         clearance = footprint_radius + grid2.resolution + margin
         blocked = dist.values < clearance
-        s_cell = sim._nearest_open(blocked, sim._to_cell(grid2, start.x, start.y))
-        g_cell = sim._nearest_open(blocked, sim._to_cell(grid2, goal.x, goal.y))
+        s_cell = ref_nearest_open(blocked, sim._to_cell(grid2, start.x, start.y))
+        g_cell = ref_nearest_open(blocked, sim._to_cell(grid2, goal.x, goal.y))
         if s_cell is None or g_cell is None:
             continue
         cells = ref_astar(blocked, s_cell, g_cell)
@@ -150,7 +201,7 @@ def ref_oracle_plan(world, start, goal, footprint_radius=0.3, step=0.25, safety_
             j -= 1
         keep.append(j)
         i = j
-    dense = sim.resample_polyline(pts[keep], step)
+    dense = ref_resample_polyline(pts[keep], step)
     poses = [start]
     for k in range(1, len(dense)):
         dx, dy = dense[k] - dense[k - 1]
@@ -271,7 +322,7 @@ def test_astar_matches_dict_reference(data):
     blocked = np.array(cells, dtype=bool).reshape(h, w)
     cell = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
     start, goal = data.draw(cell, label="start"), data.draw(cell, label="goal")
-    assert sim._astar(blocked, start, goal) == ref_astar(blocked, start, goal)
+    assert astar(blocked, start, goal) == ref_astar(blocked, start, goal)
 
 
 def test_astar_matches_dict_reference_on_open_grids():
@@ -282,7 +333,7 @@ def test_astar_matches_dict_reference_on_open_grids():
         for _ in range(10):
             start = (int(rng.integers(30)), int(rng.integers(40)))
             goal = (int(rng.integers(30)), int(rng.integers(40)))
-            assert sim._astar(blocked, start, goal) == ref_astar(blocked, start, goal)
+            assert astar(blocked, start, goal) == ref_astar(blocked, start, goal)
 
 
 def test_oracle_plan_matches_greedy_reference(worlds48):
@@ -517,3 +568,162 @@ def test_dataset_matches_one_loop_reference(worlds48, seed, per_world, n_actions
         assert g.start == w.start
         assert g.phi.values.tobytes() == w.phi.values.tobytes()
         assert (g.grid_ref, g.gt_poses, g.world_index) == (w.grid_ref, w.gt_poses, w.world_index)
+
+
+# --- per-world planning grids and the leaner control cycle ------------------------------
+
+coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_resample_polyline_matches_loop_reference(data):
+    base = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8), label="points")
+    # repeated points make zero-length segments
+    repeats = data.draw(
+        st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)), label="repeats"
+    )
+    points = np.array([p for p, k in zip(base, repeats) for _ in range(k)])
+    step = data.draw(st.floats(0.05, 20.0), label="step")
+    got = sim.resample_polyline(points, step)
+    assert got.tobytes() == ref_resample_polyline(points, step).tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, step",
+    [
+        ([(0.0, 0.0), (1.0, 0.0)], 0.25),
+        ([(0.0, 0.0), (0.3, 0.4)], 2.0),
+        ([(1.0, 1.0), (1.0, 1.0), (2.0, 1.0)], 0.3),
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0)], 0.25),
+        ([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.5, 0.5)], 0.1),
+        ([(2.0, 2.0), (2.0, 2.0)], 0.5),
+        ([(0.5, -1.0)], 0.5),
+    ],
+    ids=["one-segment", "step-beyond-path", "repeated-start", "repeated-middle-on-a-target",
+         "repeated-end", "no-length", "one-point"],
+)
+def test_resample_polyline_named_cases(points, step):
+    got = sim.resample_polyline(points, step)
+    assert got.tobytes() == ref_resample_polyline(points, step).tobytes()
+    assert got[0].tolist() == list(points[0])
+    assert got[-1].tolist() == list(points[-1])
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (6, 1), (5, 9), (12, 4), (50, 50)])
+def test_heuristic_matches_gather_reference(h, w):
+    corners = {0, w - 1, (h - 1) * w, h * w - 1}
+    for goal in sorted(corners | {(h // 2) * w + w // 3}):
+        got = sim._heuristic(h, w, goal)
+        assert np.array(got).tobytes() == np.array(ref_heuristic(h, w, goal)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_heuristic_matches_gather_reference_anywhere(data):
+    h = data.draw(st.integers(1, 30), label="h")
+    w = data.draw(st.integers(1, 30), label="w")
+    goal = data.draw(st.integers(0, h * w - 1), label="goal")
+    got = sim._heuristic(h, w, goal)
+    assert np.array(got).tobytes() == np.array(ref_heuristic(h, w, goal)).tobytes()
+
+
+@pytest.mark.parametrize("clearance", [0.55, 0.8])  # the expert's two clearances at 0.25 m cells
+def test_planning_grid_snaps_like_unmemoized_search(worlds48, clearance):
+    for world in worlds48:
+        blocked = world.dist_field().values < clearance
+        grid = sim._PlanningGrid(blocked)
+        cells = [(r, c) for r in range(blocked.shape[0]) for c in range(blocked.shape[1])]
+        want = [ref_nearest_open(blocked, cell) for cell in cells]
+        assert [grid.nearest_open(cell) for cell in cells] == want
+        assert [grid.nearest_open(cell) for cell in cells] == want  # now from the cache
+        walled = np.ones((blocked.shape[0] + 2, grid.stride), dtype=bool)
+        walled[1:-1, 1:-1] = blocked
+        assert grid.wall == walled.ravel().tolist()
+        kept = world.planning_grid(clearance)
+        assert kept is world.planning_grid(clearance)
+        assert kept.blocked.tobytes() == blocked.tobytes()
+
+
+def test_planning_grid_snaps_to_none_when_all_is_blocked():
+    grid = sim._PlanningGrid(np.ones((3, 4), dtype=bool))
+    assert grid.nearest_open((1, 2)) is None
+    assert grid.nearest_open((1, 2)) is None
+
+
+def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
+    """eval_suite with counters: sample_bilinear calls made outside
+    oracle_plan, subgoal selections (one per control cycle), unreachable
+    plans (a cycle that ends on one executes nothing), and the blocked grid
+    of every planning grid built."""
+    inside = [0]
+    counts = {"lookups": 0, "cycles": 0, "grids": [], "unreachable": 0}
+    oracle_plan, select_subgoal, grid_type = sim.oracle_plan, sim.select_subgoal, sim._PlanningGrid
+
+    def tracked_plan(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return oracle_plan(*args, **kwargs)
+        except sim.UnreachableError:
+            counts["unreachable"] += 1
+            raise
+        finally:
+            inside[0] -= 1
+
+    def counting_lookup(phi, pts):
+        if not inside[0]:
+            counts["lookups"] += 1
+        return sample_bilinear(phi, pts)
+
+    def counting_subgoal(*args):
+        counts["cycles"] += 1
+        return select_subgoal(*args)
+
+    def counting_grid(blocked):
+        counts["grids"].append(blocked.tobytes())
+        return grid_type(blocked)
+
+    monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
+    monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
+    monkeypatch.setattr(sim, "select_subgoal", counting_subgoal)
+    monkeypatch.setattr(sim, "_PlanningGrid", counting_grid)
+    suite = sim.eval_suite(worlds, episodes, config, model, master_seed=0)
+    return suite, counts
+
+
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_episode_makes_one_lookup_per_cycle(monkeypatch, eval_model, kind):
+    worlds = [sim.generate_world(s, 48) for s in (3, 4)]  # no planning grid built yet
+    config = sim.NavConfig(planner=kind)
+    model = eval_model if kind == "model" else None
+    suite, counts = counted_episodes(monkeypatch, worlds, 6, config, model)
+    assert counts["unreachable"] == 0
+    assert counts["cycles"] > 6
+    assert counts["lookups"] == counts["cycles"]
+    if kind == "model":
+        assert counts["cycles"] == sum(r["planner_calls"] for r in suite["reports"])
+    # one planning grid per (world, clearance), however many plans asked for it
+    grids = counts["grids"]
+    assert len(worlds) <= len(grids) == len(set(grids)) <= 2 * len(worlds)
+    again, recount = counted_episodes(monkeypatch, worlds, 6, config, model)
+    assert again == suite
+    assert recount["grids"] == []
+
+
+# sha256 of json.dumps(eval_suite(worlds48, 6, NavConfig(planner=...), model, 0), sort_keys=True)
+# as the per-step clearance loop computed it, before per-world planning grids; the model runs
+# use the eval_model fixture
+SUITE_DIGESTS = {
+    "oracle": "fa8fa99d8ecd1a1b8a67da6f17dfde6e999e6b0d747b86688ab8d2c8446149c5",
+    "model": "33656f227e7fa7d523c776755b615d5239a59f93732bf65ae3cc7bdb528f7528",
+    "model-no-fallback": "c1d264fa043318c43a1c84cd9fe1dfa5a05541420b59950c5abe01fc2279ada8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_eval_suite_reports_are_pinned(worlds48, eval_model, name):
+    kind = "oracle" if name == "oracle" else "model"
+    config = sim.NavConfig(planner=kind, fallback=name != "model-no-fallback")
+    suite = sim.eval_suite(worlds48, 6, config, eval_model if kind == "model" else None, 0)
+    digest = hashlib.sha256(json.dumps(suite, sort_keys=True).encode()).hexdigest()
+    assert digest == SUITE_DIGESTS[name]
