@@ -32,6 +32,15 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: a non-negative integer, as numpy's
+    seeding requires; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _load_json(path, parse=lambda doc: doc):
     """Read a JSON input file and build from it with `parse`; a file that cannot
     be read or parsed, or whose content `parse` rejects, raises InputFileError."""
@@ -327,18 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config")
     p.add_argument("--out", default="model.json")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_plan_train)
     p = plan_sub.add_parser("sample")
     p.add_argument("--model", required=True)
     p.add_argument("--cond", required=True)
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_plan_sample)
     p = plan_sub.add_parser("eval")
     p.add_argument("--model", required=True)
     p.add_argument("--worlds", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_plan_eval)
 
     p_odom = sub.add_parser("odom", help="odometry evaluation")
@@ -351,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="grid-world simulator")
     sim_sub = p_sim.add_subparsers(dest="sim_command", required=True)
     p = sim_sub.add_parser("gen")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--size", type=int, default=48)
     p.add_argument("--density", type=float, default=0.15)
     p.add_argument("--landmarks", type=int, default=10)
@@ -362,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", required=True)
     p.add_argument("--model")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_sim_run)
     p = sim_sub.add_parser("eval")
     p.add_argument("--worlds", required=True)
     p.add_argument("--episodes", type=int, default=50)
     p.add_argument("--model")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_sim_eval)
 
     return parser

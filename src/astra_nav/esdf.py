@@ -311,9 +311,19 @@ def _bilinear(fields: FieldStack, pts):
     return out, du * inside_x / resolution, dv * inside_y / resolution
 
 
+class SamplePointError(AstraError, ValueError):
+    """A point to sample a field at has a NaN coordinate."""
+
+
 def sample_bilinear(phi: Grid, points):
-    """Bilinearly interpolate the field at world points (meters); values only."""
+    """Bilinearly interpolate the field at world points (meters); values only.
+
+    Points beyond the grid, infinite ones too, read the border; a NaN
+    coordinate raises `SamplePointError`, since it has no cell."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    # min propagates NaN, so one reduction finds one
+    if math.isnan(pts.min(initial=math.inf)):
+        raise SamplePointError("cannot sample a field at a NaN coordinate")
     field = FieldStack(phi.values.ravel(), 0, *phi.values.shape, phi.resolution, *phi.origin)
     _, _, (u, v), corners = _cell_weights(field, pts)
     return _interpolate(u, v, *corners)

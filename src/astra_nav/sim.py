@@ -9,7 +9,12 @@ output never trips the collision check at the same footprint radius.
 Clearance along straight segments is checked in batches: `_segments_clear`
 samples every segment of a smoothing step, or every candidate link of the
 lattice map, in one bilinear lookup. The lattice map makes two lookups in
-all: one places every node, one checks every link.
+all: one places every node, one checks every link. Its candidate links come
+from one box test over all nodes, swept a block of rows at a time
+(`_link_pairs`). Node count and connectivity are checked on the index pairs
+of the clear links, so a rejected candidate builds no map object; an
+accepted one builds one node and pose per node and one edge per link, with
+one shared pose per distinct link offset.
 
 What the expert planner needs of a world at one clearance is a function of
 the world alone, so `World.planning_grid(clearance)` builds it once and
@@ -212,66 +217,99 @@ def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
     return np.bincount(seg[too_close], minlength=len(b)) == 0
 
 
+def _link_pairs(xy: np.ndarray, radius: float, block: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, in row-major order, of the points of `xy`
+    (N, 2) closer than `radius`.
+
+    The box test |dx| < radius and |dy| < radius finds the candidates and
+    `math.hypot` on the same differences decides. The points are swept in
+    order of y, a block of rows at a time, against the later points whose y
+    can pass the box test, so no N x N array is built."""
+    order = np.argsort(xy[:, 1], kind="stable")
+    xs, ys = xy[order, 0], xy[order, 1]
+    found_p, found_q = [], []
+    for s in range(0, len(order), block):
+        e = min(s + block, len(order))
+        # ys - ys[e - 1] grows along the sweep, so the points past the block
+        # that pass |dy| < radius for some row are a prefix of them
+        stop = e + int(np.count_nonzero(ys[e:] - ys[e - 1] < radius))
+        box = np.abs(xs[s + 1 : stop] - xs[s:e, None]) < radius
+        box &= np.abs(ys[s + 1 : stop] - ys[s:e, None]) < radius
+        r, c = np.nonzero(box)
+        upper = c >= r  # column c is point s + 1 + c, row r is point s + r
+        found_p.append(order[s + r[upper]])
+        found_q.append(order[s + 1 + c[upper]])
+    p = np.concatenate(found_p or [np.zeros(0, np.intp)])
+    q = np.concatenate(found_q or [np.zeros(0, np.intp)])
+    i, j = np.minimum(p, q), np.maximum(p, q)
+    row_major = np.lexsort((j, i))
+    i, j = i[row_major], j[row_major]
+    d = xy[j] - xy[i]
+    near = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()))) < radius
+    return i[near], j[near]
+
+
+def _pairs_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """True iff nodes 0..n-1 with links i[k]-j[k] form one connected graph.
+
+    Each node starts labelled with its own index. A pass lowers both ends of
+    every link to the smaller of their labels, then gives each node the label
+    of its label; at the fixed point every component carries the label of its
+    lowest node."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return n > 0 and not label.any()
+        label = new
+
+
 def _build_lattice_map(
     grid2: Grid, dist: Grid, node_clearance: float, link_radius: float = 2.0
-) -> TopoMap:
+) -> TopoMap | None:
     """Nodes on a 1 m lattice over free space; lattice-neighbor edges plus
     proximity links under link_radius, all requiring a clear straight segment.
 
     One `sample_bilinear` call places every node and one `_segments_clear`
-    call checks every candidate link."""
-    topo = TopoMap()
+    call checks every candidate link. A lattice of fewer than 4 nodes, or
+    one whose links leave it disconnected, is rejected (None) before any map
+    object is built."""
     res = grid2.resolution
     step_cells = max(1, round(1.0 / res))
-    lattice = [
-        (r, c, grid2.origin[0] + c * res, grid2.origin[1] + r * res)
-        for r in range(0, grid2.height, step_cells)
-        for c in range(0, grid2.width, step_cells)
-    ]
-    clearance = sample_bilinear(dist, [(x, y) for _, _, x, y in lattice])
-    positions = {}
-    for (r, c, x, y), d in zip(lattice, clearance.tolist()):
-        if not grid2.values[r, c] and d >= node_clearance:
-            idx = len(positions)
-            nid = f"n-{idx:03d}"
-            topo.add_node(MapNode(nid, _pose6(x, y), image_ref=f"frame-{idx:04d}.jpg"))
-            positions[nid] = (x, y)
-    ids = sorted(positions)
-    xy = np.array([positions[nid] for nid in ids]).reshape(-1, 2)
-    links = []
-    for i in range(len(ids)):
-        ax, ay = xy[i]
-        # |dx| and |dy| bound the distance from below, so the box drops no link
-        box = np.abs(xy[i + 1 :] - (ax, ay)).max(axis=1) < link_radius
-        links += [
-            (i, j) for j in (i + 1 + np.flatnonzero(box)).tolist()
-            if math.hypot(xy[j, 0] - ax, xy[j, 1] - ay) < link_radius
-        ]
-    pairs = np.array(links, dtype=np.intp).reshape(-1, 2)
-    clear = _segments_clear(dist, xy[pairs[:, 0]], xy[pairs[:, 1]], node_clearance)
-    for (i, j), ok in zip(links, clear.tolist()):
-        if ok:
-            (ax, ay), (bx, by) = positions[ids[i]], positions[ids[j]]
-            topo.add_edge(ids[i], ids[j], _pose6(bx - ax, by - ay))
+    rows = np.arange(0, grid2.height, step_cells)
+    cols = np.arange(0, grid2.width, step_cells)
+    r, c = np.repeat(rows, len(cols)), np.tile(cols, len(rows))
+    lattice = np.stack([grid2.origin[0] + c * res, grid2.origin[1] + r * res], axis=1)
+    keep = ~grid2.values[r, c] & (sample_bilinear(dist, lattice) >= node_clearance)
+    xy = lattice[keep]
+    ids = [f"n-{k:03d}" for k in range(len(xy))]
+    # links are searched and added in the order of the sorted ids ("n-100" <
+    # "n-1000" < "n-101"); edge ends are the same strings the nodes are keyed by
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    sorted_ids = [ids[k] for k in by_id]
+    sorted_xy = xy[by_id]
+    i, j = _link_pairs(sorted_xy, link_radius)
+    clear = _segments_clear(dist, sorted_xy[i], sorted_xy[j], node_clearance)
+    i, j = i[clear], j[clear]
+    if len(ids) < 4 or not _pairs_connected(len(ids), i, j):
+        return None
+    topo = TopoMap()
+    for k, (nid, (x, y)) in enumerate(zip(ids, xy.tolist())):
+        topo.add_node(MapNode(nid, _pose6(x, y), image_ref=f"frame-{k:04d}.jpg"))
+    # Pose6 is frozen, so links with the same offset share one; no coordinate
+    # is -0.0, so offsets that compare equal have equal bits
+    offsets = {}
+    d = sorted_xy[j] - sorted_xy[i]
+    for a, b, dx, dy in zip(i.tolist(), j.tolist(), d[:, 0].tolist(), d[:, 1].tolist()):
+        pose = offsets.get((dx, dy))
+        if pose is None:
+            pose = offsets[dx, dy] = _pose6(dx, dy)
+        topo.add_edge(sorted_ids[a], sorted_ids[b], pose)
     return topo
-
-
-def _node_graph_connected(topo: TopoMap) -> bool:
-    if not topo.nodes:
-        return False
-    adj = {nid: set() for nid in topo.nodes}
-    for a, b in topo.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    start = next(iter(topo.nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(topo.nodes)
 
 
 def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
@@ -335,8 +373,9 @@ def generate_world(
         raise SimError("obstacle density must lie in [0, 0.4]")
     if size < 3:
         raise SimError(f"world size must be at least 3 cells, got {size}")
-    if landmark_count < 0:
-        raise SimError(f"landmark count must be >= 0, got {landmark_count}")
+    if landmark_count < 1:
+        # start points are the landmark nodes, so no landmark means no world
+        raise SimError(f"landmark count must be >= 1, got {landmark_count}")
     if depth < 1:
         raise SimError(f"depth must be at least 1, got {depth}")
     if not (is_finite_number(resolution) and resolution > 0):
@@ -360,7 +399,7 @@ def generate_world(
         grid2 = Grid(occ2, resolution)
         dist = distance_field(grid2)
         topo = _build_lattice_map(grid2, dist, node_clearance=0.3)
-        if len(topo.nodes) < 4 or not _node_graph_connected(topo):
+        if topo is None:
             continue
         _place_landmarks(topo, grid2, landmark_count, rng)
         report = topo.validate()

@@ -27,8 +27,8 @@ class Pose6:
     quaternion: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(v) for v in self.position))
-        object.__setattr__(self, "quaternion", tuple(float(v) for v in self.quaternion))
+        object.__setattr__(self, "position", tuple(map(float, self.position)))
+        object.__setattr__(self, "quaternion", tuple(map(float, self.quaternion)))
 
     def planar(self) -> Pose2:
         """Project to the ground plane: (x, y, yaw)."""

@@ -372,14 +372,47 @@ def test_too_small_world_exits_1(files, capsys, size):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"landmark_count": -1}, {"depth": 0}, {"resolution": 0.0}, {"resolution": -0.25},
-     {"resolution": float("nan")}, {"resolution": float("inf")}],
-    ids=["landmarks-negative", "depth-0", "resolution-0", "resolution-negative", "resolution-nan",
-         "resolution-inf"],
+    [{"landmark_count": -1}, {"landmark_count": 0}, {"depth": 0}, {"resolution": 0.0},
+     {"resolution": -0.25}, {"resolution": float("nan")}, {"resolution": float("inf")}],
+    ids=["landmarks-negative", "landmarks-0", "depth-0", "resolution-0", "resolution-negative",
+         "resolution-nan", "resolution-inf"],
 )
 def test_generate_world_rejects_bad_parameters(kwargs):
     with pytest.raises(sim.SimError):
         sim.generate_world(0, 16, **kwargs)
+
+
+def test_zero_landmarks_fail_before_any_draw(monkeypatch):
+    # start points are landmark nodes, so the count is refused before a candidate is drawn
+    def refused(*args, **kwargs):
+        raise AssertionError("a world was drawn")
+
+    monkeypatch.setattr(sim.np.random, "default_rng", refused)
+    with pytest.raises(sim.SimError, match="landmark count"):
+        sim.generate_world(0, 16, landmark_count=0)
+
+
+# every verb that takes --seed, with its other arguments
+SEED_VERBS = {
+    "sim-gen": lambda f: ("sim", "gen", "--out", f["root"] / "negative-seed"),
+    "sim-run": lambda f: ("sim", "run", "--world", f["world"], "--goal", f["goal.json"]),
+    "sim-eval": lambda f: ("sim", "eval", "--worlds", f["worlds"], "--episodes", 1),
+    "plan-sample": lambda f: ("plan", "sample", "--model", f["model.json"], "--cond", f["cond.json"]),
+    "plan-eval": lambda f: ("plan", "eval", "--model", f["model.json"], "--worlds", f["worlds"]),
+    "plan-train": lambda f: ("plan", "train", "--data", f["data.jsonl"], "--config", f["train.json"],
+                             "--out", f["root"] / "negative-seed.json"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(SEED_VERBS))
+def test_negative_seed_is_a_usage_error(files, capsys, verb):
+    with pytest.raises(SystemExit) as exited:
+        run(capsys, *SEED_VERBS[verb](files), "--seed", -1)
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert "Traceback" not in out + err
+    assert "argument --seed: must be a non-negative integer" in err
+    assert not (files["root"] / "negative-seed").exists()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astra_nav import esdf
-from astra_nav.errors import GeometryMismatchError
+from astra_nav.errors import AstraError, GeometryMismatchError
 from astra_nav.esdf import (
     Grid,
     _bilinear,
@@ -358,6 +358,23 @@ class TestBilinear:
         pts = np.concatenate([rng.uniform(lo, hi, size=(500, 2)), [lo, hi, phi.origin]])
         want = _bilinear(stack_fields([phi]), pts[None])[0][0]
         assert sample_bilinear(phi, pts).tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("width", [4, 5])
+    @pytest.mark.parametrize("pt", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (-math.nan, 1.0)],
+                             ids=["x", "y", "both", "negative-x"])
+    def test_nan_coordinate_raises(self, pt, width):
+        # a NaN point has no cell; a NaN y used to read row 0 on an even width
+        phi = Grid(np.arange(3.0 * width).reshape(3, width), 0.5)
+        with pytest.raises(esdf.SamplePointError) as raised:
+            sample_bilinear(phi, [(1.0, 0.5), pt])
+        assert isinstance(raised.value, AstraError) and isinstance(raised.value, ValueError)
+
+    def test_infinite_coordinates_clamp(self):
+        phi = Grid(np.arange(12.0).reshape(3, 4), 0.5)
+        got = sample_bilinear(phi, [(math.inf, -math.inf), (-math.inf, math.inf), (math.inf, math.inf)])
+        assert got.tolist() == [3.0, 8.0, 11.0]
+        assert sample_bilinear(phi, np.zeros((0, 2))).shape == (0,)
 
 
 def ref_cell_weights(fields, pts):

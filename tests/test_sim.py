@@ -211,7 +211,8 @@ def ref_oracle_plan(world, start, goal, footprint_radius=0.3, step=0.25, safety_
 
 
 def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
-    """_build_lattice_map checking every node pair on its own."""
+    """_build_lattice_map checking every node pair on its own; None for a
+    lattice of fewer than 4 nodes or a disconnected one."""
     topo = sim.TopoMap()
     res = grid2.resolution
     step_cells = max(1, round(1.0 / res))
@@ -235,7 +236,38 @@ def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
                 continue
             if ref_segment_clear(dist, (ax, ay), (bx, by), node_clearance):
                 topo.add_edge(a, b, sim._pose6(bx - ax, by - ay))
+    if len(topo.nodes) < 4 or not ref_node_graph_connected(topo):
+        return None
     return topo
+
+
+def ref_node_graph_connected(topo):
+    """Whether the map's nodes form one graph, by a stack search over its edges."""
+    if not topo.nodes:
+        return False
+    adj = {nid: set() for nid in topo.nodes}
+    for a, b in topo.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    start = next(iter(topo.nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(topo.nodes)
+
+
+def ref_link_pairs(xy, radius):
+    """Every pair (i, j), i < j, closer than radius, one pair at a time."""
+    return [
+        (i, j)
+        for i in range(len(xy))
+        for j in range(i + 1, len(xy))
+        if math.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1]) < radius
+    ]
 
 
 def ref_connected(free):
@@ -365,6 +397,175 @@ def test_lattice_map_matches_pairwise_reference(monkeypatch, worlds48, seed, siz
     monkeypatch.setattr(sim, "_build_lattice_map", ref_build_lattice_map)
     want = sim.generate_world(seed, size).map.to_jsonable()
     assert got.map.to_jsonable() == want
+
+
+# sha256 (see world_digest) of generate_world(seed, size, resolution=...) as
+# the per-node link search built it; 0 at 160 has over 1000 nodes, so its
+# sorted ids ("n-100" < "n-1000" < "n-101") are not in lattice order
+WORLD_DIGESTS = {
+    (0, 48, 0.25): "091c4c3c49342ab8308490f235c3ed20fbf35fb60bd34f69383ed6384246c1a8",
+    (1, 48, 0.25): "917ae4e0bd6303655182920e462990c49fa0d996e7b12de751f78ed460b90aa9",
+    (2, 48, 0.25): "5f18bd622337b68e039369560a19f6310fc4c4bc10c6ed7ec40ba94f25c8cc0a",
+    (3, 48, 0.25): "bd79a54d40a1a7a5d6dedff57c733dd75dadd28c6e1d314ba8ce072851fb04e6",
+    (4, 48, 0.25): "48f4544a83172974dc66713bcabd793b9460957a8c3f9868d497891b1a8b94b7",
+    (5, 48, 0.25): "24606ed6b79c840a2a748f16fa8afc4ccd9f242e72b93020736d480fe4b0c47e",
+    (6, 48, 0.25): "b104cca10c464e767e4e1629200dc5a21a5fef5a12068046e9d59b2a969f9cb2",
+    (7, 48, 0.25): "ec863a013256b26f9b62867d2df1b567a090a78059c6009a80ab6fdcbd2b95ac",
+    (0, 96, 0.25): "9d7cfa68d65e8530db0a93d4af85834ad8b700fabc396a2bbc69a48651011aec",
+    (1, 96, 0.25): "46f5eea588b5d3c89bea18e553419aa59f1f8512d1293cdceddac19c65eabc82",
+    (2, 96, 0.25): "3d95f8d0a60df5afa0559c3501537f18e06bb7d3cebecb49ead5bfe4e5acd527",
+    (3, 96, 0.25): "7277f16544ff540458d8d7b0d5a0992bc77761436caca973397c82a71989e0f2",
+    (4, 96, 0.25): "a3758bbe833c976b0f7fecc94cf404582db5103386dbc02a3a2c0b66416d3e29",
+    (5, 96, 0.25): "2590d8db67f64f1449a17fcd3dec4d529665912e64bb5816fa280a256e362000",
+    (6, 96, 0.25): "b22e550fe6a40927da60919033ad4842d67592cce708816575e00777d850729f",
+    (7, 96, 0.25): "48ab58764f8f3ddaf1e7f33c73ee2ef5770c80ab5689a163be55c541b45e3bcd",
+    (0, 40, 0.2): "f97703f1523466535689f742fdc4aa915c569144b762004928e4edc88cdcd9fb",
+    (1, 40, 0.2): "7a58a54907b03eb0c91305ac7d66b04042a1b8c07279fe8a9b1f2e077e8023c3",
+    (2, 40, 0.2): "9f80aaebfea934f9a65ec7870a9b45551100114ab2546d0c60dd855801e29779",
+    (3, 40, 0.2): "cdf6d4ce86bfc91fbd6aa38b11f0afd991fbe65d020131b9d7e36167d733d508",
+    (4, 40, 0.2): "df7e51dec0c526a5b0c508985d6ce66355d399884b1ae6d0c669e6abf354a9d8",
+    (5, 40, 0.2): "273a3255be0a959415afa48afb450f60d1b3b9405b5fa9ef12a2ff11c241caa4",
+    (6, 40, 0.2): "d50227d355602214a2cbfc5453736813939463864ea52add0a17ccfd33ef87e8",
+    (7, 40, 0.2): "dce0b10a1efcc02e5e2965fee9e1927bd9edc5d4537f6deab0734ef0da0e6ee7",
+    (0, 40, 0.3): "d828ff64b76abca68925d27c062408c115f498292ada66a724e50962c8a48b04",
+    (1, 40, 0.3): "94d0aea276a83dedfaab286359c82488383267547b3b3c0718119b11e7743ec8",
+    (2, 40, 0.3): "9b3e8a09bf0b10a73577460d20c068d70b487e9b88d861796b93b637901953b2",
+    (3, 40, 0.3): "579776b6d952d5ca0c4a50d0eb15ad68fbf5047412e9e05d1679d9de948e2a6f",
+    (4, 40, 0.3): "a1ffc8cdc4bb352edeec8aa9de4c7dbbd01f518276994a3fa9adb5aa7ecd9777",
+    (5, 40, 0.3): "41f9ca5ec30fa37eeeb879df8fbffc24fd6b9d2177257efbe03236f555004991",
+    (6, 40, 0.3): "3a72954fce2fe00ca6e1107607a62230d952ccc9568d4b23c3356683c7712303",
+    (7, 40, 0.3): "55790d6de75ea29943018bd8f3d3b990b2b79df941e50228b6e56971b176badd",
+    (0, 40, 0.5): "60e55ac5cc0f20e37ac81ce57e25fd86d9419b293c0e8a6cd189d9caf0510834",
+    (1, 40, 0.5): "081b619830acf22abacc9780dc8e9040ef15e725e8eace1720c12d043e4904a1",
+    (2, 40, 0.5): "1949a2030430c1ee55234f043ea6cd495e6f829e03c205fecdcadc70f37a30fe",
+    (3, 40, 0.5): "4be9d115ca05bbce4a44eed3d82875679a4a9409147cfd836243d78cf3858a3a",
+    (4, 40, 0.5): "de806400503225c6a761bfa9e44d78c2e8baa28d89a0f8bce285f0b5a6a3da14",
+    (5, 40, 0.5): "d09495b1c5f3b65267e046d2631c921b8d4d81c91936a91c60b4fa2416fe997b",
+    (6, 40, 0.5): "29c147e1b2d4a6480d1860d6b9f5079e2bc14c3305c45fe4a5a3a64ac2b40bd0",
+    (7, 40, 0.5): "6a206a5ee5ee23f905db56c9c6376d7c3689bd01b5d8067467859e344c73b419",
+    (0, 160, 0.25): "b446b89dfce52863389252d2c9eef6241711af24aedd4174388fed91b4876658",
+}
+
+
+def world_digest(world) -> str:
+    h = hashlib.sha256()
+    h.update(json.dumps(world.map.to_jsonable()).encode())
+    h.update(json.dumps(list(world.map.edges)).encode())  # insertion order
+    h.update(json.dumps([list(world.grid.values.shape), world.grid.resolution]).encode())
+    h.update(world.grid.values.tobytes())
+    h.update(json.dumps(world.start_xy).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed,size,resolution", sorted(WORLD_DIGESTS),
+                         ids=[f"{s}-{n}-{r}" for s, n, r in sorted(WORLD_DIGESTS)])
+def test_worlds_match_pinned_digests(seed, size, resolution):
+    world = sim.generate_world(seed, size, resolution=resolution)
+    assert world_digest(world) == WORLD_DIGESTS[seed, size, resolution]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_link_pairs_match_pairwise_reference(data):
+    # coordinates on a 0.1 m lattice put points exactly radius apart on one
+    # axis and repeat points; free floats cover everything between
+    coord = st.one_of(st.integers(-20, 20).map(lambda k: k * 0.1), st.floats(-3.0, 3.0))
+    points = data.draw(st.lists(st.tuples(coord, coord), max_size=40), label="points")
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    radius = data.draw(st.sampled_from([0.2, 0.5, 1.0, 2.0]), label="radius")
+    block = data.draw(st.integers(1, 8), label="block")
+    i, j = sim._link_pairs(xy, radius, block)
+    assert list(zip(i.tolist(), j.tolist())) == ref_link_pairs(xy, radius)
+
+
+def test_link_pairs_on_points_exactly_radius_apart():
+    xy = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]])
+    i, j = sim._link_pairs(xy, 2.0, block=2)
+    assert list(zip(i.tolist(), j.tolist())) == ref_link_pairs(xy, 2.0) == [
+        (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pairs_connected_matches_graph_reference(data):
+    n = data.draw(st.integers(0, 12), label="n")
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    pairs = [(a, b) for a, b in data.draw(st.lists(pair, max_size=20), label="links") if a != b]
+    topo = sim.TopoMap()
+    for k in range(n):
+        topo.add_node(sim.MapNode(f"n-{k:03d}", sim._pose6(k, 0.0)))
+    for a, b in pairs:
+        topo.add_edge(f"n-{a:03d}", f"n-{b:03d}", sim._pose6(1.0, 0.0))
+    i = np.array([a for a, _ in pairs], dtype=np.intp)
+    j = np.array([b for _, b in pairs], dtype=np.intp)
+    assert sim._pairs_connected(n, i, j) == ref_node_graph_connected(topo)
+
+
+def test_edge_ends_are_the_node_keys(worlds48):
+    for world in worlds48:
+        keys = {nid: nid for nid in world.map.nodes}
+        for (a, b), edge in world.map.edges.items():
+            assert edge.a is keys[edge.a] and edge.b is keys[edge.b]
+            assert a is edge.a and b is edge.b
+
+
+def counted_map_objects(monkeypatch):
+    """Record every node, pose and edge the lattice map makes, and every map it returns."""
+    counts = {"add_node": 0, "_pose6": 0, "add_edge": 0}
+    built = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(sim.TopoMap, "add_node")
+    counting(sim.TopoMap, "add_edge")
+    counting(sim, "_pose6")
+    build = sim._build_lattice_map
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "_build_lattice_map", recording)
+    return counts, built
+
+
+def test_rejected_candidate_builds_no_map_objects(monkeypatch):
+    counts, built = counted_map_objects(monkeypatch)
+    # seed 0 at 48 rejects its first candidate: its node graph is disconnected
+    world = sim.generate_world(0, 48)
+    assert len(built) == 2 and built[0] is None and built[1] is world.map
+    assert counts["add_node"] == len(world.map.nodes)
+    assert counts["add_edge"] == len(world.map.edges)
+    # one pose per node and one per distinct link offset
+    offsets = {e.relative_pose.position for e in world.map.edges.values()}
+    assert counts["_pose6"] == len(world.map.nodes) + len(offsets)
+    assert len({id(e.relative_pose) for e in world.map.edges.values()}) == len(offsets)
+
+
+@pytest.mark.parametrize("rooms", [False, True], ids=["three-nodes", "two-rooms"])
+def test_rejected_lattice_returns_none(monkeypatch, rooms):
+    # lattice points every 4 cells; the border holds none
+    occ = np.ones((12, 20) if rooms else (6, 16), dtype=bool)
+    occ[1:-1, 1:-1] = False
+    if rooms:
+        occ[:, 9:11] = True  # a wall with no door
+    grid2 = Grid(occ, 0.25)
+    counts, _ = counted_map_objects(monkeypatch)
+    assert sim._build_lattice_map(grid2, planner.distance_field(grid2), node_clearance=0.1) is None
+    assert counts == {"add_node": 0, "_pose6": 0, "add_edge": 0}
+    if rooms:
+        # with the wall gone, the same eight nodes form one graph
+        occ[:, 9:11] = False
+        topo = sim._build_lattice_map(grid2, planner.distance_field(grid2), node_clearance=0.1)
+        assert len(topo.nodes) == 8 and counts["add_node"] == 8
 
 
 def test_lattice_map_makes_two_lookups(world, monkeypatch):
