@@ -56,3 +56,30 @@ def read_json(path, error: type[AstraError]):
 def is_finite_number(value) -> bool:
     """Whether an input value is a finite real number; a bool is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# The rules of `check_fields`, by the words its messages use.
+_RULES = {
+    "an integer >= 1": lambda v: _is_integer(v) and v >= 1,
+    "an integer >= 0": lambda v: _is_integer(v) and v >= 0,
+    "positive and finite": lambda v: is_finite_number(v) and v > 0,
+    "finite and >= 0": lambda v: is_finite_number(v) and v >= 0,
+    "within [0, 1]": lambda v: is_finite_number(v) and 0 <= v <= 1,
+    "true or false": lambda v: isinstance(v, bool),
+    "a list of integers >= 1": lambda v: isinstance(v, (list, tuple))
+    and all(_is_integer(h) and h >= 1 for h in v),
+}
+
+
+def check_fields(obj, error: type[AstraError], rule: str, *names) -> None:
+    """Raise `error` naming the first of the fields `names` of `obj` whose value
+    breaks `rule`, one of the keys of `_RULES`."""
+    ok = _RULES[rule]
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise error(f"{name} must be {rule}, got {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError
+from .errors import AstraError, check_fields
 from .geom import Pose2, PoseTrajectory, compose_se2, wrap_angle
 
 
@@ -49,9 +49,8 @@ class FusionWeights:
     vision_rot: float = 0.2
 
     def __post_init__(self):
-        for name in ("wheel_trans", "vision_trans", "wheel_rot", "imu_rot", "vision_rot"):
-            if getattr(self, name) < 0:
-                raise OdometryError(f"fusion weight {name} must be >= 0")
+        check_fields(self, OdometryError, "finite and >= 0",
+                     "wheel_trans", "vision_trans", "wheel_rot", "imu_rot", "vision_rot")
 
 
 def fuse_increment(
@@ -110,14 +109,12 @@ def _segment_ends(cum: np.ndarray, length: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def traj_metrics(
-    est: PoseTrajectory, gt: PoseTrajectory, segment_length: float = 10.0
-) -> dict[str, float]:
+def traj_metrics(est: PoseTrajectory, gt: PoseTrajectory) -> dict[str, float]:
     """ATE (m), RTE (%), RRE (deg / 10 m) between an estimate and ground truth.
 
     Relative errors compare per-segment increments expressed in the segment's
     start frame, so a rigid start offset scores zero. Trajectories shorter
-    than the segment length fall back to a single whole-span segment.
+    than 10 m fall back to a single whole-span segment.
     """
     if len(est) != len(gt):
         raise OdometryError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
@@ -130,7 +127,7 @@ def traj_metrics(
     if cum[-1] <= 0:
         raise OdometryError("ground-truth path length must be positive")
     ate = float(np.sqrt(np.mean(np.sum((e[:, :2] - g[:, :2]) ** 2, axis=1))))
-    pairs = _segment_ends(cum, segment_length)
+    pairs = _segment_ends(cum, 10.0)
     if not pairs:
         pairs = [(0, len(gt) - 1)]
     rte_terms = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AstraError, read_json
+from .errors import AstraError, check_fields, read_json
 from .esdf import Grid, _bilinear, edt, sample_bilinear, signed_esdf, stack_fields
 from .geom import ActionTrajectory, Pose2, PoseTrajectory, actions_to_poses
 
@@ -100,13 +100,10 @@ class VectorFieldModel:
     `biases[i]` are views into it.
     """
 
-    def __init__(self, layer_sizes, weights, biases, n_actions, cond_dim, activation="tanh"):
-        if activation != "tanh":
-            raise PlannerError(f"unsupported activation: {activation!r}")
+    def __init__(self, layer_sizes, weights, biases, n_actions, cond_dim):
         self.layer_sizes = list(layer_sizes)
         self.n_actions = int(n_actions)
         self.cond_dim = int(cond_dim)
-        self.activation = activation
         expect_in = 3 * self.n_actions + 1 + self.cond_dim
         if self.layer_sizes[0] != expect_in or self.layer_sizes[-1] != 3 * self.n_actions:
             raise ShapeMismatchError(
@@ -186,7 +183,7 @@ class VectorFieldModel:
     def save(self, path) -> None:
         doc = {
             "layer_sizes": self.layer_sizes,
-            "activation": self.activation,
+            "activation": "tanh",
             "n_actions": self.n_actions,
             "cond_dim": self.cond_dim,
             "weights": self.params.tolist(),
@@ -199,6 +196,8 @@ class VectorFieldModel:
     def load(cls, path) -> "VectorFieldModel":
         doc = read_json(path, PlannerError)
         try:
+            if doc.get("activation", "tanh") != "tanh":
+                raise PlannerError(f"{path}: unsupported activation: {doc['activation']!r}")
             sizes = doc["layer_sizes"]
             model = cls(
                 sizes,
@@ -206,7 +205,6 @@ class VectorFieldModel:
                 [np.zeros(b) for b in sizes[1:]],
                 doc["n_actions"],
                 doc["cond_dim"],
-                doc.get("activation", "tanh"),
             )
             model.set_params(np.asarray(doc["weights"], dtype=float))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
@@ -387,6 +385,14 @@ def planning_loss(model: VectorFieldModel, samples, lam, rng):
 
 @dataclass
 class TrainConfig:
+    """Momentum-SGD settings of `train`. learning_rate: positive and finite.
+    momentum, esdf_lambda (loss per m of masked signed distance): finite and
+    >= 0. batch_size (samples per step), epochs: integers >= 1. seed: an
+    integer >= 0. hidden: a list of layer widths, integers >= 1. mask_alpha
+    (share of the field removed inside the mask, within [0, 1]) and
+    mask_dilation (mask radius in m, finite and >= 0) are read where a
+    dataset is masked."""
+
     learning_rate: float = 1e-3
     momentum: float = 0.9
     batch_size: int = 64
@@ -395,15 +401,15 @@ class TrainConfig:
     mask_alpha: float = 0.5
     mask_dilation: float = 0.3
     seed: int = 0
-    euler_steps: int = 20
-    n_actions: int = 16
     hidden: tuple[int, ...] = (128, 128, 128)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise PlannerError("learning rate, batch size, and epochs must be positive")
-        if self.esdf_lambda < 0 or not 0.0 <= self.mask_alpha <= 1.0:
-            raise PlannerError("esdf_lambda must be >= 0 and mask_alpha in [0, 1]")
+        check_fields(self, PlannerError, "positive and finite", "learning_rate")
+        check_fields(self, PlannerError, "finite and >= 0", "momentum", "esdf_lambda", "mask_dilation")
+        check_fields(self, PlannerError, "an integer >= 1", "batch_size", "epochs")
+        check_fields(self, PlannerError, "within [0, 1]", "mask_alpha")
+        check_fields(self, PlannerError, "an integer >= 0", "seed")
+        check_fields(self, PlannerError, "a list of integers >= 1", "hidden")
         self.hidden = tuple(int(h) for h in self.hidden)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AstraError
+from .errors import AstraError, check_fields
 from .geom import Pose2, wrap_angle
 from .localization import canonical_category
 
@@ -24,34 +24,33 @@ class RewardError(AstraError):
 
 @dataclass
 class RewardWeights:
-    decay: float = 1.0  # lambda of the extra-landmark credit, >= 0
+    """decay ("lambda" in a weights file; per m or rad of weighted pose error)
+    and covis_lambda (unitless weight of the co-visibility score): finite and
+    >= 0. w_d (on the distance in m) and w_theta (on the heading error in
+    rad): within [0, 1], summing to 1."""
+
+    decay: float = 1.0
     w_d: float = 0.5
     w_theta: float = 0.5
     covis_lambda: float = 1.0
 
     def __post_init__(self):
-        if self.decay < 0 or self.covis_lambda < 0:
-            raise RewardError("decay weights must be >= 0")
-        if not 0.0 <= self.w_d <= 1.0 or not 0.0 <= self.w_theta <= 1.0:
-            raise RewardError("w_d and w_theta must lie in [0, 1]")
+        check_fields(self, RewardError, "finite and >= 0", "decay", "covis_lambda")
+        check_fields(self, RewardError, "within [0, 1]", "w_d", "w_theta")
         if abs(self.w_d + self.w_theta - 1.0) > 1e-9:
             raise RewardError("w_d + w_theta must equal 1")
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "RewardWeights":
-        return cls(
-            decay=float(data.get("lambda", 1.0)),
-            w_d=float(data.get("w_d", 0.5)),
-            w_theta=float(data.get("w_theta", 0.5)),
-            covis_lambda=float(data.get("covis_lambda", 1.0)),
-        )
+        return cls(data.get("lambda", 1.0), data.get("w_d", 0.5),
+                   data.get("w_theta", 0.5), data.get("covis_lambda", 1.0))
 
 
-def canonical_landmark(category: str, attributes: dict[str, str] | None = None, synonyms=None):
+def canonical_landmark(category: str, attributes: dict[str, str] | None = None):
     """Frozen comparable form: (canonical category, sorted lowercased attribute pairs)."""
     attrs = attributes or {}
     return (
-        canonical_category(category, synonyms),
+        canonical_category(category),
         tuple(sorted((k.strip().lower(), v.strip().lower()) for k, v in attrs.items())),
     )
 

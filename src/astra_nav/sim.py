@@ -37,13 +37,12 @@ import functools
 import heapq
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError, is_finite_number, read_json, read_text
+from .errors import AstraError, check_fields, is_finite_number, read_json, read_text
 from .esdf import (
     Grid,
     compress_grid,
@@ -268,11 +267,9 @@ def _pairs_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
         label = new
 
 
-def _build_lattice_map(
-    grid2: Grid, dist: Grid, node_clearance: float, link_radius: float = 2.0
-) -> TopoMap | None:
+def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMap | None:
     """Nodes on a 1 m lattice over free space; lattice-neighbor edges plus
-    proximity links under link_radius, all requiring a clear straight segment.
+    proximity links under 2 m, all requiring a clear straight segment.
 
     One `sample_bilinear` call places every node and one `_segments_clear`
     call checks every candidate link. A lattice of fewer than 4 nodes, or
@@ -292,7 +289,7 @@ def _build_lattice_map(
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     sorted_ids = [ids[k] for k in by_id]
     sorted_xy = xy[by_id]
-    i, j = _link_pairs(sorted_xy, link_radius)
+    i, j = _link_pairs(sorted_xy, 2.0)
     clear = _segments_clear(dist, sorted_xy[i], sorted_xy[j], node_clearance)
     i, j = i[clear], j[clear]
     if len(ids) < 4 or not _pairs_connected(len(ids), i, j):
@@ -350,23 +347,8 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
         placed += 1
 
 
-def _extrude(occ2: np.ndarray, depth: int, rng) -> np.ndarray:
-    """Random per-column obstacle heights; the z-max collapses back to occ2."""
-    heights = rng.integers(1, depth + 1, size=occ2.shape)
-    occ3 = np.zeros((depth, *occ2.shape), dtype=bool)
-    for z in range(depth):
-        occ3[z] = occ2 & (heights > z)
-    return occ3
-
-
-def generate_world(
-    seed: int,
-    size: int = 48,
-    obstacle_density: float = 0.15,
-    landmark_count: int = 10,
-    resolution: float = 0.25,
-    depth: int = 3,
-) -> World:
+def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
+                   landmark_count: int = 10, resolution: float = 0.25) -> World:
     """Deterministic random world: bordered room with rectangular obstacles,
     connected free space, a connected node lattice, and wall-side landmarks."""
     if not 0.0 <= obstacle_density <= 0.4:
@@ -376,8 +358,6 @@ def generate_world(
     if landmark_count < 1:
         # start points are the landmark nodes, so no landmark means no world
         raise SimError(f"landmark count must be >= 1, got {landmark_count}")
-    if depth < 1:
-        raise SimError(f"depth must be at least 1, got {depth}")
     if not (is_finite_number(resolution) and resolution > 0):
         raise SimError(f"resolution must be positive and finite, got {resolution!r}")
     rng = np.random.default_rng(seed)
@@ -405,7 +385,9 @@ def generate_world(
         report = topo.validate()
         if not report.ok:
             raise SimError(f"generated map failed validation: {report.violations[:3]}")
-        grid3 = Grid(_extrude(occ2, depth, rng), resolution)
+        # random per-column obstacle heights of 1-3 levels; the z-max is occ2
+        heights = rng.integers(1, 4, size=occ2.shape)
+        grid3 = Grid(occ2 & (heights > np.arange(3)[:, None, None]), resolution)
         start_xy = [
             (n.pose.position[0], n.pose.position[1])
             for n in sorted(topo.nodes.values(), key=lambda n: n.id)
@@ -554,17 +536,11 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return points[j] + t[:, None] * seg[j]
 
 
-def oracle_plan(
-    world: World,
-    start: Pose2,
-    goal: Pose2,
-    footprint_radius: float = 0.3,
-    step: float = 0.25,
-    safety_margin: float = 0.25,
-) -> PoseTrajectory:
+def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float = 0.3,
+                step: float = 0.25) -> PoseTrajectory:
     """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, fixed-step
     resampling. Headings follow the local direction of travel; the first pose is
-    the exact start. Plans prefer footprint + margin clearance and retry at the
+    the exact start. Plans prefer footprint + 0.25 m clearance and retry at the
     bare footprint inflation before declaring the goal unreachable.
 
     Smoothing keeps the start and, from each kept point i, jumps to the
@@ -574,8 +550,7 @@ def oracle_plan(
     grid2 = world.grid2d()
     dist = world.dist_field()
     cells = None
-    clearance = footprint_radius + grid2.resolution
-    for margin in ((safety_margin, 0.0) if safety_margin > 0 else (0.0,)):
+    for margin in (0.25, 0.0):
         clearance = footprint_radius + grid2.resolution + margin
         grid = world.planning_grid(clearance)
         s_cell = grid.nearest_open(_to_cell(grid2, start.x, start.y))
@@ -607,8 +582,6 @@ def oracle_plan(
         dx, dy = dense[k] - dense[k - 1]
         heading = math.atan2(dy, dx) if (dx or dy) else poses[-1].theta
         poses.append(Pose2(dense[k][0], dense[k][1], heading))
-    if len(poses) == 1:
-        return PoseTrajectory((start,))
     return PoseTrajectory(tuple(poses))
 
 
@@ -633,6 +606,16 @@ def select_subgoal(path: PoseTrajectory, current: Pose2, lookahead: float) -> Po
 
 @dataclass
 class NavConfig:
+    """Settings of one navigation episode. In m, finite and >= 0:
+    goal_tolerance, lookahead (subgoal distance along the global path),
+    footprint_radius, fix_oracle_radius (reach of a global fix). Finite and
+    >= 0, per step: wheel_trans_sigma, exec_trans_sigma (fractions of the step
+    length), wheel_rot_sigma, imu_sigma, exec_rot_sigma (rad). Positive and
+    finite: max_step (m), budget_factor (steps per expert-path step, at least
+    60 in all). Integers >= 1: fix_every (steps between fixes), execute_steps
+    (per control cycle), euler_steps (per learned plan). planner: "model" or
+    "oracle"; fallback: true or false (the expert replaces colliding plans)."""
+
     goal_tolerance: float = 0.5
     lookahead: float = 2.0
     fix_every: int = 20
@@ -640,34 +623,25 @@ class NavConfig:
     budget_factor: float = 10.0
     footprint_radius: float = 0.3
     max_step: float = 0.25
-    wheel_trans_sigma: float = 0.02  # fraction of the step length
+    wheel_trans_sigma: float = 0.02
     wheel_rot_sigma: float = 0.01
     imu_sigma: float = 0.005
     exec_trans_sigma: float = 0.02
     exec_rot_sigma: float = 0.01
     fix_oracle_radius: float = 0.8
-    planner: str = "model"  # "model" | "oracle"
+    planner: str = "model"
     fallback: bool = True
     euler_steps: int = 20
-    seed: int = 0
 
     def __post_init__(self):
-        def check(names, ok, rule):
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise SimError(f"{name} must be {rule}, got {value!r}")
-
-        check(("execute_steps", "fix_every", "euler_steps"),
-              lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-              "an integer >= 1")
-        check(("max_step", "budget_factor"),
-              lambda v: is_finite_number(v) and v > 0, "positive and finite")
-        check(("footprint_radius", "goal_tolerance", "lookahead", "fix_oracle_radius",
-               "wheel_trans_sigma", "wheel_rot_sigma", "imu_sigma",
-               "exec_trans_sigma", "exec_rot_sigma"),
-              lambda v: is_finite_number(v) and v >= 0, "finite and >= 0")
-        check(("planner",), lambda v: v in ("model", "oracle"), "'model' or 'oracle'")
+        check_fields(self, SimError, "an integer >= 1", "execute_steps", "fix_every", "euler_steps")
+        check_fields(self, SimError, "positive and finite", "max_step", "budget_factor")
+        check_fields(self, SimError, "finite and >= 0", "footprint_radius", "goal_tolerance",
+                     "lookahead", "fix_oracle_radius", "wheel_trans_sigma", "wheel_rot_sigma",
+                     "imu_sigma", "exec_trans_sigma", "exec_rot_sigma")
+        check_fields(self, SimError, "true or false", "fallback")
+        if self.planner not in ("model", "oracle"):
+            raise SimError(f"planner must be 'model' or 'oracle', got {self.planner!r}")
 
 
 @dataclass
@@ -694,15 +668,16 @@ class EpisodeReport:
         }
 
 
-def observations_at(world: World, pose: Pose2, max_range: float = 6.0):
-    """Noiseless landmark observations from the nearest landmark-bearing node."""
+def observations_at(world: World, pose: Pose2):
+    """Noiseless landmark observations from the nearest landmark-bearing node
+    within 6 m."""
     best = None
     for nid in sorted(world.map.nodes):
         node = world.map.nodes[nid]
         if not node.landmark_ids:
             continue
         d = math.hypot(node.pose.position[0] - pose.x, node.pose.position[1] - pose.y)
-        if d <= max_range and (best is None or d < best[0]):
+        if d <= 6.0 and (best is None or d < best[0]):
             best = (d, nid)
     if best is None:
         return []
@@ -746,7 +721,7 @@ def _clip_action(a: np.ndarray, max_step: float) -> np.ndarray:
     if norm > max_step:
         out[0] *= max_step / norm
         out[1] *= max_step / norm
-    out[2] = float(np.clip(out[2], -0.5, 0.5))
+    out[2] = min(max(out[2], -0.5), 0.5)
     return out
 
 
@@ -809,10 +784,7 @@ def run_episode(
     def goal_distance() -> float:
         return math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
 
-    while executed < budget:
-        if goal_distance() <= config.goal_tolerance:
-            report.success, report.reason = True, "reached"
-            break
+    while executed < budget and goal_distance() > config.goal_tolerance:
         subgoal = select_subgoal(global_path, est_pose, config.lookahead)
         actions = None
         if config.planner == "model" and model is not None:
@@ -890,8 +862,6 @@ def run_episode(
             if stall >= stall_limit:
                 report.reason = "stuck"
                 break
-        if report.success or report.reason == "stuck":
-            break
 
     if goal_distance() <= config.goal_tolerance:
         report.success, report.reason = True, "reached"

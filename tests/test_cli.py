@@ -312,6 +312,7 @@ BAD_NAV_CONFIGS = {
     "imu-sigma-negative": {"imu_sigma": -0.01},
     "exec-rot-sigma-bool": {"exec_rot_sigma": True},
     "planner-unknown": {"planner": "random"},
+    "fallback-string": {"fallback": "no"},
 }
 
 
@@ -327,6 +328,84 @@ def test_bad_nav_config_exits_1(files, capsys, name, verb):
         code, out, err = run(capsys, "sim", verb, *where, "--config", path)
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "SimError"
+
+
+# Train configs that name only known keys but hold values training cannot run
+# with; unchecked, each ended in a traceback or trained with a coerced value.
+BAD_TRAIN_CONFIGS = {
+    "learning-rate-string": {"learning_rate": "x"},
+    "learning-rate-nan": {"learning_rate": float("nan")},
+    "epochs-float": {"epochs": 2.5},
+    "batch-size-bool": {"batch_size": True},
+    "hidden-string": {"hidden": "ab"},
+    "hidden-0": {"hidden": [0]},
+    "momentum-string": {"momentum": "m"},
+    "esdf-lambda-null": {"esdf_lambda": None},
+    "seed-negative": {"seed": -1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TRAIN_CONFIGS))
+def test_bad_train_config_exits_1(files, capsys, name):
+    path = files["root"] / f"train-{name}.json"
+    path.write_text(json.dumps({"epochs": 1, "batch_size": 4, "hidden": [8], **BAD_TRAIN_CONFIGS[name]}))
+    out_file = files["root"] / f"train-{name}-model.json"
+    with time_limit(60.0):
+        code, out, err = run(capsys, "plan", "train", "--data", files["data.jsonl"], "--config", path,
+                             "--out", out_file)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "PlannerError"
+    assert not out_file.exists()
+
+
+def _train_to(f):
+    return ("plan", "train", "--data", f["data.jsonl"], "--out", f["root"] / "removed-key.json")
+
+
+# Keys that configs once accepted and then ignored: (config kind, key, value, command).
+REMOVED_KEYS = {
+    "sim-run-seed": ("nav", "seed", 5, lambda f: ("sim", "run", "--world", f["world"], "--goal", f["goal.json"])),
+    "sim-eval-seed": ("nav", "seed", 5, lambda f: ("sim", "eval", "--worlds", f["worlds"], "--episodes", 1)),
+    "plan-train-n-actions": ("train", "n_actions", 8, _train_to),
+    "plan-train-euler-steps": ("train", "euler_steps", 5, _train_to),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_KEYS))
+def test_removed_config_key_exits_1(files, capsys, name):
+    where, key, value, command = REMOVED_KEYS[name]
+    path = files["root"] / f"removed-{name}.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, *command(files), "--config", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err) == {"error": "UnknownConfigKeyError", "message": f"unknown {where} config key: {key!r}"}
+    assert not (files["root"] / "removed-key.json").exists()
+
+
+@pytest.mark.parametrize("weights", [{"lambda": float("nan")}, {"covis_lambda": float("inf")}],
+                         ids=["lambda-nan", "covis-lambda-inf"])
+def test_non_finite_reward_weights_exit_1(files, capsys, weights):
+    path = files["root"] / "weights.json"
+    path.write_text(json.dumps(weights))
+    pred = files["root"] / "pred-covis.json"
+    gt = files["root"] / "gt-covis.json"
+    pred.write_text(json.dumps({**json.loads(files["pred.json"].read_text()), "covis": 0.5}))
+    gt.write_text(json.dumps({**json.loads(files["gt.json"].read_text()), "covis": 0.75}))
+    code, out, err = run(capsys, "reward", "eval", "--pred", pred, "--gt", gt, "--weights", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "RewardError"
+    assert out == ""
+
+
+def test_model_file_with_other_activation_exits_1(files, capsys):
+    doc = json.loads(files["model.json"].read_text())
+    assert doc["activation"] == "tanh"
+    path = files["root"] / "relu-model.json"
+    path.write_text(json.dumps({**doc, "activation": "relu"}))
+    code, out, err = run(capsys, "plan", "sample", "--model", path, "--cond", files["cond.json"])
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "PlannerError"
+    assert "unsupported activation: 'relu'" in json.loads(err)["message"]
 
 
 # Search radii that never widen (0, NaN) or never stop (inf) looped forever.
@@ -372,9 +451,9 @@ def test_too_small_world_exits_1(files, capsys, size):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"landmark_count": -1}, {"landmark_count": 0}, {"depth": 0}, {"resolution": 0.0},
+    [{"landmark_count": -1}, {"landmark_count": 0}, {"resolution": 0.0},
      {"resolution": -0.25}, {"resolution": float("nan")}, {"resolution": float("inf")}],
-    ids=["landmarks-negative", "landmarks-0", "depth-0", "resolution-0", "resolution-negative",
+    ids=["landmarks-negative", "landmarks-0", "resolution-0", "resolution-negative",
          "resolution-nan", "resolution-inf"],
 )
 def test_generate_world_rejects_bad_parameters(kwargs):

@@ -277,9 +277,7 @@ class TestTrain:
     def test_determinism(self):
         rng = np.random.default_rng(9)
         dataset = tiny_samples(rng, count=8)
-        config = TrainConfig(
-            epochs=5, batch_size=4, hidden=(8,), seed=3, esdf_lambda=0.1, n_actions=2
-        )
+        config = TrainConfig(epochs=5, batch_size=4, hidden=(8,), seed=3, esdf_lambda=0.1)
         m1, log1 = train(dataset, config)
         m2, log2 = train(dataset, config)
         np.testing.assert_array_equal(m1.get_params(), m2.get_params())
@@ -298,7 +296,6 @@ class TestTrain:
             hidden=(64, 64),
             seed=0,
             esdf_lambda=0.0,
-            n_actions=2,
         )
         model, log = train(dataset, config)
         assert math.isfinite(log[-1]["cfm"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -647,6 +648,44 @@ def eval_model(worlds48):
     data = sim.build_planning_dataset(worlds48, 8, seed=0)
     model, _ = planner.train(data, planner.TrainConfig(epochs=40, hidden=(32, 32), seed=0))
     return model
+
+
+@pytest.mark.parametrize("heading", [0.7, -0.7, 0.3, 0.5, -0.5, 0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_clip_action_clamps_heading_as_np_clip(heading):
+    got = sim._clip_action(np.array([0.3, 0.4, heading]), 0.25)
+    want = np.array([0.15, 0.2, np.clip(heading, -0.5, 0.5)])
+    assert got.tobytes() == want.tobytes()
+
+
+class RecordingConfig:
+    """Stands in for a config object and records the name of every field read."""
+
+    def __init__(self, config):
+        self.config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.config, name)
+
+
+# config fields the library calls below do not read, each with where it is read
+READ_ELSEWHERE = {
+    "mask_alpha": "`plan train` passes it to sim.load_dataset, which masks the fields",
+    "mask_dilation": "`plan train` passes it to sim.load_dataset, which masks the fields",
+}
+
+
+def test_every_config_field_is_read(worlds48, eval_model):
+    nav = RecordingConfig(sim.NavConfig(planner="model"))
+    sim.eval_suite(worlds48, 3, nav, eval_model, 0)
+    train = RecordingConfig(planner.TrainConfig(epochs=1, batch_size=4, hidden=(8,)))
+    planner.train(sim.build_planning_dataset(worlds48[:1], 4, n_actions=4, seed=0), train)
+    unread = {
+        type(r.config).__name__: {f.name for f in dataclasses.fields(r.config)} - r.read - set(READ_ELSEWHERE)
+        for r in (nav, train)
+    }
+    assert unread == {"NavConfig": set(), "TrainConfig": set()}
 
 
 @pytest.mark.parametrize("footprint", [0.05, 0.3])
