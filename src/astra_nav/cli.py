@@ -20,6 +20,7 @@ from .errors import (
     InputFileError,
     UnknownConfigKeyError,
     is_finite_number,
+    is_finite_triple,
     read_json,
     read_text,
 )
@@ -51,19 +52,12 @@ def _load_json(path, parse=lambda doc: doc):
         raise InputFileError(f"{path}: unexpected content: {e!r}") from e
 
 
-def _pose(value) -> Pose2:
-    """A JSON pose: a list of three finite numbers [x, y, theta]. Anything else
-    raises ValueError, which `_load_json` reports as InputFileError."""
-    if not (isinstance(value, list) and len(value) == 3 and all(map(is_finite_number, value))):
-        raise ValueError(f"a pose must be three finite numbers [x, y, theta], got {value!r}")
-    return Pose2(*value)
-
-
 def _poses(value) -> list[Pose2]:
-    """A JSON list of poses, each checked by `_pose`."""
+    """A JSON list of poses, each checked by `Pose2.from_jsonable`, whose
+    ValueError `_load_json` reports as InputFileError."""
     if not isinstance(value, list):
         raise ValueError(f"expected a list of poses, got {value!r}")
-    return [_pose(p) for p in value]
+    return [Pose2.from_jsonable(p) for p in value]
 
 
 def _goal(doc):
@@ -74,7 +68,7 @@ def _goal(doc):
         if not isinstance(text, str) or not text.strip():
             raise ValueError("goal instruction must be a non-empty string")
         return text
-    return _pose(doc["pose"])
+    return Pose2.from_jsonable(doc["pose"])
 
 
 def _load_flat_config(path, cls, where: str):
@@ -123,10 +117,7 @@ def _cmd_localize(args) -> int:
         if args.oracle == "gt"
         else localization.heuristic_oracle
     )
-    config = localization.LocalizationConfig()
-    if args.fine_mode:
-        config.fine_mode = args.fine_mode
-    result = localization.localize(observations, ctx, topo, config, oracle)
+    result = localization.localize(observations, ctx, topo, oracle, args.fine_mode)
     _emit(result.to_jsonable())
     return 0
 
@@ -159,7 +150,7 @@ def _coarse_truth(gt):
     truth = rewards.CoarseGroundTruth(
         {rewards.canonical_landmark(c, dict(a)) for c, a in gt.get("landmarks", [])},
         set(gt.get("ids", [])),
-        _pose(gt["pose"]) if gt.get("pose") is not None else None,
+        Pose2.from_jsonable(gt["pose"]) if gt.get("pose") is not None else None,
     )
     return truth, _covis(gt)
 
@@ -220,6 +211,21 @@ def _cmd_plan_eval(args) -> int:
     return 0
 
 
+def _increment(rec) -> odometry.SensorIncrement:
+    """A log record: "wheel" and "vision" hold three finite numbers [dx, dy,
+    dtheta] and "imu_dtheta" one finite number, each absent or null when the
+    sensor gave nothing. Other keys are ignored. A bad value raises ValueError."""
+    values = []
+    for key, ok, form in (("wheel", is_finite_triple, "three finite numbers"),
+                          ("imu_dtheta", is_finite_number, "a finite number"),
+                          ("vision", is_finite_triple, "three finite numbers")):
+        value = rec.get(key)
+        if value is not None and not ok(value):
+            raise ValueError(f"{key} must be {form}, got {value!r}")
+        values.append(tuple(value) if isinstance(value, list) else value)
+    return odometry.SensorIncrement(*values)
+
+
 def _cmd_odom_eval(args) -> int:
     increments = []
     lines = read_text(args.log, odometry.OdometryError).split("\n")
@@ -227,16 +233,8 @@ def _cmd_odom_eval(args) -> int:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            increments.append(
-                odometry.SensorIncrement(
-                    rec.get("dt", 0.1),
-                    tuple(rec["wheel"]) if rec.get("wheel") is not None else None,
-                    rec.get("imu_dtheta"),
-                    tuple(rec["vision"]) if rec.get("vision") is not None else None,
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            increments.append(_increment(json.loads(line)))
+        except (AttributeError, ValueError) as e:
             raise odometry.OdometryError(f"{args.log}:{line_no}: malformed record: {e!r}") from e
     gt = _load_json(args.gt, PoseTrajectory.from_jsonable)
     if len(gt) == 0:
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--oracle", choices=["gt", "heuristic"], default="heuristic")
-    p.add_argument("--fine-mode", choices=["weighted", "nearest"], default=None)
+    p.add_argument("--fine-mode", choices=["weighted", "nearest"], default="weighted")
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("goal", help="language-based goal localization")

@@ -54,8 +54,20 @@ def read_json(path, error: type[AstraError]):
 
 
 def is_finite_number(value) -> bool:
-    """Whether an input value is a finite real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """Whether an input value is a finite real number; a bool is not one, nor
+    an integer too large for a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def is_finite_triple(value) -> bool:
+    """Whether an input value is a list of three finite numbers, the JSON form
+    of a pose [x, y, theta] and of a sensor increment [dx, dy, dtheta]."""
+    return isinstance(value, list) and len(value) == 3 and all(map(is_finite_number, value))
 
 
 def _is_integer(value) -> bool:

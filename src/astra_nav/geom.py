@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import is_finite_triple
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -38,6 +40,14 @@ class Pose2:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+
+    @classmethod
+    def from_jsonable(cls, value) -> "Pose2":
+        """A JSON pose: a list of three finite numbers [x, y, theta]. Anything
+        else raises ValueError."""
+        if not is_finite_triple(value):
+            raise ValueError(f"a pose must be three finite numbers [x, y, theta], got {value!r}")
+        return cls(*value)
 
     def inverse(self) -> "Pose2":
         c, s = math.cos(self.theta), math.sin(self.theta)

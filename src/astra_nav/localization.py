@@ -8,6 +8,12 @@ the fine stage estimates the query pose from the reference poses, either
 as a score-softmax-weighted circular mean or by snapping to the best
 reference.
 
+The thresholds are fixed: an observation matches a landmark when
+0.6 * category agreement + 0.4 * attribute agreement reaches 0.6; a
+candidate node passes the filter at an oracle score of 0.5 or more; each
+passing node adds its 3 nearest map nodes under position distance plus
+0.5 m per radian of heading difference; the softmax runs at temperature 1.
+
 The detector and co-visibility scorer that would normally come from a
 large vision-language model are adapter inputs here: observations are
 plain data, and any callable (query_ctx, node) -> score in [0, 1] can act
@@ -29,8 +35,15 @@ from .topomap import MapNode, TopoMap
 
 log = logging.getLogger(__name__)
 
+_CATEGORY_WEIGHT = 0.6
+_ATTRIBUTE_WEIGHT = 0.4
+_MATCH_THRESHOLD = 0.6
+_FILTER_THRESHOLD = 0.5
+_REF_K = 3
+_ANGLE_BETA = 0.5  # m of penalty per radian of heading difference
+
 # Indoor category aliases mapped to a canonical name.
-DEFAULT_SYNONYMS: dict[str, str] = {
+_SYNONYMS: dict[str, str] = {
     "couch": "sofa",
     "settee": "sofa",
     "television": "tv",
@@ -105,19 +118,6 @@ class LocalizationResult:
         }
 
 
-@dataclass
-class LocalizationConfig:
-    match_threshold: float = 0.6
-    category_weight: float = 0.6
-    attribute_weight: float = 0.4
-    filter_threshold: float = 0.5
-    ref_k: int = 3
-    angle_beta: float = 0.5  # meters of penalty per radian of orientation difference
-    fine_mode: str = "weighted"  # "weighted" | "nearest"
-    softmax_temperature: float = 1.0
-    synonyms: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_SYNONYMS))
-
-
 class LocalizationError(AstraError):
     pass
 
@@ -126,10 +126,9 @@ class GoalNotFoundError(AstraError):
     """No landmark matched the instruction within the maximum search radius."""
 
 
-def canonical_category(category: str, synonyms: dict[str, str] | None = None) -> str:
+def canonical_category(category: str) -> str:
     c = category.strip().lower()
-    table = DEFAULT_SYNONYMS if synonyms is None else synonyms
-    return table.get(c, c)
+    return _SYNONYMS.get(c, c)
 
 
 def attribute_similarity(a: dict[str, str], b: dict[str, str]) -> float:
@@ -145,19 +144,17 @@ def attribute_similarity(a: dict[str, str], b: dict[str, str]) -> float:
     return hits / len(keys)
 
 
-def match_landmarks(
-    query: list[LandmarkObservation], topo: TopoMap, config: LocalizationConfig
-) -> list[LandmarkMatch]:
-    """Score every (observation, registry landmark) pair; keep scores >= threshold."""
+def match_landmarks(query: list[LandmarkObservation], topo: TopoMap) -> list[LandmarkMatch]:
+    """Score every (observation, registry landmark) pair; keep scores >= _MATCH_THRESHOLD."""
     matches = []
     for idx, obs in enumerate(query):
-        obs_cat = canonical_category(obs.category, config.synonyms)
+        obs_cat = canonical_category(obs.category)
         for lid in sorted(topo.landmarks):
             lm = topo.landmarks[lid]
-            cat_sim = 1.0 if canonical_category(lm.category, config.synonyms) == obs_cat else 0.0
+            cat_sim = 1.0 if canonical_category(lm.category) == obs_cat else 0.0
             attr_sim = attribute_similarity(obs.visual_attributes, lm.visual_attributes)
-            score = config.category_weight * cat_sim + config.attribute_weight * attr_sim
-            if score >= config.match_threshold:
+            score = _CATEGORY_WEIGHT * cat_sim + _ATTRIBUTE_WEIGHT * attr_sim
+            if score >= _MATCH_THRESHOLD:
                 matches.append(LandmarkMatch(idx, lid, score))
     return matches
 
@@ -171,18 +168,12 @@ def candidate_nodes(topo: TopoMap, matches: list[LandmarkMatch]) -> set[str]:
 
 
 def visual_filter(
-    query_ctx: QueryContext,
-    candidates: set[str],
-    oracle: CovisOracle,
-    topo: TopoMap,
-    threshold: float,
+    query_ctx: QueryContext, candidates: set[str], oracle: CovisOracle, topo: TopoMap
 ) -> set[str]:
-    """Keep candidates whose co-visibility score reaches the threshold.
+    """Keep candidates whose co-visibility score reaches _FILTER_THRESHOLD.
 
     An oracle failure on a node drops that node and logs a warning.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("filter threshold must lie in [0, 1]")
     kept = set()
     for nid in sorted(candidates):
         try:
@@ -190,20 +181,17 @@ def visual_filter(
         except Exception as e:  # noqa: BLE001 - adapter boundary
             log.warning("co-visibility oracle failed on node %s: %s", nid, e)
             continue
-        if score >= threshold:
+        if score >= _FILTER_THRESHOLD:
             kept.add(nid)
     return kept
 
 
-def sample_reference_nodes(
-    topo: TopoMap, candidates: set[str], k: int, angle_beta: float = 0.5
-) -> list[str]:
-    """k nearest map nodes per candidate under d_pos + beta * d_angle, deduplicated.
+def sample_reference_nodes(topo: TopoMap, candidates: set[str]) -> list[str]:
+    """_REF_K nearest map nodes per candidate under d_pos + _ANGLE_BETA * d_angle,
+    deduplicated.
 
     Ties break on node id; the result is the sorted union.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     refs: set[str] = set()
     all_nodes = sorted(topo.nodes)
     for cid in sorted(candidates):
@@ -213,11 +201,11 @@ def sample_reference_nodes(
             all_nodes,
             key=lambda nid: (
                 float(np.linalg.norm(np.asarray(topo.nodes[nid].pose.position) - cpos))
-                + angle_beta * cand.pose.angle_to(topo.nodes[nid].pose),
+                + _ANGLE_BETA * cand.pose.angle_to(topo.nodes[nid].pose),
                 nid,
             ),
         )
-        refs.update(ranked[:k])
+        refs.update(ranked[:_REF_K])
     return sorted(refs)
 
 
@@ -227,11 +215,10 @@ def fine_localize(
     oracle: CovisOracle,
     topo: TopoMap,
     mode: str = "weighted",
-    temperature: float = 1.0,
 ) -> tuple[Pose2, float]:
     """Estimate the query pose from scored reference poses.
 
-    weighted: softmax(score/T)-weighted mean of planar positions with a
+    weighted: softmax(score)-weighted mean of planar positions with a
     circular mean for headings. nearest: the pose of the best-scoring
     reference. Confidence is the maximum oracle score either way.
     """
@@ -246,7 +233,7 @@ def fine_localize(
         return poses[best], confidence
     if mode != "weighted":
         raise ValueError(f"unknown fine localization mode: {mode!r}")
-    w = np.exp(scores / temperature)
+    w = np.exp(scores)
     w /= w.sum()
     x = float(np.dot(w, [p.x for p in poses]))
     y = float(np.dot(w, [p.y for p in poses]))
@@ -261,19 +248,18 @@ def localize(
     query: list[LandmarkObservation],
     query_ctx: QueryContext,
     topo: TopoMap,
-    config: LocalizationConfig,
     oracle: CovisOracle,
+    fine_mode: str = "weighted",
 ) -> LocalizationResult:
-    """Full coarse-to-fine pipeline; degrades to a confidence-0 result when empty."""
-    matches = match_landmarks(query, topo, config)
+    """Full coarse-to-fine pipeline; degrades to a confidence-0 result when empty.
+    fine_mode is "weighted" or "nearest" (see `fine_localize`)."""
+    matches = match_landmarks(query, topo)
     candidates = candidate_nodes(topo, matches)
-    filtered = visual_filter(query_ctx, candidates, oracle, topo, config.filter_threshold)
+    filtered = visual_filter(query_ctx, candidates, oracle, topo)
     if not filtered:
         return LocalizationResult(candidates, filtered, [], None, 0.0)
-    refs = sample_reference_nodes(topo, filtered, config.ref_k, config.angle_beta)
-    pose, confidence = fine_localize(
-        query_ctx, refs, oracle, topo, config.fine_mode, config.softmax_temperature
-    )
+    refs = sample_reference_nodes(topo, filtered)
+    pose, confidence = fine_localize(query_ctx, refs, oracle, topo, fine_mode)
     return LocalizationResult(candidates, filtered, refs, pose, confidence)
 
 
@@ -387,7 +373,7 @@ def load_query(path) -> tuple[QueryContext, list[LandmarkObservation]]:
     data = read_json(path, LocalizationError)
     try:
         ctx_raw = data.get("query_ctx", {})
-        pose = Pose2(*ctx_raw["pose"]) if ctx_raw.get("pose") is not None else None
+        pose = Pose2.from_jsonable(ctx_raw["pose"]) if ctx_raw.get("pose") is not None else None
         ctx = QueryContext(pose, set(ctx_raw.get("landmark_ids", [])))
         return ctx, parse_extractor_response(data)
     except (AttributeError, KeyError, TypeError, ValueError) as e:

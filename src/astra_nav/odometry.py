@@ -28,16 +28,11 @@ class OdometryError(AstraError):
 @dataclass
 class SensorIncrement:
     """One fusion step: wheel (dx, dy, dtheta), gyro heading increment, optional
-    visual-odometry (dx, dy, dtheta); dt in seconds."""
+    visual-odometry (dx, dy, dtheta)."""
 
-    dt: float
     wheel: tuple[float, float, float] | None = None
     imu_dtheta: float | None = None
     vision: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise OdometryError("increment dt must be positive")
 
 
 @dataclass

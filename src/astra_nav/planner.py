@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AstraError, check_fields, read_json
-from .esdf import Grid, _bilinear, edt, sample_bilinear, signed_esdf, stack_fields
+from .esdf import Grid, _bilinear, edt, sample_bilinear, stack_fields
 from .geom import ActionTrajectory, Pose2, PoseTrajectory, actions_to_poses
 
 
@@ -391,7 +391,8 @@ class TrainConfig:
     integer >= 0. hidden: a list of layer widths, integers >= 1. mask_alpha
     (share of the field removed inside the mask, within [0, 1]) and
     mask_dilation (mask radius in m, finite and >= 0) are read where a
-    dataset is masked."""
+    dataset is masked: `plan train` passes them to `sim.load_dataset`, and
+    `sim.build_planning_dataset` masks at their defaults."""
 
     learning_rate: float = 1e-3
     momentum: float = 0.9
@@ -532,20 +533,17 @@ def collision_check(
     return bool((vals < footprint_radius).any())
 
 
-def occupancy_features(
-    grid: Grid,
-    pose: Pose2,
-    phi: Grid | None = None,
-    extent: float = 2.0,
-    cells: int = 16,
-) -> np.ndarray:
-    """Default condition encoding: an ego-aligned cells x cells occupancy patch
-    covering [-extent, extent]^2 around the pose (outside-grid points count as
-    occupied), plus the mean signed distance over the pose's 8-neighborhood."""
-    if phi is None:
-        phi = signed_esdf(grid)
-    step = 2.0 * extent / cells
-    offs = -extent + step * (np.arange(cells) + 0.5)
+_PATCH_EXTENT = 2.0  # m from the pose to each side of the occupancy patch
+_PATCH_CELLS = 16  # patch cells per side
+
+
+def occupancy_features(grid: Grid, pose: Pose2, phi: Grid) -> np.ndarray:
+    """The condition encoding: an ego-aligned _PATCH_CELLS x _PATCH_CELLS
+    occupancy patch covering [-_PATCH_EXTENT, _PATCH_EXTENT]^2 around the pose
+    (outside-grid points count as occupied), plus the mean of the signed field
+    `phi` over the pose's 8-neighborhood."""
+    step = 2.0 * _PATCH_EXTENT / _PATCH_CELLS
+    offs = -_PATCH_EXTENT + step * (np.arange(_PATCH_CELLS) + 0.5)
     u, v = np.meshgrid(offs, offs)
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     wx = pose.x + c * u - s * v

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AstraError, check_fields
+from .errors import AstraError, UnknownConfigKeyError, check_fields
 from .geom import Pose2, wrap_angle
 from .localization import canonical_category
 
@@ -42,8 +42,14 @@ class RewardWeights:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "RewardWeights":
-        return cls(data.get("lambda", 1.0), data.get("w_d", 0.5),
-                   data.get("w_theta", 0.5), data.get("covis_lambda", 1.0))
+        """Weights from a JSON object whose keys are among "lambda", "w_d",
+        "w_theta" and "covis_lambda"; any other key raises UnknownConfigKeyError."""
+        weights = cls(data.get("lambda", 1.0), data.get("w_d", 0.5),
+                      data.get("w_theta", 0.5), data.get("covis_lambda", 1.0))
+        for key in data:
+            if key not in ("lambda", "w_d", "w_theta", "covis_lambda"):
+                raise UnknownConfigKeyError(key, "reward weights")
+        return weights
 
 
 def canonical_landmark(category: str, attributes: dict[str, str] | None = None):

@@ -53,28 +53,20 @@ from .esdf import (
     save_grid,
     signed_esdf,
 )
-from .geom import (
-    ActionTrajectory,
-    Pose2,
-    PoseTrajectory,
-    compose_se2,
-    poses_to_actions,
-    relative_pose,
-    wrap_angle,
-)
+from .geom import Pose2, PoseTrajectory, compose_se2, poses_to_actions, relative_pose
 from .localization import (
     GoalNotFoundError,
     LandmarkObservation,
-    LocalizationConfig,
     QueryContext,
     goal_localize,
     localize,
     make_ground_truth_oracle,
 )
-from .odometry import FusionWeights, SensorIncrement, fuse_increment
+from .odometry import SensorIncrement, fuse_increment
 from .planner import (
     PlanningCondition,
     PlanningSample,
+    TrainConfig,
     VectorFieldModel,
     _poses_from_actions,
     collision_check,
@@ -536,8 +528,8 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return points[j] + t[:, None] * seg[j]
 
 
-def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float = 0.3,
-                step: float = 0.25) -> PoseTrajectory:
+def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float,
+                step: float) -> PoseTrajectory:
     """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, fixed-step
     resampling. Headings follow the local direction of travel; the first pose is
     the exact start. Plans prefer footprint + 0.25 m clearance and retry at the
@@ -614,7 +606,10 @@ class NavConfig:
     finite: max_step (m), budget_factor (steps per expert-path step, at least
     60 in all). Integers >= 1: fix_every (steps between fixes), execute_steps
     (per control cycle), euler_steps (per learned plan). planner: "model" or
-    "oracle"; fallback: true or false (the expert replaces colliding plans)."""
+    "oracle"; fallback: true or false (the expert replaces colliding plans).
+    The expert dataset and open-loop evaluation (`expert_windows`,
+    `build_planning_dataset`, `evaluate_planner`) read the defaults of
+    footprint_radius, max_step, lookahead and euler_steps."""
 
     goal_tolerance: float = 0.5
     lookahead: float = 2.0
@@ -695,9 +690,8 @@ def _global_fix(world: World, true_pose: Pose2, radius: float) -> Pose2 | None:
     obs = observations_at(world, true_pose)
     if not obs:
         return None
-    cfg = LocalizationConfig(fine_mode="nearest")
     result = localize(
-        obs, QueryContext(pose=true_pose), world.map, cfg, make_ground_truth_oracle(radius)
+        obs, QueryContext(pose=true_pose), world.map, make_ground_truth_oracle(radius), "nearest"
     )
     return result.estimated_pose if result.confidence > 0 else None
 
@@ -835,9 +829,7 @@ def run_episode(
                 ]
             )
             imu_dth = exec_inc[2] + rng.normal(0.0, config.imu_sigma)
-            fused = fuse_increment(
-                SensorIncrement(dt=0.1, wheel=tuple(wheel), imu_dtheta=imu_dth)
-            )
+            fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu_dth))
             est_pose = compose_se2(est_pose, Pose2(*fused))
             executed += 1
             step_lengths.append(math.hypot(exec_inc[0], exec_inc[1]))
@@ -918,19 +910,11 @@ def eval_suite(
 
 # --- expert dataset and planner evaluation -----------------------------------
 
-def expert_windows(
-    worlds: list[World],
-    samples_per_world: int,
-    n_actions: int = 16,
-    seed: int = 0,
-    footprint_radius: float = 0.3,
-    max_step: float = 0.25,
-    lookahead: float = 2.0,
-):
+def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int = 16, seed: int = 0):
     """Expert windows: oracle paths between random start points cut into
     n-action chunks. Yields (world index, pose window of n + 1 poses,
     condition at the window's first pose), samples_per_world per world at
-    most."""
+    most. Paths and subgoals use the `NavConfig` defaults."""
     rng = np.random.default_rng(seed)
     for wi, world in enumerate(worlds):
         grid2 = world.grid2d()
@@ -946,13 +930,8 @@ def expert_windows(
                 continue
             heading = math.atan2(g_xy[1] - s_xy[1], g_xy[0] - s_xy[0])
             try:
-                path = oracle_plan(
-                    world,
-                    Pose2(*s_xy, heading),
-                    Pose2(*g_xy, heading),
-                    footprint_radius,
-                    max_step,
-                )
+                path = oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading),
+                                   NavConfig.footprint_radius, NavConfig.max_step)
             except UnreachableError:
                 continue
             arr = path.as_array()
@@ -960,7 +939,7 @@ def expert_windows(
             for lo in range(0, len(arr) - n_actions - 1, stride):
                 window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
                 start_pose = window[0]
-                subgoal = select_subgoal(path, start_pose, lookahead)
+                subgoal = select_subgoal(path, start_pose, NavConfig.lookahead)
                 prev_len = (
                     math.hypot(arr[lo][0] - arr[lo - 1][0], arr[lo][1] - arr[lo - 1][1])
                     if lo > 0
@@ -977,31 +956,21 @@ def expert_windows(
 
 
 def build_planning_dataset(
-    worlds: list[World],
-    samples_per_world: int,
-    n_actions: int = 16,
-    seed: int = 0,
-    footprint_radius: float = 0.3,
-    max_step: float = 0.25,
-    lookahead: float = 2.0,
-    mask_alpha: float = 0.5,
-    mask_dilation: float = 0.3,
+    worlds: list[World], samples_per_world: int, n_actions: int = 16, seed: int = 0
 ) -> list[PlanningSample]:
-    """The expert windows as training samples, each with its masked field."""
+    """The expert windows as training samples, each with its field masked at
+    the `TrainConfig` defaults."""
     dataset: list[PlanningSample] = []
-    windows = expert_windows(
-        worlds, samples_per_world, n_actions, seed, footprint_radius, max_step, lookahead
-    )
-    for wi, window, cond in windows:
+    for wi, window, cond in expert_windows(worlds, samples_per_world, n_actions, seed):
         world = worlds[wi]
         phi = world.phi()
-        mask = make_mask(window, phi, mask_dilation)
+        mask = make_mask(window, phi, TrainConfig.mask_dilation)
         dataset.append(
             PlanningSample(
                 poses_to_actions(window).steps,
                 cond,
                 window[0],
-                mask_esdf(phi, mask, mask_alpha),
+                mask_esdf(phi, mask, TrainConfig.mask_alpha),
                 os.path.join(world.source_dir, "grid.occ") if world.source_dir else None,
                 window.to_jsonable(),
                 wi,
@@ -1029,7 +998,7 @@ def save_dataset(dataset: list[PlanningSample], path) -> None:
             )
 
 
-def load_dataset(path, mask_alpha: float = 0.5, mask_dilation: float = 0.3):
+def load_dataset(path, mask_alpha: float, mask_dilation: float):
     """Rebuild PlanningSamples from a JSON-lines file, recomputing masked fields
     per referenced grid."""
     base = os.path.dirname(os.path.abspath(path))
@@ -1058,15 +1027,15 @@ def load_dataset(path, mask_alpha: float = 0.5, mask_dilation: float = 0.3):
 
 
 def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose2, dist: Grid,
-              k: int, euler_steps: int, rng, footprint_radius: float):
+              k: int, rng):
     """k rollouts from start under one condition, sampled as one batch and
     checked with one field lookup: (collided flags, mean step lengths)."""
-    actions = sample_actions(model, condition, euler_steps, rng, k)
+    actions = sample_actions(model, condition, NavConfig.euler_steps, rng, k)
     starts = np.tile(start.as_tuple(), (k, 1))
     xy = _poses_from_actions(actions, starts)[..., :2]
     clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
-    return (clearance < footprint_radius).any(axis=1), mean_step
+    return (clearance < NavConfig.footprint_radius).any(axis=1), mean_step
 
 
 def evaluate_planner(
@@ -1075,28 +1044,18 @@ def evaluate_planner(
     n_conditions_per_world: int = 10,
     rollouts_per_condition: int = 3,
     seed: int = 0,
-    footprint_radius: float = 0.3,
-    max_step: float = 0.25,
-    euler_steps: int = 20,
 ) -> dict:
     """Open-loop rollout evaluation: collision rate and normalized velocity over
-    expert-window conditions, with each condition's rollouts run together."""
-    if footprint_radius < 0:
-        raise SimError("footprint radius must be >= 0")
+    expert-window conditions, with each condition's rollouts run together.
+    Footprint, step length and Euler steps are the `NavConfig` defaults."""
     rng = np.random.default_rng(seed + 1)
     collided = 0
     velocities = []
     dists = [w.dist_field() for w in worlds]
-    windows = expert_windows(
-        worlds, n_conditions_per_world, model.n_actions, seed, footprint_radius, max_step
-    )
-    for wi, window, cond in windows:
-        flags, mean_step = _rollouts(
-            model, cond, window[0], dists[wi],
-            rollouts_per_condition, euler_steps, rng, footprint_radius,
-        )
+    for wi, window, cond in expert_windows(worlds, n_conditions_per_world, model.n_actions, seed):
+        flags, mean_step = _rollouts(model, cond, window[0], dists[wi], rollouts_per_condition, rng)
         collided += int(flags.sum())
-        velocities.extend(mean_step / max_step)
+        velocities.extend(mean_step / NavConfig.max_step)
     total = len(velocities)
     return {
         "rollouts": total,

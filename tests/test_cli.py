@@ -232,7 +232,14 @@ POSE_INPUTS = {
         [[0.5, 0.5, 0.0], pose],
         lambda p: ("esdf", "compute", f["world"] / "grid.occ", "--mask", p),
     ),
+    # a bad query pose once exited 0, localizing with no fix or with theta 0
+    "localize-query": lambda f, pose: (
+        {**json.loads(f["query.json"].read_text()), "query_ctx": {"pose": pose}},
+        lambda p: ("localize", "--map", f["map"], "--query", p),
+    ),
 }
+# The error each pose input reports, where it is not InputFileError.
+POSE_ERRORS = {"localize-query": "LocalizationError"}
 
 
 @pytest.mark.parametrize("where", sorted(POSE_INPUTS))
@@ -243,7 +250,8 @@ def test_bad_pose_exits_1(files, capsys, where, name):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, *command(path))
     assert_json_error(code, out, err)
-    assert json.loads(err)["error"] == "InputFileError"
+    assert json.loads(err)["error"] == POSE_ERRORS.get(where, "InputFileError")
+    assert "a pose must be three finite numbers" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("where", sorted(POSE_INPUTS))
@@ -564,3 +572,99 @@ def test_fuzz_grid_header(files, capsys, magic, dims, res, origin, n_cells):
         assert code == 0 and out.startswith("ESDF ")
     else:
         assert_json_error(code, out, err)
+
+
+def test_misspelt_reward_weight_exits_1(files, capsys):
+    path = files["root"] / "weights-misspelt.json"
+    path.write_text(json.dumps({"lamda": 5}))
+    code, out, err = run(capsys, "reward", "eval", "--pred", files["pred.json"], "--gt", files["gt.json"],
+                         "--weights", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err) == {"error": "UnknownConfigKeyError", "message": "unknown reward weights key: 'lamda'"}
+    assert out == ""
+
+
+# Odometry log records whose sensor values are not finite numbers of the right
+# count; each once ended in a traceback or printed NaN, which is not JSON.
+BAD_ODOM_RECORDS = {
+    "wheel-two": {"wheel": [1, 0]},
+    "wheel-string": {"wheel": ["a", 0, 0]},
+    "wheel-nan": {"wheel": [float("nan"), 0, 0]},
+    "wheel-object": {"wheel": {"dx": 0.1}},
+    "imu-string": {"wheel": [0.1, 0, 0], "imu_dtheta": "x"},
+    "imu-inf": {"wheel": [0.1, 0, 0], "imu_dtheta": float("inf")},
+    "imu-bool": {"wheel": [0.1, 0, 0], "imu_dtheta": True},
+    "vision-four": {"vision": [0.1, 0, 0, 0], "imu_dtheta": 0.0},
+    "vision-huge-int": {"vision": [10**400, 0, 0], "imu_dtheta": 0.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ODOM_RECORDS))
+def test_bad_odometry_record_exits_1(files, capsys, name):
+    good = json.dumps({"wheel": [0.1, 0, 0], "imu_dtheta": 0.0})
+    path = files["root"] / f"odom-{name}.jsonl"
+    path.write_text(good + "\n" + json.dumps(BAD_ODOM_RECORDS[name]) + "\n")
+    code, out, err = run(capsys, "odom", "eval", "--log", path, "--gt", files["odom_gt.json"])
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "OdometryError"
+    assert f"{path}:2: malformed record" in doc["message"]
+    assert out == ""
+
+
+def test_odometry_record_dt_is_ignored(files, capsys):
+    lines = [{"wheel": [0.1, 0, 0], "imu_dtheta": 0.0, "vision": None}] * 2
+    outputs = []
+    for dt in (None, 0.1, float("inf"), "x"):
+        path = files["root"] / "odom-dt.jsonl"
+        path.write_text("\n".join(json.dumps(rec if dt is None else {**rec, "dt": dt}) for rec in lines))
+        code, out, err = run(capsys, "odom", "eval", "--log", path, "--gt", files["odom_gt.json"])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert len(set(outputs)) == 1
+    assert json.loads(outputs[0]) == {"ate_m": 0.0, "rre_deg_per_10m": 0.0, "rte_percent": 0.0}
+
+
+# `localize` output on the fixture map and query (heuristic oracle), as the
+# configurable localization of earlier versions printed it.
+LOCALIZED = {
+    "candidate_node_ids": ["n-001", "n-002", "n-003", "n-007"],
+    "confidence": 1.0,
+    "filtered_node_ids": ["n-001"],
+    "reference_node_ids": ["n-000", "n-001", "n-004"],
+}
+FINE_MODES = {
+    "default": ([], [1.611253294930218, 1.2929744123318514, 0.0]),
+    "weighted": (["--fine-mode", "weighted"], [1.611253294930218, 1.2929744123318514, 0.0]),
+    "nearest": (["--fine-mode", "nearest"], [1.0, 1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FINE_MODES))
+def test_localize_fine_modes(files, capsys, mode):
+    flags, pose = FINE_MODES[mode]
+    code, out, err = run(capsys, "localize", "--map", files["map"], "--query", files["query.json"], *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**LOCALIZED, "estimated_pose": pose}
+
+
+def test_sim_run_with_an_instruction_goal(files, capsys, monkeypatch):
+    searched = []
+    goal_localize = sim.goal_localize
+
+    def recording(terms, *args):
+        searched.append(terms)
+        return goal_localize(terms, *args)
+
+    monkeypatch.setattr(sim, "goal_localize", recording)
+    path = files["root"] / "goal-sofa.json"
+    path.write_text(json.dumps({"instruction": "sofa"}))
+    code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path)
+    assert (code, err) == (0, "")
+    assert searched == [["sofa"]]
+    # the report earlier versions gave on the fixture world
+    assert json.loads(out) == {
+        "collision_count": 22, "fallback_count": 0, "final_error": 0.41927457247694583,
+        "mean_velocity": 0.930651114926721, "path_length": 18.613022298534414, "planner_calls": 0,
+        "reason": "reached", "success": True,
+    }

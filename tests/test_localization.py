@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from astra_nav import localization
 from astra_nav.geom import Pose2
 from astra_nav.localization import (
     GoalNotFoundError,
     LandmarkObservation,
-    LocalizationConfig,
     LocalizationError,
     QueryContext,
     attribute_similarity,
@@ -49,7 +49,7 @@ class TestMatching:
         m = TopoMap().add_node(node("n1"))
         m.register_landmark("n1", Landmark("lm1", "sofa", {"color": "gray"}))
         obs = [LandmarkObservation("sofa", {"color": "gray"})]
-        matches = match_landmarks(obs, m, LocalizationConfig())
+        matches = match_landmarks(obs, m)
         assert len(matches) == 1
         assert matches[0].score == pytest.approx(1.0)
 
@@ -57,7 +57,7 @@ class TestMatching:
         m = TopoMap().add_node(node("n1"))
         m.register_landmark("n1", Landmark("lm1", "sofa", {"color": "gray"}))
         obs = [LandmarkObservation("couch", {"color": "gray"})]
-        matches = match_landmarks(obs, m, LocalizationConfig())
+        matches = match_landmarks(obs, m)
         assert matches and matches[0].score == pytest.approx(1.0)
 
     def test_weighted_partial_attributes(self):
@@ -66,17 +66,15 @@ class TestMatching:
             "n1", Landmark("lm1", "sofa", {"color": "gray", "material": "fabric"})
         )
         obs = [LandmarkObservation("sofa", {"color": "gray", "material": "wood"})]
-        cfg = LocalizationConfig(category_weight=0.6, attribute_weight=0.4)
-        matches = match_landmarks(obs, m, cfg)
+        matches = match_landmarks(obs, m)
         assert matches[0].score == pytest.approx(0.6 + 0.4 * 0.5)
 
     def test_below_threshold_dropped(self):
         m = TopoMap().add_node(node("n1"))
         m.register_landmark("n1", Landmark("lm1", "door", {}))
         obs = [LandmarkObservation("sofa", {})]
-        cfg = LocalizationConfig(match_threshold=0.6)
         # category mismatch: score = 0.4 * 1.0 (vacuous attrs) = 0.4 < 0.6
-        assert match_landmarks(obs, m, cfg) == []
+        assert match_landmarks(obs, m) == []
 
     def test_canonicalization(self):
         assert canonical_category(" Couch ") == "sofa"
@@ -104,7 +102,7 @@ class TestCandidates:
         m.register_landmark("n2", b)
         m.register_landmark("n3", b)
         obs = [LandmarkObservation("sofa"), LandmarkObservation("door")]
-        matches = match_landmarks(obs, m, LocalizationConfig())
+        matches = match_landmarks(obs, m)
         assert candidate_nodes(m, matches) == {"n1", "n2", "n3"}
 
     def test_matches_brute_force_on_random_maps(self):
@@ -120,33 +118,35 @@ class TestCandidates:
                 for nid in rng.choice(n, rng.integers(1, 4), replace=False):
                     m.register_landmark(f"n{nid:02d}", lm)
             obs = [LandmarkObservation(str(rng.choice(cats)))]
-            cfg = LocalizationConfig()
-            got = candidate_nodes(m, match_landmarks(obs, m, cfg))
+            got = candidate_nodes(m, match_landmarks(obs, m))
             want = set()
             for lm in m.landmarks.values():
                 score = 0.6 * (canonical_category(lm.category) == canonical_category(obs[0].category))
                 score += 0.4 * attribute_similarity(obs[0].visual_attributes, lm.visual_attributes)
-                if score >= cfg.match_threshold:
+                if score >= 0.6:
                     want |= lm.node_ids
             assert got == want
 
 
 class TestVisualFilter:
-    def test_threshold_zero_keeps_all(self):
+    # the threshold is a module constant, 0.5; the edge cases patch it
+    def test_threshold_zero_keeps_all(self, monkeypatch):
+        monkeypatch.setattr(localization, "_FILTER_THRESHOLD", 0.0)
         m = line_map()
-        kept = visual_filter(QueryContext(), {"n0", "n1"}, lambda c, n: 0.0, m, 0.0)
+        kept = visual_filter(QueryContext(), {"n0", "n1"}, lambda c, n: 0.0, m)
         assert kept == {"n0", "n1"}
 
-    def test_threshold_one_keeps_only_perfect(self):
+    def test_threshold_one_keeps_only_perfect(self, monkeypatch):
+        monkeypatch.setattr(localization, "_FILTER_THRESHOLD", 1.0)
         m = line_map()
         oracle = lambda c, n: 1.0 if n.id == "n2" else 0.99
-        assert visual_filter(QueryContext(), {"n1", "n2", "n3"}, oracle, m, 1.0) == {"n2"}
+        assert visual_filter(QueryContext(), {"n1", "n2", "n3"}, oracle, m) == {"n2"}
 
     def test_mid_threshold(self):
         m = line_map()
-        scores = {"n0": 0.2, "n1": 0.7, "n2": 0.9}
+        scores = {"n0": 0.2, "n1": 0.7, "n2": 0.9, "n3": 0.5, "n4": 0.49}
         oracle = lambda c, n: scores[n.id]
-        assert visual_filter(QueryContext(), set(scores), oracle, m, 0.5) == {"n1", "n2"}
+        assert visual_filter(QueryContext(), set(scores), oracle, m) == {"n1", "n2", "n3"}
 
     def test_oracle_failure_drops_node(self, caplog):
         m = line_map()
@@ -157,34 +157,39 @@ class TestVisualFilter:
             return 1.0
 
         with caplog.at_level("WARNING"):
-            kept = visual_filter(QueryContext(), {"n0", "n1"}, oracle, m, 0.5)
+            kept = visual_filter(QueryContext(), {"n0", "n1"}, oracle, m)
         assert kept == {"n0"}
         assert any("n1" in rec.message for rec in caplog.records)
 
-    def test_monotone_in_threshold(self):
+    def test_monotone_in_threshold(self, monkeypatch):
         m = line_map()
         rng = np.random.default_rng(0)
         scores = {nid: float(rng.random()) for nid in m.nodes}
         oracle = lambda c, n: scores[n.id]
         prev = None
         for thr in np.linspace(0, 1, 11):
-            kept = visual_filter(QueryContext(), set(m.nodes), oracle, m, float(thr))
+            monkeypatch.setattr(localization, "_FILTER_THRESHOLD", float(thr))
+            kept = visual_filter(QueryContext(), set(m.nodes), oracle, m)
             if prev is not None:
                 assert kept <= prev
             prev = kept
 
 
 class TestReferences:
-    def test_k1_returns_candidates(self):
+    # three references per candidate; the k = 1 case patches the constant
+    def test_k1_returns_candidates(self, monkeypatch):
+        monkeypatch.setattr(localization, "_REF_K", 1)
         m = line_map()
-        assert sample_reference_nodes(m, {"n2"}, 1) == ["n2"]
+        assert sample_reference_nodes(m, {"n2"}) == ["n2"]
 
     def test_nearest_by_metric(self):
-        m = line_map(4)
-        assert sample_reference_nodes(m, {"n0"}, 2) == ["n0", "n1"]
+        m = line_map(5)
+        assert sample_reference_nodes(m, {"n0"}) == ["n0", "n1", "n2"]
+        # equal distances break ties on node id
+        assert sample_reference_nodes(m, {"n2"}) == ["n1", "n2", "n3"]
 
     def test_empty_candidates(self):
-        assert sample_reference_nodes(line_map(), set(), 3) == []
+        assert sample_reference_nodes(line_map(), set()) == []
 
     def test_angle_term_matters(self):
         m = TopoMap()
@@ -192,8 +197,9 @@ class TestReferences:
         # near but rotated by pi vs slightly farther but aligned
         m.add_node(MapNode("rot", Pose6((0.5, 0, 0), (0.0, 0.0, 0.0, 1.0))))
         m.add_node(node("far", 1.0, 0))
-        refs = sample_reference_nodes(m, {"q"}, 2, angle_beta=0.5)
-        assert refs == ["far", "q"]  # 0.5 + 0.5*pi > 1.0
+        m.add_node(node("farther", 1.5, 0))
+        refs = sample_reference_nodes(m, {"q"})
+        assert refs == ["far", "farther", "q"]  # 0.5 + 0.5*pi > 1.5
 
 
 class TestFine:
@@ -253,7 +259,7 @@ class TestLocalizePipeline:
             for lid in true_node.landmark_ids
         ]
         ctx = QueryContext(pose=true_node.pose.planar())
-        result = localize(obs, ctx, m, LocalizationConfig(), make_ground_truth_oracle())
+        result = localize(obs, ctx, m, make_ground_truth_oracle())
         assert result.estimated_pose is not None
         err = math.hypot(result.estimated_pose.x - 2.0, result.estimated_pose.y - 0.0)
         assert err <= 0.5
@@ -261,7 +267,7 @@ class TestLocalizePipeline:
         assert result.filtered_node_ids <= result.candidate_node_ids
 
     def test_empty_query_soft_fails(self):
-        result = localize([], QueryContext(), line_map(), LocalizationConfig(), heuristic_oracle)
+        result = localize([], QueryContext(), line_map(), heuristic_oracle)
         assert result.confidence == 0.0
         assert result.estimated_pose is None
 
@@ -272,9 +278,10 @@ class TestLocalizePipeline:
         m.register_landmark("far", lm)
         obs = [LandmarkObservation("sofa", {"color": "gray"})]
         ctx = QueryContext(pose=Pose2(0.1, 0.0, 0.0))
-        result = localize(obs, ctx, m, LocalizationConfig(ref_k=1), make_ground_truth_oracle())
+        result = localize(obs, ctx, m, make_ground_truth_oracle(), "nearest")
         assert result.candidate_node_ids == {"near", "far"}
         assert result.filtered_node_ids == {"near"}
+        assert result.reference_node_ids == ["far", "near"]
         assert result.estimated_pose.x == pytest.approx(0.0)
 
 

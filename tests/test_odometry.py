@@ -16,34 +16,28 @@ from astra_nav.odometry import (
 
 class TestFusion:
     def test_wheel_only(self):
-        inc = SensorIncrement(0.1, wheel=(0.2, 0.01, 0.05))
+        inc = SensorIncrement(wheel=(0.2, 0.01, 0.05))
         assert fuse_increment(inc) == pytest.approx((0.2, 0.01, 0.05))
 
     def test_rotation_mean(self):
-        inc = SensorIncrement(0.1, wheel=(0.1, 0.0, 0.10), imu_dtheta=0.12)
+        inc = SensorIncrement(wheel=(0.1, 0.0, 0.10), imu_dtheta=0.12)
         w = FusionWeights(wheel_rot=0.5, imu_rot=0.5)
         assert fuse_increment(inc, w)[2] == pytest.approx(0.11)
 
     def test_consensus(self):
-        inc = SensorIncrement(
-            0.1, wheel=(0.2, 0.0, 0.05), imu_dtheta=0.05, vision=(0.2, 0.0, 0.05)
-        )
+        inc = SensorIncrement(wheel=(0.2, 0.0, 0.05), imu_dtheta=0.05, vision=(0.2, 0.0, 0.05))
         assert fuse_increment(inc) == pytest.approx((0.2, 0.0, 0.05))
 
     def test_no_source(self):
         with pytest.raises(OdometryError):
-            fuse_increment(SensorIncrement(0.1))
+            fuse_increment(SensorIncrement())
 
     def test_weight_split_invariance(self):
         # duplicating a source with split weights changes nothing
-        inc = SensorIncrement(0.1, wheel=(0.3, -0.1, 0.02), imu_dtheta=0.04)
+        inc = SensorIncrement(wheel=(0.3, -0.1, 0.02), imu_dtheta=0.04)
         a = fuse_increment(inc, FusionWeights(wheel_trans=1.0, wheel_rot=0.4, imu_rot=0.6))
         b = fuse_increment(inc, FusionWeights(wheel_trans=0.5, wheel_rot=0.2, imu_rot=0.3))
         assert a == pytest.approx(b)
-
-    def test_dt_positive(self):
-        with pytest.raises(OdometryError):
-            SensorIncrement(0.0, wheel=(0, 0, 0))
 
 
 class TestDeadReckon:
@@ -53,7 +47,7 @@ class TestDeadReckon:
         assert len(out) == 1 and out[0] is start
 
     def test_straight(self):
-        incs = [SensorIncrement(0.1, wheel=(1.0, 0.0, 0.0))] * 3
+        incs = [SensorIncrement(wheel=(1.0, 0.0, 0.0))] * 3
         out = dead_reckon(incs, Pose2())
         assert out[-1].x == pytest.approx(3.0)
 
@@ -69,7 +63,7 @@ class TestDeadReckon:
         est_incs = []
         for k in range(n):
             gt.append(compose_se2(gt[-1], Pose2(step, 0, dth)))
-            est_incs.append(SensorIncrement(0.1, wheel=(step, 0.0, dth + noises[k])))
+            est_incs.append(SensorIncrement(wheel=(step, 0.0, dth + noises[k])))
         est = dead_reckon(est_incs, Pose2())
         err = np.hypot(
             est.as_array()[:, 0] - PoseTrajectory(tuple(gt)).as_array()[:, 0],
@@ -151,7 +145,7 @@ class TestFusedBeatsSingles:
             wheel_noise = rng.normal(0, sigma, seg_steps)
             imu_noise = rng.normal(0, sigma, seg_steps)
             incs = [
-                SensorIncrement(0.1, wheel=(a[0], a[1], a[2] + w), imu_dtheta=a[2] + i)
+                SensorIncrement(wheel=(a[0], a[1], a[2] + w), imu_dtheta=a[2] + i)
                 for a, w, i in zip(actions, wheel_noise, imu_noise)
             ]
             for name, w in weights.items():

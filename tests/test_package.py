@@ -80,3 +80,86 @@ def test_every_public_name_has_a_caller():
             if not called:
                 uncalled.add(f"{path.stem}.{name}")
     assert uncalled == UNCALLED
+
+
+# Defaulted parameters that no call in src/ or bench/ passes, each with why it stays.
+UNPASSED_DEFAULTS = {
+    "cli.main.argv": "the console script runs main() on sys.argv; tests pass argument lists",
+    "sim.generate_world.resolution": "the pinned world digests use the 0.25 m default; tests vary it",
+    "sim.build_planning_dataset.n_actions": "16-action windows everywhere; tests and the CLI "
+    "fixtures build shorter ones, and a dataset verb would pass it",
+    "odometry.dead_reckon.weights": "`odom eval` fuses at the defaults; tests compare single "
+    "sensors with the fused estimate",
+}
+# Calls that forward their trailing arguments to a function they take: the
+# index of that function among their positional arguments.
+FORWARDERS = {"_call": 2}  # bench/workloads.py: _call(round_, what, fn, *args, **kwargs)
+
+
+def defaulted_parameters(tree):
+    """(called name, parameter, positional index or None) of every defaulted
+    parameter of a public function or method; a method's index counts from
+    the first argument after self or cls, and __init__ is called by its class
+    name."""
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from visit(node.body, node)
+            elif isinstance(node, ast.FunctionDef) and (not node.name.startswith("_") or node.name == "__init__"):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                skip = 1 if owner is not None and not static else 0
+                name = owner.name if node.name == "__init__" else node.name
+                positional = node.args.posonlyargs + node.args.args
+                first = len(positional) - len(node.args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield name, arg.arg, i - skip
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None
+
+    yield from visit(tree.body, None)
+
+
+def calls(tree):
+    """(called name, positional argument count or None under *args, keyword
+    names or None under **kwargs) of every call, with import aliases resolved
+    and forwarded calls unwrapped."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.asname
+    }
+
+    def name_of(expr):
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id, expr.id)
+        return expr.attr if isinstance(expr, ast.Attribute) else None
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = name_of(node.func), node.args
+        if name in FORWARDERS and len(args) > FORWARDERS[name]:
+            name, args = name_of(args[FORWARDERS[name]]), args[FORWARDERS[name] + 1 :]
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, None if starred else len(args), None if None in keywords else keywords
+
+
+def test_every_default_is_passed():
+    trees = parsed(sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
+    found = [call for tree in trees.values() for call in calls(tree)]
+    unpassed = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for name, param, index in defaulted_parameters(tree):
+            passed = any(
+                called == name
+                and ((index is not None and (count is None or count > index))
+                     or keywords is None or param in keywords)
+                for called, count, keywords in found
+            )
+            if not passed:
+                unpassed.add(f"{path.stem}.{name}.{param}")
+    assert unpassed == set(UNPASSED_DEFAULTS)

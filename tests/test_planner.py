@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from astra_nav import planner, sim
-from astra_nav.esdf import Grid, stack_fields
+from astra_nav.esdf import Grid, signed_esdf, stack_fields
 from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
 from astra_nav.planner import (
     PlannerError,
@@ -400,11 +400,11 @@ def test_occupancy_features_shape_and_content():
     vals = np.zeros((20, 20), bool)
     vals[:, 10:] = True  # occupied where x >= 2.5
     grid = Grid(vals, 0.25)
-    feats = occupancy_features(grid, Pose2(2.0, 2.0, 0.0), extent=1.0, cells=8)
-    assert feats.shape == (65,)
-    patch = feats[:-1].reshape(8, 8)
-    # patch spans x in [1, 3]: columns ahead of the pose hit the occupied slab
-    assert patch[:, :4].mean() < patch[:, 4:].mean()
+    feats = occupancy_features(grid, Pose2(2.0, 2.0, 0.0), signed_esdf(grid))
+    assert feats.shape == (16 * 16 + 1,)
+    patch = feats[:-1].reshape(16, 16)
+    # patch spans x in [0, 4]: columns ahead of the pose hit the occupied slab
+    assert patch[:, :8].mean() < patch[:, 8:].mean()
     assert feats[-1] <= 0.5  # mean signed distance half a meter from the wall
 
 

@@ -43,7 +43,7 @@ def test_dataset_round_trip(saved_world, tmp_path):
     assert len(data) == 4
     path = tmp_path / "data.jsonl"
     sim.save_dataset(data, path)
-    loaded = sim.load_dataset(path)
+    loaded = sim.load_dataset(path, 0.5, 0.3)
     assert len(loaded) == len(data)
     for a, b in zip(data, loaded):
         np.testing.assert_array_equal(b.actions, a.actions)
@@ -382,9 +382,9 @@ def test_oracle_plan_matches_greedy_reference(worlds48):
                 want = ref_oracle_plan(world, start, goal)
             except sim.UnreachableError:
                 with pytest.raises(sim.UnreachableError):
-                    sim.oracle_plan(world, start, goal)
+                    sim.oracle_plan(world, start, goal, 0.3, 0.25)
                 continue
-            got = sim.oracle_plan(world, start, goal)
+            got = sim.oracle_plan(world, start, goal, 0.3, 0.25)
             assert got.as_array().tobytes() == want.as_array().tobytes()
 
 
@@ -622,10 +622,8 @@ def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_con
                          footprint_radius=0.3, max_step=0.25, euler_steps=20):
     """Rollouts one at a time: a sample, its pose trajectory and a collision check each;
     returns the summary and every rollout's collision flag."""
-    conditions = sim.build_planning_dataset(
-        worlds, n_conditions_per_world, n_actions=model.n_actions, seed=seed,
-        footprint_radius=footprint_radius, max_step=max_step,
-    )
+    conditions = sim.build_planning_dataset(worlds, n_conditions_per_world, n_actions=model.n_actions,
+                                            seed=seed)
     rng = np.random.default_rng(seed + 1)
     flags, velocities = [], []
     for cond_sample in conditions:
@@ -692,7 +690,9 @@ def test_every_config_field_is_read(worlds48, eval_model):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_evaluate_planner_matches_sequential_rollouts(worlds48, eval_model, monkeypatch, seed, footprint):
     # batched rows round differently from single-row products (about 1e-15), so the
-    # check is the same collision flag on every rollout and the same summary
+    # check is the same collision flag on every rollout and the same summary; the
+    # footprint evaluate_planner reads is NavConfig's default, patched here
+    monkeypatch.setattr(sim.NavConfig, "footprint_radius", footprint)
     want, want_flags = ref_evaluate_planner(eval_model, worlds48, 4, 6, seed, footprint)
     flags = []
     rollouts = sim._rollouts
@@ -703,7 +703,7 @@ def test_evaluate_planner_matches_sequential_rollouts(worlds48, eval_model, monk
         return collided, mean_step
 
     monkeypatch.setattr(sim, "_rollouts", recording)
-    got = sim.evaluate_planner(eval_model, worlds48, 4, 6, seed=seed, footprint_radius=footprint)
+    got = sim.evaluate_planner(eval_model, worlds48, 4, 6, seed=seed)
     assert flags == want_flags
     assert 0 < sum(flags) < len(flags)
     assert got["rollouts"] == want["rollouts"]
@@ -727,17 +727,15 @@ def test_evaluate_planner_runs_each_condition_as_one_batch(worlds48, eval_model,
 
     monkeypatch.setattr(planner.VectorFieldModel, "forward", counting_forward)
     monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
-    out = sim.evaluate_planner(eval_model, worlds48, 3, 5, seed=5, euler_steps=7)
+    out = sim.evaluate_planner(eval_model, worlds48, 3, 5, seed=5)
     assert out["rollouts"] == 5 * len(conditions)
-    assert forwards == [5] * (7 * len(conditions))
+    assert forwards == [5] * (sim.NavConfig.euler_steps * len(conditions))
     assert lookups == [5 * (eval_model.n_actions + 1)] * len(conditions)
 
 
 def test_evaluate_planner_without_rollouts(worlds48, eval_model):
     out = sim.evaluate_planner(eval_model, worlds48[:1], 2, 0, seed=0)
     assert out == {"rollouts": 0, "collision_rate": 0.0, "mean_velocity": 0.0}
-    with pytest.raises(sim.SimError):
-        sim.evaluate_planner(eval_model, worlds48[:1], 2, 1, seed=0, footprint_radius=-0.1)
 
 
 def test_evaluate_planner_builds_no_masks(worlds48, eval_model, monkeypatch):
