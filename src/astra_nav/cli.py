@@ -1,7 +1,8 @@
 """`astra` command line: thin JSON-emitting wrappers over the library calls.
 
-Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage error. A master --seed threads the RNG wherever one is used.
+Exit codes: 0 success, 1 domain error, 2 usage error; either error writes
+one JSON line {"error", "message"} on stderr. A master --seed threads the
+RNG wherever one is used.
 """
 
 from __future__ import annotations
@@ -42,6 +43,25 @@ def _seed(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """The argparse type of --pose values: a finite number; nan or inf is a
+    usage error (exit 2)."""
+    value = float(text)
+    if not is_finite_number(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are a JSON line on stderr, as
+    domain errors are, with exit code 2."""
+
+    def error(self, message):
+        error = {"error": "UsageError", "message": f"{self.prog}: {message}"}
+        sys.stderr.write(json.dumps(error) + "\n")
+        raise SystemExit(2)
+
+
 def _load_json(path, parse=lambda doc: doc):
     """Read a JSON input file and build from it with `parse`; a file that cannot
     be read or parsed, or whose content `parse` rejects, raises InputFileError."""
@@ -50,14 +70,6 @@ def _load_json(path, parse=lambda doc: doc):
         return parse(doc)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
         raise InputFileError(f"{path}: unexpected content: {e!r}") from e
-
-
-def _poses(value) -> list[Pose2]:
-    """A JSON list of poses, each checked by `Pose2.from_jsonable`, whose
-    ValueError `_load_json` reports as InputFileError."""
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of poses, got {value!r}")
-    return [Pose2.from_jsonable(p) for p in value]
 
 
 def _goal(doc):
@@ -141,7 +153,7 @@ def _coarse_output(pred):
         bool(pred.get("format_valid", False)),
         {rewards.canonical_landmark(c, dict(a)) for c, a in pred.get("landmarks", [])},
         set(pred.get("ids", [])),
-        _poses(pred.get("extra_poses", [])),
+        list(PoseTrajectory.from_jsonable(pred.get("extra_poses", [])).poses),
     )
     return output, _covis(pred)
 
@@ -175,7 +187,7 @@ def _cmd_reward_eval(args) -> int:
 def _cmd_esdf_compute(args) -> int:
     phi = signed_esdf(load_occupancy(args.occ_file))
     if args.mask:
-        poses = PoseTrajectory(tuple(_load_json(args.mask, _poses)))
+        poses = _load_json(args.mask, PoseTrajectory.from_jsonable)
         mask = make_mask(poses, phi, args.dilation)
         phi = mask_esdf(phi, mask, args.alpha)
     if args.out:
@@ -280,7 +292,7 @@ def _cmd_sim_eval(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="astra", description=__doc__)
+    parser = _Parser(prog="astra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="map validation and global paths")
@@ -304,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goal", help="language-based goal localization")
     p.add_argument("--map", required=True)
     p.add_argument("--terms", nargs="+", required=True)
-    p.add_argument("--pose", nargs=3, type=float, default=[0.0, 0.0, 0.0])
+    p.add_argument("--pose", nargs=3, type=_finite, default=[0.0, 0.0, 0.0])
     p.add_argument("--r0", type=float, default=10.0)
     p.add_argument("--r-step", type=float, default=10.0)
     p.add_argument("--r-max", type=float, default=100.0)

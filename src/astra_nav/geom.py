@@ -132,7 +132,11 @@ class PoseTrajectory:
 
     @classmethod
     def from_jsonable(cls, data) -> "PoseTrajectory":
-        return cls(tuple(Pose2(*row) for row in data))
+        """A JSON list of poses, each checked by `Pose2.from_jsonable`. Anything
+        else raises ValueError."""
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of poses, got {data!r}")
+        return cls(tuple(map(Pose2.from_jsonable, data)))
 
 
 def actions_to_poses(traj: ActionTrajectory, start: Pose2) -> PoseTrajectory:

@@ -35,7 +35,7 @@ class SensorIncrement:
     vision: tuple[float, float, float] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionWeights:
     wheel_trans: float = 0.5
     vision_trans: float = 0.5
@@ -48,12 +48,16 @@ class FusionWeights:
                      "wheel_trans", "vision_trans", "wheel_rot", "imu_rot", "vision_rot")
 
 
+# the weights of every call that passes none, checked once here
+_DEFAULT_WEIGHTS = FusionWeights()
+
+
 def fuse_increment(
     inc: SensorIncrement, weights: FusionWeights | None = None
 ) -> tuple[float, float, float]:
     """Weighted mean of the available sources; absent sources drop out and the
     remaining weights renormalize."""
-    w = weights or FusionWeights()
+    w = weights or _DEFAULT_WEIGHTS
     trans_sources = []
     if inc.wheel is not None:
         trans_sources.append((w.wheel_trans, inc.wheel[0], inc.wheel[1]))

@@ -68,7 +68,7 @@ class PlanningCondition:
     @classmethod
     def from_jsonable(cls, data: dict) -> "PlanningCondition":
         return cls(
-            Pose2(*data["goal"]),
+            Pose2.from_jsonable(data["goal"]),
             tuple(data.get("velocity", (0.0, 0.0))),
             np.asarray(data.get("occ_features", []), dtype=float),
         )

@@ -25,10 +25,18 @@ that depends on the start or goal of a plan is kept.
 
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global
-node path, then repeatedly pick a lookahead subgoal, let the local planner
-propose a trajectory, fall back to the expert planner when the proposal
-would collide, execute a few steps under noisy kinematics, and dead-reckon
-between periodic global fixes.
+node path and one expert path to the goal, then run control cycles. A cycle
+of the learned planner picks a lookahead subgoal on the node path, from a
+nearest-node index that only moves forward, and samples a trajectory
+toward it; when the trajectory would collide, the expert takes over for
+the cycle. The expert follows its path (`_ExpertPath`): a progress index
+that only moves forward, and a re-plan only when the estimate strays from
+the path by more than the planner's safety margin or the path runs out
+short of the goal. A cycle executes a few steps under noisy kinematics and
+dead-reckons between periodic global fixes. A step that turns more than
+0.5 rad is executed as several: the first translates and turns a share,
+the rest rotate in place, and each counts as a step for the budget, the
+fixes and the noise.
 """
 
 from __future__ import annotations
@@ -53,7 +61,15 @@ from .esdf import (
     save_grid,
     signed_esdf,
 )
-from .geom import Pose2, PoseTrajectory, compose_se2, poses_to_actions, relative_pose
+from .geom import (
+    ActionTrajectory,
+    Pose2,
+    PoseTrajectory,
+    compose_se2,
+    poses_to_actions,
+    relative_pose,
+    wrap_angle,
+)
 from .localization import (
     GoalNotFoundError,
     LandmarkObservation,
@@ -393,6 +409,9 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
 
 # --- expert planner ----------------------------------------------------------
 
+# clearance the expert prefers beyond the footprint (m); a path follower
+# re-plans once its estimate is farther than this from the path
+_SAFETY_MARGIN = 0.25
 _DIAG = math.sqrt(2.0)
 _MOVES = [
     (-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
@@ -542,7 +561,7 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float
     grid2 = world.grid2d()
     dist = world.dist_field()
     cells = None
-    for margin in (0.25, 0.0):
+    for margin in (_SAFETY_MARGIN, 0.0):
         clearance = footprint_radius + grid2.resolution + margin
         grid = world.planning_grid(clearance)
         s_cell = grid.nearest_open(_to_cell(grid2, start.x, start.y))
@@ -577,14 +596,22 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float
     return PoseTrajectory(tuple(poses))
 
 
-def select_subgoal(path: PoseTrajectory, current: Pose2, lookahead: float) -> Pose2:
+def _nearest_index(xy: np.ndarray, current: Pose2, lowest: int) -> int:
+    """Index of the row of `xy` (N, 2+) nearest to the current pose among
+    the rows from `lowest` on; the first such row on a tie."""
+    d = np.hypot(xy[lowest:, 0] - current.x, xy[lowest:, 1] - current.y)
+    return lowest + int(np.argmin(d))
+
+
+def select_subgoal(path: PoseTrajectory, current: Pose2, lookahead: float, lowest: int = 0) -> Pose2:
     """First path pose at least `lookahead` of arc length beyond the path point
-    nearest to the current pose; the final pose when none remains."""
+    nearest to the current pose among those from index `lowest` on; the final
+    pose when none remains. A caller that passes the last nearest index as
+    `lowest` keeps its progress along a path that folds back."""
     if len(path) == 0:
         raise SimError("cannot select a subgoal from an empty path")
     arr = path.as_array()
-    d = np.hypot(arr[:, 0] - current.x, arr[:, 1] - current.y)
-    nearest = int(np.argmin(d))
+    nearest = _nearest_index(arr, current, lowest)
     seg = np.hypot(*np.diff(arr[:, :2], axis=0).T)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     target = cum[nearest] + lookahead
@@ -605,8 +632,11 @@ class NavConfig:
     length), wheel_rot_sigma, imu_sigma, exec_rot_sigma (rad). Positive and
     finite: max_step (m), budget_factor (steps per expert-path step, at least
     60 in all). Integers >= 1: fix_every (steps between fixes), execute_steps
-    (per control cycle), euler_steps (per learned plan). planner: "model" or
-    "oracle"; fallback: true or false (the expert replaces colliding plans).
+    (planned poses per control cycle; a turn over 0.5 rad adds rotate-in-place
+    steps), euler_steps (per learned plan). planner: "model" or "oracle";
+    fallback: true or false (the expert, following its path, replaces
+    colliding plans). The expert follows one path per episode and re-plans
+    only on events (see `_ExpertPath`); no setting tunes it.
     The expert dataset and open-loop evaluation (`expert_windows`,
     `build_planning_dataset`, `evaluate_planner`) read the defaults of
     footprint_radius, max_step, lookahead and euler_steps."""
@@ -646,9 +676,10 @@ class EpisodeReport:
     fallback_count: int = 0
     planner_calls: int = 0
     collision_count: int = 0
-    path_length: float = 0.0
+    path_length: float = 0.0  # driven, by the true pose
     mean_velocity: float = 0.0
     final_error: float = math.inf
+    expert_length: float = 0.0  # of the expert path from the start; 0 before it is planned
 
     def to_jsonable(self) -> dict:
         return {
@@ -660,6 +691,7 @@ class EpisodeReport:
             "path_length": self.path_length,
             "mean_velocity": self.mean_velocity,
             "final_error": None if math.isinf(self.final_error) else self.final_error,
+            "expert_length": self.expert_length,
         }
 
 
@@ -709,14 +741,58 @@ def _nearest_node(topo: TopoMap, pose: Pose2) -> str:
     )
 
 
-def _clip_action(a: np.ndarray, max_step: float) -> np.ndarray:
-    out = a.copy()
-    norm = math.hypot(out[0], out[1])
+_MAX_TURN = 0.5  # rad per executed step
+
+
+def _split_action(a: np.ndarray, max_step: float) -> np.ndarray:
+    """The executed steps (n, 3) of one action: its translation, clipped to
+    `max_step`, and its turn, wrapped to (-pi, pi], split into n =
+    ceil(|turn| / _MAX_TURN) equal shares (n >= 1). The first step carries
+    the translation and one share; the rest rotate in place, so the steps
+    compose to the clipped action."""
+    dx, dy = a[0], a[1]
+    norm = math.hypot(dx, dy)
     if norm > max_step:
-        out[0] *= max_step / norm
-        out[1] *= max_step / norm
-    out[2] = min(max(out[2], -0.5), 0.5)
-    return out
+        dx, dy = dx * (max_step / norm), dy * (max_step / norm)
+    turn = wrap_angle(float(a[2]))
+    n = max(1, math.ceil(abs(turn) / _MAX_TURN))
+    steps = np.zeros((n, 3))
+    steps[0, :2] = dx, dy
+    steps[:, 2] = turn / n
+    return steps
+
+
+class _ExpertPath:
+    """The expert path an episode follows, and its progress index on it.
+
+    Each call moves the index to the path pose nearest the estimate within
+    2 * execute_steps poses ahead of it, so the index never moves back, and
+    returns the actions from the estimate to the next execute_steps poses.
+    The path is re-planned from the estimate to the goal on two events only:
+    the estimate is farther than `_SAFETY_MARGIN` from the nearest pose, or
+    no pose is left ahead of it.
+    """
+
+    def __init__(self, world: World, goal: Pose2, config: NavConfig, path: PoseTrajectory):
+        self.world, self.goal, self.config = world, goal, config
+        self._follow(path.poses)
+
+    def _follow(self, poses: tuple[Pose2, ...]) -> None:
+        self.poses = poses
+        self.xy = np.array([(p.x, p.y) for p in poses])
+        self.index = 0
+
+    def actions(self, est: Pose2) -> ActionTrajectory:
+        """Raises UnreachableError when a re-plan finds no path."""
+        n = self.config.execute_steps
+        self.index = _nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
+        x, y = self.xy[self.index]
+        if math.hypot(x - est.x, y - est.y) > _SAFETY_MARGIN or self.index == len(self.poses) - 1:
+            ref = oracle_plan(self.world, est, self.goal, self.config.footprint_radius,
+                              self.config.max_step)
+            self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
+        following = self.poses[self.index + 1 : self.index + 1 + n]
+        return poses_to_actions(PoseTrajectory((est,) + following))
 
 
 def run_episode(
@@ -766,9 +842,16 @@ def run_episode(
         )
     except UnreachableError:
         return EpisodeReport(False, "stuck")
-    budget = max(60, int(config.budget_factor * oracle_ref.path_length() / config.max_step))
+    expert_length = oracle_ref.path_length()
+    budget = max(60, int(config.budget_factor * expert_length / config.max_step))
 
-    report = EpisodeReport(False, "timeout")
+    report = EpisodeReport(False, "timeout", expert_length=expert_length)
+    # the expert's first path is the reference path: it starts at the true
+    # start, where the first fix puts the estimate when the start is a node;
+    # an estimate off it makes the first cycle re-plan
+    expert = _ExpertPath(world, goal_pose, config, oracle_ref)
+    progress = 0  # nearest index on the global path, carried forward
+    global_xy = global_path.as_array()
     executed = 0
     step_lengths: list[float] = []
     best_goal_dist = math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
@@ -779,9 +862,10 @@ def run_episode(
         return math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
 
     while executed < budget and goal_distance() > config.goal_tolerance:
-        subgoal = select_subgoal(global_path, est_pose, config.lookahead)
         actions = None
         if config.planner == "model" and model is not None:
+            progress = _nearest_index(global_xy, est_pose, progress)
+            subgoal = select_subgoal(global_path, est_pose, config.lookahead, progress)
             cond = PlanningCondition(
                 relative_pose(est_pose, subgoal),
                 (step_lengths[-1] if step_lengths else 0.0, 0.0),
@@ -798,22 +882,16 @@ def run_episode(
                 actions = plan.actions
         if actions is None:  # oracle planner, or a fallback replacement segment
             try:
-                ref = oracle_plan(
-                    world, est_pose, subgoal, config.footprint_radius, config.max_step
-                )
+                actions = expert.actions(est_pose)
             except UnreachableError:
                 report.reason = "stuck"
                 break
-            if len(ref) < 2:
-                ref = PoseTrajectory((est_pose, subgoal))
-            # only the steps this cycle executes
-            actions = poses_to_actions(PoseTrajectory(ref.poses[: config.execute_steps + 1]))
 
         executed_xy = []
-        for a in actions.steps[: config.execute_steps]:
-            a = _clip_action(np.asarray(a, dtype=float), config.max_step)
-            step_len = math.hypot(a[0], a[1])
-            exec_inc = a + np.array(
+        steps = [_split_action(a, config.max_step) for a in actions.steps[: config.execute_steps]]
+        for step in np.concatenate(steps):
+            step_len = math.hypot(step[0], step[1])
+            exec_inc = step + np.array(
                 [
                     rng.normal(0.0, config.exec_trans_sigma * step_len),
                     rng.normal(0.0, config.exec_trans_sigma * step_len),
@@ -864,6 +942,16 @@ def run_episode(
     return report
 
 
+def _spl(report: EpisodeReport) -> float:
+    """Success weighted by path length (Anderson et al., arXiv 1807.06757):
+    the expert length over the larger of it and the driven length, on
+    success; 0 on failure."""
+    if not report.success:
+        return 0.0
+    longer = max(report.path_length, report.expert_length)
+    return report.expert_length / longer if longer > 0 else 1.0
+
+
 def eval_suite(
     worlds: list[World],
     n_episodes: int,
@@ -902,6 +990,8 @@ def eval_suite(
         "success_rate": sum(r.success for r in reports) / n_episodes,
         "fallback_rate": (fallback_eps / planner_eps) if planner_eps else 0.0,
         "collision_rate": sum(1 for r in reports if r.collision_count > 0) / n_episodes,
+        "safe_success_rate": sum(r.success and r.collision_count == 0 for r in reports) / n_episodes,
+        "spl": sum(_spl(r) for r in reports) / n_episodes,
         "mean_velocity": float(np.mean([r.mean_velocity for r in reports])),
         "reports": [r.to_jsonable() for r in reports],
     }

@@ -237,9 +237,26 @@ POSE_INPUTS = {
         {**json.loads(f["query.json"].read_text()), "query_ctx": {"pose": pose}},
         lambda p: ("localize", "--map", f["map"], "--query", p),
     ),
+    # a bad ground-truth row once ended in a numpy traceback, printed NaN or meant theta 0
+    "odom-gt": lambda f, pose: (
+        [[0, 0, 0], [0.1, 0, 0], pose],
+        lambda p: ("odom", "eval", "--log", f["odom.jsonl"], "--gt", p),
+    ),
+    # a bad condition goal once ended in a traceback or meant theta 0
+    "plan-cond": lambda f, pose: (
+        {**json.loads(f["cond.json"].read_text()), "goal": pose},
+        lambda p: ("plan", "sample", "--model", f["model.json"], "--cond", p),
+    ),
+    # a dataset record on one line, its last ground-truth pose replaced
+    "plan-train-data": lambda f, pose: (
+        (lambda rec: {**rec, "gt_poses": rec["gt_poses"][:-1] + [pose]})(
+            json.loads(f["data.jsonl"].read_text().splitlines()[0])),
+        lambda p: ("plan", "train", "--data", p, "--config", f["train.json"],
+                   "--out", f["root"] / "pose-model.json"),
+    ),
 }
 # The error each pose input reports, where it is not InputFileError.
-POSE_ERRORS = {"localize-query": "LocalizationError"}
+POSE_ERRORS = {"localize-query": "LocalizationError", "plan-train-data": "SimError"}
 
 
 @pytest.mark.parametrize("where", sorted(POSE_INPUTS))
@@ -502,6 +519,19 @@ def test_negative_seed_is_a_usage_error(files, capsys, verb):
     assert not (files["root"] / "negative-seed").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
+def test_non_finite_goal_pose_is_a_usage_error(files, capsys, value):
+    # argparse's float once let these through to a misleading GoalNotFoundError
+    with pytest.raises(SystemExit) as exited:
+        run(capsys, "goal", "--map", files["map"], "--pose", value, 0, 0, "--terms", files["category"])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc == {"error": "UsageError",
+                   "message": f"astra goal: argument --pose: must be a finite number, got {value}"}
+
+
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", '{"start_xy": 3}', "[]"],
@@ -662,9 +692,9 @@ def test_sim_run_with_an_instruction_goal(files, capsys, monkeypatch):
     code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path)
     assert (code, err) == (0, "")
     assert searched == [["sofa"]]
-    # the report earlier versions gave on the fixture world
+    # the report on the fixture world since the expert follows one path and splits its turns
     assert json.loads(out) == {
-        "collision_count": 22, "fallback_count": 0, "final_error": 0.41927457247694583,
-        "mean_velocity": 0.930651114926721, "path_length": 18.613022298534414, "planner_calls": 0,
-        "reason": "reached", "success": True,
+        "collision_count": 2, "expert_length": 6.5200100582498, "fallback_count": 0,
+        "final_error": 0.4962004912207977, "mean_velocity": 0.7227721127655979,
+        "path_length": 6.6856420430817805, "planner_calls": 0, "reason": "reached", "success": True,
     }

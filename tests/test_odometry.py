@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from astra_nav import odometry
 from astra_nav.geom import Pose2, PoseTrajectory, compose_se2
 from astra_nav.odometry import (
     FusionWeights,
@@ -38,6 +39,20 @@ class TestFusion:
         a = fuse_increment(inc, FusionWeights(wheel_trans=1.0, wheel_rot=0.4, imu_rot=0.6))
         b = fuse_increment(inc, FusionWeights(wheel_trans=0.5, wheel_rot=0.2, imu_rot=0.3))
         assert a == pytest.approx(b)
+
+    def test_default_weights_are_checked_once(self, monkeypatch):
+        # the default weights were checked at import; a fused step checks nothing
+        def refused(*args):
+            raise AssertionError("fuse_increment checks no weights")
+
+        inc = SensorIncrement(wheel=(0.3, -0.1, 0.02), imu_dtheta=0.04)
+        want = fuse_increment(inc, FusionWeights())
+        monkeypatch.setattr(odometry, "check_fields", refused)
+        assert fuse_increment(inc) == want
+
+    def test_weights_are_frozen(self):
+        with pytest.raises(AttributeError):
+            FusionWeights().imu_rot = 2.0
 
 
 class TestDeadReckon:

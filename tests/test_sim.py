@@ -648,11 +648,28 @@ def eval_model(worlds48):
     return model
 
 
-@pytest.mark.parametrize("heading", [0.7, -0.7, 0.3, 0.5, -0.5, 0.0, -0.0, math.inf, -math.inf, math.nan])
-def test_clip_action_clamps_heading_as_np_clip(heading):
-    got = sim._clip_action(np.array([0.3, 0.4, heading]), 0.25)
-    want = np.array([0.15, 0.2, np.clip(heading, -0.5, 0.5)])
-    assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("heading", [0.7, -0.7, 0.3, 0.5, -0.5, 0.0, -0.0, 0.51, -1.6, math.pi, 9.0])
+def test_split_action_turns_in_shares(heading):
+    turn = math.remainder(heading, 2 * math.pi)
+    for dx, dy in [(0.3, 0.4), (0.1, -0.05), (0.0, 0.0)]:
+        steps = sim._split_action(np.array([dx, dy, heading]), 0.25)
+        assert len(steps) == max(1, math.ceil(abs(turn) / 0.5))
+        assert np.all(np.abs(steps[:, 2]) <= 0.5)
+        assert not steps[1:, :2].any()  # only the first step translates
+        # the steps compose to the action: translation clipped to 0.25, turn unclamped
+        scale = min(1.0, 0.25 / math.hypot(dx, dy)) if dx or dy else 1.0
+        got = Pose2()
+        for step in steps:
+            got = sim.compose_se2(got, Pose2(*step))
+        assert abs(got.x - dx * scale) < 1e-12 and abs(got.y - dy * scale) < 1e-12
+        assert abs(math.remainder(got.theta - heading, 2 * math.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
+def test_split_action_refuses_non_finite_turns(heading):
+    # a non-finite turn is refused, never executed as some finite turn
+    with pytest.raises(ValueError):
+        sim._split_action(np.array([0.1, 0.0, heading]), 0.25)
 
 
 class RecordingConfig:
@@ -891,12 +908,14 @@ def test_planning_grid_snaps_to_none_when_all_is_blocked():
 
 def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     """eval_suite with counters: sample_bilinear calls made outside
-    oracle_plan, subgoal selections (one per control cycle), unreachable
-    plans (a cycle that ends on one executes nothing), and the blocked grid
-    of every planning grid built."""
+    oracle_plan, subgoal selections (one per model plan), expert segments
+    (one per cycle the expert drives), unreachable plans (a cycle that ends
+    on one executes nothing), and the blocked grid of every planning grid
+    built."""
     inside = [0]
-    counts = {"lookups": 0, "cycles": 0, "grids": [], "unreachable": 0}
+    counts = {"lookups": 0, "subgoals": 0, "segments": 0, "grids": [], "unreachable": 0}
     oracle_plan, select_subgoal, grid_type = sim.oracle_plan, sim.select_subgoal, sim._PlanningGrid
+    segment = sim._ExpertPath.actions
 
     def tracked_plan(*args, **kwargs):
         inside[0] += 1
@@ -914,8 +933,12 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
         return sample_bilinear(phi, pts)
 
     def counting_subgoal(*args):
-        counts["cycles"] += 1
+        counts["subgoals"] += 1
         return select_subgoal(*args)
+
+    def counting_segment(self, est):
+        counts["segments"] += 1
+        return segment(self, est)
 
     def counting_grid(blocked):
         counts["grids"].append(blocked.tobytes())
@@ -924,6 +947,7 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
     monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
     monkeypatch.setattr(sim, "select_subgoal", counting_subgoal)
+    monkeypatch.setattr(sim._ExpertPath, "actions", counting_segment)
     monkeypatch.setattr(sim, "_PlanningGrid", counting_grid)
     suite = sim.eval_suite(worlds, episodes, config, model, master_seed=0)
     return suite, counts
@@ -936,10 +960,18 @@ def test_episode_makes_one_lookup_per_cycle(monkeypatch, eval_model, kind):
     model = eval_model if kind == "model" else None
     suite, counts = counted_episodes(monkeypatch, worlds, 6, config, model)
     assert counts["unreachable"] == 0
-    assert counts["cycles"] > 6
-    assert counts["lookups"] == counts["cycles"]
+    # every cycle of a model run samples one plan for one subgoal; the expert
+    # drives its fallback cycles, and every cycle of an oracle run, which
+    # selects no subgoal
     if kind == "model":
-        assert counts["cycles"] == sum(r["planner_calls"] for r in suite["reports"])
+        cycles = counts["subgoals"]
+        assert cycles == sum(r["planner_calls"] for r in suite["reports"])
+        assert counts["segments"] == sum(r["fallback_count"] for r in suite["reports"]) > 0
+    else:
+        cycles = counts["segments"]
+        assert counts["subgoals"] == 0
+    assert cycles > 6
+    assert counts["lookups"] == cycles
     # one planning grid per (world, clearance), however many plans asked for it
     grids = counts["grids"]
     assert len(worlds) <= len(grids) == len(set(grids)) <= 2 * len(worlds)
@@ -948,13 +980,134 @@ def test_episode_makes_one_lookup_per_cycle(monkeypatch, eval_model, kind):
     assert recount["grids"] == []
 
 
+# --- the closed loop: one followed expert path, split turns, monotone subgoals ------------
+
+NOISE_FREE = dict(wheel_trans_sigma=0.0, wheel_rot_sigma=0.0, imu_sigma=0.0,
+                  exec_trans_sigma=0.0, exec_rot_sigma=0.0, fix_every=10**6)
+
+
+def test_noise_free_expert_reaches_every_goal_without_collision(worlds48):
+    config = sim.NavConfig(planner="oracle", **NOISE_FREE)
+    suite = sim.eval_suite(worlds48, 30, config, None, master_seed=0)
+    assert [r["reason"] for r in suite["reports"]] == ["reached"] * 30
+    assert [r["collision_count"] for r in suite["reports"]] == [0] * 30
+
+
+def test_noise_free_expert_on_untuned_worlds():
+    # worlds 3-9 played no part in building the loop; every world stays in
+    worlds = [sim.generate_world(s, 48) for s in range(3, 10)]
+    config = sim.NavConfig(planner="oracle", **NOISE_FREE)
+    suite = sim.eval_suite(worlds, 70, config, None, master_seed=0)
+    failed = [(i % 7 + 3, r["reason"], r["collision_count"]) for i, r in enumerate(suite["reports"])
+              if not r["success"] or r["collision_count"]]
+    assert failed == []
+
+
+def test_noise_free_expert_plans_once_per_episode(worlds48, monkeypatch):
+    # with a perfect estimate no event fires: the reference path is followed to the goal
+    calls = []
+    oracle_plan = sim.oracle_plan
+
+    def counting(*args):
+        calls.append(args)
+        return oracle_plan(*args)
+
+    monkeypatch.setattr(sim, "oracle_plan", counting)
+    suite = sim.eval_suite(worlds48, 9, sim.NavConfig(planner="oracle", **NOISE_FREE), None, 0)
+    assert suite["success_rate"] == 1.0
+    assert len(calls) == 9
+
+
+def test_expert_path_replans_only_on_events(worlds48):
+    world = worlds48[0]
+    (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
+    start, goal = Pose2(sx, sy, 0.0), Pose2(gx, gy, 0.0)
+    config = sim.NavConfig()
+    ref = sim.oracle_plan(world, start, goal, 0.3, 0.25)
+    expert = sim._ExpertPath(world, goal, config, ref)
+    # on the path: no re-plan, the next execute_steps poses from the estimate
+    est = ref[6]
+    actions = expert.actions(Pose2(est.x + 0.1, est.y, est.theta))
+    assert expert.poses == ref.poses and expert.index == 6
+    assert len(actions) == config.execute_steps
+    # the index never moves back, even where the estimate does: halfway back to pose 5
+    expert.actions(Pose2((ref[5].x + ref[6].x) / 2, (ref[5].y + ref[6].y) / 2, ref[6].theta))
+    assert expert.poses == ref.poses and expert.index == 6
+    assert expert.xy[6].tolist() == [ref[6].x, ref[6].y]
+    # off the path by more than the safety margin: a new path from the estimate
+    p = ref[8]
+    off = Pose2(p.x - 0.3 * math.sin(p.theta), p.y + 0.3 * math.cos(p.theta), p.theta)
+    expert.actions(off)
+    assert expert.poses[0] == off and expert.index == 0
+    # at the end of the path short of the goal: a new path
+    short = sim.oracle_plan(world, start, ref[10], 0.3, 0.25)
+    expert = sim._ExpertPath(world, goal, config, short)
+    for k in (4, 8):
+        expert.actions(short[k])
+        assert expert.poses == short.poses and expert.index == k
+    expert.actions(short[-1])
+    assert expert.poses[0] == short[-1]
+    assert (expert.poses[-1].x, expert.poses[-1].y) == (goal.x, goal.y)
+
+
+def test_subgoal_keeps_progress_on_a_path_that_folds_back():
+    # out along y = 0, back along y = 0.4 with vertices half a metre across from the out
+    # leg's: midway between two return vertices the robot is nearer an out-leg vertex
+    xy = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 0.4), (2.5, 0.4), (1.5, 0.4), (0.5, 0.4),
+          (-0.5, 0.4), (-1.5, 0.4)]
+    path = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in xy))
+    arr = np.array(xy, dtype=float)
+    pose, nearest, chosen = path[0], 0, []
+    for _ in range(12):
+        # the caller carries the nearest index forward, as run_episode does
+        nearest += int(np.argmin(np.hypot(arr[nearest:, 0] - pose.x, arr[nearest:, 1] - pose.y)))
+        subgoal = sim.select_subgoal(path, pose, 1.0, nearest)
+        chosen.append(path.poses.index(subgoal))
+        # a cycle moves 1 m toward the subgoal
+        dx, dy = subgoal.x - pose.x, subgoal.y - pose.y
+        scale = min(1.0, 1.0 / math.hypot(dx, dy)) if dx or dy else 0.0
+        pose = Pose2(pose.x + scale * dx, pose.y + scale * dy, 0.0)
+    # restarting from the nearest vertex of the whole path each cycle would alternate 3, 6, 3, 6
+    assert chosen == sorted(chosen)
+    assert chosen[-1] == len(path) - 1
+
+
+def ref_spl(report):
+    """Success weighted by path length, per report (Anderson et al., arXiv 1807.06757)."""
+    if not report["success"]:
+        return 0.0
+    longest = max(report["path_length"], report["expert_length"])
+    return report["expert_length"] / longest if longest else 1.0
+
+
+def test_outcome_summaries_match_per_report_reference(worlds48):
+    suite = sim.eval_suite(worlds48, 12, sim.NavConfig(planner="oracle"), None, 0)
+    reports = suite["reports"]
+    safe = [r["success"] and r["collision_count"] == 0 for r in reports]
+    assert suite["safe_success_rate"] == sum(safe) / len(reports)
+    assert 0 < suite["safe_success_rate"] < suite["success_rate"]  # some arrivals collided
+    assert suite["spl"] == pytest.approx(sum(map(ref_spl, reports)) / len(reports), rel=0, abs=1e-15)
+    assert 0 < suite["spl"] < 1
+    world = worlds48[1]
+    start, goal = Pose2(*world.start_xy[0], 0.5), Pose2(*world.start_xy[-1], 0.0)
+    report = sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), start=start)
+    assert report.expert_length == sim.oracle_plan(world, start, goal, 0.3, 0.25).path_length()
+    cases = [
+        sim.EpisodeReport(False, "stuck", path_length=3.0, expert_length=2.0),
+        sim.EpisodeReport(True, "reached", path_length=4.0, expert_length=2.0),
+        sim.EpisodeReport(True, "reached", path_length=1.5, expert_length=2.0),
+        sim.EpisodeReport(True, "reached"),
+    ]
+    assert [sim._spl(r) for r in cases] == [ref_spl(r.to_jsonable()) for r in cases] == [0.0, 0.5, 1.0, 1.0]
+
+
 # sha256 of json.dumps(eval_suite(worlds48, 6, NavConfig(planner=...), model, 0), sort_keys=True)
-# as the per-step clearance loop computed it, before per-world planning grids; the model runs
-# use the eval_model fixture
+# as the loop computes it since it follows one expert path, splits turns and keeps its subgoal
+# progress; the model runs use the eval_model fixture
 SUITE_DIGESTS = {
-    "oracle": "fa8fa99d8ecd1a1b8a67da6f17dfde6e999e6b0d747b86688ab8d2c8446149c5",
-    "model": "33656f227e7fa7d523c776755b615d5239a59f93732bf65ae3cc7bdb528f7528",
-    "model-no-fallback": "c1d264fa043318c43a1c84cd9fe1dfa5a05541420b59950c5abe01fc2279ada8",
+    "oracle": "e868a09239b5892fd2fdfa6dd3d8864107209d28e8cab05b1f1e5cab8f2a5a85",
+    "model": "787701f5cef1d9540a3ec4bf28f635a13be9d97be8951f13d2ef21b9376942a3",
+    "model-no-fallback": "7745ee197d96840b16433926d7ea4b79f1ce976efdc490e413c9d79d498125c5",
 }
 
 
