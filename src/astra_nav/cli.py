@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 domain error, 2 usage error; either error writes
 one JSON line {"error", "message"} on stderr. A master --seed threads the
-RNG wherever one is used.
+RNG wherever one is used. A global --log-level (before the verb) writes the
+library's log records at that level and above to stderr, one line each; at
+DEBUG, `sim` reports every global fix and expert re-plan of an episode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import fields
@@ -291,8 +294,13 @@ def _cmd_sim_eval(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="astra", description=__doc__)
+    parser.add_argument("--log-level", type=str.upper, choices=_LOG_LEVELS,
+                        help="write library log records at this level and above to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="map validation and global paths")
@@ -397,6 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("astra_nav")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    if args.log_level:
+        logger.addHandler(handler)
+        logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except AstraError as e:
@@ -404,6 +418,10 @@ def main(argv=None) -> int:
             json.dumps({"error": type(e).__name__, "message": str(e)}) + "\n"
         )
         return 1
+    finally:
+        # a caller that runs several commands in one process starts each afresh
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -190,23 +190,23 @@ def sample_reference_nodes(topo: TopoMap, candidates: set[str]) -> list[str]:
     """_REF_K nearest map nodes per candidate under d_pos + _ANGLE_BETA * d_angle,
     deduplicated.
 
-    Ties break on node id; the result is the sorted union.
+    Ties break on node id; the result is the sorted union. Every candidate
+    ranks all nodes in one pass over the map's node index; each key equals,
+    bit for bit, the one `np.linalg.norm` and `Pose6.angle_to` give per node.
     """
-    refs: set[str] = set()
-    all_nodes = sorted(topo.nodes)
-    for cid in sorted(candidates):
-        cand = topo.nodes[cid]
-        cpos = np.asarray(cand.pose.position)
-        ranked = sorted(
-            all_nodes,
-            key=lambda nid: (
-                float(np.linalg.norm(np.asarray(topo.nodes[nid].pose.position) - cpos))
-                + _ANGLE_BETA * cand.pose.angle_to(topo.nodes[nid].pose),
-                nid,
-            ),
-        )
-        refs.update(ranked[:_REF_K])
-    return sorted(refs)
+    if not candidates:
+        return []
+    index = topo.node_index()
+    rows = [index.row[cid] for cid in sorted(candidates)]
+    q, cq = index.quaternions, index.quaternions[rows]
+    # the quaternion dot summed term by term, as angle_to sums it
+    dot = cq[:, None, 0] * q[:, 0] + cq[:, None, 1] * q[:, 1]
+    dot = dot + cq[:, None, 2] * q[:, 2] + cq[:, None, 3] * q[:, 3]
+    # fmin keeps 1.0 against NaN, as min(1.0, dot) does
+    acos = np.array(list(map(math.acos, np.fmin(1.0, np.abs(dot)).ravel().tolist())))
+    key = index.distances(index.positions[rows]) + _ANGLE_BETA * (2.0 * acos.reshape(dot.shape))
+    order = np.lexsort((np.broadcast_to(np.arange(len(index.ids)), key.shape), key))
+    return sorted({index.ids[k] for k in order[:, :_REF_K].ravel().tolist()})
 
 
 def fine_localize(

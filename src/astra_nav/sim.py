@@ -32,8 +32,10 @@ toward it; when the trajectory would collide, the expert takes over for
 the cycle. The expert follows its path (`_ExpertPath`): a progress index
 that only moves forward, and a re-plan only when the estimate strays from
 the path by more than the planner's safety margin or the path runs out
-short of the goal. A cycle executes a few steps under noisy kinematics and
-dead-reckons between periodic global fixes. A step that turns more than
+short of the goal. A cycle executes a few steps under noisy kinematics, all
+of their noise drawn at once, and dead-reckons between periodic global
+fixes. The clearance of the executed poses only counts collisions, so it is
+looked up once, at the end of the episode. A step that turns more than
 0.5 rad is executed as several: the first translates and turns a share,
 the rest rotate in place, and each counts as a step for the budget, the
 fixes and the noise.
@@ -44,6 +46,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -92,6 +95,8 @@ from .planner import (
 )
 from .planner import sample as plan_sample
 from .topomap import Landmark, MapNode, Pose6, TopoMap
+
+log = logging.getLogger(__name__)
 
 
 class SimError(AstraError):
@@ -329,8 +334,8 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
     if len(cells) == 0:
         cells = np.argwhere(free)
     order = rng.permutation(len(cells))
-    node_ids = sorted(world_map.nodes)
-    node_xy = np.array([world_map.nodes[nid].pose.position[:2] for nid in node_ids])
+    index = world_map.node_index()
+    node_ids, node_xy = index.ids, index.positions[:, :2]
     placed = 0
     for k in order:
         if placed >= count:
@@ -697,18 +702,21 @@ class EpisodeReport:
 
 def observations_at(world: World, pose: Pose2):
     """Noiseless landmark observations from the nearest landmark-bearing node
-    within 6 m."""
-    best = None
-    for nid in sorted(world.map.nodes):
-        node = world.map.nodes[nid]
-        if not node.landmark_ids:
-            continue
-        d = math.hypot(node.pose.position[0] - pose.x, node.pose.position[1] - pose.y)
-        if d <= 6.0 and (best is None or d < best[0]):
-            best = (d, nid)
-    if best is None:
+    within 6 m, the first in id order on a tie.
+
+    The nodes are walked nearest first until one bears a landmark; landmark
+    sightings are read now, as they may have changed since the node index
+    was built."""
+    index = world.map.node_index()
+    d = index.planar_distances(pose.x, pose.y)
+    for k in np.argsort(d, kind="stable").tolist():
+        if d[k] > 6.0:
+            return []
+        node = world.map.nodes[index.ids[k]]
+        if node.landmark_ids:
+            break
+    else:
         return []
-    node = world.map.nodes[best[1]]
     return [
         LandmarkObservation(
             world.map.landmarks[lid].category,
@@ -729,16 +737,9 @@ def _global_fix(world: World, true_pose: Pose2, radius: float) -> Pose2 | None:
 
 
 def _nearest_node(topo: TopoMap, pose: Pose2) -> str:
-    return min(
-        sorted(topo.nodes),
-        key=lambda nid: (
-            math.hypot(
-                topo.nodes[nid].pose.position[0] - pose.x,
-                topo.nodes[nid].pose.position[1] - pose.y,
-            ),
-            nid,
-        ),
-    )
+    """The node nearest to the pose in the plane, the first in id order on a tie."""
+    index = topo.node_index()
+    return index.ids[int(np.argmin(index.planar_distances(pose.x, pose.y)))]
 
 
 _MAX_TURN = 0.5  # rad per executed step
@@ -787,7 +788,10 @@ class _ExpertPath:
         n = self.config.execute_steps
         self.index = _nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
         x, y = self.xy[self.index]
-        if math.hypot(x - est.x, y - est.y) > _SAFETY_MARGIN or self.index == len(self.poses) - 1:
+        off = math.hypot(x - est.x, y - est.y)
+        if off > _SAFETY_MARGIN or self.index == len(self.poses) - 1:
+            log.debug("expert re-plans on %s, %.3f m from the path",
+                      "deviation" if off > _SAFETY_MARGIN else "path end", off)
             ref = oracle_plan(self.world, est, self.goal, self.config.footprint_radius,
                               self.config.max_step)
             self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
@@ -823,7 +827,10 @@ def run_episode(
 
     fix = _global_fix(world, true_pose, radius=0.51)
     if fix is None:
+        log.debug("first global fix rejected")
         return EpisodeReport(False, "localization-fail")
+    log.debug("first global fix accepted, %.3f m from the true pose",
+              math.hypot(fix.x - true_pose.x, fix.y - true_pose.y))
     # localization recovers position; heading comes from the robot's own frame
     est_pose = Pose2(fix.x, fix.y, true_pose.theta)
 
@@ -854,6 +861,13 @@ def run_episode(
     global_xy = global_path.as_array()
     executed = 0
     step_lengths: list[float] = []
+    true_xy: list[tuple[float, float]] = []  # after every executed step
+    # per executed step, the noise sigmas of exec x, y, theta, wheel x, y,
+    # theta and imu: the step length times `per_metre`, plus `fixed`
+    per_metre = np.array([config.exec_trans_sigma, config.exec_trans_sigma, 0.0,
+                          config.wheel_trans_sigma, config.wheel_trans_sigma, 0.0, 0.0])
+    fixed = np.array([0.0, 0.0, config.exec_rot_sigma, 0.0, 0.0, config.wheel_rot_sigma,
+                      config.imu_sigma])
     best_goal_dist = math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
     stall = 0
     stall_limit = max(80, 4 * config.fix_every)
@@ -887,42 +901,35 @@ def run_episode(
                 report.reason = "stuck"
                 break
 
-        executed_xy = []
-        steps = [_split_action(a, config.max_step) for a in actions.steps[: config.execute_steps]]
-        for step in np.concatenate(steps):
-            step_len = math.hypot(step[0], step[1])
-            exec_inc = step + np.array(
-                [
-                    rng.normal(0.0, config.exec_trans_sigma * step_len),
-                    rng.normal(0.0, config.exec_trans_sigma * step_len),
-                    rng.normal(0.0, config.exec_rot_sigma),
-                ]
-            )
+        steps = np.concatenate(
+            [_split_action(a, config.max_step) for a in actions.steps[: config.execute_steps]]
+        )
+        # the cycle's noise in one draw, row by row in the order of the steps;
+        # rows past a goal-reached break go unused, and the episode ends there
+        lengths = list(map(math.hypot, steps[:, 0].tolist(), steps[:, 1].tolist()))
+        noise = rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed)
+        exec_incs = steps + noise[:, :3]
+        wheels = (exec_incs + noise[:, 3:6]).tolist()
+        imu = (exec_incs[:, 2] + noise[:, 6]).tolist()
+        for exec_inc, wheel, imu_dth in zip(exec_incs.tolist(), wheels, imu):
             true_pose = compose_se2(true_pose, Pose2(*exec_inc))
-            wheel = exec_inc + np.array(
-                [
-                    rng.normal(0.0, config.wheel_trans_sigma * step_len),
-                    rng.normal(0.0, config.wheel_trans_sigma * step_len),
-                    rng.normal(0.0, config.wheel_rot_sigma),
-                ]
-            )
-            imu_dth = exec_inc[2] + rng.normal(0.0, config.imu_sigma)
             fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu_dth))
             est_pose = compose_se2(est_pose, Pose2(*fused))
             executed += 1
             step_lengths.append(math.hypot(exec_inc[0], exec_inc[1]))
             report.path_length += step_lengths[-1]
-            executed_xy.append((true_pose.x, true_pose.y))
+            true_xy.append((true_pose.x, true_pose.y))
             if executed % config.fix_every == 0:
                 fix = _global_fix(world, true_pose, config.fix_oracle_radius)
                 if fix is not None:
+                    log.debug("step %d: global fix accepted, jump %.3f m", executed,
+                              math.hypot(fix.x - est_pose.x, fix.y - est_pose.y))
                     # position re-anchored to the map, heading kept from odometry
                     est_pose = Pose2(fix.x, fix.y, est_pose.theta)
+                else:
+                    log.debug("step %d: global fix rejected", executed)
             if goal_distance() <= config.goal_tolerance:
                 break
-        # one lookup for the cycle's executed true poses; it never steers the loop
-        clearance = sample_bilinear(dist, executed_xy)
-        report.collision_count += int(np.count_nonzero(clearance < config.footprint_radius))
         d = goal_distance()
         if d < best_goal_dist - 0.05:
             best_goal_dist = d
@@ -933,9 +940,15 @@ def run_episode(
                 report.reason = "stuck"
                 break
 
+    if true_xy:
+        # one lookup for every executed true pose; it never steers the loop
+        clearance = sample_bilinear(dist, true_xy)
+        report.collision_count = int(np.count_nonzero(clearance < config.footprint_radius))
     if goal_distance() <= config.goal_tolerance:
         report.success, report.reason = True, "reached"
     report.final_error = goal_distance()
+    log.debug("episode ends %s after %d steps, %d collisions, %.3f m from the goal",
+              report.reason, executed, report.collision_count, report.final_error)
     report.mean_velocity = (
         float(np.mean(step_lengths)) / config.max_step if step_lengths else 0.0
     )

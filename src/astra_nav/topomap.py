@@ -3,11 +3,21 @@
 Nodes carry full 6-DoF poses (position + quaternion) as given by the mapping
 stage; landmarks keep a centralized registry of every node they are visible
 from, and nodes hold the symmetric back-references. Edge weights are the
-Euclidean norm of the relative translation.
+Euclidean norm of the relative translation; a small cache computes it once
+per translation that recurs, as the lattice map's link offsets do.
+
+Queries over all nodes (`spatial_query`, localization's reference nodes, the
+simulator's nearest node and observations) read one node index: the sorted
+node ids with their positions (N, 3) and quaternions (N, 4) as arrays. It is
+built on first use and dropped by `add_node`, the one way nodes enter a map
+(`from_jsonable` goes through it too); node poses are not reassigned after.
+Landmark sightings are not part of it, since `register_landmark` and
+`merge_covisible` change them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -15,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MapError, read_json
+from .errors import MapError, is_finite_number, is_finite_triple, read_json
 from .geom import Pose2
 
 
@@ -46,7 +56,14 @@ class Pose6:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Pose6":
-        return cls(tuple(data["position"]), tuple(data["quaternion"]))
+        """A JSON pose: "position" a list of three finite numbers and
+        "quaternion" a list of four. Anything else raises ValueError."""
+        position, quaternion = data["position"], data["quaternion"]
+        if not (is_finite_triple(position) and isinstance(quaternion, list)
+                and len(quaternion) == 4 and all(map(is_finite_number, quaternion))):
+            raise ValueError(f"a pose needs three finite position and four finite quaternion "
+                             f"numbers, got {data!r}")
+        return cls(tuple(position), tuple(quaternion))
 
 
 @dataclass
@@ -79,6 +96,37 @@ class Landmark:
     node_ids: set[str] = field(default_factory=set)
 
 
+@functools.lru_cache(maxsize=1024)
+def _edge_length(position: tuple[float, float, float]) -> float:
+    # keyed on the position; positions that compare equal differ at most in
+    # the sign of a zero, which the norm ignores
+    return float(np.linalg.norm(position))
+
+
+@dataclass(frozen=True)
+class _NodeIndex:
+    """The nodes of a map in id order: `ids` sorted, `row` the position of
+    each id in it, and each node's position (N, 3) and quaternion (N, 4)."""
+
+    ids: tuple[str, ...]
+    row: dict[str, int]
+    positions: np.ndarray
+    quaternions: np.ndarray
+
+    def distances(self, centers: np.ndarray) -> np.ndarray:
+        """3-D distance from a center (3,) or from each of centers (C, 3) to
+        every node: (N,) or (C, N). Each is the norm `np.linalg.norm` gives
+        the node's offset, sqrt of the same dot product, so bit for bit."""
+        d = self.positions - np.asarray(centers, dtype=float)[..., None, :]
+        return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+    def planar_distances(self, x: float, y: float) -> np.ndarray:
+        """`math.hypot` of every node's (x, y) offset from (x, y), (N,)."""
+        dx = (self.positions[:, 0] - x).tolist()
+        dy = (self.positions[:, 1] - y).tolist()
+        return np.array(list(map(math.hypot, dx, dy)))
+
+
 class TopoMap:
     """The map G = (nodes, edges, landmarks) with symmetric cross-references."""
 
@@ -86,6 +134,7 @@ class TopoMap:
         self.nodes: dict[str, MapNode] = {}
         self.edges: dict[tuple[str, str], MapEdge] = {}
         self.landmarks: dict[str, Landmark] = {}
+        self._index: _NodeIndex | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -93,6 +142,7 @@ class TopoMap:
         if node.id in self.nodes:
             raise MapError(f"duplicate node id: {node.id!r}")
         self.nodes[node.id] = node
+        self._index = None
         return self
 
     def add_edge(self, a_id: str, b_id: str, relative_pose: Pose6) -> "TopoMap":
@@ -102,8 +152,7 @@ class TopoMap:
             if nid not in self.nodes:
                 raise MapError(f"edge endpoint does not exist: {nid!r}")
         a, b = sorted((a_id, b_id))
-        length = float(np.linalg.norm(relative_pose.position))
-        self.edges[(a, b)] = MapEdge(a, b, relative_pose, length)
+        self.edges[(a, b)] = MapEdge(a, b, relative_pose, _edge_length(relative_pose.position))
         return self
 
     def register_landmark(self, node_id: str, landmark: Landmark) -> "TopoMap":
@@ -166,6 +215,19 @@ class TopoMap:
 
     # -- queries --------------------------------------------------------------
 
+    def node_index(self) -> _NodeIndex:
+        """The node index (see the module docstring), built on first use."""
+        if self._index is None:
+            ids = sorted(self.nodes)
+            poses = [self.nodes[nid].pose for nid in ids]
+            self._index = _NodeIndex(
+                tuple(ids),
+                {nid: k for k, nid in enumerate(ids)},
+                np.array([p.position for p in poses], dtype=float).reshape(len(ids), 3),
+                np.array([p.quaternion for p in poses], dtype=float).reshape(len(ids), 4),
+            )
+        return self._index
+
     def nodes_for_landmark(self, lid: str) -> set[str]:
         if lid not in self.landmarks:
             raise MapError(f"missing landmark: {lid!r}")
@@ -176,11 +238,8 @@ class TopoMap:
         if r < 0:
             raise MapError(f"negative search radius: {r}")
         c = np.asarray(center, dtype=float).reshape(3)
-        out = set()
-        for nid, node in self.nodes.items():
-            if np.linalg.norm(np.asarray(node.pose.position) - c) <= r:
-                out.add(nid)
-        return out
+        index = self.node_index()
+        return {index.ids[k] for k in np.flatnonzero(index.distances(c) <= r).tolist()}
 
     def shortest_path(self, from_id: str, to_id: str) -> list[str]:
         """Minimum-total-length node path; ties broken by lexicographic id sequence.
@@ -304,7 +363,7 @@ class TopoMap:
                 )
                 if node.id in m.nodes:
                     raise MapError(f"duplicate node id {node.id!r} (nodes[{i}])")
-                m.nodes[node.id] = node
+                m.add_node(node)
             for i, ed in enumerate(data.get("edges", [])):
                 a, b = ed["nodes"]
                 key = tuple(sorted((a, b)))
@@ -326,6 +385,8 @@ class TopoMap:
                 m.landmarks[lm.id] = lm
         except KeyError as e:
             raise MapError(f"map document missing field {e.args[0]!r}") from e
+        except ValueError as e:
+            raise MapError(f"malformed map document: {e}") from e
         return m
 
     @classmethod

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import logging
 import math
 import shutil
 import signal
@@ -698,3 +699,58 @@ def test_sim_run_with_an_instruction_goal(files, capsys, monkeypatch):
         "final_error": 0.4962004912207977, "mean_velocity": 0.7227721127655979,
         "path_length": 6.6856420430817805, "planner_calls": 0, "reason": "reached", "success": True,
     }
+
+
+def test_log_level_debug_reports_fixes_and_replans(files, capsys):
+    argv = ("sim", "run", "--world", files["world"], "--goal", files["goal.json"],
+            "--config", files["nav.json"])
+    code, quiet_out, quiet_err = run(capsys, *argv)
+    assert code == 0 and quiet_err == ""
+    code, out, err = run(capsys, "--log-level", "debug", *argv)
+    assert code == 0
+    assert out == quiet_out  # logging changes nothing the command computes
+    lines = err.splitlines()
+    assert lines[0].startswith("DEBUG astra_nav.sim: first global fix accepted")
+    assert lines[-1].startswith("DEBUG astra_nav.sim: episode ends ")
+    assert all(line.startswith("DEBUG astra_nav.sim: ") for line in lines)
+    # the flag lasts for its own command only
+    assert run(capsys, *argv)[2] == ""
+    assert logging.getLogger("astra_nav").handlers == []
+
+
+def test_log_level_above_debug_is_quiet(files, capsys):
+    code, _, err = run(capsys, "--log-level", "INFO", "sim", "run", "--world", files["world"],
+                       "--goal", files["goal.json"], "--config", files["nav.json"])
+    assert code == 0 and err == ""
+
+
+def test_unknown_log_level_is_a_usage_error(files, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run(capsys, "--log-level", "loud", "map", "validate", files["map"])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+# Node poses in a map file that are not three finite position and four finite quaternion numbers.
+BAD_MAP_POSES = {
+    "position-two": {"position": [1.0, 2.0], "quaternion": [1.0, 0.0, 0.0, 0.0]},
+    "position-string": {"position": ["a", 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]},
+    "position-nan": {"position": [float("nan"), 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]},
+    "quaternion-three": {"position": [0.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0]},
+    "quaternion-inf": {"position": [0.0, 0.0, 0.0], "quaternion": [float("inf"), 0.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MAP_POSES))
+def test_bad_map_pose_exits_1(files, capsys, name):
+    doc = json.loads(files["map"].read_text())
+    doc["nodes"][0]["pose"] = BAD_MAP_POSES[name]
+    path = files["root"] / f"map-{name}.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("localize", "--map", path, "--query", files["query.json"]),
+                 ("goal", "--map", path, "--terms", files["category"]),
+                 ("map", "validate", path)):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"] == "MapError"

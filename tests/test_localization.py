@@ -201,6 +201,45 @@ class TestReferences:
         refs = sample_reference_nodes(m, {"q"})
         assert refs == ["far", "farther", "q"]  # 0.5 + 0.5*pi > 1.5
 
+    def test_matches_per_node_keys_on_rounding_ties(self):
+        # a candidate, one node beside it and node pairs mirrored about it with one
+        # random orientation each: ties in exact arithmetic, so the K-th reference
+        # is decided by the rounding of each key, then by id
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            c = rng.uniform(-50, 50, 3)
+            m = TopoMap().add_node(MapNode("c", Pose6(tuple(c))))
+            m.add_node(MapNode("near", Pose6(tuple(c + rng.uniform(-0.01, 0.01, 3)))))
+            for i in range(4):
+                v, q = rng.uniform(-3, 3, 3), rng.normal(size=4)
+                q = tuple(q / np.linalg.norm(q))
+                m.add_node(MapNode(f"a{i}", Pose6(tuple(c + v), q)))
+                m.add_node(MapNode(f"b{i}", Pose6(tuple(c - v), q)))
+            want = []
+            for cid in ("c", "a0"):
+                cand = m.nodes[cid]
+                ranked = sorted(m.nodes, key=lambda nid: (
+                    float(np.linalg.norm(np.asarray(m.nodes[nid].pose.position) - np.asarray(cand.pose.position)))
+                    + 0.5 * cand.pose.angle_to(m.nodes[nid].pose),
+                    nid,
+                ))
+                want += ranked[:3]
+            assert sample_reference_nodes(m, {"c", "a0"}) == sorted(set(want))
+
+    def test_angle_term_rounds_as_angle_to(self):
+        # a rotated node A and an aligned node B exactly at A's per-node key: the
+        # tie for the third reference goes to the smaller id only if A's key is
+        # computed with the same roundings, arc cosine included
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            v, q = rng.uniform(0.5, 2.0, 3), rng.normal(size=4)
+            rotated = Pose6(tuple(v), tuple(q / np.linalg.norm(q)))
+            key = float(np.linalg.norm(v)) + 0.5 * Pose6().angle_to(rotated)
+            for a_id, b_id in (("a", "b"), ("b", "a")):
+                m = TopoMap().add_node(node("c", 0.0, 0.0)).add_node(node("near", 0.001, 0.0))
+                m.add_node(MapNode(a_id, rotated)).add_node(node(b_id, key, 0.0))
+                assert sample_reference_nodes(m, {"c"}) == ["a", "c", "near"]
+
 
 class TestFine:
     def test_single_reference(self):

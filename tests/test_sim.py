@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astra_nav import planner, sim
+from astra_nav import localization, planner, sim
 from astra_nav.esdf import Grid, make_mask, mask_esdf, sample_bilinear
 from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses, poses_to_actions, relative_pose
+from astra_nav.topomap import Landmark
 
 
 @pytest.fixture(scope="module")
@@ -908,14 +909,21 @@ def test_planning_grid_snaps_to_none_when_all_is_blocked():
 
 def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     """eval_suite with counters: sample_bilinear calls made outside
-    oracle_plan, subgoal selections (one per model plan), expert segments
-    (one per cycle the expert drives), unreachable plans (a cycle that ends
-    on one executes nothing), and the blocked grid of every planning grid
-    built."""
+    oracle_plan, in all and per episode, subgoal selections (one per model
+    plan), expert segments (one per cycle the expert drives), unreachable
+    plans (a cycle that ends on one executes nothing), and the blocked grid
+    of every planning grid built."""
     inside = [0]
-    counts = {"lookups": 0, "subgoals": 0, "segments": 0, "grids": [], "unreachable": 0}
+    counts = {"lookups": 0, "episode_lookups": [], "subgoals": 0, "segments": 0, "grids": [],
+              "unreachable": 0}
     oracle_plan, select_subgoal, grid_type = sim.oracle_plan, sim.select_subgoal, sim._PlanningGrid
-    segment = sim._ExpertPath.actions
+    segment, run_episode = sim._ExpertPath.actions, sim.run_episode
+
+    def counting_episode(*args, **kwargs):
+        before = counts["lookups"]
+        report = run_episode(*args, **kwargs)
+        counts["episode_lookups"].append(counts["lookups"] - before)
+        return report
 
     def tracked_plan(*args, **kwargs):
         inside[0] += 1
@@ -949,12 +957,13 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     monkeypatch.setattr(sim, "select_subgoal", counting_subgoal)
     monkeypatch.setattr(sim._ExpertPath, "actions", counting_segment)
     monkeypatch.setattr(sim, "_PlanningGrid", counting_grid)
+    monkeypatch.setattr(sim, "run_episode", counting_episode)
     suite = sim.eval_suite(worlds, episodes, config, model, master_seed=0)
     return suite, counts
 
 
 @pytest.mark.parametrize("kind", ["oracle", "model"])
-def test_episode_makes_one_lookup_per_cycle(monkeypatch, eval_model, kind):
+def test_episode_makes_one_lookup_per_episode(monkeypatch, eval_model, kind):
     worlds = [sim.generate_world(s, 48) for s in (3, 4)]  # no planning grid built yet
     config = sim.NavConfig(planner=kind)
     model = eval_model if kind == "model" else None
@@ -971,7 +980,9 @@ def test_episode_makes_one_lookup_per_cycle(monkeypatch, eval_model, kind):
         cycles = counts["segments"]
         assert counts["subgoals"] == 0
     assert cycles > 6
-    assert counts["lookups"] == cycles
+    # every episode executes steps, and looks up the clearance of all of them at once
+    assert all(r["path_length"] > 0 for r in suite["reports"])
+    assert counts["episode_lookups"] == [1] * 6
     # one planning grid per (world, clearance), however many plans asked for it
     grids = counts["grids"]
     assert len(worlds) <= len(grids) == len(set(grids)) <= 2 * len(worlds)
@@ -1099,6 +1110,127 @@ def test_outcome_summaries_match_per_report_reference(worlds48):
         sim.EpisodeReport(True, "reached"),
     ]
     assert [sim._spl(r) for r in cases] == [ref_spl(r.to_jsonable()) for r in cases] == [0.0, 0.5, 1.0, 1.0]
+
+
+# --- the node index against per-node references ---------------------------------------
+
+def ref_reference_nodes(topo, candidates, k=3, beta=0.5):
+    """Every node ranked per candidate by norm plus beta times angle, then id."""
+    refs = set()
+    for cid in sorted(candidates):
+        cand = topo.nodes[cid]
+        cpos = np.asarray(cand.pose.position)
+        ranked = sorted(
+            topo.nodes,
+            key=lambda nid: (
+                float(np.linalg.norm(np.asarray(topo.nodes[nid].pose.position) - cpos))
+                + beta * cand.pose.angle_to(topo.nodes[nid].pose),
+                nid,
+            ),
+        )
+        refs.update(ranked[:k])
+    return sorted(refs)
+
+
+def ref_nearest_node(topo, pose):
+    return min(topo.nodes, key=lambda nid: (
+        math.hypot(topo.nodes[nid].pose.position[0] - pose.x, topo.nodes[nid].pose.position[1] - pose.y),
+        nid,
+    ))
+
+
+def ref_observations(world, pose):
+    best = None
+    for nid in sorted(world.map.nodes):
+        node = world.map.nodes[nid]
+        d = math.hypot(node.pose.position[0] - pose.x, node.pose.position[1] - pose.y)
+        if node.landmark_ids and d <= 6.0 and (best is None or d < best[0]):
+            best = (d, nid)
+    if best is None:
+        return []
+    return [(world.map.landmarks[lid].category, world.map.landmarks[lid].visual_attributes)
+            for lid in sorted(world.map.nodes[best[1]].landmark_ids)]
+
+
+def ref_spatial_query(topo, center, r):
+    c = np.asarray(center, dtype=float)
+    return {nid for nid, n in topo.nodes.items() if np.linalg.norm(np.asarray(n.pose.position) - c) <= r}
+
+
+@pytest.fixture(scope="module")
+def worlds0to7(worlds48):
+    return worlds48 + [sim.generate_world(s, 48) for s in range(3, 8)]
+
+
+def test_node_index_queries_match_per_node_references(worlds0to7):
+    # queries at every node, midway between four lattice nodes (exact ties, decided
+    # by id) and at a random offset; radii that land exactly on lattice distances
+    rng = np.random.default_rng(7)
+    for world in worlds0to7:
+        topo = world.map
+        ids = sorted(topo.nodes)
+        for nid in ids:
+            assert localization.sample_reference_nodes(topo, {nid}) == ref_reference_nodes(topo, {nid})
+            x, y, z = topo.nodes[nid].pose.position
+            dx, dy = rng.uniform(-1.5, 1.5, 2)
+            for pose in (Pose2(x, y, 0.0), Pose2(x + 0.5, y + 0.5, 0.0), Pose2(x + dx, y + dy, 0.0)):
+                assert sim._nearest_node(topo, pose) == ref_nearest_node(topo, pose)
+                got = [(o.category, o.visual_attributes) for o in sim.observations_at(world, pose)]
+                assert got == ref_observations(world, pose)
+            for r in (0.0, 1.0, 1.5, 2.0, 2.5):
+                assert topo.spatial_query((x, y, z), r) == ref_spatial_query(topo, (x, y, z), r)
+        for _ in range(5):
+            cands = set(rng.choice(ids, size=4, replace=False).tolist())
+            assert localization.sample_reference_nodes(topo, cands) == ref_reference_nodes(topo, cands)
+        # a pose beyond 6 m of every landmark node observes nothing
+        far = Pose2(-100.0, -100.0, 0.0)
+        assert sim.observations_at(world, far) == ref_observations(world, far) == []
+
+
+def test_observations_read_landmarks_added_after_the_index():
+    world = sim.generate_world(0, 48)
+    bare = next(nid for nid in sorted(world.map.nodes) if not world.map.nodes[nid].landmark_ids)
+    x, y, _ = world.map.nodes[bare].pose.position
+    pose = Pose2(x, y, 0.0)
+    before = sim.observations_at(world, pose)  # builds the index
+    world.map.register_landmark(bare, Landmark("lm-new", "plant", {"color": "red"}))
+    after = sim.observations_at(world, pose)
+    assert after != before
+    assert [(o.category, o.visual_attributes) for o in after] == ref_observations(world, pose)
+
+
+def test_planar_ties_round_as_math_hypot():
+    # node A off both axes and node B on the x axis at A's math.hypot distance:
+    # the nearest node, and the observed one, is the smaller id of the two only
+    # if every distance is rounded as math.hypot rounds it
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        dx, dy = rng.uniform(0.1, 3.0, 2)
+        for a_id, b_id in (("a", "b"), ("b", "a")):
+            topo = sim.TopoMap()
+            topo.add_node(sim.MapNode(a_id, sim._pose6(dx, dy)))
+            topo.add_node(sim.MapNode(b_id, sim._pose6(math.hypot(dx, dy), 0.0)))
+            for nid in (a_id, b_id):
+                topo.register_landmark(nid, Landmark(f"lm-{nid}", "sofa" if nid == "a" else "door"))
+            assert sim._nearest_node(topo, Pose2()) == "a"
+            world = sim.World(Grid(np.zeros((2, 2), dtype=bool), 0.25), topo, [])
+            assert [o.category for o in sim.observations_at(world, Pose2())] == ["sofa"]
+
+
+WIDE_NOISE = {name: 5 * getattr(sim.NavConfig, name) for name in (
+    "wheel_trans_sigma", "wheel_rot_sigma", "imu_sigma", "exec_trans_sigma", "exec_rot_sigma")}
+# sha256 of json.dumps(eval_suite(worlds 3-7 at 48, 30, NavConfig(planner="oracle",
+# fix_every=1, every sigma at 5x its default), None, 0), sort_keys=True): a global fix
+# on every step and large noise draws, as the loop computes them since it follows one
+# expert path
+WIDE_SUITE_DIGEST = "04b2466a9fb855d3a74c2027dbb066724623cdab217fce295918d0f8acc95754"
+
+
+def test_noisy_suite_with_a_fix_every_step_is_pinned(worlds0to7):
+    config = sim.NavConfig(planner="oracle", fix_every=1, **WIDE_NOISE)
+    suite = sim.eval_suite(worlds0to7[3:], 30, config, None, 0)
+    digest = hashlib.sha256(json.dumps(suite, sort_keys=True).encode()).hexdigest()
+    assert digest == WIDE_SUITE_DIGEST
 
 
 # sha256 of json.dumps(eval_suite(worlds48, 6, NavConfig(planner=...), model, 0), sort_keys=True)

@@ -144,6 +144,71 @@ class TestSpatialQuery:
             assert m.spatial_query(center, r) == expect
 
 
+    def test_boundary_at_each_per_node_norm(self):
+        # a radius equal to one node's norm keeps exactly the nodes whose own norm,
+        # as np.linalg.norm rounds it, is no larger
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            center = rng.uniform(-50, 50, size=3)
+            offsets = rng.uniform(-3, 3, size=(10, 3))
+            pts = np.concatenate([center + offsets, center - offsets])
+            m = TopoMap()
+            for i, p in enumerate(pts):
+                m.add_node(node(f"n{i:02d}", *p))
+            norms = [np.linalg.norm(p - center) for p in pts]
+            for r in norms:
+                assert m.spatial_query(center, r) == {f"n{i:02d}" for i, d in enumerate(norms) if d <= r}
+
+
+class TestNodeIndex:
+    def test_rows_follow_sorted_ids(self):
+        m = TopoMap()
+        for nid, x in (("b", 1.0), ("a", 2.0), ("c", 3.0)):
+            m.add_node(node(nid, x, -x, 0.5))
+        index = m.node_index()
+        assert index.ids == ("a", "b", "c")
+        assert index.row == {"a": 0, "b": 1, "c": 2}
+        assert index.positions.tolist() == [[2.0, -2.0, 0.5], [1.0, -1.0, 0.5], [3.0, -3.0, 0.5]]
+        assert index.quaternions.tolist() == [[1.0, 0.0, 0.0, 0.0]] * 3
+        assert m.node_index() is index  # kept until a node is added
+
+    def test_rebuilt_after_add_node(self):
+        m = simple_map()
+        assert m.spatial_query((5.0, 5.0, 0.0), 0.5) == set()
+        m.add_node(node("d", 5.0, 5.0))
+        assert m.node_index().ids == ("a", "b", "c", "d")
+        assert m.spatial_query((5.0, 5.0, 0.0), 0.5) == {"d"}
+
+    def test_empty_map(self):
+        index = TopoMap().node_index()
+        assert index.ids == () and index.positions.shape == (0, 3)
+        assert TopoMap().spatial_query((0, 0, 0), 1.0) == set()
+
+    def test_loaded_map_builds_its_own_index(self):
+        m = simple_map()
+        m.node_index()
+        loaded = TopoMap.from_jsonable(m.to_jsonable())
+        assert loaded == m
+        assert loaded.node_index().ids == ("a", "b", "c")
+        assert loaded.node_index().positions.tolist() == m.node_index().positions.tolist()
+        loaded.add_node(node("d", 9.0, 9.0))
+        assert loaded.spatial_query((9.0, 9.0, 0.0), 0.0) == {"d"}
+
+
+def test_edge_lengths_equal_the_norm_of_each_offset():
+    # lengths come from a cache keyed on the offset; equal offsets, and offsets
+    # that differ only in the sign of a zero, get the norm of their own bits
+    rng = np.random.default_rng(5)
+    offsets = [tuple(rng.uniform(-3, 3, 3)) for _ in range(20)]
+    offsets += offsets[:5] + [(0.0, 1.5, 0.0), (-0.0, 1.5, -0.0), (-0.0, -1.5, 0.0)]
+    m = TopoMap()
+    for i in range(len(offsets) + 1):
+        m.add_node(node(f"n{i:02d}"))
+    for i, off in enumerate(offsets):
+        m.add_edge(f"n{i:02d}", f"n{i + 1:02d}", Pose6(off))
+        assert m.edges[(f"n{i:02d}", f"n{i + 1:02d}")].length == float(np.linalg.norm(off))
+
+
 class TestShortestPath:
     def test_trivial(self):
         m = simple_map()
