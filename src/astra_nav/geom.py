@@ -10,6 +10,13 @@ recurrence
 
 Convention: x forward, y left, theta counter-clockwise, and headings are
 wrapped to (-pi, pi] after every composition.
+
+The pose algebra is written once, on plain floats (`inverse_xyt`,
+`compose_xyt`, `relative_xyt`); `Pose2.inverse`, `compose_se2` and
+`relative_pose` wrap their results in a `Pose2`, and a loop that keeps its
+poses as floats calls the float forms directly. Each returns its heading
+wrapped, and `wrap_angle` returns every value it has wrapped unchanged, so a
+`Pose2` built from their output holds the same bits.
 """
 
 from __future__ import annotations
@@ -50,8 +57,7 @@ class Pose2:
         return cls(*value)
 
     def inverse(self) -> "Pose2":
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Pose2(-c * self.x - s * self.y, s * self.x - c * self.y, -self.theta)
+        return Pose2(*inverse_xyt(self.x, self.y, self.theta))
 
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
@@ -60,19 +66,36 @@ class Pose2:
         return (self.x, self.y, self.theta)
 
 
+def inverse_xyt(x: float, y: float, theta: float) -> tuple[float, float, float]:
+    """The inverse of the pose (x, y, theta), its heading -theta wrapped."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (-c * x - s * y, s * x - c * y, wrap_angle(-theta))
+
+
+def compose_xyt(ax: float, ay: float, ath: float, bx: float, by: float,
+                bth: float) -> tuple[float, float, float]:
+    """a (+) b on floats: rotate b's translation by ath, add, sum headings
+    and wrap the sum. Headings are taken as given, so a caller passes them
+    wrapped, as a `Pose2` holds them."""
+    c, s = math.cos(ath), math.sin(ath)
+    return (ax + c * bx - s * by, ay + s * bx + c * by, wrap_angle(ath + bth))
+
+
+def relative_xyt(ax: float, ay: float, ath: float, bx: float, by: float,
+                 bth: float) -> tuple[float, float, float]:
+    """b expressed in the frame of a on floats, a^-1 (+) b: the inverse's
+    heading is wrapped before it is composed."""
+    return compose_xyt(*inverse_xyt(ax, ay, ath), bx, by, bth)
+
+
 def compose_se2(a: Pose2, b: Pose2) -> Pose2:
     """Compose two planar poses: rotate b's translation by a.theta, add, sum headings."""
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    return Pose2(
-        a.x + c * b.x - s * b.y,
-        a.y + s * b.x + c * b.y,
-        a.theta + b.theta,
-    )
+    return Pose2(*compose_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
 
 
 def relative_pose(a: Pose2, b: Pose2) -> Pose2:
     """b expressed in the frame of a, i.e. a^-1 (+) b."""
-    return compose_se2(a.inverse(), b)
+    return Pose2(*relative_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
 
 
 @dataclass(frozen=True)

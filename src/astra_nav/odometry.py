@@ -48,8 +48,38 @@ class FusionWeights:
                      "wheel_trans", "vision_trans", "wheel_rot", "imu_rot", "vision_rot")
 
 
-# the weights of every call that passes none, checked once here
-_DEFAULT_WEIGHTS = FusionWeights()
+# the weights of every call that passes none, and of the navigation loop, checked once here
+DEFAULT_WEIGHTS = FusionWeights()
+
+
+def fuse_sources(wheel, imu_dtheta, vision, w: FusionWeights) -> tuple[float, float, float]:
+    """`fuse_increment` on the sources themselves: wheel and vision each
+    (dx, dy, dtheta) or None, imu_dtheta a float or None. Each weighted sum
+    starts at int 0 and adds the sources in the order wheel, imu, vision, as
+    `sum` over a list of them would, so a lone -0.0 term fuses to +0.0."""
+    if wheel is None and vision is None:
+        # no translation source; an increment without one is refused even
+        # when it carries a rotation source
+        raise OdometryError("increment carries no usable source")
+    tw = rw = tx = ty = rt = 0
+    if wheel is not None:
+        tw += w.wheel_trans
+        tx += w.wheel_trans * wheel[0]
+        ty += w.wheel_trans * wheel[1]
+        rw += w.wheel_rot
+        rt += w.wheel_rot * wheel[2]
+    if imu_dtheta is not None:
+        rw += w.imu_rot
+        rt += w.imu_rot * imu_dtheta
+    if vision is not None:
+        tw += w.vision_trans
+        tx += w.vision_trans * vision[0]
+        ty += w.vision_trans * vision[1]
+        rw += w.vision_rot
+        rt += w.vision_rot * vision[2]
+    if tw <= 0 or rw <= 0:
+        raise OdometryError("active fusion weights sum to zero")
+    return (tx / tw, ty / tw, rt / rw)
 
 
 def fuse_increment(
@@ -57,29 +87,7 @@ def fuse_increment(
 ) -> tuple[float, float, float]:
     """Weighted mean of the available sources; absent sources drop out and the
     remaining weights renormalize."""
-    w = weights or _DEFAULT_WEIGHTS
-    trans_sources = []
-    if inc.wheel is not None:
-        trans_sources.append((w.wheel_trans, inc.wheel[0], inc.wheel[1]))
-    if inc.vision is not None:
-        trans_sources.append((w.vision_trans, inc.vision[0], inc.vision[1]))
-    rot_sources = []
-    if inc.wheel is not None:
-        rot_sources.append((w.wheel_rot, inc.wheel[2]))
-    if inc.imu_dtheta is not None:
-        rot_sources.append((w.imu_rot, inc.imu_dtheta))
-    if inc.vision is not None:
-        rot_sources.append((w.vision_rot, inc.vision[2]))
-    if not trans_sources or not rot_sources:
-        raise OdometryError("increment carries no usable source")
-    tw = sum(s[0] for s in trans_sources)
-    rw = sum(s[0] for s in rot_sources)
-    if tw <= 0 or rw <= 0:
-        raise OdometryError("active fusion weights sum to zero")
-    dx = sum(s[0] * s[1] for s in trans_sources) / tw
-    dy = sum(s[0] * s[2] for s in trans_sources) / tw
-    dth = sum(s[0] * s[1] for s in rot_sources) / rw
-    return (dx, dy, dth)
+    return fuse_sources(inc.wheel, inc.imu_dtheta, inc.vision, weights or DEFAULT_WEIGHTS)
 
 
 def dead_reckon(

@@ -24,21 +24,23 @@ plan then pays only for its own search, smoothing and resampling. Nothing
 that depends on the start or goal of a plan is kept.
 
 The navigation loop mirrors the intended deployment: locate the goal
-(optionally from a language instruction), self-localize, plan a global
-node path and one expert path to the goal, then run control cycles. A cycle
-of the learned planner picks a lookahead subgoal on the node path, from a
-nearest-node index that only moves forward, and samples a trajectory
-toward it; when the trajectory would collide, the expert takes over for
-the cycle. The expert follows its path (`_ExpertPath`): a progress index
-that only moves forward, and a re-plan only when the estimate strays from
-the path by more than the planner's safety margin or the path runs out
+(optionally from a language instruction), self-localize, plan a global node
+path and one expert path to the goal, then run control cycles, one `step`
+of an `EpisodeState` each. Only the learned planner reads the node path, so
+an episode the expert drives only checks that the start and goal nodes are
+connected. A cycle of the learned planner picks a lookahead subgoal on the
+node path, from a nearest-node index that only moves forward, and samples a
+trajectory toward it; when the trajectory would collide, the expert takes
+over for the cycle. The expert follows its path (`_ExpertPath`): a progress
+index that only moves forward, and a re-plan only when the estimate strays
+from the path by more than the planner's safety margin or the path runs out
 short of the goal. A cycle executes a few steps under noisy kinematics, all
 of their noise drawn at once, and dead-reckons between periodic global
-fixes. The clearance of the executed poses only counts collisions, so it is
-looked up once, at the end of the episode. A step that turns more than
-0.5 rad is executed as several: the first translates and turns a share,
-the rest rotate in place, and each counts as a step for the budget, the
-fixes and the noise.
+fixes, its poses and increments plain floats. The clearance of the executed
+poses only counts collisions, so it is looked up once, at the end of the
+episode. A step that turns more than 0.5 rad is executed as several: the
+first translates and turns a share, the rest rotate in place, and each
+counts as a step for the budget, the fixes and the noise.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,12 +67,12 @@ from .esdf import (
     signed_esdf,
 )
 from .geom import (
-    ActionTrajectory,
     Pose2,
     PoseTrajectory,
-    compose_se2,
+    compose_xyt,
     poses_to_actions,
     relative_pose,
+    relative_xyt,
     wrap_angle,
 )
 from .localization import (
@@ -81,7 +83,8 @@ from .localization import (
     localize,
     make_ground_truth_oracle,
 )
-from .odometry import SensorIncrement, fuse_increment
+# the loop fuses with `fuse_sources`; bench/workloads.py traces `sim.fuse_increment`
+from .odometry import DEFAULT_WEIGHTS, fuse_increment, fuse_sources  # noqa: F401
 from .planner import (
     PlanningCondition,
     PlanningSample,
@@ -182,27 +185,28 @@ def _pose6(x: float, y: float) -> Pose6:
 def _connected(free: np.ndarray) -> bool:
     """True iff the free cells form one 8-connected component.
 
-    Grows the component of the first free cell by a 3x3 dilation masked by
-    `free` until its cell count stops growing.
-    """
-    total = int(free.sum())
-    if total == 0:
+    Each free cell starts labelled with its flat index. A pass gives every
+    free cell the lowest label in its 3x3 neighborhood, blocked cells
+    labelled h * w, then the label of its label, as `_pairs_connected` does
+    on a node graph; at the fixed point every component carries the index of
+    its first cell."""
+    cells = np.flatnonzero(free)
+    if len(cells) == 0:
         return False
-    seen = np.zeros_like(free)
-    seen[tuple(np.argwhere(free)[0])] = True
-    count = 1
+    h, w = free.shape
+    label = np.full(h * w, h * w)
+    label[cells] = cells
+    padded = np.full((h + 2, w + 2), h * w)
     while True:
-        grown = seen.copy()
-        grown[1:] |= seen[:-1]
-        grown[:-1] |= seen[1:]
-        rows = grown.copy()
-        grown[:, 1:] |= rows[:, :-1]
-        grown[:, :-1] |= rows[:, 1:]
-        grown &= free
-        grown_count = int(grown.sum())
-        if grown_count == count:
-            return count == total
-        seen, count = grown, grown_count
+        padded[1:-1, 1:-1] = label.reshape(h, w)
+        rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+        low = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:]).ravel()
+        new = label.copy()
+        new[cells] = low[cells]
+        new[cells] = new[new[cells]]
+        if np.array_equal(new, label):
+            return not (label[cells] != cells[0]).any()
+        label = new
 
 
 def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
@@ -745,22 +749,20 @@ def _nearest_node(topo: TopoMap, pose: Pose2) -> str:
 _MAX_TURN = 0.5  # rad per executed step
 
 
-def _split_action(a: np.ndarray, max_step: float) -> np.ndarray:
-    """The executed steps (n, 3) of one action: its translation, clipped to
-    `max_step`, and its turn, wrapped to (-pi, pi], split into n =
-    ceil(|turn| / _MAX_TURN) equal shares (n >= 1). The first step carries
-    the translation and one share; the rest rotate in place, so the steps
-    compose to the clipped action."""
+def _split_action(a, max_step: float) -> list[tuple[float, float, float]]:
+    """The executed steps (dx, dy, dtheta) of one action (dx, dy, dtheta):
+    its translation, clipped to `max_step`, and its turn, wrapped to
+    (-pi, pi], split into n = ceil(|turn| / _MAX_TURN) equal shares (n >= 1).
+    The first step carries the translation and one share; the rest rotate in
+    place, so the steps compose to the clipped action."""
     dx, dy = a[0], a[1]
     norm = math.hypot(dx, dy)
     if norm > max_step:
         dx, dy = dx * (max_step / norm), dy * (max_step / norm)
     turn = wrap_angle(float(a[2]))
     n = max(1, math.ceil(abs(turn) / _MAX_TURN))
-    steps = np.zeros((n, 3))
-    steps[0, :2] = dx, dy
-    steps[:, 2] = turn / n
-    return steps
+    share = turn / n
+    return [(dx, dy, share)] + [(0.0, 0.0, share)] * (n - 1)
 
 
 class _ExpertPath:
@@ -768,7 +770,7 @@ class _ExpertPath:
 
     Each call moves the index to the path pose nearest the estimate within
     2 * execute_steps poses ahead of it, so the index never moves back, and
-    returns the actions from the estimate to the next execute_steps poses.
+    returns the increments from the estimate to the next execute_steps poses.
     The path is re-planned from the estimate to the goal on two events only:
     the estimate is farther than `_SAFETY_MARGIN` from the nearest pose, or
     no pose is left ahead of it.
@@ -783,8 +785,11 @@ class _ExpertPath:
         self.xy = np.array([(p.x, p.y) for p in poses])
         self.index = 0
 
-    def actions(self, est: Pose2) -> ActionTrajectory:
-        """Raises UnreachableError when a re-plan finds no path."""
+    def actions(self, est: Pose2) -> list[tuple[float, float, float]]:
+        """The increments (dx, dy, dtheta) from the estimate to the first
+        following pose and from each following pose to the next, as
+        `relative_pose` computes them. Raises UnreachableError when a
+        re-plan finds no path."""
         n = self.config.execute_steps
         self.index = _nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
         x, y = self.xy[self.index]
@@ -795,8 +800,166 @@ class _ExpertPath:
             ref = oracle_plan(self.world, est, self.goal, self.config.footprint_radius,
                               self.config.max_step)
             self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
-        following = self.poses[self.index + 1 : self.index + 1 + n]
-        return poses_to_actions(PoseTrajectory((est,) + following))
+        rows = []
+        a = est
+        for b in self.poses[self.index + 1 : self.index + 1 + n]:
+            rows.append(relative_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
+            a = b
+        return rows
+
+
+@dataclass
+class EpisodeState:
+    """An episode between two control cycles; `step` runs the next cycle.
+
+    The true and estimated poses are those at the end of the last cycle.
+    `subgoal_path` is the node path to the goal, with the goal appended, that
+    the learned planner takes its subgoals from, `subgoal_xy` its rows as an
+    array and `progress` its nearest index, carried forward; they stay unset
+    when the expert drives every cycle. `step_lengths` and `true_xy` hold the length and the true position
+    of every executed step. Once `done`, `report` is final.
+    """
+
+    world: World
+    goal: Pose2
+    config: NavConfig
+    model: VectorFieldModel | None
+    rng: np.random.Generator
+    true_pose: Pose2
+    est_pose: Pose2
+    expert: _ExpertPath
+    subgoal_path: PoseTrajectory | None
+    subgoal_xy: np.ndarray | None
+    budget: int
+    report: EpisodeReport
+    best_goal_dist: float
+    progress: int = 0
+    executed: int = 0
+    stall: int = 0
+    done: bool = False
+    step_lengths: list[float] = field(default_factory=list)
+    true_xy: list[tuple[float, float]] = field(default_factory=list)
+
+    def goal_distance(self) -> float:
+        return math.hypot(self.true_pose.x - self.goal.x, self.true_pose.y - self.goal.y)
+
+
+def step(state: EpisodeState) -> EpisodeState:
+    """Run one control cycle of the episode, or end it: `state.done` is set,
+    and the report filled in, once the budget is spent, the true pose is
+    within the goal tolerance, the expert finds no path, or progress stalls.
+
+    A cycle plans, splits its actions into executed steps (`_split_action`),
+    draws its noise, then executes the steps one by one. The random draws of
+    a cycle come in this order: the learned planner's sample, when it plans;
+    then one `rng.normal` call of (steps, 7) values, row by row in the order of
+    the steps, each row the executed x, y and heading noise, the wheel x, y
+    and heading noise and the IMU noise. Rows past a goal-reached break go
+    unused, and the episode ends there.
+
+    Within a cycle both poses are plain floats: each step composes the
+    executed increment onto the true pose and the fused wheel + IMU
+    increment onto the estimate (`compose_xyt`, `fuse_sources`), each
+    increment's heading wrapped first, as a `Pose2` wraps it. Every
+    `fix_every`-th step asks for a global fix at the true pose, which
+    re-anchors the estimate's position and keeps its heading. A cycle builds
+    one `Pose2` per global fix and two at its end, for the true pose and the
+    estimate; a cycle of the learned planner also builds its condition and
+    plan.
+    """
+    if state.done:
+        return state
+    world, config, report = state.world, state.config, state.report
+    if state.executed >= state.budget or state.goal_distance() <= config.goal_tolerance:
+        return _end_episode(state)
+    est = state.est_pose
+    rows = None
+    if state.subgoal_path is not None:
+        state.progress = _nearest_index(state.subgoal_xy, est, state.progress)
+        subgoal = select_subgoal(state.subgoal_path, est, config.lookahead, state.progress)
+        cond = PlanningCondition(
+            relative_pose(est, subgoal),
+            (state.step_lengths[-1] if state.step_lengths else 0.0, 0.0),
+            occupancy_features(world.grid2d(), est, world.phi()),
+        )
+        plan = plan_sample(state.model, cond, config.euler_steps, state.rng, est)
+        report.planner_calls += 1
+        if collision_check(plan.poses, None, config.footprint_radius, world.dist_field()) and config.fallback:
+            report.fallback_count += 1
+        else:
+            rows = plan.actions.steps[: config.execute_steps].tolist()
+    if rows is None:  # oracle planner, or a fallback replacement segment
+        try:
+            rows = state.expert.actions(est)
+        except UnreachableError:
+            report.reason = "stuck"
+            return _end_episode(state)
+
+    steps = [s for row in rows for s in _split_action(row, config.max_step)]
+    lengths = [math.hypot(dx, dy) for dx, dy, _ in steps]
+    # per step, the sigmas of exec x, y, theta, wheel x, y, theta and imu: the
+    # step length times the translation sigmas, plus the rotation sigmas
+    per_metre = np.array([config.exec_trans_sigma, config.exec_trans_sigma, 0.0,
+                          config.wheel_trans_sigma, config.wheel_trans_sigma, 0.0, 0.0])
+    fixed = np.array([0.0, 0.0, config.exec_rot_sigma, 0.0, 0.0, config.wheel_rot_sigma,
+                      config.imu_sigma])
+    noise = state.rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed).tolist()
+    tx, ty, tth = state.true_pose.as_tuple()
+    ex, ey, eth = est.as_tuple()
+    gx, gy = state.goal.x, state.goal.y
+    for (sx, sy, sth), (n0, n1, n2, n3, n4, n5, n6) in zip(steps, noise):
+        dx, dy, dth = sx + n0, sy + n1, sth + n2
+        tx, ty, tth = compose_xyt(tx, ty, tth, dx, dy, wrap_angle(dth))
+        fx, fy, fth = fuse_sources((dx + n3, dy + n4, dth + n5), dth + n6, None, DEFAULT_WEIGHTS)
+        ex, ey, eth = compose_xyt(ex, ey, eth, fx, fy, wrap_angle(fth))
+        state.executed += 1
+        length = math.hypot(dx, dy)
+        state.step_lengths.append(length)
+        report.path_length += length
+        state.true_xy.append((tx, ty))
+        if state.executed % config.fix_every == 0:
+            fix = _global_fix(world, Pose2(tx, ty, tth), config.fix_oracle_radius)
+            if fix is not None:
+                log.debug("step %d: global fix accepted, jump %.3f m", state.executed,
+                          math.hypot(fix.x - ex, fix.y - ey))
+                # position re-anchored to the map, heading kept from odometry
+                ex, ey = fix.x, fix.y
+            else:
+                log.debug("step %d: global fix rejected", state.executed)
+        if math.hypot(tx - gx, ty - gy) <= config.goal_tolerance:
+            break
+    state.true_pose, state.est_pose = Pose2(tx, ty, tth), Pose2(ex, ey, eth)
+
+    d = state.goal_distance()
+    if d < state.best_goal_dist - 0.05:
+        state.best_goal_dist = d
+        state.stall = 0
+    else:
+        state.stall += config.execute_steps
+        if state.stall >= max(80, 4 * config.fix_every):
+            report.reason = "stuck"
+            return _end_episode(state)
+    return state
+
+
+def _end_episode(state: EpisodeState) -> EpisodeState:
+    """Fill in the report's outcome, collisions, final error and velocity."""
+    config, report = state.config, state.report
+    if state.true_xy:
+        # one lookup for every executed true pose; it never steers the loop
+        clearance = sample_bilinear(state.world.dist_field(), state.true_xy)
+        report.collision_count = int(np.count_nonzero(clearance < config.footprint_radius))
+    d = state.goal_distance()
+    if d <= config.goal_tolerance:
+        report.success, report.reason = True, "reached"
+    report.final_error = d
+    log.debug("episode ends %s after %d steps, %d collisions, %.3f m from the goal",
+              report.reason, state.executed, report.collision_count, report.final_error)
+    report.mean_velocity = (
+        float(np.mean(state.step_lengths)) / config.max_step if state.step_lengths else 0.0
+    )
+    state.done = True
+    return state
 
 
 def run_episode(
@@ -807,15 +970,17 @@ def run_episode(
     seed: int = 0,
     start: Pose2 | None = None,
 ) -> EpisodeReport:
-    """One navigation episode; `goal` is a Pose2 or an instruction string."""
+    """One navigation episode; `goal` is a Pose2 or an instruction string.
+
+    Set-up draws the start point and heading from the episode's rng when no
+    start is given, then locates the goal, takes a first global fix, checks
+    that the start and goal nodes are connected (the learned planner takes
+    the node path itself) and plans the expert's reference path, which sets
+    the step budget; control cycles (`step`) run until the episode ends."""
     rng = np.random.default_rng(seed)
-    grid2 = world.grid2d()
-    dist = world.dist_field()
-    phi = world.phi()
     if start is None:
         sx, sy = world.start_xy[int(rng.integers(len(world.start_xy)))]
         start = Pose2(sx, sy, float(rng.uniform(-math.pi, math.pi)))
-    true_pose = start
 
     if isinstance(goal, str):
         try:
@@ -825,23 +990,28 @@ def run_episode(
     else:
         goal_pose = goal
 
-    fix = _global_fix(world, true_pose, radius=0.51)
+    fix = _global_fix(world, start, radius=0.51)
     if fix is None:
         log.debug("first global fix rejected")
         return EpisodeReport(False, "localization-fail")
     log.debug("first global fix accepted, %.3f m from the true pose",
-              math.hypot(fix.x - true_pose.x, fix.y - true_pose.y))
+              math.hypot(fix.x - start.x, fix.y - start.y))
     # localization recovers position; heading comes from the robot's own frame
-    est_pose = Pose2(fix.x, fix.y, true_pose.theta)
+    est_pose = Pose2(fix.x, fix.y, start.theta)
 
     start_node = _nearest_node(world.map, est_pose)
     goal_node = _nearest_node(world.map, goal_pose)
-    node_path = world.map.shortest_path(start_node, goal_node)
-    if not node_path:
+    subgoal_path = subgoal_xy = None
+    if config.planner == "model" and model is not None:
+        node_path = world.map.shortest_path(start_node, goal_node)
+        if not node_path:
+            return EpisodeReport(False, "stuck")
+        subgoal_path = PoseTrajectory(
+            tuple(world.map.nodes[nid].pose.planar() for nid in node_path) + (goal_pose,)
+        )
+        subgoal_xy = subgoal_path.as_array()
+    elif not world.map.connected(start_node, goal_node):
         return EpisodeReport(False, "stuck")
-    global_poses = [world.map.nodes[nid].pose.planar() for nid in node_path]
-    global_poses.append(goal_pose)
-    global_path = PoseTrajectory(tuple(global_poses))
 
     try:
         oracle_ref = oracle_plan(
@@ -850,109 +1020,20 @@ def run_episode(
     except UnreachableError:
         return EpisodeReport(False, "stuck")
     expert_length = oracle_ref.path_length()
-    budget = max(60, int(config.budget_factor * expert_length / config.max_step))
-
     report = EpisodeReport(False, "timeout", expert_length=expert_length)
     # the expert's first path is the reference path: it starts at the true
     # start, where the first fix puts the estimate when the start is a node;
     # an estimate off it makes the first cycle re-plan
-    expert = _ExpertPath(world, goal_pose, config, oracle_ref)
-    progress = 0  # nearest index on the global path, carried forward
-    global_xy = global_path.as_array()
-    executed = 0
-    step_lengths: list[float] = []
-    true_xy: list[tuple[float, float]] = []  # after every executed step
-    # per executed step, the noise sigmas of exec x, y, theta, wheel x, y,
-    # theta and imu: the step length times `per_metre`, plus `fixed`
-    per_metre = np.array([config.exec_trans_sigma, config.exec_trans_sigma, 0.0,
-                          config.wheel_trans_sigma, config.wheel_trans_sigma, 0.0, 0.0])
-    fixed = np.array([0.0, 0.0, config.exec_rot_sigma, 0.0, 0.0, config.wheel_rot_sigma,
-                      config.imu_sigma])
-    best_goal_dist = math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
-    stall = 0
-    stall_limit = max(80, 4 * config.fix_every)
-
-    def goal_distance() -> float:
-        return math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
-
-    while executed < budget and goal_distance() > config.goal_tolerance:
-        actions = None
-        if config.planner == "model" and model is not None:
-            progress = _nearest_index(global_xy, est_pose, progress)
-            subgoal = select_subgoal(global_path, est_pose, config.lookahead, progress)
-            cond = PlanningCondition(
-                relative_pose(est_pose, subgoal),
-                (step_lengths[-1] if step_lengths else 0.0, 0.0),
-                occupancy_features(grid2, est_pose, phi),
-            )
-            plan = plan_sample(model, cond, config.euler_steps, rng, est_pose)
-            report.planner_calls += 1
-            if collision_check(plan.poses, None, config.footprint_radius, dist):
-                if config.fallback:
-                    report.fallback_count += 1
-                else:
-                    actions = plan.actions
-            else:
-                actions = plan.actions
-        if actions is None:  # oracle planner, or a fallback replacement segment
-            try:
-                actions = expert.actions(est_pose)
-            except UnreachableError:
-                report.reason = "stuck"
-                break
-
-        steps = np.concatenate(
-            [_split_action(a, config.max_step) for a in actions.steps[: config.execute_steps]]
-        )
-        # the cycle's noise in one draw, row by row in the order of the steps;
-        # rows past a goal-reached break go unused, and the episode ends there
-        lengths = list(map(math.hypot, steps[:, 0].tolist(), steps[:, 1].tolist()))
-        noise = rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed)
-        exec_incs = steps + noise[:, :3]
-        wheels = (exec_incs + noise[:, 3:6]).tolist()
-        imu = (exec_incs[:, 2] + noise[:, 6]).tolist()
-        for exec_inc, wheel, imu_dth in zip(exec_incs.tolist(), wheels, imu):
-            true_pose = compose_se2(true_pose, Pose2(*exec_inc))
-            fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu_dth))
-            est_pose = compose_se2(est_pose, Pose2(*fused))
-            executed += 1
-            step_lengths.append(math.hypot(exec_inc[0], exec_inc[1]))
-            report.path_length += step_lengths[-1]
-            true_xy.append((true_pose.x, true_pose.y))
-            if executed % config.fix_every == 0:
-                fix = _global_fix(world, true_pose, config.fix_oracle_radius)
-                if fix is not None:
-                    log.debug("step %d: global fix accepted, jump %.3f m", executed,
-                              math.hypot(fix.x - est_pose.x, fix.y - est_pose.y))
-                    # position re-anchored to the map, heading kept from odometry
-                    est_pose = Pose2(fix.x, fix.y, est_pose.theta)
-                else:
-                    log.debug("step %d: global fix rejected", executed)
-            if goal_distance() <= config.goal_tolerance:
-                break
-        d = goal_distance()
-        if d < best_goal_dist - 0.05:
-            best_goal_dist = d
-            stall = 0
-        else:
-            stall += config.execute_steps
-            if stall >= stall_limit:
-                report.reason = "stuck"
-                break
-
-    if true_xy:
-        # one lookup for every executed true pose; it never steers the loop
-        clearance = sample_bilinear(dist, true_xy)
-        report.collision_count = int(np.count_nonzero(clearance < config.footprint_radius))
-    if goal_distance() <= config.goal_tolerance:
-        report.success, report.reason = True, "reached"
-    report.final_error = goal_distance()
-    log.debug("episode ends %s after %d steps, %d collisions, %.3f m from the goal",
-              report.reason, executed, report.collision_count, report.final_error)
-    report.mean_velocity = (
-        float(np.mean(step_lengths)) / config.max_step if step_lengths else 0.0
+    state = EpisodeState(
+        world, goal_pose, config, model, rng, start, est_pose,
+        _ExpertPath(world, goal_pose, config, oracle_ref), subgoal_path, subgoal_xy,
+        budget=max(60, int(config.budget_factor * expert_length / config.max_step)),
+        report=report,
+        best_goal_dist=math.hypot(start.x - goal_pose.x, start.y - goal_pose.y),
     )
-    return report
+    while not state.done:
+        step(state)
+    return state.report
 
 
 def _spl(report: EpisodeReport) -> float:

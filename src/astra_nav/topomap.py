@@ -13,6 +13,11 @@ built on first use and dropped by `add_node`, the one way nodes enter a map
 (`from_jsonable` goes through it too); node poses are not reassigned after.
 Landmark sightings are not part of it, since `register_landmark` and
 `merge_covisible` change them.
+
+Graph queries (`shortest_path`, `connected`) read the adjacency lists and
+the connected-component label of each node, built together on first use and
+dropped by `add_node` and `add_edge`; `from_jsonable` fills in the edges
+before any query.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ class TopoMap:
         self.edges: dict[tuple[str, str], MapEdge] = {}
         self.landmarks: dict[str, Landmark] = {}
         self._index: _NodeIndex | None = None
+        self._graph: tuple[dict[str, list[tuple[str, float]]], dict[str, int]] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -142,7 +148,7 @@ class TopoMap:
         if node.id in self.nodes:
             raise MapError(f"duplicate node id: {node.id!r}")
         self.nodes[node.id] = node
-        self._index = None
+        self._index = self._graph = None
         return self
 
     def add_edge(self, a_id: str, b_id: str, relative_pose: Pose6) -> "TopoMap":
@@ -153,6 +159,7 @@ class TopoMap:
                 raise MapError(f"edge endpoint does not exist: {nid!r}")
         a, b = sorted((a_id, b_id))
         self.edges[(a, b)] = MapEdge(a, b, relative_pose, _edge_length(relative_pose.position))
+        self._graph = None
         return self
 
     def register_landmark(self, node_id: str, landmark: Landmark) -> "TopoMap":
@@ -241,36 +248,63 @@ class TopoMap:
         index = self.node_index()
         return {index.ids[k] for k in np.flatnonzero(index.distances(c) <= r).tolist()}
 
+    def _adjacency(self) -> tuple[dict[str, list[tuple[str, float]]], dict[str, int]]:
+        """Each node's (neighbor, edge length) list, in edge order, and each
+        node's component label, built on first use (see the module docstring)."""
+        if self._graph is None:
+            adj: dict[str, list[tuple[str, float]]] = {nid: [] for nid in self.nodes}
+            for (a, b), edge in self.edges.items():
+                adj[a].append((b, edge.length))
+                adj[b].append((a, edge.length))
+            label: dict[str, int] = {}
+            for root in adj:
+                if root in label:
+                    continue
+                label[root] = len(label)
+                stack = [root]
+                while stack:
+                    for nxt, _ in adj[stack.pop()]:
+                        if nxt not in label:
+                            label[nxt] = label[root]
+                            stack.append(nxt)
+            self._graph = (adj, label)
+        return self._graph
+
+    def connected(self, from_id: str, to_id: str) -> bool:
+        """Whether an edge path joins the two nodes."""
+        for nid in (from_id, to_id):
+            if nid not in self.nodes:
+                raise MapError(f"missing node: {nid!r}")
+        _, label = self._adjacency()
+        return label[from_id] == label[to_id]
+
     def shortest_path(self, from_id: str, to_id: str) -> list[str]:
         """Minimum-total-length node path; ties broken by lexicographic id sequence.
 
-        Returns [] when the two nodes are disconnected.
+        Returns [] when the two nodes are disconnected. Entries are popped in
+        order of (cost, path); with edge lengths >= 0 an extended entry sorts
+        after the one it extends, so the first pop of a node is its best and
+        the search ends at the first pop of the goal.
         """
         for nid in (from_id, to_id):
             if nid not in self.nodes:
                 raise MapError(f"missing node: {nid!r}")
         if from_id == to_id:
             return [from_id]
-        adj: dict[str, list[tuple[str, float]]] = {nid: [] for nid in self.nodes}
-        for (a, b), edge in self.edges.items():
-            adj[a].append((b, edge.length))
-            adj[b].append((a, edge.length))
-        best: dict[str, tuple[float, tuple[str, ...]]] = {}
+        adj, _ = self._adjacency()
+        done: set[str] = set()
         heap = [(0.0, (from_id,), from_id)]
         while heap:
             cost, path, nid = heapq.heappop(heap)
-            if nid in best and (cost, path) >= best[nid]:
-                continue
-            best[nid] = (cost, path)
             if nid == to_id:
+                return list(path)
+            if nid in done:
                 continue
+            done.add(nid)
             for nxt, length in adj[nid]:
-                cand = (cost + length, path + (nxt,))
-                if nxt not in best or cand < best[nxt]:
-                    heapq.heappush(heap, (cand[0], cand[1], nxt))
-        if to_id not in best:
-            return []
-        return list(best[to_id][1])
+                if nxt not in done:
+                    heapq.heappush(heap, (cost + length, path + (nxt,), nxt))
+        return []
 
     # -- validation -----------------------------------------------------------
 

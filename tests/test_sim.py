@@ -9,9 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astra_nav import localization, planner, sim
+from astra_nav import geom, localization, odometry, planner, sim
+from astra_nav.errors import MapError
 from astra_nav.esdf import Grid, make_mask, mask_esdf, sample_bilinear
-from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses, poses_to_actions, relative_pose
+from astra_nav.geom import (
+    Pose2,
+    PoseTrajectory,
+    actions_to_poses,
+    compose_se2,
+    compose_xyt,
+    poses_to_actions,
+    relative_pose,
+    relative_xyt,
+)
+from astra_nav.odometry import DEFAULT_WEIGHTS, SensorIncrement, fuse_increment, fuse_sources
 from astra_nav.topomap import Landmark
 
 
@@ -653,7 +664,7 @@ def eval_model(worlds48):
 def test_split_action_turns_in_shares(heading):
     turn = math.remainder(heading, 2 * math.pi)
     for dx, dy in [(0.3, 0.4), (0.1, -0.05), (0.0, 0.0)]:
-        steps = sim._split_action(np.array([dx, dy, heading]), 0.25)
+        steps = np.array(sim._split_action(np.array([dx, dy, heading]), 0.25))
         assert len(steps) == max(1, math.ceil(abs(turn) / 0.5))
         assert np.all(np.abs(steps[:, 2]) <= 0.5)
         assert not steps[1:, :2].any()  # only the first step translates
@@ -661,7 +672,7 @@ def test_split_action_turns_in_shares(heading):
         scale = min(1.0, 0.25 / math.hypot(dx, dy)) if dx or dy else 1.0
         got = Pose2()
         for step in steps:
-            got = sim.compose_se2(got, Pose2(*step))
+            got = compose_se2(got, Pose2(*step))
         assert abs(got.x - dx * scale) < 1e-12 and abs(got.y - dy * scale) < 1e-12
         assert abs(math.remainder(got.theta - heading, 2 * math.pi)) < 1e-12
 
@@ -1250,3 +1261,487 @@ def test_eval_suite_reports_are_pinned(worlds48, eval_model, name):
     suite = sim.eval_suite(worlds48, 6, config, eval_model if kind == "model" else None, 0)
     digest = hashlib.sha256(json.dumps(suite, sort_keys=True).encode()).hexdigest()
     assert digest == SUITE_DIGESTS[name]
+
+
+# --- the stepped loop on floats against the loop it replaced ------------------------------
+
+def ref_split_action(a, max_step):
+    """The executed steps (n, 3) of one action, as an array."""
+    dx, dy = a[0], a[1]
+    norm = math.hypot(dx, dy)
+    if norm > max_step:
+        dx, dy = dx * (max_step / norm), dy * (max_step / norm)
+    turn = sim.wrap_angle(float(a[2]))
+    n = max(1, math.ceil(abs(turn) / sim._MAX_TURN))
+    steps = np.zeros((n, 3))
+    steps[0, :2] = dx, dy
+    steps[:, 2] = turn / n
+    return steps
+
+
+class RefExpertPath(sim._ExpertPath):
+    """The expert path returning its actions through a pose trajectory."""
+
+    def actions(self, est):
+        n = self.config.execute_steps
+        self.index = sim._nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
+        x, y = self.xy[self.index]
+        off = math.hypot(x - est.x, y - est.y)
+        if off > sim._SAFETY_MARGIN or self.index == len(self.poses) - 1:
+            ref = sim.oracle_plan(self.world, est, self.goal, self.config.footprint_radius,
+                                  self.config.max_step)
+            self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
+        following = self.poses[self.index + 1 : self.index + 1 + n]
+        return poses_to_actions(PoseTrajectory((est,) + following))
+
+
+def ref_best_paths(topo, from_id, to_id=None):
+    """The search shortest_path made before it stopped at the goal: run until
+    the heap is empty, every node's least (cost, path), the goal's neighbors
+    left unexpanded; with no goal every node is expanded."""
+    adj = {nid: [] for nid in topo.nodes}
+    for (a, b), edge in topo.edges.items():
+        adj[a].append((b, edge.length))
+        adj[b].append((a, edge.length))
+    best = {}
+    heap = [(0.0, (from_id,), from_id)]
+    while heap:
+        cost, path, nid = heapq.heappop(heap)
+        if nid in best and (cost, path) >= best[nid]:
+            continue
+        best[nid] = (cost, path)
+        if nid == to_id:
+            continue
+        for nxt, length in adj[nid]:
+            cand = (cost + length, path + (nxt,))
+            if nxt not in best or cand < best[nxt]:
+                heapq.heappush(heap, (cand[0], cand[1], nxt))
+    return best
+
+
+def ref_shortest_path(topo, from_id, to_id):
+    if from_id == to_id:
+        return [from_id]
+    best = ref_best_paths(topo, from_id, to_id)
+    if to_id not in best:
+        return []
+    return list(best[to_id][1])
+
+
+def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
+    """run_episode as one loop over Pose2 objects: every executed step composes
+    two Pose2 increments and fuses a SensorIncrement, the expert's actions
+    come from poses_to_actions, and every episode searches its node path to
+    exhaustion, whichever planner drives."""
+    rng = np.random.default_rng(seed)
+    grid2 = world.grid2d()
+    dist = world.dist_field()
+    phi = world.phi()
+    if start is None:
+        sx, sy = world.start_xy[int(rng.integers(len(world.start_xy)))]
+        start = Pose2(sx, sy, float(rng.uniform(-math.pi, math.pi)))
+    true_pose = start
+
+    if isinstance(goal, str):
+        try:
+            _, goal_pose = localization.goal_localize(goal.split(), world.map, start)
+        except localization.GoalNotFoundError:
+            return sim.EpisodeReport(False, "localization-fail")
+    else:
+        goal_pose = goal
+
+    fix = sim._global_fix(world, true_pose, radius=0.51)
+    if fix is None:
+        return sim.EpisodeReport(False, "localization-fail")
+    est_pose = Pose2(fix.x, fix.y, true_pose.theta)
+
+    start_node = sim._nearest_node(world.map, est_pose)
+    goal_node = sim._nearest_node(world.map, goal_pose)
+    node_path = ref_shortest_path(world.map, start_node, goal_node)
+    if not node_path:
+        return sim.EpisodeReport(False, "stuck")
+    global_poses = [world.map.nodes[nid].pose.planar() for nid in node_path]
+    global_poses.append(goal_pose)
+    global_path = PoseTrajectory(tuple(global_poses))
+
+    try:
+        oracle_ref = sim.oracle_plan(world, start, goal_pose, config.footprint_radius, config.max_step)
+    except sim.UnreachableError:
+        return sim.EpisodeReport(False, "stuck")
+    expert_length = oracle_ref.path_length()
+    budget = max(60, int(config.budget_factor * expert_length / config.max_step))
+
+    report = sim.EpisodeReport(False, "timeout", expert_length=expert_length)
+    expert = RefExpertPath(world, goal_pose, config, oracle_ref)
+    progress = 0
+    global_xy = global_path.as_array()
+    executed = 0
+    step_lengths = []
+    true_xy = []
+    per_metre = np.array([config.exec_trans_sigma, config.exec_trans_sigma, 0.0,
+                          config.wheel_trans_sigma, config.wheel_trans_sigma, 0.0, 0.0])
+    fixed = np.array([0.0, 0.0, config.exec_rot_sigma, 0.0, 0.0, config.wheel_rot_sigma,
+                      config.imu_sigma])
+    best_goal_dist = math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
+    stall = 0
+    stall_limit = max(80, 4 * config.fix_every)
+
+    def goal_distance():
+        return math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
+
+    while executed < budget and goal_distance() > config.goal_tolerance:
+        actions = None
+        if config.planner == "model" and model is not None:
+            progress = sim._nearest_index(global_xy, est_pose, progress)
+            subgoal = sim.select_subgoal(global_path, est_pose, config.lookahead, progress)
+            cond = planner.PlanningCondition(
+                relative_pose(est_pose, subgoal),
+                (step_lengths[-1] if step_lengths else 0.0, 0.0),
+                planner.occupancy_features(grid2, est_pose, phi),
+            )
+            plan = planner.sample(model, cond, config.euler_steps, rng, est_pose)
+            report.planner_calls += 1
+            if planner.collision_check(plan.poses, None, config.footprint_radius, dist):
+                if config.fallback:
+                    report.fallback_count += 1
+                else:
+                    actions = plan.actions
+            else:
+                actions = plan.actions
+        if actions is None:
+            try:
+                actions = expert.actions(est_pose)
+            except sim.UnreachableError:
+                report.reason = "stuck"
+                break
+
+        steps = np.concatenate(
+            [ref_split_action(a, config.max_step) for a in actions.steps[: config.execute_steps]]
+        )
+        lengths = list(map(math.hypot, steps[:, 0].tolist(), steps[:, 1].tolist()))
+        noise = rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed)
+        exec_incs = steps + noise[:, :3]
+        wheels = (exec_incs + noise[:, 3:6]).tolist()
+        imu = (exec_incs[:, 2] + noise[:, 6]).tolist()
+        for exec_inc, wheel, imu_dth in zip(exec_incs.tolist(), wheels, imu):
+            true_pose = compose_se2(true_pose, Pose2(*exec_inc))
+            fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu_dth))
+            est_pose = compose_se2(est_pose, Pose2(*fused))
+            executed += 1
+            step_lengths.append(math.hypot(exec_inc[0], exec_inc[1]))
+            report.path_length += step_lengths[-1]
+            true_xy.append((true_pose.x, true_pose.y))
+            if executed % config.fix_every == 0:
+                fix = sim._global_fix(world, true_pose, config.fix_oracle_radius)
+                if fix is not None:
+                    est_pose = Pose2(fix.x, fix.y, est_pose.theta)
+            if goal_distance() <= config.goal_tolerance:
+                break
+        d = goal_distance()
+        if d < best_goal_dist - 0.05:
+            best_goal_dist = d
+            stall = 0
+        else:
+            stall += config.execute_steps
+            if stall >= stall_limit:
+                report.reason = "stuck"
+                break
+
+    if true_xy:
+        clearance = sample_bilinear(dist, true_xy)
+        report.collision_count = int(np.count_nonzero(clearance < config.footprint_radius))
+    if goal_distance() <= config.goal_tolerance:
+        report.success, report.reason = True, "reached"
+    report.final_error = goal_distance()
+    report.mean_velocity = (
+        float(np.mean(step_lengths)) / config.max_step if step_lengths else 0.0
+    )
+    return report
+
+
+LOOP_CONFIGS = {
+    "bench": {},
+    "noise-free": NOISE_FREE,
+    "fix-every-step-wide-noise": dict(fix_every=1, **WIDE_NOISE),
+}
+LOOP_PLANNERS = {
+    "oracle": dict(planner="oracle"),
+    "model": dict(planner="model", fallback=True),
+    "model-no-fallback": dict(planner="model", fallback=False),
+}
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(LOOP_PLANNERS))
+@pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
+def test_stepped_loop_matches_pose_object_reference(worlds0to7, eval_model, monkeypatch, name, kind,
+                                                    master_seed):
+    config = sim.NavConfig(**LOOP_CONFIGS[name], **LOOP_PLANNERS[kind])
+    model = eval_model if config.planner == "model" else None
+    got = sim.eval_suite(worlds0to7, 8, config, model, master_seed)
+    monkeypatch.setattr(sim, "run_episode", ref_run_episode)
+    want = sim.eval_suite(worlds0to7, 8, config, model, master_seed)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_stepped_loop_matches_reference_on_an_instruction_goal(worlds48):
+    world = worlds48[0]
+    category = world.map.landmarks[sorted(world.map.landmarks)[0]].category
+    config = sim.NavConfig(planner="oracle")
+    got = sim.run_episode(world, category, config, seed=4)
+    assert got.expert_length > 0 and got.path_length > 0
+    assert got.to_jsonable() == ref_run_episode(world, category, config, seed=4).to_jsonable()
+
+
+class ScriptedRng:
+    """Hands out the given (steps, 7) noise rows, once, for a cycle's one normal draw."""
+
+    def __init__(self, noise):
+        self.noise = np.array(noise, dtype=float)
+
+    def normal(self, loc, scale):
+        assert loc == 0.0 and np.shape(scale) == self.noise.shape
+        return self.noise
+
+
+class ScriptedExpert:
+    def __init__(self, rows):
+        self.rows = rows
+
+    def actions(self, est):
+        return self.rows
+
+
+def scripted_cycle(world, true_pose, est_pose, rows, noise, **config):
+    """One control cycle of `sim.step` driven by the given actions and noise."""
+    state = sim.EpisodeState(
+        world, Pose2(100.0, 100.0, 0.0), sim.NavConfig(planner="oracle", **config), None,
+        ScriptedRng(noise), true_pose, est_pose, ScriptedExpert(rows), None, None,
+        budget=1000, report=sim.EpisodeReport(False, "timeout"), best_goal_dist=1e9,
+    )
+    return sim.step(state)
+
+
+def ref_cycle(true_pose, est_pose, rows, noise, max_step=0.25):
+    """The same cycle on Pose2 objects, a SensorIncrement per step."""
+    steps = np.concatenate([ref_split_action(np.array(row), max_step) for row in rows])
+    noise = np.array(noise, dtype=float)
+    exec_incs = steps + noise[:, :3]
+    for inc, wheel, imu in zip(exec_incs.tolist(), (exec_incs + noise[:, 3:6]).tolist(),
+                               (exec_incs[:, 2] + noise[:, 6]).tolist()):
+        true_pose = compose_se2(true_pose, Pose2(*inc))
+        fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu))
+        est_pose = compose_se2(est_pose, Pose2(*fused))
+    return true_pose, est_pose
+
+
+def pose_bits(pose):
+    return np.array(pose.as_tuple(), dtype=float).tobytes()
+
+
+def test_cycle_wraps_each_increment_heading_before_composing(world):
+    # executed headings just below -0.3: wrapping one rounds its low bits, and
+    # from a heading of 0.5 the unwrapped sum lands on another float
+    rows = [(0.2, 0.05, -0.3), (0.1, 0.0, -0.25)]
+    noise = [[0.01, 0.0, -1e-3 * k, 0.0, 0.0, -3e-3 * k, 2e-3 * k] for k in (1, 2)]
+    start = Pose2(1.0, 2.0, 0.5)
+    state = scripted_cycle(world, start, start, rows, noise)
+    want_true, want_est = ref_cycle(start, start, rows, noise)
+    assert pose_bits(state.true_pose) == pose_bits(want_true)
+    assert pose_bits(state.est_pose) == pose_bits(want_est)
+    dth = sim.wrap_angle(-0.3) - 1e-3  # the first step's executed heading
+    assert sim.wrap_angle(dth) != dth
+    unwrapped = compose_xyt(*start.as_tuple(), 0.21, 0.05, dth)
+    assert unwrapped != compose_xyt(*start.as_tuple(), 0.21, 0.05, sim.wrap_angle(dth))
+    # a turn beyond pi, executed in shares
+    rows = [(0.0, 0.0, 3.5)]
+    noise = [[0.0, 0.0, -1e-3, 0.0, 0.0, 1e-3, -1e-3]] * len(ref_split_action(np.array(rows[0]), 0.25))
+    state = scripted_cycle(world, start, start, rows, noise)
+    want_true, want_est = ref_cycle(start, start, rows, noise)
+    assert pose_bits(state.true_pose) == pose_bits(want_true)
+    assert pose_bits(state.est_pose) == pose_bits(want_est)
+
+
+def test_fusion_sums_from_int_zero():
+    # sum() starts at int 0, so a lone -0.0 term fuses to +0.0, which a
+    # weighted mean written as w * x / w would keep negative
+    fused = fuse_sources((-0.0, -0.0, -0.0), -0.0, None, DEFAULT_WEIGHTS)
+    assert [math.copysign(1.0, v) for v in fused] == [1.0, 1.0, 1.0]
+    assert math.copysign(1.0, 0.5 * -0.0 / 0.5) == -1.0
+    want = fuse_increment(SensorIncrement(wheel=(-0.0, -0.0, -0.0), imu_dtheta=-0.0))
+    assert np.array(fused).tobytes() == np.array(want).tobytes()
+    # in the loop: from (-0.0, -0.0) a zero step keeps y at -0.0 only if it fuses to -0.0
+    start = Pose2(-0.0, -0.0, 0.0)
+    rows = [(-0.0, -0.0, 0.0)]
+    noise = [[0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0]]
+    state = scripted_cycle(sim.World(Grid(np.zeros((4, 4), bool), 0.25), sim.TopoMap(), []),
+                           start, start, rows, noise)
+    _, want_est = ref_cycle(start, start, rows, noise)
+    assert pose_bits(state.est_pose) == pose_bits(want_est)
+    assert math.copysign(1.0, state.est_pose.y) == 1.0
+
+
+def test_expert_increments_use_the_wrapped_inverse_heading(worlds48):
+    # relative_pose composes with the inverse's heading -theta wrapped; for a
+    # positive theta with low bits set, the wrap rounds them
+    a = (0.7, -1.3, 0.3 + 1e-16)
+    b = (1.0, -1.1, 0.5)
+    c, s = math.cos(a[2]), math.sin(a[2])
+    unwrapped = compose_xyt(-c * a[0] - s * a[1], s * a[0] - c * a[1], -a[2], *b)
+    assert sim.wrap_angle(-a[2]) != -a[2]
+    assert relative_xyt(*a, *b) != unwrapped
+    assert np.array(relative_xyt(*a, *b)).tobytes() == pose_bits(relative_pose(Pose2(*a), Pose2(*b)))
+    # the expert's rows are poses_to_actions' rows, bit for bit, from estimates off the path
+    world = worlds48[1]
+    (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
+    ref = sim.oracle_plan(world, Pose2(sx, sy, 0.0), Pose2(gx, gy, 0.0), 0.3, 0.25)
+    config = sim.NavConfig()
+    rng = np.random.default_rng(3)
+    for k in range(0, len(ref) - 1, 3):
+        p = ref[k]
+        est = Pose2(p.x + rng.uniform(-0.1, 0.1), p.y + rng.uniform(-0.1, 0.1),
+                    p.theta + rng.uniform(-0.5, 0.5))
+        got = sim._ExpertPath(world, ref[-1], config, ref)
+        want = RefExpertPath(world, ref[-1], config, ref)
+        got.index = want.index = max(0, k - 2)
+        assert np.array(got.actions(est)).tobytes() == want.actions(est).steps.tobytes()
+        assert got.index == want.index
+
+
+def test_global_fix_re_anchors_the_position_only(world, monkeypatch):
+    fix = Pose2(1.25, 2.5, -2.0)
+    monkeypatch.setattr(sim, "_global_fix", lambda *args: fix)
+    rows = [(0.2, 0.0, 0.4)]
+    noise = [[0.01, -0.02, 0.003, 0.004, 0.005, -0.006, 0.007]]
+    start = Pose2(1.0, 2.0, 0.3)
+    state = scripted_cycle(world, start, start, rows, noise, fix_every=1)
+    _, odometry_only = ref_cycle(start, start, rows, noise)
+    assert (state.est_pose.x, state.est_pose.y) == (fix.x, fix.y)
+    assert state.est_pose.theta == odometry_only.theta != fix.theta
+
+
+# --- what the loop builds: per control cycle and per fix, never per step -----------------
+
+def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
+    world = worlds48[0]
+    start, goal = Pose2(*world.start_xy[0], 0.4), Pose2(*world.start_xy[-1], 0.0)
+    counts = {"Pose2": 0, "compose_se2": 0, "fuse_increment": 0, "cycles": 0, "fixes": 0}
+    inside_plan = [0]
+    ends = []
+
+    class CountingPose2(Pose2):
+        def __post_init__(self):
+            if not inside_plan[0]:
+                counts["Pose2"] += 1
+            super().__post_init__()
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    oracle_plan, end_episode = sim.oracle_plan, sim._end_episode
+
+    def tracked_plan(*args):
+        inside_plan[0] += 1
+        try:
+            return oracle_plan(*args)
+        finally:
+            inside_plan[0] -= 1
+
+    def recording_end(state):
+        ends.append(state.executed)
+        return end_episode(state)
+
+    counting(geom, "compose_se2", "compose_se2")
+    counting(odometry, "compose_se2", "compose_se2")
+    counting(odometry, "fuse_increment", "fuse_increment")
+    counting(sim, "fuse_increment", "fuse_increment")
+    counting(sim._ExpertPath, "actions", "cycles")
+    counting(sim, "_global_fix", "fixes")
+    monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
+    monkeypatch.setattr(sim, "_end_episode", recording_end)
+    monkeypatch.setattr(sim, "Pose2", CountingPose2)
+    report = sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), seed=5, start=start)
+    steps = ends[0]
+    assert report.success and counts["fixes"] >= 3 and counts["cycles"] >= 10
+    assert counts["compose_se2"] == counts["fuse_increment"] == 0
+    # one estimate at set-up, two poses at the end of each cycle, one true pose per fix
+    # after the first, which takes the start pose as it is
+    assert counts["Pose2"] == 1 + 2 * counts["cycles"] + counts["fixes"] - 1
+    assert counts["Pose2"] < steps
+
+
+# --- node paths: the search that stops at the goal, and the reachability test -----------
+
+def test_shortest_path_matches_exhaustive_search_on_every_pair(worlds48):
+    rng = np.random.default_rng(12)
+    for world in worlds48:
+        topo = world.map
+        ids = sorted(topo.nodes)
+        for a in ids:
+            # with lengths >= 0 a goal's own entry is the same whether or not it is expanded
+            best = ref_best_paths(topo, a)
+            for b in ids:
+                want = [a] if a == b else list(best[b][1])
+                assert topo.shortest_path(a, b) == want
+                assert topo.connected(a, b)
+        for a, b in rng.choice(ids, size=(40, 2)).tolist():
+            assert topo.shortest_path(a, b) == ref_shortest_path(topo, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shortest_path_matches_reference_on_ties_and_zero_lengths(data):
+    # few distinct lengths, zeros among them, make many equal-cost paths, which
+    # the id sequence decides; ids of unequal length make that order non-trivial
+    pool = ["a", "b", "c", "aa", "ab", "b1", "b10", "b2", "z"]
+    ids = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True), label="ids")
+    topo = sim.TopoMap()
+    for nid in ids:
+        topo.add_node(sim.MapNode(nid, sim._pose6(0.0, 0.0)))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    for a, b, length in data.draw(st.lists(pair, max_size=16), label="edges"):
+        if a != b:
+            topo.add_edge(a, b, sim._pose6(length, 0.0))
+    for a in ids:
+        for b in ids:
+            want = ref_shortest_path(topo, a, b)
+            assert topo.shortest_path(a, b) == want
+            assert topo.connected(a, b) == bool(want)
+
+
+def test_graph_queries_follow_new_nodes_and_edges():
+    topo = sim.TopoMap()
+    for nid in ("a", "b", "c"):
+        topo.add_node(sim.MapNode(nid, sim._pose6(0.0, 0.0)))
+    topo.add_edge("a", "b", sim._pose6(1.0, 0.0))
+    assert topo.shortest_path("a", "c") == [] and not topo.connected("a", "c")
+    topo.add_edge("b", "c", sim._pose6(1.0, 0.0))
+    assert topo.shortest_path("a", "c") == ["a", "b", "c"] and topo.connected("a", "c")
+    topo.add_edge("a", "c", sim._pose6(1.5, 0.0))
+    assert topo.shortest_path("a", "c") == ["a", "c"]
+    topo.add_node(sim.MapNode("d", sim._pose6(0.0, 0.0)))
+    assert not topo.connected("a", "d") and topo.shortest_path("d", "a") == []
+    with pytest.raises(MapError, match="missing node"):
+        topo.connected("a", "zz")
+
+
+def test_oracle_episode_with_the_goal_node_cut_off_is_stuck(worlds48):
+    # the grid still joins start and goal, so only the node graph says no
+    world = worlds48[2]
+    start_xy, goal_xy = world.start_xy[0], world.start_xy[-1]
+    goal_node = sim._nearest_node(world.map, Pose2(*goal_xy, 0.0))
+    data = world.map.to_jsonable()
+    data["edges"] = [e for e in data["edges"] if goal_node not in e["nodes"]]
+    cut = sim.World(world.grid, sim.TopoMap.from_jsonable(data), world.start_xy, world.seed)
+    start, goal = Pose2(*start_xy, 0.3), Pose2(*goal_xy, 0.0)
+    for config in (sim.NavConfig(planner="oracle"), sim.NavConfig(planner="oracle", **NOISE_FREE)):
+        assert sim.run_episode(world, goal, config, seed=1, start=start).reason == "reached"
+        report = sim.run_episode(cut, goal, config, seed=1, start=start)
+        assert (report.success, report.reason) == (False, "stuck")
+        assert report.to_jsonable() == ref_run_episode(cut, goal, config, seed=1, start=start).to_jsonable()
