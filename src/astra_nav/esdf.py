@@ -37,6 +37,7 @@ grid diagonal resolution*hypot(width, height).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -238,60 +239,110 @@ def mask_esdf(phi: Grid, mask: Grid, alpha: float) -> Grid:
 
 class FieldStack(NamedTuple):
     """Fields laid back to back in one flat array, with each field's offset
-    into it, height, width, resolution and origin. A single field has scalar
-    columns; a stack of B fields has (B, 1) columns, which broadcast against
-    (B, n) query points so row i samples field i."""
+    into it, width (its row stride), resolution and origin (x, y), and per
+    axis its largest cell index as a float (`last`) and as an integer
+    (`high`, the largest high-corner index) and its largest low-corner index
+    as a float (`low`). Origin and the per-axis columns hold x and y on a
+    leading axis of 2, as the kernel holds its query points. A single field
+    has a scalar offset, width and resolution and (2, 1) columns; a
+    stack of B fields has (B, 1) offsets, widths and resolutions and
+    (2, B, 1) columns, which broadcast against (2, B, n) query coordinates
+    so row i samples field i."""
 
     flat: np.ndarray
     offset: object
-    height: object
     width: object
     resolution: object
-    ox: object
-    oy: object
+    origin: np.ndarray
+    last: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+
+
+def _columns(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A `FieldStack`'s last, low and high columns for fields of the given
+    (2, ...) integer sizes (width, height)."""
+    high = size - 1
+    return high.astype(float), np.maximum(high - 1, 0).astype(float), high
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_columns(width: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_columns` of one field of the given size, built once per size and
+    read-only, as every lookup on that field reads them."""
+    columns = _columns(np.array([[width], [height]]))
+    for a in columns:
+        a.setflags(write=False)
+    return columns
 
 
 def stack_fields(fields: list[Grid]) -> FieldStack:
     """One flat copy of the given 2-D fields, in order, for a batched lookup."""
-    shapes = np.array([f.values.shape for f in fields], dtype=np.intp)
-    sizes = shapes[:, 0] * shapes[:, 1]
+    size = np.array([f.values.shape[::-1] for f in fields], dtype=np.intp).T[:, :, None]
+    cells = (size[0] * size[1]).ravel()
     return FieldStack(
         np.concatenate([f.values.ravel() for f in fields]),
-        (np.cumsum(sizes) - sizes)[:, None],
-        shapes[:, :1],
-        shapes[:, 1:],
+        (np.cumsum(cells) - cells)[:, None],
+        size[0],
         np.array([[f.resolution] for f in fields], dtype=float),
-        np.array([[f.origin[0]] for f in fields]),
-        np.array([[f.origin[1]] for f in fields]),
+        np.array([f.origin for f in fields], dtype=float).T[:, :, None],
+        *_columns(size),
     )
+
+
+def _one_field(phi: Grid) -> FieldStack:
+    """The single 2-D field as a `FieldStack`, without copying its values."""
+    (h, w), (ox, oy) = phi.values.shape, phi.origin
+    return FieldStack(phi.values.ravel(), 0, w, phi.resolution, np.array([[ox], [oy]]),
+                      *_grid_columns(w, h))
 
 
 def _cell_weights(fields: FieldStack, pts):
     """Index and weight arithmetic of the bilinear kernel at pts[..., :2].
 
-    Returns the continuous cell coordinates (gx, gy), their border-clamped
-    copies (cx, cy), the fractional offsets (u, v) and the corner values
-    (f00, f10, f01, f11). The clamp is np.minimum(np.maximum(g, 0.0), hi):
-    np.clip(g, 0.0, hi) without np.clip's Python-level wrapper. Both keep
-    NaN; a coordinate of -0.0 clamps to +0.0, where np.clip gives either
-    sign depending on the array's layout.
+    The x and y coordinates go onto a leading axis of 2, and the low and
+    high corners onto another, so each step below is one array operation
+    for both axes (and both corners), and each axis stays contiguous.
+    Returns the continuous cell coordinates g and their border-clamped
+    copies c, each (2, ...); the weights w, (2, 2, ...), with w[0] the
+    complements (1 - u, 1 - v) of the fractional offsets and w[1] the
+    offsets (u, v); and the corner values f, (2, 2, ...), f[r, s] at the
+    y corner r and the x corner s: f[0, 0] = f00, f[0, 1] = f10 (the +x
+    neighbor), f[1, 0] = f01 (the +y neighbor), f[1, 1] = f11. The clamp
+    is np.minimum(np.maximum(g, 0.0), last): np.clip without np.clip's
+    Python-level wrapper. Both keep NaN; a coordinate of -0.0 clamps to
+    +0.0, where np.clip gives either sign depending on the array's layout.
+    The low corner is clamped as a float and then cast; every index is an
+    integer below 2^53, so the float arithmetic is exact.
     """
-    flat, offset, h, w, resolution, ox, oy = fields
-    gx = (pts[..., 0] - ox) / resolution
-    gy = (pts[..., 1] - oy) / resolution
-    cx = np.minimum(np.maximum(gx, 0.0), w - 1.0)
-    cy = np.minimum(np.maximum(gy, 0.0), h - 1.0)
-    ix = np.minimum(np.floor(cx).astype(np.intp), np.maximum(w - 2, 0))
-    iy = np.minimum(np.floor(cy).astype(np.intp), np.maximum(h - 2, 0))
-    jx = np.minimum(ix + 1, w - 1)
-    jy = np.minimum(iy + 1, h - 1)
-    row0, row1 = offset + iy * w, offset + jy * w
-    corners = (flat[row0 + ix], flat[row0 + jx], flat[row1 + ix], flat[row1 + jx])
-    return (gx, gy), (cx, cy), (cx - ix, cy - iy), corners
+    flat, offset, width, resolution, origin, last, low, high = fields
+    g = np.empty((2, *pts.shape[:-1]))
+    np.subtract(pts[..., :2].transpose(-1, *range(pts.ndim - 1)), origin, out=g)
+    g /= resolution
+    c = np.maximum(g, 0.0)
+    np.minimum(c, last, out=c)
+    w = np.empty((2, *c.shape))
+    low_corner = w[1]
+    np.floor(c, out=low_corner)
+    np.minimum(low_corner, low, out=low_corner)
+    index = np.empty((2, *c.shape), dtype=np.intp)
+    index[0] = low_corner
+    np.add(index[0], 1, out=index[1])
+    np.minimum(index[1], high, out=index[1])
+    np.subtract(c, low_corner, out=w[1])
+    np.subtract(1.0, w[1], out=w[0])
+    rows = index[:, 1] * width
+    rows += offset
+    f = flat[rows[:, None] + index[None, :, 0]]
+    return g, c, w, f
 
 
-def _interpolate(u, v, f00, f10, f01, f11):
-    return f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
+def _interpolate(w, f):
+    """f00 (1 - u)(1 - v) + f10 u (1 - v) + f01 (1 - u) v + f11 u v, each
+    term multiplied and the terms summed in that order."""
+    terms = f * w[:, 0]
+    terms *= w[:, 1, None]
+    return terms[0, 0] + terms[0, 1] + terms[1, 0] + terms[1, 1]
 
 
 def _bilinear(fields: FieldStack, pts):
@@ -301,32 +352,41 @@ def _bilinear(fields: FieldStack, pts):
     lattice clamp to the border; clamped coordinates carry zero gradient in
     the clamped direction.
     """
-    (gx, gy), (cx, cy), (u, v), (f00, f10, f01, f11) = _cell_weights(fields, pts)
-    out = _interpolate(u, v, f00, f10, f01, f11)
-    du = (f10 - f00) * (1 - v) + (f11 - f01) * v
-    dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
-    inside_x = (gx == cx).astype(float)
-    inside_y = (gy == cy).astype(float)
+    g, c, w, f = _cell_weights(fields, pts)
+    # d/du = (f10 - f00)(1 - v) + (f11 - f01) v, d/dv = (f01 - f00)(1 - u) + (f11 - f10) u
+    along_x = (f[:, 1] - f[:, 0]) * w[:, 1]
+    along_y = (f[1] - f[0]) * w[:, 0]
+    inside = (g == c).astype(float)
     resolution = fields.resolution
-    return out, du * inside_x / resolution, dv * inside_y / resolution
+    return (_interpolate(w, f), (along_x[0] + along_x[1]) * inside[0] / resolution,
+            (along_y[0] + along_y[1]) * inside[1] / resolution)
 
 
 class SamplePointError(AstraError, ValueError):
     """A point to sample a field at has a NaN coordinate."""
 
 
+# Points per kernel pass: the kernel's (2, 2, n) temporaries then stay below
+# 128 KiB, above which glibc's malloc maps fresh pages for each one.
+_BLOCK = 4095
+
+
 def sample_bilinear(phi: Grid, points):
     """Bilinearly interpolate the field at world points (meters); values only.
 
     Points beyond the grid, infinite ones too, read the border; a NaN
-    coordinate raises `SamplePointError`, since it has no cell."""
+    coordinate raises `SamplePointError`, since it has no cell. More than
+    `_BLOCK` points are sampled in equal blocks of at most `_BLOCK`; each
+    value depends on its point alone, so the blocks give the same values."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     # min propagates NaN, so one reduction finds one
     if math.isnan(pts.min(initial=math.inf)):
         raise SamplePointError("cannot sample a field at a NaN coordinate")
-    field = FieldStack(phi.values.ravel(), 0, *phi.values.shape, phi.resolution, *phi.origin)
-    _, _, (u, v), corners = _cell_weights(field, pts)
-    return _interpolate(u, v, *corners)
+    field = _one_field(phi)
+    if len(pts) <= _BLOCK:
+        return _interpolate(*_cell_weights(field, pts)[2:])
+    blocks = np.array_split(pts, -(-len(pts) // _BLOCK))
+    return np.concatenate([_interpolate(*_cell_weights(field, b)[2:]) for b in blocks])
 
 
 # --- text file formats -------------------------------------------------------

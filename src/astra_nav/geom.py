@@ -163,10 +163,17 @@ class PoseTrajectory:
 
 
 def actions_to_poses(traj: ActionTrajectory, start: Pose2) -> PoseTrajectory:
-    """Integrate relative increments into world-frame poses; poses[0] == start."""
+    """Integrate relative increments into world-frame poses; poses[0] == start.
+
+    The recurrence runs on floats (`compose_xyt`), each increment's heading
+    wrapped first, as a `Pose2` of the increment would hold it, so the poses
+    are those of composing `Pose2`s; one `Pose2` is built per pose after the
+    start."""
+    x, y, theta = start.x, start.y, start.theta
     poses = [start]
-    for dx, dy, dth in traj.steps:
-        poses.append(compose_se2(poses[-1], Pose2(dx, dy, dth)))
+    for dx, dy, dth in traj.steps.tolist():
+        x, y, theta = compose_xyt(x, y, theta, dx, dy, wrap_angle(dth))
+        poses.append(Pose2(x, y, theta))
     return PoseTrajectory(tuple(poses))
 
 

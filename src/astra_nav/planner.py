@@ -17,8 +17,13 @@ plain flow-matching loss.
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
 down to t = 0: x <- x - dt * v(x, t | c). The K candidates of one condition
 are integrated together, one forward pass per step; a single plan is the
-K = 1 case. Training builds the dataset's arrays once, and each batch
-samples all its masked fields in one gather.
+K = 1 case. A step's pass is `VectorFieldModel.forward`, which keeps no
+activations and multiplies operands of the shapes `_forward_cached` uses,
+so its output is the same to the bit; the output is checked to be finite
+after every step. A plan's poses are composed on floats (`actions_to_poses`),
+one `Pose2` per pose. Training keeps `_forward_cached`, whose activations
+the backward pass reads; it builds the dataset's arrays once, and each
+batch samples all its masked fields in one gather.
 """
 
 from __future__ import annotations
@@ -146,10 +151,8 @@ class VectorFieldModel:
 
     # -- forward / backward ---------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._forward_cached(x)[0]
-
-    def _forward_cached(self, x: np.ndarray):
+    def _rows(self, x) -> tuple[np.ndarray, bool]:
+        """x as a float (k, d_in) matrix, and whether it was one row."""
         a = np.asarray(x, dtype=float)
         squeeze = a.ndim == 1
         if squeeze:
@@ -158,6 +161,25 @@ class VectorFieldModel:
             raise ShapeMismatchError(
                 f"input dim {a.shape[1]} != expected {self.layer_sizes[0]}"
             )
+        return a, squeeze
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The field at rows x (k, d_in), or at one row x (d_in,): the output
+        of `_forward_cached`, bit for bit, without keeping the activations.
+        A single row is passed as a (1, d_in) matrix there too, so every
+        product has the same operand shapes."""
+        a, squeeze = self._rows(x)
+        *hidden, (w_out, b_out) = zip(self.weights, self.biases)
+        for w, b in hidden:
+            a = a @ w
+            a += b
+            np.tanh(a, out=a)
+        a = a @ w_out
+        a += b_out
+        return a[0] if squeeze else a
+
+    def _forward_cached(self, x: np.ndarray):
+        a, squeeze = self._rows(x)
         acts = [a]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -214,7 +236,8 @@ class VectorFieldModel:
 
 def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
     """(k, 3n + 1 + c) network input with the condition columns written once;
-    `_eval_field` fills the trajectory and time columns per evaluation."""
+    the caller keeps the trajectory columns, and `_eval_field` writes the
+    time column per evaluation."""
     c = _cond_vector(cond)
     if c.size != model.cond_dim:
         raise ShapeMismatchError(f"condition has {c.size} entries, expected {model.cond_dim}")
@@ -224,11 +247,10 @@ def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
     return inp
 
 
-def _eval_field(model: VectorFieldModel, inp: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    """One forward pass of the field at rows x (k, 3n) and time t."""
-    n3 = 3 * model.n_actions
-    inp[:, :n3] = x
-    inp[:, n3] = t
+def _eval_field(model: VectorFieldModel, inp: np.ndarray, t: float) -> np.ndarray:
+    """One forward pass of the field at the rows of `inp` (`_field_input`),
+    whose trajectory columns hold the points, at time t."""
+    inp[:, 3 * model.n_actions] = t
     out = model.forward(inp)
     if not np.isfinite(out).all():
         raise PlannerError("vector field produced non-finite output")
@@ -467,7 +489,14 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
 class PlanSample:
     actions: ActionTrajectory
     poses: PoseTrajectory
-    mean_step: float
+
+    @property
+    def mean_step(self) -> float:
+        """Mean translation per action, 0 for no actions; worked out when read,
+        as the navigation loop never reads it."""
+        if not len(self.actions):
+            return 0.0
+        return float(np.hypot(self.actions.steps[:, 0], self.actions.steps[:, 1]).mean())
 
     def to_jsonable(self) -> dict:
         return {
@@ -482,15 +511,19 @@ def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int =
 
     The (k, 3n) noise comes from one draw, the same stream as k draws of 3n,
     and each Euler step from t=1 down to t=0 is one forward pass over all k.
+    The trajectories are integrated in place in the network input's
+    trajectory columns, x <- x - (v * dt), which is x - dt * v to the bit.
     """
     if steps < 1:
         raise PlannerError("steps must be >= 1")
     inp = _field_input(model, condition, k)
-    x = rng.standard_normal((k, 3 * model.n_actions))
+    x = inp[:, : 3 * model.n_actions]
+    x[...] = rng.standard_normal(x.shape)
     dt = 1.0 / steps
     for i in range(steps):
-        t = 1.0 - i * dt
-        x = x - dt * _eval_field(model, inp, x, t)
+        v = _eval_field(model, inp, 1.0 - i * dt)
+        v *= dt
+        x -= v
     return x.reshape(k, model.n_actions, 3)
 
 
@@ -503,9 +536,7 @@ def sample(
 ) -> PlanSample:
     """Draw one trajectory by Euler integration from noise at t=1 down to t=0."""
     actions = ActionTrajectory(sample_actions(model, condition, steps, rng)[0])
-    poses = actions_to_poses(actions, start)
-    step_norms = np.hypot(actions.steps[:, 0], actions.steps[:, 1])
-    return PlanSample(actions, poses, float(step_norms.mean()) if len(actions) else 0.0)
+    return PlanSample(actions, actions_to_poses(actions, start))
 
 
 def distance_field(grid: Grid) -> Grid:
@@ -535,6 +566,12 @@ def collision_check(
 
 _PATCH_EXTENT = 2.0  # m from the pose to each side of the occupancy patch
 _PATCH_CELLS = 16  # patch cells per side
+_PATCH_STEP = 2.0 * _PATCH_EXTENT / _PATCH_CELLS
+_PATCH_OFFSETS = -_PATCH_EXTENT + _PATCH_STEP * (np.arange(_PATCH_CELLS) + 0.5)
+# the ego-frame (u, v) of every patch cell's center, v along the rows
+_PATCH_U, _PATCH_V = np.meshgrid(_PATCH_OFFSETS, _PATCH_OFFSETS)
+# the pose's 8-neighborhood in cells, as (dx, dy) rows
+_RING = np.array([(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0) if dx or dy])
 
 
 def occupancy_features(grid: Grid, pose: Pose2, phi: Grid) -> np.ndarray:
@@ -542,23 +579,14 @@ def occupancy_features(grid: Grid, pose: Pose2, phi: Grid) -> np.ndarray:
     occupancy patch covering [-_PATCH_EXTENT, _PATCH_EXTENT]^2 around the pose
     (outside-grid points count as occupied), plus the mean of the signed field
     `phi` over the pose's 8-neighborhood."""
-    step = 2.0 * _PATCH_EXTENT / _PATCH_CELLS
-    offs = -_PATCH_EXTENT + step * (np.arange(_PATCH_CELLS) + 0.5)
-    u, v = np.meshgrid(offs, offs)
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    wx = pose.x + c * u - s * v
-    wy = pose.y + s * u + c * v
+    wx = pose.x + c * _PATCH_U - s * _PATCH_V
+    wy = pose.y + s * _PATCH_U + c * _PATCH_V
     col = np.rint((wx - grid.origin[0]) / grid.resolution).astype(int)
     row = np.rint((wy - grid.origin[1]) / grid.resolution).astype(int)
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
-    patch = np.ones(u.shape)
+    patch = np.ones(_PATCH_U.shape)
     patch[inside] = grid.values[row[inside], col[inside]].astype(float)
-    r = grid.resolution
-    ring = [
-        (pose.x + ddx * r, pose.y + ddy * r)
-        for ddx in (-1, 0, 1)
-        for ddy in (-1, 0, 1)
-        if not (ddx == 0 and ddy == 0)
-    ]
-    mean_phi = float(np.mean(sample_bilinear(phi, np.asarray(ring))))
+    ring = (pose.x, pose.y) + _RING * grid.resolution
+    mean_phi = float(np.mean(sample_bilinear(phi, ring)))
     return np.concatenate([patch.ravel(), [mean_phi]])

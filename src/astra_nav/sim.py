@@ -29,18 +29,19 @@ path and one expert path to the goal, then run control cycles, one `step`
 of an `EpisodeState` each. Only the learned planner reads the node path, so
 an episode the expert drives only checks that the start and goal nodes are
 connected. A cycle of the learned planner picks a lookahead subgoal on the
-node path, from a nearest-node index that only moves forward, and samples a
-trajectory toward it; when the trajectory would collide, the expert takes
-over for the cycle. The expert follows its path (`_ExpertPath`): a progress
-index that only moves forward, and a re-plan only when the estimate strays
-from the path by more than the planner's safety margin or the path runs out
-short of the goal. A cycle executes a few steps under noisy kinematics, all
-of their noise drawn at once, and dead-reckons between periodic global
-fixes, its poses and increments plain floats. The clearance of the executed
-poses only counts collisions, so it is looked up once, at the end of the
-episode. A step that turns more than 0.5 rad is executed as several: the
-first translates and turns a share, the rest rotate in place, and each
-counts as a step for the budget, the fixes and the noise.
+node path, from a nearest-node index that only moves forward and the path's
+arc lengths, computed once per episode, and samples a trajectory toward it;
+when the trajectory would collide, the expert takes over for the cycle. The
+expert follows its path (`_ExpertPath`): a progress index that only moves
+forward, and a re-plan only when the estimate strays from the path by more
+than the planner's safety margin or the path runs out short of the goal. A
+cycle executes a few steps under noisy kinematics, all of their noise drawn
+at once, and dead-reckons between periodic global fixes, its poses and
+increments plain floats. The clearance of the executed poses only counts
+collisions, so it is looked up once, at the end of the episode. A step that
+turns more than 0.5 rad is executed as several: the first translates and
+turns a share, the rest rotate in place, and each counts as a step for the
+budget, the fixes and the noise.
 """
 
 from __future__ import annotations
@@ -612,22 +613,32 @@ def _nearest_index(xy: np.ndarray, current: Pose2, lowest: int) -> int:
     return lowest + int(np.argmin(d))
 
 
-def select_subgoal(path: PoseTrajectory, current: Pose2, lookahead: float, lowest: int = 0) -> Pose2:
+def _arc_lengths(xy: np.ndarray) -> np.ndarray:
+    """Cumulative arc length at each row of the polyline `xy` (N, 2+), from 0."""
+    seg = np.hypot(*np.diff(xy[:, :2], axis=0).T)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _lookahead_index(cum: np.ndarray, nearest: int, lookahead: float) -> int:
+    """The lookahead rule on cumulative arc lengths `cum`: the first index
+    from `nearest` on whose arc length is at least `lookahead` beyond the
+    nearest's, the last index when none is. `cum` never decreases, so one
+    binary search finds it; an earlier index it finds ties with `nearest`."""
+    k = int(np.searchsorted(cum, cum[nearest] + lookahead))
+    return min(max(k, nearest), len(cum) - 1)
+
+
+def select_subgoal(path: PoseTrajectory, current: Pose2, lookahead: float, lowest: int) -> Pose2:
     """First path pose at least `lookahead` of arc length beyond the path point
     nearest to the current pose among those from index `lowest` on; the final
     pose when none remains. A caller that passes the last nearest index as
-    `lowest` keeps its progress along a path that folds back."""
+    `lowest` keeps its progress along a path that folds back. The loop applies
+    the same rule to arrays it builds once per episode."""
     if len(path) == 0:
         raise SimError("cannot select a subgoal from an empty path")
     arr = path.as_array()
     nearest = _nearest_index(arr, current, lowest)
-    seg = np.hypot(*np.diff(arr[:, :2], axis=0).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    target = cum[nearest] + lookahead
-    for k in range(nearest, len(arr)):
-        if cum[k] >= target:
-            return path[k]
-    return path[-1]
+    return path[_lookahead_index(_arc_lengths(arr), nearest, lookahead)]
 
 
 # --- navigation loop ---------------------------------------------------------
@@ -814,10 +825,12 @@ class EpisodeState:
 
     The true and estimated poses are those at the end of the last cycle.
     `subgoal_path` is the node path to the goal, with the goal appended, that
-    the learned planner takes its subgoals from, `subgoal_xy` its rows as an
-    array and `progress` its nearest index, carried forward; they stay unset
-    when the expert drives every cycle. `step_lengths` and `true_xy` hold the length and the true position
-    of every executed step. Once `done`, `report` is final.
+    the learned planner takes its subgoals from; `subgoal_xy` holds its rows
+    and `subgoal_cum` their cumulative arc lengths, both built once per
+    episode, and `progress` is its nearest index, carried forward. They stay
+    unset when the expert drives every cycle. `step_lengths` and `true_xy`
+    hold the length and the true position of every executed step. Once
+    `done`, `report` is final.
     """
 
     world: World
@@ -833,6 +846,7 @@ class EpisodeState:
     budget: int
     report: EpisodeReport
     best_goal_dist: float
+    subgoal_cum: np.ndarray | None = None
     progress: int = 0
     executed: int = 0
     stall: int = 0
@@ -864,8 +878,14 @@ def step(state: EpisodeState) -> EpisodeState:
     `fix_every`-th step asks for a global fix at the true pose, which
     re-anchors the estimate's position and keeps its heading. A cycle builds
     one `Pose2` per global fix and two at its end, for the true pose and the
-    estimate; a cycle of the learned planner also builds its condition and
-    plan.
+    estimate.
+
+    A cycle of the learned planner reads the node path's arrays, which
+    `run_episode` builds once per episode: it moves the progress index to the
+    nearest row from the last one on and takes the subgoal with one binary
+    search of the cumulative arc lengths (`_lookahead_index`). It then builds
+    one `Pose2` for the subgoal in the ego frame, the condition, and a plan
+    of `euler_steps` forward passes and one `Pose2` per action.
     """
     if state.done:
         return state
@@ -876,7 +896,8 @@ def step(state: EpisodeState) -> EpisodeState:
     rows = None
     if state.subgoal_path is not None:
         state.progress = _nearest_index(state.subgoal_xy, est, state.progress)
-        subgoal = select_subgoal(state.subgoal_path, est, config.lookahead, state.progress)
+        subgoal = state.subgoal_path[_lookahead_index(state.subgoal_cum, state.progress,
+                                                      config.lookahead)]
         cond = PlanningCondition(
             relative_pose(est, subgoal),
             (state.step_lengths[-1] if state.step_lengths else 0.0, 0.0),
@@ -1001,7 +1022,7 @@ def run_episode(
 
     start_node = _nearest_node(world.map, est_pose)
     goal_node = _nearest_node(world.map, goal_pose)
-    subgoal_path = subgoal_xy = None
+    subgoal_path = subgoal_xy = subgoal_cum = None
     if config.planner == "model" and model is not None:
         node_path = world.map.shortest_path(start_node, goal_node)
         if not node_path:
@@ -1010,6 +1031,7 @@ def run_episode(
             tuple(world.map.nodes[nid].pose.planar() for nid in node_path) + (goal_pose,)
         )
         subgoal_xy = subgoal_path.as_array()
+        subgoal_cum = _arc_lengths(subgoal_xy)
     elif not world.map.connected(start_node, goal_node):
         return EpisodeReport(False, "stuck")
 
@@ -1030,6 +1052,7 @@ def run_episode(
         budget=max(60, int(config.budget_factor * expert_length / config.max_step)),
         report=report,
         best_goal_dist=math.hypot(start.x - goal_pose.x, start.y - goal_pose.y),
+        subgoal_cum=subgoal_cum,
     )
     while not state.done:
         step(state)
@@ -1123,7 +1146,7 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
             for lo in range(0, len(arr) - n_actions - 1, stride):
                 window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
                 start_pose = window[0]
-                subgoal = select_subgoal(path, start_pose, NavConfig.lookahead)
+                subgoal = select_subgoal(path, start_pose, NavConfig.lookahead, 0)
                 prev_len = (
                     math.hypot(arr[lo][0] - arr[lo - 1][0], arr[lo][1] - arr[lo - 1][1])
                     if lo > 0

@@ -4,7 +4,9 @@ Nodes carry full 6-DoF poses (position + quaternion) as given by the mapping
 stage; landmarks keep a centralized registry of every node they are visible
 from, and nodes hold the symmetric back-references. Edge weights are the
 Euclidean norm of the relative translation; a small cache computes it once
-per translation that recurs, as the lattice map's link offsets do.
+per translation that recurs, as the lattice map's link offsets do. A map
+file gives each edge's length, and `from_jsonable` refuses one that is
+negative, NaN or infinite, as no path cost over it would mean anything.
 
 Queries over all nodes (`spatial_query`, localization's reference nodes, the
 simulator's nearest node and observations) read one node index: the sorted
@@ -403,8 +405,12 @@ class TopoMap:
                 key = tuple(sorted((a, b)))
                 if key in m.edges:
                     raise MapError(f"duplicate edge {key!r} (edges[{i}])")
+                length = float(ed["length"])
+                if not 0.0 <= length < math.inf:
+                    raise MapError(f"edge length must be finite and >= 0, got {ed['length']!r} "
+                                   f"(edges[{i}])")
                 m.edges[key] = MapEdge(
-                    key[0], key[1], Pose6.from_jsonable(ed["relative_pose"]), float(ed["length"])
+                    key[0], key[1], Pose6.from_jsonable(ed["relative_pose"]), length
                 )
             for i, ld in enumerate(data.get("landmarks", [])):
                 lm = Landmark(

@@ -125,6 +125,41 @@ def test_map_file_holding_a_list_exits_1(files, capsys):
     assert_json_error(*run(capsys, "map", "validate", path))
 
 
+def chain_map(lengths):
+    """A hand-written map: nodes a, b, c, ... 1 m apart on a line, joined in
+    order by edges of the given lengths."""
+    ids = "abcdefgh"[: len(lengths) + 1]
+    pose = {"position": [1.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}
+    return {
+        "nodes": [{"id": nid, "pose": {"position": [float(i), 0.0, 0.0],
+                                       "quaternion": [1.0, 0.0, 0.0, 0.0]}}
+                  for i, nid in enumerate(ids)],
+        "edges": [{"nodes": [a, b], "relative_pose": pose, "length": length}
+                  for a, b, length in zip(ids, ids[1:], lengths)],
+    }
+
+
+def test_chain_map_path_costs_its_lengths(files, capsys):
+    path = files["root"] / "chain.json"
+    path.write_text(json.dumps(chain_map([1.0, 2.0, 0.5])))
+    code, out, _ = run(capsys, "map", "path", path, "--from", "a", "--to", "d")
+    assert code == 0
+    assert json.loads(out) == {"path": ["a", "b", "c", "d"], "cost": 3.5, "connected": True}
+    assert run(capsys, "map", "validate", path)[0] == 0
+
+
+@pytest.mark.parametrize("length", [-2.0, math.nan, math.inf, -math.inf], ids=["negative", "nan", "inf", "-inf"])
+def test_map_with_a_bad_edge_length_exits_1(files, capsys, length):
+    # a negative length used to give "cost": 0.0 from `map path`, meaning nothing
+    path = files["root"] / "bad-chain.json"
+    path.write_text(json.dumps(chain_map([1.0, length, 1.0])))
+    for argv in (("map", "path", path, "--from", "a", "--to", "d"), ("map", "validate", path)):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        doc = json.loads(err)
+        assert doc["error"] == "MapError" and "edges[1]" in doc["message"]
+
+
 def test_missing_files_exit_1(files, capsys):
     missing = files["root"] / "missing"
     assert_json_error(*run(capsys, "esdf", "compute", missing))

@@ -378,8 +378,9 @@ class TestBilinear:
 
 
 def ref_cell_weights(fields, pts):
-    """_cell_weights clamping with np.clip."""
-    flat, offset, h, w, resolution, ox, oy = fields
+    """_cell_weights clamping with np.clip, one axis and one corner at a time."""
+    flat, offset, w, resolution, (ox, oy) = fields[:5]
+    h = fields.last[1].astype(np.intp) + 1
     gx = (pts[..., 0] - ox) / resolution
     gy = (pts[..., 1] - oy) / resolution
     cx = np.clip(gx, 0.0, w - 1.0)
@@ -390,7 +391,9 @@ def ref_cell_weights(fields, pts):
     jy = np.minimum(iy + 1, h - 1)
     row0, row1 = offset + iy * w, offset + jy * w
     corners = (flat[row0 + ix], flat[row0 + jx], flat[row1 + ix], flat[row1 + jx])
-    return (gx, gy), (cx, cy), (cx - ix, cy - iy), corners
+    u, v = cx - ix, cy - iy
+    return (np.stack([gx, gy]), np.stack([cx, cy]), np.stack([[1 - u, 1 - v], [u, v]]),
+            np.stack([corners[:2], corners[2:]]))
 
 
 def unsigned_zero(a: np.ndarray) -> bytes:
@@ -405,10 +408,10 @@ def kernel_outcome(fn, *args):
     +0.0 for -0.0 depending on the array's layout."""
     with np.errstate(invalid="ignore"):
         try:
-            g, c, uv, corners = fn(*args)
+            g, c, weights, corners = fn(*args)
         except IndexError as e:
             return type(e)
-    return [a.tobytes() for a in g + corners] + [unsigned_zero(a) for a in c + uv]
+    return [a.tobytes() for a in (g, *corners)] + [unsigned_zero(a) for a in (c, *weights)]
 
 
 class TestClampKernel:
@@ -438,7 +441,7 @@ class TestClampKernel:
     @pytest.mark.parametrize("signed_zeros", [False, True])
     def test_cell_weights_match_clip(self, signed_zeros):
         for phi in self.fields(signed_zeros):
-            single = esdf.FieldStack(phi.values.ravel(), 0, *phi.values.shape, phi.resolution, *phi.origin)
+            single = esdf._one_field(phi)
             stack = stack_fields([phi, phi])
             for pt in self.points(phi):
                 for fields, pts in [(single, pt[None]), (stack, np.stack([pt[None], pt[None]]))]:
@@ -539,3 +542,127 @@ class TestGridFiles:
         path.write_text("OCC2 3 2 1.0 0.0 0.0\n1 0 1\n")
         with pytest.raises(GridParseError, match="expected 6"):
             load_grid(path)
+
+
+# --- the kernel against its per-axis form -------------------------------------------
+
+def per_axis_stack(fields):
+    """The per-axis layout the kernel had: offset, height, width, resolution and
+    origin x and y, each a (B, 1) column."""
+    shapes = np.array([f.values.shape for f in fields], dtype=np.intp)
+    sizes = shapes[:, 0] * shapes[:, 1]
+    return (
+        np.concatenate([f.values.ravel() for f in fields]),
+        (np.cumsum(sizes) - sizes)[:, None],
+        shapes[:, :1],
+        shapes[:, 1:],
+        np.array([[f.resolution] for f in fields], dtype=float),
+        np.array([[f.origin[0]] for f in fields]),
+        np.array([[f.origin[1]] for f in fields]),
+    )
+
+
+def per_axis_cell_weights(fields, pts):
+    flat, offset, h, w, resolution, ox, oy = fields
+    gx = (pts[..., 0] - ox) / resolution
+    gy = (pts[..., 1] - oy) / resolution
+    cx = np.minimum(np.maximum(gx, 0.0), w - 1.0)
+    cy = np.minimum(np.maximum(gy, 0.0), h - 1.0)
+    ix = np.minimum(np.floor(cx).astype(np.intp), np.maximum(w - 2, 0))
+    iy = np.minimum(np.floor(cy).astype(np.intp), np.maximum(h - 2, 0))
+    jx = np.minimum(ix + 1, w - 1)
+    jy = np.minimum(iy + 1, h - 1)
+    row0, row1 = offset + iy * w, offset + jy * w
+    corners = (flat[row0 + ix], flat[row0 + jx], flat[row1 + ix], flat[row1 + jx])
+    return (gx, gy), (cx, cy), (cx - ix, cy - iy), corners
+
+
+def per_axis_interpolate(u, v, f00, f10, f01, f11):
+    return f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
+
+
+def per_axis_bilinear(fields, pts):
+    (gx, gy), (cx, cy), (u, v), (f00, f10, f01, f11) = per_axis_cell_weights(fields, pts)
+    out = per_axis_interpolate(u, v, f00, f10, f01, f11)
+    du = (f10 - f00) * (1 - v) + (f11 - f01) * v
+    dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
+    inside_x = (gx == cx).astype(float)
+    inside_y = (gy == cy).astype(float)
+    resolution = fields[4]
+    return out, du * inside_x / resolution, dv * inside_y / resolution
+
+
+def per_axis_sample(phi, pts):
+    h, w = phi.values.shape
+    fields = (phi.values.ravel(), 0, h, w, phi.resolution, *phi.origin)
+    _, _, (u, v), corners = per_axis_cell_weights(fields, pts)
+    return per_axis_interpolate(u, v, *corners)
+
+
+class TestKernelMatchesPerAxisForm:
+    """Every output of the kernel, which holds x and y on one axis, bit for bit
+    against the kernel that did its x and y arithmetic apart and computed
+    1 - u and 1 - v at every use."""
+
+    SPECIAL = [math.inf, -math.inf, -0.0, 0.0, -2.5, 1e300, -1e-320]
+
+    def grids(self):
+        rng = np.random.default_rng(11)
+        for shape in [(1, 1), (1, 7), (6, 1), (2, 2), (9, 13), (40, 31)]:
+            values = rng.normal(size=shape)
+            values[rng.random(shape) < 0.2] = 0.0
+            values[rng.random(shape) < 0.2] = -0.0
+            for resolution, origin in [(0.25, (0.0, 0.0)), (0.3, (-1.0, 2.5)), (1.7, (-0.0, -3.0))]:
+                yield Grid(values, resolution, origin)
+
+    def points(self, phi, rng):
+        lo = np.array(phi.origin) - 1.0
+        hi = np.array(phi.origin) + np.array([phi.width, phi.height]) * phi.resolution + 1.0
+        special = [(x, y) for x in self.SPECIAL for y in self.SPECIAL]
+        return np.concatenate([rng.uniform(lo, hi, size=(200, 2)), special, [lo, hi, phi.origin]])
+
+    def test_sampler(self):
+        rng = np.random.default_rng(3)
+        for phi in self.grids():
+            pts = self.points(phi, rng)
+            assert sample_bilinear(phi, pts).tobytes() == per_axis_sample(phi, pts).tobytes()
+            assert sample_bilinear(phi, np.zeros((0, 2))).tobytes() == b""
+
+    def test_sampler_in_blocks(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        phi = Grid(rng.normal(size=(40, 31)), 0.3, (-1.0, 2.5))
+        pts = np.concatenate([self.points(phi, rng)] * 100)[: 2 * esdf._BLOCK + 5]
+        sizes = []
+        cell_weights = esdf._cell_weights
+
+        def recording(fields, pts):
+            sizes.append(len(pts))
+            return cell_weights(fields, pts)
+
+        monkeypatch.setattr(esdf, "_cell_weights", recording)
+        assert sample_bilinear(phi, pts).tobytes() == per_axis_sample(phi, pts).tobytes()
+        assert sum(sizes) == len(pts) and len(sizes) == 3 and max(sizes) <= esdf._BLOCK
+
+    def test_cell_weights(self):
+        rng = np.random.default_rng(4)
+        for phi in self.grids():
+            pts = self.points(phi, rng)
+            g, c, ((u1, v1), (u, v)), ((f00, f10), (f01, f11)) = _cell_weights(esdf._one_field(phi), pts)
+            h, w = phi.values.shape
+            (gx, gy), (cx, cy), (ux, vy), want = per_axis_cell_weights(
+                (phi.values.ravel(), 0, h, w, phi.resolution, *phi.origin), pts
+            )
+            got = [*g, *c, u, v, u1, v1, f00, f10, f01, f11]
+            ref = [gx, gy, cx, cy, ux, vy, 1 - ux, 1 - vy, *want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+    def test_stacked_fields_through_the_gradient_kernel(self):
+        rng = np.random.default_rng(5)
+        grids = list(self.grids())
+        for _ in range(20):
+            fields = [grids[i] for i in rng.integers(len(grids), size=int(rng.integers(1, 6)))]
+            pts = np.stack([self.points(phi, rng)[:120] for phi in fields])
+            got = _bilinear(stack_fields(fields), pts)
+            want = per_axis_bilinear(per_axis_stack(fields), pts)
+            assert [a.shape for a in got] == [a.shape for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

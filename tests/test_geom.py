@@ -132,3 +132,32 @@ def test_json_round_trip():
     assert PoseTrajectory.from_jsonable(pt.to_jsonable()).as_array() == pytest.approx(
         pt.as_array()
     )
+
+
+def ref_actions_to_poses(traj, start):
+    """The per-step recurrence on Pose2 objects: a Pose2 of each increment, composed."""
+    poses = [start]
+    for dx, dy, dth in traj.steps:
+        poses.append(compose_se2(poses[-1], Pose2(dx, dy, dth)))
+    return PoseTrajectory(tuple(poses))
+
+
+# headings at and next to +-pi, the signed zeros, and ordinary values
+edge_angle = st.sampled_from(
+    [math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+     math.nextafter(math.pi, 4.0), 2 * math.pi, -2 * math.pi, 0.0, -0.0, 1e-300, -1e-300]
+) | finite_angle
+step_coord = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(Pose2, finite_coord | st.just(-0.0), finite_coord | st.just(-0.0), edge_angle),
+    st.lists(st.tuples(step_coord, step_coord, edge_angle), max_size=20),
+)
+def test_actions_to_poses_matches_pose_recurrence_bit_for_bit(start, steps):
+    traj = ActionTrajectory(np.array(steps, dtype=float).reshape(-1, 3))
+    got, want = actions_to_poses(traj, start), ref_actions_to_poses(traj, start)
+    assert got.as_array().tobytes() == want.as_array().tobytes()
+    assert got[0] is start
+    assert all(type(v) is float for p in got.poses[1:] for v in p.as_tuple())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from astra_nav import planner, sim
-from astra_nav.esdf import Grid, signed_esdf, stack_fields
+from astra_nav.esdf import Grid, sample_bilinear, signed_esdf, stack_fields
 from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
 from astra_nav.planner import (
     PlannerError,
@@ -39,7 +39,9 @@ def vf_eval(model, x_t, t, cond):
     x_t = np.asarray(x_t, dtype=float).ravel()
     if x_t.size != 3 * model.n_actions:
         raise ShapeMismatchError(f"x_t has {x_t.size} entries, expected {3 * model.n_actions}")
-    return planner._eval_field(model, planner._field_input(model, cond, 1), x_t, float(t))[0]
+    inp = planner._field_input(model, cond, 1)
+    inp[0, : x_t.size] = x_t
+    return planner._eval_field(model, inp, float(t))[0]
 
 
 def smooth_field(n=12, res=0.5):
@@ -408,6 +410,36 @@ def test_occupancy_features_shape_and_content():
     assert feats[-1] <= 0.5  # mean signed distance half a meter from the wall
 
 
+def ref_occupancy_features(grid, pose, phi):
+    """The encoding with its patch grid and ring built per call."""
+    step = 2.0 * 2.0 / 16
+    offs = -2.0 + step * (np.arange(16) + 0.5)
+    u, v = np.meshgrid(offs, offs)
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    wx = pose.x + c * u - s * v
+    wy = pose.y + s * u + c * v
+    col = np.rint((wx - grid.origin[0]) / grid.resolution).astype(int)
+    row = np.rint((wy - grid.origin[1]) / grid.resolution).astype(int)
+    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
+    patch = np.ones(u.shape)
+    patch[inside] = grid.values[row[inside], col[inside]].astype(float)
+    r = grid.resolution
+    ring = [(pose.x + dx * r, pose.y + dy * r) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    return np.concatenate([patch.ravel(), [float(np.mean(sample_bilinear(phi, np.asarray(ring))))]])
+
+
+def test_occupancy_features_match_per_call_grids_bit_for_bit():
+    rng = np.random.default_rng(8)
+    grid = Grid(rng.random((24, 30)) < 0.25, 0.25, (-1.0, 0.5))
+    phi = signed_esdf(grid)
+    xs = [-0.0, 0.0, -1.0, 3.3, 8.0] + rng.uniform(-2.0, 9.0, 20).tolist()
+    thetas = [math.pi, -math.pi, math.nextafter(math.pi, 0.0), -0.0, 0.0] + rng.uniform(-4, 4, 20).tolist()
+    for x, y, theta in zip(xs, rng.permutation(xs), thetas):
+        pose = Pose2(x, y, theta)
+        got = occupancy_features(grid, pose, phi)
+        assert got.tobytes() == ref_occupancy_features(grid, pose, phi).tobytes()
+
+
 def test_condition_vector_layout():
     cond = PlanningCondition(Pose2(1, 2, 0.5), (0.2, -0.1), np.array([9.0, 8.0]))
     np.testing.assert_allclose(cond.vector(), [1, 2, 0.5, 0.2, -0.1, 9.0, 8.0])
@@ -610,6 +642,33 @@ def test_sampler_checks_shapes_once_and_finiteness_per_step(monkeypatch):
     with pytest.raises(PlannerError):
         sample_actions(m, np.zeros(3), 10, np.random.default_rng(0), 4)
     assert calls == [(4, 10)] * 3
+
+
+@pytest.mark.parametrize(
+    "n_actions, cond_dim, hidden",
+    [(4, 6, ()), (4, 6, (8,)), (4, 6, (16, 8)), (16, 262, (64, 64))],
+    ids=["1-layer", "2-layer", "3-layer", "bench-size"],
+)
+def test_forward_matches_the_cached_pass_bit_for_bit(n_actions, cond_dim, hidden):
+    m = VectorFieldModel.create(n_actions, cond_dim, hidden=hidden, seed=2)
+    m.params += np.random.default_rng(1).normal(0.0, 0.1, m.param_count)  # nonzero biases
+    rng = np.random.default_rng(5)
+    d_in = m.layer_sizes[0]
+    for rows in (1, 3, 30):
+        x = rng.normal(0.0, 3.0, size=(rows, d_in))
+        kept = x.tobytes()
+        got = m.forward(x)
+        assert got.shape == (rows, 3 * n_actions)
+        assert got.tobytes() == m._forward_cached(x)[0].tobytes()
+        assert x.tobytes() == kept  # the input is left as it was
+    row = rng.normal(size=d_in)
+    got = m.forward(row)
+    assert got.shape == (3 * n_actions,)
+    assert got.tobytes() == m._forward_cached(row)[0].tobytes()
+    assert m.forward(row.tolist()).tobytes() == got.tobytes()
+    for bad in (np.zeros((2, d_in + 1)), np.zeros(d_in - 1)):
+        with pytest.raises(ShapeMismatchError):
+            m.forward(bad)
 
 
 def shares_params(model):

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import heapq
+import importlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -809,7 +811,7 @@ def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
                 start = window[0]
                 prev_len = math.hypot(*(arr[lo][:2] - arr[lo - 1][:2])) if lo > 0 else 0.0
                 cond = planner.PlanningCondition(
-                    relative_pose(start, sim.select_subgoal(path, start, lookahead)),
+                    relative_pose(start, sim.select_subgoal(path, start, lookahead, 0)),
                     (prev_len, 0.0),
                     planner.occupancy_features(grid2, start, phi),
                 )
@@ -920,14 +922,14 @@ def test_planning_grid_snaps_to_none_when_all_is_blocked():
 
 def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     """eval_suite with counters: sample_bilinear calls made outside
-    oracle_plan, in all and per episode, subgoal selections (one per model
-    plan), expert segments (one per cycle the expert drives), unreachable
-    plans (a cycle that ends on one executes nothing), and the blocked grid
-    of every planning grid built."""
+    oracle_plan, in all and per episode, subgoal lookups by the lookahead
+    rule (one per model plan), expert segments (one per cycle the expert
+    drives), unreachable plans (a cycle that ends on one executes nothing),
+    and the blocked grid of every planning grid built."""
     inside = [0]
     counts = {"lookups": 0, "episode_lookups": [], "subgoals": 0, "segments": 0, "grids": [],
               "unreachable": 0}
-    oracle_plan, select_subgoal, grid_type = sim.oracle_plan, sim.select_subgoal, sim._PlanningGrid
+    oracle_plan, lookahead_index, grid_type = sim.oracle_plan, sim._lookahead_index, sim._PlanningGrid
     segment, run_episode = sim._ExpertPath.actions, sim.run_episode
 
     def counting_episode(*args, **kwargs):
@@ -953,7 +955,7 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
 
     def counting_subgoal(*args):
         counts["subgoals"] += 1
-        return select_subgoal(*args)
+        return lookahead_index(*args)
 
     def counting_segment(self, est):
         counts["segments"] += 1
@@ -965,7 +967,7 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
 
     monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
     monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
-    monkeypatch.setattr(sim, "select_subgoal", counting_subgoal)
+    monkeypatch.setattr(sim, "_lookahead_index", counting_subgoal)
     monkeypatch.setattr(sim._ExpertPath, "actions", counting_segment)
     monkeypatch.setattr(sim, "_PlanningGrid", counting_grid)
     monkeypatch.setattr(sim, "run_episode", counting_episode)
@@ -1092,6 +1094,44 @@ def test_subgoal_keeps_progress_on_a_path_that_folds_back():
     # restarting from the nearest vertex of the whole path each cycle would alternate 3, 6, 3, 6
     assert chosen == sorted(chosen)
     assert chosen[-1] == len(path) - 1
+
+
+def ref_select_subgoal(path, current, lookahead, lowest):
+    """The lookahead rule as a walk: arc lengths rebuilt per call, then the
+    first pose from the nearest on that is far enough along."""
+    arr = path.as_array()
+    d = np.hypot(arr[lowest:, 0] - current.x, arr[lowest:, 1] - current.y)
+    nearest = lowest + int(np.argmin(d))
+    seg = np.hypot(*np.diff(arr[:, :2], axis=0).T)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    target = cum[nearest] + lookahead
+    for k in range(nearest, len(arr)):
+        if cum[k] >= target:
+            return k
+    return len(arr) - 1
+
+
+# few distinct coordinates make repeated vertices, zero-length segments and ties
+path_coord = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(path_coord, path_coord), min_size=1, max_size=12),
+    st.tuples(path_coord, path_coord),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 100.0]) | st.floats(0.0, 5.0),
+    st.data(),
+)
+def test_lookahead_rule_matches_the_walk(xy, at, lookahead, data):
+    path = PoseTrajectory(tuple(Pose2(x, y, 0.1 * i) for i, (x, y) in enumerate(xy)))
+    current = Pose2(*at, 0.0)
+    lowest = data.draw(st.integers(0, len(xy) - 1))
+    want = ref_select_subgoal(path, current, lookahead, lowest)
+    assert sim.select_subgoal(path, current, lookahead, lowest) is path[want]
+    # the loop's form: arc lengths once per path, then the nearest index and one search
+    arr = path.as_array()
+    nearest = sim._nearest_index(arr, current, lowest)
+    assert sim._lookahead_index(sim._arc_lengths(arr), nearest, lookahead) == want
 
 
 def ref_spl(report):
@@ -1674,6 +1714,106 @@ def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
     # after the first, which takes the start pose as it is
     assert counts["Pose2"] == 1 + 2 * counts["cycles"] + counts["fixes"] - 1
     assert counts["Pose2"] < steps
+
+
+def test_model_cycle_builds_one_pose_per_plan_pose(worlds48, eval_model, monkeypatch):
+    world = worlds48[0]
+    start, goal = Pose2(*world.start_xy[0], 0.4), Pose2(*world.start_xy[-1], 0.0)
+    config = sim.NavConfig(planner="model", fallback=True)
+    n = eval_model.n_actions
+    counts = {"Pose2": 0, "forward": 0, "forward_cached": 0, "arc_lengths": 0, "fixes": 0}
+    per_plan = []
+    inside_plan = [0]
+
+    class CountingPose2(Pose2):
+        def __post_init__(self):
+            if not inside_plan[0]:
+                counts["Pose2"] += 1
+            super().__post_init__()
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    oracle_plan, plan_sample = sim.oracle_plan, sim.plan_sample
+
+    def tracked_plan(*args):
+        inside_plan[0] += 1
+        try:
+            return oracle_plan(*args)
+        finally:
+            inside_plan[0] -= 1
+
+    def tracked_sample(*args):
+        before = counts["Pose2"]
+        plan = plan_sample(*args)
+        per_plan.append(counts["Pose2"] - before)
+        return plan
+
+    counting(planner.VectorFieldModel, "forward", "forward")
+    counting(planner.VectorFieldModel, "_forward_cached", "forward_cached")
+    counting(sim, "_arc_lengths", "arc_lengths")
+    counting(sim, "_global_fix", "fixes")
+    monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
+    monkeypatch.setattr(sim, "plan_sample", tracked_sample)
+    monkeypatch.setattr(geom, "Pose2", CountingPose2)
+    monkeypatch.setattr(sim, "Pose2", CountingPose2)
+    report = sim.run_episode(world, goal, config, eval_model, seed=5, start=start)
+    calls = report.planner_calls
+    assert report.reason != "stuck" and calls >= 10 and counts["fixes"] >= 3
+    # a plan builds one pose per action, the start being the estimate itself
+    assert per_plan == [n] * calls
+    # one estimate at set-up; per cycle the subgoal in the ego frame, the plan and two
+    # poses at its end; one true pose per fix after the first, which takes the start
+    assert counts["Pose2"] == 1 + calls * (n + 1 + 2) + counts["fixes"] - 1
+    # one lean pass per Euler step, and the node path's arc lengths once per episode
+    assert counts["forward"] == config.euler_steps * calls
+    assert counts["forward_cached"] == 0
+    assert counts["arc_lengths"] == 1
+
+
+# the bench's spans of a model cycle, and where it patches each (bench/workloads.py TRACED)
+MODEL_CYCLE_SPANS = {
+    "planner.sample": (sim, "plan_sample"),
+    "planner.collision_check": (sim, "collision_check"),
+    "planner.occupancy_features": (sim, "occupancy_features"),
+    "planner.VectorFieldModel.forward": (planner.VectorFieldModel, "forward"),
+    "esdf.sample_bilinear": (sim, "sample_bilinear"),
+}
+
+
+def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatch):
+    # a refactor that stops calling a name the bench patches would zero its layer silently
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    traced = importlib.import_module("workloads").TRACED
+    counts = dict.fromkeys(MODEL_CYCLE_SPANS, 0)
+    for name, site in MODEL_CYCLE_SPANS.items():
+        assert site in traced[name]
+        for owner, attr in traced[name]:
+            original = getattr(owner, attr)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+    world = worlds48[1]
+    config = sim.NavConfig(planner="model", fallback=True)
+    report = sim.run_episode(world, Pose2(*world.start_xy[-1], 0.0), config, eval_model, seed=2,
+                             start=Pose2(*world.start_xy[0], 0.0))
+    calls = report.planner_calls
+    assert calls >= 5
+    assert counts["planner.sample"] == calls
+    assert counts["planner.collision_check"] == calls
+    assert counts["planner.occupancy_features"] == calls
+    assert counts["planner.VectorFieldModel.forward"] == config.euler_steps * calls
+    # the occupancy ring and the collision check of every plan, then the episode's lookup
+    assert counts["esdf.sample_bilinear"] >= 2 * calls + 1
 
 
 # --- node paths: the search that stops at the goal, and the reachability test -----------

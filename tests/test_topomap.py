@@ -331,6 +331,21 @@ class TestValidateAndPersistence:
         with pytest.raises(MapError, match="pose"):
             TopoMap.load(path)
 
+    @pytest.mark.parametrize("length", [-2.0, -1e-300, math.nan, math.inf])
+    def test_load_refuses_a_bad_edge_length(self, length):
+        doc = simple_map().to_jsonable()
+        doc["edges"][1]["length"] = length
+        with pytest.raises(MapError, match=r"edges\[1\]"):
+            TopoMap.from_jsonable(doc)
+        doc["edges"][1]["length"] = -0.0  # zero-length edges stay allowed
+        assert TopoMap.from_jsonable(doc).edges[("b", "c")].length == 0.0
+
+    def test_validate_reports_a_negative_length_set_in_code(self):
+        m = simple_map()
+        m.edges[("a", "b")].length = -1.0
+        assert m.validate().violations == ["edge ('a', 'b') has negative length"]
+
+
     def test_cross_reference_symmetry_after_ops(self):
         m = simple_map()
         lm = Landmark("lm1", "door")
