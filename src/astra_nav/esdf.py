@@ -135,8 +135,11 @@ def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
     h, w = mask.shape
     if not mask.any():
         return np.full((h, w), w * w + h * h, dtype=np.int64)
-    col_dist = _nearest_along_rows(mask)
-    sq = col_dist * col_dist
+    # squared in place, as `edt` takes the root and scale in place: most
+    # calls map fresh pages for each new 512 KiB array of a 256x256 grid, so
+    # every array not made saves its page faults
+    sq = _nearest_along_rows(mask)
+    sq *= sq
     out = sq.copy()
     k = 1
     while k < w and k * k < out.max():
@@ -148,7 +151,10 @@ def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
 
 def edt(map2d: Grid, target: str = "occupied") -> np.ndarray:
     """Exact Euclidean distance (meters) from every cell to the nearest target cell."""
-    return np.sqrt(edt_squared(map2d, target).astype(float)) * map2d.resolution
+    dist = edt_squared(map2d, target).astype(float)
+    np.sqrt(dist, out=dist)
+    dist *= map2d.resolution
+    return dist
 
 
 def signed_esdf(map2d: Grid) -> Grid:
@@ -176,12 +182,25 @@ def _cell_box(shape, resolution: float, origin, lo, hi) -> tuple[slice, slice]:
     return slice(r0, r1), slice(c0, c1)
 
 
+# Segment-cell pairs per block of `make_mask`'s batched pass: its
+# (segments, cells, 2) temporaries then hold at most 128 KiB, unless a single
+# segment's cells need more.
+_MASK_PAIRS = 8192
+
+
 def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) -> Grid:
     """Mark every cell whose center lies within dilation_radius of the trajectory polyline.
 
     Distances are computed only on the cells that the trajectory's bounding
     box, grown by the radius and one cell, overlaps: no other cell can lie
-    within the radius.
+    within the radius. The segments go through one batched pass, a block of
+    segments at a time (at most `_MASK_PAIRS` segment-cell pairs, and never
+    less than one segment), and each cell keeps its minimum over the
+    segments. A cell's distance to one segment a->b is computed as a
+    per-segment pass would: t = clip((c - a) @ ab / (ab @ ab), 0, 1) with
+    the same matrix products, one per segment, then hypot(c - (a + t ab)),
+    or hypot(c - a) where ab @ ab is 0. The mask thresholds that distance,
+    so it keeps every bit of it.
     """
     if dilation_radius < 0:
         raise MaskError("dilation radius must be >= 0")
@@ -199,23 +218,45 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
     )
     xs = origin[0] + np.arange(cols.start, cols.stop) * res
     ys = origin[1] + np.arange(rows.start, rows.stop) * res
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    min_d = np.full(centers.shape[0], np.inf)
+    box = (len(ys), len(xs))
+    # cell centers as (x, y) rows, row-major over the box
+    centers = np.empty((*box, 2))
+    centers[..., 0] = xs
+    centers[..., 1] = ys[:, None]
+    centers = centers.reshape(-1, 2)
+    cx, cy = centers.T
     if len(pts) == 1:
         min_d = np.hypot(*(centers - pts[0]).T)
     else:
-        for a, b in zip(pts[:-1], pts[1:]):
-            ab = b - a
-            denom = float(ab @ ab)
-            if denom == 0.0:
-                d = np.hypot(*(centers - a).T)
-            else:
-                t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
-                proj = a + t[:, None] * ab
-                d = np.hypot(*(centers - proj).T)
-            np.minimum(min_d, d, out=min_d)
-    mask[rows, cols] = (min_d <= dilation_radius).reshape(gx.shape)
+        min_d = np.full(len(centers), np.inf)
+        seg = pts[1:] - pts[:-1]
+        # per segment ab @ ab, and below (c - a) @ ab, as stacked products:
+        # numpy multiplies each stacked pair as it would the pair alone
+        denom = np.matmul(seg[:, None, :], seg[:, :, None])[:, :, 0]
+        # t / inf is 0 for the finite t of a segment whose ab @ ab is 0, and
+        # a + 0 ab is a
+        denom[denom == 0.0] = np.inf
+        per_block = max(1, _MASK_PAIRS // max(len(centers), 1))
+        for lo in range(0, len(seg), per_block):
+            a, ab, dd = (v[lo : lo + per_block] for v in (pts[:-1], seg, denom))
+            rel = np.empty((len(a), len(centers), 2))
+            np.subtract(cx, a[:, :1], out=rel[..., 0])
+            np.subtract(cy, a[:, 1:], out=rel[..., 1])
+            t = np.matmul(rel, ab[:, :, None])[:, :, 0]
+            t /= dd
+            np.maximum(t, 0.0, out=t)
+            np.minimum(t, 1.0, out=t)
+            # c - (a + t ab), x and y apart
+            off = rel[..., 0]  # rel is read no more
+            np.multiply(t, ab[:, :1], out=off)
+            off += a[:, :1]
+            np.subtract(cx, off, out=off)
+            np.multiply(t, ab[:, 1:], out=t)
+            t += a[:, 1:]
+            np.subtract(cy, t, out=t)
+            d = np.hypot(off, t)
+            np.minimum(min_d, d.min(axis=0), out=min_d)
+    mask[rows, cols] = (min_d <= dilation_radius).reshape(box)
     if not mask.any():
         lo = (origin[0] - res / 2, origin[1] - res / 2)
         hi = (origin[0] + (shape[1] - 0.5) * res, origin[1] + (shape[0] - 0.5) * res)
@@ -278,14 +319,16 @@ def _grid_columns(width: int, height: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 def stack_fields(fields: list[Grid]) -> FieldStack:
     """One flat copy of the given 2-D fields, in order, for a batched lookup."""
-    size = np.array([f.values.shape[::-1] for f in fields], dtype=np.intp).T[:, :, None]
+    # per field: height, width, resolution, origin x, origin y
+    geometry = np.array([(*f.values.shape, f.resolution, *f.origin) for f in fields])
+    size = geometry[:, 1::-1].T.astype(np.intp)[:, :, None]
     cells = (size[0] * size[1]).ravel()
     return FieldStack(
         np.concatenate([f.values.ravel() for f in fields]),
         (np.cumsum(cells) - cells)[:, None],
         size[0],
-        np.array([[f.resolution] for f in fields], dtype=float),
-        np.array([f.origin for f in fields], dtype=float).T[:, :, None],
+        geometry[:, 2:3],
+        geometry[:, 3:].T[:, :, None],
         *_columns(size),
     )
 

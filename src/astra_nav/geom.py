@@ -127,12 +127,26 @@ class ActionTrajectory:
 
 @dataclass(frozen=True)
 class PoseTrajectory:
-    """Ordered poses, length n+1 for n actions; poses[0] is the start pose."""
+    """Ordered poses, length n+1 for n actions; poses[0] is the start pose.
+
+    A trajectory built by `from_rows` keeps the float rows it was built
+    from, and `as_array` copies them instead of reading every `Pose2`."""
 
     poses: tuple[Pose2, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
+        object.__setattr__(self, "_rows", None)
+
+    @classmethod
+    def from_rows(cls, start: Pose2, rows) -> "PoseTrajectory":
+        """`start`, then one `Pose2` per (x, y, theta) row after the first.
+        The first row holds the start's floats and every later heading is
+        wrapped, so each `Pose2` holds its row's bits, and the rows are the
+        trajectory's array."""
+        traj = cls((start, *(Pose2(*row) for row in rows[1:])))
+        object.__setattr__(traj, "_rows", np.array(rows, dtype=float).reshape(-1, 3))
+        return traj
 
     def __len__(self) -> int:
         return len(self.poses)
@@ -142,6 +156,8 @@ class PoseTrajectory:
 
     def as_array(self) -> np.ndarray:
         """(n+1, 3) array of [x, y, theta] rows."""
+        if self._rows is not None:
+            return self._rows.copy()
         return np.array([[p.x, p.y, p.theta] for p in self.poses]).reshape(-1, 3)
 
     def path_length(self) -> float:
@@ -168,21 +184,21 @@ def actions_to_poses(traj: ActionTrajectory, start: Pose2) -> PoseTrajectory:
     The recurrence runs on floats (`compose_xyt`), each increment's heading
     wrapped first, as a `Pose2` of the increment would hold it, so the poses
     are those of composing `Pose2`s; one `Pose2` is built per pose after the
-    start."""
+    start, and the trajectory keeps the float rows (`from_rows`)."""
     x, y, theta = start.x, start.y, start.theta
-    poses = [start]
+    rows = [(x, y, theta)]
     for dx, dy, dth in traj.steps.tolist():
         x, y, theta = compose_xyt(x, y, theta, dx, dy, wrap_angle(dth))
-        poses.append(Pose2(x, y, theta))
-    return PoseTrajectory(tuple(poses))
+        rows.append((x, y, theta))
+    return PoseTrajectory.from_rows(start, rows)
 
 
 def poses_to_actions(poses: PoseTrajectory) -> ActionTrajectory:
-    """Invert actions_to_poses: per-step increments in the previous pose's frame."""
+    """Invert actions_to_poses: per-step increments in the previous pose's
+    frame, `relative_xyt` on the poses' floats (the bits of `relative_pose`,
+    whose `Pose2` keeps the wrapped heading as it is)."""
     if len(poses) == 0:
         raise ValueError("pose trajectory must contain at least the start pose")
-    steps = np.empty((len(poses) - 1, 3))
-    for k in range(1, len(poses)):
-        rel = relative_pose(poses[k - 1], poses[k])
-        steps[k - 1] = (rel.x, rel.y, rel.theta)
-    return ActionTrajectory(steps)
+    xyt = [p.as_tuple() for p in poses.poses]
+    steps = [relative_xyt(*a, *b) for a, b in zip(xyt, xyt[1:])]
+    return ActionTrajectory(np.array(steps, dtype=float).reshape(-1, 3))

@@ -23,7 +23,22 @@ so its output is the same to the bit; the output is checked to be finite
 after every step. A plan's poses are composed on floats (`actions_to_poses`),
 one `Pose2` per pose. Training keeps `_forward_cached`, whose activations
 the backward pass reads; it builds the dataset's arrays once, and each
-batch samples all its masked fields in one gather.
+batch samples all its masked fields in one gather. A batch's momentum
+step, activations and gradient products are computed in place, each to the
+bits of the fresh-array form.
+
+The batched pose recurrence and its adjoint are cumulative sums over the
+steps, which numpy adds strictly left to right. The headings are the sum of
+[th_0, dth_1, ..., dth_n]. The per-step loop computes x_k as
+(x_{k-1} + c dx_k) - s dy_k, and a - b is a + (-b) to the bit, so x is the
+sum of the interleaved terms [x_0, c dx_1, -(s dy_1), c dx_2, ...] read at
+every other place; y is the sum of [y_0, s dx_1, c dy_1, ...] the same way.
+The reverse pass starts its accumulators from zeros and adds one step at a
+time, from the last: the position adjoints are the reverse sums of the
+field gradients behind a leading 0.0, and the heading adjoint is the
+reverse sum of each step's x term and then its y term, behind a leading
+0.0. The cosine and sine of the headings are taken once, over all steps,
+and serve both passes.
 """
 
 from __future__ import annotations
@@ -179,12 +194,17 @@ class VectorFieldModel:
         return a[0] if squeeze else a
 
     def _forward_cached(self, x: np.ndarray):
+        """The field at rows x and every layer's activation, the input first;
+        each layer adds its bias and applies tanh in place, as `forward` does."""
         a, squeeze = self._rows(x)
         acts = [a]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(np.tanh(z) if i < n_layers - 1 else z)
+            z = acts[-1] @ w
+            z += b
+            if i < n_layers - 1:
+                np.tanh(z, out=z)
+            acts.append(z)
         out = acts[-1]
         return (out[0] if squeeze else out), acts
 
@@ -194,10 +214,13 @@ class VectorFieldModel:
         grads = np.empty_like(self.params)
         grads_w, grads_b = _layer_views(grads, self.layer_sizes)
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i][...] = acts[i].T @ delta
-            grads_b[i][...] = delta.sum(axis=0)
+            np.matmul(acts[i].T, delta, out=grads_w[i])
+            np.sum(delta, axis=0, out=grads_b[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+                slope = acts[i] * acts[i]
+                np.subtract(1.0, slope, out=slope)
+                delta = delta @ self.weights[i].T
+                delta *= slope
         return grads
 
     # -- persistence ----------------------------------------------------------
@@ -314,23 +337,39 @@ class PlanningBatch:
 
     def take(self, rows) -> "PlanningBatch":
         return PlanningBatch(
-            self.x1[rows], self.cond[rows], self.starts[rows], [self.fields[i] for i in rows]
+            self.x1[rows], self.cond[rows], self.starts[rows],
+            [self.fields[i] for i in np.asarray(rows).tolist()],
         )
 
 
-def _poses_from_actions(actions: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Batched pose recurrence, headings left unwrapped. (B, n, 3) -> (B, n+1, 3)."""
+def _poses_from_actions(actions: np.ndarray, starts: np.ndarray):
+    """Batched pose recurrence, headings left unwrapped: the poses (B, n+1, 3)
+    of actions (B, n, 3) from starts (B, 3), and the cosine and sine of each
+    step's heading th_{k-1}, (B, n) each.
+
+    Each coordinate is one left-to-right cumulative sum (see the module
+    docstring), so every pose holds the bits of the per-step recurrence."""
     b, n, _ = actions.shape
     poses = np.empty((b, n + 1, 3))
-    poses[:, 0] = starts
-    for k in range(1, n + 1):
-        th = poses[:, k - 1, 2]
-        c, s = np.cos(th), np.sin(th)
-        dx, dy, dth = actions[:, k - 1, 0], actions[:, k - 1, 1], actions[:, k - 1, 2]
-        poses[:, k, 0] = poses[:, k - 1, 0] + c * dx - s * dy
-        poses[:, k, 1] = poses[:, k - 1, 1] + s * dx + c * dy
-        poses[:, k, 2] = th + dth
-    return poses
+    heading = poses[..., 2]
+    heading[:, 0] = starts[:, 2]
+    heading[:, 1:] = actions[..., 2]
+    np.cumsum(heading, axis=1, out=heading)
+    th = heading[:, :-1]
+    c, s = np.cos(th), np.sin(th)
+    dx, dy = actions[..., 0], actions[..., 1]
+    # x: x0, c dx_1, -(s dy_1), c dx_2, ...; y: y0, s dx_1, c dy_1, s dx_2, ...
+    terms = np.empty((2, b, 2 * n + 1))
+    terms[:, :, 0] = starts[:, :2].T
+    np.multiply(c, dx, out=terms[0, :, 1::2])
+    np.multiply(s, dy, out=terms[0, :, 2::2])
+    np.negative(terms[0, :, 2::2], out=terms[0, :, 2::2])
+    np.multiply(s, dx, out=terms[1, :, 1::2])
+    np.multiply(c, dy, out=terms[1, :, 2::2])
+    np.cumsum(terms, axis=2, out=terms)
+    poses[..., 0] = terms[0, :, ::2]
+    poses[..., 1] = terms[1, :, ::2]
+    return poses, c, s
 
 
 def _penalty_and_grad(fields: list[Grid], actions: np.ndarray, starts: np.ndarray):
@@ -340,25 +379,29 @@ def _penalty_and_grad(fields: list[Grid], actions: np.ndarray, starts: np.ndarra
     copy of the batch's fields. The spatial gradient from bilinear sampling
     back-propagates through the pose recurrence with the usual reverse
     accumulation: position adjoints pass through unchanged, heading adjoints
-    collect the rotated-step terms.
+    collect the rotated-step terms. Each accumulation is one reverse
+    cumulative sum from 0.0 (see the module docstring).
     """
     b, n, _ = actions.shape
-    poses = _poses_from_actions(actions, starts)
+    poses, c, s = _poses_from_actions(actions, starts)
     values, gx, gy = _bilinear(stack_fields(fields), poses[:, 1:, :2])
-    dact = np.zeros_like(actions)
-    ax_adj = np.zeros(b)
-    ay_adj = np.zeros(b)
-    at_adj = np.zeros(b)
-    for k in range(n, 0, -1):
-        ax_adj = ax_adj + gx[:, k - 1]
-        ay_adj = ay_adj + gy[:, k - 1]
-        th = poses[:, k - 1, 2]
-        c, s = np.cos(th), np.sin(th)
-        dx, dy = actions[:, k - 1, 0], actions[:, k - 1, 1]
-        dact[:, k - 1, 0] = ax_adj * c + ay_adj * s
-        dact[:, k - 1, 1] = -ax_adj * s + ay_adj * c
-        dact[:, k - 1, 2] = at_adj
-        at_adj = at_adj + ax_adj * (-s * dx - c * dy) + ay_adj * (c * dx - s * dy)
+    # the position adjoints of step k are the sums of the gradients at poses k..n
+    rev = np.zeros((2, b, n + 1))
+    rev[0, :, 1:] = gx[:, ::-1]
+    rev[1, :, 1:] = gy[:, ::-1]
+    np.cumsum(rev, axis=2, out=rev)
+    ax_adj, ay_adj = rev[:, :, :0:-1]
+    dx, dy = actions[..., 0], actions[..., 1]
+    dact = np.empty_like(actions)
+    dact[..., 0] = ax_adj * c + ay_adj * s
+    dact[..., 1] = -ax_adj * s + ay_adj * c
+    # the heading adjoint before step k sums, from step n down to k + 1, each
+    # step's x term and then its y term
+    turn = np.zeros((b, 2 * n + 1))
+    turn[:, 1::2] = (ax_adj * (-s * dx - c * dy))[:, ::-1]
+    turn[:, 2::2] = (ay_adj * (c * dx - s * dy))[:, ::-1]
+    np.cumsum(turn, axis=1, out=turn)
+    dact[..., 2] = turn[:, :-1:2][:, ::-1]
     return values.sum(axis=1), dact
 
 
@@ -374,13 +417,21 @@ def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
     b = x1.shape[0]
     t = np.asarray(t, dtype=float).ravel()
     x0 = np.atleast_2d(x0)
-    xt = (1.0 - t)[:, None] * x1 + t[:, None] * x0
-    u = x0 - x1
-    inp = np.concatenate([xt, t[:, None], cond], axis=1)
+    # the network input [x_t, t, c], x_t = (1 - t) x1 + t x0 written in place
+    n3 = x1.shape[1]
+    inp = np.empty((b, n3 + 1 + cond.shape[1]))
+    xt = inp[:, :n3]
+    np.multiply((1.0 - t)[:, None], x1, out=xt)
+    xt += t[:, None] * x0
+    inp[:, n3] = t
+    inp[:, n3 + 1 :] = cond
     v, acts = model._forward_cached(inp)
-    diff = v - u
+    diff = np.subtract(x0, x1)  # u
+    np.subtract(v, diff, out=diff)
     cfm = float(np.sum(diff * diff) / b)
-    dv = 2.0 * diff / b
+    dv = diff
+    dv *= 2.0
+    dv /= b
     penalty = 0.0
     if lam != 0.0:
         if any(f is None for f in batch.fields):
@@ -390,7 +441,7 @@ def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
         sums, dact = _penalty_and_grad(batch.fields, x_rec.reshape(b, n, 3), starts)
         penalty = float(sums.mean())
         # d(loss)/dv += -lam/b * d(sum)/dx~ * dx~/dv, and dx~/dv = -t
-        dv = dv + (lam / b) * t[:, None] * dact.reshape(b, 3 * n)
+        dv += (lam / b) * t[:, None] * dact.reshape(b, 3 * n)
     loss = cfm - lam * penalty
     grads = model.backward(acts, dv)
     return loss, grads, {"cfm": cfm, "penalty": penalty}
@@ -465,7 +516,10 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
             if not math.isfinite(loss) or not np.isfinite(grads).all():
                 diverged = True
                 break
-            velocity = config.momentum * velocity - config.learning_rate * grads
+            # momentum * velocity - learning_rate * grads, in place
+            velocity *= config.momentum
+            grads *= config.learning_rate
+            velocity -= grads
             model.params += velocity
             cfm_terms.append(parts["cfm"])
             penalty_terms.append(parts["penalty"])
@@ -551,7 +605,8 @@ def collision_check(
     dist_field: Grid | None = None,
 ) -> bool:
     """True iff any pose center's interpolated free-space distance drops below
-    the footprint radius."""
+    the footprint radius. A plan's poses carry their float rows
+    (`actions_to_poses`), so its check builds no array from `Pose2`s."""
     if footprint_radius < 0:
         raise PlannerError("footprint radius must be >= 0")
     if dist_field is None:

@@ -19,9 +19,15 @@ one shared pose per distinct link offset.
 What the expert planner needs of a world at one clearance is a function of
 the world alone, so `World.planning_grid(clearance)` builds it once and
 keeps it: the blocked cells, the one-cell-walled flat list that `_astar`
-searches, and the nearest open cell of every cell a plan has snapped. A
-plan then pays only for its own search, smoothing and resampling. Nothing
-that depends on the start or goal of a plan is kept.
+searches, the nearest open cell of every cell a plan has snapped, and, from
+the first plan on, the 8-connected component label of every open cell. A
+plan then pays only for its own search, smoothing and resampling, and
+starts no search when its snapped start and goal carry different labels:
+A* moves to all 8 neighbors with no corner rule, so such a search could
+only exhaust the start's component and fail. One label propagation
+(`_component_labels`) gives these labels and `generate_world`'s test that
+the free space is one component. Nothing that depends on the start or
+goal of a plan is kept.
 
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global node
@@ -183,18 +189,18 @@ def _pose6(x: float, y: float) -> Pose6:
     return Pose6((x, y, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
-def _connected(free: np.ndarray) -> bool:
-    """True iff the free cells form one 8-connected component.
+def _component_labels(free: np.ndarray) -> np.ndarray:
+    """The 8-connected component of every cell of `free`, as flat labels:
+    each free cell carries the flat index of its component's first cell,
+    each blocked cell h * w.
 
     Each free cell starts labelled with its flat index. A pass gives every
     free cell the lowest label in its 3x3 neighborhood, blocked cells
     labelled h * w, then the label of its label, as `_pairs_connected` does
     on a node graph; at the fixed point every component carries the index of
     its first cell."""
-    cells = np.flatnonzero(free)
-    if len(cells) == 0:
-        return False
     h, w = free.shape
+    cells = np.flatnonzero(free)
     label = np.full(h * w, h * w)
     label[cells] = cells
     padded = np.full((h + 2, w + 2), h * w)
@@ -206,8 +212,14 @@ def _connected(free: np.ndarray) -> bool:
         new[cells] = low[cells]
         new[cells] = new[new[cells]]
         if np.array_equal(new, label):
-            return not (label[cells] != cells[0]).any()
+            return label
         label = new
+
+
+def _connected(free: np.ndarray) -> bool:
+    """True iff the free cells form one 8-connected component."""
+    labels = _component_labels(free)[free.ravel()]
+    return len(labels) > 0 and not (labels != labels[0]).any()
 
 
 def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
@@ -452,7 +464,9 @@ class _PlanningGrid:
     `blocked` marks the cells closer than the clearance to an obstacle;
     `wall` is the same grid padded with a one-cell wall, flattened row by
     row into a list of `stride` = width + 2 entries per row; `nearest_open`
-    keeps the snapped cell of each cell it has been asked about.
+    keeps the snapped cell of each cell it has been asked about; and
+    `component` reads the 8-connected component labels of the open cells
+    (`_component_labels`), built on first use.
     """
 
     def __init__(self, blocked: np.ndarray):
@@ -463,11 +477,20 @@ class _PlanningGrid:
         self.stride = w + 2
         self.wall = padded.ravel().tolist()
         self._snapped: dict[tuple[int, int], tuple[int, int] | None] = {}
+        self._labels: np.ndarray | None = None
 
     def nearest_open(self, cell: tuple[int, int]) -> tuple[int, int] | None:
         if cell not in self._snapped:
             self._snapped[cell] = _nearest_open(self.blocked, cell)
         return self._snapped[cell]
+
+    def component(self, cell: tuple[int, int]) -> int:
+        """The component label of an open cell. A* moves to any of the 8
+        neighbors of a cell with no corner rule, so it finds a path between
+        two open cells exactly when their labels are equal."""
+        if self._labels is None:
+            self._labels = _component_labels(~self.blocked)
+        return int(self._labels[int(cell[0]) * self.blocked.shape[1] + int(cell[1])])
 
 
 @functools.lru_cache(maxsize=8)
@@ -576,7 +599,7 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float
         grid = world.planning_grid(clearance)
         s_cell = grid.nearest_open(_to_cell(grid2, start.x, start.y))
         g_cell = grid.nearest_open(_to_cell(grid2, goal.x, goal.y))
-        if s_cell is None or g_cell is None:
+        if s_cell is None or g_cell is None or grid.component(s_cell) != grid.component(g_cell):
             continue
         cells = _astar(grid.wall, grid.stride, s_cell, g_cell)
         if cells is not None:
@@ -1239,7 +1262,7 @@ def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose
     checked with one field lookup: (collided flags, mean step lengths)."""
     actions = sample_actions(model, condition, NavConfig.euler_steps, rng, k)
     starts = np.tile(start.as_tuple(), (k, 1))
-    xy = _poses_from_actions(actions, starts)[..., :2]
+    xy = _poses_from_actions(actions, starts)[0][..., :2]
     clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
     return (clearance < NavConfig.footprint_radius).any(axis=1), mean_step

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astra_nav import esdf
+from astra_nav import esdf, sim
 from astra_nav.errors import AstraError, GeometryMismatchError
 from astra_nav.esdf import (
     Grid,
@@ -194,11 +194,17 @@ class TestMask:
 
 def ref_make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) -> np.ndarray:
     """Mask values from segment distances evaluated on every cell of the grid."""
+    return ref_mask_distances(gt_poses, geometry) <= dilation_radius
+
+
+def ref_mask_distances(gt_poses: PoseTrajectory, geometry: Grid) -> np.ndarray:
+    """Every cell's distance to the trajectory polyline, one segment at a
+    time; inf for an empty trajectory."""
     h, w = geometry.values.shape[-2:]
     res, origin = geometry.resolution, geometry.origin
     pts = np.asarray([[p.x, p.y] for p in gt_poses.poses]).reshape(-1, 2)
     if len(pts) == 0:
-        return np.zeros((h, w), dtype=bool)
+        return np.full((h, w), np.inf)
     gx, gy = np.meshgrid(origin[0] + np.arange(w) * res, origin[1] + np.arange(h) * res)
     centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
     min_d = np.full(centers.shape[0], np.inf)
@@ -214,7 +220,7 @@ def ref_make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: flo
                 t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
                 d = np.hypot(*(centers - (a + t[:, None] * ab)).T)
             np.minimum(min_d, d, out=min_d)
-    return (min_d <= dilation_radius).reshape(h, w)
+    return min_d.reshape(h, w)
 
 
 @st.composite
@@ -293,6 +299,61 @@ class TestMaskBox:
             mask = make_mask(poses, geom, 0.3)
         assert not mask.values.any()
         assert any("outside" in rec.message for rec in caplog.records)
+
+
+class TestMaskBatchedPass:
+    """The segments go through one blocked pass; every cell keeps the bits of
+    the per-segment distances, so the mask equals the per-segment reference."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        worlds = [sim.generate_world(s, 48) for s in range(3)]
+        return [(worlds[wi].phi(), window) for wi, window, _ in sim.expert_windows(worlds, 128)]
+
+    def test_dataset_windows_match_reference(self, windows):
+        assert len(windows) == 384
+        for phi, window in windows:
+            for radius in (0.0, 0.3, 1.0):
+                want = ref_make_mask(window, phi, radius)
+                assert make_mask(window, phi, radius).values.tobytes() == want.tobytes()
+
+    def test_cells_on_the_radius_keep_their_bits(self, windows):
+        # a radius equal to a cell's reference distance marks the cell, and
+        # the next float below it does not: a distance one bit off flips it
+        rng = np.random.default_rng(12)
+        for phi, window in windows[::6]:
+            dist = ref_mask_distances(window, phi)
+            near = np.unique(dist[(dist > 0.0) & (dist <= 1.2)])
+            for radius in rng.choice(near, size=min(12, len(near)), replace=False):
+                for r in (radius, np.nextafter(radius, -np.inf)):
+                    assert make_mask(window, phi, r).values.tobytes() == (dist <= r).tobytes()
+
+    @staticmethod
+    def long_walk():
+        """A 600-pose random walk with a run of repeated poses (zero-length
+        segments) and one stretch that leaves the grid."""
+        rng = np.random.default_rng(8)
+        pts = rng.normal(0.0, 0.3, size=(600, 2)).cumsum(axis=0) + (6.0, 5.0)
+        pts[200:212] = pts[200]
+        pts[400:420, 0] = -3.0 + np.arange(20) * 0.1
+        return PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
+
+    def test_long_trajectory_matches_reference(self):
+        geom = bin2d(np.zeros((90, 120)), 0.1, (-1.0, -0.5))
+        poses = self.long_walk()
+        for radius in (0.0, 0.3, 1.0):
+            want = ref_make_mask(poses, geom, radius)
+            got = make_mask(poses, geom, radius)
+            assert got.values.tobytes() == want.tobytes()
+            assert not want.all() and (want.any() or radius == 0.0)
+
+    @pytest.mark.parametrize("pairs", [1, 37, 300, 100_000])
+    def test_block_size_does_not_change_the_mask(self, windows, monkeypatch, pairs):
+        geom = bin2d(np.zeros((90, 120)), 0.1, (-1.0, -0.5))
+        cases = [(geom, self.long_walk())] + [(phi, w) for phi, w in windows[::37]]
+        want = [make_mask(poses, g, 0.3).values.tobytes() for g, poses in cases]
+        monkeypatch.setattr(esdf, "_MASK_PAIRS", pairs)
+        assert [make_mask(poses, g, 0.3).values.tobytes() for g, poses in cases] == want
 
 
 class TestMaskEsdf:

@@ -12,6 +12,7 @@ from astra_nav.geom import (
     actions_to_poses,
     compose_se2,
     poses_to_actions,
+    relative_pose,
     wrap_angle,
 )
 
@@ -161,3 +162,37 @@ def test_actions_to_poses_matches_pose_recurrence_bit_for_bit(start, steps):
     assert got.as_array().tobytes() == want.as_array().tobytes()
     assert got[0] is start
     assert all(type(v) is float for p in got.poses[1:] for v in p.as_tuple())
+    # the trajectory's array is the rows it was composed on
+    assert got.as_array().tobytes() == np.array([p.as_tuple() for p in got.poses]).tobytes()
+
+
+def ref_poses_to_actions(poses):
+    """The per-step increments as `Pose2`s, one `relative_pose` per step."""
+    steps = np.empty((len(poses) - 1, 3))
+    for k in range(1, len(poses)):
+        rel = relative_pose(poses[k - 1], poses[k])
+        steps[k - 1] = (rel.x, rel.y, rel.theta)
+    return ActionTrajectory(steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.builds(Pose2, finite_coord | st.sampled_from([0.0, -0.0]),
+              finite_coord | st.sampled_from([0.0, -0.0]), edge_angle),
+    min_size=1, max_size=20,
+))
+def test_poses_to_actions_matches_relative_pose_bit_for_bit(pose_list):
+    traj = PoseTrajectory(tuple(pose_list))
+    got, want = poses_to_actions(traj), ref_poses_to_actions(traj)
+    assert got.steps.shape == want.steps.shape == (len(pose_list) - 1, 3)
+    assert got.steps.tobytes() == want.steps.tobytes()
+
+
+def test_trajectory_from_rows_keeps_its_array_apart():
+    start = Pose2(1.0, -2.0, 3.0)
+    traj = PoseTrajectory.from_rows(start, [start.as_tuple(), (2.0, 0.5, -1.0)])
+    assert traj[0] is start and traj[1] == Pose2(2.0, 0.5, -1.0)
+    arr = traj.as_array()
+    arr[:] = 0.0  # a caller's copy
+    assert traj.as_array().tolist() == [[1.0, -2.0, 3.0], [2.0, 0.5, -1.0]]
+    assert traj == PoseTrajectory(traj.poses)

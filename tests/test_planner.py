@@ -471,13 +471,24 @@ def ref_bilinear(values, resolution, origin, pts):
     return out, du * inside_x / resolution, dv * inside_y / resolution
 
 
-def ref_penalty_and_grad(samples, actions, starts):
-    """Clearance bonus and action gradient with one field lookup per sample."""
+def ref_poses_from_actions(actions, starts):
+    """The pose recurrence one step at a time, over the whole batch."""
     b, n, _ = actions.shape
-    poses = planner._poses_from_actions(actions, starts)
-    values, gx, gy = np.zeros((b, n)), np.zeros((b, n)), np.zeros((b, n))
-    for i, s in enumerate(samples):
-        values[i], gx[i], gy[i] = ref_bilinear(s.phi.values, s.phi.resolution, s.phi.origin, poses[i, 1:, :2])
+    poses = np.empty((b, n + 1, 3))
+    poses[:, 0] = starts
+    for k in range(1, n + 1):
+        th = poses[:, k - 1, 2]
+        c, s = np.cos(th), np.sin(th)
+        dx, dy, dth = actions[:, k - 1, 0], actions[:, k - 1, 1], actions[:, k - 1, 2]
+        poses[:, k, 0] = poses[:, k - 1, 0] + c * dx - s * dy
+        poses[:, k, 1] = poses[:, k - 1, 1] + s * dx + c * dy
+        poses[:, k, 2] = th + dth
+    return poses
+
+
+def ref_adjoint(poses, actions, gx, gy):
+    """The action gradient by reverse accumulation one step at a time."""
+    b, n, _ = actions.shape
     dact = np.zeros_like(actions)
     ax_adj, ay_adj, at_adj = np.zeros(b), np.zeros(b), np.zeros(b)
     for k in range(n, 0, -1):
@@ -490,7 +501,27 @@ def ref_penalty_and_grad(samples, actions, starts):
         dact[:, k - 1, 1] = -ax_adj * s + ay_adj * c
         dact[:, k - 1, 2] = at_adj
         at_adj = at_adj + ax_adj * (-s * dx - c * dy) + ay_adj * (c * dx - s * dy)
-    return values.sum(axis=1), dact
+    return dact
+
+
+def ref_penalty_and_grad(samples, actions, starts):
+    """Clearance bonus and action gradient with one field lookup per sample,
+    the recurrence and its adjoint one step at a time."""
+    b, n, _ = actions.shape
+    poses = ref_poses_from_actions(actions, starts)
+    values, gx, gy = np.zeros((b, n)), np.zeros((b, n)), np.zeros((b, n))
+    for i, s in enumerate(samples):
+        values[i], gx[i], gy[i] = ref_bilinear(s.phi.values, s.phi.resolution, s.phi.origin, poses[i, 1:, :2])
+    return values.sum(axis=1), ref_adjoint(poses, actions, gx, gy)
+
+
+def ref_forward_cached(model, x):
+    """Every layer's activation, each from a fresh product plus bias."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < len(model.weights) - 1 else z)
+    return acts[-1], acts
 
 
 def ref_planning_loss(model, samples, lam, rng):
@@ -502,7 +533,7 @@ def ref_planning_loss(model, samples, lam, rng):
     starts = np.array([[s.start.x, s.start.y, s.start.theta] for s in samples])
     b = x1.shape[0]
     xt = (1.0 - t)[:, None] * x1 + t[:, None] * x0
-    v, acts = model._forward_cached(np.concatenate([xt, t[:, None], cond], axis=1))
+    v, acts = ref_forward_cached(model, np.concatenate([xt, t[:, None], cond], axis=1))
     diff = v - (x0 - x1)
     cfm = float(np.sum(diff * diff) / b)
     dv = 2.0 * diff / b
@@ -512,7 +543,7 @@ def ref_planning_loss(model, samples, lam, rng):
         sums, dact = ref_penalty_and_grad(samples, reconstruct(xt, t, v).reshape(b, n, 3), starts)
         penalty = float(sums.mean())
         dv = dv + (lam / b) * t[:, None] * dact.reshape(b, 3 * n)
-    return cfm - lam * penalty, model.backward(acts, dv), {"cfm": cfm, "penalty": penalty}
+    return cfm - lam * penalty, ref_backward(model, acts, dv), {"cfm": cfm, "penalty": penalty}
 
 
 def ref_train(dataset, config):
@@ -584,6 +615,93 @@ def test_train_matches_per_sample_reference(mixed_dataset, lam):
     ref_model, ref_log = ref_train(mixed_dataset, config)
     assert model.get_params().tobytes() == ref_model.get_params().tobytes()
     assert log == ref_log
+
+
+@pytest.fixture(scope="module")
+def bench_dataset():
+    """16-action expert windows from the three 48-cell worlds, with the full
+    condition encoding: 160 samples, so an epoch has two batches of 64 and
+    one of 32."""
+    worlds = [sim.generate_world(s, 48) for s in range(3)]
+    data = sim.build_planning_dataset(worlds, 54, seed=0)[:160]
+    assert len(data) == 160 and data[0].actions.shape == (16, 3)
+    return data
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_train_matches_reference_at_bench_shapes(bench_dataset, lam):
+    # the in-place momentum step, activations and gradients, at the layer
+    # widths and batch size the benchmark trains with
+    config = TrainConfig(epochs=2, batch_size=64, hidden=(128, 128, 128), seed=0, esdf_lambda=lam)
+    model, log = train(bench_dataset, config)
+    ref_model, ref_log = ref_train(bench_dataset, config)
+    assert model.get_params().tobytes() == ref_model.get_params().tobytes()
+    assert log == ref_log
+
+
+def signed_zero_actions(rng, b, n, turn_scale=1.0):
+    """Actions with many exact zeros of both signs; a large turn_scale carries
+    the headings far beyond +-pi."""
+    actions = rng.normal(0.0, 1.5, size=(b, n, 3))
+    actions[..., 2] *= turn_scale
+    actions[rng.random(actions.shape) < 0.25] = -0.0
+    actions[rng.random(actions.shape) < 0.1] = 0.0
+    return actions
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16])
+@pytest.mark.parametrize("b", [1, 64])
+def test_pose_recurrence_and_adjoint_match_the_step_loops(n, b):
+    rng = np.random.default_rng(100 * n + b)
+    far = 0.0
+    for trial, scale in enumerate([1.0, 1e3, -50.0, 1.0, 7.0, 1e6]):
+        actions = signed_zero_actions(rng, b, n, scale)
+        starts = rng.uniform(-3.0, 6.0, size=(b, 3))
+        starts[:, 2] *= scale
+        if trial == 3:
+            starts[:] = -0.0
+        poses = planner._poses_from_actions(actions, starts)[0]
+        assert poses.tobytes() == ref_poses_from_actions(actions, starts).tobytes()
+        far = max(far, np.abs(poses[..., 2]).max())
+        fields = random_fields(rng, b)
+        samples = [PlanningSample(np.zeros((n, 3)), np.zeros(1), phi=f) for f in fields]
+        got = planner._penalty_and_grad(fields, actions, starts)
+        want = ref_penalty_and_grad(samples, actions, starts)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    assert far > 10 * math.pi
+
+
+def test_adjoint_matches_the_step_loop_on_signed_zero_gradients(monkeypatch):
+    # gradients of exact zeros of both signs, as clamped points give: the
+    # reverse sums start from 0.0, as the loop's np.zeros do
+    rng = np.random.default_rng(9)
+    b, n = 64, 16
+    actions = signed_zero_actions(rng, b, n, 40.0)
+    poses = ref_poses_from_actions(actions, rng.normal(size=(b, 3)))
+    gx, gy = (rng.choice([0.0, -0.0, 1.5, -2.0], size=(b, n)) for _ in range(2))
+    fields = [Grid(np.zeros((2, 2)), 1.0)] * b
+
+    monkeypatch.setattr(planner, "_bilinear", lambda stack, pts: (np.zeros(pts.shape[:2]), gx, gy))
+    _, dact = planner._penalty_and_grad(fields, actions, poses[:, 0])
+    assert dact.tobytes() == ref_adjoint(poses, actions, gx, gy).tobytes()
+
+
+def test_cos_and_sin_keep_their_bits_on_any_layout():
+    # the recurrence takes the cosine and sine of all headings at once, the
+    # loop of one strided column at a time; numpy may vectorize contiguous
+    # and strided inputs differently, so equal bits are checked, not assumed
+    rng = np.random.default_rng(4)
+    headings = np.concatenate([rng.normal(0.0, s, 4000) for s in (1.0, 10.0, 1e3, 1e6, 1e12)])
+    headings[:50] = [k * math.pi / 4 for k in range(-25, 25)]
+    poses = np.zeros((len(headings) // 17, 17, 3))
+    poses[..., 2] = headings[: poses.shape[0] * 17].reshape(-1, 17)
+    block = poses[:, :-1, 2]
+    for fn in (np.cos, np.sin):
+        whole = fn(block)
+        assert whole.tobytes() == fn(np.ascontiguousarray(block)).tobytes()
+        for k in range(16):
+            assert whole[:, k].tobytes() == fn(poses[:, k, 2]).tobytes()
 
 
 def test_training_epoch_gathers_fields_once_per_batch(mixed_dataset, monkeypatch):

@@ -632,6 +632,110 @@ def test_connected_edge_cases():
     assert sim._connected(snake)
 
 
+def test_connected_keeps_its_results_on_world_generation_grids(monkeypatch):
+    # every free-space grid that generating worlds 0-5 at 96 and at 48 tests
+    seen = []
+    connected = sim._connected
+
+    def recording(free):
+        seen.append((free.copy(), connected(free)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sim, "_connected", recording)
+    for size in (96, 48):
+        for seed in range(6):
+            sim.generate_world(seed, size)
+    assert len(seen) == 19
+    assert [got for _, got in seen] == [ref_connected(free) for free, _ in seen]
+
+
+@pytest.fixture(scope="module")
+def worlds0to7():
+    return [sim.generate_world(s, 48) for s in range(8)]
+
+
+def planning_grids(world):
+    """The expert planner's grids of a world, at both clearances `oracle_plan` tries."""
+    res = world.grid2d().resolution
+    return [world.planning_grid(0.3 + res + margin) for margin in (sim._SAFETY_MARGIN, 0.0)]
+
+
+def test_component_labels_decide_astar_reachability(worlds0to7):
+    rng = np.random.default_rng(15)
+    outcomes = {True: 0, False: 0}
+    for world in worlds0to7:
+        for grid in planning_grids(world):
+            open_cells = [tuple(int(v) for v in c) for c in np.argwhere(~grid.blocked)]
+            by_label = {}
+            for cell in open_cells:
+                by_label.setdefault(grid.component(cell), []).append(cell)
+            pairs = [tuple(open_cells[i] for i in rng.integers(len(open_cells), size=2))
+                     for _ in range(12)]
+            # one pair into every other component, from the first one
+            first = next(iter(by_label.values()))
+            pairs += [(first[0], cells[len(cells) // 2]) for cells in by_label.values()]
+            for start, goal in pairs:
+                same = grid.component(start) == grid.component(goal)
+                assert same == (sim._astar(grid.wall, grid.stride, start, goal) is not None)
+                outcomes[same] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 10
+
+
+def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch):
+    searched = []
+    astar = sim._astar
+    plans = {"same": 0, "split": 0}
+
+    def counting(wall, stride, start, goal):
+        grid = next(g for g in current if g.wall is wall)
+        searched.append(grid.component(start) == grid.component(goal))
+        return astar(wall, stride, start, goal)
+
+    monkeypatch.setattr(sim, "_astar", counting)
+    rng = np.random.default_rng(16)
+    for world in worlds0to7:
+        current = planning_grids(world)
+        res = world.grid2d().resolution
+        # goals on open cells of every component at the preferred clearance
+        grid = current[0]
+        cells = np.argwhere(~grid.blocked)
+        labels = np.array([grid.component(tuple(c)) for c in cells])
+        goals = [cells[labels == lab][0] for lab in np.unique(labels)]
+        goals += list(cells[rng.integers(len(cells), size=6)])
+        starts = cells[rng.integers(len(cells), size=3)]
+        for (sr, sc), (gr, gc) in ((s, g) for s in starts for g in goals):
+            start, goal = Pose2(sc * res, sr * res, 0.0), Pose2(gc * res, gr * res, 0.0)
+            split = grid.component((int(sr), int(sc))) != grid.component((int(gr), int(gc)))
+            try:
+                got = sim.oracle_plan(world, start, goal, 0.3, 0.25)
+            except sim.UnreachableError as e:
+                assert str(e) == "start and goal are not connected at this clearance"
+                with pytest.raises(sim.UnreachableError):
+                    ref_oracle_plan(world, start, goal)
+                continue
+            assert got.as_array().tobytes() == ref_oracle_plan(world, start, goal).as_array().tobytes()
+            plans["split" if split else "same"] += 1
+    assert searched and all(searched)
+    assert plans["same"] > 50 and plans["split"] > 0
+
+    # a walled-off room: no search at either clearance, the same error
+    occ = np.zeros((30, 30), bool)
+    occ[[0, -1]], occ[:, [0, -1]] = True, True
+    occ[12:24, 12], occ[12:24, 23], occ[12, 12:24], occ[23, 12:24] = True, True, True, True
+    world = sim.World(Grid(occ, 0.25), sim.TopoMap(), [])
+    current = planning_grids(world)
+    searched.clear()
+    with pytest.raises(sim.UnreachableError, match="^start and goal are not connected at this clearance$"):
+        sim.oracle_plan(world, Pose2(1.0, 1.0, 0.0), Pose2(4.4, 4.4, 0.0), 0.3, 0.25)
+    assert searched == []
+    with pytest.raises(sim.UnreachableError):
+        ref_oracle_plan(world, Pose2(1.0, 1.0, 0.0), Pose2(4.4, 4.4, 0.0))
+    got = sim.oracle_plan(world, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0), 0.3, 0.25)
+    assert searched == [True]
+    want = ref_oracle_plan(world, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0))
+    assert got.as_array().tobytes() == want.as_array().tobytes()
+
+
 def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_condition, seed,
                          footprint_radius=0.3, max_step=0.25, euler_steps=20):
     """Rollouts one at a time: a sample, its pose trajectory and a collision check each;
@@ -1885,3 +1989,28 @@ def test_oracle_episode_with_the_goal_node_cut_off_is_stuck(worlds48):
         report = sim.run_episode(cut, goal, config, seed=1, start=start)
         assert (report.success, report.reason) == (False, "stuck")
         assert report.to_jsonable() == ref_run_episode(cut, goal, config, seed=1, start=start).to_jsonable()
+
+
+def test_learn_layers_stay_live(monkeypatch):
+    # the benchmark's traced learn round counts these layers where
+    # bench/workloads.py hooks them; a refactor that stops calling a hooked
+    # name would silently zero its layer
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    counts = dict.fromkeys(("esdf.make_mask", "sim.oracle_plan", "planner.planning_loss"), 0)
+    for name in counts:
+        for owner, attr in workloads.TRACED[name]:
+            def counting(*args, _name=name, _original=getattr(owner, attr), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+    sizes = workloads.SMOKE
+    worlds = [sim.generate_world(s, workloads.NAV_WORLD_SIZE) for s in workloads.NAV_WORLD_SEEDS]
+    data = sim.build_planning_dataset(worlds, sizes.learn_samples_per_world, seed=0)
+    assert len(data) == sizes.learn_samples_per_world * len(worlds)
+    assert counts["esdf.make_mask"] == len(data)
+    assert counts["sim.oracle_plan"] > 0
+    config = workloads.Learn().train_config(sizes, 0.1)
+    planner.train(data, config)
+    assert counts["planner.planning_loss"] == config.epochs * -(-len(data) // config.batch_size)
