@@ -1,10 +1,11 @@
 """`astra` command line: thin JSON-emitting wrappers over the library calls.
 
-Exit codes: 0 success, 1 domain error, 2 usage error; either error writes
-one JSON line {"error", "message"} on stderr. A master --seed threads the
-RNG wherever one is used. A global --log-level (before the verb) writes the
-library's log records at that level and above to stderr, one line each; at
-DEBUG, `sim` reports every global fix and expert re-plan of an episode.
+Exit codes: 0 success, 1 domain error or unwritable output, 2 usage error;
+either error writes one JSON line {"error", "message"} on stderr. A master
+--seed threads the RNG wherever one is used. A global --log-level (before
+the verb) writes the library's log records at that level and above to
+stderr, one line each; at DEBUG, `sim` reports every global fix and expert
+re-plan of an episode.
 """
 
 from __future__ import annotations
@@ -274,6 +275,15 @@ def _cmd_sim_gen(args) -> int:
     return 0
 
 
+def _cmd_sim_dataset(args) -> int:
+    if args.samples < 1:
+        raise sim.SimError(f"--samples must be at least 1, got {args.samples}")
+    dataset = sim.build_planning_dataset(_load_worlds(args.worlds), args.samples, seed=args.seed)
+    sim.save_dataset(dataset, args.out)
+    _emit({"out": args.out, "samples": len(dataset)})
+    return 0
+
+
 def _cmd_sim_run(args) -> int:
     world = sim.load_world(args.world)
     goal = _load_json(args.goal, _goal)
@@ -384,6 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmarks", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sim_gen)
+    p = sim_sub.add_parser("dataset", help="expert windows of saved worlds, for `plan train --data`")
+    p.add_argument("--worlds", required=True)
+    p.add_argument("--samples", type=int, required=True, help="windows per world")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_sim_dataset)
     p = sim_sub.add_parser("run")
     p.add_argument("--world", required=True)
     p.add_argument("--goal", required=True)
@@ -413,7 +429,7 @@ def main(argv=None) -> int:
         logger.setLevel(args.log_level)
     try:
         return args.func(args)
-    except AstraError as e:
+    except (AstraError, OSError) as e:
         sys.stderr.write(
             json.dumps({"error": type(e).__name__, "message": str(e)}) + "\n"
         )

@@ -166,7 +166,7 @@ def signed_esdf(map2d: Grid) -> Grid:
 
 
 class MaskError(AstraError, ValueError):
-    """Invalid corridor-mask input: a negative dilation, an alpha outside
+    """Invalid corridor-mask input: a dilation not finite and >= 0, an alpha outside
     [0, 1] or a non-finite trajectory pose."""
 
 
@@ -202,8 +202,8 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
     or hypot(c - a) where ab @ ab is 0. The mask thresholds that distance,
     so it keeps every bit of it.
     """
-    if dilation_radius < 0:
-        raise MaskError("dilation radius must be >= 0")
+    if not 0 <= dilation_radius < math.inf:
+        raise MaskError(f"dilation radius must be finite and >= 0, got {dilation_radius!r}")
     shape = geometry.values.shape[-2:]
     res, origin = geometry.resolution, geometry.origin
     poses = gt_poses.as_array()

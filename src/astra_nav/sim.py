@@ -32,22 +32,24 @@ goal of a plan is kept.
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global node
 path and one expert path to the goal, then run control cycles, one `step`
-of an `EpisodeState` each. Only the learned planner reads the node path, so
-an episode the expert drives only checks that the start and goal nodes are
-connected. A cycle of the learned planner picks a lookahead subgoal on the
-node path, from a nearest-node index that only moves forward and the path's
-arc lengths, computed once per episode, and samples a trajectory toward it;
-when the trajectory would collide, the expert takes over for the cycle. The
-expert follows its path (`_ExpertPath`): a progress index that only moves
-forward, and a re-plan only when the estimate strays from the path by more
-than the planner's safety margin or the path runs out short of the goal. A
-cycle executes a few steps under noisy kinematics, all of their noise drawn
-at once, and dead-reckons between periodic global fixes, its poses and
-increments plain floats. The clearance of the executed poses only counts
-collisions, so it is looked up once, at the end of the episode. A step that
-turns more than 0.5 rad is executed as several: the first translates and
-turns a share, the rest rotate in place, and each counts as a step for the
-budget, the fixes and the noise.
+of an `EpisodeState` each. Only the learned planner (`_LearnedPlanner`)
+reads the node path, so an episode the expert drives only checks that the
+start and goal nodes are connected. Its cycle picks a lookahead subgoal on
+the node path, from a nearest-node index that only moves forward and the
+path's arc lengths, computed once per episode, and samples a trajectory
+toward it; when the trajectory would collide, the expert takes over for the
+cycle. The expert follows its path (`_ExpertPath`): a progress index that
+only moves forward, and a re-plan only when the estimate strays from the
+path by more than the planner's safety margin or the path runs out short of
+the goal. A cycle executes a few steps under noisy kinematics, all of their
+noise drawn at once, and dead-reckons between periodic global fixes, its
+poses and increments plain floats. The clearance of the executed poses only
+counts collisions, so it is looked up once, at the end of the episode. A
+step that turns more than 0.5 rad is executed as several: the first
+translates and turns a share, the rest rotate in place, and each counts as
+a step for the budget, the fixes and the noise. The loop's fixed settings
+are module constants (`_GOAL_TOLERANCE` to `_EULER_STEPS`), which the expert
+dataset and the open-loop evaluation read too.
 """
 
 from __future__ import annotations
@@ -431,6 +433,15 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
 
 # --- expert planner ----------------------------------------------------------
 
+# the loop's fixed settings, which the expert dataset and evaluation read too
+_GOAL_TOLERANCE = 0.5  # m: an episode succeeds once the true pose is this close to the goal
+_LOOKAHEAD = 2.0  # m of node-path arc length from the nearest node to the subgoal
+_EXECUTE_STEPS = 4  # planned actions executed per control cycle
+_BUDGET_FACTOR = 10.0  # executed steps per expert-path step; a budget is at least 60 steps
+_FOOTPRINT_RADIUS = 0.3  # m: a pose closer than this to an obstacle collides
+_MAX_STEP = 0.25  # m: the longest executed step, and the expert path's pose spacing
+_FIX_ORACLE_RADIUS = 0.8  # m: reach of a global fix
+_EULER_STEPS = 20  # forward passes per learned plan
 # clearance the expert prefers beyond the footprint (m); a path follower
 # re-plans once its estimate is farther than this from the path
 _SAFETY_MARGIN = 0.25
@@ -580,11 +591,10 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return points[j] + t[:, None] * seg[j]
 
 
-def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float,
-                step: float) -> PoseTrajectory:
-    """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, fixed-step
-    resampling. Headings follow the local direction of travel; the first pose is
-    the exact start. Plans prefer footprint + 0.25 m clearance and retry at the
+def oracle_plan(world: World, start: Pose2, goal: Pose2) -> PoseTrajectory:
+    """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, resampling
+    at `_MAX_STEP`. Headings follow the local direction of travel; the first pose
+    is the exact start. Plans prefer footprint + 0.25 m clearance and retry at the
     bare footprint inflation before declaring the goal unreachable.
 
     Smoothing keeps the start and, from each kept point i, jumps to the
@@ -595,7 +605,7 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float
     dist = world.dist_field()
     cells = None
     for margin in (_SAFETY_MARGIN, 0.0):
-        clearance = footprint_radius + grid2.resolution + margin
+        clearance = _FOOTPRINT_RADIUS + grid2.resolution + margin
         grid = world.planning_grid(clearance)
         s_cell = grid.nearest_open(_to_cell(grid2, start.x, start.y))
         g_cell = grid.nearest_open(_to_cell(grid2, goal.x, goal.y))
@@ -620,7 +630,7 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2, footprint_radius: float
         keep.append(j)
         i = j
     smooth = pts[keep]
-    dense = resample_polyline(smooth, step)
+    dense = resample_polyline(smooth, _MAX_STEP)
     poses = [start]
     for k in range(1, len(dense)):
         dx, dy = dense[k] - dense[k - 1]
@@ -651,61 +661,30 @@ def _lookahead_index(cum: np.ndarray, nearest: int, lookahead: float) -> int:
     return min(max(k, nearest), len(cum) - 1)
 
 
-def select_subgoal(path: PoseTrajectory, current: Pose2, lookahead: float, lowest: int) -> Pose2:
-    """First path pose at least `lookahead` of arc length beyond the path point
-    nearest to the current pose among those from index `lowest` on; the final
-    pose when none remains. A caller that passes the last nearest index as
-    `lowest` keeps its progress along a path that folds back. The loop applies
-    the same rule to arrays it builds once per episode."""
-    if len(path) == 0:
-        raise SimError("cannot select a subgoal from an empty path")
-    arr = path.as_array()
-    nearest = _nearest_index(arr, current, lowest)
-    return path[_lookahead_index(_arc_lengths(arr), nearest, lookahead)]
-
-
 # --- navigation loop ---------------------------------------------------------
 
 @dataclass
 class NavConfig:
-    """Settings of one navigation episode. In m, finite and >= 0:
-    goal_tolerance, lookahead (subgoal distance along the global path),
-    footprint_radius, fix_oracle_radius (reach of a global fix). Finite and
-    >= 0, per step: wheel_trans_sigma, exec_trans_sigma (fractions of the step
-    length), wheel_rot_sigma, imu_sigma, exec_rot_sigma (rad). Positive and
-    finite: max_step (m), budget_factor (steps per expert-path step, at least
-    60 in all). Integers >= 1: fix_every (steps between fixes), execute_steps
-    (planned poses per control cycle; a turn over 0.5 rad adds rotate-in-place
-    steps), euler_steps (per learned plan). planner: "model" or "oracle";
-    fallback: true or false (the expert, following its path, replaces
-    colliding plans). The expert follows one path per episode and re-plans
-    only on events (see `_ExpertPath`); no setting tunes it.
-    The expert dataset and open-loop evaluation (`expert_windows`,
-    `build_planning_dataset`, `evaluate_planner`) read the defaults of
-    footprint_radius, max_step, lookahead and euler_steps."""
+    """What a caller sets of one navigation episode. planner: "model" or
+    "oracle"; fallback: true or false (the expert, following its path,
+    replaces colliding plans); fix_every: an integer >= 1, the executed steps
+    between global fixes. Finite and >= 0, per step: wheel_trans_sigma,
+    exec_trans_sigma (fractions of the step length), wheel_rot_sigma,
+    imu_sigma, exec_rot_sigma (rad). The loop's other settings are module
+    constants; the expert re-plans only on events (see `_ExpertPath`)."""
 
-    goal_tolerance: float = 0.5
-    lookahead: float = 2.0
     fix_every: int = 20
-    execute_steps: int = 4
-    budget_factor: float = 10.0
-    footprint_radius: float = 0.3
-    max_step: float = 0.25
     wheel_trans_sigma: float = 0.02
     wheel_rot_sigma: float = 0.01
     imu_sigma: float = 0.005
     exec_trans_sigma: float = 0.02
     exec_rot_sigma: float = 0.01
-    fix_oracle_radius: float = 0.8
     planner: str = "model"
     fallback: bool = True
-    euler_steps: int = 20
 
     def __post_init__(self):
-        check_fields(self, SimError, "an integer >= 1", "execute_steps", "fix_every", "euler_steps")
-        check_fields(self, SimError, "positive and finite", "max_step", "budget_factor")
-        check_fields(self, SimError, "finite and >= 0", "footprint_radius", "goal_tolerance",
-                     "lookahead", "fix_oracle_radius", "wheel_trans_sigma", "wheel_rot_sigma",
+        check_fields(self, SimError, "an integer >= 1", "fix_every")
+        check_fields(self, SimError, "finite and >= 0", "wheel_trans_sigma", "wheel_rot_sigma",
                      "imu_sigma", "exec_trans_sigma", "exec_rot_sigma")
         check_fields(self, SimError, "true or false", "fallback")
         if self.planner not in ("model", "oracle"):
@@ -803,15 +782,15 @@ class _ExpertPath:
     """The expert path an episode follows, and its progress index on it.
 
     Each call moves the index to the path pose nearest the estimate within
-    2 * execute_steps poses ahead of it, so the index never moves back, and
-    returns the increments from the estimate to the next execute_steps poses.
-    The path is re-planned from the estimate to the goal on two events only:
-    the estimate is farther than `_SAFETY_MARGIN` from the nearest pose, or
-    no pose is left ahead of it.
+    2 * `_EXECUTE_STEPS` poses ahead of it, so the index never moves back,
+    and returns the increments from the estimate to the next `_EXECUTE_STEPS`
+    poses. The path is re-planned from the estimate to the goal on two events
+    only: the estimate is farther than `_SAFETY_MARGIN` from the nearest
+    pose, or no pose is left ahead of it.
     """
 
-    def __init__(self, world: World, goal: Pose2, config: NavConfig, path: PoseTrajectory):
-        self.world, self.goal, self.config = world, goal, config
+    def __init__(self, world: World, goal: Pose2, path: PoseTrajectory):
+        self.world, self.goal = world, goal
         self._follow(path.poses)
 
     def _follow(self, poses: tuple[Pose2, ...]) -> None:
@@ -824,22 +803,54 @@ class _ExpertPath:
         following pose and from each following pose to the next, as
         `relative_pose` computes them. Raises UnreachableError when a
         re-plan finds no path."""
-        n = self.config.execute_steps
-        self.index = _nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
+        self.index = _nearest_index(self.xy[: self.index + 2 * _EXECUTE_STEPS + 1], est, self.index)
         x, y = self.xy[self.index]
         off = math.hypot(x - est.x, y - est.y)
         if off > _SAFETY_MARGIN or self.index == len(self.poses) - 1:
             log.debug("expert re-plans on %s, %.3f m from the path",
                       "deviation" if off > _SAFETY_MARGIN else "path end", off)
-            ref = oracle_plan(self.world, est, self.goal, self.config.footprint_radius,
-                              self.config.max_step)
+            ref = oracle_plan(self.world, est, self.goal)
             self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
         rows = []
         a = est
-        for b in self.poses[self.index + 1 : self.index + 1 + n]:
+        for b in self.poses[self.index + 1 : self.index + 1 + _EXECUTE_STEPS]:
             rows.append(relative_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
             a = b
         return rows
+
+
+class _LearnedPlanner:
+    """The learned planner's control cycle on the node path to the goal
+    (the goal appended), whose rows and arc lengths are built once.
+
+    Each call moves the progress index to the nearest row from the last one
+    on, so it never moves back, and takes the subgoal with one binary search
+    of the arc lengths (`_lookahead_index`). It builds one `Pose2` for the
+    subgoal in the ego frame, the condition, and a plan of `_EULER_STEPS`
+    forward passes and one `Pose2` per action.
+    """
+
+    def __init__(self, world: World, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
+        self.world, self.model, self.path, self.fallback = world, model, path, fallback
+        self.xy = path.as_array()
+        self.cum = _arc_lengths(self.xy)
+        self.progress = 0
+
+    def actions(self, est: Pose2, velocity: float, rng, report: EpisodeReport):
+        """The plan's first `_EXECUTE_STEPS` actions, or None when it collides
+        and `fallback` hands the cycle to the expert; `velocity` is the last
+        executed step's length. Counts the call and the fallback."""
+        self.progress = _nearest_index(self.xy, est, self.progress)
+        subgoal = self.path[_lookahead_index(self.cum, self.progress, _LOOKAHEAD)]
+        world = self.world
+        occupancy = occupancy_features(world.grid2d(), est, world.phi())
+        cond = PlanningCondition(relative_pose(est, subgoal), (velocity, 0.0), occupancy)
+        plan = plan_sample(self.model, cond, _EULER_STEPS, rng, est)
+        report.planner_calls += 1
+        if collision_check(plan.poses, None, _FOOTPRINT_RADIUS, world.dist_field()) and self.fallback:
+            report.fallback_count += 1
+            return None
+        return plan.actions.steps[:_EXECUTE_STEPS].tolist()
 
 
 @dataclass
@@ -847,30 +858,22 @@ class EpisodeState:
     """An episode between two control cycles; `step` runs the next cycle.
 
     The true and estimated poses are those at the end of the last cycle.
-    `subgoal_path` is the node path to the goal, with the goal appended, that
-    the learned planner takes its subgoals from; `subgoal_xy` holds its rows
-    and `subgoal_cum` their cumulative arc lengths, both built once per
-    episode, and `progress` is its nearest index, carried forward. They stay
-    unset when the expert drives every cycle. `step_lengths` and `true_xy`
-    hold the length and the true position of every executed step. Once
-    `done`, `report` is final.
+    `learned` is unset when the expert drives every cycle. `step_lengths` and
+    `true_xy` hold the length and the true position of every executed step.
+    Once `done`, `report` is final.
     """
 
     world: World
     goal: Pose2
     config: NavConfig
-    model: VectorFieldModel | None
     rng: np.random.Generator
     true_pose: Pose2
     est_pose: Pose2
     expert: _ExpertPath
-    subgoal_path: PoseTrajectory | None
-    subgoal_xy: np.ndarray | None
+    learned: _LearnedPlanner | None
     budget: int
     report: EpisodeReport
     best_goal_dist: float
-    subgoal_cum: np.ndarray | None = None
-    progress: int = 0
     executed: int = 0
     stall: int = 0
     done: bool = False
@@ -886,13 +889,14 @@ def step(state: EpisodeState) -> EpisodeState:
     and the report filled in, once the budget is spent, the true pose is
     within the goal tolerance, the expert finds no path, or progress stalls.
 
-    A cycle plans, splits its actions into executed steps (`_split_action`),
-    draws its noise, then executes the steps one by one. The random draws of
-    a cycle come in this order: the learned planner's sample, when it plans;
-    then one `rng.normal` call of (steps, 7) values, row by row in the order of
-    the steps, each row the executed x, y and heading noise, the wheel x, y
-    and heading noise and the IMU noise. Rows past a goal-reached break go
-    unused, and the episode ends there.
+    A cycle takes its actions from `_LearnedPlanner`, or from `_ExpertPath`
+    when none is set or it falls back, splits them into executed steps
+    (`_split_action`), draws its noise, then executes the steps one by one.
+    The random draws of a cycle come in this order: the learned planner's
+    sample, when it plans; then one `rng.normal` call of (steps, 7) values,
+    row by row in the order of the steps, each row the executed x, y and
+    heading noise, the wheel x, y and heading noise and the IMU noise. Rows
+    past a goal-reached break go unused, and the episode ends there.
 
     Within a cycle both poses are plain floats: each step composes the
     executed increment onto the true pose and the fused wheel + IMU
@@ -902,36 +906,17 @@ def step(state: EpisodeState) -> EpisodeState:
     re-anchors the estimate's position and keeps its heading. A cycle builds
     one `Pose2` per global fix and two at its end, for the true pose and the
     estimate.
-
-    A cycle of the learned planner reads the node path's arrays, which
-    `run_episode` builds once per episode: it moves the progress index to the
-    nearest row from the last one on and takes the subgoal with one binary
-    search of the cumulative arc lengths (`_lookahead_index`). It then builds
-    one `Pose2` for the subgoal in the ego frame, the condition, and a plan
-    of `euler_steps` forward passes and one `Pose2` per action.
     """
     if state.done:
         return state
     world, config, report = state.world, state.config, state.report
-    if state.executed >= state.budget or state.goal_distance() <= config.goal_tolerance:
+    if state.executed >= state.budget or state.goal_distance() <= _GOAL_TOLERANCE:
         return _end_episode(state)
     est = state.est_pose
     rows = None
-    if state.subgoal_path is not None:
-        state.progress = _nearest_index(state.subgoal_xy, est, state.progress)
-        subgoal = state.subgoal_path[_lookahead_index(state.subgoal_cum, state.progress,
-                                                      config.lookahead)]
-        cond = PlanningCondition(
-            relative_pose(est, subgoal),
-            (state.step_lengths[-1] if state.step_lengths else 0.0, 0.0),
-            occupancy_features(world.grid2d(), est, world.phi()),
-        )
-        plan = plan_sample(state.model, cond, config.euler_steps, state.rng, est)
-        report.planner_calls += 1
-        if collision_check(plan.poses, None, config.footprint_radius, world.dist_field()) and config.fallback:
-            report.fallback_count += 1
-        else:
-            rows = plan.actions.steps[: config.execute_steps].tolist()
+    if state.learned is not None:
+        velocity = state.step_lengths[-1] if state.step_lengths else 0.0
+        rows = state.learned.actions(est, velocity, state.rng, report)
     if rows is None:  # oracle planner, or a fallback replacement segment
         try:
             rows = state.expert.actions(est)
@@ -939,7 +924,7 @@ def step(state: EpisodeState) -> EpisodeState:
             report.reason = "stuck"
             return _end_episode(state)
 
-    steps = [s for row in rows for s in _split_action(row, config.max_step)]
+    steps = [s for row in rows for s in _split_action(row, _MAX_STEP)]
     lengths = [math.hypot(dx, dy) for dx, dy, _ in steps]
     # per step, the sigmas of exec x, y, theta, wheel x, y, theta and imu: the
     # step length times the translation sigmas, plus the rotation sigmas
@@ -962,7 +947,7 @@ def step(state: EpisodeState) -> EpisodeState:
         report.path_length += length
         state.true_xy.append((tx, ty))
         if state.executed % config.fix_every == 0:
-            fix = _global_fix(world, Pose2(tx, ty, tth), config.fix_oracle_radius)
+            fix = _global_fix(world, Pose2(tx, ty, tth), _FIX_ORACLE_RADIUS)
             if fix is not None:
                 log.debug("step %d: global fix accepted, jump %.3f m", state.executed,
                           math.hypot(fix.x - ex, fix.y - ey))
@@ -970,7 +955,7 @@ def step(state: EpisodeState) -> EpisodeState:
                 ex, ey = fix.x, fix.y
             else:
                 log.debug("step %d: global fix rejected", state.executed)
-        if math.hypot(tx - gx, ty - gy) <= config.goal_tolerance:
+        if math.hypot(tx - gx, ty - gy) <= _GOAL_TOLERANCE:
             break
     state.true_pose, state.est_pose = Pose2(tx, ty, tth), Pose2(ex, ey, eth)
 
@@ -979,7 +964,7 @@ def step(state: EpisodeState) -> EpisodeState:
         state.best_goal_dist = d
         state.stall = 0
     else:
-        state.stall += config.execute_steps
+        state.stall += _EXECUTE_STEPS
         if state.stall >= max(80, 4 * config.fix_every):
             report.reason = "stuck"
             return _end_episode(state)
@@ -988,19 +973,19 @@ def step(state: EpisodeState) -> EpisodeState:
 
 def _end_episode(state: EpisodeState) -> EpisodeState:
     """Fill in the report's outcome, collisions, final error and velocity."""
-    config, report = state.config, state.report
+    report = state.report
     if state.true_xy:
         # one lookup for every executed true pose; it never steers the loop
         clearance = sample_bilinear(state.world.dist_field(), state.true_xy)
-        report.collision_count = int(np.count_nonzero(clearance < config.footprint_radius))
+        report.collision_count = int(np.count_nonzero(clearance < _FOOTPRINT_RADIUS))
     d = state.goal_distance()
-    if d <= config.goal_tolerance:
+    if d <= _GOAL_TOLERANCE:
         report.success, report.reason = True, "reached"
     report.final_error = d
     log.debug("episode ends %s after %d steps, %d collisions, %.3f m from the goal",
               report.reason, state.executed, report.collision_count, report.final_error)
     report.mean_velocity = (
-        float(np.mean(state.step_lengths)) / config.max_step if state.step_lengths else 0.0
+        float(np.mean(state.step_lengths)) / _MAX_STEP if state.step_lengths else 0.0
     )
     state.done = True
     return state
@@ -1045,23 +1030,18 @@ def run_episode(
 
     start_node = _nearest_node(world.map, est_pose)
     goal_node = _nearest_node(world.map, goal_pose)
-    subgoal_path = subgoal_xy = subgoal_cum = None
+    learned = None
     if config.planner == "model" and model is not None:
         node_path = world.map.shortest_path(start_node, goal_node)
         if not node_path:
             return EpisodeReport(False, "stuck")
-        subgoal_path = PoseTrajectory(
-            tuple(world.map.nodes[nid].pose.planar() for nid in node_path) + (goal_pose,)
-        )
-        subgoal_xy = subgoal_path.as_array()
-        subgoal_cum = _arc_lengths(subgoal_xy)
+        nodes = tuple(world.map.nodes[nid].pose.planar() for nid in node_path)
+        learned = _LearnedPlanner(world, model, PoseTrajectory(nodes + (goal_pose,)), config.fallback)
     elif not world.map.connected(start_node, goal_node):
         return EpisodeReport(False, "stuck")
 
     try:
-        oracle_ref = oracle_plan(
-            world, start, goal_pose, config.footprint_radius, config.max_step
-        )
+        oracle_ref = oracle_plan(world, start, goal_pose)
     except UnreachableError:
         return EpisodeReport(False, "stuck")
     expert_length = oracle_ref.path_length()
@@ -1070,12 +1050,11 @@ def run_episode(
     # start, where the first fix puts the estimate when the start is a node;
     # an estimate off it makes the first cycle re-plan
     state = EpisodeState(
-        world, goal_pose, config, model, rng, start, est_pose,
-        _ExpertPath(world, goal_pose, config, oracle_ref), subgoal_path, subgoal_xy,
-        budget=max(60, int(config.budget_factor * expert_length / config.max_step)),
+        world, goal_pose, config, rng, start, est_pose,
+        _ExpertPath(world, goal_pose, oracle_ref), learned,
+        budget=max(60, int(_BUDGET_FACTOR * expert_length / _MAX_STEP)),
         report=report,
         best_goal_dist=math.hypot(start.x - goal_pose.x, start.y - goal_pose.y),
-        subgoal_cum=subgoal_cum,
     )
     while not state.done:
         step(state)
@@ -1144,7 +1123,7 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
     """Expert windows: oracle paths between random start points cut into
     n-action chunks. Yields (world index, pose window of n + 1 poses,
     condition at the window's first pose), samples_per_world per world at
-    most. Paths and subgoals use the `NavConfig` defaults."""
+    most. Subgoals follow the loop's lookahead rule on the expert path."""
     rng = np.random.default_rng(seed)
     for wi, world in enumerate(worlds):
         grid2 = world.grid2d()
@@ -1160,16 +1139,16 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
                 continue
             heading = math.atan2(g_xy[1] - s_xy[1], g_xy[0] - s_xy[0])
             try:
-                path = oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading),
-                                   NavConfig.footprint_radius, NavConfig.max_step)
+                path = oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading))
             except UnreachableError:
                 continue
             arr = path.as_array()
+            cum = _arc_lengths(arr)
             stride = max(1, n_actions // 2)
             for lo in range(0, len(arr) - n_actions - 1, stride):
                 window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
                 start_pose = window[0]
-                subgoal = select_subgoal(path, start_pose, NavConfig.lookahead, 0)
+                subgoal = path[_lookahead_index(cum, _nearest_index(arr, start_pose, 0), _LOOKAHEAD)]
                 prev_len = (
                     math.hypot(arr[lo][0] - arr[lo - 1][0], arr[lo][1] - arr[lo - 1][1])
                     if lo > 0
@@ -1210,7 +1189,9 @@ def build_planning_dataset(
 
 
 def save_dataset(dataset: list[PlanningSample], path) -> None:
-    """JSON-lines export; needs grid_ref/gt_poses metadata on every sample."""
+    """JSON-lines export; needs grid_ref/gt_poses metadata on every sample. A
+    relative grid_ref is rewritten relative to the file, as `load_dataset` reads it."""
+    base = os.path.dirname(os.path.abspath(path))
     with open(path, "w") as fh:
         for s in dataset:
             if s.grid_ref is None or s.gt_poses is None:
@@ -1220,7 +1201,8 @@ def save_dataset(dataset: list[PlanningSample], path) -> None:
                     {
                         "actions": [[float(v) for v in row] for row in s.actions],
                         "condition": s.condition.to_jsonable(),
-                        "grid_ref": s.grid_ref,
+                        "grid_ref": s.grid_ref if os.path.isabs(s.grid_ref)
+                        else os.path.relpath(s.grid_ref, base),
                         "gt_poses": s.gt_poses,
                     }
                 )
@@ -1260,12 +1242,12 @@ def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose
               k: int, rng):
     """k rollouts from start under one condition, sampled as one batch and
     checked with one field lookup: (collided flags, mean step lengths)."""
-    actions = sample_actions(model, condition, NavConfig.euler_steps, rng, k)
+    actions = sample_actions(model, condition, _EULER_STEPS, rng, k)
     starts = np.tile(start.as_tuple(), (k, 1))
     xy = _poses_from_actions(actions, starts)[0][..., :2]
     clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
-    return (clearance < NavConfig.footprint_radius).any(axis=1), mean_step
+    return (clearance < _FOOTPRINT_RADIUS).any(axis=1), mean_step
 
 
 def evaluate_planner(
@@ -1277,7 +1259,7 @@ def evaluate_planner(
 ) -> dict:
     """Open-loop rollout evaluation: collision rate and normalized velocity over
     expert-window conditions, with each condition's rollouts run together.
-    Footprint, step length and Euler steps are the `NavConfig` defaults."""
+    Footprint, step length and Euler steps are the loop's constants."""
     rng = np.random.default_rng(seed + 1)
     collided = 0
     velocities = []
@@ -1285,7 +1267,7 @@ def evaluate_planner(
     for wi, window, cond in expert_windows(worlds, n_conditions_per_world, model.n_actions, seed):
         flags, mean_step = _rollouts(model, cond, window[0], dists[wi], rollouts_per_condition, rng)
         collided += int(flags.sum())
-        velocities.extend(mean_step / NavConfig.max_step)
+        velocities.extend(mean_step / _MAX_STEP)
     total = len(velocities)
     return {
         "rollouts": total,

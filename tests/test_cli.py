@@ -83,6 +83,7 @@ def test_every_verb(files, capsys):
         ("plan", "sample", "--model", model, "--cond", f["cond.json"]),
         ("plan", "eval", "--model", model, "--worlds", f["worlds"]),
         ("odom", "eval", "--log", f["odom.jsonl"], "--gt", f["odom_gt.json"]),
+        ("sim", "dataset", "--worlds", f["worlds"], "--samples", "2", "--out", f["root"] / "dataset.jsonl"),
         ("sim", "run", "--world", f["world"], "--goal", f["goal.json"], "--config", f["nav.json"]),
         ("sim", "eval", "--worlds", f["worlds"], "--episodes", "2"),
     ]
@@ -93,6 +94,52 @@ def test_every_verb(files, capsys):
         assert out
     plan = json.loads(run(capsys, "plan", "sample", "--model", model, "--cond", f["cond.json"])[1])
     assert set(plan) == {"actions", "poses", "mean_step"}
+
+
+def test_gen_dataset_train_eval_on_relative_paths(tmp_path, monkeypatch, capsys):
+    # the dataset lands in a subdirectory, so its grid references must be
+    # written relative to it, not to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "batch_size": 4, "hidden": [8]}))
+    data = "out/data.jsonl"
+    steps = [
+        ("sim", "gen", "--seed", "0", "--size", "24", "--out", "worlds/w1"),
+        ("sim", "dataset", "--worlds", "worlds", "--samples", "4", "--seed", "3", "--out", data),
+        ("plan", "train", "--data", data, "--config", "train.json", "--out", "out/model.json"),
+        ("plan", "eval", "--model", "out/model.json", "--worlds", "worlds"),
+    ]
+    outputs = []
+    for argv in steps:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        outputs.append(json.loads(out))
+    lines = (tmp_path / data).read_text().splitlines()
+    assert outputs[1] == {"out": data, "samples": len(lines)} and len(lines) > 0
+    assert {json.loads(line)["grid_ref"] for line in lines} == {"../worlds/w1/grid.occ"}
+    assert outputs[3]["rollouts"] > 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_dataset_of_no_samples_exits_1(files, capsys, samples):
+    out_file = files["root"] / f"no-samples{samples}.jsonl"
+    code, out, err = run(capsys, "sim", "dataset", "--worlds", files["worlds"], "--samples", samples,
+                         "--out", out_file)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "SimError"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("verb", ["sim-dataset", "plan-train"])
+def test_output_in_a_missing_directory_exits_1(files, capsys, verb):
+    out_file = files["root"] / "missing" / "out.json"
+    command = {
+        "sim-dataset": ("sim", "dataset", "--worlds", files["worlds"], "--samples", "1"),
+        "plan-train": ("plan", "train", "--data", files["data.jsonl"], "--config", files["train.json"]),
+    }[verb]
+    code, out, err = run(capsys, *command, "--out", out_file)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "FileNotFoundError"
 
 
 def test_esdf_stdout_matches_out_file(files, capsys):
@@ -325,19 +372,14 @@ def test_mask_file_not_a_list_exits_1(files, capsys):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--dilation", "-1"), ("--dilation", "-inf"), ("--alpha", "-0.5"), ("--alpha", "2"), ("--alpha", "nan")],
+    [("--dilation", "-1"), ("--dilation", "-inf"), ("--dilation", "nan"), ("--dilation", "inf"),
+     ("--alpha", "-0.5"), ("--alpha", "2"), ("--alpha", "nan")],
 )
 def test_bad_mask_parameter_exits_1(files, capsys, option, value):
     grid = files["world"] / "grid.occ"
     code, out, err = run(capsys, "esdf", "compute", grid, "--mask", files["traj.json"], f"{option}={value}")
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "MaskError"
-
-
-def test_nan_dilation_masks_nothing(files, capsys):
-    grid = files["world"] / "grid.occ"
-    unmasked = run(capsys, "esdf", "compute", grid)
-    assert run(capsys, "esdf", "compute", grid, "--mask", files["traj.json"], "--dilation", "nan") == unmasked
 
 
 @contextlib.contextmanager
@@ -356,8 +398,9 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-# Nav configs that name only known keys but hold values the loop cannot run with;
-# without a check, zero execute_steps loops forever and zero fix_every divides by zero.
+# Nav configs holding values the loop cannot run with; without a check, zero
+# execute_steps looped forever and zero fix_every divides by zero. The keys of
+# settings that are now module constants are unknown keys, whatever their value.
 BAD_NAV_CONFIGS = {
     "execute-steps-0": {"execute_steps": 0},
     "execute-steps-float": {"execute_steps": 2.5},
@@ -388,7 +431,11 @@ def test_bad_nav_config_exits_1(files, capsys, name, verb):
     with time_limit(60.0):
         code, out, err = run(capsys, "sim", verb, *where, "--config", path)
     assert_json_error(code, out, err)
-    assert json.loads(err)["error"] == "SimError"
+    (key,) = BAD_NAV_CONFIGS[name]
+    if key in NAV_CONSTANTS:
+        assert json.loads(err) == {"error": "UnknownConfigKeyError", "message": f"unknown nav config key: {key!r}"}
+    else:
+        assert json.loads(err)["error"] == "SimError"
 
 
 # Train configs that name only known keys but hold values training cannot run
@@ -423,12 +470,28 @@ def _train_to(f):
     return ("plan", "train", "--data", f["data.jsonl"], "--out", f["root"] / "removed-key.json")
 
 
-# Keys that configs once accepted and then ignored: (config kind, key, value, command).
+def _sim_run(f):
+    return ("sim", "run", "--world", f["world"], "--goal", f["goal.json"])
+
+
+def _sim_eval(f):
+    return ("sim", "eval", "--worlds", f["worlds"], "--episodes", 1)
+
+
+# The nav config keys of the loop's fixed settings, now module constants, with
+# the values they held.
+NAV_CONSTANTS = {"goal_tolerance": 0.5, "lookahead": 2.0, "execute_steps": 4, "budget_factor": 10.0,
+                 "footprint_radius": 0.3, "max_step": 0.25, "fix_oracle_radius": 0.8, "euler_steps": 20}
+# Keys that configs once accepted and then ignored or made constant: (config kind,
+# key, value, command).
 REMOVED_KEYS = {
-    "sim-run-seed": ("nav", "seed", 5, lambda f: ("sim", "run", "--world", f["world"], "--goal", f["goal.json"])),
-    "sim-eval-seed": ("nav", "seed", 5, lambda f: ("sim", "eval", "--worlds", f["worlds"], "--episodes", 1)),
+    "sim-run-seed": ("nav", "seed", 5, _sim_run),
+    "sim-eval-seed": ("nav", "seed", 5, _sim_eval),
     "plan-train-n-actions": ("train", "n_actions", 8, _train_to),
     "plan-train-euler-steps": ("train", "euler_steps", 5, _train_to),
+    **{f"sim-{verb}-{key.replace('_', '-')}": ("nav", key, value, command)
+       for verb, command in (("run", _sim_run), ("eval", _sim_eval))
+       for key, value in NAV_CONSTANTS.items()},
 }
 
 

@@ -278,7 +278,7 @@ class TestMaskBox:
         }
         for pts in cases.values():
             poses = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
-            for radius in (0.0, 0.25, 0.3, 0.5, math.inf, math.nan):
+            for radius in (0.0, 0.25, 0.3, 0.5, 100.0):
                 want = ref_make_mask(poses, geom, radius)
                 assert make_mask(poses, geom, radius).values.tobytes() == want.tobytes()
 
@@ -291,6 +291,13 @@ class TestMaskBox:
         poses = PoseTrajectory((Pose2(0.0, 0.0, 0.0), Pose2(*row)))
         with pytest.raises(ValueError):
             make_mask(poses, geom, 0.5)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.1])
+    def test_dilation_must_be_finite_and_non_negative(self, radius):
+        # a NaN radius once passed the `< 0` test and masked nothing
+        poses = PoseTrajectory((Pose2(0.0, 0.0, 0.0), Pose2(0.5, 0.5, 0.0)))
+        with pytest.raises(esdf.MaskError, match="dilation radius must be finite and >= 0"):
+            make_mask(poses, bin2d(np.zeros((4, 4))), radius)
 
     def test_outside_grid_still_warns_and_is_empty(self, caplog):
         geom = bin2d(np.zeros((5, 5)), 0.5)

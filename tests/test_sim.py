@@ -4,7 +4,9 @@ import heapq
 import importlib
 import json
 import math
+import os
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +67,21 @@ def test_dataset_round_trip(saved_world, tmp_path):
         assert b.gt_poses == a.gt_poses
         assert b.grid_ref == a.grid_ref
         assert b.start == a.start
+        np.testing.assert_array_equal(b.phi.values, a.phi.values)
+
+
+def test_dataset_from_relatively_addressed_worlds_reads_back(world, tmp_path, monkeypatch):
+    # grid_ref is relative to the working directory in memory and to the file's
+    # directory on disk
+    monkeypatch.chdir(tmp_path)
+    sim.save_world(world, "w1")
+    data = sim.build_planning_dataset([sim.load_world("w1")], 3, n_actions=8, seed=1)
+    assert data and {s.grid_ref for s in data} == {os.path.join("w1", "grid.occ")}
+    os.mkdir("out")
+    sim.save_dataset(data, os.path.join("out", "data.jsonl"))
+    loaded = sim.load_dataset(os.path.join("out", "data.jsonl"), 0.5, 0.3)
+    assert {s.grid_ref for s in loaded} == {os.path.join("..", "w1", "grid.occ")}
+    for a, b in zip(data, loaded, strict=True):
         np.testing.assert_array_equal(b.phi.values, a.phi.values)
 
 
@@ -396,9 +413,9 @@ def test_oracle_plan_matches_greedy_reference(worlds48):
                 want = ref_oracle_plan(world, start, goal)
             except sim.UnreachableError:
                 with pytest.raises(sim.UnreachableError):
-                    sim.oracle_plan(world, start, goal, 0.3, 0.25)
+                    sim.oracle_plan(world, start, goal)
                 continue
-            got = sim.oracle_plan(world, start, goal, 0.3, 0.25)
+            got = sim.oracle_plan(world, start, goal)
             assert got.as_array().tobytes() == want.as_array().tobytes()
 
 
@@ -707,7 +724,7 @@ def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch)
             start, goal = Pose2(sc * res, sr * res, 0.0), Pose2(gc * res, gr * res, 0.0)
             split = grid.component((int(sr), int(sc))) != grid.component((int(gr), int(gc)))
             try:
-                got = sim.oracle_plan(world, start, goal, 0.3, 0.25)
+                got = sim.oracle_plan(world, start, goal)
             except sim.UnreachableError as e:
                 assert str(e) == "start and goal are not connected at this clearance"
                 with pytest.raises(sim.UnreachableError):
@@ -726,11 +743,11 @@ def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch)
     current = planning_grids(world)
     searched.clear()
     with pytest.raises(sim.UnreachableError, match="^start and goal are not connected at this clearance$"):
-        sim.oracle_plan(world, Pose2(1.0, 1.0, 0.0), Pose2(4.4, 4.4, 0.0), 0.3, 0.25)
+        sim.oracle_plan(world, Pose2(1.0, 1.0, 0.0), Pose2(4.4, 4.4, 0.0))
     assert searched == []
     with pytest.raises(sim.UnreachableError):
         ref_oracle_plan(world, Pose2(1.0, 1.0, 0.0), Pose2(4.4, 4.4, 0.0))
-    got = sim.oracle_plan(world, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0), 0.3, 0.25)
+    got = sim.oracle_plan(world, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0))
     assert searched == [True]
     want = ref_oracle_plan(world, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0))
     assert got.as_array().tobytes() == want.as_array().tobytes()
@@ -826,8 +843,8 @@ def test_every_config_field_is_read(worlds48, eval_model):
 def test_evaluate_planner_matches_sequential_rollouts(worlds48, eval_model, monkeypatch, seed, footprint):
     # batched rows round differently from single-row products (about 1e-15), so the
     # check is the same collision flag on every rollout and the same summary; the
-    # footprint evaluate_planner reads is NavConfig's default, patched here
-    monkeypatch.setattr(sim.NavConfig, "footprint_radius", footprint)
+    # footprint evaluate_planner reads is the loop's constant, patched here
+    monkeypatch.setattr(sim, "_FOOTPRINT_RADIUS", footprint)
     want, want_flags = ref_evaluate_planner(eval_model, worlds48, 4, 6, seed, footprint)
     flags = []
     rollouts = sim._rollouts
@@ -864,7 +881,7 @@ def test_evaluate_planner_runs_each_condition_as_one_batch(worlds48, eval_model,
     monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
     out = sim.evaluate_planner(eval_model, worlds48, 3, 5, seed=5)
     assert out["rollouts"] == 5 * len(conditions)
-    assert forwards == [5] * (sim.NavConfig.euler_steps * len(conditions))
+    assert forwards == [5] * (sim._EULER_STEPS * len(conditions))
     assert lookups == [5 * (eval_model.n_actions + 1)] * len(conditions)
 
 
@@ -888,7 +905,6 @@ def test_evaluate_planner_builds_no_masks(worlds48, eval_model, monkeypatch):
 
 
 def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
-                               footprint_radius=0.3, max_step=0.25, lookahead=2.0,
                                mask_alpha=0.5, mask_dilation=0.3):
     """The dataset built in one loop, windows and masks together."""
     rng = np.random.default_rng(seed)
@@ -905,8 +921,7 @@ def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
                 continue
             heading = math.atan2(g_xy[1] - s_xy[1], g_xy[0] - s_xy[0])
             try:
-                path = sim.oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading),
-                                       footprint_radius, max_step)
+                path = sim.oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading))
             except sim.UnreachableError:
                 continue
             arr = path.as_array()
@@ -915,7 +930,7 @@ def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
                 start = window[0]
                 prev_len = math.hypot(*(arr[lo][:2] - arr[lo - 1][:2])) if lo > 0 else 0.0
                 cond = planner.PlanningCondition(
-                    relative_pose(start, sim.select_subgoal(path, start, lookahead, 0)),
+                    relative_pose(start, path[ref_select_subgoal(path, start, sim._LOOKAHEAD, 0)]),
                     (prev_len, 0.0),
                     planner.occupancy_features(grid2, start, phi),
                 )
@@ -1150,14 +1165,13 @@ def test_expert_path_replans_only_on_events(worlds48):
     world = worlds48[0]
     (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
     start, goal = Pose2(sx, sy, 0.0), Pose2(gx, gy, 0.0)
-    config = sim.NavConfig()
-    ref = sim.oracle_plan(world, start, goal, 0.3, 0.25)
-    expert = sim._ExpertPath(world, goal, config, ref)
+    ref = sim.oracle_plan(world, start, goal)
+    expert = sim._ExpertPath(world, goal, ref)
     # on the path: no re-plan, the next execute_steps poses from the estimate
     est = ref[6]
     actions = expert.actions(Pose2(est.x + 0.1, est.y, est.theta))
     assert expert.poses == ref.poses and expert.index == 6
-    assert len(actions) == config.execute_steps
+    assert len(actions) == sim._EXECUTE_STEPS
     # the index never moves back, even where the estimate does: halfway back to pose 5
     expert.actions(Pose2((ref[5].x + ref[6].x) / 2, (ref[5].y + ref[6].y) / 2, ref[6].theta))
     assert expert.poses == ref.poses and expert.index == 6
@@ -1168,8 +1182,8 @@ def test_expert_path_replans_only_on_events(worlds48):
     expert.actions(off)
     assert expert.poses[0] == off and expert.index == 0
     # at the end of the path short of the goal: a new path
-    short = sim.oracle_plan(world, start, ref[10], 0.3, 0.25)
-    expert = sim._ExpertPath(world, goal, config, short)
+    short = sim.oracle_plan(world, start, ref[10])
+    expert = sim._ExpertPath(world, goal, short)
     for k in (4, 8):
         expert.actions(short[k])
         assert expert.poses == short.poses and expert.index == k
@@ -1185,12 +1199,13 @@ def test_subgoal_keeps_progress_on_a_path_that_folds_back():
           (-0.5, 0.4), (-1.5, 0.4)]
     path = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in xy))
     arr = np.array(xy, dtype=float)
+    cum = sim._arc_lengths(arr)
     pose, nearest, chosen = path[0], 0, []
     for _ in range(12):
-        # the caller carries the nearest index forward, as run_episode does
-        nearest += int(np.argmin(np.hypot(arr[nearest:, 0] - pose.x, arr[nearest:, 1] - pose.y)))
-        subgoal = sim.select_subgoal(path, pose, 1.0, nearest)
-        chosen.append(path.poses.index(subgoal))
+        # the nearest index is carried forward, as the learned planner carries it
+        nearest = sim._nearest_index(arr, pose, nearest)
+        chosen.append(sim._lookahead_index(cum, nearest, 1.0))
+        subgoal = path[chosen[-1]]
         # a cycle moves 1 m toward the subgoal
         dx, dy = subgoal.x - pose.x, subgoal.y - pose.y
         scale = min(1.0, 1.0 / math.hypot(dx, dy)) if dx or dy else 0.0
@@ -1198,6 +1213,63 @@ def test_subgoal_keeps_progress_on_a_path_that_folds_back():
     # restarting from the nearest vertex of the whole path each cycle would alternate 3, 6, 3, 6
     assert chosen == sorted(chosen)
     assert chosen[-1] == len(path) - 1
+
+
+# out along y = 1.5, back along y = 1.9: midway between two return vertices the
+# nearest vertex of the whole path is one of the out leg's
+FOLDED_XY = [(1.5, 1.5), (2.5, 1.5), (3.5, 1.5), (4.5, 1.5), (4.5, 1.9), (4.0, 1.9), (3.0, 1.9),
+             (2.0, 1.9), (1.0, 1.9)]
+
+
+def scripted_learned_planner(monkeypatch, world, collides, fallback):
+    """A learned planner on FOLDED_XY whose plans are scripted: every sample
+    returns the same 8-action plan, and the collision check answers `collides`."""
+    plan = SimpleNamespace(poses=object(), actions=SimpleNamespace(steps=np.arange(24.0).reshape(8, 3)))
+    checked = []
+
+    def check(poses, grid, radius, dist):
+        checked.append((poses, radius))
+        return collides
+
+    monkeypatch.setattr(sim, "plan_sample", lambda model, cond, steps, rng, est: plan)
+    monkeypatch.setattr(sim, "collision_check", check)
+    path = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in FOLDED_XY))
+    return sim._LearnedPlanner(world, None, path, fallback), plan, checked
+
+
+def test_learned_planner_falls_back_on_a_colliding_plan(world, monkeypatch):
+    learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, True)
+    report = sim.EpisodeReport(False, "timeout")
+    assert learned.actions(Pose2(1.5, 1.5, 0.0), 0.0, None, report) is None
+    assert (report.planner_calls, report.fallback_count) == (1, 1)
+    assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]
+
+
+def test_learned_planner_executes_a_colliding_plan_without_fallback(world, monkeypatch):
+    learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, False)
+    report = sim.EpisodeReport(False, "timeout")
+    rows = learned.actions(Pose2(1.5, 1.5, 0.0), 0.1, None, report)
+    assert rows == plan.actions.steps[:4].tolist()
+    assert (report.planner_calls, report.fallback_count) == (1, 0)
+    assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]  # checked even when not acted on
+
+
+def test_learned_planner_progress_never_moves_back(world, monkeypatch):
+    learned, _, _ = scripted_learned_planner(monkeypatch, world, False, True)
+    arr = np.array(FOLDED_XY)
+    report = sim.EpisodeReport(False, "timeout")
+    progress, nearest = [], []
+    # estimates at every vertex, in path order, and midway along every segment
+    for a, b in zip(arr, arr[1:]):
+        for est in (a, (a + b) / 2):
+            learned.actions(Pose2(*est, 0.0), 0.0, None, report)
+            progress.append(learned.progress)
+            nearest.append(int(np.argmin(np.hypot(*(arr - est).T))))
+    assert progress == sorted(progress)
+    assert progress[-1] == len(arr) - 2
+    # a nearest vertex taken over the whole path would have moved back
+    assert nearest != sorted(nearest)
+    assert report.planner_calls == len(progress)
 
 
 def ref_select_subgoal(path, current, lookahead, lowest):
@@ -1231,7 +1303,6 @@ def test_lookahead_rule_matches_the_walk(xy, at, lookahead, data):
     current = Pose2(*at, 0.0)
     lowest = data.draw(st.integers(0, len(xy) - 1))
     want = ref_select_subgoal(path, current, lookahead, lowest)
-    assert sim.select_subgoal(path, current, lookahead, lowest) is path[want]
     # the loop's form: arc lengths once per path, then the nearest index and one search
     arr = path.as_array()
     nearest = sim._nearest_index(arr, current, lowest)
@@ -1257,7 +1328,7 @@ def test_outcome_summaries_match_per_report_reference(worlds48):
     world = worlds48[1]
     start, goal = Pose2(*world.start_xy[0], 0.5), Pose2(*world.start_xy[-1], 0.0)
     report = sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), start=start)
-    assert report.expert_length == sim.oracle_plan(world, start, goal, 0.3, 0.25).path_length()
+    assert report.expert_length == sim.oracle_plan(world, start, goal).path_length()
     cases = [
         sim.EpisodeReport(False, "stuck", path_length=3.0, expert_length=2.0),
         sim.EpisodeReport(True, "reached", path_length=4.0, expert_length=2.0),
@@ -1427,13 +1498,12 @@ class RefExpertPath(sim._ExpertPath):
     """The expert path returning its actions through a pose trajectory."""
 
     def actions(self, est):
-        n = self.config.execute_steps
+        n = sim._EXECUTE_STEPS
         self.index = sim._nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
         x, y = self.xy[self.index]
         off = math.hypot(x - est.x, y - est.y)
         if off > sim._SAFETY_MARGIN or self.index == len(self.poses) - 1:
-            ref = sim.oracle_plan(self.world, est, self.goal, self.config.footprint_radius,
-                                  self.config.max_step)
+            ref = sim.oracle_plan(self.world, est, self.goal)
             self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
         following = self.poses[self.index + 1 : self.index + 1 + n]
         return poses_to_actions(PoseTrajectory((est,) + following))
@@ -1509,14 +1579,14 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
     global_path = PoseTrajectory(tuple(global_poses))
 
     try:
-        oracle_ref = sim.oracle_plan(world, start, goal_pose, config.footprint_radius, config.max_step)
+        oracle_ref = sim.oracle_plan(world, start, goal_pose)
     except sim.UnreachableError:
         return sim.EpisodeReport(False, "stuck")
     expert_length = oracle_ref.path_length()
-    budget = max(60, int(config.budget_factor * expert_length / config.max_step))
+    budget = max(60, int(sim._BUDGET_FACTOR * expert_length / sim._MAX_STEP))
 
     report = sim.EpisodeReport(False, "timeout", expert_length=expert_length)
-    expert = RefExpertPath(world, goal_pose, config, oracle_ref)
+    expert = RefExpertPath(world, goal_pose, oracle_ref)
     progress = 0
     global_xy = global_path.as_array()
     executed = 0
@@ -1533,19 +1603,19 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
     def goal_distance():
         return math.hypot(true_pose.x - goal_pose.x, true_pose.y - goal_pose.y)
 
-    while executed < budget and goal_distance() > config.goal_tolerance:
+    while executed < budget and goal_distance() > sim._GOAL_TOLERANCE:
         actions = None
         if config.planner == "model" and model is not None:
             progress = sim._nearest_index(global_xy, est_pose, progress)
-            subgoal = sim.select_subgoal(global_path, est_pose, config.lookahead, progress)
+            subgoal = global_path[ref_select_subgoal(global_path, est_pose, sim._LOOKAHEAD, progress)]
             cond = planner.PlanningCondition(
                 relative_pose(est_pose, subgoal),
                 (step_lengths[-1] if step_lengths else 0.0, 0.0),
                 planner.occupancy_features(grid2, est_pose, phi),
             )
-            plan = planner.sample(model, cond, config.euler_steps, rng, est_pose)
+            plan = planner.sample(model, cond, sim._EULER_STEPS, rng, est_pose)
             report.planner_calls += 1
-            if planner.collision_check(plan.poses, None, config.footprint_radius, dist):
+            if planner.collision_check(plan.poses, None, sim._FOOTPRINT_RADIUS, dist):
                 if config.fallback:
                     report.fallback_count += 1
                 else:
@@ -1560,7 +1630,7 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
                 break
 
         steps = np.concatenate(
-            [ref_split_action(a, config.max_step) for a in actions.steps[: config.execute_steps]]
+            [ref_split_action(a, sim._MAX_STEP) for a in actions.steps[: sim._EXECUTE_STEPS]]
         )
         lengths = list(map(math.hypot, steps[:, 0].tolist(), steps[:, 1].tolist()))
         noise = rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed)
@@ -1576,29 +1646,29 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
             report.path_length += step_lengths[-1]
             true_xy.append((true_pose.x, true_pose.y))
             if executed % config.fix_every == 0:
-                fix = sim._global_fix(world, true_pose, config.fix_oracle_radius)
+                fix = sim._global_fix(world, true_pose, sim._FIX_ORACLE_RADIUS)
                 if fix is not None:
                     est_pose = Pose2(fix.x, fix.y, est_pose.theta)
-            if goal_distance() <= config.goal_tolerance:
+            if goal_distance() <= sim._GOAL_TOLERANCE:
                 break
         d = goal_distance()
         if d < best_goal_dist - 0.05:
             best_goal_dist = d
             stall = 0
         else:
-            stall += config.execute_steps
+            stall += sim._EXECUTE_STEPS
             if stall >= stall_limit:
                 report.reason = "stuck"
                 break
 
     if true_xy:
         clearance = sample_bilinear(dist, true_xy)
-        report.collision_count = int(np.count_nonzero(clearance < config.footprint_radius))
-    if goal_distance() <= config.goal_tolerance:
+        report.collision_count = int(np.count_nonzero(clearance < sim._FOOTPRINT_RADIUS))
+    if goal_distance() <= sim._GOAL_TOLERANCE:
         report.success, report.reason = True, "reached"
     report.final_error = goal_distance()
     report.mean_velocity = (
-        float(np.mean(step_lengths)) / config.max_step if step_lengths else 0.0
+        float(np.mean(step_lengths)) / sim._MAX_STEP if step_lengths else 0.0
     )
     return report
 
@@ -1659,8 +1729,8 @@ class ScriptedExpert:
 def scripted_cycle(world, true_pose, est_pose, rows, noise, **config):
     """One control cycle of `sim.step` driven by the given actions and noise."""
     state = sim.EpisodeState(
-        world, Pose2(100.0, 100.0, 0.0), sim.NavConfig(planner="oracle", **config), None,
-        ScriptedRng(noise), true_pose, est_pose, ScriptedExpert(rows), None, None,
+        world, Pose2(100.0, 100.0, 0.0), sim.NavConfig(planner="oracle", **config),
+        ScriptedRng(noise), true_pose, est_pose, ScriptedExpert(rows), None,
         budget=1000, report=sim.EpisodeReport(False, "timeout"), best_goal_dist=1e9,
     )
     return sim.step(state)
@@ -1738,15 +1808,14 @@ def test_expert_increments_use_the_wrapped_inverse_heading(worlds48):
     # the expert's rows are poses_to_actions' rows, bit for bit, from estimates off the path
     world = worlds48[1]
     (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
-    ref = sim.oracle_plan(world, Pose2(sx, sy, 0.0), Pose2(gx, gy, 0.0), 0.3, 0.25)
-    config = sim.NavConfig()
+    ref = sim.oracle_plan(world, Pose2(sx, sy, 0.0), Pose2(gx, gy, 0.0))
     rng = np.random.default_rng(3)
     for k in range(0, len(ref) - 1, 3):
         p = ref[k]
         est = Pose2(p.x + rng.uniform(-0.1, 0.1), p.y + rng.uniform(-0.1, 0.1),
                     p.theta + rng.uniform(-0.5, 0.5))
-        got = sim._ExpertPath(world, ref[-1], config, ref)
-        want = RefExpertPath(world, ref[-1], config, ref)
+        got = sim._ExpertPath(world, ref[-1], ref)
+        want = RefExpertPath(world, ref[-1], ref)
         got.index = want.index = max(0, k - 2)
         assert np.array(got.actions(est)).tobytes() == want.actions(est).steps.tobytes()
         assert got.index == want.index
@@ -1876,7 +1945,7 @@ def test_model_cycle_builds_one_pose_per_plan_pose(worlds48, eval_model, monkeyp
     # poses at its end; one true pose per fix after the first, which takes the start
     assert counts["Pose2"] == 1 + calls * (n + 1 + 2) + counts["fixes"] - 1
     # one lean pass per Euler step, and the node path's arc lengths once per episode
-    assert counts["forward"] == config.euler_steps * calls
+    assert counts["forward"] == sim._EULER_STEPS * calls
     assert counts["forward_cached"] == 0
     assert counts["arc_lengths"] == 1
 
@@ -1915,7 +1984,7 @@ def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatc
     assert counts["planner.sample"] == calls
     assert counts["planner.collision_check"] == calls
     assert counts["planner.occupancy_features"] == calls
-    assert counts["planner.VectorFieldModel.forward"] == config.euler_steps * calls
+    assert counts["planner.VectorFieldModel.forward"] == sim._EULER_STEPS * calls
     # the occupancy ring and the collision check of every plan, then the episode's lookup
     assert counts["esdf.sample_bilinear"] >= 2 * calls + 1
 
