@@ -70,6 +70,16 @@ def is_finite_triple(value) -> bool:
     return isinstance(value, list) and len(value) == 3 and all(map(is_finite_number, value))
 
 
+def check_landmark_text(category, attributes) -> None:
+    """Raise ValueError unless a landmark's category is a non-empty string and
+    its visual attributes an object with string values, as the matching reads
+    them in a map file and in an extractor response."""
+    if not isinstance(category, str) or not category.strip():
+        raise ValueError(f"a landmark category must be a non-empty string, got {category!r}")
+    if not isinstance(attributes, dict) or not all(isinstance(v, str) for v in attributes.values()):
+        raise ValueError(f"visual_attributes must be an object with string values, got {attributes!r}")
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 

@@ -8,15 +8,26 @@ recurrence
     [y_k] = [y_{k-1}] + [sin th_{k-1}   cos th_{k-1}] [dy_k]
     th_k  = th_{k-1} + dtheta_k
 
-Convention: x forward, y left, theta counter-clockwise, and headings are
-wrapped to (-pi, pi] after every composition.
+Convention: x forward, y left, theta counter-clockwise. A `Pose2` holds its
+heading wrapped to (-pi, pi], and the pose algebra wraps after every
+composition.
 
 The pose algebra is written once, on plain floats (`inverse_xyt`,
-`compose_xyt`, `relative_xyt`); `Pose2.inverse`, `compose_se2` and
-`relative_pose` wrap their results in a `Pose2`, and a loop that keeps its
-poses as floats calls the float forms directly. Each returns its heading
-wrapped, and `wrap_angle` returns every value it has wrapped unchanged, so a
-`Pose2` built from their output holds the same bits.
+`compose_xyt`, `relative_xyt`); `compose_se2` and `relative_pose` wrap their
+results in a `Pose2`, and a loop that keeps its poses as floats calls the
+float forms directly. Each returns its heading wrapped, and `wrap_angle`
+returns every value it has wrapped unchanged, so a `Pose2` built from their
+output holds the same bits.
+
+The recurrence from actions to poses is written once, batched
+(`poses_from_actions`): a plan's poses, the planning loss and the open-loop
+rollouts all integrate with it. It leaves the headings unwrapped, and each
+coordinate is one cumulative sum over the steps, which numpy adds strictly
+left to right. The headings are the sum of [th_0, dth_1, ..., dth_n]. The
+per-step loop computes x_k as (x_{k-1} + c dx_k) - s dy_k, and a - b is
+a + (-b) to the bit, so x is the sum of the interleaved terms
+[x_0, c dx_1, -(s dy_1), c dx_2, ...] read at every other place; y is the
+sum of [y_0, s dx_1, c dy_1, ...] the same way.
 """
 
 from __future__ import annotations
@@ -55,9 +66,6 @@ class Pose2:
         if not is_finite_triple(value):
             raise ValueError(f"a pose must be three finite numbers [x, y, theta], got {value!r}")
         return cls(*value)
-
-    def inverse(self) -> "Pose2":
-        return Pose2(*inverse_xyt(self.x, self.y, self.theta))
 
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
@@ -127,26 +135,12 @@ class ActionTrajectory:
 
 @dataclass(frozen=True)
 class PoseTrajectory:
-    """Ordered poses, length n+1 for n actions; poses[0] is the start pose.
-
-    A trajectory built by `from_rows` keeps the float rows it was built
-    from, and `as_array` copies them instead of reading every `Pose2`."""
+    """Ordered poses, length n+1 for n actions; poses[0] is the start pose."""
 
     poses: tuple[Pose2, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
-        object.__setattr__(self, "_rows", None)
-
-    @classmethod
-    def from_rows(cls, start: Pose2, rows) -> "PoseTrajectory":
-        """`start`, then one `Pose2` per (x, y, theta) row after the first.
-        The first row holds the start's floats and every later heading is
-        wrapped, so each `Pose2` holds its row's bits, and the rows are the
-        trajectory's array."""
-        traj = cls((start, *(Pose2(*row) for row in rows[1:])))
-        object.__setattr__(traj, "_rows", np.array(rows, dtype=float).reshape(-1, 3))
-        return traj
 
     def __len__(self) -> int:
         return len(self.poses)
@@ -156,8 +150,6 @@ class PoseTrajectory:
 
     def as_array(self) -> np.ndarray:
         """(n+1, 3) array of [x, y, theta] rows."""
-        if self._rows is not None:
-            return self._rows.copy()
         return np.array([[p.x, p.y, p.theta] for p in self.poses]).reshape(-1, 3)
 
     def path_length(self) -> float:
@@ -178,23 +170,38 @@ class PoseTrajectory:
         return cls(tuple(map(Pose2.from_jsonable, data)))
 
 
-def actions_to_poses(traj: ActionTrajectory, start: Pose2) -> PoseTrajectory:
-    """Integrate relative increments into world-frame poses; poses[0] == start.
+def poses_from_actions(actions: np.ndarray, starts: np.ndarray):
+    """Batched pose recurrence, headings left unwrapped: the poses (B, n+1, 3)
+    of actions (B, n, 3) from starts (B, 3), and the cosine and sine of each
+    step's heading th_{k-1}, (B, n) each, which the recurrence's adjoint reads.
 
-    The recurrence runs on floats (`compose_xyt`), each increment's heading
-    wrapped first, as a `Pose2` of the increment would hold it, so the poses
-    are those of composing `Pose2`s; one `Pose2` is built per pose after the
-    start, and the trajectory keeps the float rows (`from_rows`)."""
-    x, y, theta = start.x, start.y, start.theta
-    rows = [(x, y, theta)]
-    for dx, dy, dth in traj.steps.tolist():
-        x, y, theta = compose_xyt(x, y, theta, dx, dy, wrap_angle(dth))
-        rows.append((x, y, theta))
-    return PoseTrajectory.from_rows(start, rows)
+    Each coordinate is one left-to-right cumulative sum (see the module
+    docstring), so every pose holds the bits of the per-step recurrence."""
+    b, n, _ = actions.shape
+    poses = np.empty((b, n + 1, 3))
+    heading = poses[..., 2]
+    heading[:, 0] = starts[:, 2]
+    heading[:, 1:] = actions[..., 2]
+    np.cumsum(heading, axis=1, out=heading)
+    th = heading[:, :-1]
+    c, s = np.cos(th), np.sin(th)
+    dx, dy = actions[..., 0], actions[..., 1]
+    # x: x0, c dx_1, -(s dy_1), c dx_2, ...; y: y0, s dx_1, c dy_1, s dx_2, ...
+    terms = np.empty((2, b, 2 * n + 1))
+    terms[:, :, 0] = starts[:, :2].T
+    np.multiply(c, dx, out=terms[0, :, 1::2])
+    np.multiply(s, dy, out=terms[0, :, 2::2])
+    np.negative(terms[0, :, 2::2], out=terms[0, :, 2::2])
+    np.multiply(s, dx, out=terms[1, :, 1::2])
+    np.multiply(c, dy, out=terms[1, :, 2::2])
+    np.cumsum(terms, axis=2, out=terms)
+    poses[..., 0] = terms[0, :, ::2]
+    poses[..., 1] = terms[1, :, ::2]
+    return poses, c, s
 
 
 def poses_to_actions(poses: PoseTrajectory) -> ActionTrajectory:
-    """Invert actions_to_poses: per-step increments in the previous pose's
+    """Invert the recurrence: per-step increments in the previous pose's
     frame, `relative_xyt` on the poses' floats (the bits of `relative_pose`,
     whose `Pose2` keeps the wrapped heading as it is)."""
     if len(poses) == 0:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AstraError, is_finite_number, read_json
+from .errors import AstraError, check_landmark_text, is_finite_number, read_json
 from .geom import Pose2
 from .topomap import MapNode, TopoMap
 
@@ -352,7 +352,8 @@ def heuristic_oracle(ctx: QueryContext, node: MapNode) -> float:
 # --- adapter wire formats ----------------------------------------------------
 
 def parse_extractor_response(payload: dict) -> list[LandmarkObservation]:
-    """Decode a remote extractor response: {"observations": [{category, visual_attributes}]}."""
+    """Decode a remote extractor response: {"observations": [{category, visual_attributes}]},
+    each category a non-empty string and the attributes an object with string values."""
     try:
         raw = payload["observations"]
     except (KeyError, TypeError) as e:
@@ -360,10 +361,10 @@ def parse_extractor_response(payload: dict) -> list[LandmarkObservation]:
     out = []
     for i, item in enumerate(raw):
         try:
-            out.append(
-                LandmarkObservation(item["category"], dict(item.get("visual_attributes", {})))
-            )
-        except (KeyError, TypeError) as e:
+            attributes = item.get("visual_attributes", {})
+            check_landmark_text(item["category"], attributes)
+            out.append(LandmarkObservation(item["category"], dict(attributes)))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise LocalizationError(f"bad observation at index {i}: {e}") from e
     return out
 

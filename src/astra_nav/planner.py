@@ -17,28 +17,22 @@ plain flow-matching loss.
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
 down to t = 0: x <- x - dt * v(x, t | c). The K candidates of one condition
 are integrated together, one forward pass per step; a single plan is the
-K = 1 case. A step's pass is `VectorFieldModel.forward`, which keeps no
-activations and multiplies operands of the shapes `_forward_cached` uses,
-so its output is the same to the bit; the output is checked to be finite
-after every step. A plan's poses are composed on floats (`actions_to_poses`),
-one `Pose2` per pose. Training keeps `_forward_cached`, whose activations
-the backward pass reads; it builds the dataset's arrays once, and each
-batch samples all its masked fields in one gather. A batch's momentum
-step, activations and gradient products are computed in place, each to the
-bits of the fresh-array form.
+K = 1 case, and the output is checked to be finite after every step. The
+network has one layer loop, `VectorFieldModel._forward_cached`: `forward`
+returns its output, and training keeps its activations for the backward
+pass. Training builds the dataset's arrays once, and each batch samples all
+its masked fields in one gather. A batch's momentum step, activations and
+gradient products are computed in place, each to the bits of the
+fresh-array form.
 
-The batched pose recurrence and its adjoint are cumulative sums over the
-steps, which numpy adds strictly left to right. The headings are the sum of
-[th_0, dth_1, ..., dth_n]. The per-step loop computes x_k as
-(x_{k-1} + c dx_k) - s dy_k, and a - b is a + (-b) to the bit, so x is the
-sum of the interleaved terms [x_0, c dx_1, -(s dy_1), c dx_2, ...] read at
-every other place; y is the sum of [y_0, s dx_1, c dy_1, ...] the same way.
-The reverse pass starts its accumulators from zeros and adds one step at a
-time, from the last: the position adjoints are the reverse sums of the
-field gradients behind a leading 0.0, and the heading adjoint is the
-reverse sum of each step's x term and then its y term, behind a leading
-0.0. The cosine and sine of the headings are taken once, over all steps,
-and serve both passes.
+A plan's poses, the loss's poses and the open-loop rollouts' poses come from
+one batched recurrence, `geom.poses_from_actions`. Its adjoint is a set of
+cumulative sums over the steps as well. The reverse pass starts its
+accumulators from zeros and adds one step at a time, from the last: the
+position adjoints are the reverse sums of the field gradients behind a
+leading 0.0, and the heading adjoint is the reverse sum of each step's x
+term and then its y term, behind a leading 0.0. The cosine and sine of the
+headings are taken once, over all steps, and serve both passes.
 """
 
 from __future__ import annotations
@@ -49,9 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AstraError, check_fields, read_json
+from .errors import AstraError, check_fields, is_finite_number, read_json
 from .esdf import Grid, _bilinear, edt, sample_bilinear, stack_fields
-from .geom import ActionTrajectory, Pose2, PoseTrajectory, actions_to_poses
+from .geom import ActionTrajectory, Pose2, PoseTrajectory, poses_from_actions
 
 
 class PlannerError(AstraError):
@@ -87,17 +81,26 @@ class PlanningCondition:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PlanningCondition":
-        return cls(
-            Pose2.from_jsonable(data["goal"]),
-            tuple(data.get("velocity", (0.0, 0.0))),
-            np.asarray(data.get("occ_features", []), dtype=float),
-        )
+        """A JSON condition: "goal" a pose, "velocity" two finite numbers and
+        "occ_features" a list of finite numbers, the last two optional.
+        Anything else raises ValueError."""
+        velocity = data.get("velocity", [0.0, 0.0])
+        if not (isinstance(velocity, list) and len(velocity) == 2 and all(map(is_finite_number, velocity))):
+            raise ValueError(f"velocity must be two finite numbers [vx, vy], got {velocity!r}")
+        occ = data.get("occ_features", [])
+        if not (isinstance(occ, list) and all(map(is_finite_number, occ))):
+            raise ValueError("occ_features must be a list of finite numbers")
+        return cls(Pose2.from_jsonable(data["goal"]), tuple(velocity), np.asarray(occ, dtype=float))
 
 
 def _cond_vector(cond) -> np.ndarray:
     if isinstance(cond, PlanningCondition):
         return cond.vector()
     return np.asarray(cond, dtype=float).ravel()
+
+
+def _param_count(layer_sizes) -> int:
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
@@ -116,11 +119,12 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
 class VectorFieldModel:
     """Fully-connected vector field with tanh hidden layers and a linear head.
 
-    All parameters live in one flat buffer, `params`; `weights[i]` and
+    All parameters live in one flat vector, `params`, laid out as W1, b1, W2,
+    b2, ... (the layout of a model file's "weights"); `weights[i]` and
     `biases[i]` are views into it.
     """
 
-    def __init__(self, layer_sizes, weights, biases, n_actions, cond_dim):
+    def __init__(self, layer_sizes, params, n_actions, cond_dim):
         self.layer_sizes = list(layer_sizes)
         self.n_actions = int(n_actions)
         self.cond_dim = int(cond_dim)
@@ -130,24 +134,29 @@ class VectorFieldModel:
                 f"layer sizes {self.layer_sizes} incompatible with "
                 f"n_actions={self.n_actions}, cond_dim={self.cond_dim}"
             )
-        sizes = self.layer_sizes
-        self.params = np.empty(sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])))
-        self.weights, self.biases = _layer_views(self.params, sizes)
-        given = [np.asarray(p, dtype=float) for p in (*weights, *biases)]
-        if [p.shape for p in given] != [p.shape for p in (*self.weights, *self.biases)]:
-            raise ShapeMismatchError(f"weight and bias shapes do not match layer sizes {sizes}")
-        for view, value in zip((*self.weights, *self.biases), given):
-            view[...] = value
+        flat = np.asarray(params, dtype=float)
+        count = _param_count(self.layer_sizes)
+        if flat.shape != (count,):
+            raise ShapeMismatchError(f"expected {count} parameters for layer sizes "
+                                     f"{self.layer_sizes}, got shape {flat.shape}")
+        # a copy on a 64-byte boundary: a single-row pass over a buffer off that
+        # boundary measured about 10% slower, and where a copy lands is chance
+        buf = np.empty(count + 8)
+        skip = (-buf.ctypes.data % 64) // 8
+        self.params = buf[skip : skip + count]
+        self.params[...] = flat
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
 
     @classmethod
     def create(cls, n_actions: int, cond_dim: int, hidden=(128, 128, 128), seed: int = 0):
+        """Normal weights with variance 1/d_in, drawn layer by layer, and zero
+        biases."""
         rng = np.random.default_rng(seed)
         sizes = [3 * n_actions + 1 + cond_dim, *hidden, 3 * n_actions]
-        weights, biases = [], []
-        for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)))
-            biases.append(np.zeros(d_out))
-        return cls(sizes, weights, biases, n_actions, cond_dim)
+        params = np.zeros(_param_count(sizes))
+        for w in _layer_views(params, sizes)[0]:
+            w[...] = rng.normal(0.0, 1.0 / math.sqrt(w.shape[0]), size=w.shape)
+        return cls(sizes, params, n_actions, cond_dim)
 
     # -- parameters -----------------------------------------------------------
 
@@ -166,47 +175,32 @@ class VectorFieldModel:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _rows(self, x) -> tuple[np.ndarray, bool]:
-        """x as a float (k, d_in) matrix, and whether it was one row."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The field at rows x (k, d_in), or at one row x (d_in,)."""
+        return self._forward_cached(x)[0]
+
+    def _forward_cached(self, x: np.ndarray):
+        """The field at rows x and every layer's activation, the input first;
+        each layer adds its bias and applies tanh in place. A single row is
+        passed as a (1, d_in) matrix, so every product has the operand shapes
+        of a batch."""
         a = np.asarray(x, dtype=float)
         squeeze = a.ndim == 1
         if squeeze:
             a = a[None, :]
         if a.shape[1] != self.layer_sizes[0]:
-            raise ShapeMismatchError(
-                f"input dim {a.shape[1]} != expected {self.layer_sizes[0]}"
-            )
-        return a, squeeze
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The field at rows x (k, d_in), or at one row x (d_in,): the output
-        of `_forward_cached`, bit for bit, without keeping the activations.
-        A single row is passed as a (1, d_in) matrix there too, so every
-        product has the same operand shapes."""
-        a, squeeze = self._rows(x)
+            raise ShapeMismatchError(f"input dim {a.shape[1]} != expected {self.layer_sizes[0]}")
+        acts = [a]
         *hidden, (w_out, b_out) = zip(self.weights, self.biases)
         for w, b in hidden:
             a = a @ w
             a += b
             np.tanh(a, out=a)
+            acts.append(a)
         a = a @ w_out
         a += b_out
-        return a[0] if squeeze else a
-
-    def _forward_cached(self, x: np.ndarray):
-        """The field at rows x and every layer's activation, the input first;
-        each layer adds its bias and applies tanh in place, as `forward` does."""
-        a, squeeze = self._rows(x)
-        acts = [a]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w
-            z += b
-            if i < n_layers - 1:
-                np.tanh(z, out=z)
-            acts.append(z)
-        out = acts[-1]
-        return (out[0] if squeeze else out), acts
+        acts.append(a)
+        return (a[0] if squeeze else a), acts
 
     def backward(self, acts, dout: np.ndarray) -> np.ndarray:
         """Parameter gradients given d(loss)/d(output), laid out as `params`."""
@@ -243,18 +237,9 @@ class VectorFieldModel:
         try:
             if doc.get("activation", "tanh") != "tanh":
                 raise PlannerError(f"{path}: unsupported activation: {doc['activation']!r}")
-            sizes = doc["layer_sizes"]
-            model = cls(
-                sizes,
-                [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
-                [np.zeros(b) for b in sizes[1:]],
-                doc["n_actions"],
-                doc["cond_dim"],
-            )
-            model.set_params(np.asarray(doc["weights"], dtype=float))
+            return cls(doc["layer_sizes"], doc["weights"], doc["n_actions"], doc["cond_dim"])
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise PlannerError(f"{path}: malformed model file: {e!r}") from e
-        return model
 
 
 def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
@@ -342,36 +327,6 @@ class PlanningBatch:
         )
 
 
-def _poses_from_actions(actions: np.ndarray, starts: np.ndarray):
-    """Batched pose recurrence, headings left unwrapped: the poses (B, n+1, 3)
-    of actions (B, n, 3) from starts (B, 3), and the cosine and sine of each
-    step's heading th_{k-1}, (B, n) each.
-
-    Each coordinate is one left-to-right cumulative sum (see the module
-    docstring), so every pose holds the bits of the per-step recurrence."""
-    b, n, _ = actions.shape
-    poses = np.empty((b, n + 1, 3))
-    heading = poses[..., 2]
-    heading[:, 0] = starts[:, 2]
-    heading[:, 1:] = actions[..., 2]
-    np.cumsum(heading, axis=1, out=heading)
-    th = heading[:, :-1]
-    c, s = np.cos(th), np.sin(th)
-    dx, dy = actions[..., 0], actions[..., 1]
-    # x: x0, c dx_1, -(s dy_1), c dx_2, ...; y: y0, s dx_1, c dy_1, s dx_2, ...
-    terms = np.empty((2, b, 2 * n + 1))
-    terms[:, :, 0] = starts[:, :2].T
-    np.multiply(c, dx, out=terms[0, :, 1::2])
-    np.multiply(s, dy, out=terms[0, :, 2::2])
-    np.negative(terms[0, :, 2::2], out=terms[0, :, 2::2])
-    np.multiply(s, dx, out=terms[1, :, 1::2])
-    np.multiply(c, dy, out=terms[1, :, 2::2])
-    np.cumsum(terms, axis=2, out=terms)
-    poses[..., 0] = terms[0, :, ::2]
-    poses[..., 1] = terms[1, :, ::2]
-    return poses, c, s
-
-
 def _penalty_and_grad(fields: list[Grid], actions: np.ndarray, starts: np.ndarray):
     """Clearance bonus sum(phi~) per sample plus its gradient w.r.t. the actions.
 
@@ -383,7 +338,7 @@ def _penalty_and_grad(fields: list[Grid], actions: np.ndarray, starts: np.ndarra
     cumulative sum from 0.0 (see the module docstring).
     """
     b, n, _ = actions.shape
-    poses, c, s = _poses_from_actions(actions, starts)
+    poses, c, s = poses_from_actions(actions, starts)
     values, gx, gy = _bilinear(stack_fields(fields), poses[:, 1:, :2])
     # the position adjoints of step k are the sums of the gradients at poses k..n
     rev = np.zeros((2, b, n + 1))
@@ -541,6 +496,9 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
 
 @dataclass
 class PlanSample:
+    """A sampled plan: its actions and the n+1 poses they integrate to from
+    the start, the start itself first (`sample`)."""
+
     actions: ActionTrajectory
     poses: PoseTrajectory
 
@@ -588,9 +546,15 @@ def sample(
     rng,
     start: Pose2 = Pose2(),
 ) -> PlanSample:
-    """Draw one trajectory by Euler integration from noise at t=1 down to t=0."""
-    actions = ActionTrajectory(sample_actions(model, condition, steps, rng)[0])
-    return PlanSample(actions, actions_to_poses(actions, start))
+    """Draw one trajectory by Euler integration from noise at t=1 down to t=0.
+
+    Its poses are `start` itself, then one `Pose2` per row of
+    `poses_from_actions` on the actions, the recurrence the loss and the
+    open-loop rollouts integrate with; each `Pose2` wraps its heading."""
+    actions = sample_actions(model, condition, steps, rng)
+    rows = poses_from_actions(actions, np.array([start.as_tuple()]))[0][0, 1:]
+    poses = PoseTrajectory((start, *(Pose2(*row) for row in rows.tolist())))
+    return PlanSample(ActionTrajectory(actions[0]), poses)
 
 
 def distance_field(grid: Grid) -> Grid:
@@ -605,8 +569,7 @@ def collision_check(
     dist_field: Grid | None = None,
 ) -> bool:
     """True iff any pose center's interpolated free-space distance drops below
-    the footprint radius. A plan's poses carry their float rows
-    (`actions_to_poses`), so its check builds no array from `Pose2`s."""
+    the footprint radius."""
     if footprint_radius < 0:
         raise PlannerError("footprint radius must be >= 0")
     if dist_field is None:

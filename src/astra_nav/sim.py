@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AstraError, check_fields, is_finite_number, read_json, read_text
+from .errors import AstraError, check_fields, is_finite_number, is_finite_triple, read_json, read_text
 from .esdf import (
     Grid,
     compress_grid,
@@ -79,6 +79,7 @@ from .geom import (
     Pose2,
     PoseTrajectory,
     compose_xyt,
+    poses_from_actions,
     poses_to_actions,
     relative_pose,
     relative_xyt,
@@ -99,7 +100,6 @@ from .planner import (
     PlanningSample,
     TrainConfig,
     VectorFieldModel,
-    _poses_from_actions,
     collision_check,
     distance_field,
     occupancy_features,
@@ -1212,10 +1212,13 @@ def save_dataset(dataset: list[PlanningSample], path) -> None:
 
 def load_dataset(path, mask_alpha: float, mask_dilation: float):
     """Rebuild PlanningSamples from a JSON-lines file, recomputing masked fields
-    per referenced grid."""
+    per referenced grid. Every record's actions are rows of three finite
+    numbers, and its action count and condition length are the first
+    record's."""
     base = os.path.dirname(os.path.abspath(path))
     phis: dict[str, Grid] = {}
     dataset = []
+    shape = None  # (actions, condition entries) of the first record
     for line_no, line in enumerate(read_text(path, SimError).split("\n"), start=1):
         if not line.strip():
             continue
@@ -1224,11 +1227,18 @@ def load_dataset(path, mask_alpha: float, mask_dilation: float):
             grid_ref = rec["grid_ref"]
             full = grid_ref if os.path.isabs(grid_ref) else os.path.join(base, grid_ref)
             gt = PoseTrajectory.from_jsonable(rec["gt_poses"])
-            actions = np.asarray(rec["actions"], dtype=float)
+            if not isinstance(rec["actions"], list) or not all(map(is_finite_triple, rec["actions"])):
+                raise ValueError("actions must be a list of rows of three finite numbers")
+            actions = np.array(rec["actions"], dtype=float)
             condition = PlanningCondition.from_jsonable(rec["condition"])
             start = gt[0]
         except (IndexError, KeyError, TypeError, ValueError) as e:
             raise SimError(f"{path}:{line_no}: malformed dataset record: {e!r}") from e
+        record_shape = (len(actions), condition.vector().size)
+        shape = shape or record_shape
+        if record_shape != shape:
+            raise SimError(f"{path}:{line_no}: {record_shape[0]} actions and a condition of "
+                           f"{record_shape[1]} entries, but the first record has {shape[0]} and {shape[1]}")
         if full not in phis:
             phis[full] = signed_esdf(load_occupancy(full))
         phi = phis[full]
@@ -1244,7 +1254,7 @@ def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose
     checked with one field lookup: (collided flags, mean step lengths)."""
     actions = sample_actions(model, condition, _EULER_STEPS, rng, k)
     starts = np.tile(start.as_tuple(), (k, 1))
-    xy = _poses_from_actions(actions, starts)[0][..., :2]
+    xy = poses_from_actions(actions, starts)[0][..., :2]
     clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
     return (clearance < _FOOTPRINT_RADIUS).any(axis=1), mean_step

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MapError, is_finite_number, is_finite_triple, read_json
+from .errors import MapError, check_landmark_text, is_finite_number, is_finite_triple, read_json
 from .geom import Pose2
 
 
@@ -413,19 +413,20 @@ class TopoMap:
                     key[0], key[1], Pose6.from_jsonable(ed["relative_pose"]), length
                 )
             for i, ld in enumerate(data.get("landmarks", [])):
-                lm = Landmark(
-                    ld["id"],
-                    ld["category"],
-                    dict(ld.get("visual_attributes", {})),
-                    ld.get("functional_description"),
-                    set(ld.get("node_ids", [])),
-                )
+                attributes = ld.get("visual_attributes", {})
+                check_landmark_text(ld["category"], attributes)
+                description = ld.get("functional_description")
+                if description is not None and not isinstance(description, str):
+                    raise ValueError(f"functional_description must be a string or null, got "
+                                     f"{description!r} (landmarks[{i}])")
+                lm = Landmark(ld["id"], ld["category"], dict(attributes), description,
+                              set(ld.get("node_ids", [])))
                 if lm.id in m.landmarks:
                     raise MapError(f"duplicate landmark id {lm.id!r} (landmarks[{i}])")
                 m.landmarks[lm.id] = lm
         except KeyError as e:
             raise MapError(f"map document missing field {e.args[0]!r}") from e
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise MapError(f"malformed map document: {e}") from e
         return m
 

@@ -532,6 +532,18 @@ def test_model_file_with_other_activation_exits_1(files, capsys):
     assert "unsupported activation: 'relu'" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_model_file_with_a_wrong_weight_count_exits_1(files, capsys, change):
+    doc = json.loads(files["model.json"].read_text())
+    weights = doc["weights"][:-1] if change < 0 else doc["weights"] + [0.0]
+    path = files["root"] / "weights-model.json"
+    path.write_text(json.dumps({**doc, "weights": weights}))
+    code, out, err = run(capsys, "plan", "sample", "--model", path, "--cond", files["cond.json"])
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "ShapeMismatchError"
+    assert f"expected {len(doc['weights'])} parameters" in json.loads(err)["message"]
+
+
 # Search radii that never widen (0, NaN) or never stop (inf) looped forever.
 BAD_GOAL_RADII = {
     "r-step-0": ("--r-step", "0"),
@@ -852,3 +864,125 @@ def test_bad_map_pose_exits_1(files, capsys, name):
         code, out, err = run(capsys, *argv)
         assert_json_error(code, out, err)
         assert json.loads(err)["error"] == "MapError"
+
+
+# Dataset records that once ended `plan train` in a traceback: (the second
+# record's change, the words of the error).
+BAD_DATASET_RECORDS = {
+    "fewer-actions": (lambda rec: {**rec, "actions": rec["actions"][:-1]}, "7 actions"),
+    "longer-occ-features": (
+        lambda rec: {**rec, "condition": {**rec["condition"],
+                                          "occ_features": rec["condition"]["occ_features"] + [0.0]}},
+        "but the first record has 8",
+    ),
+    "actions-in-pairs": (
+        lambda rec: {**rec, "actions": [row[:2] for row in rec["actions"]]}, "rows of three finite numbers"
+    ),
+    "nan-action": (
+        lambda rec: {**rec, "actions": [[float("nan"), 0.0, 0.0]] + rec["actions"][1:]},
+        "rows of three finite numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DATASET_RECORDS))
+def test_bad_dataset_record_exits_1(files, capsys, name):
+    change, words = BAD_DATASET_RECORDS[name]
+    first = json.loads(files["data.jsonl"].read_text().splitlines()[0])
+    path = files["root"] / f"data-{name}.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps(change(first)) + "\n")
+    code, out, err = run(capsys, "plan", "train", "--data", path, "--config", files["train.json"],
+                         "--out", files["root"] / f"data-{name}-model.json")
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "SimError"
+    assert f"{path}:2: " in doc["message"] and words in doc["message"]
+
+
+# Condition velocities and occupancy features that are not finite numbers.
+BAD_CONDITIONS = {
+    "velocity-string": lambda cond: {**cond, "velocity": ["a", 0]},
+    "velocity-one": lambda cond: {**cond, "velocity": [1.0]},
+    "velocity-nan": lambda cond: {**cond, "velocity": [float("nan"), 0.0]},
+    "velocity-object": lambda cond: {**cond, "velocity": {"vx": 1.0}},
+    "occ-features-nan": lambda cond: {**cond, "occ_features": cond["occ_features"][:-1] + [float("nan")]},
+    "occ-features-string": lambda cond: {**cond, "occ_features": "abc"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONDITIONS))
+def test_bad_condition_exits_1(files, capsys, name):
+    cond = BAD_CONDITIONS[name](json.loads(files["cond.json"].read_text()))
+    path = files["root"] / f"cond-{name}.json"
+    path.write_text(json.dumps(cond))
+    code, out, err = run(capsys, "plan", "sample", "--model", files["model.json"], "--cond", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "InputFileError"
+    assert "must be" in json.loads(err)["message"]
+    record = json.loads(files["data.jsonl"].read_text().splitlines()[0])
+    data = files["root"] / f"data-cond-{name}.jsonl"
+    data.write_text(json.dumps({**record, "condition": cond}) + "\n")
+    code, out, err = run(capsys, "plan", "train", "--data", data, "--config", files["train.json"],
+                         "--out", files["root"] / f"cond-{name}-model.json")
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "SimError"
+
+
+# Landmark text in a map file that the matching cannot read.
+BAD_MAP_LANDMARKS = {
+    "category-number": {"category": 7},
+    "category-empty": {"category": ""},
+    "attribute-number": {"visual_attributes": {"color": 1}},
+    "attributes-list": {"visual_attributes": [["color", "red"]]},
+    "description-number": {"functional_description": 5},
+    "node-ids-number": {"node_ids": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MAP_LANDMARKS))
+def test_bad_map_landmark_exits_1(files, capsys, name):
+    doc = json.loads(files["map"].read_text())
+    doc["landmarks"][0].update(BAD_MAP_LANDMARKS[name])
+    path = files["root"] / f"map-landmark-{name}.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("localize", "--map", path, "--query", files["query.json"]),
+                 ("goal", "--map", path, "--terms", files["category"]),
+                 ("map", "validate", path)):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"] == "MapError"
+
+
+@pytest.mark.parametrize("doc", [{"nodes": 5}, {"edges": 5}, {"landmarks": 5},
+                                 {"nodes": [{"id": "n", "pose": {"position": [0, 0, 0],
+                                                                 "quaternion": [1, 0, 0, 0]},
+                                             "landmark_ids": 3}]}],
+                         ids=["nodes", "edges", "landmarks", "landmark-ids"])
+def test_map_with_a_number_for_a_list_exits_1(files, capsys, doc):
+    path = files["root"] / "map-number-for-list.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "map", "validate", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "MapError"
+
+
+# Query observations whose text the matching cannot read.
+BAD_OBSERVATIONS = {
+    "category-number": {"category": 5, "visual_attributes": {}},
+    "category-missing": {"visual_attributes": {}},
+    "attribute-number": {"category": "sofa", "visual_attributes": {"color": 1}},
+    "attributes-string": {"category": "sofa", "visual_attributes": "red"},
+    "not-an-object": 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OBSERVATIONS))
+def test_bad_query_observation_exits_1(files, capsys, name):
+    query = json.loads(files["query.json"].read_text())
+    query["observations"].append(BAD_OBSERVATIONS[name])
+    path = files["root"] / f"query-{name}.json"
+    path.write_text(json.dumps(query))
+    code, out, err = run(capsys, "localize", "--map", files["map"], "--query", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "LocalizationError"
+    assert "bad observation at index 1" in json.loads(err)["message"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from astra_nav import planner, sim
 from astra_nav.esdf import Grid, sample_bilinear, signed_esdf, stack_fields
-from astra_nav.geom import Pose2, PoseTrajectory, actions_to_poses
+from astra_nav.geom import Pose2, PoseTrajectory, poses_from_actions, wrap_angle
 from astra_nav.planner import (
     PlannerError,
     PlanningCondition,
@@ -77,7 +78,7 @@ class TestVectorField:
         d_in, d_out = 3 * n + 1 + c, 3 * n
         w = np.zeros((d_in, d_out))
         w[:d_out, :] = np.eye(d_out)
-        m = VectorFieldModel([d_in, d_out], [w], [np.zeros(d_out)], n, c)
+        m = VectorFieldModel([d_in, d_out], np.concatenate([w.ravel(), np.zeros(d_out)]), n, c)
         x = np.arange(6.0)
         np.testing.assert_array_equal(vf_eval(m, x, 0.9, np.ones(3)), x)
 
@@ -98,8 +99,15 @@ class TestVectorField:
         path = tmp_path / "m.json"
         m.save(path)
         loaded = VectorFieldModel.load(path)
-        x, t, c = np.ones(9), 0.3, np.zeros(5)
-        np.testing.assert_array_equal(vf_eval(m, x, t, c), vf_eval(loaded, x, t, c))
+        x = np.random.default_rng(0).normal(size=(4, m.layer_sizes[0]))
+        assert loaded.forward(x).tobytes() == m.forward(x).tobytes()
+
+    def test_create_keeps_its_draws(self):
+        # the parameters of a bench-size model, as drawn layer by layer since the first release
+        m = VectorFieldModel.create(16, 262, (64, 64), 0)
+        assert hashlib.sha256(m.get_params().tobytes()).hexdigest() == (
+            "5f4f9cb54a3b9a7ad6c3b54f9a67b50284c77e7641be1fb449845d1711454463"
+        )
 
 
 class TestReconstruct:
@@ -151,7 +159,7 @@ class TestCfmLoss:
         x0 = np.array([[0.4, -0.2, 0.1]])
         x1 = np.array([[1.0, 0.5, -0.3]])
         u = x0 - x1
-        m = VectorFieldModel([d_in, d_out], [np.zeros((d_in, d_out))], [u[0].copy()], n, c)
+        m = VectorFieldModel([d_in, d_out], np.concatenate([np.zeros(d_in * d_out), u[0]]), n, c)
         loss, _ = flow_loss_at(m, x1, np.zeros((1, 2)), np.array([0.6]), x0)
         assert loss == pytest.approx(0.0, abs=1e-30)
 
@@ -364,10 +372,22 @@ class TestSample:
         np.testing.assert_array_equal(a.actions.steps, b.actions.steps)
 
     def test_poses_consistent_with_actions(self):
+        # a plan's poses are the recurrence the loss and the rollouts integrate
+        # with: x and y to the bit, and each heading wrapped as a Pose2 holds it
         m = VectorFieldModel.create(3, 2, hidden=(8,), seed=1)
-        plan = sample(m, np.zeros(2), 10, np.random.default_rng(1), start=Pose2(1, 2, 0.3))
-        rebuilt = actions_to_poses(plan.actions, Pose2(1, 2, 0.3))
-        np.testing.assert_allclose(plan.poses.as_array(), rebuilt.as_array())
+        m.params *= 4.0  # turns of a few radians, so headings leave (-pi, pi]
+        rng = np.random.default_rng(2)
+        unwrapped = 0
+        for i in range(20):
+            start = Pose2(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-math.pi, math.pi))
+            plan = sample(m, rng.normal(size=2), 10, np.random.default_rng(i), start=start)
+            assert plan.poses[0] is start and len(plan.poses) == 4
+            want = poses_from_actions(plan.actions.steps[None], np.array([start.as_tuple()]))[0][0]
+            got = plan.poses.as_array()
+            assert got[:, :2].tobytes() == want[:, :2].tobytes()
+            assert got[:, 2].tolist() == [wrap_angle(th) for th in want[:, 2]]
+            unwrapped += int((np.abs(want[:, 2]) > math.pi).sum())
+        assert unwrapped > 0
 
 
 class TestCollision:
@@ -660,7 +680,7 @@ def test_pose_recurrence_and_adjoint_match_the_step_loops(n, b):
         starts[:, 2] *= scale
         if trial == 3:
             starts[:] = -0.0
-        poses = planner._poses_from_actions(actions, starts)[0]
+        poses = poses_from_actions(actions, starts)[0]
         assert poses.tobytes() == ref_poses_from_actions(actions, starts).tobytes()
         far = max(far, np.abs(poses[..., 2]).max())
         fields = random_fields(rng, b)
@@ -790,10 +810,13 @@ def test_forward_matches_the_cached_pass_bit_for_bit(n_actions, cond_dim, hidden
 
 
 def shares_params(model):
-    """Whether every layer's weights and biases are views into model.params."""
+    """Whether every layer's weights and biases are views into model.params,
+    which starts on a 64-byte boundary."""
     return all(
         np.shares_memory(p, model.params) for p in (*model.weights, *model.biases)
-    ) and model.param_count == sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+    ) and model.param_count == sum(w.size + b.size for w, b in zip(model.weights, model.biases)) and (
+        model.params.ctypes.data % 64 == 0
+    )
 
 
 def ref_backward(model, acts, dout):
@@ -841,12 +864,14 @@ class TestFlatParams:
     def test_constructor_checks_layer_shapes(self):
         n, c = 2, 3
         d_in, d_out = 3 * n + 1 + c, 3 * n
-        with pytest.raises(ShapeMismatchError):
-            VectorFieldModel([d_in, d_out], [np.zeros((d_out, d_in))], [np.zeros(d_out)], n, c)
-        with pytest.raises(ShapeMismatchError):
-            VectorFieldModel([d_in, d_out], [np.zeros((d_in, d_out))], [np.zeros(1)], n, c)
-        with pytest.raises(ShapeMismatchError):
-            VectorFieldModel([d_in, d_out], [], [], n, c)
+        count = (d_in + 1) * d_out
+        VectorFieldModel([d_in, d_out], np.zeros(count), n, c)
+        for params in (np.zeros(count - 1), np.zeros(count + 1), np.zeros((d_out, d_in + 1)), []):
+            with pytest.raises(ShapeMismatchError):
+                VectorFieldModel([d_in, d_out], params, n, c)
+        for sizes in ([d_in + 1, d_out], [d_in, d_out + 1]):
+            with pytest.raises(ShapeMismatchError):
+                VectorFieldModel(sizes, np.zeros((sizes[0] + 1) * sizes[1]), n, c)
 
     @pytest.mark.parametrize("hidden", [(), (8,), (16, 8, 4)])
     def test_backward_matches_per_layer_concatenation(self, hidden):

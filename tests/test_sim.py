@@ -19,7 +19,6 @@ from astra_nav.esdf import Grid, make_mask, mask_esdf, sample_bilinear
 from astra_nav.geom import (
     Pose2,
     PoseTrajectory,
-    actions_to_poses,
     compose_se2,
     compose_xyt,
     poses_to_actions,
@@ -755,8 +754,8 @@ def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch)
 
 def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_condition, seed,
                          footprint_radius=0.3, max_step=0.25, euler_steps=20):
-    """Rollouts one at a time: a sample, its pose trajectory and a collision check each;
-    returns the summary and every rollout's collision flag."""
+    """Rollouts one at a time: a sample from the condition's start and a collision
+    check of its poses each; returns the summary and every rollout's collision flag."""
     conditions = sim.build_planning_dataset(worlds, n_conditions_per_world, n_actions=model.n_actions,
                                             seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -764,9 +763,8 @@ def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_con
     for cond_sample in conditions:
         dist = worlds[cond_sample.world_index].dist_field()
         for _ in range(rollouts_per_condition):
-            plan = planner.sample(model, cond_sample.condition, euler_steps, rng)
-            poses = actions_to_poses(plan.actions, cond_sample.start)
-            flags.append(planner.collision_check(poses, None, footprint_radius, dist))
+            plan = planner.sample(model, cond_sample.condition, euler_steps, rng, cond_sample.start)
+            flags.append(planner.collision_check(plan.poses, None, footprint_radius, dist))
             velocities.append(plan.mean_step / max_step)
     summary = {
         "rollouts": len(flags),
@@ -1935,6 +1933,7 @@ def test_model_cycle_builds_one_pose_per_plan_pose(worlds48, eval_model, monkeyp
     monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
     monkeypatch.setattr(sim, "plan_sample", tracked_sample)
     monkeypatch.setattr(geom, "Pose2", CountingPose2)
+    monkeypatch.setattr(planner, "Pose2", CountingPose2)
     monkeypatch.setattr(sim, "Pose2", CountingPose2)
     report = sim.run_episode(world, goal, config, eval_model, seed=5, start=start)
     calls = report.planner_calls
@@ -1944,9 +1943,10 @@ def test_model_cycle_builds_one_pose_per_plan_pose(worlds48, eval_model, monkeyp
     # one estimate at set-up; per cycle the subgoal in the ego frame, the plan and two
     # poses at its end; one true pose per fix after the first, which takes the start
     assert counts["Pose2"] == 1 + calls * (n + 1 + 2) + counts["fixes"] - 1
-    # one lean pass per Euler step, and the node path's arc lengths once per episode
+    # one pass per Euler step, each the one layer loop, and the node path's arc
+    # lengths once per episode
     assert counts["forward"] == sim._EULER_STEPS * calls
-    assert counts["forward_cached"] == 0
+    assert counts["forward_cached"] == counts["forward"]
     assert counts["arc_lengths"] == 1
 
 
