@@ -153,11 +153,12 @@ def _covis(doc):
 
 
 def _coarse_output(pred):
+    extra = PoseTrajectory.from_jsonable(pred.get("extra_poses", []))
     output = rewards.CoarseOutput(
         bool(pred.get("format_valid", False)),
         {rewards.canonical_landmark(c, dict(a)) for c, a in pred.get("landmarks", [])},
         set(pred.get("ids", [])),
-        list(PoseTrajectory.from_jsonable(pred.get("extra_poses", [])).poses),
+        [extra[i] for i in range(len(extra))],
     )
     return output, _covis(pred)
 

@@ -1,8 +1,8 @@
-"""Planar (SE2) pose algebra and trajectory conversions.
+"""Planar (SE2) pose algebra and pose trajectories.
 
 An action trajectory is a sequence of relative increments
-(dx_k, dy_k, dtheta_k); the matching pose trajectory is obtained by the
-recurrence
+(dx_k, dy_k, dtheta_k), held as an (n, 3) array; the matching pose
+trajectory is obtained by the recurrence
 
     [x_k]   [x_{k-1}]   [cos th_{k-1}  -sin th_{k-1}] [dx_k]
     [y_k] = [y_{k-1}] + [sin th_{k-1}   cos th_{k-1}] [dy_k]
@@ -10,14 +10,16 @@ recurrence
 
 Convention: x forward, y left, theta counter-clockwise. A `Pose2` holds its
 heading wrapped to (-pi, pi], and the pose algebra wraps after every
-composition.
+composition. A `PoseTrajectory` holds its poses as one read-only (n+1, 3)
+array of [x, y, theta] rows, headings wrapped the same way, bit for bit;
+indexing it builds the one `Pose2` asked for.
 
 The pose algebra is written once, on plain floats (`inverse_xyt`,
-`compose_xyt`, `relative_xyt`); `compose_se2` and `relative_pose` wrap their
-results in a `Pose2`, and a loop that keeps its poses as floats calls the
-float forms directly. Each returns its heading wrapped, and `wrap_angle`
-returns every value it has wrapped unchanged, so a `Pose2` built from their
-output holds the same bits.
+`compose_xyt`, `relative_xyt`); `relative_pose` wraps its result in a
+`Pose2`, and a loop that keeps its poses as floats calls the float forms
+directly. Each returns its heading wrapped, and `wrap_angle` returns every
+value it has wrapped unchanged, so a `Pose2` built from their output holds
+the same bits.
 
 The recurrence from actions to poses is written once, batched
 (`poses_from_actions`): a plan's poses, the planning loss and the open-loop
@@ -33,7 +35,7 @@ sum of [y_0, s dx_1, c dy_1, ...] the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +69,6 @@ class Pose2:
             raise ValueError(f"a pose must be three finite numbers [x, y, theta], got {value!r}")
         return cls(*value)
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.theta)
 
@@ -96,78 +95,62 @@ def relative_xyt(ax: float, ay: float, ath: float, bx: float, by: float,
     return compose_xyt(*inverse_xyt(ax, ay, ath), bx, by, bth)
 
 
-def compose_se2(a: Pose2, b: Pose2) -> Pose2:
-    """Compose two planar poses: rotate b's translation by a.theta, add, sum headings."""
-    return Pose2(*compose_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
-
-
 def relative_pose(a: Pose2, b: Pose2) -> Pose2:
     """b expressed in the frame of a, i.e. a^-1 (+) b."""
     return Pose2(*relative_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
 
 
-@dataclass(frozen=True)
-class ActionTrajectory:
-    """Ordered relative increments, stored as an (n, 3) float array."""
-
-    steps: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-
-    def __post_init__(self):
-        arr = np.asarray(self.steps, dtype=float).reshape(-1, 3)
-        if arr.size and not np.isfinite(arr).all():
-            raise ValueError("action trajectory contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "steps", arr)
-
-    def __len__(self) -> int:
-        return self.steps.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ActionTrajectory) and np.array_equal(self.steps, other.steps)
-
-    def to_jsonable(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.steps]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "ActionTrajectory":
-        return cls(np.asarray(data, dtype=float).reshape(-1, 3))
-
-
-@dataclass(frozen=True)
 class PoseTrajectory:
-    """Ordered poses, length n+1 for n actions; poses[0] is the start pose."""
+    """Ordered poses, n+1 for n actions, the start pose first, held as one
+    read-only (n+1, 3) float array of [x, y, theta] rows.
 
-    poses: tuple[Pose2, ...]
+    The rows are copied and their headings wrapped to (-pi, pi]: the
+    remainder modulo 2 pi, less 2 pi where it exceeds pi, which is
+    `wrap_angle` to the bit (a heading that is already wrapped keeps its
+    bits). Indexing with an int builds that row's `Pose2`."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "poses", tuple(self.poses))
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        arr = np.array(rows, dtype=float).reshape(-1, 3)
+        with np.errstate(invalid="ignore"):  # a non-finite heading wraps to nan, as in `wrap_angle`
+            theta = np.remainder(arr[:, 2], _TWO_PI)
+        theta[theta > math.pi] -= _TWO_PI
+        arr[:, 2] = theta
+        arr.setflags(write=False)
+        object.__setattr__(self, "_rows", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self._rows)
 
-    def __getitem__(self, i):
-        return self.poses[i]
+    def __getitem__(self, i: int) -> Pose2:
+        return Pose2(*self._rows[i].tolist())
 
     def as_array(self) -> np.ndarray:
-        """(n+1, 3) array of [x, y, theta] rows."""
-        return np.array([[p.x, p.y, p.theta] for p in self.poses]).reshape(-1, 3)
+        """The (n+1, 3) read-only array of [x, y, theta] rows itself."""
+        return self._rows
 
     def path_length(self) -> float:
-        xy = self.as_array()[:, :2]
-        if len(xy) < 2:
+        if len(self._rows) < 2:
             return 0.0
-        return float(np.sum(np.hypot(*np.diff(xy, axis=0).T)))
+        return float(np.sum(np.hypot(*np.diff(self._rows[:, :2], axis=0).T)))
 
     def to_jsonable(self) -> list[list[float]]:
-        return [[p.x, p.y, p.theta] for p in self.poses]
+        return self._rows.tolist()
 
     @classmethod
     def from_jsonable(cls, data) -> "PoseTrajectory":
-        """A JSON list of poses, each checked by `Pose2.from_jsonable`. Anything
-        else raises ValueError."""
+        """A JSON list of poses, each three finite numbers [x, y, theta].
+        Anything else raises ValueError."""
         if not isinstance(data, list):
             raise ValueError(f"expected a list of poses, got {data!r}")
-        return cls(tuple(map(Pose2.from_jsonable, data)))
+        for value in data:
+            if not is_finite_triple(value):
+                raise ValueError(f"a pose must be three finite numbers [x, y, theta], got {value!r}")
+        return cls(data)
 
 
 def poses_from_actions(actions: np.ndarray, starts: np.ndarray):
@@ -200,12 +183,12 @@ def poses_from_actions(actions: np.ndarray, starts: np.ndarray):
     return poses, c, s
 
 
-def poses_to_actions(poses: PoseTrajectory) -> ActionTrajectory:
-    """Invert the recurrence: per-step increments in the previous pose's
-    frame, `relative_xyt` on the poses' floats (the bits of `relative_pose`,
-    whose `Pose2` keeps the wrapped heading as it is)."""
+def poses_to_actions(poses: PoseTrajectory) -> np.ndarray:
+    """Invert the recurrence: the (n, 3) per-step increments, each in the
+    previous pose's frame, `relative_xyt` on the rows' floats (the bits of
+    `relative_pose`, whose `Pose2` keeps the wrapped heading as it is)."""
     if len(poses) == 0:
         raise ValueError("pose trajectory must contain at least the start pose")
-    xyt = [p.as_tuple() for p in poses.poses]
+    xyt = poses.as_array().tolist()
     steps = [relative_xyt(*a, *b) for a, b in zip(xyt, xyt[1:])]
-    return ActionTrajectory(np.array(steps, dtype=float).reshape(-1, 3))
+    return np.array(steps, dtype=float).reshape(-1, 3)

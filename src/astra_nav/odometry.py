@@ -2,7 +2,8 @@
 
 Wheel, gyro, and visual-odometry increments are fused by weighted
 averaging with renormalization over the sources present, and fused
-increments are folded into a trajectory by SE(2) composition.
+increments are folded into a trajectory by SE(2) composition on plain
+floats (`compose_xyt`), each increment's heading wrapped first.
 
 Metrics follow the usual trajectory-evaluation triple:
   ATE  root-mean-square positional error, no alignment;
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AstraError, check_fields
-from .geom import Pose2, PoseTrajectory, compose_se2, wrap_angle
+from .geom import Pose2, PoseTrajectory, compose_xyt, wrap_angle
 
 
 class OdometryError(AstraError):
@@ -93,12 +94,13 @@ def fuse_increment(
 def dead_reckon(
     increments: list[SensorIncrement], start: Pose2, weights: FusionWeights | None = None
 ) -> PoseTrajectory:
-    """Fold fused increments through pose composition from the start pose."""
-    poses = [start]
+    """Fold fused increments through pose composition from the start pose,
+    each increment's heading wrapped before it is composed."""
+    poses = [start.as_tuple()]
     for inc in increments:
         dx, dy, dth = fuse_increment(inc, weights)
-        poses.append(compose_se2(poses[-1], Pose2(dx, dy, dth)))
-    return PoseTrajectory(tuple(poses))
+        poses.append(compose_xyt(*poses[-1], dx, dy, wrap_angle(dth)))
+    return PoseTrajectory(poses)
 
 
 def _segment_ends(cum: np.ndarray, length: float) -> list[tuple[int, int]]:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import AstraError, check_fields, is_finite_number, read_json
 from .esdf import Grid, _bilinear, edt, sample_bilinear, stack_fields
-from .geom import ActionTrajectory, Pose2, PoseTrajectory, poses_from_actions
+from .geom import Pose2, PoseTrajectory, poses_from_actions
 
 
 class PlannerError(AstraError):
@@ -496,10 +496,10 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
 
 @dataclass
 class PlanSample:
-    """A sampled plan: its actions and the n+1 poses they integrate to from
-    the start, the start itself first (`sample`)."""
+    """A sampled plan: its (n, 3) actions and the n+1 poses they integrate
+    to from the start, the start first (`sample`)."""
 
-    actions: ActionTrajectory
+    actions: np.ndarray
     poses: PoseTrajectory
 
     @property
@@ -508,11 +508,11 @@ class PlanSample:
         as the navigation loop never reads it."""
         if not len(self.actions):
             return 0.0
-        return float(np.hypot(self.actions.steps[:, 0], self.actions.steps[:, 1]).mean())
+        return float(np.hypot(self.actions[:, 0], self.actions[:, 1]).mean())
 
     def to_jsonable(self) -> dict:
         return {
-            "actions": self.actions.to_jsonable(),
+            "actions": self.actions.tolist(),
             "poses": self.poses.to_jsonable(),
             "mean_step": self.mean_step,
         }
@@ -548,13 +548,12 @@ def sample(
 ) -> PlanSample:
     """Draw one trajectory by Euler integration from noise at t=1 down to t=0.
 
-    Its poses are `start` itself, then one `Pose2` per row of
-    `poses_from_actions` on the actions, the recurrence the loss and the
-    open-loop rollouts integrate with; each `Pose2` wraps its heading."""
+    Its poses are the rows of `poses_from_actions` on the actions from
+    `start`, the recurrence the loss and the open-loop rollouts integrate
+    with, their headings wrapped by `PoseTrajectory`."""
     actions = sample_actions(model, condition, steps, rng)
-    rows = poses_from_actions(actions, np.array([start.as_tuple()]))[0][0, 1:]
-    poses = PoseTrajectory((start, *(Pose2(*row) for row in rows.tolist())))
-    return PlanSample(ActionTrajectory(actions[0]), poses)
+    poses = poses_from_actions(actions, np.array([start.as_tuple()]))[0][0]
+    return PlanSample(actions[0], PoseTrajectory(poses))
 
 
 def distance_field(grid: Grid) -> Grid:

@@ -452,6 +452,14 @@ _MOVES = [
 ]
 
 
+def _in_cells(grid: Grid, x: float, y: float) -> bool:
+    """Whether (x, y) lies in the grid's cell area: no farther than half a
+    cell from the centers of its edge cells. False for a non-finite point."""
+    half, (ox, oy) = grid.resolution / 2.0, grid.origin
+    return (ox - half <= x <= ox - half + grid.width * grid.resolution
+            and oy - half <= y <= oy - half + grid.height * grid.resolution)
+
+
 def _to_cell(grid2: Grid, x: float, y: float) -> tuple[int, int]:
     c = int(round((x - grid2.origin[0]) / grid2.resolution))
     r = int(round((y - grid2.origin[1]) / grid2.resolution))
@@ -630,13 +638,12 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2) -> PoseTrajectory:
         keep.append(j)
         i = j
     smooth = pts[keep]
-    dense = resample_polyline(smooth, _MAX_STEP)
-    poses = [start]
-    for k in range(1, len(dense)):
-        dx, dy = dense[k] - dense[k - 1]
-        heading = math.atan2(dy, dx) if (dx or dy) else poses[-1].theta
-        poses.append(Pose2(dense[k][0], dense[k][1], heading))
-    return PoseTrajectory(tuple(poses))
+    dense = resample_polyline(smooth, _MAX_STEP).tolist()
+    rows = [start.as_tuple()]
+    for (px, py), (x, y) in zip(dense, dense[1:]):
+        dx, dy = x - px, y - py
+        rows.append((x, y, math.atan2(dy, dx) if (dx or dy) else rows[-1][2]))
+    return PoseTrajectory(rows)
 
 
 def _nearest_index(xy: np.ndarray, current: Pose2, lowest: int) -> int:
@@ -791,32 +798,26 @@ class _ExpertPath:
 
     def __init__(self, world: World, goal: Pose2, path: PoseTrajectory):
         self.world, self.goal = world, goal
-        self._follow(path.poses)
+        self._follow(path)
 
-    def _follow(self, poses: tuple[Pose2, ...]) -> None:
-        self.poses = poses
-        self.xy = np.array([(p.x, p.y) for p in poses])
-        self.index = 0
+    def _follow(self, path: PoseTrajectory) -> None:
+        self.rows, self.index = path.as_array(), 0
 
     def actions(self, est: Pose2) -> list[tuple[float, float, float]]:
         """The increments (dx, dy, dtheta) from the estimate to the first
         following pose and from each following pose to the next, as
         `relative_pose` computes them. Raises UnreachableError when a
         re-plan finds no path."""
-        self.index = _nearest_index(self.xy[: self.index + 2 * _EXECUTE_STEPS + 1], est, self.index)
-        x, y = self.xy[self.index]
+        self.index = _nearest_index(self.rows[: self.index + 2 * _EXECUTE_STEPS + 1], est, self.index)
+        x, y, _ = self.rows[self.index]
         off = math.hypot(x - est.x, y - est.y)
-        if off > _SAFETY_MARGIN or self.index == len(self.poses) - 1:
+        if off > _SAFETY_MARGIN or self.index == len(self.rows) - 1:
             log.debug("expert re-plans on %s, %.3f m from the path",
                       "deviation" if off > _SAFETY_MARGIN else "path end", off)
             ref = oracle_plan(self.world, est, self.goal)
-            self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
-        rows = []
-        a = est
-        for b in self.poses[self.index + 1 : self.index + 1 + _EXECUTE_STEPS]:
-            rows.append(relative_xyt(a.x, a.y, a.theta, b.x, b.y, b.theta))
-            a = b
-        return rows
+            self._follow(ref if len(ref) > 1 else PoseTrajectory([est.as_tuple(), self.goal.as_tuple()]))
+        following = self.rows[self.index + 1 : self.index + 1 + _EXECUTE_STEPS].tolist()
+        return [relative_xyt(*a, *b) for a, b in zip([est.as_tuple()] + following, following)]
 
 
 class _LearnedPlanner:
@@ -826,8 +827,8 @@ class _LearnedPlanner:
     Each call moves the progress index to the nearest row from the last one
     on, so it never moves back, and takes the subgoal with one binary search
     of the arc lengths (`_lookahead_index`). It builds one `Pose2` for the
-    subgoal in the ego frame, the condition, and a plan of `_EULER_STEPS`
-    forward passes and one `Pose2` per action.
+    subgoal, one for the subgoal in the ego frame, the condition, and a plan
+    of `_EULER_STEPS` forward passes whose poses are one array.
     """
 
     def __init__(self, world: World, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
@@ -850,7 +851,7 @@ class _LearnedPlanner:
         if collision_check(plan.poses, None, _FOOTPRINT_RADIUS, world.dist_field()) and self.fallback:
             report.fallback_count += 1
             return None
-        return plan.actions.steps[:_EXECUTE_STEPS].tolist()
+        return plan.actions[:_EXECUTE_STEPS].tolist()
 
 
 @dataclass
@@ -1005,8 +1006,12 @@ def run_episode(
     start is given, then locates the goal, takes a first global fix, checks
     that the start and goal nodes are connected (the learned planner takes
     the node path itself) and plans the expert's reference path, which sets
-    the step budget; control cycles (`step`) run until the episode ends."""
+    the step budget; control cycles (`step`) run until the episode ends.
+    Raises SimError when a given start or the goal pose lies outside the
+    world's grid cells."""
     rng = np.random.default_rng(seed)
+    if start is not None and not _in_cells(world.grid, start.x, start.y):
+        raise SimError(f"start pose {list(start.as_tuple())} lies outside the world's grid")
     if start is None:
         sx, sy = world.start_xy[int(rng.integers(len(world.start_xy)))]
         start = Pose2(sx, sy, float(rng.uniform(-math.pi, math.pi)))
@@ -1018,6 +1023,8 @@ def run_episode(
             return EpisodeReport(False, "localization-fail")
     else:
         goal_pose = goal
+    if not _in_cells(world.grid, goal_pose.x, goal_pose.y):
+        raise SimError(f"goal pose {list(goal_pose.as_tuple())} lies outside the world's grid")
 
     fix = _global_fix(world, start, radius=0.51)
     if fix is None:
@@ -1035,8 +1042,9 @@ def run_episode(
         node_path = world.map.shortest_path(start_node, goal_node)
         if not node_path:
             return EpisodeReport(False, "stuck")
-        nodes = tuple(world.map.nodes[nid].pose.planar() for nid in node_path)
-        learned = _LearnedPlanner(world, model, PoseTrajectory(nodes + (goal_pose,)), config.fallback)
+        rows = [world.map.nodes[nid].pose.planar().as_tuple() for nid in node_path]
+        rows.append(goal_pose.as_tuple())
+        learned = _LearnedPlanner(world, model, PoseTrajectory(rows), config.fallback)
     elif not world.map.connected(start_node, goal_node):
         return EpisodeReport(False, "stuck")
 
@@ -1146,7 +1154,7 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
             cum = _arc_lengths(arr)
             stride = max(1, n_actions // 2)
             for lo in range(0, len(arr) - n_actions - 1, stride):
-                window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
+                window = PoseTrajectory(arr[lo : lo + n_actions + 1])
                 start_pose = window[0]
                 subgoal = path[_lookahead_index(cum, _nearest_index(arr, start_pose, 0), _LOOKAHEAD)]
                 prev_len = (
@@ -1176,7 +1184,7 @@ def build_planning_dataset(
         mask = make_mask(window, phi, TrainConfig.mask_dilation)
         dataset.append(
             PlanningSample(
-                poses_to_actions(window).steps,
+                poses_to_actions(window),
                 cond,
                 window[0],
                 mask_esdf(phi, mask, TrainConfig.mask_alpha),
@@ -1310,8 +1318,13 @@ def load_world(world_dir) -> World:
     meta_path = os.path.join(world_dir, "world.json")
     meta = read_json(meta_path, SimError)
     try:
-        start_xy = [(float(x), float(y)) for x, y in meta["start_xy"]]
+        start_xy = meta["start_xy"]
         seed = meta.get("seed", 0)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise SimError(f"{meta_path}: malformed world file: {e!r}") from e
-    return World(grid, topo, start_xy, seed, source_dir=str(world_dir))
+    if not isinstance(start_xy, list) or not start_xy:
+        raise SimError(f"{meta_path}: start_xy must be a non-empty list of [x, y] points, got {start_xy!r}")
+    for p in start_xy:
+        if not (isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p)) and _in_cells(grid, *p)):
+            raise SimError(f"{meta_path}: start point {p!r} is not two finite numbers [x, y] inside the grid")
+    return World(grid, topo, [(float(x), float(y)) for x, y in start_xy], seed, source_dir=str(world_dir))

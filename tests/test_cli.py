@@ -659,6 +659,41 @@ def test_bad_world_file_exits_1(files, capsys, tmp_path, content):
     assert json.loads(err)["error"] == "SimError"
 
 
+@pytest.mark.parametrize("pose", [[1e300, 0.0, 0.0], [100.0, 100.0, 0.0]], ids=["1e300", "off-the-map"])
+def test_goal_pose_outside_the_world_exits_1(files, capsys, tmp_path, pose):
+    # the expert path ends at the goal as given, after A* has snapped it to the
+    # grid: 1e300 once raised from resample_polyline, and (100, 100) drove a
+    # 138 m path off the map and exited 0
+    path = tmp_path / "goal.json"
+    path.write_text(json.dumps({"pose": pose}))
+    code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path)
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "SimError" and "outside the world's grid" in doc["message"]
+
+
+@pytest.mark.parametrize("start_xy", [[], "nan", [[1e300, 5.0]]], ids=["empty", "nan", "outside"])
+@pytest.mark.parametrize("verb", ["run", "eval", "dataset"])
+def test_bad_start_points_exit_1(files, capsys, tmp_path, start_xy, verb):
+    # an empty list once raised from rng.integers; a NaN or far-off point exited 0
+    world_dir = tmp_path / "worlds" / "w0"
+    shutil.copytree(files["world"], world_dir)
+    doc = json.loads((world_dir / "world.json").read_text())
+    doc["start_xy"] = [[math.nan, 1.0]] + doc["start_xy"] if start_xy == "nan" else start_xy
+    (world_dir / "world.json").write_text(json.dumps(doc))
+    argv = {
+        "run": ("sim", "run", "--world", world_dir, "--goal", files["goal.json"]),
+        "eval": ("sim", "eval", "--worlds", tmp_path / "worlds", "--episodes", 2),
+        "dataset": ("sim", "dataset", "--worlds", tmp_path / "worlds", "--samples", 2,
+                    "--out", tmp_path / "data.jsonl"),
+    }[verb]
+    code, out, err = run(capsys, *argv)
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "SimError" and "world.json" in doc["message"]
+    assert not (tmp_path / "data.jsonl").exists()
+
+
 def test_odom_eval_without_ground_truth_poses_exits_1(files, capsys):
     path = files["root"] / "empty-gt.json"
     path.write_text("[]")

@@ -23,7 +23,7 @@ from astra_nav.esdf import (
     signed_esdf,
     stack_fields,
 )
-from astra_nav.geom import Pose2, PoseTrajectory, poses_to_actions
+from astra_nav.geom import PoseTrajectory, poses_to_actions
 from astra_nav.planner import PlanningSample, VectorFieldModel, planning_loss_at
 
 
@@ -165,14 +165,14 @@ class TestSignedEsdf:
 class TestMask:
     def test_zero_radius_marks_cells_on_line(self):
         geom = bin2d(np.zeros((3, 7)))
-        poses = PoseTrajectory((Pose2(0, 1, 0), Pose2(6, 1, 0)))
+        poses = PoseTrajectory([(0, 1, 0), (6, 1, 0)])
         mask = make_mask(poses, geom, 0.0)
         assert mask.values[1].all()
         assert not mask.values[0].any() and not mask.values[2].any()
 
     def test_corridor_width(self):
         geom = bin2d(np.zeros((9, 21)), res=0.25)
-        poses = PoseTrajectory((Pose2(0, 1.0, 0), Pose2(5.0, 1.0, 0)))
+        poses = PoseTrajectory([(0, 1.0, 0), (5.0, 1.0, 0)])
         mask = make_mask(poses, geom, 0.5)
         # row spacing 0.25 m: rows within 0.5 m of y=1.0 are rows 2..6 (five rows)
         marked_rows = np.nonzero(mask.values.any(axis=1))[0]
@@ -185,7 +185,7 @@ class TestMask:
 
     def test_outside_grid_warns(self, caplog):
         geom = bin2d(np.zeros((3, 3)))
-        poses = PoseTrajectory((Pose2(100, 100, 0), Pose2(101, 100, 0)))
+        poses = PoseTrajectory([(100, 100, 0), (101, 100, 0)])
         with caplog.at_level("WARNING"):
             mask = make_mask(poses, geom, 0.1)
         assert not mask.values.any()
@@ -202,7 +202,7 @@ def ref_mask_distances(gt_poses: PoseTrajectory, geometry: Grid) -> np.ndarray:
     time; inf for an empty trajectory."""
     h, w = geometry.values.shape[-2:]
     res, origin = geometry.resolution, geometry.origin
-    pts = np.asarray([[p.x, p.y] for p in gt_poses.poses]).reshape(-1, 2)
+    pts = gt_poses.as_array()[:, :2]
     if len(pts) == 0:
         return np.full((h, w), np.inf)
     gx, gy = np.meshgrid(origin[0] + np.arange(w) * res, origin[1] + np.arange(h) * res)
@@ -247,7 +247,7 @@ def mask_cases(draw):
                   st.floats(0.0, 3.0)),
         label="radius",
     )
-    poses = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
+    poses = PoseTrajectory([(x, y, 0.0) for x, y in pts])
     return bin2d(np.zeros((h, w)), res, origin), poses, radius
 
 
@@ -277,7 +277,7 @@ class TestMaskBox:
             "on-centers": [(-0.5, 0.75), (-0.5 + 0.25 * (w - 1), 0.75 + 0.25 * (h - 1))],
         }
         for pts in cases.values():
-            poses = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
+            poses = PoseTrajectory([(x, y, 0.0) for x, y in pts])
             for radius in (0.0, 0.25, 0.3, 0.5, 100.0):
                 want = ref_make_mask(poses, geom, radius)
                 assert make_mask(poses, geom, radius).values.tobytes() == want.tobytes()
@@ -288,20 +288,20 @@ class TestMaskBox:
         geom = bin2d(np.zeros((4, 4)))
         row = [1.0, 1.0, 0.0]
         row[field] = bad
-        poses = PoseTrajectory((Pose2(0.0, 0.0, 0.0), Pose2(*row)))
+        poses = PoseTrajectory([(0.0, 0.0, 0.0), row])
         with pytest.raises(ValueError):
             make_mask(poses, geom, 0.5)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.1])
     def test_dilation_must_be_finite_and_non_negative(self, radius):
         # a NaN radius once passed the `< 0` test and masked nothing
-        poses = PoseTrajectory((Pose2(0.0, 0.0, 0.0), Pose2(0.5, 0.5, 0.0)))
+        poses = PoseTrajectory([(0.0, 0.0, 0.0), (0.5, 0.5, 0.0)])
         with pytest.raises(esdf.MaskError, match="dilation radius must be finite and >= 0"):
             make_mask(poses, bin2d(np.zeros((4, 4))), radius)
 
     def test_outside_grid_still_warns_and_is_empty(self, caplog):
         geom = bin2d(np.zeros((5, 5)), 0.5)
-        poses = PoseTrajectory((Pose2(-10, -10, 0), Pose2(-9, -10, 0)))
+        poses = PoseTrajectory([(-10, -10, 0), (-9, -10, 0)])
         with caplog.at_level("WARNING"):
             mask = make_mask(poses, geom, 0.3)
         assert not mask.values.any()
@@ -343,7 +343,7 @@ class TestMaskBatchedPass:
         pts = rng.normal(0.0, 0.3, size=(600, 2)).cumsum(axis=0) + (6.0, 5.0)
         pts[200:212] = pts[200]
         pts[400:420, 0] = -3.0 + np.arange(20) * 0.1
-        return PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in pts))
+        return PoseTrajectory([(x, y, 0.0) for x, y in pts])
 
     def test_long_trajectory_matches_reference(self):
         geom = bin2d(np.zeros((90, 120)), 0.1, (-1.0, -0.5))
@@ -546,7 +546,7 @@ def traj_penalty(phi: Grid, poses: PoseTrajectory) -> float:
     At t = 0 with x0 = 0 the one-shot reconstruction is the sample's own
     actions, so the penalty is the field summed over the poses after the start.
     """
-    actions = poses_to_actions(poses).steps
+    actions = poses_to_actions(poses)
     n = len(actions)
     model = VectorFieldModel.create(n, 1, hidden=(2,), seed=0)
     sample = PlanningSample(actions, np.zeros(1), poses[0], phi)
@@ -556,23 +556,23 @@ def traj_penalty(phi: Grid, poses: PoseTrajectory) -> float:
 class TestTrajSum:
     def test_uniform_field(self):
         phi = Grid(np.full((6, 6), 1.5), 1.0)
-        poses = PoseTrajectory(tuple(Pose2(1 + k, 2, 0) for k in range(4)))
+        poses = PoseTrajectory([(1 + k, 2, 0) for k in range(4)])
         assert traj_penalty(phi, poses) == pytest.approx(3 * 1.5)
 
     def test_empty_trajectory(self):
         phi = Grid(np.full((3, 3), 2.0), 1.0)
-        assert traj_penalty(phi, PoseTrajectory((Pose2(),))) == 0.0
+        assert traj_penalty(phi, PoseTrajectory([(0.0, 0.0, 0.0)])) == 0.0
 
     def test_hand_summed(self):
         phi = Grid(np.array([[0.0, 1.0], [2.0, 3.0]]), 1.0)
-        poses = PoseTrajectory((Pose2(0, 0, 0), Pose2(0.5, 0.0, 0), Pose2(0.5, 0.5, 0), Pose2(1.0, 1.0, 0)))
+        poses = PoseTrajectory([(0, 0, 0), (0.5, 0.0, 0), (0.5, 0.5, 0), (1.0, 1.0, 0)])
         # bilinear: (0.5,0)->0.5, (0.5,0.5)->1.5, (1,1)->3
         assert traj_penalty(phi, poses) == pytest.approx(0.5 + 1.5 + 3.0)
 
     def test_linearity_in_field(self):
         rng = np.random.default_rng(5)
         phi = Grid(rng.normal(size=(8, 8)), 0.5)
-        poses = PoseTrajectory(tuple(Pose2(*rng.uniform(0.5, 3.0, 2), 0) for _ in range(5)))
+        poses = PoseTrajectory([(*rng.uniform(0.5, 3.0, 2), 0) for _ in range(5)])
         base = traj_penalty(phi, poses)
         scaled = traj_penalty(Grid(3.0 * phi.values, 0.5), poses)
         assert scaled == pytest.approx(3.0 * base)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from astra_nav import odometry
-from astra_nav.geom import Pose2, PoseTrajectory, compose_se2
+from astra_nav.geom import Pose2, PoseTrajectory, compose_xyt
 from astra_nav.odometry import (
     FusionWeights,
     OdometryError,
@@ -13,6 +13,11 @@ from astra_nav.odometry import (
     fuse_increment,
     traj_metrics,
 )
+
+
+def compose(a, b):
+    """a (+) b on `Pose2`s; b's heading is wrapped as a `Pose2` holds it."""
+    return Pose2(*compose_xyt(*a.as_tuple(), *b.as_tuple()))
 
 
 class TestFusion:
@@ -59,7 +64,20 @@ class TestDeadReckon:
     def test_empty(self):
         start = Pose2(1, 2, 0.3)
         out = dead_reckon([], start)
-        assert len(out) == 1 and out[0] is start
+        assert len(out) == 1 and out[0] == start
+
+    def test_matches_the_pose_fold_bit_for_bit(self):
+        # fused headings beyond pi: each is wrapped before it is composed
+        rng = np.random.default_rng(4)
+        incs = [SensorIncrement(wheel=tuple(w), imu_dtheta=float(i), vision=tuple(v))
+                for w, i, v in zip(rng.uniform(-4, 4, (300, 3)), rng.uniform(-6, 6, 300),
+                                   rng.uniform(-4, 4, (300, 3)))]
+        start = Pose2(0.5, -1.5, 3.0)
+        want = [start]
+        for inc in incs:
+            want.append(compose(want[-1], Pose2(*odometry.fuse_increment(inc))))
+        got = dead_reckon(incs, start).as_array()
+        assert got.tobytes() == np.array([p.as_tuple() for p in want]).tobytes()
 
     def test_straight(self):
         incs = [SensorIncrement(wheel=(1.0, 0.0, 0.0))] * 3
@@ -77,13 +95,10 @@ class TestDeadReckon:
         gt = [Pose2()]
         est_incs = []
         for k in range(n):
-            gt.append(compose_se2(gt[-1], Pose2(step, 0, dth)))
+            gt.append(compose(gt[-1], Pose2(step, 0, dth)))
             est_incs.append(SensorIncrement(wheel=(step, 0.0, dth + noises[k])))
         est = dead_reckon(est_incs, Pose2())
-        err = np.hypot(
-            est.as_array()[:, 0] - PoseTrajectory(tuple(gt)).as_array()[:, 0],
-            est.as_array()[:, 1] - PoseTrajectory(tuple(gt)).as_array()[:, 1],
-        )
+        err = np.hypot(*(est.as_array()[:, :2] - [(p.x, p.y) for p in gt]).T)
         cum_heading_err = np.abs(np.cumsum(noises)).max()
         bound = (n * step) * cum_heading_err * 1.5 + 1e-6
         assert err.max() <= bound
@@ -91,7 +106,7 @@ class TestDeadReckon:
 
 class TestMetrics:
     def straight(self, n=101, step=1.0, scale=1.0):
-        return PoseTrajectory(tuple(Pose2(i * step * scale, 0.0, 0.0) for i in range(n)))
+        return PoseTrajectory([(i * step * scale, 0.0, 0.0) for i in range(n)])
 
     def test_identical_is_zero(self):
         gt = self.straight()
@@ -100,7 +115,7 @@ class TestMetrics:
 
     def test_rigid_offset(self):
         gt = self.straight()
-        est = PoseTrajectory(tuple(Pose2(p.x + 1.0, p.y, p.theta) for p in gt.poses))
+        est = PoseTrajectory(gt.as_array() + (1.0, 0.0, 0.0))
         m = traj_metrics(est, gt)
         assert m["ate_m"] == pytest.approx(1.0)
         assert m["rte_percent"] == pytest.approx(0.0, abs=1e-12)
@@ -118,24 +133,21 @@ class TestMetrics:
             traj_metrics(self.straight(5), self.straight(6))
 
     def test_zero_length_gt(self):
-        still = PoseTrajectory((Pose2(), Pose2()))
+        still = PoseTrajectory(np.zeros((2, 3)))
         with pytest.raises(OdometryError):
             traj_metrics(still, still)
 
     def test_short_path_falls_back_to_whole_span(self):
         gt = self.straight(6, 0.5)  # 2.5 m « 10 m segment
-        est = PoseTrajectory(tuple(Pose2(p.x * 1.1, 0, 0) for p in gt.poses))
+        est = PoseTrajectory(gt.as_array() * (1.1, 0.0, 0.0))
         m = traj_metrics(est, gt)
         assert m["rte_percent"] == pytest.approx(10.0)
 
     def test_heading_error_scales_to_degrees(self):
         gt = self.straight(101, 1.0)
-        est = PoseTrajectory(
-            tuple(
-                Pose2(p.x, p.y, 0.0 if i < 50 else math.radians(2.0))
-                for i, p in enumerate(gt.poses)
-            )
-        )
+        rows = gt.as_array().copy()
+        rows[50:, 2] = math.radians(2.0)
+        est = PoseTrajectory(rows)
         m = traj_metrics(est, gt)
         # segments spanning index 50 see a 2 degree relative heading error per 10 m
         assert 0.0 < m["rre_deg_per_10m"] <= 2.0
@@ -155,7 +167,7 @@ class TestFusedBeatsSingles:
             actions = [(0.2, 0.0, dth)] * seg_steps
             gt = [Pose2()]
             for a in actions:
-                gt.append(compose_se2(gt[-1], Pose2(*a)))
+                gt.append(compose(gt[-1], Pose2(*a)))
             gt_xy = np.array([[p.x, p.y] for p in gt])
             wheel_noise = rng.normal(0, sigma, seg_steps)
             imu_noise = rng.normal(0, sigma, seg_steps)

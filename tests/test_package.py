@@ -1,6 +1,6 @@
-"""Package guards: numpy is the only third-party import, and every public
-module-level name and every public method of a public class has a caller in
-the library or the benchmark."""
+"""Package guards: numpy is the only third-party import, every import is
+read by its module, and every public module-level name and every public
+method of a public class has a caller in the library or the benchmark."""
 
 import ast
 import pathlib
@@ -37,6 +37,31 @@ def test_imports_are_stdlib_numpy_or_the_package():
                 if top not in sys.stdlib_module_names and top not in ALLOWED_IMPORTS:
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+# Imported names that their module never reads, each with why it stays.
+UNREAD_IMPORTS = {
+    **{f"__init__.{name}": "the package re-exports its modules and base error"
+       for name in ("esdf", "geom", "localization", "odometry", "planner", "rewards", "sim",
+                    "topomap", "AstraError")},
+    "sim.fuse_increment": "bench/workloads.py traces `sim.fuse_increment`; the loop fuses "
+    "with `fuse_sources`",
+}
+
+
+def test_every_import_is_read():
+    unread = set()
+    for path, tree in parsed(sorted(PACKAGE.glob("*.py"))).items():
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unread |= {f"{path.stem}.{name}" for name in imported if name not in read}
+    assert unread == set(UNREAD_IMPORTS)
 
 
 def public_definitions(tree):

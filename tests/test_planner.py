@@ -312,7 +312,7 @@ class TestTrain:
         draws = [
             sample(model, cond, steps=40, rng=np.random.default_rng(s)) for s in range(6)
         ]
-        err = np.stack([d.actions.steps - target for d in draws])
+        err = np.stack([d.actions - target for d in draws])
         assert np.abs(err).max() < 0.05
 
     def test_empty_dataset(self):
@@ -353,7 +353,7 @@ class TestSample:
         field = _TrueField(x1)
         for steps in (1, 5, 20):
             plan = sample(field, np.zeros(1), steps, np.random.default_rng(3))
-            np.testing.assert_allclose(plan.actions.steps.ravel(), x1, atol=1e-12)
+            np.testing.assert_allclose(plan.actions.ravel(), x1, atol=1e-12)
 
     def test_one_step_equals_reconstruct_from_noise(self):
         m = VectorFieldModel.create(2, 3, hidden=(8,), seed=4)
@@ -362,14 +362,14 @@ class TestSample:
         v = vf_eval(m, noise, 1.0, cond)
         expect = reconstruct(noise, 1.0, v)
         plan = sample(m, cond, steps=1, rng=np.random.default_rng(7))
-        np.testing.assert_allclose(plan.actions.steps.ravel(), expect, atol=1e-15)
+        np.testing.assert_allclose(plan.actions.ravel(), expect, atol=1e-15)
 
     def test_fixed_rng_reproducible(self):
         m = VectorFieldModel.create(2, 3, hidden=(8,), seed=4)
         cond = np.zeros(3)
         a = sample(m, cond, 20, np.random.default_rng(5))
         b = sample(m, cond, 20, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.actions.steps, b.actions.steps)
+        np.testing.assert_array_equal(a.actions, b.actions)
 
     def test_poses_consistent_with_actions(self):
         # a plan's poses are the recurrence the loss and the rollouts integrate
@@ -381,8 +381,8 @@ class TestSample:
         for i in range(20):
             start = Pose2(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-math.pi, math.pi))
             plan = sample(m, rng.normal(size=2), 10, np.random.default_rng(i), start=start)
-            assert plan.poses[0] is start and len(plan.poses) == 4
-            want = poses_from_actions(plan.actions.steps[None], np.array([start.as_tuple()]))[0][0]
+            assert plan.poses[0] == start and len(plan.poses) == 4
+            want = poses_from_actions(plan.actions[None], np.array([start.as_tuple()]))[0][0]
             got = plan.poses.as_array()
             assert got[:, :2].tobytes() == want[:, :2].tobytes()
             assert got[:, 2].tolist() == [wrap_angle(th) for th in want[:, 2]]
@@ -398,23 +398,23 @@ class TestCollision:
 
     def test_empty_grid_never_collides(self):
         grid = Grid(np.zeros((5, 5), bool), 0.2)
-        poses = PoseTrajectory((Pose2(0.4, 0.4, 0),))
+        poses = PoseTrajectory([(0.4, 0.4, 0)])
         assert collision_check(poses, grid, 0.3) is False
 
     def test_pose_on_obstacle(self):
-        poses = PoseTrajectory((Pose2(0.8, 0.8, 0),))
+        poses = PoseTrajectory([(0.8, 0.8, 0)])
         assert collision_check(poses, self.grid(), 0.3) is True
 
     def test_radius_threshold(self):
         # obstacle cell center at (0.8, 0.8); pose 0.4 m away on a cell center
-        poses = PoseTrajectory((Pose2(1.2, 0.8, 0),))
+        poses = PoseTrajectory([(1.2, 0.8, 0)])
         assert collision_check(poses, self.grid(), 0.3) is False
         assert collision_check(poses, self.grid(), 0.5) is True
 
     def test_precomputed_field(self):
         grid = self.grid()
         dist = distance_field(grid)
-        poses = PoseTrajectory((Pose2(0.8, 0.8, 0),))
+        poses = PoseTrajectory([(0.8, 0.8, 0)])
         assert collision_check(poses, None, 0.3, dist) is True
 
 
@@ -743,7 +743,7 @@ def test_batched_sampler_matches_sequential_samples():
     for k in (1, 2, 7):
         rows = sample_actions(m, cond, 20, np.random.default_rng(k), k)
         rng = np.random.default_rng(k)
-        seq = np.stack([sample(m, cond, 20, rng).actions.steps for _ in range(k)])
+        seq = np.stack([sample(m, cond, 20, rng).actions for _ in range(k)])
         assert rows.shape == (k, 4, 3)
         np.testing.assert_allclose(rows, seq, rtol=0, atol=1e-12)
         if k == 1:

@@ -19,7 +19,6 @@ from astra_nav.esdf import Grid, make_mask, mask_esdf, sample_bilinear
 from astra_nav.geom import (
     Pose2,
     PoseTrajectory,
-    compose_se2,
     compose_xyt,
     poses_to_actions,
     relative_pose,
@@ -27,6 +26,11 @@ from astra_nav.geom import (
 )
 from astra_nav.odometry import DEFAULT_WEIGHTS, SensorIncrement, fuse_increment, fuse_sources
 from astra_nav.topomap import Landmark
+
+
+def compose(a, b):
+    """a (+) b on `Pose2`s; b's heading is wrapped as a `Pose2` holds it."""
+    return Pose2(*compose_xyt(*a.as_tuple(), *b.as_tuple()))
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +242,7 @@ def ref_oracle_plan(world, start, goal, footprint_radius=0.3, step=0.25, safety_
         dx, dy = dense[k] - dense[k - 1]
         heading = math.atan2(dy, dx) if (dx or dy) else poses[-1].theta
         poses.append(Pose2(dense[k][0], dense[k][1], heading))
-    return PoseTrajectory(tuple(poses))
+    return PoseTrajectory([p.as_tuple() for p in poses])
 
 
 def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
@@ -793,7 +797,7 @@ def test_split_action_turns_in_shares(heading):
         scale = min(1.0, 0.25 / math.hypot(dx, dy)) if dx or dy else 1.0
         got = Pose2()
         for step in steps:
-            got = compose_se2(got, Pose2(*step))
+            got = compose(got, Pose2(*step))
         assert abs(got.x - dx * scale) < 1e-12 and abs(got.y - dy * scale) < 1e-12
         assert abs(math.remainder(got.theta - heading, 2 * math.pi)) < 1e-12
 
@@ -924,7 +928,7 @@ def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
                 continue
             arr = path.as_array()
             for lo in range(0, len(arr) - n_actions - 1, max(1, n_actions // 2)):
-                window = PoseTrajectory(tuple(path[lo : lo + n_actions + 1]))
+                window = PoseTrajectory([path[k].as_tuple() for k in range(lo, lo + n_actions + 1)])
                 start = window[0]
                 prev_len = math.hypot(*(arr[lo][:2] - arr[lo - 1][:2])) if lo > 0 else 0.0
                 cond = planner.PlanningCondition(
@@ -934,7 +938,7 @@ def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
                 )
                 masked = mask_esdf(phi, make_mask(window, phi, mask_dilation), mask_alpha)
                 dataset.append(planner.PlanningSample(
-                    poses_to_actions(window).steps, cond, start, masked, None,
+                    poses_to_actions(window), cond, start, masked, None,
                     window.to_jsonable(), wi,
                 ))
                 collected += 1
@@ -1159,6 +1163,13 @@ def test_noise_free_expert_plans_once_per_episode(worlds48, monkeypatch):
     assert len(calls) == 9
 
 
+def test_start_outside_the_world_raises(world):
+    goal = Pose2(*world.start_xy[0], 0.0)
+    for x, y in [(-1.0, 2.0), (2.0, 6.5), (math.inf, 2.0), (math.nan, 2.0)]:
+        with pytest.raises(sim.SimError, match="start pose"):
+            sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), start=Pose2(x, y, 0.0))
+
+
 def test_expert_path_replans_only_on_events(worlds48):
     world = worlds48[0]
     (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
@@ -1168,26 +1179,26 @@ def test_expert_path_replans_only_on_events(worlds48):
     # on the path: no re-plan, the next execute_steps poses from the estimate
     est = ref[6]
     actions = expert.actions(Pose2(est.x + 0.1, est.y, est.theta))
-    assert expert.poses == ref.poses and expert.index == 6
+    assert expert.rows is ref.as_array() and expert.index == 6
     assert len(actions) == sim._EXECUTE_STEPS
     # the index never moves back, even where the estimate does: halfway back to pose 5
     expert.actions(Pose2((ref[5].x + ref[6].x) / 2, (ref[5].y + ref[6].y) / 2, ref[6].theta))
-    assert expert.poses == ref.poses and expert.index == 6
-    assert expert.xy[6].tolist() == [ref[6].x, ref[6].y]
+    assert expert.rows is ref.as_array() and expert.index == 6
+    assert expert.rows[6].tolist() == list(ref[6].as_tuple())
     # off the path by more than the safety margin: a new path from the estimate
     p = ref[8]
     off = Pose2(p.x - 0.3 * math.sin(p.theta), p.y + 0.3 * math.cos(p.theta), p.theta)
     expert.actions(off)
-    assert expert.poses[0] == off and expert.index == 0
+    assert expert.rows[0].tolist() == list(off.as_tuple()) and expert.index == 0
     # at the end of the path short of the goal: a new path
     short = sim.oracle_plan(world, start, ref[10])
     expert = sim._ExpertPath(world, goal, short)
     for k in (4, 8):
         expert.actions(short[k])
-        assert expert.poses == short.poses and expert.index == k
+        assert expert.rows is short.as_array() and expert.index == k
     expert.actions(short[-1])
-    assert expert.poses[0] == short[-1]
-    assert (expert.poses[-1].x, expert.poses[-1].y) == (goal.x, goal.y)
+    assert expert.rows[0].tolist() == short.as_array()[-1].tolist()
+    assert expert.rows[-1, :2].tolist() == [goal.x, goal.y]
 
 
 def test_subgoal_keeps_progress_on_a_path_that_folds_back():
@@ -1195,7 +1206,7 @@ def test_subgoal_keeps_progress_on_a_path_that_folds_back():
     # leg's: midway between two return vertices the robot is nearer an out-leg vertex
     xy = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 0.4), (2.5, 0.4), (1.5, 0.4), (0.5, 0.4),
           (-0.5, 0.4), (-1.5, 0.4)]
-    path = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in xy))
+    path = PoseTrajectory([(x, y, 0.0) for x, y in xy])
     arr = np.array(xy, dtype=float)
     cum = sim._arc_lengths(arr)
     pose, nearest, chosen = path[0], 0, []
@@ -1222,7 +1233,7 @@ FOLDED_XY = [(1.5, 1.5), (2.5, 1.5), (3.5, 1.5), (4.5, 1.5), (4.5, 1.9), (4.0, 1
 def scripted_learned_planner(monkeypatch, world, collides, fallback):
     """A learned planner on FOLDED_XY whose plans are scripted: every sample
     returns the same 8-action plan, and the collision check answers `collides`."""
-    plan = SimpleNamespace(poses=object(), actions=SimpleNamespace(steps=np.arange(24.0).reshape(8, 3)))
+    plan = SimpleNamespace(poses=object(), actions=np.arange(24.0).reshape(8, 3))
     checked = []
 
     def check(poses, grid, radius, dist):
@@ -1231,7 +1242,7 @@ def scripted_learned_planner(monkeypatch, world, collides, fallback):
 
     monkeypatch.setattr(sim, "plan_sample", lambda model, cond, steps, rng, est: plan)
     monkeypatch.setattr(sim, "collision_check", check)
-    path = PoseTrajectory(tuple(Pose2(x, y, 0.0) for x, y in FOLDED_XY))
+    path = PoseTrajectory([(x, y, 0.0) for x, y in FOLDED_XY])
     return sim._LearnedPlanner(world, None, path, fallback), plan, checked
 
 
@@ -1247,7 +1258,7 @@ def test_learned_planner_executes_a_colliding_plan_without_fallback(world, monke
     learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, False)
     report = sim.EpisodeReport(False, "timeout")
     rows = learned.actions(Pose2(1.5, 1.5, 0.0), 0.1, None, report)
-    assert rows == plan.actions.steps[:4].tolist()
+    assert rows == plan.actions[:4].tolist()
     assert (report.planner_calls, report.fallback_count) == (1, 0)
     assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]  # checked even when not acted on
 
@@ -1297,7 +1308,7 @@ path_coord = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0, allow_
     st.data(),
 )
 def test_lookahead_rule_matches_the_walk(xy, at, lookahead, data):
-    path = PoseTrajectory(tuple(Pose2(x, y, 0.1 * i) for i, (x, y) in enumerate(xy)))
+    path = PoseTrajectory([(x, y, 0.1 * i) for i, (x, y) in enumerate(xy)])
     current = Pose2(*at, 0.0)
     lowest = data.draw(st.integers(0, len(xy) - 1))
     want = ref_select_subgoal(path, current, lookahead, lowest)
@@ -1497,14 +1508,14 @@ class RefExpertPath(sim._ExpertPath):
 
     def actions(self, est):
         n = sim._EXECUTE_STEPS
-        self.index = sim._nearest_index(self.xy[: self.index + 2 * n + 1], est, self.index)
-        x, y = self.xy[self.index]
+        self.index = sim._nearest_index(self.rows[: self.index + 2 * n + 1], est, self.index)
+        x, y, _ = self.rows[self.index]
         off = math.hypot(x - est.x, y - est.y)
-        if off > sim._SAFETY_MARGIN or self.index == len(self.poses) - 1:
+        if off > sim._SAFETY_MARGIN or self.index == len(self.rows) - 1:
             ref = sim.oracle_plan(self.world, est, self.goal)
-            self._follow(ref.poses if len(ref) > 1 else (est, self.goal))
-        following = self.poses[self.index + 1 : self.index + 1 + n]
-        return poses_to_actions(PoseTrajectory((est,) + following))
+            self._follow(ref if len(ref) > 1 else PoseTrajectory([est.as_tuple(), self.goal.as_tuple()]))
+        following = self.rows[self.index + 1 : self.index + 1 + n]
+        return poses_to_actions(PoseTrajectory(np.vstack([est.as_tuple(), following])))
 
 
 def ref_best_paths(topo, from_id, to_id=None):
@@ -1574,7 +1585,7 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
         return sim.EpisodeReport(False, "stuck")
     global_poses = [world.map.nodes[nid].pose.planar() for nid in node_path]
     global_poses.append(goal_pose)
-    global_path = PoseTrajectory(tuple(global_poses))
+    global_path = PoseTrajectory([p.as_tuple() for p in global_poses])
 
     try:
         oracle_ref = sim.oracle_plan(world, start, goal_pose)
@@ -1628,7 +1639,7 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
                 break
 
         steps = np.concatenate(
-            [ref_split_action(a, sim._MAX_STEP) for a in actions.steps[: sim._EXECUTE_STEPS]]
+            [ref_split_action(a, sim._MAX_STEP) for a in actions[: sim._EXECUTE_STEPS]]
         )
         lengths = list(map(math.hypot, steps[:, 0].tolist(), steps[:, 1].tolist()))
         noise = rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed)
@@ -1636,9 +1647,9 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
         wheels = (exec_incs + noise[:, 3:6]).tolist()
         imu = (exec_incs[:, 2] + noise[:, 6]).tolist()
         for exec_inc, wheel, imu_dth in zip(exec_incs.tolist(), wheels, imu):
-            true_pose = compose_se2(true_pose, Pose2(*exec_inc))
+            true_pose = compose(true_pose, Pose2(*exec_inc))
             fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu_dth))
-            est_pose = compose_se2(est_pose, Pose2(*fused))
+            est_pose = compose(est_pose, Pose2(*fused))
             executed += 1
             step_lengths.append(math.hypot(exec_inc[0], exec_inc[1]))
             report.path_length += step_lengths[-1]
@@ -1741,9 +1752,9 @@ def ref_cycle(true_pose, est_pose, rows, noise, max_step=0.25):
     exec_incs = steps + noise[:, :3]
     for inc, wheel, imu in zip(exec_incs.tolist(), (exec_incs + noise[:, 3:6]).tolist(),
                                (exec_incs[:, 2] + noise[:, 6]).tolist()):
-        true_pose = compose_se2(true_pose, Pose2(*inc))
+        true_pose = compose(true_pose, Pose2(*inc))
         fused = fuse_increment(SensorIncrement(wheel=tuple(wheel), imu_dtheta=imu))
-        est_pose = compose_se2(est_pose, Pose2(*fused))
+        est_pose = compose(est_pose, Pose2(*fused))
     return true_pose, est_pose
 
 
@@ -1815,7 +1826,7 @@ def test_expert_increments_use_the_wrapped_inverse_heading(worlds48):
         got = sim._ExpertPath(world, ref[-1], ref)
         want = RefExpertPath(world, ref[-1], ref)
         got.index = want.index = max(0, k - 2)
-        assert np.array(got.actions(est)).tobytes() == want.actions(est).steps.tobytes()
+        assert np.array(got.actions(est)).tobytes() == want.actions(est).tobytes()
         assert got.index == want.index
 
 
@@ -1836,7 +1847,7 @@ def test_global_fix_re_anchors_the_position_only(world, monkeypatch):
 def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
     world = worlds48[0]
     start, goal = Pose2(*world.start_xy[0], 0.4), Pose2(*world.start_xy[-1], 0.0)
-    counts = {"Pose2": 0, "compose_se2": 0, "fuse_increment": 0, "cycles": 0, "fixes": 0}
+    counts = {"Pose2": 0, "fuse_increment": 0, "cycles": 0, "fixes": 0}
     inside_plan = [0]
     ends = []
 
@@ -1868,8 +1879,6 @@ def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
         ends.append(state.executed)
         return end_episode(state)
 
-    counting(geom, "compose_se2", "compose_se2")
-    counting(odometry, "compose_se2", "compose_se2")
     counting(odometry, "fuse_increment", "fuse_increment")
     counting(sim, "fuse_increment", "fuse_increment")
     counting(sim._ExpertPath, "actions", "cycles")
@@ -1880,18 +1889,17 @@ def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
     report = sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), seed=5, start=start)
     steps = ends[0]
     assert report.success and counts["fixes"] >= 3 and counts["cycles"] >= 10
-    assert counts["compose_se2"] == counts["fuse_increment"] == 0
+    assert counts["fuse_increment"] == 0
     # one estimate at set-up, two poses at the end of each cycle, one true pose per fix
     # after the first, which takes the start pose as it is
     assert counts["Pose2"] == 1 + 2 * counts["cycles"] + counts["fixes"] - 1
     assert counts["Pose2"] < steps
 
 
-def test_model_cycle_builds_one_pose_per_plan_pose(worlds48, eval_model, monkeypatch):
+def test_model_cycle_builds_no_pose_per_plan_pose(worlds48, eval_model, monkeypatch):
     world = worlds48[0]
     start, goal = Pose2(*world.start_xy[0], 0.4), Pose2(*world.start_xy[-1], 0.0)
     config = sim.NavConfig(planner="model", fallback=True)
-    n = eval_model.n_actions
     counts = {"Pose2": 0, "forward": 0, "forward_cached": 0, "arc_lengths": 0, "fixes": 0}
     per_plan = []
     inside_plan = [0]
@@ -1938,11 +1946,11 @@ def test_model_cycle_builds_one_pose_per_plan_pose(worlds48, eval_model, monkeyp
     report = sim.run_episode(world, goal, config, eval_model, seed=5, start=start)
     calls = report.planner_calls
     assert report.reason != "stuck" and calls >= 10 and counts["fixes"] >= 3
-    # a plan builds one pose per action, the start being the estimate itself
-    assert per_plan == [n] * calls
-    # one estimate at set-up; per cycle the subgoal in the ego frame, the plan and two
-    # poses at its end; one true pose per fix after the first, which takes the start
-    assert counts["Pose2"] == 1 + calls * (n + 1 + 2) + counts["fixes"] - 1
+    # a plan's poses are one array
+    assert per_plan == [0] * calls
+    # one estimate at set-up; per cycle the subgoal, the subgoal in the ego frame and
+    # two poses at its end; one true pose per fix after the first, which takes the start
+    assert counts["Pose2"] == 1 + calls * (2 + 2) + counts["fixes"] - 1
     # one pass per Euler step, each the one layer loop, and the node path's arc
     # lengths once per episode
     assert counts["forward"] == sim._EULER_STEPS * calls
