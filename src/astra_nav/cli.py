@@ -117,6 +117,7 @@ def _cmd_map_validate(args) -> int:
 
 def _cmd_map_path(args) -> int:
     topo = TopoMap.load(args.file)
+    topo.validate().require(args.file)
     path = topo.shortest_path(args.from_id, args.to_id)
     cost = 0.0
     for a, b in zip(path[:-1], path[1:]):

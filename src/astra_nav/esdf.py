@@ -8,15 +8,20 @@ flattens it to 2-D. Grid files follow the same split: OCC2 for occupancy,
 ESDF for a field. Distance transforms treat any nonzero value as occupied,
 so a 0/1 integer grid gives the same field as the boolean one.
 
-The exact squared transform runs in two passes. A column pass finds, in
-every column, the squared row distance sq to the nearest target cell. A row
-pass then sweeps column offsets k = 1, 2, ..., lowering each entry (r, c)
-with sq[r, c - k] + k^2 and sq[r, c + k] + k^2, and stops once k^2 reaches
-the largest entry: a column k or more away adds at least k^2, so it cannot
-lower any entry. Every value is an integer below 2^53, so the float
-arithmetic is exact. The sweep needs O(h * w) memory and one pass per
-offset up to the largest distance in cells (at most the width), so grids
-where every cell lies near a target finish in a few passes.
+The exact transform runs in two whole-array passes. The column pass is
+phase 1 of Meijster, Roerdink & Hesselink's linear-time EDT (2000): the
+row of the nearest target at or above each cell is a running maximum of
+the target rows taken down each column (-inf before the first), the one at
+or below a running minimum taken up it (inf after the last), and sq is the
+smaller gap, squared. A column without a target keeps inf, which loses
+every minimum, so no placeholder distance is needed. A row pass then
+sweeps column offsets k = 1, 2, ..., lowering each entry (r, c) with
+sq[r, c - k] + k^2 and sq[r, c + k] + k^2, and stops once k^2 reaches the
+largest entry: a column k or more away adds at least k^2, so it cannot
+lower any entry. Every finite value is an integer below 2^53, so the float
+arithmetic is exact up to the root. The sweep needs O(h * w) memory and
+one pass per offset up to the largest distance in cells (at most the
+width), so grids where every cell lies near a target finish in a few passes.
 
 Grid geometry convention (frozen, tested): a 2D grid stores values[row, col]
 with the center of cell (row r, col c) at world point
@@ -49,8 +54,6 @@ from .errors import AstraError, GeometryMismatchError, read_text
 from .geom import PoseTrajectory
 
 log = logging.getLogger(__name__)
-
-_NO_TARGET = 1.0e7  # rows/cols placeholder well above any real grid extent
 
 
 @dataclass
@@ -101,44 +104,24 @@ def compress_grid(grid: Grid) -> Grid:
     return Grid(values, grid.resolution, grid.origin)
 
 
-def _nearest_along_rows(target: np.ndarray) -> np.ndarray:
-    """Per column, row distance (in cells) to the nearest True in that column."""
-    h, w = target.shape
-    dist = np.empty((h, w))
-    run = np.full(w, _NO_TARGET)
-    for r in range(h):
-        run = np.where(target[r], 0.0, run + 1.0)
-        dist[r] = run
-    run = np.full(w, _NO_TARGET)
-    for r in range(h - 1, -1, -1):
-        run = np.where(target[r], 0.0, run + 1.0)
-        np.minimum(dist[r], run, out=dist[r])
-    return dist
-
-
-def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
-    """Exact squared cell distance from every cell to the nearest target-class cell.
-
-    A column pass gives sq, the squared row distance to the nearest target
-    in each column. The row pass then sweeps column offsets k = 1, 2, ...:
-    out[r, c] = min over |c' - c| < k of sq[r, c'] + (c - c')^2. A column k
-    or more away adds at least k^2, so once k^2 >= out.max() (or k = width)
-    no farther column can lower any entry and the sweep stops. Every value
-    is an integer below 2^53, so the float arithmetic is exact. Results are
-    int64. If the grid has no cell of the target class, every entry is the
-    squared diagonal width^2 + height^2.
-    """
+def edt(map2d: Grid, target: str = "occupied") -> np.ndarray:
+    """Exact Euclidean distance (meters) from every cell to the nearest
+    target-class cell, by the two passes of the module docstring.
+    If the grid has no cell of the target class, every entry is the
+    diagonal resolution * hypot(width, height)."""
     if target not in ("occupied", "free"):
         raise ValueError("target must be 'occupied' or 'free'")
     occupied = map2d.values != 0
     mask = occupied if target == "occupied" else ~occupied
     h, w = mask.shape
     if not mask.any():
-        return np.full((h, w), w * w + h * h, dtype=np.int64)
-    # squared in place, as `edt` takes the root and scale in place: most
-    # calls map fresh pages for each new 512 KiB array of a 256x256 grid, so
-    # every array not made saves its page faults
-    sq = _nearest_along_rows(mask)
+        return np.full((h, w), math.sqrt(w * w + h * h) * map2d.resolution)
+    rows = np.arange(h, dtype=float)[:, None]
+    above = np.maximum.accumulate(np.where(mask, rows, -np.inf), axis=0)
+    below = np.minimum.accumulate(np.where(mask, rows, np.inf)[::-1], axis=0)[::-1]
+    sq = np.minimum(rows - above, below - rows)
+    # squared, rooted and scaled in place: each new 512 KiB array of a
+    # 256x256 grid maps fresh pages, so every array not made saves its faults
     sq *= sq
     out = sq.copy()
     k = 1
@@ -146,15 +129,9 @@ def edt_squared(map2d: Grid, target: str = "occupied") -> np.ndarray:
         np.minimum(out[:, k:], sq[:, :-k] + k * k, out=out[:, k:])
         np.minimum(out[:, :-k], sq[:, k:] + k * k, out=out[:, :-k])
         k += 1
-    return out.astype(np.int64)
-
-
-def edt(map2d: Grid, target: str = "occupied") -> np.ndarray:
-    """Exact Euclidean distance (meters) from every cell to the nearest target cell."""
-    dist = edt_squared(map2d, target).astype(float)
-    np.sqrt(dist, out=dist)
-    dist *= map2d.resolution
-    return dist
+    np.sqrt(out, out=out)
+    out *= map2d.resolution
+    return out
 
 
 def signed_esdf(map2d: Grid) -> Grid:

@@ -104,18 +104,13 @@ def dead_reckon(
 
 
 def _segment_ends(cum: np.ndarray, length: float) -> list[tuple[int, int]]:
-    """(start, end) index pairs where the gt arc length first reaches start+length."""
-    pairs = []
-    n = len(cum)
-    j = 0
-    for i in range(n):
-        target = cum[i] + length
-        while j < n and cum[j] < target:
-            j += 1
-        if j >= n:
-            break
-        pairs.append((i, j))
-    return pairs
+    """(start, end) index pairs where the gt arc length first reaches start+length.
+
+    `cum` never decreases, so each end is one binary search, as in
+    `sim._lookahead_index`, and the ends never decrease either: the pairs
+    stop at the first start whose end lies past the last index."""
+    ends = np.searchsorted(cum, cum + length)
+    return list(enumerate(ends[: np.searchsorted(ends, len(cum))].tolist()))
 
 
 def traj_metrics(est: PoseTrajectory, gt: PoseTrajectory) -> dict[str, float]:

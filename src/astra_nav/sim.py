@@ -414,9 +414,7 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
         if topo is None:
             continue
         _place_landmarks(topo, grid2, landmark_count, rng)
-        report = topo.validate()
-        if not report.ok:
-            raise SimError(f"generated map failed validation: {report.violations[:3]}")
+        topo.validate().require("generated map", SimError)
         # random per-column obstacle heights of 1-3 levels; the z-max is occ2
         heights = rng.integers(1, 4, size=occ2.shape)
         grid3 = Grid(occ2 & (heights > np.arange(3)[:, None, None]), resolution)
@@ -992,6 +990,15 @@ def _end_episode(state: EpisodeState) -> EpisodeState:
     return state
 
 
+def _require_free(world: World, pose: Pose2, what: str) -> None:
+    """Raise SimError unless the pose lies in a free cell of the world's grid."""
+    if not _in_cells(world.grid, pose.x, pose.y):
+        raise SimError(f"{what} pose {list(pose.as_tuple())} lies outside the world's grid")
+    grid2 = world.grid2d()
+    if grid2.values[_to_cell(grid2, pose.x, pose.y)]:
+        raise SimError(f"{what} pose {list(pose.as_tuple())} lies in an occupied cell")
+
+
 def run_episode(
     world: World,
     goal,
@@ -1008,11 +1015,11 @@ def run_episode(
     the node path itself) and plans the expert's reference path, which sets
     the step budget; control cycles (`step`) run until the episode ends.
     Raises SimError when a given start or the goal pose lies outside the
-    world's grid cells."""
+    world's grid cells or in an occupied one."""
     rng = np.random.default_rng(seed)
-    if start is not None and not _in_cells(world.grid, start.x, start.y):
-        raise SimError(f"start pose {list(start.as_tuple())} lies outside the world's grid")
-    if start is None:
+    if start is not None:
+        _require_free(world, start, "start")
+    else:
         sx, sy = world.start_xy[int(rng.integers(len(world.start_xy)))]
         start = Pose2(sx, sy, float(rng.uniform(-math.pi, math.pi)))
 
@@ -1023,8 +1030,7 @@ def run_episode(
             return EpisodeReport(False, "localization-fail")
     else:
         goal_pose = goal
-    if not _in_cells(world.grid, goal_pose.x, goal_pose.y):
-        raise SimError(f"goal pose {list(goal_pose.as_tuple())} lies outside the world's grid")
+    _require_free(world, goal_pose, "goal")
 
     fix = _global_fix(world, start, radius=0.51)
     if fix is None:
@@ -1314,7 +1320,9 @@ def save_world(world: World, out_dir) -> None:
 
 def load_world(world_dir) -> World:
     grid = load_occupancy(os.path.join(world_dir, "grid.occ"))
-    topo = TopoMap.load(os.path.join(world_dir, "map.json"))
+    map_path = os.path.join(world_dir, "map.json")
+    topo = TopoMap.load(map_path)
+    topo.validate().require(map_path, SimError)
     meta_path = os.path.join(world_dir, "world.json")
     meta = read_json(meta_path, SimError)
     try:
@@ -1327,4 +1335,6 @@ def load_world(world_dir) -> World:
     for p in start_xy:
         if not (isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p)) and _in_cells(grid, *p)):
             raise SimError(f"{meta_path}: start point {p!r} is not two finite numbers [x, y] inside the grid")
+        if grid.values[_to_cell(grid, *p)]:
+            raise SimError(f"{meta_path}: start point {p!r} lies in an occupied cell")
     return World(grid, topo, [(float(x), float(y)) for x, y in start_xy], seed, source_dir=str(world_dir))

@@ -450,3 +450,9 @@ class ValidationReport:
 
     def to_jsonable(self) -> dict:
         return {"ok": self.ok, "violations": list(self.violations)}
+
+    def require(self, where, error=MapError) -> None:
+        """Raise `error` naming `where` and the first three violations unless
+        the map is valid, so that no caller meets a dangling reference."""
+        if not self.ok:
+            raise error(f"{where}: invalid map: {'; '.join(self.violations[:3])}")

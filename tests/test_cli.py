@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from astra_nav import cli, planner, sim
+from astra_nav.topomap import TopoMap
 
 
 @pytest.fixture(scope="module")
@@ -1021,3 +1022,122 @@ def test_bad_query_observation_exits_1(files, capsys, name):
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "LocalizationError"
     assert "bad observation at index 1" in json.loads(err)["message"]
+
+
+def _dangling_edge(doc):
+    first = doc["nodes"][0]["id"]
+    doc["edges"].append({"nodes": [first, "n-zzz"], "length": 1.0,
+                         "relative_pose": {"position": [1.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}})
+
+
+def _dangling_node_landmark(doc):
+    for node in doc["nodes"]:
+        node["landmark_ids"].append("lm-missing")
+
+
+def _dangling_landmark_node(doc):
+    doc["landmarks"][0]["node_ids"].append("n-zzz")
+
+
+# Map files that refer to a node or landmark they do not hold.
+DANGLING_MAPS = {
+    "edge-to-missing-node": _dangling_edge,
+    "node-lists-missing-landmark": _dangling_node_landmark,
+    "landmark-lists-missing-node": _dangling_landmark_node,
+}
+
+
+def dangling_world(files, tmp_path, name):
+    """A copy of the fixture world, under tmp_path/worlds, whose map has the named defect."""
+    world_dir = tmp_path / "worlds" / "w0"
+    shutil.copytree(files["world"], world_dir)
+    doc = json.loads((world_dir / "map.json").read_text())
+    DANGLING_MAPS[name](doc)
+    (world_dir / "map.json").write_text(json.dumps(doc))
+    return world_dir
+
+
+MAP_READERS = {
+    "map-validate": lambda f, w: ("map", "validate", w / "map.json"),
+    "map-path": lambda f, w: ("map", "path", w / "map.json", "--from", f["node_ids"][0],
+                              "--to", f["node_ids"][-1]),
+    "localize": lambda f, w: ("localize", "--map", w / "map.json", "--query", f["query.json"]),
+    "goal": lambda f, w: ("goal", "--map", w / "map.json", "--terms", f["category"]),
+    "sim-run": lambda f, w: ("sim", "run", "--world", w, "--goal", f["goal.json"],
+                             "--config", f["nav.json"]),
+    "sim-eval": lambda f, w: ("sim", "eval", "--worlds", w.parent, "--episodes", 2),
+    "sim-dataset": lambda f, w: ("sim", "dataset", "--worlds", w.parent, "--samples", 2,
+                                 "--out", w.parent.parent / "data.jsonl"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(MAP_READERS))
+@pytest.mark.parametrize("name", sorted(DANGLING_MAPS))
+def test_dangling_map_reference_gives_no_traceback(files, capsys, tmp_path, name, verb):
+    # every verb that reads a map either works around the dangling reference
+    # or refuses the map with one JSON error line; a logged warning may come first
+    world_dir = dangling_world(files, tmp_path, name)
+    code, out, err = run(capsys, *MAP_READERS[verb](files, world_dir))
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
+    if code == 1 and verb == "map-validate":
+        assert err == "" and not json.loads(out)["ok"]  # the violations, on stdout
+    elif code == 1:
+        assert set(json.loads(err.strip().splitlines()[-1])) == {"error", "message"}
+
+
+@pytest.mark.parametrize("verb", ["sim-run", "sim-eval", "sim-dataset"])
+@pytest.mark.parametrize("name", sorted(DANGLING_MAPS))
+def test_world_with_dangling_map_reference_exits_1(files, capsys, tmp_path, name, verb):
+    # an edge to a missing node once ended `sim run` and `sim eval` in a
+    # KeyError, and a node's missing landmark ended `sim run` in one
+    world_dir = dangling_world(files, tmp_path, name)
+    code, out, err = run(capsys, *MAP_READERS[verb](files, world_dir))
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    violations = "; ".join(TopoMap.load(world_dir / "map.json").validate().violations[:3])
+    assert doc == {"error": "SimError", "message": f"{world_dir / 'map.json'}: invalid map: {violations}"}
+    assert not (tmp_path / "data.jsonl").exists()
+
+
+@pytest.mark.parametrize("name", sorted(DANGLING_MAPS))
+def test_map_path_on_a_dangling_map_exits_1(files, capsys, tmp_path, name):
+    world_dir = dangling_world(files, tmp_path, name)
+    code, out, err = run(capsys, *MAP_READERS["map-path"](files, world_dir))
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "MapError"
+    # validation still lists every violation, and exits 1 on them
+    code, out, err = run(capsys, *MAP_READERS["map-validate"](files, world_dir))
+    assert code == 1 and err == "" and not json.loads(out)["ok"]
+
+
+def test_goal_in_an_obstacle_exits_1(files, capsys, tmp_path):
+    # the oracle planner once reported this goal `reached`, after 30 collisions
+    path = tmp_path / "goal.json"
+    path.write_text(json.dumps({"pose": [3.0, 0.0, 0.0]}))
+    world = sim.load_world(files["world"])
+    assert world.grid2d().values[0, 3]
+    code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path,
+                         "--config", files["nav.json"])
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "SimError" and "occupied cell" in doc["message"]
+
+
+@pytest.mark.parametrize("verb", ["run", "eval", "dataset"])
+def test_start_point_in_an_obstacle_exits_1(files, capsys, tmp_path, verb):
+    world_dir = tmp_path / "worlds" / "w0"
+    shutil.copytree(files["world"], world_dir)
+    doc = json.loads((world_dir / "world.json").read_text())
+    doc["start_xy"].append([3.0, 0.0])
+    (world_dir / "world.json").write_text(json.dumps(doc))
+    argv = {
+        "run": ("sim", "run", "--world", world_dir, "--goal", files["goal.json"]),
+        "eval": ("sim", "eval", "--worlds", tmp_path / "worlds", "--episodes", 2),
+        "dataset": ("sim", "dataset", "--worlds", tmp_path / "worlds", "--samples", 2,
+                    "--out", tmp_path / "data.jsonl"),
+    }[verb]
+    code, out, err = run(capsys, *argv)
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "SimError" and "world.json" in doc["message"] and "occupied" in doc["message"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from astra_nav.esdf import (
     GridParseError,
     compress_grid,
     edt,
-    edt_squared,
     load_grid,
     make_mask,
     mask_esdf,
@@ -37,6 +37,16 @@ def brute_force_sq(mask: np.ndarray, target: np.ndarray) -> np.ndarray:
     cols = np.arange(w)[None, :, None]
     d2 = (rows - tr[None, None, :]) ** 2 + (cols - tc[None, None, :]) ** 2
     return d2.min(axis=2).astype(np.int64)
+
+
+def brute_force_edt(mask: np.ndarray, target: np.ndarray, res: float) -> np.ndarray:
+    """The brute-force squared distance's root, in meters: the bytes `edt` must give."""
+    return np.sqrt(brute_force_sq(mask, target).astype(float)) * res
+
+
+def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 def bin2d(values, res=1.0, origin=(0.0, 0.0)):
@@ -92,19 +102,18 @@ class TestEdt:
         for _ in range(50):
             h, w = rng.integers(1, 33, size=2)
             mask = rng.random((h, w)) < rng.uniform(0.05, 0.6)
-            m = bin2d(mask)
-            np.testing.assert_array_equal(edt_squared(m, "occupied"), brute_force_sq(mask, mask))
-            np.testing.assert_array_equal(edt_squared(m, "free"), brute_force_sq(mask, ~mask))
+            self.assert_both_targets_match(mask)
             # a 0/1 integer grid is the same occupancy as the boolean one
             ints = Grid(mask.astype(int), 1.0)
-            np.testing.assert_array_equal(edt_squared(ints, "free"), brute_force_sq(mask, ~mask))
-            np.testing.assert_array_equal(signed_esdf(ints).values, signed_esdf(m).values)
+            assert_same_bytes(edt(ints, "free"), brute_force_edt(mask, ~mask, 1.0))
+            np.testing.assert_array_equal(signed_esdf(ints).values, signed_esdf(bin2d(mask)).values)
 
     @staticmethod
     def assert_both_targets_match(mask):
-        m = bin2d(mask)
-        np.testing.assert_array_equal(edt_squared(m, "occupied"), brute_force_sq(mask, mask))
-        np.testing.assert_array_equal(edt_squared(m, "free"), brute_force_sq(mask, ~mask))
+        for res in (1.0, 0.25, 0.1):
+            m = bin2d(mask, res)
+            assert_same_bytes(edt(m, "occupied"), brute_force_edt(mask, mask, res))
+            assert_same_bytes(edt(m, "free"), brute_force_edt(mask, ~mask, res))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (40, 3), (3, 40)])
     def test_single_target_in_each_corner(self, shape):
@@ -132,6 +141,35 @@ class TestEdt:
                 mask = rng.random((h, w)) < density
                 mask[rng.integers(h), rng.integers(w)] = True
                 self.assert_both_targets_match(mask)
+
+    def test_pinned_digest(self):
+        # the fields of an earlier, loop-based column pass, pinned so that
+        # any change of a byte shows
+        digest = hashlib.sha256()
+        for mask, res in pinned_grids():
+            m = bin2d(mask, res)
+            for values in (edt(m, "occupied"), edt(m, "free"), signed_esdf(m).values):
+                digest.update(values.tobytes())
+        assert digest.hexdigest() == PINNED_EDT_SHA256
+
+
+def pinned_grids():
+    """Seeded occupancy grids and resolutions: empty and full grids, 1 x N and
+    N x 1 strips, grids with columns holding no target of either class, and
+    random grids up to 256 x 256."""
+    rng = np.random.default_rng(2506)
+    grids = [np.zeros((5, 7), bool), np.ones((7, 5), bool)]
+    for shape in [(1, 1), (1, 40), (40, 1), (19, 31), (64, 64), (256, 256)]:
+        for density in (0.01, 0.2, 0.6):
+            grids.append(rng.random(shape) < density)
+    striped = rng.random((33, 47)) < 0.3
+    striped[:, 5] = False
+    striped[:, 20] = True
+    grids.append(striped)
+    return [(mask, (0.1, 0.25, 1.0)[i % 3]) for i, mask in enumerate(grids)]
+
+
+PINNED_EDT_SHA256 = "688f85de33edcc1b8938899e7c9fc1fe39297bbb7725be980258ada49dd547a1"
 
 
 class TestSignedEsdf:

@@ -153,6 +153,35 @@ class TestMetrics:
         assert 0.0 < m["rre_deg_per_10m"] <= 2.0
 
 
+def ref_segment_ends(cum, length):
+    """The walk `_segment_ends` replaced: per start i, the end j moves on
+    until cum[j] reaches cum[i] + length; the pairs stop at the first start
+    whose end runs off the array."""
+    pairs = []
+    n = len(cum)
+    j = 0
+    for i in range(n):
+        target = cum[i] + length
+        while j < n and cum[j] < target:
+            j += 1
+        if j >= n:
+            break
+        pairs.append((i, j))
+    return pairs
+
+
+def test_segment_ends_match_the_walk():
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        steps = rng.uniform(0.0, 2.0, rng.integers(0, 40))
+        steps[rng.random(len(steps)) < 0.3] = 0.0  # zero-length steps tie arc lengths
+        cum = np.concatenate([[0.0], np.cumsum(steps)])
+        length = float(rng.choice([0.0, rng.uniform(0.0, 12.0), 10.0]))
+        pairs = odometry._segment_ends(cum, length)
+        assert pairs == ref_segment_ends(cum, length)
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
+
+
 class TestFusedBeatsSingles:
     def _run(self, seed, n_segments=30, seg_steps=60, sigma=0.01):
         rng = np.random.default_rng(seed)

@@ -1170,6 +1170,19 @@ def test_start_outside_the_world_raises(world):
             sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), start=Pose2(x, y, 0.0))
 
 
+def test_start_or_goal_in_an_obstacle_raises(world):
+    # a goal in an occupied cell was once reported reached, after collisions
+    grid2 = world.grid2d()
+    r, c = np.argwhere(grid2.values)[len(np.argwhere(grid2.values)) // 2]
+    blocked = Pose2(grid2.origin[0] + c * grid2.resolution, grid2.origin[1] + r * grid2.resolution, 0.0)
+    free = Pose2(*world.start_xy[0], 0.0)
+    config = sim.NavConfig(planner="oracle")
+    with pytest.raises(sim.SimError, match=r"start pose .* lies in an occupied cell"):
+        sim.run_episode(world, free, config, start=blocked)
+    with pytest.raises(sim.SimError, match=r"goal pose .* lies in an occupied cell"):
+        sim.run_episode(world, blocked, config, start=free)
+
+
 def test_expert_path_replans_only_on_events(worlds48):
     world = worlds48[0]
     (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
