@@ -128,6 +128,7 @@ def _cmd_map_path(args) -> int:
 
 def _cmd_localize(args) -> int:
     topo = TopoMap.load(args.map)
+    topo.validate().require(args.map)
     ctx, observations = localization.load_query(args.query)
     oracle = (
         localization.make_ground_truth_oracle()
@@ -141,6 +142,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_goal(args) -> int:
     topo = TopoMap.load(args.map)
+    topo.validate().require(args.map)
     current = Pose2(*args.pose)
     node_id, pose = localization.goal_localize(
         args.terms, topo, current, args.r0, args.r_step, args.r_max

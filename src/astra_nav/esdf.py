@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -245,18 +246,21 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
     return Grid(mask, res, origin)
 
 
-def mask_esdf(phi: Grid, mask: Grid, alpha: float) -> Grid:
-    """Attenuate the field inside the corridor: phi * (1 - alpha) there, phi elsewhere."""
+def mask_esdf(phi: Grid, mask: Grid, alpha: float, out: np.ndarray | None = None) -> Grid:
+    """Attenuate the field inside the corridor: phi * (1 - alpha) there, phi
+    elsewhere. The values are written into `out`, a float array of the
+    field's shape, when one is given; the returned grid then holds `out`."""
     if not 0.0 <= alpha <= 1.0:
         raise MaskError("alpha must lie in [0, 1]")
     if not same_geometry(phi, mask):
         raise GeometryMismatchError("field and mask geometry differ")
-    values = phi.values * (1.0 - alpha * mask.values)
+    values = np.multiply(phi.values, 1.0 - alpha * mask.values, out=out)
     return Grid(values, phi.resolution, phi.origin)
 
 
 class FieldStack(NamedTuple):
-    """Fields laid back to back in one flat array, with each field's offset
+    """Fields in one flat array, each field's cells in one contiguous run of
+    it (the array may hold more than the fields), with each field's offset
     into it, width (its row stride), resolution and origin (x, y), and per
     axis its largest cell index as a float (`last`) and as an integer
     (`high`, the largest high-corner index) and its largest low-corner index
@@ -276,6 +280,12 @@ class FieldStack(NamedTuple):
     low: np.ndarray
     high: np.ndarray
 
+    def take(self, rows) -> "FieldStack":
+        """The stack of the given fields of a stack of several, reading the
+        same flat array."""
+        return FieldStack(self.flat, self.offset[rows], self.width[rows], self.resolution[rows],
+                          self.origin[:, rows], self.last[:, rows], self.low[:, rows], self.high[:, rows])
+
 
 def _columns(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A `FieldStack`'s last, low and high columns for fields of the given
@@ -294,15 +304,45 @@ def _grid_columns(width: int, height: int) -> tuple[np.ndarray, np.ndarray, np.n
     return columns
 
 
+def _shared_buffer(values: list[np.ndarray]):
+    """The flat float array that every one of the 2-D arrays is a
+    C-contiguous float view of, and their offsets into it in elements as a
+    (B, 1) column, taken from their addresses; None when there is none."""
+    buffer = values[0].base
+    if not (isinstance(buffer, np.ndarray) and buffer.ndim == 1 and buffer.dtype == float
+            and buffer.flags.c_contiguous):
+        return None
+    if not all(v.base is buffer and v.dtype == float and v.flags.c_contiguous for v in values):
+        return None
+    start = np.array([v.ctypes.data for v in values]) - buffer.ctypes.data
+    offset, rest = np.divmod(start, buffer.itemsize)
+    return None if rest.any() else (buffer, offset[:, None])
+
+
+def field_buffer(cells: int) -> np.ndarray:
+    """A flat float array of `cells` entries in an anonymous memory map of
+    its own (at least one entry: a map cannot be empty), for fields packed
+    back to back as views of it. The map goes back to the system with the
+    array. A malloc block of that size would not: once glibc frees one, it
+    raises its mmap threshold to the block's size, so later blocks up to
+    that size come from the heap, which stays resident."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(cells, 1)), dtype=float)[:cells]
+
+
 def stack_fields(fields: list[Grid]) -> FieldStack:
-    """One flat copy of the given 2-D fields, in order, for a batched lookup."""
+    """The given 2-D fields, in order, for a batched lookup. Fields that are
+    views of one flat buffer (`_shared_buffer`) are read from it in place;
+    any others are copied back to back into one flat array."""
     # per field: height, width, resolution, origin x, origin y
     geometry = np.array([(*f.values.shape, f.resolution, *f.origin) for f in fields])
     size = geometry[:, 1::-1].T.astype(np.intp)[:, :, None]
-    cells = (size[0] * size[1]).ravel()
+    values = [f.values for f in fields]
+    shared = _shared_buffer(values)
+    if shared is None:
+        cells = (size[0] * size[1]).ravel()
+        shared = np.concatenate([v.ravel() for v in values]), (np.cumsum(cells) - cells)[:, None]
     return FieldStack(
-        np.concatenate([f.values.ravel() for f in fields]),
-        (np.cumsum(cells) - cells)[:, None],
+        *shared,
         size[0],
         geometry[:, 2:3],
         geometry[:, 3:].T[:, :, None],

@@ -17,13 +17,14 @@ plain flow-matching loss.
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
 down to t = 0: x <- x - dt * v(x, t | c). The K candidates of one condition
 are integrated together, one forward pass per step; a single plan is the
-K = 1 case, and the output is checked to be finite after every step. The
-network has one layer loop, `VectorFieldModel._forward_cached`: `forward`
-returns its output, and training keeps its activations for the backward
-pass. Training builds the dataset's arrays once, and each batch samples all
-its masked fields in one gather. A batch's momentum step, activations and
-gradient products are computed in place, each to the bits of the
-fresh-array form.
+K = 1 case, and the result is checked to be finite once, after the last
+step. The network has one layer loop, `VectorFieldModel._forward_cached`:
+`forward` returns its output, and training keeps its activations for the
+backward pass. Training builds the dataset's arrays and its stack of
+masked fields once (`esdf.stack_fields`, which reads a dataset packed into
+one buffer in place), and each batch samples its rows of the stack in one
+gather. A batch's momentum step, activations and gradient products are
+computed in place, each to the bits of the fresh-array form.
 
 A plan's poses, the loss's poses and the open-loop rollouts' poses come from
 one batched recurrence, `geom.poses_from_actions`. Its adjoint is a set of
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AstraError, check_fields, is_finite_number, read_json
-from .esdf import Grid, _bilinear, edt, sample_bilinear, stack_fields
+from .esdf import FieldStack, Grid, _bilinear, edt, sample_bilinear, stack_fields
 from .geom import Pose2, PoseTrajectory, poses_from_actions
 
 
@@ -244,8 +245,8 @@ class VectorFieldModel:
 
 def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
     """(k, 3n + 1 + c) network input with the condition columns written once;
-    the caller keeps the trajectory columns, and `_eval_field` writes the
-    time column per evaluation."""
+    the caller keeps the trajectory columns and writes the time column per
+    evaluation."""
     c = _cond_vector(cond)
     if c.size != model.cond_dim:
         raise ShapeMismatchError(f"condition has {c.size} entries, expected {model.cond_dim}")
@@ -253,16 +254,6 @@ def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
     inp = np.empty((k, n3 + 1 + c.size))
     inp[:, n3 + 1 :] = c
     return inp
-
-
-def _eval_field(model: VectorFieldModel, inp: np.ndarray, t: float) -> np.ndarray:
-    """One forward pass of the field at the rows of `inp` (`_field_input`),
-    whose trajectory columns hold the points, at time t."""
-    inp[:, 3 * model.n_actions] = t
-    out = model.forward(inp)
-    if not np.isfinite(out).all():
-        raise PlannerError("vector field produced non-finite output")
-    return out
 
 
 def reconstruct(x_t: np.ndarray, t, v: np.ndarray) -> np.ndarray:
@@ -297,49 +288,51 @@ class PlanningSample:
 @dataclass
 class PlanningBatch:
     """Array form of PlanningSamples: flattened actions x1 (B, 3n), condition
-    vectors (B, c), start poses (B, 3) as [x, y, theta] rows, and each
-    sample's masked field (None where a sample has none)."""
+    vectors (B, c), start poses (B, 3) as [x, y, theta] rows, and the
+    samples' masked fields as one `FieldStack`, None when a sample has no
+    field."""
 
     x1: np.ndarray
     cond: np.ndarray
     starts: np.ndarray
-    fields: list
+    fields: FieldStack | None
 
     @classmethod
     def of(cls, samples) -> "PlanningBatch":
         """The samples' arrays; a PlanningBatch is returned as it is."""
         if isinstance(samples, PlanningBatch):
             return samples
+        phis = [s.phi for s in samples]
         return cls(
             np.stack([s.actions.ravel() for s in samples]),
             np.stack([_cond_vector(s.condition) for s in samples]),
             np.array([[s.start.x, s.start.y, s.start.theta] for s in samples]),
-            [s.phi for s in samples],
+            None if any(phi is None for phi in phis) else stack_fields(phis),
         )
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.x1)
 
     def take(self, rows) -> "PlanningBatch":
         return PlanningBatch(
             self.x1[rows], self.cond[rows], self.starts[rows],
-            [self.fields[i] for i in np.asarray(rows).tolist()],
+            None if self.fields is None else self.fields.take(rows),
         )
 
 
-def _penalty_and_grad(fields: list[Grid], actions: np.ndarray, starts: np.ndarray):
+def _penalty_and_grad(fields: FieldStack, actions: np.ndarray, starts: np.ndarray):
     """Clearance bonus sum(phi~) per sample plus its gradient w.r.t. the actions.
 
-    Row i samples fields[i]; all rows are looked up together in one flat
-    copy of the batch's fields. The spatial gradient from bilinear sampling
-    back-propagates through the pose recurrence with the usual reverse
-    accumulation: position adjoints pass through unchanged, heading adjoints
-    collect the rotated-step terms. Each accumulation is one reverse
-    cumulative sum from 0.0 (see the module docstring).
+    Row i samples field i of the stack; all rows are looked up together.
+    The spatial gradient from bilinear sampling back-propagates through the
+    pose recurrence with the usual reverse accumulation: position adjoints
+    pass through unchanged, heading adjoints collect the rotated-step terms.
+    Each accumulation is one reverse cumulative sum from 0.0 (see the module
+    docstring).
     """
     b, n, _ = actions.shape
     poses, c, s = poses_from_actions(actions, starts)
-    values, gx, gy = _bilinear(stack_fields(fields), poses[:, 1:, :2])
+    values, gx, gy = _bilinear(fields, poses[:, 1:, :2])
     # the position adjoints of step k are the sums of the gradients at poses k..n
     rev = np.zeros((2, b, n + 1))
     rev[0, :, 1:] = gx[:, ::-1]
@@ -389,7 +382,7 @@ def planning_loss_at(model: VectorFieldModel, samples, lam, t, x0):
     dv /= b
     penalty = 0.0
     if lam != 0.0:
-        if any(f is None for f in batch.fields):
+        if batch.fields is None:
             raise PlannerError("planning loss with lambda != 0 needs a field on every sample")
         n = model.n_actions
         x_rec = reconstruct(xt, t, v)
@@ -445,7 +438,10 @@ class TrainConfig:
 def train(dataset: list[PlanningSample], config: TrainConfig):
     """Momentum-SGD training, deterministic per seed.
 
-    The dataset's arrays are built once; each batch takes its rows of them.
+    The dataset's arrays and its field stack are built once; each batch
+    takes its rows of them. A dataset whose fields are views of one buffer,
+    as `sim.build_planning_dataset` and `sim.load_dataset` pack them, is
+    read in place; other fields are stacked into one copy.
 
     Returns (model, log); the log holds one entry per epoch with the mean
     flow-matching term and mean clearance bonus. A non-finite loss aborts,
@@ -525,17 +521,24 @@ def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int =
     and each Euler step from t=1 down to t=0 is one forward pass over all k.
     The trajectories are integrated in place in the network input's
     trajectory columns, x <- x - (v * dt), which is x - dt * v to the bit.
+    A non-finite output makes an entry of x non-finite, and the update keeps
+    it so, so one check of x after the last step finds it.
     """
     if steps < 1:
         raise PlannerError("steps must be >= 1")
     inp = _field_input(model, condition, k)
-    x = inp[:, : 3 * model.n_actions]
+    n3 = 3 * model.n_actions
+    x = inp[:, :n3]
     x[...] = rng.standard_normal(x.shape)
     dt = 1.0 / steps
-    for i in range(steps):
-        v = _eval_field(model, inp, 1.0 - i * dt)
-        v *= dt
-        x -= v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            inp[:, n3] = 1.0 - i * dt
+            v = model.forward(inp)
+            v *= dt
+            x -= v
+    if not np.isfinite(x).all():
+        raise PlannerError("vector field produced non-finite output")
     return x.reshape(k, model.n_actions, 3)
 
 

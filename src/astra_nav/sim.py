@@ -68,6 +68,7 @@ from .errors import AstraError, check_fields, is_finite_number, is_finite_triple
 from .esdf import (
     Grid,
     compress_grid,
+    field_buffer,
     load_occupancy,
     make_mask,
     mask_esdf,
@@ -1178,28 +1179,39 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
                     break
 
 
+def _masked_fields(pairs, mask_alpha: float, mask_dilation: float) -> list[Grid]:
+    """Each (field, trajectory) pair's field masked along the trajectory. The
+    masked fields are views of one `field_buffer`, back to back in order, so
+    that training reads them in place (`esdf.stack_fields`)."""
+    buffer = field_buffer(sum(phi.values.size for phi, _ in pairs))
+    masked, used = [], 0
+    for phi, trajectory in pairs:
+        view = buffer[used : used + phi.values.size].reshape(phi.values.shape)
+        used += phi.values.size
+        masked.append(mask_esdf(phi, make_mask(trajectory, phi, mask_dilation), mask_alpha, out=view))
+    return masked
+
+
 def build_planning_dataset(
     worlds: list[World], samples_per_world: int, n_actions: int = 16, seed: int = 0
 ) -> list[PlanningSample]:
     """The expert windows as training samples, each with its field masked at
-    the `TrainConfig` defaults."""
-    dataset: list[PlanningSample] = []
-    for wi, window, cond in expert_windows(worlds, samples_per_world, n_actions, seed):
-        world = worlds[wi]
-        phi = world.phi()
-        mask = make_mask(window, phi, TrainConfig.mask_dilation)
-        dataset.append(
-            PlanningSample(
-                poses_to_actions(window),
-                cond,
-                window[0],
-                mask_esdf(phi, mask, TrainConfig.mask_alpha),
-                os.path.join(world.source_dir, "grid.occ") if world.source_dir else None,
-                window.to_jsonable(),
-                wi,
-            )
+    the `TrainConfig` defaults (`_masked_fields`)."""
+    windows = list(expert_windows(worlds, samples_per_world, n_actions, seed))
+    fields = _masked_fields([(worlds[wi].phi(), window) for wi, window, _ in windows],
+                            TrainConfig.mask_alpha, TrainConfig.mask_dilation)
+    return [
+        PlanningSample(
+            poses_to_actions(window),
+            cond,
+            window[0],
+            phi,
+            os.path.join(worlds[wi].source_dir, "grid.occ") if worlds[wi].source_dir else None,
+            window.to_jsonable(),
+            wi,
         )
-    return dataset
+        for (wi, window, cond), phi in zip(windows, fields)
+    ]
 
 
 def save_dataset(dataset: list[PlanningSample], path) -> None:
@@ -1228,10 +1240,11 @@ def load_dataset(path, mask_alpha: float, mask_dilation: float):
     """Rebuild PlanningSamples from a JSON-lines file, recomputing masked fields
     per referenced grid. Every record's actions are rows of three finite
     numbers, and its action count and condition length are the first
-    record's."""
+    record's. The fields are masked once every record is read
+    (`_masked_fields`)."""
     base = os.path.dirname(os.path.abspath(path))
     phis: dict[str, Grid] = {}
-    dataset = []
+    dataset, pairs = [], []  # the samples, and the field and poses each is masked from
     shape = None  # (actions, condition entries) of the first record
     for line_no, line in enumerate(read_text(path, SimError).split("\n"), start=1):
         if not line.strip():
@@ -1255,10 +1268,10 @@ def load_dataset(path, mask_alpha: float, mask_dilation: float):
                            f"{record_shape[1]} entries, but the first record has {shape[0]} and {shape[1]}")
         if full not in phis:
             phis[full] = signed_esdf(load_occupancy(full))
-        phi = phis[full]
-        mask = make_mask(gt, phi, mask_dilation)
-        masked = mask_esdf(phi, mask, mask_alpha)
-        dataset.append(PlanningSample(actions, condition, start, masked, grid_ref, rec["gt_poses"]))
+        dataset.append(PlanningSample(actions, condition, start, None, grid_ref, rec["gt_poses"]))
+        pairs.append((phis[full], gt))
+    for sample, phi in zip(dataset, _masked_fields(pairs, mask_alpha, mask_dilation)):
+        sample.phi = phi
     return dataset
 
 

@@ -1111,6 +1111,19 @@ def test_map_path_on_a_dangling_map_exits_1(files, capsys, tmp_path, name):
     assert code == 1 and err == "" and not json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("verb", ["localize", "goal"])
+@pytest.mark.parametrize("name", sorted(DANGLING_MAPS))
+def test_map_reader_on_a_dangling_map_exits_1(files, capsys, tmp_path, name, verb):
+    # `localize` once listed a landmark's missing node among its candidates,
+    # and both verbs exited 0 on a map that fails validation
+    world_dir = dangling_world(files, tmp_path, name)
+    code, out, err = run(capsys, *MAP_READERS[verb](files, world_dir))
+    assert_json_error(code, out, err)
+    violations = "; ".join(TopoMap.load(world_dir / "map.json").validate().violations[:3])
+    assert json.loads(err) == {"error": "MapError",
+                               "message": f"{world_dir / 'map.json'}: invalid map: {violations}"}
+
+
 def test_goal_in_an_obstacle_exits_1(files, capsys, tmp_path):
     # the oracle planner once reported this goal `reached`, after 30 collisions
     path = tmp_path / "goal.json"

@@ -429,6 +429,19 @@ class TestMaskEsdf:
         with pytest.raises(GeometryMismatchError):
             mask_esdf(phi, Grid(np.zeros((3, 3), bool), 1.0), 0.5)
 
+    def test_out_holds_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        phi = Grid(rng.normal(size=(5, 7)), 0.25, (1.0, -2.0))
+        mask = Grid(rng.random((5, 7)) < 0.5, 0.25, (1.0, -2.0))
+        buffer = np.full(50, np.nan)
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            out = buffer[10:45].reshape(5, 7)
+            got = mask_esdf(phi, mask, alpha, out=out)
+            assert got.values is out
+            assert out.tobytes() == mask_esdf(phi, mask, alpha).values.tobytes()
+            assert (got.resolution, got.origin) == (phi.resolution, phi.origin)
+        assert np.isnan(buffer[:10]).all() and np.isnan(buffer[45:]).all()
+
 
 class TestBilinear:
     def test_cell_center_exact(self):
@@ -772,3 +785,42 @@ class TestKernelMatchesPerAxisForm:
             want = per_axis_bilinear(per_axis_stack(fields), pts)
             assert [a.shape for a in got] == [a.shape for a in want]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_packed_fields_are_read_in_place(self):
+        # fields that are views of one flat buffer, in any order and with gaps
+        # between them, are looked up there, alone or as rows of a larger stack
+        rng = np.random.default_rng(7)
+        grids = list(self.grids())
+        buffer = np.full(sum(g.values.size + 3 for g in grids), np.nan)
+        packed, used = [], 3
+        for g in grids:
+            view = buffer[used : used + g.values.size].reshape(g.values.shape)
+            view[...] = g.values
+            packed.append(Grid(view, g.resolution, g.origin))
+            used += g.values.size + 3
+        for _ in range(20):
+            rows = rng.integers(len(grids), size=int(rng.integers(1, 6)))
+            fields = [packed[i] for i in rows]
+            pts = np.stack([self.points(phi, rng)[:120] for phi in fields])
+            want = per_axis_bilinear(per_axis_stack([grids[i] for i in rows]), pts)
+            stack = stack_fields(fields)
+            assert stack.flat is buffer
+            taken = stack_fields(packed).take(rows)
+            assert taken.flat is buffer
+            for got in (_bilinear(stack, pts), _bilinear(taken, pts)):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_fields_of_separate_arrays_are_copied(self):
+        buffer = np.arange(40.0)
+        view = Grid(buffer[:20].reshape(4, 5), 1.0)
+        cases = [
+            [Grid(np.ones((2, 3)), 1.0), Grid(np.ones((2, 3)), 1.0)],  # separate arrays
+            [view, Grid(np.ones((2, 3)), 1.0)],  # one view and one array of its own
+            [Grid(np.arange(24.0).reshape(2, 3, 4)[i], 1.0) for i in (0, 1)],  # views of a 3-D array
+            [Grid(buffer[::2].reshape(4, 5), 1.0)],  # a strided view
+            [Grid(buffer.view(np.uint8)[4:164].view(float).reshape(4, 5), 1.0)],  # off the element grid
+        ]
+        for fields in cases:
+            stack = stack_fields(fields)
+            assert not np.shares_memory(stack.flat, buffer)
+            assert stack.flat.tobytes() == np.concatenate([f.values.ravel() for f in fields]).tobytes()

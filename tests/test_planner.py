@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +45,8 @@ def vf_eval(model, x_t, t, cond):
         raise ShapeMismatchError(f"x_t has {x_t.size} entries, expected {3 * model.n_actions}")
     inp = planner._field_input(model, cond, 1)
     inp[0, : x_t.size] = x_t
-    return planner._eval_field(model, inp, float(t))[0]
+    inp[0, x_t.size] = t
+    return model.forward(inp)[0]
 
 
 def smooth_field(n=12, res=0.5):
@@ -622,7 +626,7 @@ def test_penalty_gather_matches_per_sample_reference():
         samples = [PlanningSample(np.zeros((n, 3)), np.zeros(1), phi=f) for f in fields]
         actions = rng.normal(0.0, 1.5, size=(12, n, 3))
         starts = rng.uniform(-3.0, 6.0, size=(12, 3))
-        got = planner._penalty_and_grad(fields, actions, starts)
+        got = planner._penalty_and_grad(stack_fields(fields), actions, starts)
         want = ref_penalty_and_grad(samples, actions, starts)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -635,6 +639,49 @@ def test_train_matches_per_sample_reference(mixed_dataset, lam):
     ref_model, ref_log = ref_train(mixed_dataset, config)
     assert model.get_params().tobytes() == ref_model.get_params().tobytes()
     assert log == ref_log
+
+
+def unpacked(dataset):
+    """The samples with each field copied into an array of its own."""
+    return [dataclasses.replace(s, phi=Grid(s.phi.values.copy(), s.phi.resolution, s.phi.origin))
+            for s in dataset]
+
+
+def test_packed_and_unpacked_datasets_train_alike(mixed_dataset):
+    buffer = mixed_dataset[0].phi.values.base
+    assert buffer is not None and all(s.phi.values.base is buffer for s in mixed_dataset)
+    config = TrainConfig(epochs=3, batch_size=4, hidden=(16,), seed=2, esdf_lambda=0.1)
+    model, log = train(mixed_dataset, config)
+    copied_model, copied_log = train(unpacked(mixed_dataset), config)
+    assert model.get_params().tobytes() == copied_model.get_params().tobytes()
+    assert log == copied_log
+
+
+def test_stack_of_a_packed_dataset_shares_its_buffer(mixed_dataset):
+    buffer = mixed_dataset[0].phi.values.base
+    stack = stack_fields([s.phi for s in mixed_dataset])
+    assert np.shares_memory(stack.flat, buffer)
+    assert np.shares_memory(stack_fields([s.phi for s in mixed_dataset[::-3]]).flat, buffer)
+    copied = stack_fields([s.phi for s in unpacked(mixed_dataset)])
+    assert not np.shares_memory(copied.flat, buffer)
+    for a, b in zip(stack[1:], copied[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_training_allocates_less_than_the_dataset_fields():
+    # a packed dataset at the benchmark's size: training reads its fields in
+    # place, so no copy of them, whole or per batch, adds up to their bytes
+    worlds = [sim.generate_world(s, 48) for s in range(3)]
+    data = sim.build_planning_dataset(worlds, 128, seed=0)
+    field_bytes = sum(s.phi.values.nbytes for s in data)
+    config = TrainConfig(epochs=2, batch_size=64, seed=0, esdf_lambda=0.1)
+    tracemalloc.start()
+    try:
+        train(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 384 and peak < field_bytes
 
 
 @pytest.fixture(scope="module")
@@ -685,7 +732,7 @@ def test_pose_recurrence_and_adjoint_match_the_step_loops(n, b):
         far = max(far, np.abs(poses[..., 2]).max())
         fields = random_fields(rng, b)
         samples = [PlanningSample(np.zeros((n, 3)), np.zeros(1), phi=f) for f in fields]
-        got = planner._penalty_and_grad(fields, actions, starts)
+        got = planner._penalty_and_grad(stack_fields(fields), actions, starts)
         want = ref_penalty_and_grad(samples, actions, starts)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -703,7 +750,7 @@ def test_adjoint_matches_the_step_loop_on_signed_zero_gradients(monkeypatch):
     fields = [Grid(np.zeros((2, 2)), 1.0)] * b
 
     monkeypatch.setattr(planner, "_bilinear", lambda stack, pts: (np.zeros(pts.shape[:2]), gx, gy))
-    _, dact = planner._penalty_and_grad(fields, actions, poses[:, 0])
+    _, dact = planner._penalty_and_grad(stack_fields(fields), actions, poses[:, 0])
     assert dact.tobytes() == ref_adjoint(poses, actions, gx, gy).tobytes()
 
 
@@ -724,7 +771,7 @@ def test_cos_and_sin_keep_their_bits_on_any_layout():
             assert whole[:, k].tobytes() == fn(poses[:, k, 2]).tobytes()
 
 
-def test_training_epoch_gathers_fields_once_per_batch(mixed_dataset, monkeypatch):
+def test_training_gathers_fields_once_per_train(mixed_dataset, monkeypatch):
     gathers = []
 
     def counting(fields):
@@ -732,9 +779,8 @@ def test_training_epoch_gathers_fields_once_per_batch(mixed_dataset, monkeypatch
         return stack_fields(fields)
 
     monkeypatch.setattr(planner, "stack_fields", counting)
-    train(mixed_dataset, TrainConfig(epochs=1, batch_size=5, hidden=(8,), esdf_lambda=0.1))
-    n = len(mixed_dataset)
-    assert gathers == [5] * (n // 5) + ([n % 5] if n % 5 else [])
+    train(mixed_dataset, TrainConfig(epochs=2, batch_size=5, hidden=(8,), esdf_lambda=0.1))
+    assert gathers == [len(mixed_dataset)]
 
 
 def test_batched_sampler_matches_sequential_samples():
@@ -760,26 +806,33 @@ def test_batched_sampler_draws_the_sequential_noise():
     assert rows.reshape(6, 9).tobytes() == noise.tobytes()
 
 
-def test_sampler_checks_shapes_once_and_finiteness_per_step(monkeypatch):
+def test_sampler_checks_shapes_once_and_finiteness_once(monkeypatch):
     m = VectorFieldModel.create(2, 3, hidden=(8,), seed=1)
     with pytest.raises(ShapeMismatchError):
         sample_actions(m, np.zeros(4), 5, np.random.default_rng(0), 3)
     with pytest.raises(PlannerError):
         sample_actions(m, np.zeros(3), 0, np.random.default_rng(0), 3)
-    calls = []
     original = VectorFieldModel.forward
+    for bad in (np.nan, np.inf, -np.inf):
+        calls = []
 
-    def poisoned(self, x):
-        calls.append(x.shape)
-        out = original(self, x)
-        if len(calls) == 3:
-            out[1, 0] = np.nan
-        return out
+        def poisoned(self, x):
+            calls.append(x.shape)
+            out = original(self, x)
+            if len(calls) >= 3:
+                # an infinity, then the opposite one, whose difference with x is NaN
+                out[1, 0] = bad if len(calls) == 3 else -bad
+            return out
 
-    monkeypatch.setattr(VectorFieldModel, "forward", poisoned)
-    with pytest.raises(PlannerError):
-        sample_actions(m, np.zeros(3), 10, np.random.default_rng(0), 4)
-    assert calls == [(4, 10)] * 3
+        monkeypatch.setattr(VectorFieldModel, "forward", poisoned)
+        # a non-finite output at step 3 leaves x non-finite through the later
+        # steps, which run without a RuntimeWarning, and the one check after
+        # the loop raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PlannerError, match="non-finite"):
+                sample_actions(m, np.zeros(3), 10, np.random.default_rng(0), 4)
+        assert calls == [(4, 10)] * 10
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,34 @@ def test_dataset_from_relatively_addressed_worlds_reads_back(world, tmp_path, mo
         np.testing.assert_array_equal(b.phi.values, a.phi.values)
 
 
+def assert_packed(dataset):
+    """Every field is a view of one flat buffer, back to back in sample order;
+    returns the buffer."""
+    buffer = dataset[0].phi.values.base
+    assert buffer.ndim == 1 and buffer.dtype == float
+    used = 0
+    for s in dataset:
+        assert s.phi.values.base is buffer and s.phi.values.flags.c_contiguous
+        assert s.phi.values.ctypes.data == buffer.ctypes.data + 8 * used
+        used += s.phi.values.size
+    return buffer
+
+
+def test_dataset_fields_are_packed_in_one_buffer(saved_world, world, tmp_path):
+    worlds = [saved_world, world]
+    data = sim.build_planning_dataset(worlds, 4, n_actions=8, seed=1)
+    assert {s.world_index for s in data} == {0, 1}
+    assert assert_packed(data).size == sum(s.phi.values.size for s in data)
+    path = tmp_path / "data.jsonl"
+    sim.save_dataset([s for s in data if s.world_index == 0], path)
+    loaded = sim.load_dataset(path, 0.3, 0.5)
+    assert assert_packed(loaded).size == sum(s.phi.values.size for s in loaded)
+    for s in loaded:
+        phi = saved_world.phi()
+        gt = PoseTrajectory.from_jsonable(s.gt_poses)
+        assert s.phi.values.tobytes() == mask_esdf(phi, make_mask(gt, phi, 0.5), 0.3).values.tobytes()
+
+
 def test_save_dataset_needs_grid_ref(world, tmp_path):
     # a generated world has no file behind it, so its samples carry no grid_ref
     data = sim.build_planning_dataset([world], 1, n_actions=8, seed=1)
@@ -1498,6 +1526,25 @@ def test_eval_suite_reports_are_pinned(worlds48, eval_model, name):
     suite = sim.eval_suite(worlds48, 6, config, eval_model if kind == "model" else None, 0)
     digest = hashlib.sha256(json.dumps(suite, sort_keys=True).encode()).hexdigest()
     assert digest == SUITE_DIGESTS[name]
+
+
+def test_learn_path_is_pinned(worlds48):
+    # the dataset, training at lambda 0.1 over fields of two sizes, and the
+    # open-loop rollouts of the trained model, byte for byte
+    worlds = [*worlds48, sim.generate_world(3, 32)]
+    data = sim.build_planning_dataset(worlds, 20, seed=0)
+    config = planner.TrainConfig(epochs=6, batch_size=16, hidden=(32, 32), seed=0, esdf_lambda=0.1)
+    model, log = planner.train(data, config)
+    rollouts = sim.evaluate_planner(model, worlds, 3, 4, seed=1)
+    h = hashlib.sha256()
+    for s in data:
+        for a in (s.actions, s.condition.vector(), np.array(s.start.as_tuple()), s.phi.values):
+            h.update(a.tobytes())
+        h.update(json.dumps([s.gt_poses, s.world_index, s.phi.resolution, s.phi.origin]).encode())
+    h.update(model.params.tobytes())
+    h.update(json.dumps([log, rollouts], sort_keys=True).encode())
+    assert len(data) == 80
+    assert h.hexdigest() == "e47f3f8c338e5eeba53332dc6e0bc97b9b87ddeda7c4cb61140a7edfa3ecc612"
 
 
 # --- the stepped loop on floats against the loop it replaced ------------------------------
