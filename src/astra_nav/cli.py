@@ -220,7 +220,7 @@ def _cmd_plan_sample(args) -> int:
     model = planner.VectorFieldModel.load(args.model)
     cond = _load_json(args.cond, planner.PlanningCondition.from_jsonable)
     rng = np.random.default_rng(args.seed)
-    plan = planner.sample(model, cond, args.steps, rng)
+    plan = planner.sample(model, [cond], args.steps, [rng])[0]
     _emit(plan.to_jsonable())
     return 0
 

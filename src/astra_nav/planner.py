@@ -15,16 +15,20 @@ loss exposes exact reverse-mode parameter gradients; at lambda = 0 it is the
 plain flow-matching loss.
 
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
-down to t = 0: x <- x - dt * v(x, t | c). The K candidates of one condition
-are integrated together, one forward pass per step; a single plan is the
-K = 1 case, and the result is checked to be finite once, after the last
-step. The network has one layer loop, `VectorFieldModel._forward_cached`:
-`forward` returns its output, and training keeps its activations for the
-backward pass. Training builds the dataset's arrays and its stack of
-masked fields once (`esdf.stack_fields`, which reads a dataset packed into
-one buffer in place), and each batch samples its rows of the stack in one
-gather. A batch's momentum step, activations and gradient products are
-computed in place, each to the bits of the fresh-array form.
+down to t = 0: x <- x - dt * v(x, t | c). One Euler loop, `_euler`,
+integrates any set of rows together, one forward pass per step, and checks
+the result to be finite once, after the last step: the K rollouts of one
+condition (`sample_actions`), or one plan for each of several conditions,
+each drawing its noise from its own generator (`sample`, which the
+navigation loop calls once per control cycle for every episode that plans
+in it); a single plan is the case of one row. The network has one layer
+loop, `VectorFieldModel._forward_cached`: `forward` returns its output, and
+training keeps its activations for the backward pass. Training builds the
+dataset's arrays and its stack of masked fields once (`esdf.stack_fields`,
+which reads a dataset packed into one buffer in place), and each batch
+samples its rows of the stack in one gather. A batch's momentum step,
+activations and gradient products are computed in place, each to the bits
+of the fresh-array form.
 
 A plan's poses, the loss's poses and the open-loop rollouts' poses come from
 one batched recurrence, `geom.poses_from_actions`. Its adjoint is a set of
@@ -243,16 +247,16 @@ class VectorFieldModel:
             raise PlannerError(f"{path}: malformed model file: {e!r}") from e
 
 
-def _field_input(model: VectorFieldModel, cond, k: int) -> np.ndarray:
-    """(k, 3n + 1 + c) network input with the condition columns written once;
-    the caller keeps the trajectory columns and writes the time column per
-    evaluation."""
-    c = _cond_vector(cond)
-    if c.size != model.cond_dim:
-        raise ShapeMismatchError(f"condition has {c.size} entries, expected {model.cond_dim}")
+def _field_input(model: VectorFieldModel, cond: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, 3n + 1 + c) network input with the condition columns written
+    once, from one (c,) condition vector for every row or one (rows, c) row
+    per row; the caller writes the trajectory columns, and `_euler` the time
+    column per evaluation."""
+    if cond.shape[-1] != model.cond_dim:
+        raise ShapeMismatchError(f"condition has {cond.shape[-1]} entries, expected {model.cond_dim}")
     n3 = 3 * model.n_actions
-    inp = np.empty((k, n3 + 1 + c.size))
-    inp[:, n3 + 1 :] = c
+    inp = np.empty((rows, n3 + 1 + model.cond_dim))
+    inp[:, n3 + 1 :] = cond
     return inp
 
 
@@ -514,22 +518,19 @@ class PlanSample:
         }
 
 
-def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int = 1) -> np.ndarray:
-    """Draw k trajectories under one condition together, as (k, n, 3) actions.
+def _euler(model: VectorFieldModel, inp: np.ndarray, steps: int) -> np.ndarray:
+    """The one Euler loop: integrate the noise in the trajectory columns of
+    the network input `inp` (k, 3n + 1 + c) from t=1 down to t=0, one
+    forward pass over all k rows per step, and return the (k, n, 3) actions.
 
-    The (k, 3n) noise comes from one draw, the same stream as k draws of 3n,
-    and each Euler step from t=1 down to t=0 is one forward pass over all k.
-    The trajectories are integrated in place in the network input's
-    trajectory columns, x <- x - (v * dt), which is x - dt * v to the bit.
-    A non-finite output makes an entry of x non-finite, and the update keeps
-    it so, so one check of x after the last step finds it.
+    Each row is integrated in place, x <- x - (v * dt), which is x - dt * v
+    to the bit. A non-finite output makes an entry of x non-finite, and the
+    update keeps it so, so one check of x after the last step finds it.
     """
     if steps < 1:
         raise PlannerError("steps must be >= 1")
-    inp = _field_input(model, condition, k)
     n3 = 3 * model.n_actions
     x = inp[:, :n3]
-    x[...] = rng.standard_normal(x.shape)
     dt = 1.0 / steps
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
@@ -539,24 +540,43 @@ def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int =
             x -= v
     if not np.isfinite(x).all():
         raise PlannerError("vector field produced non-finite output")
-    return x.reshape(k, model.n_actions, 3)
+    return x.reshape(-1, model.n_actions, 3)
 
 
-def sample(
-    model: VectorFieldModel,
-    condition,
-    steps: int,
-    rng,
-    start: Pose2 = Pose2(),
-) -> PlanSample:
-    """Draw one trajectory by Euler integration from noise at t=1 down to t=0.
+def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int = 1) -> np.ndarray:
+    """Draw k trajectories under one condition together, as (k, n, 3) actions.
 
-    Its poses are the rows of `poses_from_actions` on the actions from
-    `start`, the recurrence the loss and the open-loop rollouts integrate
-    with, their headings wrapped by `PoseTrajectory`."""
-    actions = sample_actions(model, condition, steps, rng)
-    poses = poses_from_actions(actions, np.array([start.as_tuple()]))[0][0]
-    return PlanSample(actions[0], PoseTrajectory(poses))
+    The (k, 3n) noise comes from one draw, the same stream as k draws of 3n,
+    and `_euler` integrates the k rows together.
+    """
+    inp = _field_input(model, _cond_vector(condition), k)
+    x = inp[:, : 3 * model.n_actions]
+    x[...] = rng.standard_normal(x.shape)
+    return _euler(model, inp, steps)
+
+
+def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None) -> list[PlanSample]:
+    """Draw one trajectory per condition by Euler integration from noise at
+    t=1 down to t=0, all of them together; one plan is the case of one
+    condition.
+
+    Plan i's noise is one draw of 3n values from `rngs[i]`, the plans' draws
+    made in order before the first step, and its poses are the rows of
+    `poses_from_actions` on its actions from `starts[i]` (an [x, y, theta]
+    row; the origin when `starts` is None), the recurrence the loss and the
+    open-loop rollouts integrate with, their headings wrapped by
+    `PoseTrajectory`. A row of a batched product may differ in its last bits
+    from the one-row product, so a plan's floats can depend on the other
+    plans it is drawn with."""
+    cond = np.array([_cond_vector(c) for c in conditions])
+    inp = _field_input(model, cond, len(cond))
+    n3 = 3 * model.n_actions
+    for row, rng in zip(inp, rngs, strict=True):
+        row[:n3] = rng.standard_normal(n3)
+    actions = _euler(model, inp, steps)
+    starts = np.zeros((len(inp), 3)) if starts is None else np.asarray(starts, dtype=float)
+    poses = poses_from_actions(actions, starts.reshape(-1, 3))[0]
+    return [PlanSample(a, PoseTrajectory(p)) for a, p in zip(actions, poses)]
 
 
 def distance_field(grid: Grid) -> Grid:

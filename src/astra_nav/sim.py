@@ -32,7 +32,15 @@ goal of a plan is kept.
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global node
 path and one expert path to the goal, then run control cycles, one `step`
-of an `EpisodeState` each. Only the learned planner (`_LearnedPlanner`)
+of an `EpisodeState` each. `eval_suite` sets every episode up first and then
+runs all live episodes in lock-step, one control cycle each at a time
+(`_lock_step`), in two phases: a plan phase builds the condition of every
+episode the learned planner drives and samples all their plans in one
+batched Euler loop, each x0 drawn from its episode's own rng; an execute
+phase runs each episode's steps. An episode draws x0 first and then its
+cycle's noise, from its own rng, as it would alone, so only the last bits
+of a plan's floats depend on the episodes beside it; `run_episode` is the
+same loop on one episode. Only the learned planner (`_LearnedPlanner`)
 reads the node path, so an episode the expert drives only checks that the
 start and goal nodes are connected. Its cycle picks a lookahead subgoal on
 the node path, from a nearest-node index that only moves forward and the
@@ -792,11 +800,12 @@ class _ExpertPath:
     and returns the increments from the estimate to the next `_EXECUTE_STEPS`
     poses. The path is re-planned from the estimate to the goal on two events
     only: the estimate is farther than `_SAFETY_MARGIN` from the nearest
-    pose, or no pose is left ahead of it.
+    pose, or no pose is left ahead of it. `episode` names the episode in the
+    debug records.
     """
 
-    def __init__(self, world: World, goal: Pose2, path: PoseTrajectory):
-        self.world, self.goal = world, goal
+    def __init__(self, world: World, goal: Pose2, path: PoseTrajectory, episode: int = 0):
+        self.world, self.goal, self.episode = world, goal, episode
         self._follow(path)
 
     def _follow(self, path: PoseTrajectory) -> None:
@@ -811,7 +820,7 @@ class _ExpertPath:
         x, y, _ = self.rows[self.index]
         off = math.hypot(x - est.x, y - est.y)
         if off > _SAFETY_MARGIN or self.index == len(self.rows) - 1:
-            log.debug("expert re-plans on %s, %.3f m from the path",
+            log.debug("episode %d: expert re-plans on %s, %.3f m from the path", self.episode,
                       "deviation" if off > _SAFETY_MARGIN else "path end", off)
             ref = oracle_plan(self.world, est, self.goal)
             self._follow(ref if len(ref) > 1 else PoseTrajectory([est.as_tuple(), self.goal.as_tuple()]))
@@ -823,11 +832,13 @@ class _LearnedPlanner:
     """The learned planner's control cycle on the node path to the goal
     (the goal appended), whose rows and arc lengths are built once.
 
-    Each call moves the progress index to the nearest row from the last one
-    on, so it never moves back, and takes the subgoal with one binary search
-    of the arc lengths (`_lookahead_index`). It builds one `Pose2` for the
-    subgoal, one for the subgoal in the ego frame, the condition, and a plan
-    of `_EULER_STEPS` forward passes whose poses are one array.
+    A cycle is two calls around the plan, which `_plan_phase` samples for
+    every planning episode at once: `condition` moves the progress index to
+    the nearest row from the last one on, so it never moves back, takes the
+    subgoal with one binary search of the arc lengths (`_lookahead_index`)
+    and builds one `Pose2` for the subgoal, one for the subgoal in the ego
+    frame, and the condition; `review` checks the plan, whose poses are one
+    array, and counts the call and the fallback.
     """
 
     def __init__(self, world: World, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
@@ -836,18 +847,20 @@ class _LearnedPlanner:
         self.cum = _arc_lengths(self.xy)
         self.progress = 0
 
-    def actions(self, est: Pose2, velocity: float, rng, report: EpisodeReport):
-        """The plan's first `_EXECUTE_STEPS` actions, or None when it collides
-        and `fallback` hands the cycle to the expert; `velocity` is the last
-        executed step's length. Counts the call and the fallback."""
+    def condition(self, est: Pose2, velocity: float) -> PlanningCondition:
+        """The plan's condition at the estimate; `velocity` is the last
+        executed step's length."""
         self.progress = _nearest_index(self.xy, est, self.progress)
         subgoal = self.path[_lookahead_index(self.cum, self.progress, _LOOKAHEAD)]
-        world = self.world
-        occupancy = occupancy_features(world.grid2d(), est, world.phi())
-        cond = PlanningCondition(relative_pose(est, subgoal), (velocity, 0.0), occupancy)
-        plan = plan_sample(self.model, cond, _EULER_STEPS, rng, est)
+        occupancy = occupancy_features(self.world.grid2d(), est, self.world.phi())
+        return PlanningCondition(relative_pose(est, subgoal), (velocity, 0.0), occupancy)
+
+    def review(self, plan, report: EpisodeReport):
+        """The plan's first `_EXECUTE_STEPS` actions, or None when it collides
+        and `fallback` hands the cycle to the expert."""
         report.planner_calls += 1
-        if collision_check(plan.poses, None, _FOOTPRINT_RADIUS, world.dist_field()) and self.fallback:
+        collides = collision_check(plan.poses, None, _FOOTPRINT_RADIUS, self.world.dist_field())
+        if collides and self.fallback:
             report.fallback_count += 1
             return None
         return plan.actions[:_EXECUTE_STEPS].tolist()
@@ -860,6 +873,7 @@ class EpisodeState:
     The true and estimated poses are those at the end of the last cycle.
     `learned` is unset when the expert drives every cycle. `step_lengths` and
     `true_xy` hold the length and the true position of every executed step.
+    `episode` is the episode's index in its suite, for the debug records.
     Once `done`, `report` is final.
     """
 
@@ -879,6 +893,7 @@ class EpisodeState:
     done: bool = False
     step_lengths: list[float] = field(default_factory=list)
     true_xy: list[tuple[float, float]] = field(default_factory=list)
+    episode: int = 0
 
     def goal_distance(self) -> float:
         return math.hypot(self.true_pose.x - self.goal.x, self.true_pose.y - self.goal.y)
@@ -888,15 +903,18 @@ def step(state: EpisodeState) -> EpisodeState:
     """Run one control cycle of the episode, or end it: `state.done` is set,
     and the report filled in, once the budget is spent, the true pose is
     within the goal tolerance, the expert finds no path, or progress stalls.
+    This is `_lock_step` on one episode.
 
     A cycle takes its actions from `_LearnedPlanner`, or from `_ExpertPath`
     when none is set or it falls back, splits them into executed steps
     (`_split_action`), draws its noise, then executes the steps one by one.
     The random draws of a cycle come in this order: the learned planner's
-    sample, when it plans; then one `rng.normal` call of (steps, 7) values,
-    row by row in the order of the steps, each row the executed x, y and
-    heading noise, the wheel x, y and heading noise and the IMU noise. Rows
-    past a goal-reached break go unused, and the episode ends there.
+    x0, one `standard_normal` draw of 3n values, when it plans; then one
+    `rng.normal` call of (steps, 7) values, row by row in the order of the
+    steps, each row the executed x, y and heading noise, the wheel x, y and
+    heading noise and the IMU noise. Rows past a goal-reached break go
+    unused, and the episode ends there. An episode that ends at the top of a
+    cycle draws nothing in it.
 
     Within a cycle both poses are plain floats: each step composes the
     executed increment onto the true pose and the fused wheel + IMU
@@ -907,22 +925,62 @@ def step(state: EpisodeState) -> EpisodeState:
     one `Pose2` per global fix and two at its end, for the true pose and the
     estimate.
     """
-    if state.done:
-        return state
-    world, config, report = state.world, state.config, state.report
-    if state.executed >= state.budget or state.goal_distance() <= _GOAL_TOLERANCE:
-        return _end_episode(state)
+    _lock_step([state])
+    return state
+
+
+def _lock_step(states: list[EpisodeState]) -> None:
+    """One control cycle of every live episode of `states`, in two phases.
+
+    Episodes whose budget is spent or whose true pose is within the goal
+    tolerance end first. Plan: `_plan_phase` samples one plan for every
+    remaining episode the learned planner drives. Execute: each episode runs
+    its cycle's steps as `_execute` sets out, in the order of `states`. The
+    episodes share one model, and each draws only from its own rng, so an
+    episode's draws do not depend on the episodes it runs beside."""
+    for state in states:
+        if not state.done and (state.executed >= state.budget
+                               or state.goal_distance() <= _GOAL_TOLERANCE):
+            _end_episode(state)
+    live = [state for state in states if not state.done]
+    planned = iter(_plan_phase([state for state in live if state.learned is not None]))
+    for state in live:
+        _execute(state, next(planned) if state.learned is not None else None)
+
+
+def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
+    """Each learned episode's actions for this cycle, in the order of
+    `states`: the plan's first `_EXECUTE_STEPS` actions, or None when the
+    plan falls back. The conditions are built episode by episode, then one
+    `plan_sample` call draws every episode's x0 from its own rng, in that
+    order, and integrates all plans in one Euler loop; each plan is then
+    checked and counted on its own (`_LearnedPlanner.review`)."""
+    if not states:
+        return []
+    conditions = [
+        state.learned.condition(state.est_pose, state.step_lengths[-1] if state.step_lengths else 0.0)
+        for state in states
+    ]
+    plans = plan_sample(states[0].learned.model, conditions, _EULER_STEPS,
+                        [state.rng for state in states], [state.est_pose.as_tuple() for state in states])
+    return [state.learned.review(plan, state.report) for state, plan in zip(states, plans)]
+
+
+def _execute(state: EpisodeState, rows: list | None) -> None:
+    """The execute phase of one episode's cycle: the planned `rows`, or the
+    expert's actions when they are None (the oracle planner, or a fallback),
+    split into steps, their noise drawn at once and the steps run one by one
+    (see `step`); the episode ends stuck when the expert finds no path or
+    progress stalls."""
+    config, report = state.config, state.report
     est = state.est_pose
-    rows = None
-    if state.learned is not None:
-        velocity = state.step_lengths[-1] if state.step_lengths else 0.0
-        rows = state.learned.actions(est, velocity, state.rng, report)
-    if rows is None:  # oracle planner, or a fallback replacement segment
+    if rows is None:
         try:
             rows = state.expert.actions(est)
         except UnreachableError:
             report.reason = "stuck"
-            return _end_episode(state)
+            _end_episode(state)
+            return
 
     steps = [s for row in rows for s in _split_action(row, _MAX_STEP)]
     lengths = [math.hypot(dx, dy) for dx, dy, _ in steps]
@@ -947,14 +1005,14 @@ def step(state: EpisodeState) -> EpisodeState:
         report.path_length += length
         state.true_xy.append((tx, ty))
         if state.executed % config.fix_every == 0:
-            fix = _global_fix(world, Pose2(tx, ty, tth), _FIX_ORACLE_RADIUS)
+            fix = _global_fix(state.world, Pose2(tx, ty, tth), _FIX_ORACLE_RADIUS)
             if fix is not None:
-                log.debug("step %d: global fix accepted, jump %.3f m", state.executed,
-                          math.hypot(fix.x - ex, fix.y - ey))
+                log.debug("episode %d step %d: global fix accepted, jump %.3f m", state.episode,
+                          state.executed, math.hypot(fix.x - ex, fix.y - ey))
                 # position re-anchored to the map, heading kept from odometry
                 ex, ey = fix.x, fix.y
             else:
-                log.debug("step %d: global fix rejected", state.executed)
+                log.debug("episode %d step %d: global fix rejected", state.episode, state.executed)
         if math.hypot(tx - gx, ty - gy) <= _GOAL_TOLERANCE:
             break
     state.true_pose, state.est_pose = Pose2(tx, ty, tth), Pose2(ex, ey, eth)
@@ -967,8 +1025,7 @@ def step(state: EpisodeState) -> EpisodeState:
         state.stall += _EXECUTE_STEPS
         if state.stall >= max(80, 4 * config.fix_every):
             report.reason = "stuck"
-            return _end_episode(state)
-    return state
+            _end_episode(state)
 
 
 def _end_episode(state: EpisodeState) -> EpisodeState:
@@ -982,8 +1039,9 @@ def _end_episode(state: EpisodeState) -> EpisodeState:
     if d <= _GOAL_TOLERANCE:
         report.success, report.reason = True, "reached"
     report.final_error = d
-    log.debug("episode ends %s after %d steps, %d collisions, %.3f m from the goal",
-              report.reason, state.executed, report.collision_count, report.final_error)
+    log.debug("episode %d ends %s after %d steps, %d collisions, %.3f m from the goal",
+              state.episode, report.reason, state.executed, report.collision_count,
+              report.final_error)
     report.mean_velocity = (
         float(np.mean(state.step_lengths)) / _MAX_STEP if state.step_lengths else 0.0
     )
@@ -1000,23 +1058,10 @@ def _require_free(world: World, pose: Pose2, what: str) -> None:
         raise SimError(f"{what} pose {list(pose.as_tuple())} lies in an occupied cell")
 
 
-def run_episode(
-    world: World,
-    goal,
-    config: NavConfig,
-    model: VectorFieldModel | None = None,
-    seed: int = 0,
-    start: Pose2 | None = None,
-) -> EpisodeReport:
-    """One navigation episode; `goal` is a Pose2 or an instruction string.
-
-    Set-up draws the start point and heading from the episode's rng when no
-    start is given, then locates the goal, takes a first global fix, checks
-    that the start and goal nodes are connected (the learned planner takes
-    the node path itself) and plans the expert's reference path, which sets
-    the step budget; control cycles (`step`) run until the episode ends.
-    Raises SimError when a given start or the goal pose lies outside the
-    world's grid cells or in an occupied one."""
+def _start_episode(world: World, goal, config: NavConfig, model: VectorFieldModel | None,
+                   seed: int, start: Pose2 | None, episode: int) -> EpisodeState | EpisodeReport:
+    """An episode's set-up (see `run_episode`): its state before the first
+    control cycle, or its final report when it ends in set-up."""
     rng = np.random.default_rng(seed)
     if start is not None:
         _require_free(world, start, "start")
@@ -1035,9 +1080,9 @@ def run_episode(
 
     fix = _global_fix(world, start, radius=0.51)
     if fix is None:
-        log.debug("first global fix rejected")
+        log.debug("episode %d: first global fix rejected", episode)
         return EpisodeReport(False, "localization-fail")
-    log.debug("first global fix accepted, %.3f m from the true pose",
+    log.debug("episode %d: first global fix accepted, %.3f m from the true pose", episode,
               math.hypot(fix.x - start.x, fix.y - start.y))
     # localization recovers position; heading comes from the robot's own frame
     est_pose = Pose2(fix.x, fix.y, start.theta)
@@ -1064,16 +1109,45 @@ def run_episode(
     # the expert's first path is the reference path: it starts at the true
     # start, where the first fix puts the estimate when the start is a node;
     # an estimate off it makes the first cycle re-plan
-    state = EpisodeState(
+    return EpisodeState(
         world, goal_pose, config, rng, start, est_pose,
-        _ExpertPath(world, goal_pose, oracle_ref), learned,
+        _ExpertPath(world, goal_pose, oracle_ref, episode), learned,
         budget=max(60, int(_BUDGET_FACTOR * expert_length / _MAX_STEP)),
         report=report,
         best_goal_dist=math.hypot(start.x - goal_pose.x, start.y - goal_pose.y),
+        episode=episode,
     )
-    while not state.done:
-        step(state)
-    return state.report
+
+
+def _run_episodes(setups: list[EpisodeState | EpisodeReport]) -> list[EpisodeReport]:
+    """Run every set-up episode to its end in lock-step (`_lock_step`) and
+    return each one's report, in order."""
+    live = [s for s in setups if isinstance(s, EpisodeState)]
+    while live:
+        _lock_step(live)
+        live = [state for state in live if not state.done]
+    return [s.report if isinstance(s, EpisodeState) else s for s in setups]
+
+
+def run_episode(
+    world: World,
+    goal,
+    config: NavConfig,
+    model: VectorFieldModel | None = None,
+    seed: int = 0,
+    start: Pose2 | None = None,
+) -> EpisodeReport:
+    """One navigation episode; `goal` is a Pose2 or an instruction string.
+
+    Set-up draws the start point and heading from the episode's rng when no
+    start is given, then locates the goal, takes a first global fix, checks
+    that the start and goal nodes are connected (the learned planner takes
+    the node path itself) and plans the expert's reference path, which sets
+    the step budget; control cycles (`step`) run until the episode ends.
+    This is `eval_suite`'s loop on one episode.
+    Raises SimError when a given start or the goal pose lies outside the
+    world's grid cells or in an occupied one."""
+    return _run_episodes([_start_episode(world, goal, config, model, seed, start, 0)])[0]
 
 
 def _spl(report: EpisodeReport) -> float:
@@ -1086,19 +1160,14 @@ def _spl(report: EpisodeReport) -> float:
     return report.expert_length / longer if longer > 0 else 1.0
 
 
-def eval_suite(
-    worlds: list[World],
-    n_episodes: int,
-    config: NavConfig,
-    model: VectorFieldModel | None = None,
-    master_seed: int = 0,
-) -> dict:
-    """Run seeded episodes round-robin over the worlds and aggregate the outcome."""
-    if n_episodes < 1:
-        raise SimError("need at least one episode")
+def _suite_episodes(worlds: list[World], n_episodes: int, master_seed: int):
+    """The suite's episodes as (world, goal, seed, start), round-robin over
+    the worlds: each episode's seed comes from the master seed, and its
+    start and goal points, at least 3 m apart where the world has such a
+    pair, and its start heading from the episode's seed."""
     rng = np.random.default_rng(master_seed)
     seeds = rng.integers(0, 2**31 - 1, size=n_episodes)
-    reports = []
+    episodes = []
     for i in range(n_episodes):
         world = worlds[i % len(worlds)]
         ep_rng = np.random.default_rng(int(seeds[i]))
@@ -1115,11 +1184,16 @@ def eval_suite(
         ] or [j for j in range(n) if j != si] or [si]
         gi = candidates[int(ep_rng.integers(len(candidates)))]
         start = Pose2(*world.start_xy[si], float(ep_rng.uniform(-math.pi, math.pi)))
-        goal = Pose2(*world.start_xy[gi], 0.0)
-        reports.append(run_episode(world, goal, config, model, seed=int(seeds[i]), start=start))
+        episodes.append((world, Pose2(*world.start_xy[gi], 0.0), int(seeds[i]), start))
+    return episodes
+
+
+def _summarize(reports: list[EpisodeReport]) -> dict:
+    """A suite's outcome: the episodes' rates and means, and every report."""
+    n_episodes = len(reports)
     planner_eps = sum(1 for r in reports if r.planner_calls > 0)
     fallback_eps = sum(1 for r in reports if r.fallback_count > 0)
-    agg = {
+    return {
         "episodes": n_episodes,
         "success_rate": sum(r.success for r in reports) / n_episodes,
         "fallback_rate": (fallback_eps / planner_eps) if planner_eps else 0.0,
@@ -1129,7 +1203,36 @@ def eval_suite(
         "mean_velocity": float(np.mean([r.mean_velocity for r in reports])),
         "reports": [r.to_jsonable() for r in reports],
     }
-    return agg
+
+
+def eval_suite(
+    worlds: list[World],
+    n_episodes: int,
+    config: NavConfig,
+    model: VectorFieldModel | None = None,
+    master_seed: int = 0,
+) -> dict:
+    """Run seeded episodes round-robin over the worlds and aggregate the outcome.
+
+    Every episode is set up first, in order, as `run_episode` sets one up.
+    Then all live episodes advance one control cycle at a time in lock-step
+    (`_lock_step`): a plan phase samples every learned episode's plan in one
+    batched Euler loop, each x0 drawn from its episode's own rng, and an
+    execute phase runs each episode's steps as `step` does. Each episode
+    draws what it would draw alone, x0 first and then the cycle's noise;
+    only the last bits of a plan's floats can differ from the episode run
+    alone, as a row of a batched product may, and no discrete outcome of
+    the bench's or the tests' episodes differs.
+    Raises SimError on no worlds or fewer than one episode."""
+    if n_episodes < 1:
+        raise SimError("need at least one episode")
+    if not worlds:
+        raise SimError("need at least one world")
+    setups = [
+        _start_episode(world, goal, config, model, seed, start, i)
+        for i, (world, goal, seed, start) in enumerate(_suite_episodes(worlds, n_episodes, master_seed))
+    ]
+    return _summarize(_run_episodes(setups))
 
 
 # --- expert dataset and planner evaluation -----------------------------------

@@ -856,9 +856,9 @@ def test_log_level_debug_reports_fixes_and_replans(files, capsys):
     assert code == 0
     assert out == quiet_out  # logging changes nothing the command computes
     lines = err.splitlines()
-    assert lines[0].startswith("DEBUG astra_nav.sim: first global fix accepted")
-    assert lines[-1].startswith("DEBUG astra_nav.sim: episode ends ")
-    assert all(line.startswith("DEBUG astra_nav.sim: ") for line in lines)
+    assert lines[0].startswith("DEBUG astra_nav.sim: episode 0: first global fix accepted")
+    assert lines[-1].startswith("DEBUG astra_nav.sim: episode 0 ends ")
+    assert all(line.startswith("DEBUG astra_nav.sim: episode 0") for line in lines)
     # the flag lasts for its own command only
     assert run(capsys, *argv)[2] == ""
     assert logging.getLogger("astra_nav").handlers == []

@@ -124,6 +124,8 @@ UNPASSED_DEFAULTS = {
     "tests and the CLI fixtures build shorter ones",
     "odometry.dead_reckon.weights": "`odom eval` fuses at the defaults; tests compare single "
     "sensors with the fused estimate",
+    "sim.run_episode.start": "`sim run` draws the start from the seed and eval_suite sets its "
+    "episodes up itself; tests pass starts",
 }
 # Calls that forward their trailing arguments to a function they take: the
 # index of that function among their positional arguments.

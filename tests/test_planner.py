@@ -314,7 +314,7 @@ class TestTrain:
         model, log = train(dataset, config)
         assert math.isfinite(log[-1]["cfm"])
         draws = [
-            sample(model, cond, steps=40, rng=np.random.default_rng(s)) for s in range(6)
+            sample(model, [cond], 40, [np.random.default_rng(s)])[0] for s in range(6)
         ]
         err = np.stack([d.actions - target for d in draws])
         assert np.abs(err).max() < 0.05
@@ -356,7 +356,7 @@ class TestSample:
         x1 = rng.normal(size=6)
         field = _TrueField(x1)
         for steps in (1, 5, 20):
-            plan = sample(field, np.zeros(1), steps, np.random.default_rng(3))
+            (plan,) = sample(field, [np.zeros(1)], steps, [np.random.default_rng(3)])
             np.testing.assert_allclose(plan.actions.ravel(), x1, atol=1e-12)
 
     def test_one_step_equals_reconstruct_from_noise(self):
@@ -365,14 +365,14 @@ class TestSample:
         noise = np.random.default_rng(7).standard_normal(6)
         v = vf_eval(m, noise, 1.0, cond)
         expect = reconstruct(noise, 1.0, v)
-        plan = sample(m, cond, steps=1, rng=np.random.default_rng(7))
+        (plan,) = sample(m, [cond], 1, [np.random.default_rng(7)])
         np.testing.assert_allclose(plan.actions.ravel(), expect, atol=1e-15)
 
     def test_fixed_rng_reproducible(self):
         m = VectorFieldModel.create(2, 3, hidden=(8,), seed=4)
         cond = np.zeros(3)
-        a = sample(m, cond, 20, np.random.default_rng(5))
-        b = sample(m, cond, 20, np.random.default_rng(5))
+        (a,) = sample(m, [cond], 20, [np.random.default_rng(5)])
+        (b,) = sample(m, [cond], 20, [np.random.default_rng(5)])
         np.testing.assert_array_equal(a.actions, b.actions)
 
     def test_poses_consistent_with_actions(self):
@@ -384,7 +384,7 @@ class TestSample:
         unwrapped = 0
         for i in range(20):
             start = Pose2(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-math.pi, math.pi))
-            plan = sample(m, rng.normal(size=2), 10, np.random.default_rng(i), start=start)
+            (plan,) = sample(m, [rng.normal(size=2)], 10, [np.random.default_rng(i)], [start.as_tuple()])
             assert plan.poses[0] == start and len(plan.poses) == 4
             want = poses_from_actions(plan.actions[None], np.array([start.as_tuple()]))[0][0]
             got = plan.poses.as_array()
@@ -789,11 +789,20 @@ def test_batched_sampler_matches_sequential_samples():
     for k in (1, 2, 7):
         rows = sample_actions(m, cond, 20, np.random.default_rng(k), k)
         rng = np.random.default_rng(k)
-        seq = np.stack([sample(m, cond, 20, rng).actions for _ in range(k)])
+        seq = np.stack([sample(m, [cond], 20, [rng])[0].actions for _ in range(k)])
         assert rows.shape == (k, 4, 3)
         np.testing.assert_allclose(rows, seq, rtol=0, atol=1e-12)
         if k == 1:
             assert rows.tobytes() == seq.tobytes()
+    # one plan per condition, each from its own generator and start, against plans drawn alone
+    conds = [np.linspace(-1.0, 1.0, 5) * s for s in (1.0, -0.5, 2.0)]
+    starts = [(0.0, 0.0, 0.0), (1.0, -2.0, 0.5), (-3.0, 0.5, -2.5)]
+    together = sample(m, conds, 20, [np.random.default_rng(s) for s in (4, 5, 6)], starts)
+    for plan, cond, seed, start in zip(together, conds, (4, 5, 6), starts):
+        (alone,) = sample(m, [cond], 20, [np.random.default_rng(seed)], [start])
+        np.testing.assert_allclose(plan.actions, alone.actions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.poses.as_array(), alone.poses.as_array(), rtol=0, atol=1e-12)
+        assert plan.poses[0] == Pose2(*start)
 
 
 def test_batched_sampler_draws_the_sequential_noise():
@@ -804,6 +813,10 @@ def test_batched_sampler_draws_the_sequential_noise():
     rng = np.random.default_rng(4)
     noise = np.stack([rng.standard_normal(9) for _ in range(6)])
     assert rows.reshape(6, 9).tobytes() == noise.tobytes()
+    # one plan per generator: each plan's noise is its own generator's first draw
+    plans = sample(m, [np.zeros(2)] * 3, 5, [np.random.default_rng(s) for s in (7, 8, 9)])
+    for plan, seed in zip(plans, (7, 8, 9)):
+        assert plan.actions.tobytes() == np.random.default_rng(seed).standard_normal(9).tobytes()
 
 
 def test_sampler_checks_shapes_once_and_finiteness_once(monkeypatch):

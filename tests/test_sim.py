@@ -3,9 +3,11 @@ import hashlib
 import heapq
 import importlib
 import json
+import logging
 import math
 import os
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -795,7 +797,8 @@ def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_con
     for cond_sample in conditions:
         dist = worlds[cond_sample.world_index].dist_field()
         for _ in range(rollouts_per_condition):
-            plan = planner.sample(model, cond_sample.condition, euler_steps, rng, cond_sample.start)
+            (plan,) = planner.sample(model, [cond_sample.condition], euler_steps, [rng],
+                                     [cond_sample.start.as_tuple()])
             flags.append(planner.collision_check(plan.poses, None, footprint_radius, dist))
             velocities.append(plan.mean_step / max_step)
     summary = {
@@ -1071,21 +1074,22 @@ def test_planning_grid_snaps_to_none_when_all_is_blocked():
 
 def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     """eval_suite with counters: sample_bilinear calls made outside
-    oracle_plan, in all and per episode, subgoal lookups by the lookahead
-    rule (one per model plan), expert segments (one per cycle the expert
-    drives), unreachable plans (a cycle that ends on one executes nothing),
-    and the blocked grid of every planning grid built."""
+    oracle_plan, in all and within each episode's `_end_episode` (the
+    episodes run in lock-step, so their other calls interleave), subgoal
+    lookups by the lookahead rule (one per model plan), expert segments (one
+    per cycle the expert drives), unreachable plans (a cycle that ends on one
+    executes nothing), and the blocked grid of every planning grid built."""
     inside = [0]
     counts = {"lookups": 0, "episode_lookups": [], "subgoals": 0, "segments": 0, "grids": [],
               "unreachable": 0}
     oracle_plan, lookahead_index, grid_type = sim.oracle_plan, sim._lookahead_index, sim._PlanningGrid
-    segment, run_episode = sim._ExpertPath.actions, sim.run_episode
+    segment, end_episode = sim._ExpertPath.actions, sim._end_episode
 
-    def counting_episode(*args, **kwargs):
+    def counting_end(state):
         before = counts["lookups"]
-        report = run_episode(*args, **kwargs)
+        end_episode(state)
         counts["episode_lookups"].append(counts["lookups"] - before)
-        return report
+        return state
 
     def tracked_plan(*args, **kwargs):
         inside[0] += 1
@@ -1119,7 +1123,7 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     monkeypatch.setattr(sim, "_lookahead_index", counting_subgoal)
     monkeypatch.setattr(sim._ExpertPath, "actions", counting_segment)
     monkeypatch.setattr(sim, "_PlanningGrid", counting_grid)
-    monkeypatch.setattr(sim, "run_episode", counting_episode)
+    monkeypatch.setattr(sim, "_end_episode", counting_end)
     suite = sim.eval_suite(worlds, episodes, config, model, master_seed=0)
     return suite, counts
 
@@ -1144,7 +1148,7 @@ def test_episode_makes_one_lookup_per_episode(monkeypatch, eval_model, kind):
     assert cycles > 6
     # every episode executes steps, and looks up the clearance of all of them at once
     assert all(r["path_length"] > 0 for r in suite["reports"])
-    assert counts["episode_lookups"] == [1] * 6
+    assert counts["episode_lookups"] == [1] * 6 and counts["lookups"] == 6
     # one planning grid per (world, clearance), however many plans asked for it
     grids = counts["grids"]
     assert len(worlds) <= len(grids) == len(set(grids)) <= 2 * len(worlds)
@@ -1272,8 +1276,8 @@ FOLDED_XY = [(1.5, 1.5), (2.5, 1.5), (3.5, 1.5), (4.5, 1.5), (4.5, 1.9), (4.0, 1
 
 
 def scripted_learned_planner(monkeypatch, world, collides, fallback):
-    """A learned planner on FOLDED_XY whose plans are scripted: every sample
-    returns the same 8-action plan, and the collision check answers `collides`."""
+    """A learned planner on FOLDED_XY, a scripted 8-action plan for it to
+    review, and the collision check's calls; the check answers `collides`."""
     plan = SimpleNamespace(poses=object(), actions=np.arange(24.0).reshape(8, 3))
     checked = []
 
@@ -1281,7 +1285,6 @@ def scripted_learned_planner(monkeypatch, world, collides, fallback):
         checked.append((poses, radius))
         return collides
 
-    monkeypatch.setattr(sim, "plan_sample", lambda model, cond, steps, rng, est: plan)
     monkeypatch.setattr(sim, "collision_check", check)
     path = PoseTrajectory([(x, y, 0.0) for x, y in FOLDED_XY])
     return sim._LearnedPlanner(world, None, path, fallback), plan, checked
@@ -1290,7 +1293,7 @@ def scripted_learned_planner(monkeypatch, world, collides, fallback):
 def test_learned_planner_falls_back_on_a_colliding_plan(world, monkeypatch):
     learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, True)
     report = sim.EpisodeReport(False, "timeout")
-    assert learned.actions(Pose2(1.5, 1.5, 0.0), 0.0, None, report) is None
+    assert learned.review(plan, report) is None
     assert (report.planner_calls, report.fallback_count) == (1, 1)
     assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]
 
@@ -1298,21 +1301,22 @@ def test_learned_planner_falls_back_on_a_colliding_plan(world, monkeypatch):
 def test_learned_planner_executes_a_colliding_plan_without_fallback(world, monkeypatch):
     learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, False)
     report = sim.EpisodeReport(False, "timeout")
-    rows = learned.actions(Pose2(1.5, 1.5, 0.0), 0.1, None, report)
+    rows = learned.review(plan, report)
     assert rows == plan.actions[:4].tolist()
     assert (report.planner_calls, report.fallback_count) == (1, 0)
     assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]  # checked even when not acted on
 
 
 def test_learned_planner_progress_never_moves_back(world, monkeypatch):
-    learned, _, _ = scripted_learned_planner(monkeypatch, world, False, True)
+    learned, plan, _ = scripted_learned_planner(monkeypatch, world, False, True)
     arr = np.array(FOLDED_XY)
     report = sim.EpisodeReport(False, "timeout")
     progress, nearest = [], []
     # estimates at every vertex, in path order, and midway along every segment
     for a, b in zip(arr, arr[1:]):
         for est in (a, (a + b) / 2):
-            learned.actions(Pose2(*est, 0.0), 0.0, None, report)
+            learned.condition(Pose2(*est, 0.0), 0.0)
+            learned.review(plan, report)
             progress.append(learned.progress)
             nearest.append(int(np.argmin(np.hypot(*(arr - est).T))))
     assert progress == sorted(progress)
@@ -1511,11 +1515,13 @@ def test_noisy_suite_with_a_fix_every_step_is_pinned(worlds0to7):
 
 # sha256 of json.dumps(eval_suite(worlds48, 6, NavConfig(planner=...), model, 0), sort_keys=True)
 # as the loop computes it since it follows one expert path, splits turns and keeps its subgoal
-# progress; the model runs use the eval_model fixture
+# progress; the model runs use the eval_model fixture and sample their plans in lock-step, so
+# their floats are those of the batched Euler loop (run alone, the same episodes gave
+# 787701f5... and 7745ee19...)
 SUITE_DIGESTS = {
     "oracle": "e868a09239b5892fd2fdfa6dd3d8864107209d28e8cab05b1f1e5cab8f2a5a85",
-    "model": "787701f5cef1d9540a3ec4bf28f635a13be9d97be8951f13d2ef21b9376942a3",
-    "model-no-fallback": "7745ee197d96840b16433926d7ea4b79f1ce976efdc490e413c9d79d498125c5",
+    "model": "d52d37ed896eb2ee92cf751ddbfe9f160e0152ec94e0212d89881cdfbba1a5a4",
+    "model-no-fallback": "b5ed81f1d52818b040a2efd7e7d2bb2e256b6af25f8c6d6f1a38f0510f7bb2c6",
 }
 
 
@@ -1682,7 +1688,7 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
                 (step_lengths[-1] if step_lengths else 0.0, 0.0),
                 planner.occupancy_features(grid2, est_pose, phi),
             )
-            plan = planner.sample(model, cond, sim._EULER_STEPS, rng, est_pose)
+            (plan,) = planner.sample(model, [cond], sim._EULER_STEPS, [rng], [est_pose.as_tuple()])
             report.planner_calls += 1
             if planner.collision_check(plan.poses, None, sim._FOOTPRINT_RADIUS, dist):
                 if config.fallback:
@@ -1754,17 +1760,43 @@ LOOP_PLANNERS = {
 }
 
 
+def one_at_a_time(run, worlds, n_episodes, config, model, master_seed):
+    """eval_suite's outcome with its episodes run one after another by `run`
+    (`sim.run_episode` or `ref_run_episode`) instead of in lock-step."""
+    reports = [run(world, goal, config, model, seed=seed, start=start)
+               for world, goal, seed, start in sim._suite_episodes(worlds, n_episodes, master_seed)]
+    return sim._summarize(reports)
+
+
+def assert_same_outcomes(got, want, tol=1e-9):
+    """Equal structure and discrete values, floats within `tol`: a plan
+    sampled beside other episodes' plans may differ in its last bits."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_same_outcomes(got[key], want[key], tol)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_outcomes(a, b, tol)
+    elif type(want) is float and type(got) is float:
+        assert abs(got - want) <= tol
+    else:
+        assert type(got) is type(want) and got == want
+
+
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", sorted(LOOP_PLANNERS))
 @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
-def test_stepped_loop_matches_pose_object_reference(worlds0to7, eval_model, monkeypatch, name, kind,
-                                                    master_seed):
+def test_stepped_loop_matches_pose_object_reference(worlds0to7, eval_model, name, kind, master_seed):
     config = sim.NavConfig(**LOOP_CONFIGS[name], **LOOP_PLANNERS[kind])
     model = eval_model if config.planner == "model" else None
     got = sim.eval_suite(worlds0to7, 8, config, model, master_seed)
-    monkeypatch.setattr(sim, "run_episode", ref_run_episode)
-    want = sim.eval_suite(worlds0to7, 8, config, model, master_seed)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    want = one_at_a_time(ref_run_episode, worlds0to7, 8, config, model, master_seed)
+    if model is None:
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    else:
+        assert_same_outcomes(got, want)
 
 
 def test_stepped_loop_matches_reference_on_an_instruction_goal(worlds48):
@@ -1774,6 +1806,66 @@ def test_stepped_loop_matches_reference_on_an_instruction_goal(worlds48):
     got = sim.run_episode(world, category, config, seed=4)
     assert got.expert_length > 0 and got.path_length > 0
     assert got.to_jsonable() == ref_run_episode(world, category, config, seed=4).to_jsonable()
+
+
+# --- lock-step episodes: one plan phase per control cycle for every episode ------------
+
+class RecordingRng(np.random.Generator):
+    """A seeded generator that records every standard_normal draw, the
+    planner's x0, under its seed."""
+
+    def __init__(self, seed, draws):
+        super().__init__(np.random.PCG64(seed))
+        self.key, self.draws = seed, draws
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        self.draws.setdefault(self.key, []).append(out.tobytes())
+        return out
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_PLANNERS))
+def test_lock_step_suite_matches_episodes_run_alone(worlds48, eval_model, monkeypatch, kind):
+    config = sim.NavConfig(**LOOP_PLANNERS[kind])
+    model = eval_model if config.planner == "model" else None
+    draws = {"lock-step": {}, "alone": {}}
+    runs = {}
+    for how in draws:
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed, _d=draws[how]: RecordingRng(seed, _d))
+        if how == "lock-step":
+            runs[how] = sim.eval_suite(worlds48, 9, config, model, 0)
+        else:
+            runs[how] = one_at_a_time(sim.run_episode, worlds48, 9, config, model, 0)
+    got, want = runs["lock-step"], runs["alone"]
+    if model is None:
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert draws == {"lock-step": {}, "alone": {}}
+    else:
+        assert_same_outcomes(got, want)
+        # every episode draws the same x0s, one per plan
+        assert draws["lock-step"] == draws["alone"]
+        assert sum(map(len, draws["alone"].values())) == sum(r["planner_calls"] for r in want["reports"])
+        assert len(draws["alone"]) == 9
+
+
+def test_eval_suite_needs_a_world():
+    with pytest.raises(sim.SimError, match="need at least one world"):
+        sim.eval_suite([], 3, sim.NavConfig(planner="oracle"))
+
+
+def test_debug_records_name_their_episode(worlds48, eval_model, caplog):
+    # the lock-step loop interleaves its episodes' records, so each names its episode
+    config = sim.NavConfig(planner="model", fallback=True, fix_every=5)
+    with caplog.at_level(logging.DEBUG, logger=sim.log.name):
+        suite = sim.eval_suite(worlds48, 3, config, eval_model, 0)
+    messages = [r.getMessage() for r in caplog.records if r.name == sim.log.name]
+    assert messages and all(re.match(r"episode [0-2][ :]", m) for m in messages)
+    for i, report in enumerate(suite["reports"]):
+        ends = [m for m in messages if m.startswith(f"episode {i} ends ")]
+        assert len(ends) == 1 and ends[0].startswith(f"episode {i} ends {report['reason']} after ")
+    assert any(" global fix " in m for m in messages)
+    assert any("expert re-plans" in m for m in messages)
 
 
 class ScriptedRng:
@@ -2028,7 +2120,8 @@ MODEL_CYCLE_SPANS = {
 }
 
 
-def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatch):
+def count_bench_spans(monkeypatch):
+    """Counters of the bench's model-cycle spans, patched where the bench patches them."""
     # a refactor that stops calling a name the bench patches would zero its layer silently
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
     traced = importlib.import_module("workloads").TRACED
@@ -2043,6 +2136,11 @@ def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatc
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, wrapper)
+    return counts
+
+
+def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatch):
+    counts = count_bench_spans(monkeypatch)
     world = worlds48[1]
     config = sim.NavConfig(planner="model", fallback=True)
     report = sim.run_episode(world, Pose2(*world.start_xy[-1], 0.0), config, eval_model, seed=2,
@@ -2055,6 +2153,29 @@ def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatc
     assert counts["planner.VectorFieldModel.forward"] == sim._EULER_STEPS * calls
     # the occupancy ring and the collision check of every plan, then the episode's lookup
     assert counts["esdf.sample_bilinear"] >= 2 * calls + 1
+
+
+def test_bench_spans_of_a_lock_step_suite_stay_live(worlds48, eval_model, monkeypatch):
+    counts = count_bench_spans(monkeypatch)
+    planning = []
+    plan_phase = sim._plan_phase
+
+    def recording_phase(states):
+        planning.append(len(states))
+        return plan_phase(states)
+
+    monkeypatch.setattr(sim, "_plan_phase", recording_phase)
+    suite = sim.eval_suite(worlds48, 9, sim.NavConfig(planner="model", fallback=True), eval_model, 0)
+    plans = sum(r["planner_calls"] for r in suite["reports"])
+    cycles = sum(1 for n in planning if n)
+    assert plans == sum(planning) > cycles >= 5
+    # one sample per lock-step cycle in which any episode plans, one pass per
+    # Euler step of it, and one occupancy encoding and one check per plan
+    assert counts["planner.sample"] == cycles
+    assert counts["planner.VectorFieldModel.forward"] == sim._EULER_STEPS * cycles
+    assert counts["planner.collision_check"] == plans
+    assert counts["planner.occupancy_features"] == plans
+    assert counts["esdf.sample_bilinear"] >= 2 * plans + 9
 
 
 # --- node paths: the search that stops at the goal, and the reachability test -----------
