@@ -220,8 +220,9 @@ def _cmd_plan_sample(args) -> int:
     model = planner.VectorFieldModel.load(args.model)
     cond = _load_json(args.cond, planner.PlanningCondition.from_jsonable)
     rng = np.random.default_rng(args.seed)
-    plan = planner.sample(model, [cond], args.steps, [rng])[0]
-    _emit(plan.to_jsonable())
+    (actions,), (poses,) = planner.sample(model, [cond], args.steps, [rng])
+    _emit({"actions": actions.tolist(), "poses": PoseTrajectory(poses).to_jsonable(),
+           "mean_step": float(np.hypot(actions[:, 0], actions[:, 1]).mean())})
     return 0
 
 

@@ -15,29 +15,31 @@ loss exposes exact reverse-mode parameter gradients; at lambda = 0 it is the
 plain flow-matching loss.
 
 Sampling integrates the learned field with Euler steps from t = 1 (noise)
-down to t = 0: x <- x - dt * v(x, t | c). One Euler loop, `_euler`,
-integrates any set of rows together, one forward pass per step, and checks
-the result to be finite once, after the last step: the K rollouts of one
-condition (`sample_actions`), or one plan for each of several conditions,
-each drawing its noise from its own generator (`sample`, which the
-navigation loop calls once per control cycle for every episode that plans
-in it); a single plan is the case of one row. The network has one layer
-loop, `VectorFieldModel._forward_cached`: `forward` returns its output, and
-training keeps its activations for the backward pass. Training builds the
-dataset's arrays and its stack of masked fields once (`esdf.stack_fields`,
-which reads a dataset packed into one buffer in place), and each batch
-samples its rows of the stack in one gather. A batch's momentum step,
-activations and gradient products are computed in place, each to the bits
-of the fresh-array form.
+down to t = 0: x <- x - dt * v(x, t | c). There is one sampler, `sample`:
+one plan per condition, each drawing its noise from its own generator, all
+integrated together by one Euler loop, `_euler`, one forward pass per step,
+and checked to be finite once, after the last step. It returns two arrays,
+the (B, n, 3) actions and the (B, n+1, 3) poses, headings unwrapped. The
+navigation loop calls it once per control cycle for every episode that
+plans in it, the open-loop rollouts once per condition with K rows that
+share one generator, and `astra plan sample` with one row.
 
-A plan's poses, the loss's poses and the open-loop rollouts' poses come from
-one batched recurrence, `geom.poses_from_actions`. Its adjoint is a set of
-cumulative sums over the steps as well. The reverse pass starts its
-accumulators from zeros and adds one step at a time, from the last: the
-position adjoints are the reverse sums of the field gradients behind a
-leading 0.0, and the heading adjoint is the reverse sum of each step's x
-term and then its y term, behind a leading 0.0. The cosine and sine of the
-headings are taken once, over all steps, and serve both passes.
+The network has one layer loop, `VectorFieldModel._forward_cached`:
+`forward` returns its output, and training keeps its activations for the
+backward pass. Training builds the dataset's arrays and its stack of masked
+fields once (`esdf.stack_fields`, which reads a dataset packed into one
+buffer in place), and each batch samples its rows of the stack in one
+gather. A batch's momentum step, activations and gradient products are
+computed in place, each to the bits of the fresh-array form.
+
+A plan's poses and the loss's poses come from one batched recurrence,
+`geom.poses_from_actions`. Its adjoint is a set of cumulative sums over the
+steps as well. The reverse pass starts its accumulators from zeros and adds
+one step at a time, from the last: the position adjoints are the reverse
+sums of the field gradients behind a leading 0.0, and the heading adjoint
+is the reverse sum of each step's x term and then its y term, behind a
+leading 0.0. The cosine and sine of the headings are taken once, over all
+steps, and serve both passes.
 """
 
 from __future__ import annotations
@@ -126,13 +128,16 @@ class VectorFieldModel:
 
     All parameters live in one flat vector, `params`, laid out as W1, b1, W2,
     b2, ... (the layout of a model file's "weights"); `weights[i]` and
-    `biases[i]` are views into it.
+    `biases[i]` are views into it. n_actions is an integer >= 1, cond_dim an
+    integer >= 0 and every layer width an integer >= 1, or PlannerError.
     """
 
     def __init__(self, layer_sizes, params, n_actions, cond_dim):
-        self.layer_sizes = list(layer_sizes)
-        self.n_actions = int(n_actions)
-        self.cond_dim = int(cond_dim)
+        self.layer_sizes, self.n_actions, self.cond_dim = list(layer_sizes), n_actions, cond_dim
+        check_fields(self, PlannerError, "a list of integers >= 1", "layer_sizes")
+        check_fields(self, PlannerError, "an integer >= 1", "n_actions")
+        check_fields(self, PlannerError, "an integer >= 0", "cond_dim")
+        self.n_actions, self.cond_dim = int(n_actions), int(cond_dim)
         expect_in = 3 * self.n_actions + 1 + self.cond_dim
         if self.layer_sizes[0] != expect_in or self.layer_sizes[-1] != 3 * self.n_actions:
             raise ShapeMismatchError(
@@ -245,19 +250,6 @@ class VectorFieldModel:
             return cls(doc["layer_sizes"], doc["weights"], doc["n_actions"], doc["cond_dim"])
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise PlannerError(f"{path}: malformed model file: {e!r}") from e
-
-
-def _field_input(model: VectorFieldModel, cond: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, 3n + 1 + c) network input with the condition columns written
-    once, from one (c,) condition vector for every row or one (rows, c) row
-    per row; the caller writes the trajectory columns, and `_euler` the time
-    column per evaluation."""
-    if cond.shape[-1] != model.cond_dim:
-        raise ShapeMismatchError(f"condition has {cond.shape[-1]} entries, expected {model.cond_dim}")
-    n3 = 3 * model.n_actions
-    inp = np.empty((rows, n3 + 1 + model.cond_dim))
-    inp[:, n3 + 1 :] = cond
-    return inp
 
 
 def reconstruct(x_t: np.ndarray, t, v: np.ndarray) -> np.ndarray:
@@ -494,30 +486,6 @@ def train(dataset: list[PlanningSample], config: TrainConfig):
     return model, log
 
 
-@dataclass
-class PlanSample:
-    """A sampled plan: its (n, 3) actions and the n+1 poses they integrate
-    to from the start, the start first (`sample`)."""
-
-    actions: np.ndarray
-    poses: PoseTrajectory
-
-    @property
-    def mean_step(self) -> float:
-        """Mean translation per action, 0 for no actions; worked out when read,
-        as the navigation loop never reads it."""
-        if not len(self.actions):
-            return 0.0
-        return float(np.hypot(self.actions[:, 0], self.actions[:, 1]).mean())
-
-    def to_jsonable(self) -> dict:
-        return {
-            "actions": self.actions.tolist(),
-            "poses": self.poses.to_jsonable(),
-            "mean_step": self.mean_step,
-        }
-
-
 def _euler(model: VectorFieldModel, inp: np.ndarray, steps: int) -> np.ndarray:
     """The one Euler loop: integrate the noise in the trajectory columns of
     the network input `inp` (k, 3n + 1 + c) from t=1 down to t=0, one
@@ -543,40 +511,33 @@ def _euler(model: VectorFieldModel, inp: np.ndarray, steps: int) -> np.ndarray:
     return x.reshape(-1, model.n_actions, 3)
 
 
-def sample_actions(model: VectorFieldModel, condition, steps: int, rng, k: int = 1) -> np.ndarray:
-    """Draw k trajectories under one condition together, as (k, n, 3) actions.
-
-    The (k, 3n) noise comes from one draw, the same stream as k draws of 3n,
-    and `_euler` integrates the k rows together.
-    """
-    inp = _field_input(model, _cond_vector(condition), k)
-    x = inp[:, : 3 * model.n_actions]
-    x[...] = rng.standard_normal(x.shape)
-    return _euler(model, inp, steps)
-
-
-def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None) -> list[PlanSample]:
+def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None):
     """Draw one trajectory per condition by Euler integration from noise at
-    t=1 down to t=0, all of them together; one plan is the case of one
-    condition.
+    t=1 down to t=0, all of them together: the (B, n, 3) actions and the
+    (B, n+1, 3) poses they integrate to, the start first. One plan is the
+    case of one condition, and k plans of one condition are k rows of it.
 
     Plan i's noise is one draw of 3n values from `rngs[i]`, the plans' draws
-    made in order before the first step, and its poses are the rows of
+    made in order before the first step, so k plans that share one generator
+    draw the stream of one (k, 3n) draw. Its poses are the rows of
     `poses_from_actions` on its actions from `starts[i]` (an [x, y, theta]
-    row; the origin when `starts` is None), the recurrence the loss and the
-    open-loop rollouts integrate with, their headings wrapped by
-    `PoseTrajectory`. A row of a batched product may differ in its last bits
-    from the one-row product, so a plan's floats can depend on the other
-    plans it is drawn with."""
-    cond = np.array([_cond_vector(c) for c in conditions])
-    inp = _field_input(model, cond, len(cond))
+    row; the origin when `starts` is None), the recurrence the loss
+    integrates with, their headings unwrapped; `PoseTrajectory` wraps a row.
+    A row of a batched product may differ in its last bits from the one-row
+    product, so a plan's floats can depend on the other plans it is drawn
+    with."""
     n3 = 3 * model.n_actions
+    inp = np.empty((len(conditions), n3 + 1 + model.cond_dim))
+    for row, cond in zip(inp, conditions):
+        vector = _cond_vector(cond)
+        if vector.size != model.cond_dim:
+            raise ShapeMismatchError(f"condition has {vector.size} entries, expected {model.cond_dim}")
+        row[n3 + 1 :] = vector
     for row, rng in zip(inp, rngs, strict=True):
         row[:n3] = rng.standard_normal(n3)
     actions = _euler(model, inp, steps)
     starts = np.zeros((len(inp), 3)) if starts is None else np.asarray(starts, dtype=float)
-    poses = poses_from_actions(actions, starts.reshape(-1, 3))[0]
-    return [PlanSample(a, PoseTrajectory(p)) for a, p in zip(actions, poses)]
+    return actions, poses_from_actions(actions, starts.reshape(-1, 3))[0]
 
 
 def distance_field(grid: Grid) -> Grid:

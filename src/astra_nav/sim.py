@@ -31,33 +31,37 @@ goal of a plan is kept.
 
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global node
-path and one expert path to the goal, then run control cycles, one `step`
-of an `EpisodeState` each. `eval_suite` sets every episode up first and then
-runs all live episodes in lock-step, one control cycle each at a time
-(`_lock_step`), in two phases: a plan phase builds the condition of every
-episode the learned planner drives and samples all their plans in one
-batched Euler loop, each x0 drawn from its episode's own rng; an execute
-phase runs each episode's steps. An episode draws x0 first and then its
-cycle's noise, from its own rng, as it would alone, so only the last bits
-of a plan's floats depend on the episodes beside it; `run_episode` is the
-same loop on one episode. Only the learned planner (`_LearnedPlanner`)
-reads the node path, so an episode the expert drives only checks that the
-start and goal nodes are connected. Its cycle picks a lookahead subgoal on
-the node path, from a nearest-node index that only moves forward and the
-path's arc lengths, computed once per episode, and samples a trajectory
-toward it; when the trajectory would collide, the expert takes over for the
-cycle. The expert follows its path (`_ExpertPath`): a progress index that
-only moves forward, and a re-plan only when the estimate strays from the
-path by more than the planner's safety margin or the path runs out short of
-the goal. A cycle executes a few steps under noisy kinematics, all of their
-noise drawn at once, and dead-reckons between periodic global fixes, its
-poses and increments plain floats. The clearance of the executed poses only
-counts collisions, so it is looked up once, at the end of the episode. A
-step that turns more than 0.5 rad is executed as several: the first
-translates and turns a share, the rest rotate in place, and each counts as
-a step for the budget, the fixes and the noise. The loop's fixed settings
-are module constants (`_GOAL_TOLERANCE` to `_EULER_STEPS`), which the expert
-dataset and the open-loop evaluation read too.
+path and one expert path to the goal, then run control cycles on an
+`EpisodeState`. `eval_suite` sets every episode up first and then runs all
+live episodes in lock-step, one control cycle each at a time (`_lock_step`),
+in two phases: a plan phase builds the condition of every episode the
+learned planner drives and samples all their plans with one call of
+`planner.sample`, each x0 drawn from its episode's own rng, and reads each
+episode's actions and poses as one row of its two arrays; an execute phase
+runs each episode's steps. An episode draws x0 first and then its cycle's
+noise, from its own rng, as it would alone, so only the last bits of a
+plan's floats depend on the episodes beside it; `run_episode` is the same
+loop on one episode. Only the learned planner (`_LearnedPlanner`) reads the
+node path, so an episode the expert drives only checks that the start and
+goal nodes are connected. Its cycle picks a lookahead subgoal on the node
+path, from a nearest-node index that only moves forward and the path's arc
+lengths, computed once per episode, and samples a trajectory toward it; when
+the trajectory would collide, the expert takes over for the cycle. The
+expert follows its path (`_ExpertPath`): a progress index that only moves
+forward, and a re-plan only when the estimate strays from the path by more
+than the planner's safety margin or the path runs out short of the goal. A
+cycle executes a few steps under noisy kinematics, all of their noise drawn
+at once, and dead-reckons between periodic global fixes, its poses and
+increments plain floats. The clearance of the executed poses only counts
+collisions, so it is looked up once, at the end of the episode. A step that
+turns more than 0.5 rad is executed as several: the first translates and
+turns a share, the rest rotate in place, and each counts as a step for the
+budget, the fixes and the noise. The loop's fixed settings are module
+constants (`_FOOTPRINT_RADIUS`, which the world generator's lattice reads
+too, and `_GOAL_TOLERANCE` to `_EULER_STEPS`), which the expert dataset and
+the open-loop evaluation read too. The open-loop evaluation samples each
+condition's rollouts with the loop's sampler, one `planner.sample` call with
+a row per rollout, and checks their poses with one field lookup.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ from .geom import (
     Pose2,
     PoseTrajectory,
     compose_xyt,
-    poses_from_actions,
     poses_to_actions,
     relative_pose,
     relative_xyt,
@@ -112,7 +115,6 @@ from .planner import (
     collision_check,
     distance_field,
     occupancy_features,
-    sample_actions,
 )
 from .planner import sample as plan_sample
 from .topomap import Landmark, MapNode, Pose6, TopoMap
@@ -388,6 +390,11 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
         placed += 1
 
 
+# m: a pose closer than this to an obstacle collides; lattice nodes and links
+# keep this clearance too
+_FOOTPRINT_RADIUS = 0.3
+
+
 def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
                    landmark_count: int = 10, resolution: float = 0.25) -> World:
     """Deterministic random world: bordered room with rectangular obstacles,
@@ -419,7 +426,7 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
             continue
         grid2 = Grid(occ2, resolution)
         dist = distance_field(grid2)
-        topo = _build_lattice_map(grid2, dist, node_clearance=0.3)
+        topo = _build_lattice_map(grid2, dist, _FOOTPRINT_RADIUS)
         if topo is None:
             continue
         _place_landmarks(topo, grid2, landmark_count, rng)
@@ -445,7 +452,6 @@ _GOAL_TOLERANCE = 0.5  # m: an episode succeeds once the true pose is this close
 _LOOKAHEAD = 2.0  # m of node-path arc length from the nearest node to the subgoal
 _EXECUTE_STEPS = 4  # planned actions executed per control cycle
 _BUDGET_FACTOR = 10.0  # executed steps per expert-path step; a budget is at least 60 steps
-_FOOTPRINT_RADIUS = 0.3  # m: a pose closer than this to an obstacle collides
 _MAX_STEP = 0.25  # m: the longest executed step, and the expert path's pose spacing
 _FIX_ORACLE_RADIUS = 0.8  # m: reach of a global fix
 _EULER_STEPS = 20  # forward passes per learned plan
@@ -837,8 +843,9 @@ class _LearnedPlanner:
     the nearest row from the last one on, so it never moves back, takes the
     subgoal with one binary search of the arc lengths (`_lookahead_index`)
     and builds one `Pose2` for the subgoal, one for the subgoal in the ego
-    frame, and the condition; `review` checks the plan, whose poses are one
-    array, and counts the call and the fallback.
+    frame, and the condition; `review` checks the plan, its actions and
+    poses one row each of the sampler's two arrays, and counts the call and
+    the fallback.
     """
 
     def __init__(self, world: World, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
@@ -855,20 +862,20 @@ class _LearnedPlanner:
         occupancy = occupancy_features(self.world.grid2d(), est, self.world.phi())
         return PlanningCondition(relative_pose(est, subgoal), (velocity, 0.0), occupancy)
 
-    def review(self, plan, report: EpisodeReport):
-        """The plan's first `_EXECUTE_STEPS` actions, or None when it collides
-        and `fallback` hands the cycle to the expert."""
+    def review(self, actions: np.ndarray, poses: np.ndarray, report: EpisodeReport):
+        """The plan's first `_EXECUTE_STEPS` actions, or None when its poses
+        collide and `fallback` hands the cycle to the expert."""
         report.planner_calls += 1
-        collides = collision_check(plan.poses, None, _FOOTPRINT_RADIUS, self.world.dist_field())
+        collides = collision_check(PoseTrajectory(poses), None, _FOOTPRINT_RADIUS, self.world.dist_field())
         if collides and self.fallback:
             report.fallback_count += 1
             return None
-        return plan.actions[:_EXECUTE_STEPS].tolist()
+        return actions[:_EXECUTE_STEPS].tolist()
 
 
 @dataclass
 class EpisodeState:
-    """An episode between two control cycles; `step` runs the next cycle.
+    """An episode between two control cycles; `_lock_step` runs the next cycle.
 
     The true and estimated poses are those at the end of the last cycle.
     `learned` is unset when the expert drives every cycle. `step_lengths` and
@@ -899,45 +906,22 @@ class EpisodeState:
         return math.hypot(self.true_pose.x - self.goal.x, self.true_pose.y - self.goal.y)
 
 
-def step(state: EpisodeState) -> EpisodeState:
-    """Run one control cycle of the episode, or end it: `state.done` is set,
-    and the report filled in, once the budget is spent, the true pose is
-    within the goal tolerance, the expert finds no path, or progress stalls.
-    This is `_lock_step` on one episode.
-
-    A cycle takes its actions from `_LearnedPlanner`, or from `_ExpertPath`
-    when none is set or it falls back, splits them into executed steps
-    (`_split_action`), draws its noise, then executes the steps one by one.
-    The random draws of a cycle come in this order: the learned planner's
-    x0, one `standard_normal` draw of 3n values, when it plans; then one
-    `rng.normal` call of (steps, 7) values, row by row in the order of the
-    steps, each row the executed x, y and heading noise, the wheel x, y and
-    heading noise and the IMU noise. Rows past a goal-reached break go
-    unused, and the episode ends there. An episode that ends at the top of a
-    cycle draws nothing in it.
-
-    Within a cycle both poses are plain floats: each step composes the
-    executed increment onto the true pose and the fused wheel + IMU
-    increment onto the estimate (`compose_xyt`, `fuse_sources`), each
-    increment's heading wrapped first, as a `Pose2` wraps it. Every
-    `fix_every`-th step asks for a global fix at the true pose, which
-    re-anchors the estimate's position and keeps its heading. A cycle builds
-    one `Pose2` per global fix and two at its end, for the true pose and the
-    estimate.
-    """
-    _lock_step([state])
-    return state
-
-
 def _lock_step(states: list[EpisodeState]) -> None:
-    """One control cycle of every live episode of `states`, in two phases.
+    """One control cycle of every live episode of `states`, in two phases;
+    `run_episode` runs it on one episode.
 
     Episodes whose budget is spent or whose true pose is within the goal
-    tolerance end first. Plan: `_plan_phase` samples one plan for every
-    remaining episode the learned planner drives. Execute: each episode runs
-    its cycle's steps as `_execute` sets out, in the order of `states`. The
-    episodes share one model, and each draws only from its own rng, so an
-    episode's draws do not depend on the episodes it runs beside."""
+    tolerance end first (`state.done` is set and the report filled in).
+    Plan: `_plan_phase` samples one plan for every remaining episode the
+    learned planner drives. Execute: each episode runs its cycle's steps as
+    `_execute` sets out, in the order of `states`, and ends there when the
+    expert finds no path or progress stalls. The episodes share one model,
+    and each draws only from its own rng, so an episode's draws do not
+    depend on the episodes it runs beside. The random draws of an episode's
+    cycle come in this order: the learned planner's x0, one
+    `standard_normal` draw of 3n values, when it plans; then one
+    `rng.normal` call of (steps, 7) values. An episode that ends at the top
+    of a cycle draws nothing in it."""
     for state in states:
         if not state.done and (state.executed >= state.budget
                                or state.goal_distance() <= _GOAL_TOLERANCE):
@@ -954,24 +938,38 @@ def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
     plan falls back. The conditions are built episode by episode, then one
     `plan_sample` call draws every episode's x0 from its own rng, in that
     order, and integrates all plans in one Euler loop; each plan is then
-    checked and counted on its own (`_LearnedPlanner.review`)."""
+    checked and counted on its own row of the actions and poses
+    (`_LearnedPlanner.review`)."""
     if not states:
         return []
     conditions = [
         state.learned.condition(state.est_pose, state.step_lengths[-1] if state.step_lengths else 0.0)
         for state in states
     ]
-    plans = plan_sample(states[0].learned.model, conditions, _EULER_STEPS,
-                        [state.rng for state in states], [state.est_pose.as_tuple() for state in states])
-    return [state.learned.review(plan, state.report) for state, plan in zip(states, plans)]
+    rngs, starts = [state.rng for state in states], [state.est_pose.as_tuple() for state in states]
+    actions, poses = plan_sample(states[0].learned.model, conditions, _EULER_STEPS, rngs, starts)
+    return [state.learned.review(a, p, state.report) for state, a, p in zip(states, actions, poses)]
 
 
 def _execute(state: EpisodeState, rows: list | None) -> None:
     """The execute phase of one episode's cycle: the planned `rows`, or the
     expert's actions when they are None (the oracle planner, or a fallback),
-    split into steps, their noise drawn at once and the steps run one by one
-    (see `step`); the episode ends stuck when the expert finds no path or
-    progress stalls."""
+    split into executed steps (`_split_action`), their noise drawn at once
+    and the steps run one by one; the episode ends stuck when the expert
+    finds no path or progress stalls.
+
+    The noise is one `rng.normal` call of (steps, 7) values, row by row in
+    the order of the steps, each row the executed x, y and heading noise,
+    the wheel x, y and heading noise and the IMU noise. Rows past a
+    goal-reached break go unused, and the episode ends there.
+
+    Both poses are plain floats: each step composes the executed increment
+    onto the true pose and the fused wheel + IMU increment onto the
+    estimate (`compose_xyt`, `fuse_sources`), each increment's heading
+    wrapped first, as a `Pose2` wraps it. Every `fix_every`-th step asks for
+    a global fix at the true pose, which re-anchors the estimate's position
+    and keeps its heading. A cycle builds one `Pose2` per global fix and two
+    at its end, for the true pose and the estimate."""
     config, report = state.config, state.report
     est = state.est_pose
     if rows is None:
@@ -1143,7 +1141,7 @@ def run_episode(
     start is given, then locates the goal, takes a first global fix, checks
     that the start and goal nodes are connected (the learned planner takes
     the node path itself) and plans the expert's reference path, which sets
-    the step budget; control cycles (`step`) run until the episode ends.
+    the step budget; control cycles (`_lock_step`) run until the episode ends.
     This is `eval_suite`'s loop on one episode.
     Raises SimError when a given start or the goal pose lies outside the
     world's grid cells or in an occupied one."""
@@ -1218,7 +1216,7 @@ def eval_suite(
     Then all live episodes advance one control cycle at a time in lock-step
     (`_lock_step`): a plan phase samples every learned episode's plan in one
     batched Euler loop, each x0 drawn from its episode's own rng, and an
-    execute phase runs each episode's steps as `step` does. Each episode
+    execute phase runs each episode's steps (`_execute`). Each episode
     draws what it would draw alone, x0 first and then the cycle's noise;
     only the last bits of a plan's floats can differ from the episode run
     alone, as a row of a batched product may, and no discrete outcome of
@@ -1380,11 +1378,11 @@ def load_dataset(path, mask_alpha: float, mask_dilation: float):
 
 def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose2, dist: Grid,
               k: int, rng):
-    """k rollouts from start under one condition, sampled as one batch and
-    checked with one field lookup: (collided flags, mean step lengths)."""
-    actions = sample_actions(model, condition, _EULER_STEPS, rng, k)
-    starts = np.tile(start.as_tuple(), (k, 1))
-    xy = poses_from_actions(actions, starts)[0][..., :2]
+    """k rollouts from start under one condition, sampled as one batch, the
+    loop's sampler with k rows that share `rng`, and checked with one field
+    lookup: (collided flags, mean step lengths)."""
+    actions, poses = plan_sample(model, [condition] * k, _EULER_STEPS, [rng] * k, [start.as_tuple()] * k)
+    xy = poses[..., :2]
     clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
     return (clearance < _FOOTPRINT_RADIUS).any(axis=1), mean_step

@@ -545,6 +545,32 @@ def test_model_file_with_a_wrong_weight_count_exits_1(files, capsys, change):
     assert f"expected {len(doc['weights'])} parameters" in json.loads(err)["message"]
 
 
+# Model files the planner cannot run: (layer sizes, n_actions, cond_dim), each
+# input layer 3 n_actions + 1 + cond_dim wide for the fixture condition's 262
+# entries where n_actions is a whole number.
+BAD_MODELS = {
+    "n-actions-0": ([263, 8, 0], 0, 262),
+    "n-actions-4.5": ([275, 8, 12], 4.5, 262),
+    "n-actions-true": ([266, 8, 3], True, 262),
+    "cond-dim-negative": ([24, 8, 24], 8, -1),
+    "hidden-width-0": ([287, 0, 24], 8, 262),
+}
+
+
+@pytest.mark.parametrize("command", ["plan-sample:model", "plan-eval:model", "sim-eval:model"])
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_model_file_the_planner_cannot_run_exits_1(files, capsys, name, command):
+    sizes, n_actions, cond_dim = BAD_MODELS[name]
+    doc = {"layer_sizes": sizes, "activation": "tanh", "n_actions": n_actions, "cond_dim": cond_dim,
+           "weights": [0.0] * planner._param_count(sizes)}
+    path = files["root"] / f"model-{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *FILE_ARGS[command](files, path))
+    assert_json_error(code, out, err)
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "PlannerError"
+
+
 # Search radii that never widen (0, NaN) or never stop (inf) looped forever.
 BAD_GOAL_RADII = {
     "r-step-0": ("--r-step", "0"),

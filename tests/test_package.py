@@ -86,16 +86,55 @@ def public_definitions(tree):
                     yield f"{node.name}.{method.name}", method.name, method.lineno, method.end_lineno
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(function):
+    """The parameters of a function and the names its own body binds, not
+    counting the bodies of the functions and classes it defines."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    body = function.body if isinstance(function.body, list) else [function.body]
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            if not isinstance(node, ast.Lambda):
+                names.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def references(tree):
-    """(name, line) of every name read, attribute and imported name."""
-    for node in ast.walk(tree):
+    """(name, line) of every name read, attribute and imported name; a bare
+    name read where a parameter or local of an enclosing function shadows it
+    refers to that local, so it is not a reference."""
+    def visit(node, shadowed):
+        if isinstance(node, FUNCTIONS):
+            # decorators, defaults and annotations are read where the function is defined
+            outer = [*getattr(node, "decorator_list", []), node.args, getattr(node, "returns", None)]
+            for child in filter(None, outer):
+                yield from visit(child, shadowed)
+            inner = shadowed | local_names(node)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                yield from visit(child, inner)
+            return
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id, node.lineno
+            if node.id not in shadowed:
+                yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, shadowed)
+
+    yield from visit(tree, frozenset())
 
 
 def test_every_public_name_has_a_caller():

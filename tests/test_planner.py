@@ -24,7 +24,6 @@ from astra_nav.planner import (
     planning_loss_at,
     reconstruct,
     sample,
-    sample_actions,
     train,
 )
 
@@ -43,10 +42,7 @@ def vf_eval(model, x_t, t, cond):
     x_t = np.asarray(x_t, dtype=float).ravel()
     if x_t.size != 3 * model.n_actions:
         raise ShapeMismatchError(f"x_t has {x_t.size} entries, expected {3 * model.n_actions}")
-    inp = planner._field_input(model, cond, 1)
-    inp[0, : x_t.size] = x_t
-    inp[0, x_t.size] = t
-    return model.forward(inp)[0]
+    return model.forward(np.concatenate([x_t, [t], planner._cond_vector(cond)]))
 
 
 def smooth_field(n=12, res=0.5):
@@ -313,10 +309,8 @@ class TestTrain:
         )
         model, log = train(dataset, config)
         assert math.isfinite(log[-1]["cfm"])
-        draws = [
-            sample(model, [cond], 40, [np.random.default_rng(s)])[0] for s in range(6)
-        ]
-        err = np.stack([d.actions - target for d in draws])
+        draws = [sample(model, [cond], 40, [np.random.default_rng(s)])[0][0] for s in range(6)]
+        err = np.stack([d - target for d in draws])
         assert np.abs(err).max() < 0.05
 
     def test_empty_dataset(self):
@@ -356,8 +350,8 @@ class TestSample:
         x1 = rng.normal(size=6)
         field = _TrueField(x1)
         for steps in (1, 5, 20):
-            (plan,) = sample(field, [np.zeros(1)], steps, [np.random.default_rng(3)])
-            np.testing.assert_allclose(plan.actions.ravel(), x1, atol=1e-12)
+            (plan,), _ = sample(field, [np.zeros(1)], steps, [np.random.default_rng(3)])
+            np.testing.assert_allclose(plan.ravel(), x1, atol=1e-12)
 
     def test_one_step_equals_reconstruct_from_noise(self):
         m = VectorFieldModel.create(2, 3, hidden=(8,), seed=4)
@@ -365,32 +359,34 @@ class TestSample:
         noise = np.random.default_rng(7).standard_normal(6)
         v = vf_eval(m, noise, 1.0, cond)
         expect = reconstruct(noise, 1.0, v)
-        (plan,) = sample(m, [cond], 1, [np.random.default_rng(7)])
-        np.testing.assert_allclose(plan.actions.ravel(), expect, atol=1e-15)
+        (plan,), _ = sample(m, [cond], 1, [np.random.default_rng(7)])
+        np.testing.assert_allclose(plan.ravel(), expect, atol=1e-15)
 
     def test_fixed_rng_reproducible(self):
         m = VectorFieldModel.create(2, 3, hidden=(8,), seed=4)
         cond = np.zeros(3)
-        (a,) = sample(m, [cond], 20, [np.random.default_rng(5)])
-        (b,) = sample(m, [cond], 20, [np.random.default_rng(5)])
-        np.testing.assert_array_equal(a.actions, b.actions)
+        a = sample(m, [cond], 20, [np.random.default_rng(5)])
+        b = sample(m, [cond], 20, [np.random.default_rng(5)])
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_poses_consistent_with_actions(self):
-        # a plan's poses are the recurrence the loss and the rollouts integrate
-        # with: x and y to the bit, and each heading wrapped as a Pose2 holds it
+        # a plan's poses are the recurrence the loss integrates with, to the bit,
+        # headings unwrapped; a PoseTrajectory of them wraps each as a Pose2 holds it
         m = VectorFieldModel.create(3, 2, hidden=(8,), seed=1)
         m.params *= 4.0  # turns of a few radians, so headings leave (-pi, pi]
         rng = np.random.default_rng(2)
         unwrapped = 0
         for i in range(20):
             start = Pose2(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-math.pi, math.pi))
-            (plan,) = sample(m, [rng.normal(size=2)], 10, [np.random.default_rng(i)], [start.as_tuple()])
-            assert plan.poses[0] == start and len(plan.poses) == 4
-            want = poses_from_actions(plan.actions[None], np.array([start.as_tuple()]))[0][0]
-            got = plan.poses.as_array()
-            assert got[:, :2].tobytes() == want[:, :2].tobytes()
-            assert got[:, 2].tolist() == [wrap_angle(th) for th in want[:, 2]]
-            unwrapped += int((np.abs(want[:, 2]) > math.pi).sum())
+            actions, poses = sample(m, [rng.normal(size=2)], 10, [np.random.default_rng(i)],
+                                    [start.as_tuple()])
+            assert actions.shape == (1, 3, 3) and poses.shape == (1, 4, 3)
+            want = poses_from_actions(actions, np.array([start.as_tuple()]))[0]
+            assert poses.tobytes() == want.tobytes()
+            wrapped = PoseTrajectory(poses[0])
+            assert wrapped[0] == start
+            assert wrapped.as_array()[:, 2].tolist() == [wrap_angle(th) for th in want[0, :, 2]]
+            unwrapped += int((np.abs(want[..., 2]) > math.pi).sum())
         assert unwrapped > 0
 
 
@@ -786,45 +782,55 @@ def test_training_gathers_fields_once_per_train(mixed_dataset, monkeypatch):
 def test_batched_sampler_matches_sequential_samples():
     m = VectorFieldModel.create(4, 5, hidden=(16, 16), seed=3)
     cond = np.linspace(-1.0, 1.0, 5)
+    start = (1.0, -2.0, 0.5)
+    # k plans of one condition from one shared generator, against k plans drawn one at a time
     for k in (1, 2, 7):
-        rows = sample_actions(m, cond, 20, np.random.default_rng(k), k)
+        actions, poses = sample(m, [cond] * k, 20, [np.random.default_rng(k)] * k, [start] * k)
         rng = np.random.default_rng(k)
-        seq = np.stack([sample(m, [cond], 20, [rng])[0].actions for _ in range(k)])
-        assert rows.shape == (k, 4, 3)
-        np.testing.assert_allclose(rows, seq, rtol=0, atol=1e-12)
+        alone = [sample(m, [cond], 20, [rng], [start]) for _ in range(k)]
+        seq_actions = np.concatenate([a for a, _ in alone])
+        seq_poses = np.concatenate([p for _, p in alone])
+        assert actions.shape == (k, 4, 3) and poses.shape == (k, 5, 3)
+        np.testing.assert_allclose(actions, seq_actions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(poses, seq_poses, rtol=0, atol=1e-12)
         if k == 1:
-            assert rows.tobytes() == seq.tobytes()
+            assert actions.tobytes() == seq_actions.tobytes() and poses.tobytes() == seq_poses.tobytes()
     # one plan per condition, each from its own generator and start, against plans drawn alone
     conds = [np.linspace(-1.0, 1.0, 5) * s for s in (1.0, -0.5, 2.0)]
     starts = [(0.0, 0.0, 0.0), (1.0, -2.0, 0.5), (-3.0, 0.5, -2.5)]
-    together = sample(m, conds, 20, [np.random.default_rng(s) for s in (4, 5, 6)], starts)
-    for plan, cond, seed, start in zip(together, conds, (4, 5, 6), starts):
-        (alone,) = sample(m, [cond], 20, [np.random.default_rng(seed)], [start])
-        np.testing.assert_allclose(plan.actions, alone.actions, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(plan.poses.as_array(), alone.poses.as_array(), rtol=0, atol=1e-12)
-        assert plan.poses[0] == Pose2(*start)
+    actions, poses = sample(m, conds, 20, [np.random.default_rng(s) for s in (4, 5, 6)], starts)
+    for a, p, cond, seed, start in zip(actions, poses, conds, (4, 5, 6), starts):
+        (alone_a,), (alone_p,) = sample(m, [cond], 20, [np.random.default_rng(seed)], [start])
+        np.testing.assert_allclose(a, alone_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, alone_p, rtol=0, atol=1e-12)
+        assert p[0].tolist() == list(start)
 
 
 def test_batched_sampler_draws_the_sequential_noise():
     # with a zero field the Euler steps leave the noise as it was drawn
     m = VectorFieldModel.create(3, 2, hidden=(8,), seed=0)
     m.set_params(np.zeros(m.param_count))
-    rows = sample_actions(m, np.zeros(2), 5, np.random.default_rng(4), 6)
+    # k plans that share one generator draw the stream of one (k, 3n) draw
+    actions, _ = sample(m, [np.zeros(2)] * 6, 5, [np.random.default_rng(4)] * 6)
+    assert actions.reshape(6, 9).tobytes() == np.random.default_rng(4).standard_normal((6, 9)).tobytes()
     rng = np.random.default_rng(4)
     noise = np.stack([rng.standard_normal(9) for _ in range(6)])
-    assert rows.reshape(6, 9).tobytes() == noise.tobytes()
+    assert actions.reshape(6, 9).tobytes() == noise.tobytes()
     # one plan per generator: each plan's noise is its own generator's first draw
-    plans = sample(m, [np.zeros(2)] * 3, 5, [np.random.default_rng(s) for s in (7, 8, 9)])
-    for plan, seed in zip(plans, (7, 8, 9)):
-        assert plan.actions.tobytes() == np.random.default_rng(seed).standard_normal(9).tobytes()
+    actions, _ = sample(m, [np.zeros(2)] * 3, 5, [np.random.default_rng(s) for s in (7, 8, 9)])
+    for plan, seed in zip(actions, (7, 8, 9)):
+        assert plan.tobytes() == np.random.default_rng(seed).standard_normal(9).tobytes()
 
 
 def test_sampler_checks_shapes_once_and_finiteness_once(monkeypatch):
     m = VectorFieldModel.create(2, 3, hidden=(8,), seed=1)
+    # a condition of the wrong size is refused before any generator draws
+    rng = np.random.default_rng(0)
     with pytest.raises(ShapeMismatchError):
-        sample_actions(m, np.zeros(4), 5, np.random.default_rng(0), 3)
+        sample(m, [np.zeros(3), np.zeros(4)], 5, [rng, rng])
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
     with pytest.raises(PlannerError):
-        sample_actions(m, np.zeros(3), 0, np.random.default_rng(0), 3)
+        sample(m, [np.zeros(3)] * 3, 0, [np.random.default_rng(0)] * 3)
     original = VectorFieldModel.forward
     for bad in (np.nan, np.inf, -np.inf):
         calls = []
@@ -844,7 +850,7 @@ def test_sampler_checks_shapes_once_and_finiteness_once(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PlannerError, match="non-finite"):
-                sample_actions(m, np.zeros(3), 10, np.random.default_rng(0), 4)
+                sample(m, [np.zeros(3)] * 4, 10, [np.random.default_rng(0)] * 4)
         assert calls == [(4, 10)] * 10
 
 

@@ -8,7 +8,6 @@ import math
 import os
 import pathlib
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from astra_nav.geom import (
     Pose2,
     PoseTrajectory,
     compose_xyt,
+    poses_from_actions,
     poses_to_actions,
     relative_pose,
     relative_xyt,
@@ -797,10 +797,10 @@ def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_con
     for cond_sample in conditions:
         dist = worlds[cond_sample.world_index].dist_field()
         for _ in range(rollouts_per_condition):
-            (plan,) = planner.sample(model, [cond_sample.condition], euler_steps, [rng],
-                                     [cond_sample.start.as_tuple()])
-            flags.append(planner.collision_check(plan.poses, None, footprint_radius, dist))
-            velocities.append(plan.mean_step / max_step)
+            (actions,), (poses,) = planner.sample(model, [cond_sample.condition], euler_steps, [rng],
+                                                  [cond_sample.start.as_tuple()])
+            flags.append(planner.collision_check(PoseTrajectory(poses), None, footprint_radius, dist))
+            velocities.append(np.hypot(actions[:, 0], actions[:, 1]).mean() / max_step)
     summary = {
         "rollouts": len(flags),
         "collision_rate": sum(flags) / len(flags),
@@ -916,6 +916,31 @@ def test_evaluate_planner_runs_each_condition_as_one_batch(worlds48, eval_model,
     assert out["rollouts"] == 5 * len(conditions)
     assert forwards == [5] * (sim._EULER_STEPS * len(conditions))
     assert lookups == [5 * (eval_model.n_actions + 1)] * len(conditions)
+
+
+def test_evaluate_planner_samples_each_condition_with_one_loop_sampler_call(worlds48, eval_model,
+                                                                            monkeypatch):
+    # the rollouts go through the traced sampler the loop calls: k rows of one
+    # condition, start and generator per condition
+    windows = list(sim.expert_windows(worlds48, 3, n_actions=eval_model.n_actions, seed=5))
+    calls = []
+    plan_sample = sim.plan_sample
+
+    def recording(model, conditions, steps, rngs, starts):
+        actions, poses = plan_sample(model, conditions, steps, rngs, starts)
+        calls.append((conditions, steps, rngs, starts, actions.shape, poses.shape))
+        return actions, poses
+
+    monkeypatch.setattr(sim, "plan_sample", recording)
+    sim.evaluate_planner(eval_model, worlds48, 3, 5, seed=5)
+    assert len(calls) == len(windows)
+    n = eval_model.n_actions
+    for (_, window, cond), (conditions, steps, rngs, starts, actions, poses) in zip(windows, calls):
+        assert [c.vector().tobytes() for c in conditions] == [cond.vector().tobytes()] * 5
+        assert steps == sim._EULER_STEPS
+        assert len(rngs) == 5 and all(r is rngs[0] for r in rngs)
+        assert starts == [window[0].as_tuple()] * 5
+        assert actions == (5, n, 3) and poses == (5, n + 1, 3)
 
 
 def test_evaluate_planner_without_rollouts(worlds48, eval_model):
@@ -1277,34 +1302,38 @@ FOLDED_XY = [(1.5, 1.5), (2.5, 1.5), (3.5, 1.5), (4.5, 1.5), (4.5, 1.9), (4.0, 1
 
 def scripted_learned_planner(monkeypatch, world, collides, fallback):
     """A learned planner on FOLDED_XY, a scripted 8-action plan for it to
-    review, and the collision check's calls; the check answers `collides`."""
-    plan = SimpleNamespace(poses=object(), actions=np.arange(24.0).reshape(8, 3))
+    review as the sampler's rows of actions and poses, and the collision
+    check's calls, each its poses and radius; the check answers `collides`."""
+    actions = np.arange(24.0).reshape(8, 3)
+    poses = poses_from_actions(actions[None], np.array([[0.5, -1.0, 3.0]]))[0][0]
     checked = []
 
     def check(poses, grid, radius, dist):
-        checked.append((poses, radius))
+        checked.append((poses.as_array().tolist(), radius))
         return collides
 
     monkeypatch.setattr(sim, "collision_check", check)
     path = PoseTrajectory([(x, y, 0.0) for x, y in FOLDED_XY])
-    return sim._LearnedPlanner(world, None, path, fallback), plan, checked
+    return sim._LearnedPlanner(world, None, path, fallback), (actions, poses), checked
 
 
 def test_learned_planner_falls_back_on_a_colliding_plan(world, monkeypatch):
     learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, True)
     report = sim.EpisodeReport(False, "timeout")
-    assert learned.review(plan, report) is None
+    assert learned.review(*plan, report) is None
     assert (report.planner_calls, report.fallback_count) == (1, 1)
-    assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]
+    # the check reads the plan's poses, each heading wrapped as a Pose2 holds it
+    assert checked == [(PoseTrajectory(plan[1]).as_array().tolist(), sim._FOOTPRINT_RADIUS)]
 
 
 def test_learned_planner_executes_a_colliding_plan_without_fallback(world, monkeypatch):
     learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, False)
     report = sim.EpisodeReport(False, "timeout")
-    rows = learned.review(plan, report)
-    assert rows == plan.actions[:4].tolist()
+    rows = learned.review(*plan, report)
+    assert rows == plan[0][:4].tolist()
     assert (report.planner_calls, report.fallback_count) == (1, 0)
-    assert checked == [(plan.poses, sim._FOOTPRINT_RADIUS)]  # checked even when not acted on
+    # checked even when not acted on
+    assert checked == [(PoseTrajectory(plan[1]).as_array().tolist(), sim._FOOTPRINT_RADIUS)]
 
 
 def test_learned_planner_progress_never_moves_back(world, monkeypatch):
@@ -1316,7 +1345,7 @@ def test_learned_planner_progress_never_moves_back(world, monkeypatch):
     for a, b in zip(arr, arr[1:]):
         for est in (a, (a + b) / 2):
             learned.condition(Pose2(*est, 0.0), 0.0)
-            learned.review(plan, report)
+            learned.review(*plan, report)
             progress.append(learned.progress)
             nearest.append(int(np.argmin(np.hypot(*(arr - est).T))))
     assert progress == sorted(progress)
@@ -1688,15 +1717,15 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
                 (step_lengths[-1] if step_lengths else 0.0, 0.0),
                 planner.occupancy_features(grid2, est_pose, phi),
             )
-            (plan,) = planner.sample(model, [cond], sim._EULER_STEPS, [rng], [est_pose.as_tuple()])
+            (plan,), (poses,) = planner.sample(model, [cond], sim._EULER_STEPS, [rng], [est_pose.as_tuple()])
             report.planner_calls += 1
-            if planner.collision_check(plan.poses, None, sim._FOOTPRINT_RADIUS, dist):
+            if planner.collision_check(PoseTrajectory(poses), None, sim._FOOTPRINT_RADIUS, dist):
                 if config.fallback:
                     report.fallback_count += 1
                 else:
-                    actions = plan.actions
+                    actions = plan
             else:
-                actions = plan.actions
+                actions = plan
         if actions is None:
             try:
                 actions = expert.actions(est_pose)
@@ -1888,13 +1917,15 @@ class ScriptedExpert:
 
 
 def scripted_cycle(world, true_pose, est_pose, rows, noise, **config):
-    """One control cycle of `sim.step` driven by the given actions and noise."""
+    """One control cycle of one episode (`sim._lock_step`) driven by the given
+    actions and noise."""
     state = sim.EpisodeState(
         world, Pose2(100.0, 100.0, 0.0), sim.NavConfig(planner="oracle", **config),
         ScriptedRng(noise), true_pose, est_pose, ScriptedExpert(rows), None,
         budget=1000, report=sim.EpisodeReport(False, "timeout"), best_goal_dist=1e9,
     )
-    return sim.step(state)
+    sim._lock_step([state])
+    return state
 
 
 def ref_cycle(true_pose, est_pose, rows, noise, max_step=0.25):
