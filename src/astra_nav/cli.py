@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import localization, odometry, planner, rewards, sim
+from . import esdf, localization, odometry, planner, rewards, sim
 from .errors import (
     AstraError,
     InputFileError,
@@ -209,7 +209,7 @@ def _cmd_plan_train(args) -> int:
     config = _load_flat_config(args.config, planner.TrainConfig, "train config")
     if args.seed is not None:
         config.seed = args.seed
-    dataset = sim.load_dataset(args.data, config.mask_alpha, config.mask_dilation)
+    dataset = sim.load_dataset(args.data)
     model, log = planner.train(dataset, config)
     model.save(args.out)
     _emit({"model": args.out, "epochs": len(log), "log_tail": log[-3:]})
@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = esdf_sub.add_parser("compute")
     p.add_argument("occ_file")
     p.add_argument("--mask", help="JSON pose trajectory to mask around")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--dilation", type=float, default=0.3)
+    p.add_argument("--alpha", type=float, default=esdf.MASK_ALPHA)
+    p.add_argument("--dilation", type=float, default=esdf.MASK_DILATION)
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=_cmd_esdf_compute)
 

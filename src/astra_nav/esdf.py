@@ -246,6 +246,12 @@ def make_mask(gt_poses: PoseTrajectory, geometry: Grid, dilation_radius: float) 
     return Grid(mask, res, origin)
 
 
+# The mask of every planning dataset, built or loaded, and `esdf compute`'s default:
+# the share of the field removed in the corridor, and its radius in m.
+MASK_ALPHA = 0.5
+MASK_DILATION = 0.3
+
+
 def mask_esdf(phi: Grid, mask: Grid, alpha: float, out: np.ndarray | None = None) -> Grid:
     """Attenuate the field inside the corridor: phi * (1 - alpha) there, phi
     elsewhere. The values are written into `out`, a float array of the

@@ -370,12 +370,15 @@ def parse_extractor_response(payload: dict) -> list[LandmarkObservation]:
 
 
 def load_query(path) -> tuple[QueryContext, list[LandmarkObservation]]:
-    """Read a query file: {"query_ctx": {pose?, landmark_ids?}, "observations": [...]}."""
+    """Read a query file: {"query_ctx": {pose?, landmark_ids?: [str]}, "observations": [...]}."""
     data = read_json(path, LocalizationError)
     try:
         ctx_raw = data.get("query_ctx", {})
         pose = Pose2.from_jsonable(ctx_raw["pose"]) if ctx_raw.get("pose") is not None else None
-        ctx = QueryContext(pose, set(ctx_raw.get("landmark_ids", [])))
+        ids = ctx_raw.get("landmark_ids", [])
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise ValueError(f"landmark_ids must be a list of strings, got {ids!r}")
+        ctx = QueryContext(pose, set(ids))
         return ctx, parse_extractor_response(data)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise LocalizationError(f"{path}: malformed query: {e!r}") from e

@@ -1,9 +1,10 @@
 """Odometry fusion and trajectory metrics.
 
 Wheel, gyro, and visual-odometry increments are fused by weighted
-averaging with renormalization over the sources present, and fused
-increments are folded into a trajectory by SE(2) composition on plain
-floats (`compose_xyt`), each increment's heading wrapped first.
+averaging with renormalization over the sources present, at the fixed
+weights below (`_WHEEL_TRANS` to `_VISION_ROT`), and fused increments are
+folded into a trajectory by SE(2) composition on plain floats
+(`compose_xyt`), each increment's heading wrapped first.
 
 Metrics follow the usual trajectory-evaluation triple:
   ATE  root-mean-square positional error, no alignment;
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AstraError, check_fields
+from .errors import AstraError
 from .geom import Pose2, PoseTrajectory, compose_xyt, wrap_angle
 
 
@@ -36,24 +37,15 @@ class SensorIncrement:
     vision: tuple[float, float, float] | None = None
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    wheel_trans: float = 0.5
-    vision_trans: float = 0.5
-    wheel_rot: float = 0.2
-    imu_rot: float = 0.6
-    vision_rot: float = 0.2
-
-    def __post_init__(self):
-        check_fields(self, OdometryError, "finite and >= 0",
-                     "wheel_trans", "vision_trans", "wheel_rot", "imu_rot", "vision_rot")
+# The fusion weights: translation from wheel and vision, heading from all three.
+_WHEEL_TRANS = 0.5
+_VISION_TRANS = 0.5
+_WHEEL_ROT = 0.2
+_IMU_ROT = 0.6
+_VISION_ROT = 0.2
 
 
-# the weights of every call that passes none, and of the navigation loop, checked once here
-DEFAULT_WEIGHTS = FusionWeights()
-
-
-def fuse_sources(wheel, imu_dtheta, vision, w: FusionWeights) -> tuple[float, float, float]:
+def fuse_sources(wheel, imu_dtheta, vision) -> tuple[float, float, float]:
     """`fuse_increment` on the sources themselves: wheel and vision each
     (dx, dy, dtheta) or None, imu_dtheta a float or None. Each weighted sum
     starts at int 0 and adds the sources in the order wheel, imu, vision, as
@@ -64,41 +56,35 @@ def fuse_sources(wheel, imu_dtheta, vision, w: FusionWeights) -> tuple[float, fl
         raise OdometryError("increment carries no usable source")
     tw = rw = tx = ty = rt = 0
     if wheel is not None:
-        tw += w.wheel_trans
-        tx += w.wheel_trans * wheel[0]
-        ty += w.wheel_trans * wheel[1]
-        rw += w.wheel_rot
-        rt += w.wheel_rot * wheel[2]
+        tw += _WHEEL_TRANS
+        tx += _WHEEL_TRANS * wheel[0]
+        ty += _WHEEL_TRANS * wheel[1]
+        rw += _WHEEL_ROT
+        rt += _WHEEL_ROT * wheel[2]
     if imu_dtheta is not None:
-        rw += w.imu_rot
-        rt += w.imu_rot * imu_dtheta
+        rw += _IMU_ROT
+        rt += _IMU_ROT * imu_dtheta
     if vision is not None:
-        tw += w.vision_trans
-        tx += w.vision_trans * vision[0]
-        ty += w.vision_trans * vision[1]
-        rw += w.vision_rot
-        rt += w.vision_rot * vision[2]
-    if tw <= 0 or rw <= 0:
-        raise OdometryError("active fusion weights sum to zero")
+        tw += _VISION_TRANS
+        tx += _VISION_TRANS * vision[0]
+        ty += _VISION_TRANS * vision[1]
+        rw += _VISION_ROT
+        rt += _VISION_ROT * vision[2]
     return (tx / tw, ty / tw, rt / rw)
 
 
-def fuse_increment(
-    inc: SensorIncrement, weights: FusionWeights | None = None
-) -> tuple[float, float, float]:
+def fuse_increment(inc: SensorIncrement) -> tuple[float, float, float]:
     """Weighted mean of the available sources; absent sources drop out and the
     remaining weights renormalize."""
-    return fuse_sources(inc.wheel, inc.imu_dtheta, inc.vision, weights or DEFAULT_WEIGHTS)
+    return fuse_sources(inc.wheel, inc.imu_dtheta, inc.vision)
 
 
-def dead_reckon(
-    increments: list[SensorIncrement], start: Pose2, weights: FusionWeights | None = None
-) -> PoseTrajectory:
+def dead_reckon(increments: list[SensorIncrement], start: Pose2) -> PoseTrajectory:
     """Fold fused increments through pose composition from the start pose,
     each increment's heading wrapped before it is composed."""
     poses = [start.as_tuple()]
     for inc in increments:
-        dx, dy, dth = fuse_increment(inc, weights)
+        dx, dy, dth = fuse_increment(inc)
         poses.append(compose_xyt(*poses[-1], dx, dy, wrap_angle(dth)))
     return PoseTrajectory(poses)
 

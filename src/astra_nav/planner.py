@@ -243,11 +243,14 @@ class VectorFieldModel:
 
     @classmethod
     def load(cls, path) -> "VectorFieldModel":
+        """The model a `save` file holds; each error names the file and keeps its class."""
         doc = read_json(path, PlannerError)
         try:
             if doc.get("activation", "tanh") != "tanh":
-                raise PlannerError(f"{path}: unsupported activation: {doc['activation']!r}")
+                raise PlannerError(f"unsupported activation: {doc['activation']!r}")
             return cls(doc["layer_sizes"], doc["weights"], doc["n_actions"], doc["cond_dim"])
+        except PlannerError as e:
+            raise type(e)(f"{path}: {e}") from e
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise PlannerError(f"{path}: malformed model file: {e!r}") from e
 
@@ -405,27 +408,23 @@ class TrainConfig:
     """Momentum-SGD settings of `train`. learning_rate: positive and finite.
     momentum, esdf_lambda (loss per m of masked signed distance): finite and
     >= 0. batch_size (samples per step), epochs: integers >= 1. seed: an
-    integer >= 0. hidden: a list of layer widths, integers >= 1. mask_alpha
-    (share of the field removed inside the mask, within [0, 1]) and
-    mask_dilation (mask radius in m, finite and >= 0) are read where a
-    dataset is masked: `plan train` passes them to `sim.load_dataset`, and
-    `sim.build_planning_dataset` masks at their defaults."""
+    integer >= 0. hidden: a list of layer widths, integers >= 1. The masking
+    of a dataset's fields is fixed by `esdf.MASK_ALPHA` and
+    `esdf.MASK_DILATION`, which `sim.build_planning_dataset` and
+    `sim.load_dataset` read."""
 
     learning_rate: float = 1e-3
     momentum: float = 0.9
     batch_size: int = 64
     epochs: int = 100
     esdf_lambda: float = 0.1
-    mask_alpha: float = 0.5
-    mask_dilation: float = 0.3
     seed: int = 0
     hidden: tuple[int, ...] = (128, 128, 128)
 
     def __post_init__(self):
         check_fields(self, PlannerError, "positive and finite", "learning_rate")
-        check_fields(self, PlannerError, "finite and >= 0", "momentum", "esdf_lambda", "mask_dilation")
+        check_fields(self, PlannerError, "finite and >= 0", "momentum", "esdf_lambda")
         check_fields(self, PlannerError, "an integer >= 1", "batch_size", "epochs")
-        check_fields(self, PlannerError, "within [0, 1]", "mask_alpha")
         check_fields(self, PlannerError, "an integer >= 0", "seed")
         check_fields(self, PlannerError, "a list of integers >= 1", "hidden")
         self.hidden = tuple(int(h) for h in self.hidden)
@@ -545,12 +544,8 @@ def distance_field(grid: Grid) -> Grid:
     return Grid(edt(grid, "occupied"), grid.resolution, grid.origin)
 
 
-def collision_check(
-    poses: PoseTrajectory,
-    grid: Grid | None,
-    footprint_radius: float = 0.3,
-    dist_field: Grid | None = None,
-) -> bool:
+def collision_check(poses: PoseTrajectory, grid: Grid | None, footprint_radius: float,
+                    dist_field: Grid | None = None) -> bool:
     """True iff any pose center's interpolated free-space distance drops below
     the footprint radius."""
     if footprint_radius < 0:

@@ -22,6 +22,10 @@ class RewardError(AstraError):
     pass
 
 
+# the field of RewardWeights that each key of a weights file sets
+_WEIGHT_FIELDS = {"lambda": "decay", "w_d": "w_d", "w_theta": "w_theta", "covis_lambda": "covis_lambda"}
+
+
 @dataclass
 class RewardWeights:
     """decay ("lambda" in a weights file; per m or rad of weighted pose error)
@@ -43,13 +47,14 @@ class RewardWeights:
     @classmethod
     def from_jsonable(cls, data: dict) -> "RewardWeights":
         """Weights from a JSON object whose keys are among "lambda", "w_d",
-        "w_theta" and "covis_lambda"; any other key raises UnknownConfigKeyError."""
-        weights = cls(data.get("lambda", 1.0), data.get("w_d", 0.5),
-                      data.get("w_theta", 0.5), data.get("covis_lambda", 1.0))
+        "w_theta" and "covis_lambda", each absent one at its default; any
+        other key raises UnknownConfigKeyError before a value is checked."""
+        if not isinstance(data, dict):
+            raise ValueError("reward weights must be a JSON object")
         for key in data:
-            if key not in ("lambda", "w_d", "w_theta", "covis_lambda"):
+            if key not in _WEIGHT_FIELDS:
                 raise UnknownConfigKeyError(key, "reward weights")
-        return weights
+        return cls(**{_WEIGHT_FIELDS[key]: value for key, value in data.items()})
 
 
 def canonical_landmark(category: str, attributes: dict[str, str] | None = None):

@@ -78,6 +78,8 @@ import numpy as np
 
 from .errors import AstraError, check_fields, is_finite_number, is_finite_triple, read_json, read_text
 from .esdf import (
+    MASK_ALPHA,
+    MASK_DILATION,
     Grid,
     compress_grid,
     field_buffer,
@@ -106,11 +108,10 @@ from .localization import (
     make_ground_truth_oracle,
 )
 # the loop fuses with `fuse_sources`; bench/workloads.py traces `sim.fuse_increment`
-from .odometry import DEFAULT_WEIGHTS, fuse_increment, fuse_sources  # noqa: F401
+from .odometry import fuse_increment, fuse_sources  # noqa: F401
 from .planner import (
     PlanningCondition,
     PlanningSample,
-    TrainConfig,
     VectorFieldModel,
     collision_check,
     distance_field,
@@ -995,7 +996,7 @@ def _execute(state: EpisodeState, rows: list | None) -> None:
     for (sx, sy, sth), (n0, n1, n2, n3, n4, n5, n6) in zip(steps, noise):
         dx, dy, dth = sx + n0, sy + n1, sth + n2
         tx, ty, tth = compose_xyt(tx, ty, tth, dx, dy, wrap_angle(dth))
-        fx, fy, fth = fuse_sources((dx + n3, dy + n4, dth + n5), dth + n6, None, DEFAULT_WEIGHTS)
+        fx, fy, fth = fuse_sources((dx + n3, dy + n4, dth + n5), dth + n6, None)
         ex, ey, eth = compose_xyt(ex, ey, eth, fx, fy, wrap_angle(fth))
         state.executed += 1
         length = math.hypot(dx, dy)
@@ -1280,16 +1281,17 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
                     break
 
 
-def _masked_fields(pairs, mask_alpha: float, mask_dilation: float) -> list[Grid]:
-    """Each (field, trajectory) pair's field masked along the trajectory. The
-    masked fields are views of one `field_buffer`, back to back in order, so
-    that training reads them in place (`esdf.stack_fields`)."""
+def _masked_fields(pairs) -> list[Grid]:
+    """Each (field, trajectory) pair's field masked along the trajectory at
+    `esdf.MASK_ALPHA` and `esdf.MASK_DILATION`. The masked fields are views
+    of one `field_buffer`, back to back in order, so that training reads
+    them in place (`esdf.stack_fields`)."""
     buffer = field_buffer(sum(phi.values.size for phi, _ in pairs))
     masked, used = [], 0
     for phi, trajectory in pairs:
         view = buffer[used : used + phi.values.size].reshape(phi.values.shape)
         used += phi.values.size
-        masked.append(mask_esdf(phi, make_mask(trajectory, phi, mask_dilation), mask_alpha, out=view))
+        masked.append(mask_esdf(phi, make_mask(trajectory, phi, MASK_DILATION), MASK_ALPHA, out=view))
     return masked
 
 
@@ -1297,10 +1299,9 @@ def build_planning_dataset(
     worlds: list[World], samples_per_world: int, n_actions: int = 16, seed: int = 0
 ) -> list[PlanningSample]:
     """The expert windows as training samples, each with its field masked at
-    the `TrainConfig` defaults (`_masked_fields`)."""
+    `esdf.MASK_ALPHA` and `esdf.MASK_DILATION` (`_masked_fields`)."""
     windows = list(expert_windows(worlds, samples_per_world, n_actions, seed))
-    fields = _masked_fields([(worlds[wi].phi(), window) for wi, window, _ in windows],
-                            TrainConfig.mask_alpha, TrainConfig.mask_dilation)
+    fields = _masked_fields([(worlds[wi].phi(), window) for wi, window, _ in windows])
     return [
         PlanningSample(
             poses_to_actions(window),
@@ -1337,12 +1338,13 @@ def save_dataset(dataset: list[PlanningSample], path) -> None:
             )
 
 
-def load_dataset(path, mask_alpha: float, mask_dilation: float):
+def load_dataset(path):
     """Rebuild PlanningSamples from a JSON-lines file, recomputing masked fields
     per referenced grid. Every record's actions are rows of three finite
     numbers, and its action count and condition length are the first
-    record's. The fields are masked once every record is read
-    (`_masked_fields`)."""
+    record's. The fields are masked once every record is read, at
+    `esdf.MASK_ALPHA` and `esdf.MASK_DILATION` as `build_planning_dataset`
+    masks them (`_masked_fields`)."""
     base = os.path.dirname(os.path.abspath(path))
     phis: dict[str, Grid] = {}
     dataset, pairs = [], []  # the samples, and the field and poses each is masked from
@@ -1371,7 +1373,7 @@ def load_dataset(path, mask_alpha: float, mask_dilation: float):
             phis[full] = signed_esdf(load_occupancy(full))
         dataset.append(PlanningSample(actions, condition, start, None, grid_ref, rec["gt_poses"]))
         pairs.append((phis[full], gt))
-    for sample, phi in zip(dataset, _masked_fields(pairs, mask_alpha, mask_dilation)):
+    for sample, phi in zip(dataset, _masked_fields(pairs)):
         sample.phi = phi
     return dataset
 

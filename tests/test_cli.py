@@ -490,6 +490,8 @@ REMOVED_KEYS = {
     "sim-eval-seed": ("nav", "seed", 5, _sim_eval),
     "plan-train-n-actions": ("train", "n_actions", 8, _train_to),
     "plan-train-euler-steps": ("train", "euler_steps", 5, _train_to),
+    "plan-train-mask-alpha": ("train", "mask_alpha", 0.5, _train_to),
+    "plan-train-mask-dilation": ("train", "mask_dilation", 0.3, _train_to),
     **{f"sim-{verb}-{key.replace('_', '-')}": ("nav", key, value, command)
        for verb, command in (("run", _sim_run), ("eval", _sim_eval))
        for key, value in NAV_CONSTANTS.items()},
@@ -542,7 +544,7 @@ def test_model_file_with_a_wrong_weight_count_exits_1(files, capsys, change):
     code, out, err = run(capsys, "plan", "sample", "--model", path, "--cond", files["cond.json"])
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "ShapeMismatchError"
-    assert f"expected {len(doc['weights'])} parameters" in json.loads(err)["message"]
+    assert json.loads(err)["message"].startswith(f"{path}: expected {len(doc['weights'])} parameters")
 
 
 # Model files the planner cannot run: (layer sizes, n_actions, cond_dim), each
@@ -569,6 +571,7 @@ def test_model_file_the_planner_cannot_run_exits_1(files, capsys, name, command)
     assert_json_error(code, out, err)
     assert out == "" and len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "PlannerError"
+    assert json.loads(err)["message"].startswith(f"{path}: ")  # the constructor's refusal names the file
 
 
 # Search radii that never widen (0, NaN) or never stop (inf) looped forever.
@@ -1048,6 +1051,19 @@ def test_bad_query_observation_exits_1(files, capsys, name):
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "LocalizationError"
     assert "bad observation at index 1" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("ids", ["lm-001", [1, 2]], ids=["string", "numbers"])
+def test_query_landmark_ids_not_a_list_of_strings_exit_1(files, capsys, ids):
+    # a string once became the set of its characters, and numbers never matched
+    query = json.loads(files["query.json"].read_text())
+    query["query_ctx"]["landmark_ids"] = ids
+    path = files["root"] / "query-landmark-ids.json"
+    path.write_text(json.dumps(query))
+    code, out, err = run(capsys, "localize", "--map", files["map"], "--query", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "LocalizationError"
+    assert "landmark_ids must be a list of strings" in json.loads(err)["message"]
 
 
 def _dangling_edge(doc):

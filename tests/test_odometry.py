@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from astra_nav import odometry
-from astra_nav.geom import Pose2, PoseTrajectory, compose_xyt
+from astra_nav.geom import Pose2, PoseTrajectory, compose_xyt, wrap_angle
 from astra_nav.odometry import (
-    FusionWeights,
     OdometryError,
     SensorIncrement,
     dead_reckon,
     fuse_increment,
+    fuse_sources,
     traj_metrics,
 )
 
@@ -26,9 +28,9 @@ class TestFusion:
         assert fuse_increment(inc) == pytest.approx((0.2, 0.01, 0.05))
 
     def test_rotation_mean(self):
+        # heading weights 0.2 wheel, 0.6 IMU
         inc = SensorIncrement(wheel=(0.1, 0.0, 0.10), imu_dtheta=0.12)
-        w = FusionWeights(wheel_rot=0.5, imu_rot=0.5)
-        assert fuse_increment(inc, w)[2] == pytest.approx(0.11)
+        assert fuse_increment(inc)[2] == pytest.approx(0.115)
 
     def test_consensus(self):
         inc = SensorIncrement(wheel=(0.2, 0.0, 0.05), imu_dtheta=0.05, vision=(0.2, 0.0, 0.05))
@@ -38,26 +40,34 @@ class TestFusion:
         with pytest.raises(OdometryError):
             fuse_increment(SensorIncrement())
 
-    def test_weight_split_invariance(self):
-        # duplicating a source with split weights changes nothing
-        inc = SensorIncrement(wheel=(0.3, -0.1, 0.02), imu_dtheta=0.04)
-        a = fuse_increment(inc, FusionWeights(wheel_trans=1.0, wheel_rot=0.4, imu_rot=0.6))
-        b = fuse_increment(inc, FusionWeights(wheel_trans=0.5, wheel_rot=0.2, imu_rot=0.3))
-        assert a == pytest.approx(b)
 
-    def test_default_weights_are_checked_once(self, monkeypatch):
-        # the default weights were checked at import; a fused step checks nothing
-        def refused(*args):
-            raise AssertionError("fuse_increment checks no weights")
+def ref_fuse(wheel, imu_dtheta, vision):
+    """The weighted mean written out: `sum` over the present sources, in the
+    order wheel, IMU, vision, at the shipped weights (translation 0.5 wheel,
+    0.5 vision; heading 0.2 wheel, 0.6 IMU, 0.2 vision)."""
+    trans = [(0.5, s) for s in (wheel, vision) if s is not None]
+    rot = [(w, v) for w, v in ((0.2, wheel and wheel[2]), (0.6, imu_dtheta), (0.2, vision and vision[2]))
+           if v is not None]
+    tw = sum(w for w, _ in trans)
+    rw = sum(w for w, _ in rot)
+    return (sum(w * s[0] for w, s in trans) / tw, sum(w * s[1] for w, s in trans) / tw,
+            sum(w * v for w, v in rot) / rw)
 
-        inc = SensorIncrement(wheel=(0.3, -0.1, 0.02), imu_dtheta=0.04)
-        want = fuse_increment(inc, FusionWeights())
-        monkeypatch.setattr(odometry, "check_fields", refused)
-        assert fuse_increment(inc) == want
 
-    def test_weights_are_frozen(self):
-        with pytest.raises(AttributeError):
-            FusionWeights().imu_rot = 2.0
+_VALUE = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
+_TRIPLE = st.tuples(_VALUE, _VALUE, _VALUE)
+
+
+@given(st.one_of(st.none(), _TRIPLE), st.one_of(st.none(), _VALUE), st.one_of(st.none(), _TRIPLE))
+@example((-0.0, -0.0, -0.0), -0.0, None)  # a lone -0.0 fuses to +0.0
+@example((0.1, 0.0, 0.44), -0.54, (0.1, 0.0, 0.89))  # adding vision before IMU changes the last bit
+def test_fuse_sources_is_the_weighted_mean_to_the_bit(wheel, imu_dtheta, vision):
+    if wheel is None and vision is None:
+        with pytest.raises(OdometryError):
+            fuse_sources(wheel, imu_dtheta, vision)
+        return
+    got = fuse_sources(wheel, imu_dtheta, vision)
+    assert np.array(got).tobytes() == np.array(ref_fuse(wheel, imu_dtheta, vision)).tobytes()
 
 
 class TestDeadReckon:
@@ -182,15 +192,19 @@ def test_segment_ends_match_the_walk():
         assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
+def fold(steps):
+    """(dx, dy, dtheta) steps composed from the origin, each heading wrapped
+    first as `dead_reckon` wraps it: the (n + 1, 2) positions."""
+    poses = [(0.0, 0.0, 0.0)]
+    for dx, dy, dth in steps:
+        poses.append(compose_xyt(*poses[-1], dx, dy, wrap_angle(dth)))
+    return np.array(poses)[:, :2]
+
+
 class TestFusedBeatsSingles:
     def _run(self, seed, n_segments=30, seg_steps=60, sigma=0.01):
         rng = np.random.default_rng(seed)
-        weights = {
-            "wheel": FusionWeights(1, 0, 1, 0, 0),
-            "imu": FusionWeights(1, 0, 0, 1, 0),
-            "fused": FusionWeights(1, 0, 0.5, 0.5, 0),
-        }
-        sq = {k: [] for k in weights}
+        sq = {k: [] for k in ("wheel", "imu", "fused")}
         for _ in range(n_segments):
             dth = rng.uniform(-0.08, 0.08)
             actions = [(0.2, 0.0, dth)] * seg_steps
@@ -204,8 +218,13 @@ class TestFusedBeatsSingles:
                 SensorIncrement(wheel=(a[0], a[1], a[2] + w), imu_dtheta=a[2] + i)
                 for a, w, i in zip(actions, wheel_noise, imu_noise)
             ]
-            for name, w in weights.items():
-                est = dead_reckon(incs, Pose2(), w).as_array()[:, :2]
+            # the shipped weights against the wheel's heading alone and the IMU's alone
+            ests = {
+                "wheel": fold(inc.wheel for inc in incs),
+                "imu": fold((*inc.wheel[:2], inc.imu_dtheta) for inc in incs),
+                "fused": dead_reckon(incs, Pose2()).as_array()[:, :2],
+            }
+            for name, est in ests.items():
                 sq[name].extend(((est - gt_xy) ** 2).sum(axis=1).tolist())
         return {k: math.sqrt(np.mean(v)) for k, v in sq.items()}
 

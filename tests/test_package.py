@@ -161,8 +161,6 @@ UNPASSED_DEFAULTS = {
     "sim.generate_world.resolution": "the pinned world digests use the 0.25 m default; tests vary it",
     "sim.build_planning_dataset.n_actions": "16-action windows everywhere, `sim dataset` too; "
     "tests and the CLI fixtures build shorter ones",
-    "odometry.dead_reckon.weights": "`odom eval` fuses at the defaults; tests compare single "
-    "sensors with the fused estimate",
     "sim.run_episode.start": "`sim run` draws the start from the seed and eval_suite sets its "
     "episodes up itself; tests pass starts",
 }

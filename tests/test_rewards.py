@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from astra_nav.errors import UnknownConfigKeyError
 from astra_nav.geom import Pose2
 from astra_nav.rewards import (
     CoarseGroundTruth,
@@ -24,6 +25,17 @@ def test_weights_must_sum_to_one():
     with pytest.raises(RewardError):
         RewardWeights(w_d=0.7, w_theta=0.7)
     RewardWeights(w_d=0.25, w_theta=0.75)  # fine
+
+
+def test_weights_from_an_empty_object_are_the_defaults():
+    assert RewardWeights.from_jsonable({}) == RewardWeights()
+    assert RewardWeights.from_jsonable({"lambda": 2.0}) == RewardWeights(decay=2.0)
+
+
+def test_weights_name_a_misspelt_key_before_checking_values():
+    # w_d 0.7 alone breaks the w_d + w_theta sum; the misspelt key is reported first
+    with pytest.raises(UnknownConfigKeyError, match="'bogus'"):
+        RewardWeights.from_jsonable({"w_d": 0.7, "bogus": 1})
 
 
 def test_format_reward():

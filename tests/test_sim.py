@@ -26,7 +26,7 @@ from astra_nav.geom import (
     relative_pose,
     relative_xyt,
 )
-from astra_nav.odometry import DEFAULT_WEIGHTS, SensorIncrement, fuse_increment, fuse_sources
+from astra_nav.odometry import SensorIncrement, fuse_increment, fuse_sources
 from astra_nav.topomap import Landmark
 
 
@@ -64,7 +64,7 @@ def test_dataset_round_trip(saved_world, tmp_path):
     assert len(data) == 4
     path = tmp_path / "data.jsonl"
     sim.save_dataset(data, path)
-    loaded = sim.load_dataset(path, 0.5, 0.3)
+    loaded = sim.load_dataset(path)
     assert len(loaded) == len(data)
     for a, b in zip(data, loaded):
         np.testing.assert_array_equal(b.actions, a.actions)
@@ -84,7 +84,7 @@ def test_dataset_from_relatively_addressed_worlds_reads_back(world, tmp_path, mo
     assert data and {s.grid_ref for s in data} == {os.path.join("w1", "grid.occ")}
     os.mkdir("out")
     sim.save_dataset(data, os.path.join("out", "data.jsonl"))
-    loaded = sim.load_dataset(os.path.join("out", "data.jsonl"), 0.5, 0.3)
+    loaded = sim.load_dataset(os.path.join("out", "data.jsonl"))
     assert {s.grid_ref for s in loaded} == {os.path.join("..", "w1", "grid.occ")}
     for a, b in zip(data, loaded, strict=True):
         np.testing.assert_array_equal(b.phi.values, a.phi.values)
@@ -103,14 +103,17 @@ def assert_packed(dataset):
     return buffer
 
 
-def test_dataset_fields_are_packed_in_one_buffer(saved_world, world, tmp_path):
+def test_dataset_fields_are_packed_in_one_buffer(saved_world, world, tmp_path, monkeypatch):
     worlds = [saved_world, world]
     data = sim.build_planning_dataset(worlds, 4, n_actions=8, seed=1)
     assert {s.world_index for s in data} == {0, 1}
     assert assert_packed(data).size == sum(s.phi.values.size for s in data)
     path = tmp_path / "data.jsonl"
     sim.save_dataset([s for s in data if s.world_index == 0], path)
-    loaded = sim.load_dataset(path, 0.3, 0.5)
+    # loading masks at the module's settings, here patched away from the built ones
+    monkeypatch.setattr(sim, "MASK_ALPHA", 0.3)
+    monkeypatch.setattr(sim, "MASK_DILATION", 0.5)
+    loaded = sim.load_dataset(path)
     assert assert_packed(loaded).size == sum(s.phi.values.size for s in loaded)
     for s in loaded:
         phi = saved_world.phi()
@@ -852,20 +855,13 @@ class RecordingConfig:
         return getattr(self.config, name)
 
 
-# config fields the library calls below do not read, each with where it is read
-READ_ELSEWHERE = {
-    "mask_alpha": "`plan train` passes it to sim.load_dataset, which masks the fields",
-    "mask_dilation": "`plan train` passes it to sim.load_dataset, which masks the fields",
-}
-
-
 def test_every_config_field_is_read(worlds48, eval_model):
     nav = RecordingConfig(sim.NavConfig(planner="model"))
     sim.eval_suite(worlds48, 3, nav, eval_model, 0)
     train = RecordingConfig(planner.TrainConfig(epochs=1, batch_size=4, hidden=(8,)))
     planner.train(sim.build_planning_dataset(worlds48[:1], 4, n_actions=4, seed=0), train)
     unread = {
-        type(r.config).__name__: {f.name for f in dataclasses.fields(r.config)} - r.read - set(READ_ELSEWHERE)
+        type(r.config).__name__: {f.name for f in dataclasses.fields(r.config)} - r.read
         for r in (nav, train)
     }
     assert unread == {"NavConfig": set(), "TrainConfig": set()}
@@ -1971,7 +1967,7 @@ def test_cycle_wraps_each_increment_heading_before_composing(world):
 def test_fusion_sums_from_int_zero():
     # sum() starts at int 0, so a lone -0.0 term fuses to +0.0, which a
     # weighted mean written as w * x / w would keep negative
-    fused = fuse_sources((-0.0, -0.0, -0.0), -0.0, None, DEFAULT_WEIGHTS)
+    fused = fuse_sources((-0.0, -0.0, -0.0), -0.0, None)
     assert [math.copysign(1.0, v) for v in fused] == [1.0, 1.0, 1.0]
     assert math.copysign(1.0, 0.5 * -0.0 / 0.5) == -1.0
     want = fuse_increment(SensorIncrement(wheel=(-0.0, -0.0, -0.0), imu_dtheta=-0.0))
