@@ -2,14 +2,17 @@
 
 Worlds are rejection-sampled until the free space is a single connected
 component and the 1 m node lattice forms a connected graph. The expert
-planner runs 8-connected A* on an obstacle map inflated by the footprint
-radius (plus one cell of margin) and then shortcut-smooths the cell path,
-keeping every sampled point at or above the inflated clearance, so its
-output never trips the collision check at the same footprint radius.
-Clearance along straight segments is checked in batches: `_segments_clear`
-samples every segment of a smoothing step, or every candidate link of the
-lattice map, in one bilinear lookup. The lattice map makes two lookups in
-all: one places every node, one checks every link. Its candidate links come
+planner plans a batch of requests at once (`oracle_plans`; `oracle_plan`
+is the batch of one). Each request runs its own 8-connected A* on an
+obstacle map inflated by the footprint radius (plus one cell of margin,
+`_route`); then all requests shortcut-smooth their cell paths together, one
+kept point each per round, keeping every sampled point at or above the
+inflated clearance, so no output trips the collision check at the same
+footprint radius. Clearance along straight segments is checked in batches:
+`_segments_clear` samples every candidate segment of a smoothing round that
+shares a world and a clearance, or every candidate link of the lattice map,
+in one bilinear lookup. The lattice map makes two lookups in all: one
+places every node, one checks every link. Its candidate links come
 from one box test over all nodes, swept a block of rows at a time
 (`_link_pairs`). Node count and connectivity are checked on the index pairs
 of the clear links, so a rejected candidate builds no map object; an
@@ -32,13 +35,17 @@ goal of a plan is kept.
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global node
 path and one expert path to the goal, then run control cycles on an
-`EpisodeState`. `eval_suite` sets every episode up first and then runs all
-live episodes in lock-step, one control cycle each at a time (`_lock_step`),
-in two phases: a plan phase builds the condition of every episode the
-learned planner drives and samples all their plans with one call of
-`planner.sample`, each x0 drawn from its episode's own rng, and reads each
-episode's actions and poses as one row of its two arrays; an execute phase
-runs each episode's steps. An episode draws x0 first and then its cycle's
+`EpisodeState`. `eval_suite` sets every episode up first, all their
+reference paths planned by one `oracle_plans` call (`_set_up`), and then runs
+all live episodes in lock-step, one control cycle each at a time
+(`_lock_step`), in three phases: a plan phase builds the condition of every
+episode the learned planner drives and samples all their plans with one
+call of `planner.sample`, each x0 drawn from its episode's own rng, and
+reads each episode's actions and poses as one row of its two arrays; an
+expert phase (`_expert_phase`) moves every episode the expert drives this
+cycle along its path and re-plans all the paths that need it with one
+`oracle_plans` call; an execute phase runs each episode's steps. The expert
+draws nothing, and an episode draws x0 first and then its cycle's
 noise, from its own rng, as it would alone, so only the last bits of a
 plan's floats depend on the episodes beside it; `run_episode` is the same
 loop on one episode. Only the learned planner (`_LearnedPlanner`) reads the
@@ -49,7 +56,8 @@ lengths, computed once per episode, and samples a trajectory toward it; when
 the trajectory would collide, the expert takes over for the cycle. The
 expert follows its path (`_ExpertPath`): a progress index that only moves
 forward, and a re-plan only when the estimate strays from the path by more
-than the planner's safety margin or the path runs out short of the goal. A
+than the planner's safety margin or the path runs out short of the goal;
+an episode whose re-plan finds no path ends stuck before it executes. A
 cycle executes a few steps under noisy kinematics, all of their noise drawn
 at once, and dead-reckons between periodic global fixes, its poses and
 increments plain floats. The clearance of the executed poses only counts
@@ -66,6 +74,7 @@ a row per rollout, and checks their poses with one field lookup.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import json
@@ -613,19 +622,12 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return points[j] + t[:, None] * seg[j]
 
 
-def oracle_plan(world: World, start: Pose2, goal: Pose2) -> PoseTrajectory:
-    """Expert path: inflated-grid A*, clearance-aware shortcut smoothing, resampling
-    at `_MAX_STEP`. Headings follow the local direction of travel; the first pose
-    is the exact start. Plans prefer footprint + 0.25 m clearance and retry at the
-    bare footprint inflation before declaring the goal unreachable.
-
-    Smoothing keeps the start and, from each kept point i, jumps to the
-    farthest path point j >= i + 2 whose straight segment from i stays at
-    clearance, else to i + 1. One `_segments_clear` call checks every
-    candidate j of a step in one bilinear lookup."""
+def _route(world: World, start: Pose2, goal: Pose2) -> tuple[np.ndarray, float] | None:
+    """One plan's grid search: the points to smooth (the start, the centers
+    of the A* path's cells, the goal) and the clearance the cells keep, or
+    None when no path exists. The search prefers footprint + one cell +
+    `_SAFETY_MARGIN` of clearance and retries at footprint + one cell."""
     grid2 = world.grid2d()
-    dist = world.dist_field()
-    cells = None
     for margin in (_SAFETY_MARGIN, 0.0):
         clearance = _FOOTPRINT_RADIUS + grid2.resolution + margin
         grid = world.planning_grid(clearance)
@@ -635,29 +637,73 @@ def oracle_plan(world: World, start: Pose2, goal: Pose2) -> PoseTrajectory:
             continue
         cells = _astar(grid.wall, grid.stride, s_cell, g_cell)
         if cells is not None:
-            break
-    if cells is None:
-        raise UnreachableError("start and goal are not connected at this clearance")
-    res, (ox, oy) = grid2.resolution, grid2.origin
-    pts = [(start.x, start.y)]
-    pts += [(ox + c * res, oy + r * res) for r, c in cells]
-    pts.append((goal.x, goal.y))
-    pts = np.asarray(pts)
-    # shortcut smoothing: the farthest candidate still at clearance, per step
-    keep = [0]
-    i = 0
-    while i < len(pts) - 1:
-        clear = np.flatnonzero(_segments_clear(dist, pts[i], pts[i + 2 :], clearance))
-        j = i + 2 + int(clear[-1]) if len(clear) else i + 1
-        keep.append(j)
-        i = j
-    smooth = pts[keep]
-    dense = resample_polyline(smooth, _MAX_STEP).tolist()
-    rows = [start.as_tuple()]
-    for (px, py), (x, y) in zip(dense, dense[1:]):
-        dx, dy = x - px, y - py
-        rows.append((x, y, math.atan2(dy, dx) if (dx or dy) else rows[-1][2]))
-    return PoseTrajectory(rows)
+            res, (ox, oy) = grid2.resolution, grid2.origin
+            pts = [(start.x, start.y)]
+            pts += [(ox + c * res, oy + r * res) for r, c in cells]
+            pts.append((goal.x, goal.y))
+            return np.asarray(pts), clearance
+    return None
+
+
+def oracle_plans(requests) -> list[PoseTrajectory | UnreachableError]:
+    """Expert paths for a batch of (world, start, goal) requests: per
+    request, in order, its `PoseTrajectory`, or an `UnreachableError` when
+    start and goal are not connected at either clearance.
+
+    Each request is searched on its own (`_route`: inflated-grid A*). Its
+    points are then shortcut-smoothed: from the start, each kept point i
+    jumps to the farthest point j >= i + 2 whose straight segment from i
+    keeps the route's clearance, else to i + 1. The routes advance
+    together, one kept point each per round, and a round checks the
+    candidates j of every route still smoothing with one `_segments_clear`
+    call per world and clearance. The kept points are
+    resampled at `_MAX_STEP`; headings follow the local direction of
+    travel, and the first pose is the exact start."""
+    routes = [_route(*request) for request in requests]
+    keep = {r: [0] for r, route in enumerate(routes) if route is not None}
+    live = list(keep)
+    while live:
+        groups: dict[tuple[int, float], list[int]] = {}
+        for r in live:
+            groups.setdefault((id(requests[r][0]), routes[r][1]), []).append(r)
+        for members in groups.values():
+            world, clearance = requests[members[0]][0], routes[members[0]][1]
+            at = [keep[r][-1] for r in members]
+            candidates = [routes[r][0][i + 2 :] for r, i in zip(members, at)]
+            counts = [len(c) for c in candidates]
+            starts = np.repeat([routes[r][0][i] for r, i in zip(members, at)], counts, axis=0)
+            clear = np.flatnonzero(_segments_clear(world.dist_field(), starts, np.concatenate(candidates),
+                                                   clearance)).tolist()
+            # each route's candidates are the run [end - count, end) of the segments; it
+            # jumps to the last clear one, else one point on
+            end = 0
+            for r, i, count in zip(members, at, counts):
+                end += count
+                last = bisect.bisect_left(clear, end) - 1
+                found = last >= 0 and clear[last] >= end - count
+                keep[r].append(i + 2 + clear[last] - (end - count) if found else i + 1)
+        live = [r for r in live if keep[r][-1] < len(routes[r][0]) - 1]
+    plans = []
+    for r, (_, start, _) in enumerate(requests):
+        if routes[r] is None:
+            plans.append(UnreachableError("start and goal are not connected at this clearance"))
+            continue
+        dense = resample_polyline(routes[r][0][keep[r]], _MAX_STEP).tolist()
+        rows = [start.as_tuple()]
+        for (px, py), (x, y) in zip(dense, dense[1:]):
+            dx, dy = x - px, y - py
+            rows.append((x, y, math.atan2(dy, dx) if (dx or dy) else rows[-1][2]))
+        plans.append(PoseTrajectory(rows))
+    return plans
+
+
+def oracle_plan(world: World, start: Pose2, goal: Pose2) -> PoseTrajectory:
+    """The expert path from start to goal, `oracle_plans` on one request.
+    Raises UnreachableError when start and goal are not connected."""
+    (plan,) = oracle_plans([(world, start, goal)])
+    if isinstance(plan, UnreachableError):
+        raise plan
+    return plan
 
 
 def _nearest_index(xy: np.ndarray, current: Pose2, lowest: int) -> int:
@@ -802,35 +848,44 @@ def _split_action(a, max_step: float) -> list[tuple[float, float, float]]:
 class _ExpertPath:
     """The expert path an episode follows, and its progress index on it.
 
-    Each call moves the index to the path pose nearest the estimate within
-    2 * `_EXECUTE_STEPS` poses ahead of it, so the index never moves back,
-    and returns the increments from the estimate to the next `_EXECUTE_STEPS`
-    poses. The path is re-planned from the estimate to the goal on two events
-    only: the estimate is farther than `_SAFETY_MARGIN` from the nearest
-    pose, or no pose is left ahead of it. `episode` names the episode in the
-    debug records.
+    A cycle the expert drives is three steps. `advance` moves the index to
+    the path pose nearest the estimate within 2 * `_EXECUTE_STEPS` poses
+    ahead of it, so the index never moves back, and says whether the path
+    must be re-planned from the estimate to the goal, which happens on two
+    events only: the estimate is farther than `_SAFETY_MARGIN` from the
+    nearest pose, or no pose is left ahead of it. The expert phase
+    (`_expert_phase`) plans all of a cycle's re-plans at once and hands
+    each its path (`follow`). `actions` then returns the increments from
+    the estimate to the next `_EXECUTE_STEPS` poses. `episode` names the
+    episode in the debug records.
     """
 
-    def __init__(self, world: World, goal: Pose2, path: PoseTrajectory, episode: int = 0):
-        self.world, self.goal, self.episode = world, goal, episode
-        self._follow(path)
-
-    def _follow(self, path: PoseTrajectory) -> None:
+    def __init__(self, goal: Pose2, path: PoseTrajectory, episode: int = 0):
+        self.goal, self.episode = goal, episode
         self.rows, self.index = path.as_array(), 0
 
-    def actions(self, est: Pose2) -> list[tuple[float, float, float]]:
-        """The increments (dx, dy, dtheta) from the estimate to the first
-        following pose and from each following pose to the next, as
-        `relative_pose` computes them. Raises UnreachableError when a
-        re-plan finds no path."""
+    def advance(self, est: Pose2) -> bool:
+        """Move the index to the estimate; True when the path must be re-planned."""
         self.index = _nearest_index(self.rows[: self.index + 2 * _EXECUTE_STEPS + 1], est, self.index)
         x, y, _ = self.rows[self.index]
         off = math.hypot(x - est.x, y - est.y)
         if off > _SAFETY_MARGIN or self.index == len(self.rows) - 1:
             log.debug("episode %d: expert re-plans on %s, %.3f m from the path", self.episode,
                       "deviation" if off > _SAFETY_MARGIN else "path end", off)
-            ref = oracle_plan(self.world, est, self.goal)
-            self._follow(ref if len(ref) > 1 else PoseTrajectory([est.as_tuple(), self.goal.as_tuple()]))
+            return True
+        return False
+
+    def follow(self, path: PoseTrajectory, est: Pose2) -> None:
+        """Follow a path re-planned from the estimate, from its start; a
+        path of one pose becomes the step from the estimate to the goal."""
+        if len(path) < 2:
+            path = PoseTrajectory([est.as_tuple(), self.goal.as_tuple()])
+        self.rows, self.index = path.as_array(), 0
+
+    def actions(self, est: Pose2) -> list[tuple[float, float, float]]:
+        """The increments (dx, dy, dtheta) from the estimate to the first
+        following pose and from each following pose to the next, as
+        `relative_pose` computes them."""
         following = self.rows[self.index + 1 : self.index + 1 + _EXECUTE_STEPS].tolist()
         return [relative_xyt(*a, *b) for a, b in zip([est.as_tuple()] + following, following)]
 
@@ -908,29 +963,35 @@ class EpisodeState:
 
 
 def _lock_step(states: list[EpisodeState]) -> None:
-    """One control cycle of every live episode of `states`, in two phases;
+    """One control cycle of every live episode of `states`, in three phases;
     `run_episode` runs it on one episode.
 
     Episodes whose budget is spent or whose true pose is within the goal
     tolerance end first (`state.done` is set and the report filled in).
     Plan: `_plan_phase` samples one plan for every remaining episode the
-    learned planner drives. Execute: each episode runs its cycle's steps as
-    `_execute` sets out, in the order of `states`, and ends there when the
-    expert finds no path or progress stalls. The episodes share one model,
-    and each draws only from its own rng, so an episode's draws do not
-    depend on the episodes it runs beside. The random draws of an episode's
-    cycle come in this order: the learned planner's x0, one
+    learned planner drives. Expert: `_expert_phase` moves every episode the
+    expert drives this cycle, the oracle's and the fallbacks, along its
+    path, re-plans the paths that need it with one `oracle_plans` call, and
+    ends an episode stuck when its re-plan finds no path. Execute: each
+    remaining episode runs its cycle's steps as `_execute` sets out, in the
+    order of `states`, and ends there when progress stalls. The episodes
+    share one model, and each draws only from its own rng, so an episode's
+    draws do not depend on the episodes it runs beside. The random draws of
+    an episode's cycle come in this order: the learned planner's x0, one
     `standard_normal` draw of 3n values, when it plans; then one
-    `rng.normal` call of (steps, 7) values. An episode that ends at the top
-    of a cycle draws nothing in it."""
+    `rng.normal` call of (steps, 7) values. The expert draws nothing. An
+    episode that ends before its execute phase draws nothing more in it."""
     for state in states:
         if not state.done and (state.executed >= state.budget
                                or state.goal_distance() <= _GOAL_TOLERANCE):
             _end_episode(state)
     live = [state for state in states if not state.done]
     planned = iter(_plan_phase([state for state in live if state.learned is not None]))
-    for state in live:
-        _execute(state, next(planned) if state.learned is not None else None)
+    rows = [next(planned) if state.learned is not None else None for state in live]
+    _expert_phase([state for state, r in zip(live, rows) if r is None])
+    for state, r in zip(live, rows):
+        if not state.done:
+            _execute(state, r if r is not None else state.expert.actions(state.est_pose))
 
 
 def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
@@ -952,12 +1013,28 @@ def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
     return [state.learned.review(a, p, state.report) for state, a, p in zip(states, actions, poses)]
 
 
-def _execute(state: EpisodeState, rows: list | None) -> None:
-    """The execute phase of one episode's cycle: the planned `rows`, or the
-    expert's actions when they are None (the oracle planner, or a fallback),
-    split into executed steps (`_split_action`), their noise drawn at once
-    and the steps run one by one; the episode ends stuck when the expert
-    finds no path or progress stalls.
+def _expert_phase(states: list[EpisodeState]) -> None:
+    """Each episode's expert path moved along for this cycle
+    (`_ExpertPath.advance`), in the order of `states`, then every path that
+    needs it re-planned from its episode's estimate to its goal by one
+    `oracle_plans` call; an episode whose re-plan finds no path ends stuck."""
+    replans = [state for state in states if state.expert.advance(state.est_pose)]
+    if not replans:
+        return
+    paths = oracle_plans([(state.world, state.est_pose, state.goal) for state in replans])
+    for state, path in zip(replans, paths):
+        if isinstance(path, UnreachableError):
+            state.report.reason = "stuck"
+            _end_episode(state)
+        else:
+            state.expert.follow(path, state.est_pose)
+
+
+def _execute(state: EpisodeState, rows: list) -> None:
+    """The execute phase of one episode's cycle: the planned `rows` (the
+    learned plan's, or the expert's), split into executed steps
+    (`_split_action`), their noise drawn at once and the steps run one by
+    one; the episode ends stuck when progress stalls.
 
     The noise is one `rng.normal` call of (steps, 7) values, row by row in
     the order of the steps, each row the executed x, y and heading noise,
@@ -973,14 +1050,6 @@ def _execute(state: EpisodeState, rows: list | None) -> None:
     at its end, for the true pose and the estimate."""
     config, report = state.config, state.report
     est = state.est_pose
-    if rows is None:
-        try:
-            rows = state.expert.actions(est)
-        except UnreachableError:
-            report.reason = "stuck"
-            _end_episode(state)
-            return
-
     steps = [s for row in rows for s in _split_action(row, _MAX_STEP)]
     lengths = [math.hypot(dx, dy) for dx, dy, _ in steps]
     # per step, the sigmas of exec x, y, theta, wheel x, y, theta and imu: the
@@ -1058,9 +1127,10 @@ def _require_free(world: World, pose: Pose2, what: str) -> None:
 
 
 def _start_episode(world: World, goal, config: NavConfig, model: VectorFieldModel | None,
-                   seed: int, start: Pose2 | None, episode: int) -> EpisodeState | EpisodeReport:
-    """An episode's set-up (see `run_episode`): its state before the first
-    control cycle, or its final report when it ends in set-up."""
+                   seed: int, start: Pose2 | None, episode: int) -> tuple | EpisodeReport:
+    """An episode's set-up up to its reference path (see `run_episode`): its
+    rng, true start, goal pose, estimate and learned planner, or its final
+    report when it ends before the planning step."""
     rng = np.random.default_rng(seed)
     if start is not None:
         _require_free(world, start, "start")
@@ -1098,24 +1168,35 @@ def _start_episode(world: World, goal, config: NavConfig, model: VectorFieldMode
         learned = _LearnedPlanner(world, model, PoseTrajectory(rows), config.fallback)
     elif not world.map.connected(start_node, goal_node):
         return EpisodeReport(False, "stuck")
+    return rng, start, goal_pose, est_pose, learned
 
-    try:
-        oracle_ref = oracle_plan(world, start, goal_pose)
-    except UnreachableError:
-        return EpisodeReport(False, "stuck")
-    expert_length = oracle_ref.path_length()
-    report = EpisodeReport(False, "timeout", expert_length=expert_length)
-    # the expert's first path is the reference path: it starts at the true
-    # start, where the first fix puts the estimate when the start is a node;
-    # an estimate off it makes the first cycle re-plan
-    return EpisodeState(
-        world, goal_pose, config, rng, start, est_pose,
-        _ExpertPath(world, goal_pose, oracle_ref, episode), learned,
-        budget=max(60, int(_BUDGET_FACTOR * expert_length / _MAX_STEP)),
-        report=report,
-        best_goal_dist=math.hypot(start.x - goal_pose.x, start.y - goal_pose.y),
-        episode=episode,
-    )
+
+def _set_up(episodes: list[tuple]) -> list[EpisodeState | EpisodeReport]:
+    """Every (world, goal, config, model, seed, start) episode of `episodes`
+    set up in order (`_start_episode`), its index naming it, then the
+    reference paths of all that reach the planning step from one
+    `oracle_plans` call. A reference path is the expert's first path and
+    sets the step budget; an episode without one ends stuck. It starts at
+    the true start, where the first fix puts the estimate when the start is
+    a node; an estimate off it makes the first cycle re-plan."""
+    setups = [_start_episode(*episode, i) for i, episode in enumerate(episodes)]
+    planning = [i for i, setup in enumerate(setups) if not isinstance(setup, EpisodeReport)]
+    refs = oracle_plans([(episodes[i][0], setups[i][1], setups[i][2]) for i in planning])
+    for i, ref in zip(planning, refs):
+        if isinstance(ref, UnreachableError):
+            setups[i] = EpisodeReport(False, "stuck")
+            continue
+        world, _, config = episodes[i][:3]
+        rng, start, goal, est_pose, learned = setups[i]
+        expert_length = ref.path_length()
+        setups[i] = EpisodeState(
+            world, goal, config, rng, start, est_pose, _ExpertPath(goal, ref, i), learned,
+            budget=max(60, int(_BUDGET_FACTOR * expert_length / _MAX_STEP)),
+            report=EpisodeReport(False, "timeout", expert_length=expert_length),
+            best_goal_dist=math.hypot(start.x - goal.x, start.y - goal.y),
+            episode=i,
+        )
+    return setups
 
 
 def _run_episodes(setups: list[EpisodeState | EpisodeReport]) -> list[EpisodeReport]:
@@ -1146,7 +1227,7 @@ def run_episode(
     This is `eval_suite`'s loop on one episode.
     Raises SimError when a given start or the goal pose lies outside the
     world's grid cells or in an occupied one."""
-    return _run_episodes([_start_episode(world, goal, config, model, seed, start, 0)])[0]
+    return _run_episodes(_set_up([(world, goal, config, model, seed, start)]))[0]
 
 
 def _spl(report: EpisodeReport) -> float:
@@ -1213,12 +1294,14 @@ def eval_suite(
 ) -> dict:
     """Run seeded episodes round-robin over the worlds and aggregate the outcome.
 
-    Every episode is set up first, in order, as `run_episode` sets one up.
+    Every episode is set up first, in order, as `run_episode` sets one up,
+    and one `oracle_plans` call plans all their reference paths (`_set_up`).
     Then all live episodes advance one control cycle at a time in lock-step
     (`_lock_step`): a plan phase samples every learned episode's plan in one
-    batched Euler loop, each x0 drawn from its episode's own rng, and an
-    execute phase runs each episode's steps (`_execute`). Each episode
-    draws what it would draw alone, x0 first and then the cycle's noise;
+    batched Euler loop, each x0 drawn from its episode's own rng; an expert
+    phase re-plans every expert path that needs it with one `oracle_plans`
+    call; and an execute phase runs each episode's steps (`_execute`). Each
+    episode draws what it would draw alone, x0 first and then the cycle's noise;
     only the last bits of a plan's floats can differ from the episode run
     alone, as a row of a batched product may, and no discrete outcome of
     the bench's or the tests' episodes differs.
@@ -1227,11 +1310,9 @@ def eval_suite(
         raise SimError("need at least one episode")
     if not worlds:
         raise SimError("need at least one world")
-    setups = [
-        _start_episode(world, goal, config, model, seed, start, i)
-        for i, (world, goal, seed, start) in enumerate(_suite_episodes(worlds, n_episodes, master_seed))
-    ]
-    return _summarize(_run_episodes(setups))
+    episodes = [(world, goal, config, model, seed, start)
+                for world, goal, seed, start in _suite_episodes(worlds, n_episodes, master_seed)]
+    return _summarize(_run_episodes(_set_up(episodes)))
 
 
 # --- expert dataset and planner evaluation -----------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from astra_nav import geom, localization, odometry, planner, sim
 from astra_nav.errors import MapError
-from astra_nav.esdf import Grid, make_mask, mask_esdf, sample_bilinear
+from astra_nav.esdf import Grid, SamplePointError, make_mask, mask_esdf, sample_bilinear
 from astra_nav.geom import (
     Pose2,
     PoseTrajectory,
@@ -413,6 +413,38 @@ def test_segments_clear_samples_reference_points(world, monkeypatch):
     assert empty.dtype == bool and empty.shape == (0,)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segments_clear_matches_reference_on_random_fields(data):
+    # random fields and segments: zero-length ones, ones of n = 2 points, ones
+    # reaching outside the grid, one start shared by all; a NaN point is refused
+    h, w = data.draw(st.integers(1, 10), label="h"), data.draw(st.integers(1, 10), label="w")
+    res = data.draw(st.sampled_from([0.1, 0.25, 0.5]), label="res")
+    origin = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), label="origin")
+    field = data.draw(st.lists(st.floats(-1.0, 2.0), min_size=h * w, max_size=h * w), label="field")
+    dist = Grid(np.array(field).reshape(h, w), res, origin)
+    coord = st.floats(-2.0, 0.5 + res * max(h, w)) | st.sampled_from([0.0, res, 2.5 * res])
+    point = st.tuples(coord, coord)
+    a = np.array(data.draw(st.lists(point, min_size=1, max_size=30), label="a"))
+    b = a + np.array(data.draw(st.lists(point, min_size=len(a), max_size=len(a)), label="offset"))
+    kinds = data.draw(st.lists(st.sampled_from(["any", "zero", "short"]), min_size=len(a),
+                               max_size=len(a)), label="kinds")
+    for m, kind in enumerate(kinds):
+        if kind == "zero":
+            b[m] = a[m]
+        elif kind == "short":  # shorter than half a cell: n = 2
+            b[m] = a[m] + (b[m] - a[m]) / max(1.0, np.hypot(*(b[m] - a[m])) / (0.49 * res))
+    clearance = data.draw(st.floats(-0.5, 1.5) | st.sampled_from(field), label="clearance")
+    m = data.draw(st.integers(0, len(a) - 1), label="nan segment")
+    nan_end, axis = data.draw(st.sampled_from([(a, 0), (a, 1), (b, 0), (b, 1)]), label="nan at")
+    for start in (a, a[0]):  # one start per segment, or one shared by all
+        want = [ref_segment_clear(dist, p, q, clearance) for p, q in zip(np.broadcast_to(start, b.shape), b)]
+        assert sim._segments_clear(dist, start, b, clearance).tolist() == want
+    nan_end[m, axis] = math.nan
+    with np.errstate(invalid="ignore"), pytest.raises(SamplePointError):
+        sim._segments_clear(dist, a, b, clearance)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_astar_matches_dict_reference(data):
@@ -734,6 +766,14 @@ def test_component_labels_decide_astar_reachability(worlds0to7):
     assert outcomes[True] > 100 and outcomes[False] > 10
 
 
+def walled_room():
+    """A world whose inner room no path enters or leaves."""
+    occ = np.zeros((30, 30), bool)
+    occ[[0, -1]], occ[:, [0, -1]] = True, True
+    occ[12:24, 12], occ[12:24, 23], occ[12, 12:24], occ[23, 12:24] = True, True, True, True
+    return sim.World(Grid(occ, 0.25), sim.TopoMap(), [])
+
+
 def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch):
     searched = []
     astar = sim._astar
@@ -772,10 +812,7 @@ def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch)
     assert plans["same"] > 50 and plans["split"] > 0
 
     # a walled-off room: no search at either clearance, the same error
-    occ = np.zeros((30, 30), bool)
-    occ[[0, -1]], occ[:, [0, -1]] = True, True
-    occ[12:24, 12], occ[12:24, 23], occ[12, 12:24], occ[23, 12:24] = True, True, True, True
-    world = sim.World(Grid(occ, 0.25), sim.TopoMap(), [])
+    world = walled_room()
     current = planning_grids(world)
     searched.clear()
     with pytest.raises(sim.UnreachableError, match="^start and goal are not connected at this clearance$"):
@@ -787,6 +824,38 @@ def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch)
     assert searched == [True]
     want = ref_oracle_plan(world, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0))
     assert got.as_array().tobytes() == want.as_array().tobytes()
+
+
+def test_oracle_plans_match_plans_one_at_a_time(worlds0to7):
+    # mixed batches: worlds 0-7, both clearances, unreachable requests among them
+    rng = np.random.default_rng(25)
+    room = walled_room()
+    requests = [(room, Pose2(1.0, 1.0, 0.0), Pose2(4.4, 4.4, 0.0))]
+    for world in worlds0to7:
+        free = np.argwhere(~world.grid2d().values) * world.grid.resolution
+        for _ in range(6):
+            # free-space points near walls fall back to the bare clearance
+            s_xy, g_xy = free[rng.integers(len(free), size=2)][:, ::-1]
+            requests.append((world, Pose2(*s_xy, float(rng.uniform(-math.pi, math.pi))), Pose2(*g_xy, 0.0)))
+    requests.insert(20, (room, Pose2(4.4, 4.4, 0.0), Pose2(1.0, 1.0, 0.5)))
+    requests.append((room, Pose2(4.0, 4.0, 0.0), Pose2(4.4, 4.6, 0.0)))
+    clearances = [None if route is None else route[1] for route in (sim._route(*r) for r in requests)]
+    assert clearances.count(None) == 2 and {0.8, 0.55} < set(clearances)
+    order = rng.permutation(len(requests))
+    for batch in ([], requests, [requests[k] for k in order], requests[:9], requests[-3:]):
+        got = sim.oracle_plans(batch)
+        assert len(got) == len(batch)
+        for plan, request in zip(got, batch):
+            try:
+                want = ref_oracle_plan(*request)
+            except sim.UnreachableError:
+                assert type(plan) is sim.UnreachableError
+                assert str(plan) == "start and goal are not connected at this clearance"
+                with pytest.raises(sim.UnreachableError):
+                    sim.oracle_plan(*request)
+                continue
+            assert plan.as_array().tobytes() == want.as_array().tobytes()
+            assert plan.as_array().tobytes() == sim.oracle_plan(*request).as_array().tobytes()
 
 
 def ref_evaluate_planner(model, worlds, n_conditions_per_world, rollouts_per_condition, seed,
@@ -1095,7 +1164,7 @@ def test_planning_grid_snaps_to_none_when_all_is_blocked():
 
 def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     """eval_suite with counters: sample_bilinear calls made outside
-    oracle_plan, in all and within each episode's `_end_episode` (the
+    oracle_plans, in all and within each episode's `_end_episode` (the
     episodes run in lock-step, so their other calls interleave), subgoal
     lookups by the lookahead rule (one per model plan), expert segments (one
     per cycle the expert drives), unreachable plans (a cycle that ends on one
@@ -1103,8 +1172,8 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
     inside = [0]
     counts = {"lookups": 0, "episode_lookups": [], "subgoals": 0, "segments": 0, "grids": [],
               "unreachable": 0}
-    oracle_plan, lookahead_index, grid_type = sim.oracle_plan, sim._lookahead_index, sim._PlanningGrid
-    segment, end_episode = sim._ExpertPath.actions, sim._end_episode
+    oracle_plans, lookahead_index, grid_type = sim.oracle_plans, sim._lookahead_index, sim._PlanningGrid
+    segment, end_episode = sim._ExpertPath.advance, sim._end_episode
 
     def counting_end(state):
         before = counts["lookups"]
@@ -1112,15 +1181,14 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
         counts["episode_lookups"].append(counts["lookups"] - before)
         return state
 
-    def tracked_plan(*args, **kwargs):
+    def tracked_plans(requests):
         inside[0] += 1
         try:
-            return oracle_plan(*args, **kwargs)
-        except sim.UnreachableError:
-            counts["unreachable"] += 1
-            raise
+            plans = oracle_plans(requests)
         finally:
             inside[0] -= 1
+        counts["unreachable"] += sum(isinstance(p, sim.UnreachableError) for p in plans)
+        return plans
 
     def counting_lookup(phi, pts):
         if not inside[0]:
@@ -1139,10 +1207,10 @@ def counted_episodes(monkeypatch, worlds, episodes, config, model=None):
         counts["grids"].append(blocked.tobytes())
         return grid_type(blocked)
 
-    monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
+    monkeypatch.setattr(sim, "oracle_plans", tracked_plans)
     monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
     monkeypatch.setattr(sim, "_lookahead_index", counting_subgoal)
-    monkeypatch.setattr(sim._ExpertPath, "actions", counting_segment)
+    monkeypatch.setattr(sim._ExpertPath, "advance", counting_segment)
     monkeypatch.setattr(sim, "_PlanningGrid", counting_grid)
     monkeypatch.setattr(sim, "_end_episode", counting_end)
     suite = sim.eval_suite(worlds, episodes, config, model, master_seed=0)
@@ -1178,6 +1246,48 @@ def test_episode_makes_one_lookup_per_episode(monkeypatch, eval_model, kind):
     assert recount["grids"] == []
 
 
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_expert_plans_once_in_set_up_and_at_most_once_per_cycle(worlds48, eval_model, monkeypatch,
+                                                                 caplog, kind):
+    events, replans = [], []
+    oracle_plans, lock_step, advance = sim.oracle_plans, sim._lock_step, sim._ExpertPath.advance
+
+    def recording_plans(requests):
+        events.append(len(requests))
+        return oracle_plans(requests)
+
+    def recording_cycle(states):
+        events.append("cycle")
+        lock_step(states)
+
+    def recording_advance(self, est):
+        replans.append(advance(self, est))
+        return replans[-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a debug record was made with debug logging off")
+
+    monkeypatch.setattr(sim, "oracle_plans", recording_plans)
+    monkeypatch.setattr(sim, "_lock_step", recording_cycle)
+    monkeypatch.setattr(sim._ExpertPath, "advance", recording_advance)
+    monkeypatch.setattr(sim.log, "_log", refused)
+    with caplog.at_level(logging.INFO, logger=sim.log.name):
+        suite = sim.eval_suite(worlds48, 12, sim.NavConfig(planner=kind),
+                               eval_model if kind == "model" else None, 0)
+    # set-up: one call plans the reference path of every episode that reaches planning
+    assert events[0] == sum(r["expert_length"] > 0 for r in suite["reports"]) == 12
+    cycles = []  # per lock-step cycle, the batch size of each call it makes
+    for event in events[1:]:
+        if event == "cycle":
+            cycles.append([])
+        else:
+            cycles[-1].append(event)
+    assert len(cycles) > 10 and max(map(len, cycles)) == 1
+    # each call serves all of its cycle's re-plans, several in some cycles
+    batches = [n for calls in cycles for n in calls]
+    assert sum(batches) == sum(replans) and max(batches) > 1
+
+
 # --- the closed loop: one followed expert path, split turns, monotone subgoals ------------
 
 NOISE_FREE = dict(wheel_trans_sigma=0.0, wheel_rot_sigma=0.0, imu_sigma=0.0,
@@ -1204,16 +1314,17 @@ def test_noise_free_expert_on_untuned_worlds():
 def test_noise_free_expert_plans_once_per_episode(worlds48, monkeypatch):
     # with a perfect estimate no event fires: the reference path is followed to the goal
     calls = []
-    oracle_plan = sim.oracle_plan
+    oracle_plans = sim.oracle_plans
 
-    def counting(*args):
-        calls.append(args)
-        return oracle_plan(*args)
+    def counting(requests):
+        calls.append(requests)
+        return oracle_plans(requests)
 
-    monkeypatch.setattr(sim, "oracle_plan", counting)
+    monkeypatch.setattr(sim, "oracle_plans", counting)
     suite = sim.eval_suite(worlds48, 9, sim.NavConfig(planner="oracle", **NOISE_FREE), None, 0)
     assert suite["success_rate"] == 1.0
-    assert len(calls) == 9
+    # the set-up's one call plans the nine reference paths
+    assert [len(requests) for requests in calls] == [9]
 
 
 def test_start_outside_the_world_raises(world):
@@ -1236,35 +1347,49 @@ def test_start_or_goal_in_an_obstacle_raises(world):
         sim.run_episode(world, blocked, config, start=free)
 
 
+def expert_cycle(world, expert, est):
+    """One cycle of the expert phase and the actions on one expert path: the
+    index moved, a re-plan when it asks for one, then the increments."""
+    if expert.advance(est):
+        expert.follow(sim.oracle_plan(world, est, expert.goal), est)
+    return expert.actions(est)
+
+
 def test_expert_path_replans_only_on_events(worlds48):
     world = worlds48[0]
     (sx, sy), (gx, gy) = world.start_xy[0], world.start_xy[-1]
     start, goal = Pose2(sx, sy, 0.0), Pose2(gx, gy, 0.0)
     ref = sim.oracle_plan(world, start, goal)
-    expert = sim._ExpertPath(world, goal, ref)
+    expert = sim._ExpertPath(goal, ref)
     # on the path: no re-plan, the next execute_steps poses from the estimate
     est = ref[6]
+    assert not expert.advance(Pose2(est.x + 0.1, est.y, est.theta))
     actions = expert.actions(Pose2(est.x + 0.1, est.y, est.theta))
     assert expert.rows is ref.as_array() and expert.index == 6
     assert len(actions) == sim._EXECUTE_STEPS
     # the index never moves back, even where the estimate does: halfway back to pose 5
-    expert.actions(Pose2((ref[5].x + ref[6].x) / 2, (ref[5].y + ref[6].y) / 2, ref[6].theta))
+    assert not expert.advance(Pose2((ref[5].x + ref[6].x) / 2, (ref[5].y + ref[6].y) / 2, ref[6].theta))
     assert expert.rows is ref.as_array() and expert.index == 6
     assert expert.rows[6].tolist() == list(ref[6].as_tuple())
     # off the path by more than the safety margin: a new path from the estimate
     p = ref[8]
     off = Pose2(p.x - 0.3 * math.sin(p.theta), p.y + 0.3 * math.cos(p.theta), p.theta)
-    expert.actions(off)
+    assert expert.advance(off)
+    expert.follow(sim.oracle_plan(world, off, goal), off)
     assert expert.rows[0].tolist() == list(off.as_tuple()) and expert.index == 0
     # at the end of the path short of the goal: a new path
     short = sim.oracle_plan(world, start, ref[10])
-    expert = sim._ExpertPath(world, goal, short)
+    expert = sim._ExpertPath(goal, short)
     for k in (4, 8):
-        expert.actions(short[k])
+        assert not expert.advance(short[k])
         assert expert.rows is short.as_array() and expert.index == k
-    expert.actions(short[-1])
+    assert expert.advance(short[-1])
+    expert.follow(sim.oracle_plan(world, short[-1], goal), short[-1])
     assert expert.rows[0].tolist() == short.as_array()[-1].tolist()
     assert expert.rows[-1, :2].tolist() == [goal.x, goal.y]
+    # a re-plan of one pose, from the goal itself, becomes the step to the goal
+    expert.follow(PoseTrajectory([goal.as_tuple()]), off)
+    assert expert.rows.tolist() == [list(off.as_tuple()), list(goal.as_tuple())] and expert.index == 0
 
 
 def test_subgoal_keeps_progress_on_a_path_that_folds_back():
@@ -1594,8 +1719,13 @@ def ref_split_action(a, max_step):
     return steps
 
 
-class RefExpertPath(sim._ExpertPath):
-    """The expert path returning its actions through a pose trajectory."""
+class RefExpertPath:
+    """The expert path as one call per cycle, which moves the index, re-plans
+    on its own and returns the actions through a pose trajectory."""
+
+    def __init__(self, world, goal, path):
+        self.world, self.goal = world, goal
+        self.rows, self.index = path.as_array(), 0
 
     def actions(self, est):
         n = sim._EXECUTE_STEPS
@@ -1604,7 +1734,8 @@ class RefExpertPath(sim._ExpertPath):
         off = math.hypot(x - est.x, y - est.y)
         if off > sim._SAFETY_MARGIN or self.index == len(self.rows) - 1:
             ref = sim.oracle_plan(self.world, est, self.goal)
-            self._follow(ref if len(ref) > 1 else PoseTrajectory([est.as_tuple(), self.goal.as_tuple()]))
+            ref = ref if len(ref) > 1 else PoseTrajectory([est.as_tuple(), self.goal.as_tuple()])
+            self.rows, self.index = ref.as_array(), 0
         following = self.rows[self.index + 1 : self.index + 1 + n]
         return poses_to_actions(PoseTrajectory(np.vstack([est.as_tuple(), following])))
 
@@ -1893,6 +2024,27 @@ def test_debug_records_name_their_episode(worlds48, eval_model, caplog):
     assert any("expert re-plans" in m for m in messages)
 
 
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_each_episode_logs_what_it_logs_alone(worlds48, eval_model, caplog, kind):
+    # the phases of a lock-step cycle interleave the episodes' records, but
+    # each episode's records are the ones it makes alone, in the same order
+    config = sim.NavConfig(planner=kind, fix_every=5)
+    model = eval_model if kind == "model" else None
+    with caplog.at_level(logging.DEBUG, logger=sim.log.name):
+        sim.eval_suite(worlds48, 6, config, model, 0)
+        suite = [r.getMessage() for r in caplog.records if r.name == sim.log.name]
+        caplog.clear()
+        alone = []
+        for world, goal, seed, start in sim._suite_episodes(worlds48, 6, 0):
+            sim.run_episode(world, goal, config, model, seed, start)
+            alone.append([r.getMessage() for r in caplog.records if r.name == sim.log.name])
+            caplog.clear()
+    assert any("expert re-plans" in m for m in suite)
+    for i, messages in enumerate(alone):
+        mine = [m for m in suite if re.match(f"episode {i}[ :]", m)]
+        assert [re.sub(r"^episode \d+", "episode 0", m) for m in mine] == messages
+
+
 class ScriptedRng:
     """Hands out the given (steps, 7) noise rows, once, for a cycle's one normal draw."""
 
@@ -1907,6 +2059,9 @@ class ScriptedRng:
 class ScriptedExpert:
     def __init__(self, rows):
         self.rows = rows
+
+    def advance(self, est):
+        return False
 
     def actions(self, est):
         return self.rows
@@ -2002,10 +2157,10 @@ def test_expert_increments_use_the_wrapped_inverse_heading(worlds48):
         p = ref[k]
         est = Pose2(p.x + rng.uniform(-0.1, 0.1), p.y + rng.uniform(-0.1, 0.1),
                     p.theta + rng.uniform(-0.5, 0.5))
-        got = sim._ExpertPath(world, ref[-1], ref)
+        got = sim._ExpertPath(ref[-1], ref)
         want = RefExpertPath(world, ref[-1], ref)
         got.index = want.index = max(0, k - 2)
-        assert np.array(got.actions(est)).tobytes() == want.actions(est).tobytes()
+        assert np.array(expert_cycle(world, got, est)).tobytes() == want.actions(est).tobytes()
         assert got.index == want.index
 
 
@@ -2045,12 +2200,12 @@ def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    oracle_plan, end_episode = sim.oracle_plan, sim._end_episode
+    oracle_plans, end_episode = sim.oracle_plans, sim._end_episode
 
-    def tracked_plan(*args):
+    def tracked_plans(requests):
         inside_plan[0] += 1
         try:
-            return oracle_plan(*args)
+            return oracle_plans(requests)
         finally:
             inside_plan[0] -= 1
 
@@ -2062,7 +2217,7 @@ def test_loop_builds_pose_objects_per_cycle_not_per_step(worlds48, monkeypatch):
     counting(sim, "fuse_increment", "fuse_increment")
     counting(sim._ExpertPath, "actions", "cycles")
     counting(sim, "_global_fix", "fixes")
-    monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
+    monkeypatch.setattr(sim, "oracle_plans", tracked_plans)
     monkeypatch.setattr(sim, "_end_episode", recording_end)
     monkeypatch.setattr(sim, "Pose2", CountingPose2)
     report = sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), seed=5, start=start)
@@ -2098,12 +2253,12 @@ def test_model_cycle_builds_no_pose_per_plan_pose(worlds48, eval_model, monkeypa
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    oracle_plan, plan_sample = sim.oracle_plan, sim.plan_sample
+    oracle_plans, plan_sample = sim.oracle_plans, sim.plan_sample
 
-    def tracked_plan(*args):
+    def tracked_plans(requests):
         inside_plan[0] += 1
         try:
-            return oracle_plan(*args)
+            return oracle_plans(requests)
         finally:
             inside_plan[0] -= 1
 
@@ -2117,7 +2272,7 @@ def test_model_cycle_builds_no_pose_per_plan_pose(worlds48, eval_model, monkeypa
     counting(planner.VectorFieldModel, "_forward_cached", "forward_cached")
     counting(sim, "_arc_lengths", "arc_lengths")
     counting(sim, "_global_fix", "fixes")
-    monkeypatch.setattr(sim, "oracle_plan", tracked_plan)
+    monkeypatch.setattr(sim, "oracle_plans", tracked_plans)
     monkeypatch.setattr(sim, "plan_sample", tracked_sample)
     monkeypatch.setattr(geom, "Pose2", CountingPose2)
     monkeypatch.setattr(planner, "Pose2", CountingPose2)
