@@ -22,7 +22,11 @@ and checked to be finite once, after the last step. It returns two arrays,
 the (B, n, 3) actions and the (B, n+1, 3) poses, headings unwrapped. The
 navigation loop calls it once per control cycle for every episode that
 plans in it, the open-loop rollouts once per condition with K rows that
-share one generator, and `astra plan sample` with one row.
+share one generator, and `astra plan sample` with one row. Around it, the
+loop's field work is batched too: `occupancy_features` encodes a batch of
+poses and `plans_collide` checks a batch of plans, each with one field
+lookup for the whole batch; `collision_check` is the check of one
+trajectory.
 
 The network has one layer loop, `VectorFieldModel._forward_cached`:
 `forward` returns its output, and training keeps its activations for the
@@ -515,6 +519,9 @@ def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None):
     t=1 down to t=0, all of them together: the (B, n, 3) actions and the
     (B, n+1, 3) poses they integrate to, the start first. One plan is the
     case of one condition, and k plans of one condition are k rows of it.
+    `conditions` is a list of `PlanningCondition`s or vectors, or a (B, c)
+    array of condition vectors, which fills the network input in one
+    assignment; a condition of the wrong width raises ShapeMismatchError.
 
     Plan i's noise is one draw of 3n values from `rngs[i]`, the plans' draws
     made in order before the first step, so k plans that share one generator
@@ -527,11 +534,16 @@ def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None):
     with."""
     n3 = 3 * model.n_actions
     inp = np.empty((len(conditions), n3 + 1 + model.cond_dim))
-    for row, cond in zip(inp, conditions):
-        vector = _cond_vector(cond)
-        if vector.size != model.cond_dim:
-            raise ShapeMismatchError(f"condition has {vector.size} entries, expected {model.cond_dim}")
-        row[n3 + 1 :] = vector
+    if isinstance(conditions, np.ndarray) and conditions.ndim == 2:
+        if conditions.shape[1] != model.cond_dim:
+            raise ShapeMismatchError(f"condition has {conditions.shape[1]} entries, expected {model.cond_dim}")
+        inp[:, n3 + 1 :] = conditions
+    else:
+        for row, cond in zip(inp, conditions):
+            vector = _cond_vector(cond)
+            if vector.size != model.cond_dim:
+                raise ShapeMismatchError(f"condition has {vector.size} entries, expected {model.cond_dim}")
+            row[n3 + 1 :] = vector
     for row, rng in zip(inp, rngs, strict=True):
         row[:n3] = rng.standard_normal(n3)
     actions = _euler(model, inp, steps)
@@ -544,20 +556,29 @@ def distance_field(grid: Grid) -> Grid:
     return Grid(edt(grid, "occupied"), grid.resolution, grid.origin)
 
 
+def plans_collide(poses, dist_field: Grid, footprint_radius: float) -> np.ndarray:
+    """bool[B]: whether any pose center of plan b, a row of `poses` (B, m,
+    >= 2), has an interpolated free-space distance below the footprint
+    radius. All plans' positions are looked up in one `sample_bilinear`
+    call; a plan of no poses never collides."""
+    if footprint_radius < 0:
+        raise PlannerError("footprint radius must be >= 0")
+    xy = np.asarray(poses, dtype=float)[..., :2]
+    if xy.size == 0:
+        return np.zeros(len(xy), dtype=bool)
+    return (sample_bilinear(dist_field, xy).reshape(xy.shape[:2]) < footprint_radius).any(axis=1)
+
+
 def collision_check(poses: PoseTrajectory, grid: Grid | None, footprint_radius: float,
                     dist_field: Grid | None = None) -> bool:
     """True iff any pose center's interpolated free-space distance drops below
-    the footprint radius."""
-    if footprint_radius < 0:
-        raise PlannerError("footprint radius must be >= 0")
+    the footprint radius: `plans_collide` on one plan, against `dist_field`,
+    or the distance field of `grid` when it is None."""
     if dist_field is None:
         if grid is None:
             raise PlannerError("collision check needs a grid or a distance field")
         dist_field = distance_field(grid)
-    if len(poses) == 0:
-        return False
-    vals = sample_bilinear(dist_field, poses.as_array()[:, :2])
-    return bool((vals < footprint_radius).any())
+    return bool(plans_collide(poses.as_array()[None], dist_field, footprint_radius)[0])
 
 
 _PATCH_EXTENT = 2.0  # m from the pose to each side of the occupancy patch
@@ -568,21 +589,36 @@ _PATCH_OFFSETS = -_PATCH_EXTENT + _PATCH_STEP * (np.arange(_PATCH_CELLS) + 0.5)
 _PATCH_U, _PATCH_V = np.meshgrid(_PATCH_OFFSETS, _PATCH_OFFSETS)
 # the pose's 8-neighborhood in cells, as (dx, dy) rows
 _RING = np.array([(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0) if dx or dy])
+# entries of one pose's encoding: the patch, then the ring's mean
+OCCUPANCY_FEATURES = _PATCH_CELLS * _PATCH_CELLS + 1
 
 
-def occupancy_features(grid: Grid, pose: Pose2, phi: Grid) -> np.ndarray:
-    """The condition encoding: an ego-aligned _PATCH_CELLS x _PATCH_CELLS
-    occupancy patch covering [-_PATCH_EXTENT, _PATCH_EXTENT]^2 around the pose
-    (outside-grid points count as occupied), plus the mean of the signed field
-    `phi` over the pose's 8-neighborhood."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    wx = pose.x + c * _PATCH_U - s * _PATCH_V
-    wy = pose.y + s * _PATCH_U + c * _PATCH_V
+def occupancy_features(grid: Grid, poses, phi: Grid) -> np.ndarray:
+    """The condition encoding of each [x, y, theta] row of `poses` (B, 3),
+    as the rows of a (B, OCCUPANCY_FEATURES) array: an ego-aligned
+    _PATCH_CELLS x _PATCH_CELLS occupancy patch covering [-_PATCH_EXTENT,
+    _PATCH_EXTENT]^2 around the pose (outside-grid points count as
+    occupied), plus the mean of the signed field `phi` over the pose's
+    8-neighborhood. All patches are gathered at once and all rings sampled
+    with one `sample_bilinear` call. Each row depends on its pose alone, to
+    the bit: the cosine and sine are taken per pose with `math`, the patch
+    arithmetic keeps the per-pose order and each ring is averaged on its own
+    row."""
+    poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+    x, y = poses[:, 0, None, None], poses[:, 1, None, None]
+    theta = poses[:, 2].tolist()
+    c = np.array([math.cos(t) for t in theta])[:, None, None]
+    s = np.array([math.sin(t) for t in theta])[:, None, None]
+    wx = x + c * _PATCH_U - s * _PATCH_V
+    wy = y + s * _PATCH_U + c * _PATCH_V
     col = np.rint((wx - grid.origin[0]) / grid.resolution).astype(int)
     row = np.rint((wy - grid.origin[1]) / grid.resolution).astype(int)
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
-    patch = np.ones(_PATCH_U.shape)
-    patch[inside] = grid.values[row[inside], col[inside]].astype(float)
-    ring = (pose.x, pose.y) + _RING * grid.resolution
-    mean_phi = float(np.mean(sample_bilinear(phi, ring)))
-    return np.concatenate([patch.ravel(), [mean_phi]])
+    patch = np.ones(wx.shape)
+    patch[inside] = grid.values[row[inside], col[inside]]
+    out = np.empty((len(poses), OCCUPANCY_FEATURES))
+    out[:, :-1] = patch.reshape(len(poses), OCCUPANCY_FEATURES - 1)
+    if len(poses):
+        ring = poses[:, None, :2] + _RING * grid.resolution
+        out[:, -1] = np.mean(sample_bilinear(phi, ring).reshape(len(poses), len(_RING)), axis=1)
+    return out

@@ -38,13 +38,16 @@ path and one expert path to the goal, then run control cycles on an
 `EpisodeState`. `eval_suite` sets every episode up first, all their
 reference paths planned by one `oracle_plans` call (`_set_up`), and then runs
 all live episodes in lock-step, one control cycle each at a time
-(`_lock_step`), in three phases: a plan phase builds the condition of every
-episode the learned planner drives and samples all their plans with one
-call of `planner.sample`, each x0 drawn from its episode's own rng, and
-reads each episode's actions and poses as one row of its two arrays; an
-expert phase (`_expert_phase`) moves every episode the expert drives this
-cycle along its path and re-plans all the paths that need it with one
-`oracle_plans` call; an execute phase runs each episode's steps. The expert
+(`_lock_step`), in three phases: a plan phase does its field work once per
+world, not once per plan: it encodes the occupancy around the estimates of
+all the episodes the learned planner drives in one world with one
+`planner.occupancy_features` call, samples all their plans with one call of
+`planner.sample` on one array of condition vectors, each x0 drawn from its
+episode's own rng, and gives every plan of a world its collision verdict
+with one `planner.plans_collide` call; an expert phase (`_expert_phase`)
+moves every episode the expert drives this cycle along its path and
+re-plans all the paths that need it with one `oracle_plans` call; an
+execute phase runs each episode's steps. The expert
 draws nothing, and an episode draws x0 first and then its cycle's
 noise, from its own rng, as it would alone, so only the last bits of a
 plan's floats depend on the episodes beside it; `run_episode` is the same
@@ -69,7 +72,8 @@ constants (`_FOOTPRINT_RADIUS`, which the world generator's lattice reads
 too, and `_GOAL_TOLERANCE` to `_EULER_STEPS`), which the expert dataset and
 the open-loop evaluation read too. The open-loop evaluation samples each
 condition's rollouts with the loop's sampler, one `planner.sample` call with
-a row per rollout, and checks their poses with one field lookup.
+a row per rollout, and checks their poses with the loop's check, one
+`plans_collide` call.
 """
 
 from __future__ import annotations
@@ -118,13 +122,16 @@ from .localization import (
 )
 # the loop fuses with `fuse_sources`; bench/workloads.py traces `sim.fuse_increment`
 from .odometry import fuse_increment, fuse_sources  # noqa: F401
-from .planner import (
+# bench/workloads.py traces `sim.collision_check`; the loop checks plans with `plans_collide`
+from .planner import (  # noqa: F401
+    OCCUPANCY_FEATURES,
     PlanningCondition,
     PlanningSample,
     VectorFieldModel,
     collision_check,
     distance_field,
     occupancy_features,
+    plans_collide,
 )
 from .planner import sample as plan_sample
 from .topomap import Landmark, MapNode, Pose6, TopoMap
@@ -894,35 +901,35 @@ class _LearnedPlanner:
     """The learned planner's control cycle on the node path to the goal
     (the goal appended), whose rows and arc lengths are built once.
 
-    A cycle is two calls around the plan, which `_plan_phase` samples for
-    every planning episode at once: `condition` moves the progress index to
-    the nearest row from the last one on, so it never moves back, takes the
-    subgoal with one binary search of the arc lengths (`_lookahead_index`)
-    and builds one `Pose2` for the subgoal, one for the subgoal in the ego
-    frame, and the condition; `review` checks the plan, its actions and
-    poses one row each of the sampler's two arrays, and counts the call and
-    the fallback.
+    A cycle is two calls around the plan, which `_plan_phase` samples,
+    encodes and checks for every planning episode at once: `condition`
+    moves the progress index to the nearest row from the last one on, so it
+    never moves back, takes the subgoal with one binary search of the arc
+    lengths (`_lookahead_index`), builds one `Pose2` for the subgoal and one
+    for the subgoal in the ego frame, and returns the head of the condition
+    vector; `review` takes the plan's actions, one row of the sampler's
+    array, and its collision verdict, and counts the call and the fallback.
     """
 
-    def __init__(self, world: World, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
-        self.world, self.model, self.path, self.fallback = world, model, path, fallback
+    def __init__(self, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
+        self.model, self.path, self.fallback = model, path, fallback
         self.xy = path.as_array()
         self.cum = _arc_lengths(self.xy)
         self.progress = 0
 
-    def condition(self, est: Pose2, velocity: float) -> PlanningCondition:
-        """The plan's condition at the estimate; `velocity` is the last
-        executed step's length."""
+    def condition(self, est: Pose2, velocity: float) -> tuple[float, float, float, float, float]:
+        """The head of the plan's condition vector at the estimate: the
+        subgoal in the ego frame and the velocity, which is the last
+        executed step's length; the occupancy encoding follows it."""
         self.progress = _nearest_index(self.xy, est, self.progress)
         subgoal = self.path[_lookahead_index(self.cum, self.progress, _LOOKAHEAD)]
-        occupancy = occupancy_features(self.world.grid2d(), est, self.world.phi())
-        return PlanningCondition(relative_pose(est, subgoal), (velocity, 0.0), occupancy)
+        goal = relative_pose(est, subgoal)
+        return goal.x, goal.y, goal.theta, velocity, 0.0
 
-    def review(self, actions: np.ndarray, poses: np.ndarray, report: EpisodeReport):
-        """The plan's first `_EXECUTE_STEPS` actions, or None when its poses
-        collide and `fallback` hands the cycle to the expert."""
+    def review(self, actions: np.ndarray, collides: bool, report: EpisodeReport):
+        """The plan's first `_EXECUTE_STEPS` actions, or None when the plan
+        collides and `fallback` hands the cycle to the expert."""
         report.planner_calls += 1
-        collides = collision_check(PoseTrajectory(poses), None, _FOOTPRINT_RADIUS, self.world.dist_field())
         if collides and self.fallback:
             report.fallback_count += 1
             return None
@@ -969,7 +976,8 @@ def _lock_step(states: list[EpisodeState]) -> None:
     Episodes whose budget is spent or whose true pose is within the goal
     tolerance end first (`state.done` is set and the report filled in).
     Plan: `_plan_phase` samples one plan for every remaining episode the
-    learned planner drives. Expert: `_expert_phase` moves every episode the
+    learned planner drives, with one occupancy encoding and one collision
+    lookup per world. Expert: `_expert_phase` moves every episode the
     expert drives this cycle, the oracle's and the fallbacks, along its
     path, re-plans the paths that need it with one `oracle_plans` call, and
     ends an episode stuck when its re-plan finds no path. Execute: each
@@ -997,20 +1005,38 @@ def _lock_step(states: list[EpisodeState]) -> None:
 def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
     """Each learned episode's actions for this cycle, in the order of
     `states`: the plan's first `_EXECUTE_STEPS` actions, or None when the
-    plan falls back. The conditions are built episode by episode, then one
-    `plan_sample` call draws every episode's x0 from its own rng, in that
-    order, and integrates all plans in one Euler loop; each plan is then
-    checked and counted on its own row of the actions and poses
+    plan falls back.
+
+    The field work is done once per world: the episodes are grouped by
+    world, and each group's estimates are encoded with one
+    `occupancy_features` call. The condition vectors, each episode's head
+    (`_LearnedPlanner.condition`) and encoding, make one (B, c) array, and
+    one `plan_sample` call draws every episode's x0 from its own rng, in
+    the order of `states`, and integrates all plans in one Euler loop. One
+    `plans_collide` call per group then gives each plan its collision
+    verdict, and each plan is counted on its own row
     (`_LearnedPlanner.review`)."""
     if not states:
         return []
-    conditions = [
+    groups: dict[int, list[int]] = {}
+    for i, state in enumerate(states):
+        groups.setdefault(id(state.world), []).append(i)
+    heads = [
         state.learned.condition(state.est_pose, state.step_lengths[-1] if state.step_lengths else 0.0)
         for state in states
     ]
-    rngs, starts = [state.rng for state in states], [state.est_pose.as_tuple() for state in states]
-    actions, poses = plan_sample(states[0].learned.model, conditions, _EULER_STEPS, rngs, starts)
-    return [state.learned.review(a, p, state.report) for state, a, p in zip(states, actions, poses)]
+    starts = np.array([state.est_pose.as_tuple() for state in states])
+    occupancy = np.empty((len(states), OCCUPANCY_FEATURES))
+    for members in groups.values():
+        world = states[members[0]].world
+        occupancy[members] = occupancy_features(world.grid2d(), starts[members], world.phi())
+    actions, poses = plan_sample(states[0].learned.model, np.hstack([heads, occupancy]), _EULER_STEPS,
+                                 [state.rng for state in states], starts)
+    collides = np.empty(len(states), dtype=bool)
+    for members in groups.values():
+        collides[members] = plans_collide(poses[members], states[members[0]].world.dist_field(),
+                                          _FOOTPRINT_RADIUS)
+    return [state.learned.review(a, c, state.report) for state, a, c in zip(states, actions, collides)]
 
 
 def _expert_phase(states: list[EpisodeState]) -> None:
@@ -1165,7 +1191,7 @@ def _start_episode(world: World, goal, config: NavConfig, model: VectorFieldMode
             return EpisodeReport(False, "stuck")
         rows = [world.map.nodes[nid].pose.planar().as_tuple() for nid in node_path]
         rows.append(goal_pose.as_tuple())
-        learned = _LearnedPlanner(world, model, PoseTrajectory(rows), config.fallback)
+        learned = _LearnedPlanner(model, PoseTrajectory(rows), config.fallback)
     elif not world.map.connected(start_node, goal_node):
         return EpisodeReport(False, "stuck")
     return rng, start, goal_pose, est_pose, learned
@@ -1355,7 +1381,7 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
                 yield wi, window, PlanningCondition(
                     relative_pose(start_pose, subgoal),
                     (prev_len, 0.0),
-                    occupancy_features(grid2, start_pose, phi),
+                    occupancy_features(grid2, [start_pose.as_tuple()], phi)[0],
                 )
                 collected += 1
                 if collected >= samples_per_world:
@@ -1462,13 +1488,11 @@ def load_dataset(path):
 def _rollouts(model: VectorFieldModel, condition: PlanningCondition, start: Pose2, dist: Grid,
               k: int, rng):
     """k rollouts from start under one condition, sampled as one batch, the
-    loop's sampler with k rows that share `rng`, and checked with one field
-    lookup: (collided flags, mean step lengths)."""
+    loop's sampler with k rows that share `rng`, and checked together by the
+    loop's check, `plans_collide`: (collided flags, mean step lengths)."""
     actions, poses = plan_sample(model, [condition] * k, _EULER_STEPS, [rng] * k, [start.as_tuple()] * k)
-    xy = poses[..., :2]
-    clearance = sample_bilinear(dist, xy).reshape(xy.shape[:2])
     mean_step = np.hypot(actions[..., 0], actions[..., 1]).mean(axis=1)
-    return (clearance < _FOOTPRINT_RADIUS).any(axis=1), mean_step
+    return plans_collide(poses, dist, _FOOTPRINT_RADIUS), mean_step
 
 
 def evaluate_planner(

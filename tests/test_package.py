@@ -46,6 +46,8 @@ UNREAD_IMPORTS = {
                     "topomap", "AstraError")},
     "sim.fuse_increment": "bench/workloads.py traces `sim.fuse_increment`; the loop fuses "
     "with `fuse_sources`",
+    "sim.collision_check": "bench/workloads.py traces `sim.collision_check` until the bench "
+    "refresh (ROADMAP item 6); the loop checks plans with `plans_collide`",
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from astra_nav import planner, sim
-from astra_nav.esdf import Grid, sample_bilinear, signed_esdf, stack_fields
+from astra_nav.esdf import Grid, SamplePointError, sample_bilinear, signed_esdf, stack_fields
 from astra_nav.geom import Pose2, PoseTrajectory, poses_from_actions, wrap_angle
 from astra_nav.planner import (
     PlannerError,
@@ -20,6 +20,7 @@ from astra_nav.planner import (
     collision_check,
     distance_field,
     occupancy_features,
+    plans_collide,
     planning_loss,
     planning_loss_at,
     reconstruct,
@@ -422,8 +423,8 @@ def test_occupancy_features_shape_and_content():
     vals = np.zeros((20, 20), bool)
     vals[:, 10:] = True  # occupied where x >= 2.5
     grid = Grid(vals, 0.25)
-    feats = occupancy_features(grid, Pose2(2.0, 2.0, 0.0), signed_esdf(grid))
-    assert feats.shape == (16 * 16 + 1,)
+    (feats,) = occupancy_features(grid, [(2.0, 2.0, 0.0)], signed_esdf(grid))
+    assert feats.shape == (16 * 16 + 1,) == (planner.OCCUPANCY_FEATURES,)
     patch = feats[:-1].reshape(16, 16)
     # patch spans x in [0, 4]: columns ahead of the pose hit the occupied slab
     assert patch[:, :8].mean() < patch[:, 8:].mean()
@@ -452,12 +453,55 @@ def test_occupancy_features_match_per_call_grids_bit_for_bit():
     rng = np.random.default_rng(8)
     grid = Grid(rng.random((24, 30)) < 0.25, 0.25, (-1.0, 0.5))
     phi = signed_esdf(grid)
+    # off-grid positions on every side, signed zeros, and headings at and next to +-pi
     xs = [-0.0, 0.0, -1.0, 3.3, 8.0] + rng.uniform(-2.0, 9.0, 20).tolist()
     thetas = [math.pi, -math.pi, math.nextafter(math.pi, 0.0), -0.0, 0.0] + rng.uniform(-4, 4, 20).tolist()
-    for x, y, theta in zip(xs, rng.permutation(xs), thetas):
-        pose = Pose2(x, y, theta)
-        got = occupancy_features(grid, pose, phi)
-        assert got.tobytes() == ref_occupancy_features(grid, pose, phi).tobytes()
+    poses = [Pose2(x, y, theta) for x, y, theta in zip(xs, rng.permutation(xs), thetas)]
+    want = [ref_occupancy_features(grid, pose, phi) for pose in poses]
+    # one batch of all 25 poses, each pose as a batch of one, and an empty batch
+    batch = occupancy_features(grid, np.array([pose.as_tuple() for pose in poses]), phi)
+    assert batch.shape == (25, planner.OCCUPANCY_FEATURES)
+    for pose, got, ref in zip(poses, batch, want):
+        assert got.tobytes() == ref.tobytes()
+        (alone,) = occupancy_features(grid, [pose.as_tuple()], phi)
+        assert alone.tobytes() == ref.tobytes()
+    assert occupancy_features(grid, np.zeros((0, 3)), phi).shape == (0, planner.OCCUPANCY_FEATURES)
+
+
+def ref_plan_collides(poses, dist, radius):
+    """One plan's verdict, one scalar lookup per pose."""
+    return any(sample_bilinear(dist, [pose[:2]])[0] < radius for pose in poses)
+
+
+def test_plans_collide_matches_per_plan_checks():
+    rng = np.random.default_rng(3)
+    grid = Grid(rng.random((20, 26)) < 0.05, 0.25, (-0.5, 1.0))
+    dist = distance_field(grid)
+    verdicts = []
+    for b, m in ((40, 17), (5, 1), (1, 4), (0, 17), (3, 0)):
+        # short random walks from starts spread past the grid on every side
+        poses = rng.normal(0.0, 0.1, (b, m, 3))
+        poses[:, :1] = rng.uniform(-2.0, 7.5, (b, 1, 3))
+        poses = np.cumsum(poses, axis=1)
+        for radius in (0.0, 0.3, 0.6):
+            got = plans_collide(poses, dist, radius)
+            assert got.dtype == bool and got.shape == (b,)
+            want = [ref_plan_collides(plan, dist, radius) for plan in poses]
+            assert got.tolist() == want
+            assert want == [collision_check(PoseTrajectory(plan), None, radius, dist) for plan in poses]
+            assert want == [collision_check(PoseTrajectory(plan), grid, radius) for plan in poses]
+            # (x, y) rows alone give the same verdicts
+            assert plans_collide(poses[..., :2], dist, radius).tolist() == want
+            verdicts += want
+    assert 0 < sum(verdicts) < len(verdicts) - 20
+    poses = np.ones((3, 4, 3))
+    poses[1, 2, 1] = np.nan
+    with pytest.raises(SamplePointError):
+        plans_collide(poses, dist, 0.3)
+    with pytest.raises(SamplePointError):
+        collision_check(PoseTrajectory(poses[1]), None, 0.3, dist)
+    with pytest.raises(PlannerError, match="radius"):
+        plans_collide(np.ones((1, 2, 3)), dist, -0.1)
 
 
 def test_condition_vector_layout():
@@ -822,12 +866,27 @@ def test_batched_sampler_draws_the_sequential_noise():
         assert plan.tobytes() == np.random.default_rng(seed).standard_normal(9).tobytes()
 
 
+def test_sampler_takes_a_condition_array_as_its_rows():
+    m = VectorFieldModel.create(3, 4, hidden=(8,), seed=2)
+    conds = np.random.default_rng(1).normal(size=(5, 4))
+    starts = np.random.default_rng(2).normal(size=(5, 3))
+    got = sample(m, conds, 6, [np.random.default_rng(s) for s in range(5)], starts)
+    want = sample(m, list(conds), 6, [np.random.default_rng(s) for s in range(5)], starts)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    actions, poses = sample(m, np.zeros((0, 4)), 6, [])
+    assert actions.shape == (0, 3, 3) and poses.shape == (0, 4, 3)
+
+
 def test_sampler_checks_shapes_once_and_finiteness_once(monkeypatch):
     m = VectorFieldModel.create(2, 3, hidden=(8,), seed=1)
-    # a condition of the wrong size is refused before any generator draws
+    # a condition of the wrong size is refused before any generator draws,
+    # whether it comes as a row of a list or as the width of an array
     rng = np.random.default_rng(0)
     with pytest.raises(ShapeMismatchError):
         sample(m, [np.zeros(3), np.zeros(4)], 5, [rng, rng])
+    for width in (2, 4):
+        with pytest.raises(ShapeMismatchError, match=f"condition has {width} entries, expected 3"):
+            sample(m, np.zeros((2, width)), 5, [rng, rng])
     assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
     with pytest.raises(PlannerError):
         sample(m, [np.zeros(3)] * 3, 0, [np.random.default_rng(0)] * 3)

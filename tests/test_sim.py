@@ -976,7 +976,7 @@ def test_evaluate_planner_runs_each_condition_as_one_batch(worlds48, eval_model,
         return sample_bilinear(phi, pts)
 
     monkeypatch.setattr(planner.VectorFieldModel, "forward", counting_forward)
-    monkeypatch.setattr(sim, "sample_bilinear", counting_lookup)
+    monkeypatch.setattr(planner, "sample_bilinear", counting_lookup)
     out = sim.evaluate_planner(eval_model, worlds48, 3, 5, seed=5)
     assert out["rollouts"] == 5 * len(conditions)
     assert forwards == [5] * (sim._EULER_STEPS * len(conditions))
@@ -1055,7 +1055,7 @@ def ref_build_planning_dataset(worlds, samples_per_world, n_actions=16, seed=0,
                 cond = planner.PlanningCondition(
                     relative_pose(start, path[ref_select_subgoal(path, start, sim._LOOKAHEAD, 0)]),
                     (prev_len, 0.0),
-                    planner.occupancy_features(grid2, start, phi),
+                    planner.occupancy_features(grid2, [start.as_tuple()], phi)[0],
                 )
                 masked = mask_esdf(phi, make_mask(window, phi, mask_dilation), mask_alpha)
                 dataset.append(planner.PlanningSample(
@@ -1421,44 +1421,32 @@ FOLDED_XY = [(1.5, 1.5), (2.5, 1.5), (3.5, 1.5), (4.5, 1.5), (4.5, 1.9), (4.0, 1
              (2.0, 1.9), (1.0, 1.9)]
 
 
-def scripted_learned_planner(monkeypatch, world, collides, fallback):
-    """A learned planner on FOLDED_XY, a scripted 8-action plan for it to
-    review as the sampler's rows of actions and poses, and the collision
-    check's calls, each its poses and radius; the check answers `collides`."""
-    actions = np.arange(24.0).reshape(8, 3)
-    poses = poses_from_actions(actions[None], np.array([[0.5, -1.0, 3.0]]))[0][0]
-    checked = []
-
-    def check(poses, grid, radius, dist):
-        checked.append((poses.as_array().tolist(), radius))
-        return collides
-
-    monkeypatch.setattr(sim, "collision_check", check)
+def scripted_learned_planner(fallback):
+    """A learned planner on FOLDED_XY and a scripted 8-action plan for it to
+    review, as one row of the sampler's actions."""
     path = PoseTrajectory([(x, y, 0.0) for x, y in FOLDED_XY])
-    return sim._LearnedPlanner(world, None, path, fallback), (actions, poses), checked
+    return sim._LearnedPlanner(None, path, fallback), np.arange(24.0).reshape(8, 3)
 
 
-def test_learned_planner_falls_back_on_a_colliding_plan(world, monkeypatch):
-    learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, True)
+def test_learned_planner_falls_back_on_a_colliding_plan():
+    learned, actions = scripted_learned_planner(True)
     report = sim.EpisodeReport(False, "timeout")
-    assert learned.review(*plan, report) is None
+    assert learned.review(actions, np.bool_(True), report) is None
     assert (report.planner_calls, report.fallback_count) == (1, 1)
-    # the check reads the plan's poses, each heading wrapped as a Pose2 holds it
-    assert checked == [(PoseTrajectory(plan[1]).as_array().tolist(), sim._FOOTPRINT_RADIUS)]
+    assert learned.review(actions, np.bool_(False), report) == actions[:4].tolist()
+    assert (report.planner_calls, report.fallback_count) == (2, 1)
 
 
-def test_learned_planner_executes_a_colliding_plan_without_fallback(world, monkeypatch):
-    learned, plan, checked = scripted_learned_planner(monkeypatch, world, True, False)
+def test_learned_planner_executes_a_colliding_plan_without_fallback():
+    learned, actions = scripted_learned_planner(False)
     report = sim.EpisodeReport(False, "timeout")
-    rows = learned.review(*plan, report)
-    assert rows == plan[0][:4].tolist()
+    rows = learned.review(actions, np.bool_(True), report)
+    assert rows == actions[:4].tolist()
     assert (report.planner_calls, report.fallback_count) == (1, 0)
-    # checked even when not acted on
-    assert checked == [(PoseTrajectory(plan[1]).as_array().tolist(), sim._FOOTPRINT_RADIUS)]
 
 
-def test_learned_planner_progress_never_moves_back(world, monkeypatch):
-    learned, plan, _ = scripted_learned_planner(monkeypatch, world, False, True)
+def test_learned_planner_progress_never_moves_back():
+    learned, actions = scripted_learned_planner(True)
     arr = np.array(FOLDED_XY)
     report = sim.EpisodeReport(False, "timeout")
     progress, nearest = [], []
@@ -1466,7 +1454,7 @@ def test_learned_planner_progress_never_moves_back(world, monkeypatch):
     for a, b in zip(arr, arr[1:]):
         for est in (a, (a + b) / 2):
             learned.condition(Pose2(*est, 0.0), 0.0)
-            learned.review(*plan, report)
+            learned.review(actions, False, report)
             progress.append(learned.progress)
             nearest.append(int(np.argmin(np.hypot(*(arr - est).T))))
     assert progress == sorted(progress)
@@ -1842,7 +1830,7 @@ def ref_run_episode(world, goal, config, model=None, seed=0, start=None):
             cond = planner.PlanningCondition(
                 relative_pose(est_pose, subgoal),
                 (step_lengths[-1] if step_lengths else 0.0, 0.0),
-                planner.occupancy_features(grid2, est_pose, phi),
+                planner.occupancy_features(grid2, [est_pose.as_tuple()], phi)[0],
             )
             (plan,), (poses,) = planner.sample(model, [cond], sim._EULER_STEPS, [rng], [est_pose.as_tuple()])
             report.planner_calls += 1
@@ -2329,35 +2317,62 @@ def test_bench_spans_of_a_model_cycle_stay_live(worlds48, eval_model, monkeypatc
                              start=Pose2(*world.start_xy[0], 0.0))
     calls = report.planner_calls
     assert calls >= 5
+    # one episode is one world group per cycle: one encoding per plan
     assert counts["planner.sample"] == calls
-    assert counts["planner.collision_check"] == calls
     assert counts["planner.occupancy_features"] == calls
     assert counts["planner.VectorFieldModel.forward"] == sim._EULER_STEPS * calls
-    # the occupancy ring and the collision check of every plan, then the episode's lookup
+    # the loop checks plans with `plans_collide`; the bench's collision_check layer
+    # reads 0 until the bench refresh (ROADMAP item 6) traces the batched check
+    assert counts["planner.collision_check"] == 0
+    # the occupancy ring and the plan check of every cycle, then the episode's lookup
     assert counts["esdf.sample_bilinear"] >= 2 * calls + 1
 
 
 def test_bench_spans_of_a_lock_step_suite_stay_live(worlds48, eval_model, monkeypatch):
     counts = count_bench_spans(monkeypatch)
-    planning = []
+    planning, groups = [], []
     plan_phase = sim._plan_phase
 
     def recording_phase(states):
         planning.append(len(states))
+        groups.append(len({id(state.world) for state in states}))
         return plan_phase(states)
 
     monkeypatch.setattr(sim, "_plan_phase", recording_phase)
     suite = sim.eval_suite(worlds48, 9, sim.NavConfig(planner="model", fallback=True), eval_model, 0)
     plans = sum(r["planner_calls"] for r in suite["reports"])
     cycles = sum(1 for n in planning if n)
-    assert plans == sum(planning) > cycles >= 5
+    assert plans == sum(planning) > sum(groups) > cycles >= 5
     # one sample per lock-step cycle in which any episode plans, one pass per
-    # Euler step of it, and one occupancy encoding and one check per plan
+    # Euler step of it, and one occupancy encoding per (cycle, world) group
     assert counts["planner.sample"] == cycles
     assert counts["planner.VectorFieldModel.forward"] == sim._EULER_STEPS * cycles
-    assert counts["planner.collision_check"] == plans
-    assert counts["planner.occupancy_features"] == plans
-    assert counts["esdf.sample_bilinear"] >= 2 * plans + 9
+    assert counts["planner.occupancy_features"] == sum(groups)
+    # the loop checks plans with `plans_collide`; the bench's collision_check layer
+    # reads 0 until the bench refresh (ROADMAP item 6) traces the batched check
+    assert counts["planner.collision_check"] == 0
+    # per group the occupancy rings and the plans' check, then each episode's lookup
+    assert counts["esdf.sample_bilinear"] >= 2 * sum(groups) + 9
+
+
+def test_bench_tracing_leaves_a_lock_step_suite_unchanged(worlds48, eval_model, monkeypatch):
+    # the bench patches every layer of TRACED on every workload, and flags
+    # `sim.collision_check`'s result with `bool`: the loop must keep each name
+    # it patches and pass no batch through a scalar flag. Three episodes per
+    # world make world groups of up to three plans, which the bench's smoke
+    # run, one episode per world, never builds.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    config = sim.NavConfig(planner="model", fallback=True)
+    untraced = sim.eval_suite(worlds48, 9, config, eval_model, 0)
+    with workloads.patch_layers(tracing.Tracer()) as tracer:
+        traced = sim.eval_suite(worlds48, 9, config, eval_model, 0)
+    assert json.dumps(traced, sort_keys=True) == json.dumps(untraced, sort_keys=True)
+    names = [span.name for span in tracer.spans]
+    assert names.count("planner.occupancy_features") < sum(r["planner_calls"] for r in traced["reports"])
+    assert sim.occupancy_features is planner.occupancy_features
+    assert sim.collision_check is planner.collision_check
 
 
 # --- node paths: the search that stops at the goal, and the reachability test -----------
