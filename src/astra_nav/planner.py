@@ -77,11 +77,9 @@ class PlanningCondition:
     occ_features: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def vector(self) -> np.ndarray:
-        occ = np.asarray(self.occ_features, dtype=float).ravel()
-        head = np.array(
-            [self.goal.x, self.goal.y, self.goal.theta, self.velocity[0], self.velocity[1]]
-        )
-        return np.concatenate([head, occ])
+        """The condition vector, the one row of `condition_vectors`."""
+        occ = np.asarray(self.occ_features, dtype=float).reshape(1, -1)
+        return condition_vectors([self.goal], [self.velocity], occ)[0]
 
     def to_jsonable(self) -> dict:
         return {
@@ -102,6 +100,19 @@ class PlanningCondition:
         if not (isinstance(occ, list) and all(map(is_finite_number, occ))):
             raise ValueError("occ_features must be a list of finite numbers")
         return cls(Pose2.from_jsonable(data["goal"]), tuple(velocity), np.asarray(occ, dtype=float))
+
+
+def condition_vectors(goals, velocities, occupancy) -> np.ndarray:
+    """The condition vectors of B plans, as the rows of one array: plan b's
+    subgoal in the ego frame `goals[b]` (a `Pose2`) as [x, y, theta], its
+    velocity `velocities[b]` as [vx, vy], then its row of the (B, k)
+    `occupancy` encoding. This is the one place that lays the vector out."""
+    occupancy = np.asarray(occupancy, dtype=float)
+    out = np.empty((len(occupancy), 5 + occupancy.shape[1]))
+    for row, goal, velocity in zip(out, goals, velocities, strict=True):
+        row[:5] = goal.x, goal.y, goal.theta, velocity[0], velocity[1]
+    out[:, 5:] = occupancy
+    return out
 
 
 def _cond_vector(cond) -> np.ndarray:
@@ -519,9 +530,9 @@ def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None):
     t=1 down to t=0, all of them together: the (B, n, 3) actions and the
     (B, n+1, 3) poses they integrate to, the start first. One plan is the
     case of one condition, and k plans of one condition are k rows of it.
-    `conditions` is a list of `PlanningCondition`s or vectors, or a (B, c)
-    array of condition vectors, which fills the network input in one
-    assignment; a condition of the wrong width raises ShapeMismatchError.
+    `conditions` holds `PlanningCondition`s or condition vectors, such as
+    the rows of a `condition_vectors` array; a condition of the wrong width
+    raises ShapeMismatchError.
 
     Plan i's noise is one draw of 3n values from `rngs[i]`, the plans' draws
     made in order before the first step, so k plans that share one generator
@@ -534,16 +545,11 @@ def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None):
     with."""
     n3 = 3 * model.n_actions
     inp = np.empty((len(conditions), n3 + 1 + model.cond_dim))
-    if isinstance(conditions, np.ndarray) and conditions.ndim == 2:
-        if conditions.shape[1] != model.cond_dim:
-            raise ShapeMismatchError(f"condition has {conditions.shape[1]} entries, expected {model.cond_dim}")
-        inp[:, n3 + 1 :] = conditions
-    else:
-        for row, cond in zip(inp, conditions):
-            vector = _cond_vector(cond)
-            if vector.size != model.cond_dim:
-                raise ShapeMismatchError(f"condition has {vector.size} entries, expected {model.cond_dim}")
-            row[n3 + 1 :] = vector
+    for row, cond in zip(inp, conditions):
+        vector = _cond_vector(cond)
+        if vector.size != model.cond_dim:
+            raise ShapeMismatchError(f"condition has {vector.size} entries, expected {model.cond_dim}")
+        row[n3 + 1 :] = vector
     for row, rng in zip(inp, rngs, strict=True):
         row[:n3] = rng.standard_normal(n3)
     actions = _euler(model, inp, steps)

@@ -129,6 +129,7 @@ from .planner import (  # noqa: F401
     PlanningSample,
     VectorFieldModel,
     collision_check,
+    condition_vectors,
     distance_field,
     occupancy_features,
     plans_collide,
@@ -902,13 +903,13 @@ class _LearnedPlanner:
     (the goal appended), whose rows and arc lengths are built once.
 
     A cycle is two calls around the plan, which `_plan_phase` samples,
-    encodes and checks for every planning episode at once: `condition`
+    encodes and checks for every planning episode at once: `subgoal`
     moves the progress index to the nearest row from the last one on, so it
     never moves back, takes the subgoal with one binary search of the arc
-    lengths (`_lookahead_index`), builds one `Pose2` for the subgoal and one
-    for the subgoal in the ego frame, and returns the head of the condition
-    vector; `review` takes the plan's actions, one row of the sampler's
-    array, and its collision verdict, and counts the call and the fallback.
+    lengths (`_lookahead_index`) and builds one `Pose2` for the subgoal and
+    one for the subgoal in the ego frame, which it returns; `review` takes
+    the plan's actions, one row of the sampler's array, and its collision
+    verdict, and counts the call and the fallback.
     """
 
     def __init__(self, model: VectorFieldModel, path: PoseTrajectory, fallback: bool):
@@ -917,14 +918,10 @@ class _LearnedPlanner:
         self.cum = _arc_lengths(self.xy)
         self.progress = 0
 
-    def condition(self, est: Pose2, velocity: float) -> tuple[float, float, float, float, float]:
-        """The head of the plan's condition vector at the estimate: the
-        subgoal in the ego frame and the velocity, which is the last
-        executed step's length; the occupancy encoding follows it."""
+    def subgoal(self, est: Pose2) -> Pose2:
+        """The plan's subgoal at the estimate, in the ego frame."""
         self.progress = _nearest_index(self.xy, est, self.progress)
-        subgoal = self.path[_lookahead_index(self.cum, self.progress, _LOOKAHEAD)]
-        goal = relative_pose(est, subgoal)
-        return goal.x, goal.y, goal.theta, velocity, 0.0
+        return relative_pose(est, self.path[_lookahead_index(self.cum, self.progress, _LOOKAHEAD)])
 
     def review(self, actions: np.ndarray, collides: bool, report: EpisodeReport):
         """The plan's first `_EXECUTE_STEPS` actions, or None when the plan
@@ -1009,9 +1006,10 @@ def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
 
     The field work is done once per world: the episodes are grouped by
     world, and each group's estimates are encoded with one
-    `occupancy_features` call. The condition vectors, each episode's head
-    (`_LearnedPlanner.condition`) and encoding, make one (B, c) array, and
-    one `plan_sample` call draws every episode's x0 from its own rng, in
+    `occupancy_features` call. `condition_vectors` lays each episode's
+    subgoal (`_LearnedPlanner.subgoal`), velocity (the last executed step's
+    length) and encoding out as one row of a (B, c) array, and one
+    `plan_sample` call draws every episode's x0 from its own rng, in
     the order of `states`, and integrates all plans in one Euler loop. One
     `plans_collide` call per group then gives each plan its collision
     verdict, and each plan is counted on its own row
@@ -1021,16 +1019,15 @@ def _plan_phase(states: list[EpisodeState]) -> list[list | None]:
     groups: dict[int, list[int]] = {}
     for i, state in enumerate(states):
         groups.setdefault(id(state.world), []).append(i)
-    heads = [
-        state.learned.condition(state.est_pose, state.step_lengths[-1] if state.step_lengths else 0.0)
-        for state in states
-    ]
+    goals = [state.learned.subgoal(state.est_pose) for state in states]
+    velocities = [(state.step_lengths[-1] if state.step_lengths else 0.0, 0.0) for state in states]
     starts = np.array([state.est_pose.as_tuple() for state in states])
     occupancy = np.empty((len(states), OCCUPANCY_FEATURES))
     for members in groups.values():
         world = states[members[0]].world
         occupancy[members] = occupancy_features(world.grid2d(), starts[members], world.phi())
-    actions, poses = plan_sample(states[0].learned.model, np.hstack([heads, occupancy]), _EULER_STEPS,
+    conditions = condition_vectors(goals, velocities, occupancy)
+    actions, poses = plan_sample(states[0].learned.model, conditions, _EULER_STEPS,
                                  [state.rng for state in states], starts)
     collides = np.empty(len(states), dtype=bool)
     for members in groups.values():

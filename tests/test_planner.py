@@ -509,6 +509,18 @@ def test_condition_vector_layout():
     np.testing.assert_allclose(cond.vector(), [1, 2, 0.5, 0.2, -0.1, 9.0, 8.0])
     rebuilt = PlanningCondition.from_jsonable(cond.to_jsonable())
     np.testing.assert_allclose(rebuilt.vector(), cond.vector())
+    # the batched layout is the one-condition layout, row by row, to the byte
+    rng = np.random.default_rng(3)
+    conds = [PlanningCondition(Pose2(*rng.normal(size=3)), (float(v), 0.0), rng.normal(size=4))
+             for v in rng.uniform(0, 0.2, size=6)]
+    rows = planner.condition_vectors([c.goal for c in conds], [c.velocity for c in conds],
+                                     np.stack([c.occ_features for c in conds]))
+    want = [np.concatenate([c.goal.as_tuple(), c.velocity, c.occ_features]).tobytes() for c in conds]
+    assert [r.tobytes() for r in rows] == want
+    assert [c.vector().tobytes() for c in conds] == want
+    assert planner.condition_vectors([], [], np.zeros((0, 4))).shape == (0, 9)
+    with pytest.raises(ValueError):
+        planner.condition_vectors([cond.goal], [], np.zeros((1, 2)))
 
 
 # --- references: the per-sample training path and one-at-a-time sampling ------

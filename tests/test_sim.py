@@ -1453,7 +1453,7 @@ def test_learned_planner_progress_never_moves_back():
     # estimates at every vertex, in path order, and midway along every segment
     for a, b in zip(arr, arr[1:]):
         for est in (a, (a + b) / 2):
-            learned.condition(Pose2(*est, 0.0), 0.0)
+            learned.subgoal(Pose2(*est, 0.0))
             learned.review(actions, False, report)
             progress.append(learned.progress)
             nearest.append(int(np.argmin(np.hypot(*(arr - est).T))))
