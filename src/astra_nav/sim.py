@@ -2,8 +2,9 @@
 
 Worlds are rejection-sampled until the free space is a single connected
 component and the 1 m node lattice forms a connected graph. The expert
-planner plans a batch of requests at once (`oracle_plans`; `oracle_plan`
-is the batch of one). Each request runs its own 8-connected A* on an
+planner plans a batch of requests at once (`oracle_plans`); every caller
+in the package plans through it, and `oracle_plan` is the batch of one
+for a caller outside it. Each request runs its own 8-connected A* on an
 obstacle map inflated by the footprint radius (plus one cell of margin,
 `_route`); then all requests shortcut-smooth their cell paths together, one
 kept point each per round, keeping every sampled point at or above the
@@ -70,10 +71,14 @@ turns a share, the rest rotate in place, and each counts as a step for the
 budget, the fixes and the noise. The loop's fixed settings are module
 constants (`_FOOTPRINT_RADIUS`, which the world generator's lattice reads
 too, and `_GOAL_TOLERANCE` to `_EULER_STEPS`), which the expert dataset and
-the open-loop evaluation read too. The open-loop evaluation samples each
-condition's rollouts with the loop's sampler, one `planner.sample` call with
-a row per rollout, and checks their poses with the loop's check, one
-`plans_collide` call.
+the open-loop evaluation read too. Both take their conditions from
+`expert_windows`, which plans its start/goal pairs in `oracle_plans`
+batches, one world at a time, from the draws that planning one pair at a
+time makes (pairs drawn past the one that completes a world are rewound),
+and encodes each world's windows with one `occupancy_features` call. The
+open-loop evaluation samples each condition's rollouts with the loop's
+sampler, one `planner.sample` call with a row per rollout, and checks
+their poses with the loop's check, one `plans_collide` call.
 """
 
 from __future__ import annotations
@@ -1344,45 +1349,74 @@ def expert_windows(worlds: list[World], samples_per_world: int, n_actions: int =
     """Expert windows: oracle paths between random start points cut into
     n-action chunks. Yields (world index, pose window of n + 1 poses,
     condition at the window's first pose), samples_per_world per world at
-    most. Subgoals follow the loop's lookahead rule on the expert path."""
+    most, in world order. Subgoals follow the loop's lookahead rule on the
+    expert path.
+
+    Each world draws start/goal pairs from one shared rng, two `integers`
+    draws a pair, and skips pairs under 2 m apart and unreachable ones; it
+    gives up after samples_per_world * 20 pairs. The pairs are planned in
+    batches, one `oracle_plans` call each, and the windows are cut in pair
+    order. A batch is sized from the windows per drawn pair seen so far, so
+    few pairs are planned past the one that completes the world. When that
+    pair comes partway through a batch, the rng is rewound to its state
+    just after that pair's draws, so every world draws the stream that
+    planning one pair at a time draws. All windows of a world are encoded
+    with one `occupancy_features` call once the world is complete.
+    Raises SimError when n_actions < 1 or samples_per_world < 0."""
+    if n_actions < 1:
+        raise SimError(f"a window needs at least one action, got n_actions={n_actions}")
+    if samples_per_world < 0:
+        raise SimError(f"samples per world must be >= 0, got {samples_per_world}")
     rng = np.random.default_rng(seed)
+    stride = max(1, n_actions // 2)
+    drawn = offered = 0  # pairs drawn and windows their paths offered, over all worlds so far
     for wi, world in enumerate(worlds):
-        grid2 = world.grid2d()
-        phi = world.phi()
-        collected = 0
+        n, limit = len(world.start_xy), samples_per_world * 20
         guard = 0
-        while collected < samples_per_world and guard < samples_per_world * 20:
-            guard += 1
-            n = len(world.start_xy)
-            si, gi = rng.integers(n), rng.integers(n)
-            s_xy, g_xy = world.start_xy[int(si)], world.start_xy[int(gi)]
-            if math.hypot(g_xy[0] - s_xy[0], g_xy[1] - s_xy[1]) < 2.0:
-                continue
-            heading = math.atan2(g_xy[1] - s_xy[1], g_xy[0] - s_xy[0])
-            try:
-                path = oracle_plan(world, Pose2(*s_xy, heading), Pose2(*g_xy, heading))
-            except UnreachableError:
-                continue
-            arr = path.as_array()
-            cum = _arc_lengths(arr)
-            stride = max(1, n_actions // 2)
-            for lo in range(0, len(arr) - n_actions - 1, stride):
-                window = PoseTrajectory(arr[lo : lo + n_actions + 1])
-                start_pose = window[0]
-                subgoal = path[_lookahead_index(cum, _nearest_index(arr, start_pose, 0), _LOOKAHEAD)]
-                prev_len = (
-                    math.hypot(arr[lo][0] - arr[lo - 1][0], arr[lo][1] - arr[lo - 1][1])
-                    if lo > 0
-                    else 0.0
-                )
-                yield wi, window, PlanningCondition(
-                    relative_pose(start_pose, subgoal),
-                    (prev_len, 0.0),
-                    occupancy_features(grid2, [start_pose.as_tuple()], phi)[0],
-                )
-                collected += 1
-                if collected >= samples_per_world:
+        cuts = []  # (path, its rows, its arc lengths, first row) of each window
+        while len(cuts) < samples_per_world and guard < limit:
+            need = samples_per_world - len(cuts)
+            # the pairs that the windows per drawn pair so far say the world
+            # still needs, rounded up, but no more than all drawn so far (one
+            # at first), so a batch at most doubles the pairs seen
+            estimate = -(-need * drawn // offered) if offered else drawn
+            batch = min(limit - guard, max(1, min(drawn, estimate)))
+            requests, drawn_to = [], []  # per request: the pairs drawn up to it, the rng state after
+            for k in range(1, batch + 1):
+                si, gi = rng.integers(n), rng.integers(n)
+                s_xy, g_xy = world.start_xy[int(si)], world.start_xy[int(gi)]
+                if math.hypot(g_xy[0] - s_xy[0], g_xy[1] - s_xy[1]) < 2.0:
+                    continue
+                heading = math.atan2(g_xy[1] - s_xy[1], g_xy[0] - s_xy[0])
+                requests.append((world, Pose2(*s_xy, heading), Pose2(*g_xy, heading)))
+                drawn_to.append((k, rng.bit_generator.state))
+            guard += batch
+            drawn += batch
+            for path, (k, state) in zip(oracle_plans(requests), drawn_to):
+                if isinstance(path, UnreachableError):
+                    continue
+                arr = path.as_array()
+                cum = _arc_lengths(arr)
+                starts = range(0, len(arr) - n_actions - 1, stride)
+                offered += len(starts)
+                cuts += [(path, arr, cum, lo) for lo in starts[:need]]
+                need = samples_per_world - len(cuts)
+                if need == 0:
+                    # the pairs drawn past this one are the next world's draws
+                    rng.bit_generator.state = state
+                    drawn -= batch - k
                     break
+        windows = [PoseTrajectory(arr[lo : lo + n_actions + 1]) for _, arr, _, lo in cuts]
+        occupancy = occupancy_features(world.grid2d(), [w[0].as_tuple() for w in windows], world.phi())
+        for (path, arr, cum, lo), window, occ in zip(cuts, windows, occupancy):
+            start_pose = window[0]
+            subgoal = path[_lookahead_index(cum, _nearest_index(arr, start_pose, 0), _LOOKAHEAD)]
+            prev_len = (
+                math.hypot(arr[lo][0] - arr[lo - 1][0], arr[lo][1] - arr[lo - 1][1])
+                if lo > 0
+                else 0.0
+            )
+            yield wi, window, PlanningCondition(relative_pose(start_pose, subgoal), (prev_len, 0.0), occ)
 
 
 def _masked_fields(pairs) -> list[Grid]:
@@ -1403,7 +1437,12 @@ def build_planning_dataset(
     worlds: list[World], samples_per_world: int, n_actions: int = 16, seed: int = 0
 ) -> list[PlanningSample]:
     """The expert windows as training samples, each with its field masked at
-    `esdf.MASK_ALPHA` and `esdf.MASK_DILATION` (`_masked_fields`)."""
+    `esdf.MASK_ALPHA` and `esdf.MASK_DILATION` (`_masked_fields`). The
+    windows come from `expert_windows`: their pairs are planned in
+    `oracle_plans` batches from the draws that planning one pair at a time
+    makes, pairs drawn past the last one a world needs are rewound, and each
+    world's windows are encoded with one `occupancy_features` call. Raises
+    SimError when n_actions < 1 or samples_per_world < 0."""
     windows = list(expert_windows(worlds, samples_per_world, n_actions, seed))
     fields = _masked_fields([(worlds[wi].phi(), window) for wi, window, _ in windows])
     return [
@@ -1501,7 +1540,11 @@ def evaluate_planner(
 ) -> dict:
     """Open-loop rollout evaluation: collision rate and normalized velocity over
     expert-window conditions, with each condition's rollouts run together.
-    Footprint, step length and Euler steps are the loop's constants."""
+    The conditions come from `expert_windows`, planned in `oracle_plans`
+    batches from the one-pair-at-a-time draws (pairs drawn past the last
+    one a world needs are rewound), each world's windows encoded with one
+    `occupancy_features` call. Footprint, step length and Euler steps are
+    the loop's constants."""
     rng = np.random.default_rng(seed + 1)
     collided = 0
     velocities = []

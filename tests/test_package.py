@@ -11,6 +11,8 @@ PACKAGE = ROOT / "src" / "astra_nav"
 ALLOWED_IMPORTS = {"numpy", "astra_nav"}
 # Public names that nothing in src/ or bench/ calls yet, each with why it stays.
 UNCALLED = {
+    "sim.oracle_plan": "bench/workloads.py traces it by name, and tests plan one request "
+    "with it as the reference for `oracle_plans`",
     "topomap.Pose6.angle_to": "the per-node angle that tests pin "
     "`localization.sample_reference_nodes`'s batched ranking to",
     "topomap.TopoMap.merge_covisible": "the paper's landmark merge at map building; "
