@@ -13,6 +13,8 @@ The thresholds are fixed: an observation matches a landmark when
 candidate node passes the filter at an oracle score of 0.5 or more; each
 passing node adds its 3 nearest map nodes under position distance plus
 0.5 m per radian of heading difference; the softmax runs at temperature 1.
+A node's nearest map nodes depend on the map's node poses alone, so they
+are ranked once per node and kept with the map's node index.
 
 The detector and co-visibility scorer that would normally come from a
 large vision-language model are adapter inputs here: observations are
@@ -190,23 +192,34 @@ def sample_reference_nodes(topo: TopoMap, candidates: set[str]) -> list[str]:
     """_REF_K nearest map nodes per candidate under d_pos + _ANGLE_BETA * d_angle,
     deduplicated.
 
-    Ties break on node id; the result is the sorted union. Every candidate
-    ranks all nodes in one pass over the map's node index; each key equals,
-    bit for bit, the one `np.linalg.norm` and `Pose6.angle_to` give per node.
+    Ties break on node id; the result is the sorted union. A candidate's
+    references depend on node poses alone, so they are kept on the map's
+    node index (`references`) and each node is ranked once: a call ranks
+    only the candidates not kept yet, all of them in one pass over the
+    index. Each key equals, bit for bit, the one `np.linalg.norm` and
+    `Pose6.angle_to` give per node.
     """
-    if not candidates:
-        return []
     index = topo.node_index()
-    rows = [index.row[cid] for cid in sorted(candidates)]
-    q, cq = index.quaternions, index.quaternions[rows]
-    # the quaternion dot summed term by term, as angle_to sums it
-    dot = cq[:, None, 0] * q[:, 0] + cq[:, None, 1] * q[:, 1]
-    dot = dot + cq[:, None, 2] * q[:, 2] + cq[:, None, 3] * q[:, 3]
-    # fmin keeps 1.0 against NaN, as min(1.0, dot) does
-    acos = np.array(list(map(math.acos, np.fmin(1.0, np.abs(dot)).ravel().tolist())))
-    key = index.distances(index.positions[rows]) + _ANGLE_BETA * (2.0 * acos.reshape(dot.shape))
-    order = np.lexsort((np.broadcast_to(np.arange(len(index.ids)), key.shape), key))
-    return sorted({index.ids[k] for k in order[:, :_REF_K].ravel().tolist()})
+    kept = index.references
+    missing = sorted(cid for cid in candidates if (_REF_K, cid) not in kept)
+    if missing:
+        rows = [index.row[cid] for cid in missing]
+        q, cq = index.quaternions, index.quaternions[rows]
+        # the quaternion dot summed term by term, as angle_to sums it
+        dot = cq[:, None, 0] * q[:, 0] + cq[:, None, 1] * q[:, 1]
+        dot = dot + cq[:, None, 2] * q[:, 2] + cq[:, None, 3] * q[:, 3]
+        # fmin keeps 1.0 against NaN, as min(1.0, dot) does
+        acos = np.array(list(map(math.acos, np.fmin(1.0, np.abs(dot)).ravel().tolist())))
+        key = index.distances(index.positions[rows]) + _ANGLE_BETA * (2.0 * acos.reshape(dot.shape))
+        order = np.lexsort((np.broadcast_to(np.arange(len(index.ids)), key.shape), key))
+        for cid, nearest in zip(missing, order[:, :_REF_K].tolist()):
+            kept[(_REF_K, cid)] = [index.ids[k] for k in nearest]
+    return sorted({nid for cid in candidates for nid in kept[(_REF_K, cid)]})
+
+
+def _check_fine_mode(mode: str) -> None:
+    if mode not in ("weighted", "nearest"):
+        raise ValueError(f"unknown fine localization mode: {mode!r}")
 
 
 def fine_localize(
@@ -222,17 +235,16 @@ def fine_localize(
     circular mean for headings. nearest: the pose of the best-scoring
     reference. Confidence is the maximum oracle score either way.
     """
+    _check_fine_mode(mode)
     if not reference_node_ids:
         raise LocalizationError("fine localization needs at least one reference node")
     ids = sorted(reference_node_ids)
     scores = np.array([oracle(query_ctx, topo.nodes[nid]) for nid in ids])
-    poses = [topo.nodes[nid].pose.planar() for nid in ids]
     confidence = float(np.max(scores))
     if mode == "nearest":
         best = int(np.argmax(scores))  # argmax takes the first (smallest id) on ties
-        return poses[best], confidence
-    if mode != "weighted":
-        raise ValueError(f"unknown fine localization mode: {mode!r}")
+        return topo.nodes[ids[best]].pose.planar(), confidence
+    poses = [topo.nodes[nid].pose.planar() for nid in ids]
     w = np.exp(scores)
     w /= w.sum()
     x = float(np.dot(w, [p.x for p in poses]))
@@ -252,7 +264,9 @@ def localize(
     fine_mode: str = "weighted",
 ) -> LocalizationResult:
     """Full coarse-to-fine pipeline; degrades to a confidence-0 result when empty.
-    fine_mode is "weighted" or "nearest" (see `fine_localize`)."""
+    fine_mode is "weighted" or "nearest" (see `fine_localize`); any other
+    mode raises ValueError before any work."""
+    _check_fine_mode(fine_mode)
     matches = match_landmarks(query, topo)
     candidates = candidate_nodes(topo, matches)
     filtered = visual_filter(query_ctx, candidates, oracle, topo)

@@ -22,10 +22,13 @@ one shared pose per distinct link offset.
 
 What the expert planner needs of a world at one clearance is a function of
 the world alone, so `World.planning_grid(clearance)` builds it once and
-keeps it: the blocked cells, the one-cell-walled flat list that `_astar`
-searches, the nearest open cell of every cell a plan has snapped, and, from
-the first plan on, the 8-connected component label of every open cell. A
-plan then pays only for its own search, smoothing and resampling, and
+keeps it: the blocked cells, the open moves out of every cell of the
+walled, flattened grid that `_astar` searches (one shared tuple per
+neighbourhood pattern), the nearest open cell of every cell a plan has
+snapped, and, from the first plan on, the 8-connected component label of
+every open cell. The A* heuristic is one `math.hypot` table per grid shape,
+indexed by a cell's flat offset from the goal (`_heuristic_table`). A plan
+then pays only for its own search, smoothing and resampling, and
 starts no search when its snapped start and goal carry different labels:
 A* moves to all 8 neighbors with no corner rule, so such a search could
 only exhaust the start's component and fail. One label propagation
@@ -516,21 +519,31 @@ def _nearest_open(blocked: np.ndarray, cell: tuple[int, int]) -> tuple[int, int]
 class _PlanningGrid:
     """The A* search space of one world at one clearance.
 
-    `blocked` marks the cells closer than the clearance to an obstacle;
-    `wall` is the same grid padded with a one-cell wall, flattened row by
-    row into a list of `stride` = width + 2 entries per row; `nearest_open`
-    keeps the snapped cell of each cell it has been asked about; and
-    `component` reads the 8-connected component labels of the open cells
+    `blocked` marks the cells closer than the clearance to an obstacle. The
+    search runs on the grid padded with a one-cell wall and flattened row by
+    row with `stride` = 2 * width + 1, so that the flat offset between two
+    cells of the grid names exactly one (row, column) offset (see
+    `_heuristic_table`). `neighbours` holds, for every padded cell, the
+    (flat offset, cost) of each move onto an open cell, in `_MOVES` order:
+    cells with the same 8-cell neighbourhood share one tuple, a blocked
+    cell keeps the moves out of it, and the wall and the padding beyond
+    it, which no search enters, have none. `nearest_open` keeps the
+    snapped cell of each cell it has been asked about; and `component`
+    reads the 8-connected component labels of the open cells
     (`_component_labels`), built on first use.
     """
 
     def __init__(self, blocked: np.ndarray):
         h, w = blocked.shape
-        padded = np.ones((h + 2, w + 2), dtype=bool)
-        padded[1:-1, 1:-1] = blocked
         self.blocked = blocked
-        self.stride = w + 2
-        self.wall = padded.ravel().tolist()
+        self.stride = 2 * w + 1
+        free = np.zeros((h + 2, w + 2), dtype=np.uint8)
+        free[1:-1, 1:-1] = ~blocked
+        pattern = np.zeros((h + 2, self.stride), dtype=np.uint8)
+        for bit, (dr, dc, _) in enumerate(_MOVES):
+            pattern[1:-1, 1 : w + 1] |= free[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc] << bit
+        moves = _move_sets(self.stride)
+        self.neighbours = [moves[p] for p in pattern.ravel().tolist()]
         self._snapped: dict[tuple[int, int], tuple[int, int] | None] = {}
         self._labels: np.ndarray | None = None
 
@@ -549,44 +562,57 @@ class _PlanningGrid:
 
 
 @functools.lru_cache(maxsize=8)
+def _move_sets(stride: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """For each 8-bit pattern whose bit i marks move i of `_MOVES` as open,
+    the (flat offset, cost) of the open moves at row stride `stride`."""
+    moves = [(dr * stride + dc, cost) for dr, dc, cost in _MOVES]
+    return tuple(tuple(m for bit, m in enumerate(moves) if p >> bit & 1) for p in range(256))
+
+
+@functools.lru_cache(maxsize=8)
 def _hypot_rows(h: int, w: int) -> tuple[tuple[float, ...], ...]:
     """math.hypot(r, c) for 0 <= r < h, 0 <= c < w, one tuple per r."""
     return tuple(tuple(math.hypot(r, c) for c in range(w)) for r in range(h))
 
 
-def _heuristic(h: int, w: int, goal: int) -> list[float]:
-    """math.hypot of the row and column offsets from every cell of an h x w
-    grid to the cell at flat index `goal`, as a flat list.
+@functools.lru_cache(maxsize=8)
+def _heuristic_table(h: int, w: int) -> tuple[tuple[float, ...], int]:
+    """math.hypot of every (row, column) offset between two cells of an
+    h x w grid, flat with row stride 2 * w + 1, and the index `centre` of
+    the zero offset: offset (dr, dc) sits at centre + dr * (2 * w + 1) + dc,
+    and dr * (2 * w + 1) + dc is the flat offset of the two cells in a
+    `_PlanningGrid`.
 
-    Row r holds row |r - gr| of `_hypot_rows` read outward from column gc in
-    both directions, so the list shares the table's float objects.
+    Row dr holds row |dr| of `_hypot_rows` read outward from column 0 in
+    both directions, so the table shares its float objects.
     """
-    gr, gc = divmod(goal, w)
-    rows = _hypot_rows(h, w)
-    lines = [row[gc:0:-1] + row[: w - gc] for row in rows[: max(gr, h - 1 - gr) + 1]]
-    heur: list[float] = []
-    for r in range(h):
-        heur += lines[abs(r - gr)]
-    return heur
+    lines = [row[:0:-1] + row for row in _hypot_rows(h, w + 1)]
+    table: list[float] = []
+    for dr in range(1 - h, h):
+        table += lines[abs(dr)]
+    return tuple(table), (h - 1) * (2 * w + 1) + w
 
 
-def _astar(wall: list, stride: int, start: tuple[int, int], goal: tuple[int, int]):
-    """8-connected A* from start to goal cell; the (row, col) path, or None.
+def _astar(grid: _PlanningGrid, start: tuple[int, int], goal: tuple[int, int]):
+    """8-connected A* from start to goal cell of a planning grid; the
+    (row, col) path, or None.
 
-    `wall` is a `_PlanningGrid.wall`: the blocked grid padded with a
-    one-cell wall and flattened with row stride `stride`, so a move needs no
-    bounds check. Ties in f are broken by push order.
+    Each expansion reads the cell's open moves from `grid.neighbours`, so a
+    move needs no bounds or wall check, and the heuristic of a cell from
+    the shape's `_heuristic_table` at its flat offset from the goal. Ties
+    in f are broken by push order.
     """
-    moves = [(dr * stride + dc, cost) for dr, dc, cost in _MOVES]
-    g = [math.inf] * len(wall)
-    came = [-1] * len(wall)
-    closed = bytearray(len(wall))
+    stride, neighbours = grid.stride, grid.neighbours
+    heur, centre = _heuristic_table(*grid.blocked.shape)
+    g = [math.inf] * len(neighbours)
+    came = [-1] * len(neighbours)
+    closed = bytearray(len(neighbours))
     src = (int(start[0]) + 1) * stride + int(start[1]) + 1
     dst = (int(goal[0]) + 1) * stride + int(goal[1]) + 1
-    heur = _heuristic(len(wall) // stride, stride, dst)
+    shift = centre - dst
     g[src] = 0.0
     counter = 0
-    heap = [(heur[src], 0, src)]
+    heap = [(heur[src + shift], 0, src)]
     while heap:
         _, _, cur = heapq.heappop(heap)
         if closed[cur]:
@@ -599,16 +625,14 @@ def _astar(wall: list, stride: int, start: tuple[int, int], goal: tuple[int, int
             return [(i // stride - 1, i % stride - 1) for i in reversed(path)]
         closed[cur] = 1
         base = g[cur]
-        for offset, cost in moves:
+        for offset, cost in neighbours[cur]:
             nxt = cur + offset
-            if wall[nxt]:
-                continue
             cand = base + cost
             if cand < g[nxt]:
                 g[nxt] = cand
                 came[nxt] = cur
                 counter += 1
-                heapq.heappush(heap, (cand + heur[nxt], counter, nxt))
+                heapq.heappush(heap, (cand + heur[nxt + shift], counter, nxt))
     return None
 
 
@@ -648,7 +672,7 @@ def _route(world: World, start: Pose2, goal: Pose2) -> tuple[np.ndarray, float] 
         g_cell = grid.nearest_open(_to_cell(grid2, goal.x, goal.y))
         if s_cell is None or g_cell is None or grid.component(s_cell) != grid.component(g_cell):
             continue
-        cells = _astar(grid.wall, grid.stride, s_cell, g_cell)
+        cells = _astar(grid, s_cell, g_cell)
         if cells is not None:
             res, (ox, oy) = grid2.resolution, grid2.origin
             pts = [(start.x, start.y)]

@@ -10,8 +10,10 @@ negative, NaN or infinite, as no path cost over it would mean anything.
 
 Queries over all nodes (`spatial_query`, localization's reference nodes, the
 simulator's nearest node and observations) read one node index: the sorted
-node ids with their positions (N, 3) and quaternions (N, 4) as arrays. It is
-built on first use and dropped by `add_node`, the one way nodes enter a map
+node ids with their positions (N, 3) and quaternions (N, 4) as arrays, and
+the reference nodes localization has ranked for each node it was asked
+about, since a ranking depends on node poses alone. It is built on first
+use and dropped by `add_node`, the one way nodes enter a map
 (`from_jsonable` goes through it too); node poses are not reassigned after.
 Landmark sightings are not part of it, since `register_landmark` and
 `merge_covisible` change them.
@@ -113,12 +115,16 @@ def _edge_length(position: tuple[float, float, float]) -> float:
 @dataclass(frozen=True)
 class _NodeIndex:
     """The nodes of a map in id order: `ids` sorted, `row` the position of
-    each id in it, and each node's position (N, 3) and quaternion (N, 4)."""
+    each id in it, and each node's position (N, 3) and quaternion (N, 4).
+    `references` maps (k, node id) to the k nearest reference ids of that
+    node, as localization ranks them; it is filled in by localization as
+    nodes are asked about and goes with the index."""
 
     ids: tuple[str, ...]
     row: dict[str, int]
     positions: np.ndarray
     quaternions: np.ndarray
+    references: dict[tuple[int, str], list[str]] = field(default_factory=dict, compare=False)
 
     def distances(self, centers: np.ndarray) -> np.ndarray:
         """3-D distance from a center (3,) or from each of centers (C, 3) to

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from astra_nav import localization
+from astra_nav import localization, topomap
 from astra_nav.geom import Pose2
 from astra_nav.localization import (
     GoalNotFoundError,
@@ -175,12 +175,63 @@ class TestVisualFilter:
             prev = kept
 
 
+def ref_reference_nodes(m, candidates, k=3):
+    """Every node ranked per candidate by its own norm plus 0.5 times its
+    angle, then id, with nothing kept between calls."""
+    want = set()
+    for cid in candidates:
+        cand = m.nodes[cid]
+        ranked = sorted(m.nodes, key=lambda nid: (
+            float(np.linalg.norm(np.asarray(m.nodes[nid].pose.position) - np.asarray(cand.pose.position)))
+            + 0.5 * cand.pose.angle_to(m.nodes[nid].pose),
+            nid,
+        ))
+        want.update(ranked[:k])
+    return sorted(want)
+
+
+def rounding_tie_map(rng):
+    """A candidate "c", one node beside it and node pairs mirrored about it
+    with one random orientation each: ties in exact arithmetic, so the K-th
+    reference is decided by the rounding of each key, then by id."""
+    c = rng.uniform(-50, 50, 3)
+    m = TopoMap().add_node(MapNode("c", Pose6(tuple(c))))
+    m.add_node(MapNode("near", Pose6(tuple(c + rng.uniform(-0.01, 0.01, 3)))))
+    for i in range(4):
+        v, q = rng.uniform(-3, 3, 3), rng.normal(size=4)
+        q = tuple(q / np.linalg.norm(q))
+        m.add_node(MapNode(f"a{i}", Pose6(tuple(c + v), q)))
+        m.add_node(MapNode(f"b{i}", Pose6(tuple(c - v), q)))
+    return m
+
+
+def random_pose_map(rng):
+    """Nodes on a coarse lattice (many equal distances) with a few random
+    orientations, so ranks tie in exact arithmetic and break on rounding or id."""
+    m = TopoMap()
+    quats = [(1.0, 0.0, 0.0, 0.0)] + [tuple(q / np.linalg.norm(q)) for q in rng.normal(size=(2, 4))]
+    for i in range(int(rng.integers(1, 30))):
+        xyz = tuple(float(v) for v in rng.integers(-3, 4, 3) * 0.5)
+        m.add_node(MapNode(f"n{i:02d}", Pose6(xyz, quats[int(rng.integers(len(quats)))])))
+    return m
+
+
 class TestReferences:
     # three references per candidate; the k = 1 case patches the constant
     def test_k1_returns_candidates(self, monkeypatch):
         monkeypatch.setattr(localization, "_REF_K", 1)
         m = line_map()
         assert sample_reference_nodes(m, {"n2"}) == ["n2"]
+
+    def test_kept_references_are_never_served_under_another_k(self, monkeypatch):
+        m = line_map()
+        assert sample_reference_nodes(m, {"n2"}) == ["n1", "n2", "n3"]
+        monkeypatch.setattr(localization, "_REF_K", 1)
+        assert sample_reference_nodes(m, {"n2"}) == ["n2"]
+        monkeypatch.setattr(localization, "_REF_K", 2)
+        assert sample_reference_nodes(m, {"n2", "n0"}) == ["n0", "n1", "n2"]
+        monkeypatch.setattr(localization, "_REF_K", 3)
+        assert sample_reference_nodes(m, {"n2"}) == ["n1", "n2", "n3"]
 
     def test_nearest_by_metric(self):
         m = line_map(5)
@@ -202,29 +253,50 @@ class TestReferences:
         assert refs == ["far", "farther", "q"]  # 0.5 + 0.5*pi > 1.5
 
     def test_matches_per_node_keys_on_rounding_ties(self):
-        # a candidate, one node beside it and node pairs mirrored about it with one
-        # random orientation each: ties in exact arithmetic, so the K-th reference
-        # is decided by the rounding of each key, then by id
         rng = np.random.default_rng(3)
         for _ in range(300):
-            c = rng.uniform(-50, 50, 3)
-            m = TopoMap().add_node(MapNode("c", Pose6(tuple(c))))
-            m.add_node(MapNode("near", Pose6(tuple(c + rng.uniform(-0.01, 0.01, 3)))))
-            for i in range(4):
-                v, q = rng.uniform(-3, 3, 3), rng.normal(size=4)
-                q = tuple(q / np.linalg.norm(q))
-                m.add_node(MapNode(f"a{i}", Pose6(tuple(c + v), q)))
-                m.add_node(MapNode(f"b{i}", Pose6(tuple(c - v), q)))
-            want = []
-            for cid in ("c", "a0"):
-                cand = m.nodes[cid]
-                ranked = sorted(m.nodes, key=lambda nid: (
-                    float(np.linalg.norm(np.asarray(m.nodes[nid].pose.position) - np.asarray(cand.pose.position)))
-                    + 0.5 * cand.pose.angle_to(m.nodes[nid].pose),
-                    nid,
-                ))
-                want += ranked[:3]
-            assert sample_reference_nodes(m, {"c", "a0"}) == sorted(set(want))
+            m = rounding_tie_map(rng)
+            assert sample_reference_nodes(m, {"c", "a0"}) == ref_reference_nodes(m, {"c", "a0"})
+
+    def test_kept_references_match_an_unkept_reference_in_any_call_order(self):
+        # candidate sets that overlap, asked in a random order and asked again, so
+        # each call finds a different part of them kept
+        rng = np.random.default_rng(8)
+        maps = [rounding_tie_map(rng) for _ in range(40)] + [random_pose_map(rng) for _ in range(40)]
+        for m in maps:
+            ids = sorted(m.nodes)
+            sets = [set(rng.choice(ids, size=int(rng.integers(1, min(len(ids), 5) + 1)),
+                                   replace=False).tolist()) for _ in range(4)]
+            for k in rng.permutation(len(sets) * 2).tolist():
+                cands = sets[k % len(sets)]
+                assert sample_reference_nodes(m, cands) == ref_reference_nodes(m, cands)
+            for cid in ids:
+                assert sample_reference_nodes(m, {cid}) == ref_reference_nodes(m, {cid})
+            assert sample_reference_nodes(m, set(ids)) == ref_reference_nodes(m, ids)
+
+    def test_each_node_is_ranked_once(self, monkeypatch):
+        ranked = []
+        distances = topomap._NodeIndex.distances
+
+        def counting(self, centers):
+            ranked.append(len(centers))
+            return distances(self, centers)
+
+        monkeypatch.setattr(topomap._NodeIndex, "distances", counting)
+        m = line_map(6)
+        assert sample_reference_nodes(m, {"n0", "n3"}) == ["n0", "n1", "n2", "n3", "n4"]
+        assert sample_reference_nodes(m, {"n3", "n0"}) == ["n0", "n1", "n2", "n3", "n4"]
+        # two candidates not kept yet are ranked together, in one pass
+        assert sample_reference_nodes(m, {"n0", "n5", "n1"}) == ["n0", "n1", "n2", "n3", "n4", "n5"]
+        assert ranked == [2, 2]
+
+    def test_a_node_added_after_a_ranking_is_found(self):
+        m = line_map(5)
+        assert sample_reference_nodes(m, {"n2"}) == ["n1", "n2", "n3"]
+        # nearer to n2 than both kept neighbours, and the first in id order
+        m.add_node(node("m", 2.3, 0.0))
+        assert sample_reference_nodes(m, {"n2"}) == ["m", "n1", "n2"]
+        assert sample_reference_nodes(m, {"n2"}) == ref_reference_nodes(m, {"n2"})
 
     def test_angle_term_rounds_as_angle_to(self):
         # a rotated node A and an aligned node B exactly at A's per-node key: the
@@ -263,13 +335,20 @@ class TestFine:
         assert pose.x == pytest.approx(0.620, abs=1e-3)
         assert conf == pytest.approx(0.9)
 
-    def test_nearest_mode_snaps(self):
+    def test_nearest_mode_snaps(self, monkeypatch):
         m = TopoMap().add_node(node("a", 0, 0)).add_node(node("b", 2, 0))
         scores = {"a": 0.9, "b": 0.1}
+        planar, built = Pose6.planar, []
+        monkeypatch.setattr(Pose6, "planar", lambda self: built.append(self) or planar(self))
         pose, _ = fine_localize(
             QueryContext(), ["a", "b"], lambda c, n: scores[n.id], m, mode="nearest"
         )
         assert pose == Pose2(0, 0, 0)
+        assert built == [m.nodes["a"].pose]  # the chosen reference's pose alone
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown fine localization mode: 'bogus'"):
+            fine_localize(QueryContext(), ["n2"], lambda c, n: 0.7, line_map(), mode="bogus")
 
     def test_circular_mean_headings(self):
         m = TopoMap()
@@ -322,6 +401,26 @@ class TestLocalizePipeline:
         assert result.filtered_node_ids == {"near"}
         assert result.reference_node_ids == ["far", "near"]
         assert result.estimated_pose.x == pytest.approx(0.0)
+
+
+    @pytest.mark.parametrize("score", [0.0, 1.0], ids=["none-passes", "one-passes"])
+    def test_unknown_fine_mode_is_refused_up_front(self, score):
+        # refused whether or not a candidate passes the filter, before the oracle is asked
+        m = line_map()
+        obs = [LandmarkObservation("sofa", {"color": "gray"})]
+        asked = []
+
+        def oracle(ctx, n):
+            asked.append(n.id)
+            return score
+
+        for mode in ("weighted", "nearest"):
+            result = localize(obs, QueryContext(), m, oracle, mode)
+            assert (result.estimated_pose is not None) == (score > 0)
+        asked.clear()
+        with pytest.raises(ValueError, match="unknown fine localization mode: 'bogus'"):
+            localize(obs, QueryContext(), m, oracle, "bogus")
+        assert asked == []
 
 
 class TestGoalLocalize:

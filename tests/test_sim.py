@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import heapq
 import importlib
@@ -189,9 +190,8 @@ def ref_astar(blocked, start, goal):
 
 
 def astar(blocked, start, goal):
-    """sim._astar on the walled list of a fresh planning grid."""
-    grid = sim._PlanningGrid(blocked)
-    return sim._astar(grid.wall, grid.stride, start, goal)
+    """sim._astar on a fresh planning grid."""
+    return sim._astar(sim._PlanningGrid(blocked), start, goal)
 
 
 def ref_nearest_open(blocked, cell):
@@ -229,9 +229,14 @@ def ref_resample_polyline(points, step):
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def ref_hypot_table(h, w):
+    return np.array([[math.hypot(r, c) for c in range(w)] for r in range(h)])
+
+
 def ref_heuristic(h, w, goal):
     """The heuristic list gathered from a math.hypot table and converted with tolist()."""
-    table = np.array([[math.hypot(r, c) for c in range(w)] for r in range(h)])
+    table = ref_hypot_table(h, w)
     gr, gc = divmod(goal, w)
     rows = np.abs(np.arange(h) - gr)
     cols = np.abs(np.arange(w) - gc)
@@ -761,7 +766,7 @@ def test_component_labels_decide_astar_reachability(worlds0to7):
             pairs += [(first[0], cells[len(cells) // 2]) for cells in by_label.values()]
             for start, goal in pairs:
                 same = grid.component(start) == grid.component(goal)
-                assert same == (sim._astar(grid.wall, grid.stride, start, goal) is not None)
+                assert same == (sim._astar(grid, start, goal) is not None)
                 outcomes[same] += 1
     assert outcomes[True] > 100 and outcomes[False] > 10
 
@@ -779,10 +784,10 @@ def test_oracle_plan_searches_only_within_one_component(worlds0to7, monkeypatch)
     astar = sim._astar
     plans = {"same": 0, "split": 0}
 
-    def counting(wall, stride, start, goal):
-        grid = next(g for g in current if g.wall is wall)
+    def counting(grid, start, goal):
+        assert any(grid is g for g in current)
         searched.append(grid.component(start) == grid.component(goal))
-        return astar(wall, stride, start, goal)
+        return astar(grid, start, goal)
 
     monkeypatch.setattr(sim, "_astar", counting)
     rng = np.random.default_rng(16)
@@ -1209,12 +1214,22 @@ def test_resample_polyline_named_cases(points, step):
     assert got[-1].tolist() == list(points[-1])
 
 
+def assert_heuristic_table_matches(h, w, goals):
+    """Every cell's entry of the shape's table, read at its flat offset from
+    each goal in a planning grid, equals the reference heuristic bit for bit."""
+    table, centre = sim._heuristic_table(h, w)
+    stride = sim._PlanningGrid(np.zeros((h, w), dtype=bool)).stride
+    assert len(table) == (2 * h - 1) * stride
+    flat, (rows, cols) = np.array(table), np.divmod(np.arange(h * w), w)
+    for goal in goals:
+        gr, gc = divmod(goal, w)
+        got = flat[centre + (rows - gr) * stride + (cols - gc)]
+        assert got.tobytes() == np.array(ref_heuristic(h, w, goal)).tobytes()
+
+
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (6, 1), (5, 9), (12, 4), (50, 50)])
 def test_heuristic_matches_gather_reference(h, w):
-    corners = {0, w - 1, (h - 1) * w, h * w - 1}
-    for goal in sorted(corners | {(h // 2) * w + w // 3}):
-        got = sim._heuristic(h, w, goal)
-        assert np.array(got).tobytes() == np.array(ref_heuristic(h, w, goal)).tobytes()
+    assert_heuristic_table_matches(h, w, range(h * w))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1223,8 +1238,21 @@ def test_heuristic_matches_gather_reference_anywhere(data):
     h = data.draw(st.integers(1, 30), label="h")
     w = data.draw(st.integers(1, 30), label="w")
     goal = data.draw(st.integers(0, h * w - 1), label="goal")
-    got = sim._heuristic(h, w, goal)
-    assert np.array(got).tobytes() == np.array(ref_heuristic(h, w, goal)).tobytes()
+    assert_heuristic_table_matches(h, w, [goal])
+
+
+def ref_neighbours(blocked, stride):
+    """Per padded cell, the (flat offset, cost) of every `_MOVES` move onto an
+    open cell, for the cells of the grid; none for the wall and padding."""
+    h, w = blocked.shape
+    walled = np.ones((h + 2, w + 2), dtype=bool)
+    walled[1:-1, 1:-1] = blocked
+    out = [()] * ((h + 2) * stride)
+    for r in range(1, h + 1):
+        for c in range(1, w + 1):
+            out[r * stride + c] = tuple((dr * stride + dc, cost) for dr, dc, cost in sim._MOVES
+                                        if not walled[r + dr, c + dc])
+    return out
 
 
 @pytest.mark.parametrize("clearance", [0.55, 0.8])  # the expert's two clearances at 0.25 m cells
@@ -1236,9 +1264,9 @@ def test_planning_grid_snaps_like_unmemoized_search(worlds48, clearance):
         want = [ref_nearest_open(blocked, cell) for cell in cells]
         assert [grid.nearest_open(cell) for cell in cells] == want
         assert [grid.nearest_open(cell) for cell in cells] == want  # now from the cache
-        walled = np.ones((blocked.shape[0] + 2, grid.stride), dtype=bool)
-        walled[1:-1, 1:-1] = blocked
-        assert grid.wall == walled.ravel().tolist()
+        assert grid.stride == 2 * blocked.shape[1] + 1
+        assert grid.neighbours == ref_neighbours(blocked, grid.stride)
+        assert len({id(moves) for moves in grid.neighbours}) <= 256  # one tuple per pattern
         kept = world.planning_grid(clearance)
         assert kept is world.planning_grid(clearance)
         assert kept.blocked.tobytes() == blocked.tobytes()
