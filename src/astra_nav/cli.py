@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--size", type=int, default=48)
     p.add_argument("--density", type=float, default=0.15)
-    p.add_argument("--landmarks", type=int, default=10)
+    p.add_argument("--landmarks", type=int, default=10,
+                   help="landmarks to place; at most one per wall-side free cell")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sim_gen)
     p = sim_sub.add_parser("dataset", help="expert windows of saved worlds, for `plan train --data`")

@@ -185,7 +185,8 @@ class World:
     The arrays derived from the grid are built on first use and kept, since
     they depend on the world alone: the 2-D occupancy, the distance field,
     the signed field, and one planning grid per clearance the expert planner
-    has asked for (see `planning_grid`).
+    has asked for (see `planning_grid`). `generate_world` hands over the
+    2-D occupancy and distance field it built the map on.
     """
 
     grid: Grid  # occupancy: 3-D as generated, 2-D as loaded
@@ -340,10 +341,12 @@ def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMa
     """Nodes on a 1 m lattice over free space; lattice-neighbor edges plus
     proximity links under 2 m, all requiring a clear straight segment.
 
-    One `sample_bilinear` call places every node and one `_segments_clear`
-    call checks every candidate link. A lattice of fewer than 4 nodes, or
-    one whose links leave it disconnected, is rejected (None) before any map
-    object is built."""
+    One `sample_bilinear` call places every node, one `_segments_clear`
+    call checks every candidate link, and one `add_edges` call adds every
+    kept link, in the order of the sorted ids, with one shared pose per
+    distinct offset. A lattice of fewer than 4 nodes, or one whose links
+    leave it disconnected, is rejected (None) before any map object is
+    built."""
     res = grid2.resolution
     step_cells = max(1, round(1.0 / res))
     rows = np.arange(0, grid2.height, step_cells)
@@ -368,17 +371,32 @@ def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMa
         topo.add_node(MapNode(nid, _pose6(x, y), image_ref=f"frame-{k:04d}.jpg"))
     # Pose6 is frozen, so links with the same offset share one; no coordinate
     # is -0.0, so offsets that compare equal have equal bits
-    offsets = {}
+    offsets, links = {}, []
     d = sorted_xy[j] - sorted_xy[i]
     for a, b, dx, dy in zip(i.tolist(), j.tolist(), d[:, 0].tolist(), d[:, 1].tolist()):
         pose = offsets.get((dx, dy))
         if pose is None:
             pose = offsets[dx, dy] = _pose6(dx, dy)
-        topo.add_edge(sorted_ids[a], sorted_ids[b], pose)
-    return topo
+        links.append((sorted_ids[a], sorted_ids[b], pose))
+    return topo.add_edges(links)
+
+
+# node distances per block of landmark cells in `_place_landmarks`, so that
+# its arrays stay a few MiB whatever the number of cells and nodes
+_RANK_BLOCK = 1 << 18
 
 
 def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
+    """Register up to `count` landmarks, at most one per free cell beside a
+    wall (per free cell, if no free cell borders a wall), at cells in the
+    order of one rng permutation. A landmark is seen from its nearest nodes
+    within 2.5 m, at most 3 of them, or from its nearest node if none is
+    that close; nodes at equal distance rank in id order.
+
+    The cells are ranked against every node in blocks of about
+    `_RANK_BLOCK` distances: one norm over the block's (cells, nodes, 2)
+    offsets and a stable argsort of each row, whose id-sorted node index
+    puts equal distances in id order."""
     free = ~grid2.values
     occ = grid2.values
     near_wall = np.zeros_like(free)
@@ -389,31 +407,31 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
     cells = np.argwhere(free & near_wall)
     if len(cells) == 0:
         cells = np.argwhere(free)
-    order = rng.permutation(len(cells))
+    cells = cells[rng.permutation(len(cells))[:count]]
+    points = np.stack([grid2.origin[0] + cells[:, 1] * grid2.resolution,
+                       grid2.origin[1] + cells[:, 0] * grid2.resolution], axis=1)
     index = world_map.node_index()
     node_ids, node_xy = index.ids, index.positions[:, :2]
+    block = max(1, _RANK_BLOCK // len(node_ids))
     placed = 0
-    for k in order:
-        if placed >= count:
-            break
-        r, c = cells[k]
-        x = grid2.origin[0] + c * grid2.resolution
-        y = grid2.origin[1] + r * grid2.resolution
-        dists = sorted(zip(np.linalg.norm(node_xy - (x, y), axis=1).tolist(), node_ids))
-        visible = [nid for d, nid in dists if d <= 2.5][:3] or [dists[0][1]]
-        category = _CATEGORIES[int(rng.integers(len(_CATEGORIES)))]
-        lm = Landmark(
-            f"lm-{placed:03d}",
-            category,
-            {
-                "color": _COLORS[int(rng.integers(len(_COLORS)))],
-                "material": _MATERIALS[int(rng.integers(len(_MATERIALS)))],
-            },
-            _FUNCTIONS[category],
-        )
-        for nid in visible:
-            world_map.register_landmark(nid, lm)
-        placed += 1
+    for start in range(0, len(points), block):
+        dists = np.linalg.norm(node_xy - points[start : start + block, None], axis=-1)
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :3]
+        within = np.count_nonzero(np.take_along_axis(dists, nearest, axis=1) <= 2.5, axis=1)
+        for ranked, n in zip(nearest.tolist(), within.tolist()):
+            category = _CATEGORIES[int(rng.integers(len(_CATEGORIES)))]
+            lm = Landmark(
+                f"lm-{placed:03d}",
+                category,
+                {
+                    "color": _COLORS[int(rng.integers(len(_COLORS)))],
+                    "material": _MATERIALS[int(rng.integers(len(_MATERIALS)))],
+                },
+                _FUNCTIONS[category],
+            )
+            for k in ranked[: max(n, 1)]:
+                world_map.register_landmark(node_ids[k], lm)
+            placed += 1
 
 
 # m: a pose closer than this to an obstacle collides; lattice nodes and links
@@ -424,7 +442,12 @@ _FOOTPRINT_RADIUS = 0.3
 def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
                    landmark_count: int = 10, resolution: float = 0.25) -> World:
     """Deterministic random world: bordered room with rectangular obstacles,
-    connected free space, a connected node lattice, and wall-side landmarks."""
+    connected free space, a connected node lattice, and wall-side landmarks.
+
+    At most one landmark is placed per wall-side free cell, so a world has
+    `landmark_count` landmarks or, when it has fewer such cells, one per
+    cell. The world keeps the 2-D occupancy and distance field its map was
+    built on."""
     if not 0.0 <= obstacle_density <= 0.4:
         raise SimError("obstacle density must lie in [0, 0.4]")
     if size < 3:
@@ -467,7 +490,9 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
         ]
         if len(start_xy) < 2:
             continue
-        return World(grid3, topo, start_xy, seed)
+        world = World(grid3, topo, start_xy, seed)
+        world._grid2d, world._dist = grid2, dist
+        return world
     raise SimError(f"could not generate a connected world at density {obstacle_density}")
 
 

@@ -2,11 +2,12 @@
 
 Nodes carry full 6-DoF poses (position + quaternion) as given by the mapping
 stage; landmarks keep a centralized registry of every node they are visible
-from, and nodes hold the symmetric back-references. Edge weights are the
-Euclidean norm of the relative translation; a small cache computes it once
-per translation that recurs, as the lattice map's link offsets do. A map
-file gives each edge's length, and `from_jsonable` refuses one that is
-negative, NaN or infinite, as no path cost over it would mean anything.
+from, and nodes hold the symmetric back-references. Edges enter in batches
+through `add_edges`, and an edge's weight is the Euclidean norm of its
+relative translation. A map file gives each edge's length, and
+`from_jsonable` refuses one that is negative, NaN or infinite, as no path
+cost over it would mean anything; `validate` flags such a length, and a
+non-finite node pose, on a map built in code.
 
 Queries over all nodes (`spatial_query`, localization's reference nodes, the
 simulator's nearest node and observations) read one node index: the sorted
@@ -20,13 +21,12 @@ Landmark sightings are not part of it, since `register_landmark` and
 
 Graph queries (`shortest_path`, `connected`) read the adjacency lists and
 the connected-component label of each node, built together on first use and
-dropped by `add_node` and `add_edge`; `from_jsonable` fills in the edges
+dropped by `add_node` and `add_edges`; `from_jsonable` fills in the edges
 before any query.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -46,8 +46,12 @@ class Pose6:
     quaternion: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(map(float, self.position)))
-        object.__setattr__(self, "quaternion", tuple(map(float, self.quaternion)))
+        position, quaternion = tuple(map(float, self.position)), tuple(map(float, self.quaternion))
+        if len(position) != 3 or len(quaternion) != 4:
+            raise ValueError(f"a pose needs three position and four quaternion numbers, got "
+                             f"{position!r} and {quaternion!r}")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "quaternion", quaternion)
 
     def planar(self) -> Pose2:
         """Project to the ground plane: (x, y, yaw)."""
@@ -105,13 +109,6 @@ class Landmark:
     node_ids: set[str] = field(default_factory=set)
 
 
-@functools.lru_cache(maxsize=1024)
-def _edge_length(position: tuple[float, float, float]) -> float:
-    # keyed on the position; positions that compare equal differ at most in
-    # the sign of a zero, which the norm ignores
-    return float(np.linalg.norm(position))
-
-
 @dataclass(frozen=True)
 class _NodeIndex:
     """The nodes of a map in id order: `ids` sorted, `row` the position of
@@ -159,15 +156,31 @@ class TopoMap:
         self._index = self._graph = None
         return self
 
-    def add_edge(self, a_id: str, b_id: str, relative_pose: Pose6) -> "TopoMap":
-        if a_id == b_id:
-            raise MapError(f"self-loop edge on node {a_id!r}")
-        for nid in (a_id, b_id):
-            if nid not in self.nodes:
-                raise MapError(f"edge endpoint does not exist: {nid!r}")
-        a, b = sorted((a_id, b_id))
-        self.edges[(a, b)] = MapEdge(a, b, relative_pose, _edge_length(relative_pose.position))
-        self._graph = None
+    def add_edges(self, edges) -> "TopoMap":
+        """Add each (a id, b id, relative pose) of `edges` as an undirected
+        edge under its sorted key, replacing an edge already there. Its
+        length is the norm of the pose's translation, computed once per
+        distinct translation in the call: translations that compare equal
+        differ at most in the sign of a zero, which the norm ignores.
+
+        A self-loop or a missing endpoint raises MapError naming the edge;
+        the edges before it stay added."""
+        nodes, stored, lengths = self.nodes, self.edges, {}
+        try:
+            for a_id, b_id, relative_pose in edges:
+                if a_id == b_id:
+                    raise MapError(f"self-loop edge ({a_id!r}, {b_id!r})")
+                if a_id not in nodes or b_id not in nodes:
+                    missing = a_id if a_id not in nodes else b_id
+                    raise MapError(f"edge ({a_id!r}, {b_id!r}) endpoint {missing!r} does not exist")
+                a, b = (a_id, b_id) if a_id < b_id else (b_id, a_id)
+                position = relative_pose.position
+                length = lengths.get(position)
+                if length is None:
+                    length = lengths[position] = float(np.linalg.norm(position))
+                stored[a, b] = MapEdge(a, b, relative_pose, length)
+        finally:
+            self._graph = None
         return self
 
     def register_landmark(self, node_id: str, landmark: Landmark) -> "TopoMap":
@@ -328,16 +341,23 @@ class TopoMap:
                     violations.append(
                         f"node {nid!r} references landmark {lid!r} without back-reference"
                     )
+        index = self.node_index()
+        finite = np.isfinite(index.positions).all(axis=1) & np.isfinite(index.quaternions).all(axis=1)
+        for k in np.flatnonzero(~finite).tolist():
+            violations.append(f"node {index.ids[k]!r} has a non-finite pose")
+        nodes = self.nodes
         for key, edge in self.edges.items():
-            if key != (edge.a, edge.b) or edge.a > edge.b:
+            a, b = edge.a, edge.b
+            if key != (a, b) or a > b:
                 violations.append(f"edge key {key!r} not in canonical sorted form")
-            if edge.a == edge.b:
-                violations.append(f"self-loop edge on {edge.a!r}")
-            for nid in (edge.a, edge.b):
-                if nid not in self.nodes:
-                    violations.append(f"edge {key!r} endpoint {nid!r} does not exist")
-            if edge.length < 0:
-                violations.append(f"edge {key!r} has negative length")
+            if a == b:
+                violations.append(f"self-loop edge on {a!r}")
+            if a not in nodes or b not in nodes:
+                violations += [f"edge {key!r} endpoint {nid!r} does not exist"
+                               for nid in (a, b) if nid not in nodes]
+            if not 0.0 <= edge.length < math.inf:
+                kind = "negative" if edge.length < 0 else "non-finite"
+                violations.append(f"edge {key!r} has {kind} length")
         for lid, lm in self.landmarks.items():
             if lm.id != lid:
                 violations.append(f"landmark key {lid!r} disagrees with landmark id {lm.id!r}")

@@ -37,7 +37,7 @@ def line_map(n=5, spacing=1.0):
     for i in range(n):
         m.add_node(node(f"n{i}", i * spacing, 0.0))
         if i:
-            m.add_edge(f"n{i-1}", f"n{i}", Pose6((spacing, 0, 0)))
+            m.add_edges([(f"n{i-1}", f"n{i}", Pose6((spacing, 0, 0)))])
         m.register_landmark(
             f"n{i}", Landmark(f"lm{i}", "sofa" if i % 2 == 0 else "door", {"color": "gray"})
         )

@@ -308,7 +308,7 @@ def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
             if math.hypot(bx - ax, by - ay) >= link_radius:
                 continue
             if ref_segment_clear(dist, (ax, ay), (bx, by), node_clearance):
-                topo.add_edge(a, b, sim._pose6(bx - ax, by - ay))
+                topo.add_edges([(a, b, sim._pose6(bx - ax, by - ay))])
     if len(topo.nodes) < 4 or not ref_node_graph_connected(topo):
         return None
     return topo
@@ -331,6 +331,42 @@ def ref_node_graph_connected(topo):
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == len(topo.nodes)
+
+
+def ref_place_landmarks(world_map, grid2, count, rng):
+    """_place_landmarks ranking every node for one landmark at a time by a
+    sort of (distance, id) pairs."""
+    free = ~grid2.values
+    occ = grid2.values
+    near_wall = np.zeros_like(free)
+    near_wall[:-1] |= occ[1:]
+    near_wall[1:] |= occ[:-1]
+    near_wall[:, :-1] |= occ[:, 1:]
+    near_wall[:, 1:] |= occ[:, :-1]
+    cells = np.argwhere(free & near_wall)
+    if len(cells) == 0:
+        cells = np.argwhere(free)
+    order = rng.permutation(len(cells))
+    node_ids = sorted(world_map.nodes)
+    node_xy = np.array([world_map.nodes[nid].pose.position[:2] for nid in node_ids])
+    for placed, k in enumerate(order[:count]):
+        r, c = cells[k]
+        x = grid2.origin[0] + c * grid2.resolution
+        y = grid2.origin[1] + r * grid2.resolution
+        dists = sorted(zip(np.linalg.norm(node_xy - (x, y), axis=1).tolist(), node_ids))
+        visible = [nid for d, nid in dists if d <= 2.5][:3] or [dists[0][1]]
+        category = sim._CATEGORIES[int(rng.integers(len(sim._CATEGORIES)))]
+        lm = Landmark(
+            f"lm-{placed:03d}",
+            category,
+            {
+                "color": sim._COLORS[int(rng.integers(len(sim._COLORS)))],
+                "material": sim._MATERIALS[int(rng.integers(len(sim._MATERIALS)))],
+            },
+            sim._FUNCTIONS[category],
+        )
+        for nid in visible:
+            world_map.register_landmark(nid, lm)
 
 
 def ref_link_pairs(xy, radius):
@@ -600,8 +636,7 @@ def test_pairs_connected_matches_graph_reference(data):
     topo = sim.TopoMap()
     for k in range(n):
         topo.add_node(sim.MapNode(f"n-{k:03d}", sim._pose6(k, 0.0)))
-    for a, b in pairs:
-        topo.add_edge(f"n-{a:03d}", f"n-{b:03d}", sim._pose6(1.0, 0.0))
+    topo.add_edges((f"n-{a:03d}", f"n-{b:03d}", sim._pose6(1.0, 0.0)) for a, b in pairs)
     i = np.array([a for a, _ in pairs], dtype=np.intp)
     j = np.array([b for _, b in pairs], dtype=np.intp)
     assert sim._pairs_connected(n, i, j) == ref_node_graph_connected(topo)
@@ -616,8 +651,9 @@ def test_edge_ends_are_the_node_keys(worlds48):
 
 
 def counted_map_objects(monkeypatch):
-    """Record every node, pose and edge the lattice map makes, and every map it returns."""
-    counts = {"add_node": 0, "_pose6": 0, "add_edge": 0}
+    """Record every node, pose, `add_edges` call and edge the lattice map
+    makes, and every map it returns."""
+    counts = {"add_node": 0, "_pose6": 0, "add_edges": 0, "edges": 0}
     built = []
 
     def counting(owner, name):
@@ -630,8 +666,16 @@ def counted_map_objects(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(sim.TopoMap, "add_node")
-    counting(sim.TopoMap, "add_edge")
     counting(sim, "_pose6")
+    add_edges = sim.TopoMap.add_edges
+
+    def counting_edges(topo, edges):
+        edges = list(edges)
+        counts["add_edges"] += 1
+        counts["edges"] += len(edges)
+        return add_edges(topo, edges)
+
+    monkeypatch.setattr(sim.TopoMap, "add_edges", counting_edges)
     build = sim._build_lattice_map
 
     def recording(*args, **kwargs):
@@ -648,7 +692,7 @@ def test_rejected_candidate_builds_no_map_objects(monkeypatch):
     world = sim.generate_world(0, 48)
     assert len(built) == 2 and built[0] is None and built[1] is world.map
     assert counts["add_node"] == len(world.map.nodes)
-    assert counts["add_edge"] == len(world.map.edges)
+    assert counts["add_edges"] == 1 and counts["edges"] == len(world.map.edges)
     # one pose per node and one per distinct link offset
     offsets = {e.relative_pose.position for e in world.map.edges.values()}
     assert counts["_pose6"] == len(world.map.nodes) + len(offsets)
@@ -665,12 +709,87 @@ def test_rejected_lattice_returns_none(monkeypatch, rooms):
     grid2 = Grid(occ, 0.25)
     counts, _ = counted_map_objects(monkeypatch)
     assert sim._build_lattice_map(grid2, planner.distance_field(grid2), node_clearance=0.1) is None
-    assert counts == {"add_node": 0, "_pose6": 0, "add_edge": 0}
+    assert counts == {"add_node": 0, "_pose6": 0, "add_edges": 0, "edges": 0}
     if rooms:
         # with the wall gone, the same eight nodes form one graph
         occ[:, 9:11] = False
         topo = sim._build_lattice_map(grid2, planner.distance_field(grid2), node_clearance=0.1)
         assert len(topo.nodes) == 8 and counts["add_node"] == 8
+        assert counts["add_edges"] == 1 and counts["edges"] == len(topo.edges)
+
+
+@pytest.mark.parametrize("seed,size,landmarks,rejects", [
+    (0, 24, 10, True), (2, 24, 10, False), (0, 24, 500, True),
+    (0, 32, 10, True), (1, 32, 10, False),
+    (0, 48, 10, True), (2, 48, 10, False),
+    (1, 96, 10, False), (3, 96, 10, True),
+])
+def test_world_matches_per_link_and_per_landmark_references(monkeypatch, seed, size, landmarks,
+                                                            rejects):
+    got = sim.generate_world(seed, size, landmark_count=landmarks)
+    built = []
+
+    def ref_lattice(*args, **kwargs):
+        built.append(ref_build_lattice_map(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "_build_lattice_map", ref_lattice)
+    monkeypatch.setattr(sim, "_place_landmarks", ref_place_landmarks)
+    want = sim.generate_world(seed, size, landmark_count=landmarks)
+    assert (None in built) == rejects
+    assert got.map.to_jsonable() == want.map.to_jsonable()
+    assert list(got.map.edges) == list(want.map.edges)
+    assert got.start_xy == want.start_xy
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["first-three", "nearest"])
+def test_landmark_nodes_at_equal_distance_rank_in_id_order(far):
+    # one free cell borders the wall, at (0, 0); every node is as far from it as
+    # every other, and the nodes enter the map out of id order
+    grid2 = Grid(np.array([[False, True]]), 1.0)
+    radius = 3.0 if far else 1.0  # beyond the 2.5 m sight range, or within it
+    topo = sim.TopoMap()
+    for nid, (x, y) in zip("dbca", [(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)]):
+        topo.add_node(sim.MapNode(nid, sim._pose6(x, y)))
+    want = sim.TopoMap.from_jsonable(topo.to_jsonable())
+    sim._place_landmarks(topo, grid2, 5, np.random.default_rng(0))
+    ref_place_landmarks(want, grid2, 5, np.random.default_rng(0))
+    assert topo.to_jsonable() == want.to_jsonable()
+    assert list(topo.landmarks) == ["lm-000"]
+    assert topo.landmarks["lm-000"].node_ids == ({"a"} if far else {"a", "b", "c"})
+
+
+def test_landmarks_are_at_most_one_per_wall_side_cell():
+    world = sim.generate_world(0, 24, landmark_count=500)
+    free = ~world.grid2d().values
+    near_wall = np.zeros_like(free)
+    near_wall[1:-1, 1:-1] = ~free[:-2, 1:-1] | ~free[2:, 1:-1] | ~free[1:-1, :-2] | ~free[1:-1, 2:]
+    assert len(world.map.landmarks) == np.count_nonzero(free & near_wall) == 160
+
+
+def test_generated_world_keeps_its_occupancy_and_distance_field(monkeypatch):
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(sim, "distance_field")
+    counting(sim, "compress_grid")
+    world = sim.generate_world(2, 48)  # its first candidate passes
+    assert calls == ["distance_field"]
+    dist = world.dist_field()
+    assert calls == ["distance_field"]
+    grid2 = sim.compress_grid(world.grid)
+    assert np.array_equal(world.grid2d().values, grid2.values)
+    want = planner.distance_field(grid2)
+    assert np.array_equal(dist.values, want.values)
+    assert (dist.resolution, dist.origin) == (want.resolution, want.origin)
 
 
 def test_lattice_map_makes_two_lookups(world, monkeypatch):
@@ -2520,9 +2639,8 @@ def test_shortest_path_matches_reference_on_ties_and_zero_lengths(data):
     for nid in ids:
         topo.add_node(sim.MapNode(nid, sim._pose6(0.0, 0.0)))
     pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([0.0, 0.5, 1.0, 1.5]))
-    for a, b, length in data.draw(st.lists(pair, max_size=16), label="edges"):
-        if a != b:
-            topo.add_edge(a, b, sim._pose6(length, 0.0))
+    edges = data.draw(st.lists(pair, max_size=16), label="edges")
+    topo.add_edges((a, b, sim._pose6(length, 0.0)) for a, b, length in edges if a != b)
     for a in ids:
         for b in ids:
             want = ref_shortest_path(topo, a, b)
@@ -2534,11 +2652,11 @@ def test_graph_queries_follow_new_nodes_and_edges():
     topo = sim.TopoMap()
     for nid in ("a", "b", "c"):
         topo.add_node(sim.MapNode(nid, sim._pose6(0.0, 0.0)))
-    topo.add_edge("a", "b", sim._pose6(1.0, 0.0))
+    topo.add_edges([("a", "b", sim._pose6(1.0, 0.0))])
     assert topo.shortest_path("a", "c") == [] and not topo.connected("a", "c")
-    topo.add_edge("b", "c", sim._pose6(1.0, 0.0))
+    topo.add_edges([("b", "c", sim._pose6(1.0, 0.0))])
     assert topo.shortest_path("a", "c") == ["a", "b", "c"] and topo.connected("a", "c")
-    topo.add_edge("a", "c", sim._pose6(1.5, 0.0))
+    topo.add_edges([("a", "c", sim._pose6(1.5, 0.0))])
     assert topo.shortest_path("a", "c") == ["a", "c"]
     topo.add_node(sim.MapNode("d", sim._pose6(0.0, 0.0)))
     assert not topo.connected("a", "d") and topo.shortest_path("d", "a") == []

@@ -15,8 +15,7 @@ def node(nid, x=0.0, y=0.0, z=0.0):
 def simple_map():
     m = TopoMap()
     m.add_node(node("a", 0, 0)).add_node(node("b", 1, 0)).add_node(node("c", 1, 1))
-    m.add_edge("a", "b", Pose6((1, 0, 0)))
-    m.add_edge("b", "c", Pose6((0, 1, 0)))
+    m.add_edges([("a", "b", Pose6((1, 0, 0))), ("b", "c", Pose6((0, 1, 0)))])
     return m
 
 
@@ -29,22 +28,48 @@ class TestConstruction:
     def test_self_loop(self):
         m = TopoMap().add_node(node("a"))
         with pytest.raises(MapError, match="self-loop"):
-            m.add_edge("a", "a", Pose6())
+            m.add_edges([("a", "a", Pose6())])
 
     def test_missing_endpoint(self):
         m = TopoMap().add_node(node("a"))
         with pytest.raises(MapError, match="does not exist"):
-            m.add_edge("a", "zz", Pose6())
+            m.add_edges([("a", "zz", Pose6())])
 
     def test_edge_length_pythagorean(self):
         m = TopoMap().add_node(node("a")).add_node(node("b"))
-        m.add_edge("a", "b", Pose6((3, 4, 0)))
+        m.add_edges([("a", "b", Pose6((3, 4, 0)))])
         assert m.edges[("a", "b")].length == pytest.approx(5.0)
 
     def test_edges_are_undirected(self):
         m = TopoMap().add_node(node("a")).add_node(node("b"))
-        m.add_edge("b", "a", Pose6((1, 0, 0)))
+        m.add_edges([("b", "a", Pose6((1, 0, 0)))])
         assert ("a", "b") in m.edges
+
+    @pytest.mark.parametrize("position,quaternion", [((1, 2), (1, 0, 0, 0)), ((1, 2, 3), (1, 0, 0))])
+    def test_pose_refuses_a_wrong_length(self, position, quaternion):
+        # the node index, and so validate, reads every position as three numbers
+        with pytest.raises(ValueError, match="three position and four quaternion"):
+            Pose6(position, quaternion)
+
+    def test_add_edges_names_the_refused_edge(self):
+        m = TopoMap().add_node(node("a")).add_node(node("b"))
+        with pytest.raises(MapError, match=r"self-loop edge \('b', 'b'\)"):
+            m.add_edges([("a", "b", Pose6((1, 0, 0))), ("b", "b", Pose6())])
+        with pytest.raises(MapError, match=r"edge \('zz', 'a'\) endpoint 'zz' does not exist"):
+            m.add_edges([("zz", "a", Pose6())])
+        assert list(m.edges) == [("a", "b")]
+
+    def test_queries_made_before_add_edges_see_its_edges(self):
+        m = TopoMap()
+        for nid in "abcd":
+            m.add_node(node(nid))
+        assert not m.connected("a", "c") and m.shortest_path("a", "c") == []
+        m.add_edges([("a", "b", Pose6((1, 0, 0))), ("c", "b", Pose6((1, 0, 0)))])
+        assert m.connected("a", "c") and m.shortest_path("a", "c") == ["a", "b", "c"]
+        # the edges before a refused one stay added, and queries see them too
+        with pytest.raises(MapError, match="does not exist"):
+            m.add_edges([("c", "d", Pose6((1, 0, 0))), ("d", "zz", Pose6())])
+        assert m.connected("a", "d") and m.shortest_path("a", "d") == ["a", "b", "c", "d"]
 
 
 class TestLandmarks:
@@ -196,16 +221,16 @@ class TestNodeIndex:
 
 
 def test_edge_lengths_equal_the_norm_of_each_offset():
-    # lengths come from a cache keyed on the offset; equal offsets, and offsets
-    # that differ only in the sign of a zero, get the norm of their own bits
+    # one call computes each distinct offset's length once; equal offsets, and
+    # offsets that differ only in the sign of a zero, get the norm of their own bits
     rng = np.random.default_rng(5)
     offsets = [tuple(rng.uniform(-3, 3, 3)) for _ in range(20)]
     offsets += offsets[:5] + [(0.0, 1.5, 0.0), (-0.0, 1.5, -0.0), (-0.0, -1.5, 0.0)]
     m = TopoMap()
     for i in range(len(offsets) + 1):
         m.add_node(node(f"n{i:02d}"))
+    m.add_edges((f"n{i:02d}", f"n{i + 1:02d}", Pose6(off)) for i, off in enumerate(offsets))
     for i, off in enumerate(offsets):
-        m.add_edge(f"n{i:02d}", f"n{i + 1:02d}", Pose6(off))
         assert m.edges[(f"n{i:02d}", f"n{i + 1:02d}")].length == float(np.linalg.norm(off))
 
 
@@ -218,9 +243,8 @@ class TestShortestPath:
         m = TopoMap()
         for nid in "abc":
             m.add_node(node(nid))
-        m.add_edge("a", "b", Pose6((1, 0, 0)))
-        m.add_edge("b", "c", Pose6((1, 0, 0)))
-        m.add_edge("a", "c", Pose6((3, 0, 0)))
+        m.add_edges([("a", "b", Pose6((1, 0, 0))), ("b", "c", Pose6((1, 0, 0))),
+                     ("a", "c", Pose6((3, 0, 0)))])
         assert m.shortest_path("a", "c") == ["a", "b", "c"]
 
     def test_disconnected_is_empty(self):
@@ -235,10 +259,8 @@ class TestShortestPath:
         m = TopoMap()
         for nid in ("a", "m", "z", "goal"):
             m.add_node(node(nid))
-        m.add_edge("a", "m", Pose6((1, 0, 0)))
-        m.add_edge("m", "goal", Pose6((1, 0, 0)))
-        m.add_edge("a", "z", Pose6((1, 0, 0)))
-        m.add_edge("z", "goal", Pose6((1, 0, 0)))
+        m.add_edges([("a", "m", Pose6((1, 0, 0))), ("m", "goal", Pose6((1, 0, 0))),
+                     ("a", "z", Pose6((1, 0, 0))), ("z", "goal", Pose6((1, 0, 0)))])
         assert m.shortest_path("a", "goal") == ["a", "m", "goal"]
 
     def test_optimal_on_random_graphs(self):
@@ -253,7 +275,7 @@ class TestShortestPath:
             for i, j in itertools.combinations(range(n), 2):
                 if rng.random() < 0.45:
                     length = float(rng.uniform(0.1, 4.0))
-                    m.add_edge(ids[i], ids[j], Pose6((length, 0, 0)))
+                    m.add_edges([(ids[i], ids[j], Pose6((length, 0, 0)))])
                     lengths[(ids[i], ids[j])] = length
             src, dst = ids[0], ids[-1]
             # brute force over simple paths
@@ -302,7 +324,7 @@ class TestValidateAndPersistence:
         for _ in range(150):
             a, b = rng.choice(ids, 2, replace=False)
             if tuple(sorted((a, b))) not in m.edges:
-                m.add_edge(a, b, Pose6(tuple(rng.uniform(-2, 2, 3))))
+                m.add_edges([(a, b, Pose6(tuple(rng.uniform(-2, 2, 3))))])
         for k in range(30):
             lm = Landmark(
                 f"lm{k:03d}",
@@ -344,6 +366,26 @@ class TestValidateAndPersistence:
         m = simple_map()
         m.edges[("a", "b")].length = -1.0
         assert m.validate().violations == ["edge ('a', 'b') has negative length"]
+
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
+    def test_validate_flags_a_length_that_load_refuses(self, tmp_path, coordinate):
+        m = simple_map()
+        m.add_edges([("a", "c", Pose6((coordinate, 0, 0)))])
+        assert m.validate().violations == ["edge ('a', 'c') has non-finite length"]
+        m.save(tmp_path / "m.json")
+        with pytest.raises(MapError, match="finite and >= 0"):
+            TopoMap.load(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("position,quaternion", [
+        ((math.inf, 0, 0), (1, 0, 0, 0)),
+        ((0, math.nan, 0), (1, 0, 0, 0)),
+        ((0, 0, 0), (1, 0, 0, -math.inf)),
+    ])
+    def test_validate_flags_a_non_finite_node_pose(self, position, quaternion):
+        m = simple_map()
+        assert m.validate().ok
+        m.add_node(MapNode("d", Pose6(position, quaternion)))
+        assert m.validate().violations == ["node 'd' has a non-finite pose"]
 
 
     def test_cross_reference_symmetry_after_ops(self):
