@@ -144,9 +144,7 @@ def _cmd_goal(args) -> int:
     topo = TopoMap.load(args.map)
     topo.validate().require(args.map)
     current = Pose2(*args.pose)
-    node_id, pose = localization.goal_localize(
-        args.terms, topo, current, args.r0, args.r_step, args.r_max
-    )
+    node_id, pose = localization.goal_localize(args.terms, topo, current, args.r_max)
     _emit({"node_id": node_id, "goal_pose": list(pose.as_tuple())})
     return 0
 
@@ -338,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goal", help="language-based goal localization")
     p.add_argument("--map", required=True)
-    p.add_argument("--terms", nargs="+", required=True)
+    p.add_argument("--terms", nargs="+", required=True,
+                   help="instruction words; a goal landmark's category and description hold them all")
     p.add_argument("--pose", nargs=3, type=_finite, default=[0.0, 0.0, 0.0])
-    p.add_argument("--r0", type=float, default=10.0)
-    p.add_argument("--r-step", type=float, default=10.0)
-    p.add_argument("--r-max", type=float, default=100.0)
+    p.add_argument("--r-max", type=float, default=100.0,
+                   help="search radius in m around --pose; positive and finite")
     p.set_defaults(func=_cmd_goal)
 
     p_reward = sub.add_parser("reward", help="rule-based reward evaluation")

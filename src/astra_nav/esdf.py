@@ -155,9 +155,9 @@ def _cell_box(shape, resolution: float, origin, lo, hi) -> tuple[slice, slice]:
     size = np.array(shape[::-1])
     first = np.floor((np.asarray(lo) - resolution - origin) / resolution)
     last = np.ceil((np.asarray(hi) + resolution - origin) / resolution)
-    c0, r0 = (int(v) for v in np.fmin(np.fmax(first, 0), size))
-    c1, r1 = (int(v) for v in np.fmax(np.fmin(last + 1, size), (c0, r0)))
-    return slice(r0, r1), slice(c0, c1)
+    col0, row0 = (int(v) for v in np.fmin(np.fmax(first, 0), size))
+    col1, row1 = (int(v) for v in np.fmax(np.fmin(last + 1, size), (col0, row0)))
+    return slice(row0, row1), slice(col0, col1)
 
 
 # Segment-cell pairs per block of `make_mask`'s batched pass: its

@@ -16,6 +16,13 @@ passing node adds its 3 nearest map nodes under position distance plus
 A node's nearest map nodes depend on the map's node poses alone, so they
 are ranked once per node and kept with the map's node index.
 
+Goal search (`goal_localize`) is one query: the goal is the node, among
+those of every landmark whose category and functional description hold
+each word of the instruction, within r_max (100 m by default) of the
+current pose, nearest the current pose in the plane, the lower id on a
+tie. Instruction and landmark text are split into the same lower-case
+alphanumeric words, so "Sofa." asks for "sofa".
+
 The detector and co-visibility scorer that would normally come from a
 large vision-language model are adapter inputs here: observations are
 plain data, and any callable (query_ctx, node) -> score in [0, 1] can act
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -277,64 +285,57 @@ def localize(
     return LocalizationResult(candidates, filtered, refs, pose, confidence)
 
 
-def _landmark_text_tokens(lm) -> set[str]:
-    text = lm.category + " " + (lm.functional_description or "")
-    tokens = set()
-    word = []
-    for ch in text.lower():
-        if ch.isalnum():
-            word.append(ch)
-        elif word:
-            tokens.add("".join(word))
-            word = []
-    if word:
-        tokens.add("".join(word))
-    return tokens
+_WORD = re.compile(r"[^\W_]+")  # a run of characters that str.isalnum accepts
+
+
+def _words(text: str) -> set[str]:
+    """The words of `text`: its lower-cased runs of alphanumeric characters."""
+    return set(_WORD.findall(text.lower()))
 
 
 def goal_localize(
     instruction_terms: list[str],
     topo: TopoMap,
     current_pose: Pose2,
-    r0: float = 10.0,
-    r_step: float = 10.0,
     r_max: float = 100.0,
 ) -> tuple[str, Pose2]:
-    """Find the node of the nearest landmark whose description covers all terms.
+    """Find the node of the nearest landmark whose text holds every word of
+    the instruction, and that node's planar pose.
 
-    The search starts within r0 of the current pose and widens by r_step until
-    r_max; raises GoalNotFoundError if nothing matches by then, and
-    LocalizationError if a radius is not a positive finite number.
+    A landmark's text is its category and functional description; the
+    instruction terms and that text are split into words alike (`_words`).
+    The goal is, of the nodes of every matching landmark within r_max of
+    (x, y, 0) of the current pose in 3-D, the one nearest the current pose
+    in the plane, the lower id on a tie. Raises GoalNotFoundError when no
+    node is left, and LocalizationError when r_max is not a positive finite
+    number or the terms hold no word.
     """
-    for name, value in (("r0", r0), ("r_step", r_step), ("r_max", r_max)):
-        if not (is_finite_number(value) and value > 0):
-            raise LocalizationError(f"search radius {name} must be positive and finite, got {value!r}")
-    terms = [t.lower() for t in instruction_terms if t]
-    matching_landmarks = [
-        lm for lm in topo.landmarks.values() if all(t in _landmark_text_tokens(lm) for t in terms)
-    ]
-    center = (current_pose.x, current_pose.y, 0.0)
-    r = r0
-    while True:
-        ring = topo.spatial_query(center, r)
-        candidates = sorted({nid for lm in matching_landmarks for nid in lm.node_ids} & ring)
-        if candidates:
-            best = min(
-                candidates,
-                key=lambda nid: (
-                    math.hypot(
-                        topo.nodes[nid].pose.position[0] - current_pose.x,
-                        topo.nodes[nid].pose.position[1] - current_pose.y,
-                    ),
-                    nid,
-                ),
-            )
-            return best, topo.nodes[best].pose.planar()
-        if r >= r_max:
-            raise GoalNotFoundError(
-                f"no landmark matching {instruction_terms!r} within {r_max} m"
-            )
-        r = min(r + r_step, r_max)
+    if not (is_finite_number(r_max) and r_max > 0):
+        raise LocalizationError(f"search radius r_max must be positive and finite, got {r_max!r}")
+    words = set().union(*map(_words, instruction_terms))
+    if not words:
+        raise LocalizationError(f"instruction {instruction_terms!r} holds no word")
+    goals = {
+        nid
+        for lm in topo.landmarks.values()
+        if words <= _words(lm.category + " " + (lm.functional_description or ""))
+        for nid in lm.node_ids
+    }
+    goals &= topo.spatial_query((current_pose.x, current_pose.y, 0.0), r_max)
+    if not goals:
+        raise GoalNotFoundError(f"no landmark matching {instruction_terms!r} within {r_max} m")
+    nodes = topo.nodes
+    best = min(
+        goals,
+        key=lambda nid: (
+            math.hypot(
+                nodes[nid].pose.position[0] - current_pose.x,
+                nodes[nid].pose.position[1] - current_pose.y,
+            ),
+            nid,
+        ),
+    )
+    return best, nodes[best].pose.planar()
 
 
 # --- default oracles ---------------------------------------------------------

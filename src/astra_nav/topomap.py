@@ -22,7 +22,9 @@ Landmark sightings are not part of it, since `register_landmark` and
 Graph queries (`shortest_path`, `connected`) read the adjacency lists and
 the connected-component label of each node, built together on first use and
 dropped by `add_node` and `add_edges`; `from_jsonable` fills in the edges
-before any query.
+before any query. The labels come from `node_components`, the one
+component labelling of a node graph, which the simulator's lattice check
+calls on index pairs too.
 """
 
 from __future__ import annotations
@@ -135,6 +137,26 @@ class _NodeIndex:
         dx = (self.positions[:, 0] - x).tolist()
         dy = (self.positions[:, 1] - y).tolist()
         return np.array(list(map(math.hypot, dx, dy)))
+
+
+def node_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The connected component of each of nodes 0..n-1 under the links
+    i[k]-j[k], as labels (n,): every node carries the lowest index in its
+    component.
+
+    Each node starts labelled with its own index. A pass lowers both ends of
+    every link to the smaller of their labels, then gives each node the label
+    of its label, until a pass changes nothing."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 class TopoMap:
@@ -271,23 +293,17 @@ class TopoMap:
 
     def _adjacency(self) -> tuple[dict[str, list[tuple[str, float]]], dict[str, int]]:
         """Each node's (neighbor, edge length) list, in edge order, and each
-        node's component label, built on first use (see the module docstring)."""
+        node's component label, the lowest row of its component in the node
+        index, built on first use (see the module docstring)."""
         if self._graph is None:
             adj: dict[str, list[tuple[str, float]]] = {nid: [] for nid in self.nodes}
             for (a, b), edge in self.edges.items():
                 adj[a].append((b, edge.length))
                 adj[b].append((a, edge.length))
-            label: dict[str, int] = {}
-            for root in adj:
-                if root in label:
-                    continue
-                label[root] = len(label)
-                stack = [root]
-                while stack:
-                    for nxt, _ in adj[stack.pop()]:
-                        if nxt not in label:
-                            label[nxt] = label[root]
-                            stack.append(nxt)
+            index = self.node_index()
+            rows = np.array([(index.row[a], index.row[b]) for a, b in self.edges], dtype=np.intp)
+            i, j = rows.reshape(-1, 2).T
+            label = dict(zip(index.ids, node_components(len(index.ids), i, j).tolist()))
             self._graph = (adj, label)
         return self._graph
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import json
 import logging
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from astra_nav import cli, planner, sim
+from astra_nav import cli, localization, planner, sim
 from astra_nav.topomap import TopoMap
 
 
@@ -574,14 +575,11 @@ def test_model_file_the_planner_cannot_run_exits_1(files, capsys, name, command)
     assert json.loads(err)["message"].startswith(f"{path}: ")  # the constructor's refusal names the file
 
 
-# Search radii that never widen (0, NaN) or never stop (inf) looped forever.
+# A search radius that is not positive and finite is refused, match or not.
 BAD_GOAL_RADII = {
-    "r-step-0": ("--r-step", "0"),
-    "r-step-nan": ("--r-step", "nan"),
     "r-max-inf": ("--r-max", "inf"),
-    "r0-nan": ("--r0", "nan"),
-    "r0-negative": ("--r0", "-1"),
-    "r0-0": ("--r0", "0"),
+    "r-max-nan": ("--r-max", "nan"),
+    "r-max-0": ("--r-max", "0"),
     "r-max-negative": ("--r-max", "-5"),
 }
 
@@ -603,6 +601,58 @@ def test_default_goal_radii_still_search(files, capsys):
     code, _, err = run(capsys, "goal", "--map", files["map"], "--terms", "zebra")
     assert_json_error(code, "", err)
     assert json.loads(err)["error"] == "GoalNotFoundError"
+
+
+@pytest.mark.parametrize("flag", ["--r0", "--r-step"])
+def test_ring_radius_flags_are_gone(files, capsys, flag):
+    with pytest.raises(SystemExit) as exited:
+        run(capsys, "goal", "--map", files["map"], "--terms", "sofa", flag, "50")
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == "" and json.loads(err)["error"] == "UsageError"
+
+
+def test_goal_is_never_past_r_max(files, capsys):
+    # the nearest sofa node, n-004 at (2, 2), is 2.83 m from the default pose
+    code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", "sofa", "--r-max", "1")
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "GoalNotFoundError"
+    code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", "sofa", "--r-max", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"node_id": "n-004", "goal_pose": [2.0, 2.0, 0.0]}
+
+
+def test_huge_r_max_without_a_match_answers_at_once(files, capsys):
+    with time_limit(10.0):
+        code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", "zebra", "--r-max", "1e300")
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "GoalNotFoundError"
+
+
+@pytest.mark.parametrize("terms", [["Sofa."], ["resting,", "sofa"], ["living areas"]],
+                         ids=["punctuated", "comma", "two-words-in-one-term"])
+def test_goal_terms_are_split_into_words(files, capsys, terms):
+    code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", *terms)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["node_id"] == "n-004"
+
+
+@pytest.mark.parametrize("term", ["", "..."], ids=["empty", "dots"])
+def test_goal_terms_without_a_word_exit_1(files, capsys, term):
+    code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", term)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "LocalizationError"
+
+
+def test_cli_defaults_agree_with_the_library():
+    parser = cli.build_parser()
+    goal = parser.parse_args(["goal", "--map", "m.json", "--terms", "sofa"])
+    assert goal.r_max == inspect.signature(localization.goal_localize).parameters["r_max"].default
+    gen = parser.parse_args(["sim", "gen", "--out", "w"])
+    library = inspect.signature(sim.generate_world).parameters
+    assert (gen.size, gen.density, gen.landmarks) == (
+        library["size"].default, library["obstacle_density"].default, library["landmark_count"].default
+    )
 
 
 @pytest.mark.parametrize("size", [-4, 0, 1, 2])
@@ -874,6 +924,25 @@ def test_sim_run_with_an_instruction_goal(files, capsys, monkeypatch):
         "final_error": 0.4962004912207977, "mean_velocity": 0.7227721127655979,
         "path_length": 6.6856420430817805, "planner_calls": 0, "reason": "reached", "success": True,
     }
+
+
+def test_sim_run_splits_the_instruction_into_words(files, capsys):
+    reports = []
+    for instruction in ("sofa", "Sofa."):
+        path = files["root"] / "goal-instruction.json"
+        path.write_text(json.dumps({"instruction": instruction}))
+        code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert reports[1] == reports[0] and reports[1]["reason"] == "reached"
+
+
+def test_sim_run_instruction_without_a_word_exits_1(files, capsys):
+    path = files["root"] / "goal-dots.json"
+    path.write_text(json.dumps({"instruction": "..."}))
+    code, out, err = run(capsys, "sim", "run", "--world", files["world"], "--goal", path)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"] == "LocalizationError"
 
 
 def test_log_level_debug_reports_fixes_and_replans(files, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astra_nav import localization, topomap
 from astra_nav.geom import Pose2
@@ -423,6 +425,81 @@ class TestLocalizePipeline:
         assert asked == []
 
 
+def ref_goal_localize(instruction_terms, topo, current_pose, r0=10.0, r_step=10.0, r_max=100.0):
+    """goal_localize as a ring search: rings from r0 widened by r_step up to
+    r_max, the nearest matching node in the plane from the first ring that
+    holds one; terms are only lower-cased, landmark text split into words."""
+
+    def text_tokens(lm):
+        text = lm.category + " " + (lm.functional_description or "")
+        tokens, word = set(), []
+        for ch in text.lower():
+            if ch.isalnum():
+                word.append(ch)
+            elif word:
+                tokens.add("".join(word))
+                word = []
+        if word:
+            tokens.add("".join(word))
+        return tokens
+
+    terms = [t.lower() for t in instruction_terms if t]
+    matching = [lm for lm in topo.landmarks.values() if all(t in text_tokens(lm) for t in terms)]
+    center = (current_pose.x, current_pose.y, 0.0)
+    r = r0
+    while True:
+        ring = topo.spatial_query(center, r)
+        candidates = sorted({nid for lm in matching for nid in lm.node_ids} & ring)
+        if candidates:
+            best = min(
+                candidates,
+                key=lambda nid: (
+                    math.hypot(
+                        topo.nodes[nid].pose.position[0] - current_pose.x,
+                        topo.nodes[nid].pose.position[1] - current_pose.y,
+                    ),
+                    nid,
+                ),
+            )
+            return best, topo.nodes[best].pose.planar()
+        if r >= r_max:
+            raise GoalNotFoundError(f"no landmark matching {instruction_terms!r} within {r_max} m")
+        r = min(r + r_step, r_max)
+
+
+def goal_outcome(search, *args):
+    """The goal node id `search` returns, or "not found"."""
+    try:
+        return search(*args)[0]
+    except GoalNotFoundError:
+        return "not found"
+
+
+GOAL_CATEGORIES = ["sofa", "door", "shelf", "tv"]
+
+
+def drawn_goal_map(data, layout):
+    """A map of up to 25 nodes, on a 0.5 m lattice ("lattice"), anywhere in
+    the plane ("uniform") or anywhere in space ("3d"), with up to 6
+    landmarks of GOAL_CATEGORIES seen from 1-3 nodes each."""
+    n = data.draw(st.integers(1, 25), label="n")
+    if layout == "lattice":
+        coord = st.integers(-40, 40).map(lambda k: k * 0.5)
+    else:
+        coord = st.floats(-30.0, 30.0, allow_nan=False)
+    height = coord if layout == "3d" else st.just(0.0)
+    m = TopoMap()
+    for i in range(n):
+        x, y, z = data.draw(st.tuples(coord, coord, height), label=f"node {i}")
+        m.add_node(MapNode(f"n{i:02d}", Pose6((x, y, z))))
+    for k in range(data.draw(st.integers(1, 6), label="landmarks")):
+        cat = data.draw(st.sampled_from(GOAL_CATEGORIES), label=f"category {k}")
+        seen = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), label=f"nodes {k}")
+        for i in sorted(seen):
+            m.register_landmark(f"n{i:02d}", Landmark(f"lm{k}", cat, {}, f"use the {cat} here"))
+    return m
+
+
 class TestGoalLocalize:
     def make_map(self):
         m = TopoMap()
@@ -437,19 +514,67 @@ class TestGoalLocalize:
         return m
 
     def test_found_in_first_ring(self):
+        # a goal inside a small r_max is found as it was in a first ring of that radius
         m = self.make_map()
-        nid, pose = goal_localize(["resting"], m, Pose2(0, 0, 0), r0=5.0)
+        nid, pose = goal_localize(["resting"], m, Pose2(0, 0, 0), r_max=5.0)
         assert nid == "n01"
         assert pose.x == pytest.approx(1.0)
 
     def test_ring_expansion(self):
+        # one query reaches as far as r_max, where rings once had to widen to
         m = self.make_map()
-        nid, _ = goal_localize(["storage"], m, Pose2(0, 0, 0), r0=5.0, r_step=5.0, r_max=50.0)
+        nid, _ = goal_localize(["storage"], m, Pose2(0, 0, 0), r_max=50.0)
         assert nid == "n12"
+        assert goal_localize(["storage"], m, Pose2(0, 0, 0), r_max=12.0)[0] == "n12"
+        with pytest.raises(GoalNotFoundError, match="within 11.9 m"):
+            goal_localize(["storage"], m, Pose2(0, 0, 0), r_max=11.9)
 
     def test_not_found(self):
         with pytest.raises(GoalNotFoundError):
-            goal_localize(["unicorn"], self.make_map(), Pose2(0, 0, 0), r0=5.0, r_max=20.0)
+            goal_localize(["unicorn"], self.make_map(), Pose2(0, 0, 0), r_max=20.0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [["Sofa."], ["resting,", "sofa"], ["living areas"], ["(sofa)", "for-resting"]],
+        ids=["punctuated", "comma", "two-words-in-one-term", "hyphenated"],
+    )
+    def test_terms_are_split_into_words_as_landmark_text_is(self, terms):
+        nid, _ = goal_localize(terms, self.make_map(), Pose2(0, 0, 0))
+        assert nid == "n01"
+
+    @pytest.mark.parametrize("terms", [[], [""], ["..."], [" ", "-", "?!"]],
+                             ids=["none", "empty", "dots", "blank-and-punctuation"])
+    def test_terms_without_a_word_are_refused(self, terms):
+        with pytest.raises(LocalizationError, match="holds no word"):
+            goal_localize(terms, self.make_map(), Pose2(0, 0, 0))
+
+    def test_nearest_in_the_plane_among_all_nodes_within_r_max(self):
+        # node a is nearer in the plane but 5 m up; a 4 m ring held only b
+        m = TopoMap()
+        m.add_node(MapNode("a", Pose6((1.0, 0.0, 5.0))))
+        m.add_node(MapNode("b", Pose6((3.0, 0.0, 0.0))))
+        for nid in ("a", "b"):
+            m.register_landmark(nid, Landmark("lm", "sofa", {}, None))
+        here = Pose2(0, 0, 0)
+        assert ref_goal_localize(["sofa"], m, here, r0=4.0, r_step=4.0, r_max=10.0)[0] == "b"
+        assert goal_localize(["sofa"], m, here, r_max=10.0)[0] == "a"
+        assert goal_localize(["sofa"], m, here, r_max=4.0)[0] == "b"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_ring_search_at_r_max(self, data):
+        layout = data.draw(st.sampled_from(["lattice", "uniform", "3d"]), label="layout")
+        m = drawn_goal_map(data, layout)
+        term = data.draw(st.sampled_from(GOAL_CATEGORIES + ["unicorn"]), label="term")
+        here = Pose2(*data.draw(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), label="pose"), 0.0)
+        r_max = data.draw(st.floats(0.5, 60.0), label="r_max")
+        got = goal_outcome(goal_localize, [term], m, here, r_max)
+        assert got == goal_outcome(ref_goal_localize, [term], m, here, r_max, r_max, r_max)
+        if layout != "3d":
+            # in the plane, the first ring holding a match holds the nearest one
+            r0 = data.draw(st.floats(r_max / 40, r_max), label="r0")
+            r_step = data.draw(st.floats(r_max / 40, r_max), label="r_step")
+            assert got == goal_outcome(ref_goal_localize, [term], m, here, r0, r_step, r_max)
 
     def test_matches_brute_force_nearest(self):
         rng = np.random.default_rng(12)
@@ -483,7 +608,7 @@ class TestGoalLocalize:
             }
             if not reachable:
                 with pytest.raises(GoalNotFoundError):
-                    goal_localize([term], m, cur, r0=10.0)
+                    goal_localize([term], m, cur)
                 continue
             want = min(
                 reachable,
@@ -495,7 +620,7 @@ class TestGoalLocalize:
                     nid,
                 ),
             )
-            got, _ = goal_localize([term], m, cur, r0=10.0)
+            got, _ = goal_localize([term], m, cur)
             assert got == want
 
 

@@ -630,6 +630,7 @@ def test_link_pairs_on_points_exactly_radius_apart():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pairs_connected_matches_graph_reference(data):
+    # the lattice check: a graph of n > 0 nodes is connected iff every label is 0
     n = data.draw(st.integers(0, 12), label="n")
     pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
     pairs = [(a, b) for a, b in data.draw(st.lists(pair, max_size=20), label="links") if a != b]
@@ -639,7 +640,8 @@ def test_pairs_connected_matches_graph_reference(data):
     topo.add_edges((f"n-{a:03d}", f"n-{b:03d}", sim._pose6(1.0, 0.0)) for a, b in pairs)
     i = np.array([a for a, _ in pairs], dtype=np.intp)
     j = np.array([b for _, b in pairs], dtype=np.intp)
-    assert sim._pairs_connected(n, i, j) == ref_node_graph_connected(topo)
+    connected = n > 0 and not sim.node_components(n, i, j).any()
+    assert connected == ref_node_graph_connected(topo)
 
 
 def test_edge_ends_are_the_node_keys(worlds48):
@@ -1763,6 +1765,16 @@ def test_outcome_summaries_match_per_report_reference(worlds48):
         sim.EpisodeReport(True, "reached"),
     ]
     assert [sim._spl(r) for r in cases] == [ref_spl(r.to_jsonable()) for r in cases] == [0.0, 0.5, 1.0, 1.0]
+
+
+def test_episode_report_json_keeps_its_field_order():
+    reports = [sim.EpisodeReport(False, "timeout"), sim.EpisodeReport(True, "reached", 1, 2, 3, 4.5, 0.5, 0.25, 4.0)]
+    assert [json.dumps(r.to_jsonable()) for r in reports] == [
+        '{"success": false, "reason": "timeout", "fallback_count": 0, "planner_calls": 0, "collision_count": 0, '
+        '"path_length": 0.0, "mean_velocity": 0.0, "final_error": null, "expert_length": 0.0}',
+        '{"success": true, "reason": "reached", "fallback_count": 1, "planner_calls": 2, "collision_count": 3, '
+        '"path_length": 4.5, "mean_velocity": 0.5, "final_error": 0.25, "expert_length": 4.0}',
+    ]
 
 
 # --- the node index against per-node references ---------------------------------------

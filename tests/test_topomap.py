@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astra_nav.errors import MapError
-from astra_nav.topomap import Landmark, MapNode, Pose6, TopoMap
+from astra_nav.topomap import Landmark, MapNode, Pose6, TopoMap, node_components
 
 
 def node(nid, x=0.0, y=0.0, z=0.0):
@@ -232,6 +234,68 @@ def test_edge_lengths_equal_the_norm_of_each_offset():
     m.add_edges((f"n{i:02d}", f"n{i + 1:02d}", Pose6(off)) for i, off in enumerate(offsets))
     for i, off in enumerate(offsets):
         assert m.edges[(f"n{i:02d}", f"n{i + 1:02d}")].length == float(np.linalg.norm(off))
+
+
+def ref_components(n, links):
+    """The lowest node index of each node's component, by a stack search."""
+    adj = [set() for _ in range(n)]
+    for a, b in links:
+        adj[a].add(b)
+        adj[b].add(a)
+    lowest = [-1] * n
+    for root in range(n):
+        if lowest[root] < 0:
+            lowest[root] = root
+            stack = [root]
+            while stack:
+                for nxt in adj[stack.pop()]:
+                    if lowest[nxt] < 0:
+                        lowest[nxt] = root
+                        stack.append(nxt)
+    return lowest
+
+
+class TestNodeComponents:
+    def test_lowest_index_per_component(self):
+        # components {0, 3, 5}, {1, 4}, {2}, {6, 7}, linked high index first
+        i = np.array([5, 4, 7, 3, 2], dtype=np.intp)
+        j = np.array([3, 1, 6, 0, 2], dtype=np.intp)
+        assert node_components(8, i, j).tolist() == [0, 1, 2, 0, 1, 0, 6, 6]
+
+    def test_chain_linked_from_the_far_end(self):
+        n = 50
+        i = np.arange(n - 1, 0, -1)
+        assert node_components(n, i, i - 1).tolist() == [0] * n
+
+    def test_empty_graph(self):
+        empty = np.zeros(0, dtype=np.intp)
+        assert node_components(0, empty, empty).tolist() == []
+        assert node_components(3, empty, empty).tolist() == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_a_stack_search(self, data):
+        n = data.draw(st.integers(0, 15), label="n")
+        pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        links = data.draw(st.lists(pair, max_size=25 if n else 0), label="links")  # self-loops included
+        i = np.array([a for a, _ in links], dtype=np.intp)
+        j = np.array([b for _, b in links], dtype=np.intp)
+        assert node_components(n, i, j).tolist() == ref_components(n, links)
+
+
+def test_connected_answers_across_components_after_add_edges():
+    m = TopoMap()
+    for nid in "abcdef":
+        m.add_node(node(nid))
+    m.add_edges([("a", "b", Pose6((1, 0, 0))), ("c", "d", Pose6((1, 0, 0))), ("e", "f", Pose6((1, 0, 0)))])
+    pairs = list(itertools.combinations("abcdef", 2))
+    together = {("a", "b"), ("c", "d"), ("e", "f")}
+    assert [m.connected(a, b) for a, b in pairs] == [(a, b) in together for a, b in pairs]
+    m.add_edges([("d", "a", Pose6((1, 0, 0)))])
+    together |= {(a, b) for a, b in itertools.combinations("abcd", 2)}
+    assert [m.connected(a, b) for a, b in pairs] == [(a, b) in together for a, b in pairs]
+    m.add_edges([("f", "b", Pose6((1, 0, 0)))])
+    assert all(m.connected(a, b) for a, b in pairs)
 
 
 class TestShortestPath:
