@@ -8,20 +8,25 @@ flattens it to 2-D. Grid files follow the same split: OCC2 for occupancy,
 ESDF for a field. Distance transforms treat any nonzero value as occupied,
 so a 0/1 integer grid gives the same field as the boolean one.
 
-The exact transform runs in two whole-array passes. The column pass is
-phase 1 of Meijster, Roerdink & Hesselink's linear-time EDT (2000): the
-row of the nearest target at or above each cell is a running maximum of
-the target rows taken down each column (-inf before the first), the one at
-or below a running minimum taken up it (inf after the last), and sq is the
-smaller gap, squared. A column without a target keeps inf, which loses
-every minimum, so no placeholder distance is needed. A row pass then
-sweeps column offsets k = 1, 2, ..., lowering each entry (r, c) with
-sq[r, c - k] + k^2 and sq[r, c + k] + k^2, and stops once k^2 reaches the
+The exact transform runs in two whole-array passes on integers: int32, or
+int64 when 2 * (h + w)^2 reaches 2^31. The column pass is phase 1 of
+Meijster, Roerdink & Hesselink's linear-time EDT (2000): each target's row
+is lifted by h + w (0 elsewhere), and a running maximum down each column,
+taken by doubling shifts of whole rows, gives the row of the nearest target
+at or above each cell; the same on the row-reversed mask gives the one at
+or below. The smaller gap, clamped at h + w, squared, is sq. The clamp is
+the sentinel of a column without a target: (h + w)^2 exceeds every real
+squared distance, so it loses every minimum. A row pass then sweeps column
+offsets k = 1, 2, ..., lowering each entry (r, c) with sq[r, c - k] + k^2
+and sq[r, c + k] + k^2, and stops once k reaches the width or k^2 the
 largest entry: a column k or more away adds at least k^2, so it cannot
-lower any entry. Every finite value is an integer below 2^53, so the float
-arithmetic is exact up to the root. The sweep needs O(h * w) memory and
-one pass per offset up to the largest distance in cells (at most the
-width), so grids where every cell lies near a target finish in a few passes.
+lower any entry. It runs on the transpose, so that each shift is a block of
+whole rows. Every entry stays below 2 * (h + w)^2, so the integers never
+overflow, and every squared distance is exact up to the one conversion to
+float before the root. The cost is O(h * w) memory, O(h * w * log h) for
+the column pass and O(h * w) per offset up to the largest distance in
+cells (at most the width), so grids where every cell lies near a target
+finish in a few passes.
 
 Grid geometry convention (frozen, tested): a 2D grid stores values[row, col]
 with the center of cell (row r, col c) at world point
@@ -109,30 +114,56 @@ def edt(map2d: Grid, target: str = "occupied") -> np.ndarray:
     """Exact Euclidean distance (meters) from every cell to the nearest
     target-class cell, by the two passes of the module docstring.
     If the grid has no cell of the target class, every entry is the
-    diagonal resolution * hypot(width, height)."""
+    diagonal resolution * hypot(width, height). A 3-D grid raises
+    ValueError: `compress_grid` flattens it first."""
     if target not in ("occupied", "free"):
         raise ValueError("target must be 'occupied' or 'free'")
+    if map2d.values.ndim != 2:
+        raise ValueError(
+            f"distance transforms take a 2-D grid, got shape {map2d.values.shape}; "
+            "flatten 3-D occupancy with compress_grid first"
+        )
     occupied = map2d.values != 0
     mask = occupied if target == "occupied" else ~occupied
     h, w = mask.shape
     if not mask.any():
         return np.full((h, w), math.sqrt(w * w + h * h) * map2d.resolution)
-    rows = np.arange(h, dtype=float)[:, None]
-    above = np.maximum.accumulate(np.where(mask, rows, -np.inf), axis=0)
-    below = np.minimum.accumulate(np.where(mask, rows, np.inf)[::-1], axis=0)[::-1]
-    sq = np.minimum(rows - above, below - rows)
-    # squared, rooted and scaled in place: each new 512 KiB array of a
-    # 256x256 grid maps fresh pages, so every array not made saves its faults
-    sq *= sq
+    sentinel = h + w
+    dtype = np.int32 if 2 * sentinel * sentinel < 2**31 else np.int64
+    lifted = np.arange(sentinel, sentinel + h, dtype=dtype)[:, None]
+    gap = _gap_from_above(mask, lifted)
+    np.minimum(gap, _gap_from_above(mask[::-1], lifted)[::-1], out=gap)
+    np.minimum(gap, sentinel, out=gap)
+    gap *= gap
+    sq = gap.T.copy()
     out = sq.copy()
+    buf = np.empty_like(sq)
     k = 1
     while k < w and k * k < out.max():
-        np.minimum(out[:, k:], sq[:, :-k] + k * k, out=out[:, k:])
-        np.minimum(out[:, :-k], sq[:, k:] + k * k, out=out[:, :-k])
+        shifted = buf[: w - k]
+        np.add(sq[:-k], k * k, out=shifted)
+        np.minimum(out[k:], shifted, out=out[k:])
+        np.add(sq[k:], k * k, out=shifted)
+        np.minimum(out[:-k], shifted, out=out[:-k])
         k += 1
-    np.sqrt(out, out=out)
-    out *= map2d.resolution
-    return out
+    field = np.ascontiguousarray(out.T, dtype=float)
+    np.sqrt(field, out=field)
+    field *= map2d.resolution
+    return field
+
+
+def _gap_from_above(mask: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+    """Rows from each cell up to the nearest True at or above it in its
+    column, or h + w or more where there is none. `lifted` is the column of
+    row indices plus h + w, so the running maximum of mask * lifted down
+    each column is the nearest such row lifted, and 0 before the first."""
+    a = mask * lifted
+    s = 1
+    while s < len(a):
+        np.maximum(a[s:], a[:-s], out=a[s:])
+        s *= 2
+    np.subtract(lifted, a, out=a)
+    return a
 
 
 def signed_esdf(map2d: Grid) -> Grid:

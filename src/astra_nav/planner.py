@@ -508,9 +508,15 @@ def _euler(model: VectorFieldModel, inp: np.ndarray, steps: int) -> np.ndarray:
     Each row is integrated in place, x <- x - (v * dt), which is x - dt * v
     to the bit. A non-finite output makes an entry of x non-finite, and the
     update keeps it so, so one check of x after the last step finds it.
+    A one-row input runs as two copies of the row, and row 0 is returned.
     """
     if steps < 1:
         raise PlannerError("steps must be >= 1")
+    if len(inp) == 1:
+        # a one-row product takes BLAS's matrix-vector path, whose last bits
+        # can differ from the same row of a batched product; as two rows it
+        # takes the batched path, so a plan's floats do not depend on its batch
+        return _euler(model, np.repeat(inp, 2, axis=0), steps)[:1]
     n3 = 3 * model.n_actions
     x = inp[:, :n3]
     dt = 1.0 / steps
@@ -540,9 +546,9 @@ def sample(model: VectorFieldModel, conditions, steps: int, rngs, starts=None):
     `poses_from_actions` on its actions from `starts[i]` (an [x, y, theta]
     row; the origin when `starts` is None), the recurrence the loss
     integrates with, their headings unwrapped; `PoseTrajectory` wraps a row.
-    A row of a batched product may differ in its last bits from the one-row
-    product, so a plan's floats can depend on the other plans it is drawn
-    with."""
+    One plan alone runs as two copies of its row (`_euler`), so it takes the
+    batched product's path and equals its row of any batch, bit for bit: a
+    plan's floats do not depend on the other plans it is drawn with."""
     n3 = 3 * model.n_actions
     inp = np.empty((len(conditions), n3 + 1 + model.cond_dim))
     for row, cond in zip(inp, conditions):

@@ -53,8 +53,8 @@ moves every episode the expert drives this cycle along its path and
 re-plans all the paths that need it with one `oracle_plans` call; an
 execute phase runs each episode's steps. The expert
 draws nothing, and an episode draws x0 first and then its cycle's
-noise, from its own rng, as it would alone, so only the last bits of a
-plan's floats depend on the episodes beside it; `run_episode` is the same
+noise, from its own rng, as it would alone, and no bit of a plan's
+floats depends on the episodes beside it; `run_episode` is the same
 loop on one episode. Only the learned planner (`_LearnedPlanner`) reads the
 node path, so an episode the expert drives only checks that the start and
 goal nodes are connected. Its cycle picks a lookahead subgoal on the node
@@ -1359,10 +1359,9 @@ def eval_suite(
     batched Euler loop, each x0 drawn from its episode's own rng; an expert
     phase re-plans every expert path that needs it with one `oracle_plans`
     call; and an execute phase runs each episode's steps (`_execute`). Each
-    episode draws what it would draw alone, x0 first and then the cycle's noise;
-    only the last bits of a plan's floats can differ from the episode run
-    alone, as a row of a batched product may, and no discrete outcome of
-    the bench's or the tests' episodes differs.
+    episode draws what it would draw alone, x0 first and then the cycle's noise,
+    and a plan's floats do not depend on its batch (`planner.sample`), so each
+    episode's report equals that of the episode run alone.
     Raises SimError on no worlds or fewer than one episode."""
     if n_episodes < 1:
         raise SimError("need at least one episode")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astra_nav import esdf, sim
@@ -141,6 +141,53 @@ class TestEdt:
                 mask = rng.random((h, w)) < density
                 mask[rng.integers(h), rng.integers(w)] = True
                 self.assert_both_targets_match(mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=1, w=40, density=0.1, seed=0)
+    @example(h=40, w=1, density=0.1, seed=0)
+    @example(h=40, w=40, density=0.0, seed=0)
+    @example(h=40, w=40, density=1.0, seed=0)
+    def test_matches_brute_force_on_any_grid(self, h, w, density, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        m = bin2d(mask, 0.1)
+        assert_same_bytes(edt(m, "occupied"), brute_force_edt(mask, mask, 0.1))
+        assert_same_bytes(edt(m, "free"), brute_force_edt(mask, ~mask, 0.1))
+
+    def test_long_strip_takes_the_wide_integers(self):
+        # (h + w)^2, the squared sentinel, passes 2^31, so an int32 transform
+        # would wrap; the targets are 97 cells apart, so the sweep stops
+        # after 49 offsets
+        h, w, res = 1, 46400, 0.05
+        assert (h + w) ** 2 >= 2**31
+        mask = np.zeros((h, w), dtype=bool)
+        targets = np.arange(40, w, 97)
+        mask[0, targets] = True
+        cols = np.arange(w)
+        after = np.searchsorted(targets, cols).clip(1, len(targets) - 1)
+        nearest = np.minimum(np.abs(cols - targets[after - 1]), np.abs(cols - targets[after]))
+        assert_same_bytes(edt(bin2d(mask, res), "occupied"), (nearest * res)[None, :])
+        assert_same_bytes(edt(bin2d(mask, res), "free"), np.where(mask, res, 0.0))
+
+    def test_one_obstacle_runs_the_sweep_to_its_end(self):
+        # the far corner is 255 columns away: the sweep stops at k = w, not
+        # at k^2 >= the largest entry (255^2 + 255^2)
+        mask = np.zeros((256, 256), dtype=bool)
+        mask[0, 0] = True
+        m = bin2d(mask, 0.05)
+        assert_same_bytes(edt(m, "occupied"), brute_force_edt(mask, mask, 0.05))
+        assert_same_bytes(edt(m, "free"), np.where(mask, 0.05, 0.0))
+
+    @pytest.mark.parametrize("transform", [edt, lambda m: edt(m, "free"), signed_esdf])
+    def test_3d_occupancy_is_refused(self, transform):
+        grid = Grid(np.zeros((2, 3, 4), dtype=bool), 1.0)
+        with pytest.raises(ValueError, match=r"\(2, 3, 4\).*compress_grid"):
+            transform(grid)
 
     def test_pinned_digest(self):
         # the fields of an earlier, loop-based column pass, pinned so that

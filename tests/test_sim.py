@@ -1906,7 +1906,7 @@ def test_noisy_suite_with_a_fix_every_step_is_pinned(worlds0to7):
 SUITE_DIGESTS = {
     "oracle": "e868a09239b5892fd2fdfa6dd3d8864107209d28e8cab05b1f1e5cab8f2a5a85",
     "model": "d52d37ed896eb2ee92cf751ddbfe9f160e0152ec94e0212d89881cdfbba1a5a4",
-    "model-no-fallback": "b5ed81f1d52818b040a2efd7e7d2bb2e256b6af25f8c6d6f1a38f0510f7bb2c6",
+    "model-no-fallback": "2adf123faa3189c85c19566e05b2ca6a51fc782425a3687dbf30042278afa41d",
 }
 
 
@@ -1917,6 +1917,19 @@ def test_eval_suite_reports_are_pinned(worlds48, eval_model, name):
     suite = sim.eval_suite(worlds48, 6, config, eval_model if kind == "model" else None, 0)
     digest = hashlib.sha256(json.dumps(suite, sort_keys=True).encode()).hexdigest()
     assert digest == SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+@pytest.mark.parametrize("fallback", [True, False])
+def test_suite_episodes_equal_their_runs_alone(worlds48, eval_model, fallback, master_seed):
+    # a plan's floats do not depend on the plans sampled beside it, so each
+    # episode of a suite reports what it reports when run alone
+    config = sim.NavConfig(planner="model", fallback=fallback)
+    suite = sim.eval_suite(worlds48, 12, config, eval_model, master_seed)
+    episodes = sim._suite_episodes(worlds48, 12, master_seed)
+    for i, (report, (world, goal, seed, start)) in enumerate(zip(suite["reports"], episodes)):
+        alone = sim.run_episode(world, goal, config, eval_model, seed, start).to_jsonable()
+        assert json.dumps(report) == json.dumps(alone), f"episode {i}"
 
 
 def test_learn_path_is_pinned(worlds48):
