@@ -156,11 +156,16 @@ def _gap_from_above(mask: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     """Rows from each cell up to the nearest True at or above it in its
     column, or h + w or more where there is none. `lifted` is the column of
     row indices plus h + w, so the running maximum of mask * lifted down
-    each column is the nearest such row lifted, and 0 before the first."""
+    each column is the nearest such row lifted, and 0 before the first.
+    Each shift writes into a second buffer, swapped in after it: written
+    over its own input, numpy would first copy the input."""
     a = mask * lifted
+    b = np.empty_like(a)
     s = 1
     while s < len(a):
-        np.maximum(a[s:], a[:-s], out=a[s:])
+        b[:s] = a[:s]
+        np.maximum(a[s:], a[:-s], out=b[s:])
+        a, b = b, a
         s *= 2
     np.subtract(lifted, a, out=a)
     return a
@@ -474,7 +479,9 @@ def sample_bilinear(phi: Grid, points):
     Points beyond the grid, infinite ones too, read the border; a NaN
     coordinate raises `SamplePointError`, since it has no cell. More than
     `_BLOCK` points are sampled in equal blocks of at most `_BLOCK`; each
-    value depends on its point alone, so the blocks give the same values."""
+    value depends on its point alone, so the blocks give the same values.
+    Any (P, 2) layout is read in place, a transposed view of x and y rows
+    included, with the same values as a contiguous copy."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     # min propagates NaN, so one reduction finds one
     if math.isnan(pts.min(initial=math.inf)):

@@ -274,7 +274,9 @@ def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
     `a` is one point or one per segment, `b` is (M, 2). A segment of length L
     is sampled at n = max(2, int(L / (res / 2)) + 1) evenly spaced points,
     both ends included, the points `np.linspace(0, 1, n)` gives; all segments
-    share one `sample_bilinear` call.
+    share one `sample_bilinear` call. The points are an x row and a y row,
+    a + t d from one repeat of each per-segment row, so no per-point index
+    array is made; the lookup reads the rows' transpose in place.
     """
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if len(b) == 0:
@@ -282,14 +284,17 @@ def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
     a = np.broadcast_to(np.asarray(a, dtype=float), b.shape)
     d = b - a
     n = np.maximum(2, (np.hypot(d[:, 0], d[:, 1]) / (dist.resolution / 2.0)).astype(np.intp) + 1)
-    seg = np.repeat(np.arange(len(b)), n)
     ends = np.cumsum(n)
-    k = np.arange(ends[-1]) - np.repeat(ends - n, n)
-    ts = k * (1.0 / (n - 1))[seg]
+    first = ends - n
+    ts = np.arange(ends[-1], dtype=float)
+    ts -= np.repeat(first, n)
+    ts *= np.repeat(1.0 / (n - 1), n)
     ts[ends - 1] = 1.0
-    pts = a[seg] + ts[:, None] * d[seg]
-    too_close = sample_bilinear(dist, pts) < clearance
-    return np.bincount(seg[too_close], minlength=len(b)) == 0
+    pts = np.repeat(d.T, n, axis=1)
+    pts *= ts
+    pts += np.repeat(a.T, n, axis=1)
+    too_close = sample_bilinear(dist, pts.T) < clearance
+    return ~np.logical_or.reduceat(too_close, first)
 
 
 def _link_pairs(xy: np.ndarray, radius: float, block: int = 64) -> tuple[np.ndarray, np.ndarray]:

@@ -812,6 +812,20 @@ class TestKernelMatchesPerAxisForm:
         assert sample_bilinear(phi, pts).tobytes() == per_axis_sample(phi, pts).tobytes()
         assert sum(sizes) == len(pts) and len(sizes) == 3 and max(sizes) <= esdf._BLOCK
 
+    def test_sampler_reads_transposed_rows_in_blocks(self):
+        # the (P, 2) view of x and y rows, as `sim._segments_clear` passes it,
+        # split into blocks: the same bytes as a C-contiguous copy
+        rng = np.random.default_rng(7)
+        phi = Grid(rng.normal(size=(40, 31)), 0.3, (-1.0, 2.5))
+        rows = np.concatenate([self.points(phi, rng)] * 100)[: 2 * esdf._BLOCK + 5].T.copy()
+        view = rows.T
+        assert view.flags.f_contiguous and not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        assert sample_bilinear(phi, view).tobytes() == sample_bilinear(phi, copy).tobytes()
+        rows[1, esdf._BLOCK + 3] = math.nan
+        with pytest.raises(esdf.SamplePointError):
+            sample_bilinear(phi, rows.T)
+
     def test_cell_weights(self):
         rng = np.random.default_rng(4)
         for phi in self.grids():
