@@ -14,7 +14,12 @@ candidate node passes the filter at an oracle score of 0.5 or more; each
 passing node adds its 3 nearest map nodes under position distance plus
 0.5 m per radian of heading difference; the softmax runs at temperature 1.
 A node's nearest map nodes depend on the map's node poses alone, so they
-are ranked once per node and kept with the map's node index.
+are ranked once per node and kept with the map's node index. In the same
+way an observation's matches depend on the registry alone, and on the
+observation only through its canonical category and its attribute items
+with values stripped and lower-cased: each such key is scored against the
+registry once and its matches kept in the map's match memo, which the map
+drops with its sightings when the registry changes.
 
 Goal search (`goal_localize`) is one query: the goal is the node, among
 those of every landmark whose category and functional description hold
@@ -155,18 +160,32 @@ def attribute_similarity(a: dict[str, str], b: dict[str, str]) -> float:
 
 
 def match_landmarks(query: list[LandmarkObservation], topo: TopoMap) -> list[LandmarkMatch]:
-    """Score every (observation, registry landmark) pair; keep scores >= _MATCH_THRESHOLD."""
+    """Score every (observation, registry landmark) pair; keep scores >= _MATCH_THRESHOLD,
+    in landmark id order per observation. Each distinct observation key is
+    scored once per registry and read from the map's match memo after (see
+    the module docstring)."""
+    memo = topo.sightings().matches
     matches = []
     for idx, obs in enumerate(query):
         obs_cat = canonical_category(obs.category)
-        for lid in sorted(topo.landmarks):
-            lm = topo.landmarks[lid]
-            cat_sim = 1.0 if canonical_category(lm.category) == obs_cat else 0.0
-            attr_sim = attribute_similarity(obs.visual_attributes, lm.visual_attributes)
-            score = _CATEGORY_WEIGHT * cat_sim + _ATTRIBUTE_WEIGHT * attr_sim
-            if score >= _MATCH_THRESHOLD:
-                matches.append(LandmarkMatch(idx, lid, score))
+        key = (obs_cat, frozenset((k, v.strip().lower()) for k, v in obs.visual_attributes.items()))
+        pairs = memo.get(key)
+        if pairs is None:
+            pairs = memo[key] = tuple(_scored_matches(obs_cat, obs.visual_attributes, topo))
+        matches += [LandmarkMatch(idx, lid, score) for lid, score in pairs]
     return matches
+
+
+def _scored_matches(obs_cat: str, attributes: dict[str, str], topo: TopoMap):
+    """The (landmark id, score) pairs of one observation at or above
+    _MATCH_THRESHOLD, in landmark id order."""
+    for lid in sorted(topo.landmarks):
+        lm = topo.landmarks[lid]
+        cat_sim = 1.0 if canonical_category(lm.category) == obs_cat else 0.0
+        attr_sim = attribute_similarity(attributes, lm.visual_attributes)
+        score = _CATEGORY_WEIGHT * cat_sim + _ATTRIBUTE_WEIGHT * attr_sim
+        if score >= _MATCH_THRESHOLD:
+            yield lid, score
 
 
 def candidate_nodes(topo: TopoMap, matches: list[LandmarkMatch]) -> set[str]:

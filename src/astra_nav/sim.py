@@ -836,24 +836,20 @@ def observations_at(world: World, pose: Pose2):
     """Noiseless landmark observations from the nearest landmark-bearing node
     within 6 m, the first in id order on a tie.
 
-    The nodes are walked nearest first until one bears a landmark; landmark
-    sightings are read now, as they may have changed since the node index
-    was built."""
-    index = world.map.node_index()
-    d = index.planar_distances(pose.x, pose.y)
-    for k in np.argsort(d, kind="stable").tolist():
-        if d[k] > 6.0:
-            return []
-        node = world.map.nodes[index.ids[k]]
-        if node.landmark_ids:
-            break
-    else:
+    The landmark-bearing nodes are read from the map's sighting table, which
+    `register_landmark` and `merge_covisible` drop, so a sighting changed
+    through them is seen on the next call; each distance is `math.hypot` of
+    the node's planar offset."""
+    table = world.map.sightings()
+    x, y = pose.x, pose.y
+    d = list(map(math.hypot, [a - x for a in table.x], [b - y for b in table.y]))
+    nearest = min(d, default=math.inf)
+    if nearest > 6.0:
         return []
+    landmarks = world.map.landmarks
+    node = world.map.nodes[table.ids[d.index(nearest)]]
     return [
-        LandmarkObservation(
-            world.map.landmarks[lid].category,
-            dict(world.map.landmarks[lid].visual_attributes),
-        )
+        LandmarkObservation(landmarks[lid].category, dict(landmarks[lid].visual_attributes))
         for lid in sorted(node.landmark_ids)
     ]
 

@@ -9,22 +9,28 @@ relative translation. A map file gives each edge's length, and
 cost over it would mean anything; `validate` flags such a length, and a
 non-finite node pose, on a map built in code.
 
-Queries over all nodes (`spatial_query`, localization's reference nodes, the
-simulator's nearest node and observations) read one node index: the sorted
-node ids with their positions (N, 3) and quaternions (N, 4) as arrays, and
-the reference nodes localization has ranked for each node it was asked
-about, since a ranking depends on node poses alone. It is built on first
-use and dropped by `add_node`, the one way nodes enter a map
-(`from_jsonable` goes through it too); node poses are not reassigned after.
-Landmark sightings are not part of it, since `register_landmark` and
-`merge_covisible` change them.
+A map keeps three caches, each built on first use and dropped by the
+methods that change what it is built from:
 
-Graph queries (`shortest_path`, `connected`) read the adjacency lists and
-the connected-component label of each node, built together on first use and
-dropped by `add_node` and `add_edges`; `from_jsonable` fills in the edges
-before any query. The labels come from `node_components`, the one
-component labelling of a node graph, which the simulator's lattice check
-calls on index pairs too.
+- The node index, read by queries over all nodes (`spatial_query`,
+  localization's reference nodes, the simulator's nearest node): the sorted
+  node ids with their positions (N, 3) and quaternions (N, 4) as arrays, and
+  the reference nodes localization has ranked for each node it was asked
+  about, since a ranking depends on node poses alone. `add_node`, the one
+  way nodes enter a map (`from_jsonable` goes through it too), drops it;
+  node poses are not reassigned after.
+- The sightings, built from the landmark registry: the landmark-bearing
+  nodes in id order with their planar positions, which the simulator's
+  observations read, and the match memo, which localization fills with the
+  registry landmarks each distinct observation matches. `add_node`,
+  `register_landmark` and `merge_covisible` drop them, since they change
+  which nodes bear landmarks and what the landmarks are.
+- The graph, read by `shortest_path` and `connected`: the adjacency lists
+  and the connected-component label of each node, dropped by `add_node` and
+  `add_edges`; `from_jsonable` fills in the edges and landmarks before any
+  query. The labels come from `node_components`, the one component
+  labelling of a node graph, which the simulator's lattice check calls on
+  index pairs too.
 """
 
 from __future__ import annotations
@@ -128,15 +134,31 @@ class _NodeIndex:
     def distances(self, centers: np.ndarray) -> np.ndarray:
         """3-D distance from a center (3,) or from each of centers (C, 3) to
         every node: (N,) or (C, N). Each is the norm `np.linalg.norm` gives
-        the node's offset, sqrt of the same dot product, so bit for bit."""
+        the node's offset, sqrt of the same dot product, so bit for bit; an
+        offset whose square overflows is +inf away, without a warning."""
         d = self.positions - np.asarray(centers, dtype=float)[..., None, :]
-        return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+        with np.errstate(over="ignore"):
+            return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
     def planar_distances(self, x: float, y: float) -> np.ndarray:
         """`math.hypot` of every node's (x, y) offset from (x, y), (N,)."""
         dx = (self.positions[:, 0] - x).tolist()
         dy = (self.positions[:, 1] - y).tolist()
         return np.array(list(map(math.hypot, dx, dy)))
+
+
+@dataclass(frozen=True)
+class _Sightings:
+    """The landmark-bearing nodes of a map in id order, `ids`, with the x and
+    y of each, and `matches`, the match memo: localization maps an
+    observation's key (canonical category, normalized attribute items) to the
+    (landmark id, score) pairs it matches, and the memo goes with the
+    registry it was computed from."""
+
+    ids: tuple[str, ...]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    matches: dict[tuple, tuple[tuple[str, float], ...]] = field(default_factory=dict, compare=False)
 
 
 def node_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -168,6 +190,7 @@ class TopoMap:
         self.landmarks: dict[str, Landmark] = {}
         self._index: _NodeIndex | None = None
         self._graph: tuple[dict[str, list[tuple[str, float]]], dict[str, int]] | None = None
+        self._sightings: _Sightings | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -175,7 +198,7 @@ class TopoMap:
         if node.id in self.nodes:
             raise MapError(f"duplicate node id: {node.id!r}")
         self.nodes[node.id] = node
-        self._index = self._graph = None
+        self._index = self._graph = self._sightings = None
         return self
 
     def add_edges(self, edges) -> "TopoMap":
@@ -223,6 +246,7 @@ class TopoMap:
             entry = existing
         entry.node_ids.add(node_id)
         self.nodes[node_id].landmark_ids.add(landmark.id)
+        self._sightings = None
         return self
 
     def merge_covisible(self, lid_a: str, lid_b: str) -> list[str]:
@@ -244,6 +268,7 @@ class TopoMap:
                 f"category conflict merging {drop_id!r} into {keep_id!r}: "
                 f"{keep.category!r} vs {drop.category!r}"
             )
+        self._sightings = None
         warnings = []
         for key, value in drop.visual_attributes.items():
             if key in keep.visual_attributes and keep.visual_attributes[key] != value:
@@ -277,6 +302,15 @@ class TopoMap:
                 np.array([p.quaternion for p in poses], dtype=float).reshape(len(ids), 4),
             )
         return self._index
+
+    def sightings(self) -> _Sightings:
+        """The sightings (see the module docstring), built on first use."""
+        if self._sightings is None:
+            index = self.node_index()
+            rows = [k for k, nid in enumerate(index.ids) if self.nodes[nid].landmark_ids]
+            x, y = index.positions[rows, :2].T.tolist()
+            self._sightings = _Sightings(tuple(index.ids[k] for k in rows), tuple(x), tuple(y))
+        return self._sightings
 
     def nodes_for_landmark(self, lid: str) -> set[str]:
         if lid not in self.landmarks:

@@ -3,8 +3,12 @@ import inspect
 import json
 import logging
 import math
+import os
+import pathlib
 import shutil
 import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -627,6 +631,19 @@ def test_huge_r_max_without_a_match_answers_at_once(files, capsys):
         code, out, err = run(capsys, "goal", "--map", files["map"], "--terms", "zebra", "--r-max", "1e300")
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "GoalNotFoundError"
+
+
+def test_goal_pose_whose_distances_overflow_writes_one_json_error(files):
+    # the squared offsets overflow to inf; numpy's overflow warning once went to
+    # stderr ahead of the JSON error, so the whole of stderr is parsed, in a
+    # process of its own, where warnings reach the real stderr
+    argv = ["goal", "--map", str(files["map"]), "--terms", "sofa", "--pose", "1e308", "1e308", "0"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "astra_nav.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert json.loads(done.stderr)["error"] == "GoalNotFoundError"
 
 
 @pytest.mark.parametrize("terms", [["Sofa."], ["resting,", "sofa"], ["living areas"]],

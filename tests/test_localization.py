@@ -89,6 +89,112 @@ class TestMatching:
         assert attribute_similarity({"color": "gray"}, {"color": "gray", "material": "wood"}) == 0.5
 
 
+def ref_match_landmarks(query, topo):
+    """Every (observation, registry landmark) pair scored afresh, in id order."""
+    matches = []
+    for idx, obs in enumerate(query):
+        obs_cat = canonical_category(obs.category)
+        for lid in sorted(topo.landmarks):
+            lm = topo.landmarks[lid]
+            cat_sim = 1.0 if canonical_category(lm.category) == obs_cat else 0.0
+            attr_sim = attribute_similarity(obs.visual_attributes, lm.visual_attributes)
+            score = 0.6 * cat_sim + 0.4 * attr_sim
+            if score >= 0.6:
+                matches.append(localization.LandmarkMatch(idx, lid, score))
+    return matches
+
+
+def registry_map():
+    """Landmarks whose categories and attribute values are written as a
+    detector might: synonyms, case and stray whitespace."""
+    m = TopoMap()
+    for i in range(4):
+        m.add_node(node(f"n{i}", float(i)))
+    for k, (category, attributes) in enumerate([
+        ("sofa", {"color": "gray", "material": "fabric"}),
+        ("Couch", {"color": " Gray"}),
+        ("settee ", {}),
+        ("door", {"color": "red", "material": "wood"}),
+        ("door", {"material": "WOOD ", "size": "large"}),
+        ("shelf", {"color": "gray"}),
+        ("tv", {"size": "large"}),
+        ("Doorway", {}),
+    ]):
+        m.register_landmark(f"n{k % 4}", Landmark(f"lm{k}", category, attributes))
+    return m
+
+
+CATEGORIES = ["sofa", "Couch ", " SOFA", "settee", "door", "Doorway", "bookcase ", "shelf",
+              "television", "tv stand", "plant"]
+VALUES = ["gray", " Gray", "GRAY ", "red", "Red", "wood", " WOOD ", "fabric", "large"]
+observations = st.builds(
+    LandmarkObservation,
+    st.sampled_from(CATEGORIES),
+    st.dictionaries(st.sampled_from(["color", "material", "size", "shape"]), st.sampled_from(VALUES),
+                    max_size=4),
+)
+
+
+class TestMatchMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(query=st.lists(observations, min_size=1, max_size=4))
+    def test_matches_follow_the_unmemoized_loop(self, query):
+        m = registry_map()
+        want = ref_match_landmarks(query, m)
+        assert match_landmarks(query, m) == want  # the first call fills the memo
+        assert match_landmarks(query, m) == want  # the second reads it
+
+    def test_observations_with_one_key_share_a_memo_entry(self):
+        m = registry_map()
+        variants = [LandmarkObservation("sofa", {"color": "gray"}),
+                    LandmarkObservation("Couch ", {"color": " GRAY"}),
+                    LandmarkObservation(" settee", {"color": "gray "})]
+        assert match_landmarks(variants, m) == ref_match_landmarks(variants, m)
+        assert len(m.sightings().matches) == 1
+
+    def test_a_repeated_observation_scores_no_landmark_again(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return attribute_similarity(a, b)
+
+        monkeypatch.setattr(localization, "attribute_similarity", counting)
+        m = registry_map()
+        obs = [LandmarkObservation("door", {"material": "wood"})]
+        first = match_landmarks(obs, m)
+        assert len(calls) == len(m.landmarks)
+        calls.clear()
+        again = [LandmarkObservation("Doorway", {"material": " Wood"})]
+        assert match_landmarks(obs, m) == first
+        assert match_landmarks(again, m) == first
+        assert calls == []
+        # a new landmark drops the memo: the next call scores the registry afresh
+        m.register_landmark("n0", Landmark("lm9", "door", {"material": "wood"}))
+        assert match_landmarks(obs, m) == ref_match_landmarks(obs, m)
+        assert len(calls) == len(m.landmarks)
+
+    def test_registry_changes_reach_the_next_match(self):
+        m = registry_map()
+        obs = [LandmarkObservation("plant", {"color": "green"}),
+               LandmarkObservation("door", {"color": "red", "size": "large"})]
+        before = match_landmarks(obs, m)
+        assert before == ref_match_landmarks(obs, m)
+        m.register_landmark("n3", Landmark("lm8", "Plant ", {"color": "GREEN"}))
+        after = match_landmarks(obs, m)
+        assert after == ref_match_landmarks(obs, m)
+        assert [x.landmark_id for x in after if x.observation_index == 0] == ["lm8"]
+        # lm3 keeps its color and gains lm4's size, and lm4 is gone
+        assert m.merge_covisible("lm3", "lm4") == ["attribute 'material': kept 'wood', dropped "
+                                                   "'WOOD ' from 'lm4'"]
+        merged = match_landmarks(obs, m)
+        assert merged == ref_match_landmarks(obs, m)
+        door = {x.landmark_id: x.score for x in after if x.observation_index == 1}
+        merged_door = {x.landmark_id: x.score for x in merged if x.observation_index == 1}
+        assert set(door) == {"lm3", "lm4", "lm7"} and set(merged_door) == {"lm3", "lm7"}
+        assert merged_door["lm3"] > door["lm3"]
+
+
 class TestCandidates:
     def test_empty(self):
         assert candidate_nodes(line_map(), []) == set()

@@ -1804,17 +1804,23 @@ def ref_nearest_node(topo, pose):
     ))
 
 
-def ref_observations(world, pose):
-    best = None
-    for nid in sorted(world.map.nodes):
-        node = world.map.nodes[nid]
-        d = math.hypot(node.pose.position[0] - pose.x, node.pose.position[1] - pose.y)
-        if node.landmark_ids and d <= 6.0 and (best is None or d < best[0]):
-            best = (d, nid)
-    if best is None:
-        return []
-    return [(world.map.landmarks[lid].category, world.map.landmarks[lid].visual_attributes)
-            for lid in sorted(world.map.nodes[best[1]].landmark_ids)]
+def ref_observations_at(world, pose):
+    """The nodes walked nearest first in the plane, id order on a tie, until one
+    bears a landmark or lies beyond 6 m; the sightings read from the map."""
+    index = world.map.node_index()
+    d = np.array([math.hypot(x - pose.x, y - pose.y) for x, y in index.positions[:, :2].tolist()])
+    for k in np.argsort(d, kind="stable").tolist():
+        if d[k] > 6.0:
+            return []
+        node = world.map.nodes[index.ids[k]]
+        if node.landmark_ids:
+            return [(world.map.landmarks[lid].category, world.map.landmarks[lid].visual_attributes)
+                    for lid in sorted(node.landmark_ids)]
+    return []
+
+
+def observed(world, pose):
+    return [(o.category, o.visual_attributes) for o in sim.observations_at(world, pose)]
 
 
 def ref_spatial_query(topo, center, r):
@@ -1840,8 +1846,7 @@ def test_node_index_queries_match_per_node_references(worlds0to7):
             dx, dy = rng.uniform(-1.5, 1.5, 2)
             for pose in (Pose2(x, y, 0.0), Pose2(x + 0.5, y + 0.5, 0.0), Pose2(x + dx, y + dy, 0.0)):
                 assert sim._nearest_node(topo, pose) == ref_nearest_node(topo, pose)
-                got = [(o.category, o.visual_attributes) for o in sim.observations_at(world, pose)]
-                assert got == ref_observations(world, pose)
+                assert observed(world, pose) == ref_observations_at(world, pose)
             for r in (0.0, 1.0, 1.5, 2.0, 2.5):
                 assert topo.spatial_query((x, y, z), r) == ref_spatial_query(topo, (x, y, z), r)
         for _ in range(5):
@@ -1849,7 +1854,60 @@ def test_node_index_queries_match_per_node_references(worlds0to7):
             assert localization.sample_reference_nodes(topo, cands) == ref_reference_nodes(topo, cands)
         # a pose beyond 6 m of every landmark node observes nothing
         far = Pose2(-100.0, -100.0, 0.0)
-        assert sim.observations_at(world, far) == ref_observations(world, far) == []
+        assert sim.observations_at(world, far) == ref_observations_at(world, far) == []
+
+
+@pytest.fixture(scope="module")
+def worlds24and48(worlds48):
+    return [sim.generate_world(s, 24) for s in (0, 1, 2)] + worlds48
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_observations_match_the_nearest_first_walk(worlds24and48, data):
+    world = data.draw(st.sampled_from(worlds24and48))
+    extent = world.grid.values.shape[-1] * world.grid.resolution
+    table = world.map.sightings()
+    # anywhere in the world and a little beyond, or midway between two
+    # landmark-bearing nodes, where their distances may tie
+    if data.draw(st.booleans()):
+        x, y = (data.draw(st.floats(-8.0, extent + 8.0)) for _ in range(2))
+    else:
+        i, j = (data.draw(st.integers(0, len(table.ids) - 1)) for _ in range(2))
+        x, y = (table.x[i] + table.x[j]) / 2, (table.y[i] + table.y[j]) / 2
+    pose = Pose2(x, y, 0.0)
+    assert observed(world, pose) == ref_observations_at(world, pose)
+
+
+def tie_world(ids):
+    """Landmark-bearing nodes ids[0] at (1, 0) and ids[1] at (-1, 0), both 1 m
+    from the origin, and a bare node nearer still."""
+    topo = sim.TopoMap()
+    for nid, (x, y) in zip(ids, ((1.0, 0.0), (-1.0, 0.0))):
+        topo.add_node(sim.MapNode(nid, sim._pose6(x, y)))
+        topo.register_landmark(nid, Landmark(f"lm-{nid}", nid, {"color": "red"}))
+    topo.add_node(sim.MapNode("bare", sim._pose6(0.0, 0.5)))
+    return sim.World(Grid(np.zeros((2, 2), dtype=bool), 0.25), topo, [])
+
+
+@pytest.mark.parametrize("ids", [("a", "b"), ("b", "a")])
+def test_observations_at_a_tie_come_from_the_lower_id(ids):
+    world = tie_world(ids)
+    assert observed(world, Pose2()) == ref_observations_at(world, Pose2()) == [("a", {"color": "red"})]
+
+
+@pytest.mark.parametrize("pose", [Pose2(7.5, 0.0, 0.0), Pose2(0.0, -6.5, 0.0), Pose2(1e308, 1e308, 0.0)],
+                         ids=["x", "y", "huge"])
+def test_observations_beyond_6_m_are_empty(pose):
+    world = tie_world(("a", "b"))
+    assert sim.observations_at(world, pose) == ref_observations_at(world, pose) == []
+    assert sim.observations_at(sim.World(world.grid, sim.TopoMap(), []), pose) == []
+
+
+def test_observations_at_exactly_6_m_are_seen():
+    world = tie_world(("a", "b"))
+    pose = Pose2(7.0, 0.0, 0.0)
+    assert observed(world, pose) == ref_observations_at(world, pose) == [("a", {"color": "red"})]
 
 
 def test_observations_read_landmarks_added_after_the_index():
@@ -1857,11 +1915,16 @@ def test_observations_read_landmarks_added_after_the_index():
     bare = next(nid for nid in sorted(world.map.nodes) if not world.map.nodes[nid].landmark_ids)
     x, y, _ = world.map.nodes[bare].pose.position
     pose = Pose2(x, y, 0.0)
-    before = sim.observations_at(world, pose)  # builds the index
+    before = sim.observations_at(world, pose)  # builds the index and the sighting table
     world.map.register_landmark(bare, Landmark("lm-new", "plant", {"color": "red"}))
     after = sim.observations_at(world, pose)
     assert after != before
-    assert [(o.category, o.visual_attributes) for o in after] == ref_observations(world, pose)
+    assert observed(world, pose) == ref_observations_at(world, pose) == [("plant", {"color": "red"})]
+    # a merge renames the sighting and unions the attributes
+    world.map.register_landmark(bare, Landmark("lm-000-twin", "plant", {"material": "wood"}))
+    world.map.merge_covisible("lm-new", "lm-000-twin")
+    assert observed(world, pose) == ref_observations_at(world, pose)
+    assert observed(world, pose) == [("plant", {"color": "red", "material": "wood"})]
 
 
 def test_planar_ties_round_as_math_hypot():

@@ -222,6 +222,39 @@ class TestNodeIndex:
         assert loaded.spatial_query((9.0, 9.0, 0.0), 0.0) == {"d"}
 
 
+class TestSightings:
+    def test_landmark_nodes_in_id_order(self):
+        m = simple_map()
+        m.register_landmark("c", Landmark("l1", "sofa")).register_landmark("a", Landmark("l2", "door"))
+        table = m.sightings()
+        assert (table.ids, table.x, table.y) == (("a", "c"), (0.0, 1.0), (0.0, 1.0))
+        assert table.matches == {}
+        m.add_edges([("a", "c", Pose6((1, 1, 0)))])
+        assert m.sightings() is table  # edges leave the sightings alone
+
+    @pytest.mark.parametrize("change", ["add_node", "register_landmark", "merge_covisible"])
+    def test_dropped_by_each_registry_change(self, change):
+        m = simple_map()
+        m.register_landmark("a", Landmark("l1", "sofa")).register_landmark("b", Landmark("l2", "sofa"))
+        table = m.sightings()
+        if change == "add_node":
+            m.add_node(MapNode("d", Pose6((2.0, 0.0, 0.0)), landmark_ids={"l1"}))
+        elif change == "register_landmark":
+            m.register_landmark("c", Landmark("l1", "sofa"))
+        else:
+            m.merge_covisible("l1", "l2")
+        assert m.sightings() is not table
+        assert m.sightings().ids == tuple(sorted(nid for nid, n in m.nodes.items() if n.landmark_ids))
+
+    def test_a_refused_merge_keeps_them(self):
+        m = simple_map()
+        m.register_landmark("a", Landmark("l1", "sofa")).register_landmark("b", Landmark("l2", "door"))
+        table = m.sightings()
+        with pytest.raises(MapError):
+            m.merge_covisible("l1", "l2")
+        assert m.sightings() is table
+
+
 def test_edge_lengths_equal_the_norm_of_each_offset():
     # one call computes each distinct offset's length once; equal offsets, and
     # offsets that differ only in the sign of a zero, get the norm of their own bits
