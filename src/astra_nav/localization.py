@@ -249,6 +249,21 @@ def _check_fine_mode(mode: str) -> None:
         raise ValueError(f"unknown fine localization mode: {mode!r}")
 
 
+def _first_max(scores: list) -> tuple[int, float]:
+    """The index of the first maximum of a non-empty score list and the
+    maximum as a float, as `np.argmax` and `np.max` give them on the list's
+    array, in one pass over plain Python numbers: ints and bools compare
+    exactly unless a score is a float, when every score is compared as a
+    float, and a NaN is the maximum, the first NaN its index."""
+    if not all(isinstance(s, (int, np.integer)) for s in scores):
+        scores = [float(s) for s in scores]
+    best, top = 0, scores[0]
+    for i, s in enumerate(scores):
+        if s > top or (s != s and top == top):
+            best, top = i, s
+    return best, float(top)
+
+
 def fine_localize(
     query_ctx: QueryContext,
     reference_node_ids: list[str],
@@ -266,11 +281,12 @@ def fine_localize(
     if not reference_node_ids:
         raise LocalizationError("fine localization needs at least one reference node")
     ids = sorted(reference_node_ids)
-    scores = np.array([oracle(query_ctx, topo.nodes[nid]) for nid in ids])
-    confidence = float(np.max(scores))
+    scores = [oracle(query_ctx, topo.nodes[nid]) for nid in ids]
     if mode == "nearest":
-        best = int(np.argmax(scores))  # argmax takes the first (smallest id) on ties
+        best, confidence = _first_max(scores)  # the first (smallest id) on ties
         return topo.nodes[ids[best]].pose.planar(), confidence
+    scores = np.array(scores)
+    confidence = float(np.max(scores))
     poses = [topo.nodes[nid].pose.planar() for nid in ids]
     w = np.exp(scores)
     w /= w.sum()

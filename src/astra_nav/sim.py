@@ -65,15 +65,17 @@ expert follows its path (`_ExpertPath`): a progress index that only moves
 forward, and a re-plan only when the estimate strays from the path by more
 than the planner's safety margin or the path runs out short of the goal;
 an episode whose re-plan finds no path ends stuck before it executes. A
-cycle executes a few steps under noisy kinematics, all of their noise drawn
-at once, and dead-reckons between periodic global fixes, its poses and
-increments plain floats. The clearance of the executed poses only counts
-collisions, so it is looked up once, at the end of the episode. A step that
-turns more than 0.5 rad is executed as several: the first translates and
-turns a share, the rest rotate in place, and each counts as a step for the
-budget, the fixes and the noise. The loop's fixed settings are module
-constants (`_FOOTPRINT_RADIUS`, which the world generator's lattice reads
-too, and `_GOAL_TOLERANCE` to `_EULER_STEPS`), which the expert dataset and
+cycle executes a few steps under noisy kinematics, all of their noise one
+standard-normal draw scaled per step (the values `rng.normal` would give
+for the same scales, bit for bit), and dead-reckons between periodic
+global fixes, its poses and increments plain floats. The clearance of the
+executed poses only counts collisions, so it is looked up once, at the
+end of the episode. A step that turns more than 0.5 rad is executed as
+several: the first translates and turns a share, the rest rotate in place,
+and each counts as a step for the budget, the fixes and the noise. The
+loop's fixed settings are module constants (`_FOOTPRINT_RADIUS`, which the
+world generator's lattice reads too, and `_GOAL_TOLERANCE` to
+`_EULER_STEPS`), which the expert dataset and
 the open-loop evaluation read too. Both take their conditions from
 `expert_windows`, which plans its start/goal pairs in `oracle_plans`
 batches, one world at a time, from the draws that planning one pair at a
@@ -431,6 +433,29 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
 _FOOTPRINT_RADIUS = 0.3
 
 
+def _scatter_blocks(size: int, obstacle_density: float, rng) -> np.ndarray:
+    """A walled size x size occupancy grid with random rectangular blocks
+    added until they cover `obstacle_density` of the interior, or 200
+    blocks; each block draws its width, height, row and column from `rng`,
+    and the cells it newly covers are added to a running count."""
+    occ2 = np.zeros((size, size), dtype=bool)
+    occ2[0], occ2[-1], occ2[:, 0], occ2[:, -1] = True, True, True, True
+    target = obstacle_density * ((size - 2) * (size - 2))
+    guard = covered = 0  # covered: the occupied interior cells
+    while covered < target and guard < 200:
+        guard += 1
+        bw = int(rng.integers(2, max(3, size // 6)))
+        bh = int(rng.integers(2, max(3, size // 6)))
+        r = int(rng.integers(1, size - 1 - bh)) if size - 1 - bh > 1 else 1
+        c = int(rng.integers(1, size - 1 - bw)) if size - 1 - bw > 1 else 1
+        block = occ2[r : r + bh, c : c + bw]
+        # the wall is set, so a newly covered cell is an interior one even
+        # where a block reaches the wall (sizes 3 and 4)
+        covered += block.size - int(np.count_nonzero(block))
+        block[...] = True
+    return occ2
+
+
 def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
                    landmark_count: int = 10, resolution: float = 0.25) -> World:
     """Deterministic random world: bordered room with rectangular obstacles,
@@ -451,18 +476,7 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
         raise SimError(f"resolution must be positive and finite, got {resolution!r}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        occ2 = np.zeros((size, size), dtype=bool)
-        occ2[0], occ2[-1], occ2[:, 0], occ2[:, -1] = True, True, True, True
-        interior = (size - 2) * (size - 2)
-        target = obstacle_density * interior
-        guard = 0
-        while (occ2[1:-1, 1:-1].sum()) < target and guard < 200:
-            guard += 1
-            bw = int(rng.integers(2, max(3, size // 6)))
-            bh = int(rng.integers(2, max(3, size // 6)))
-            r = int(rng.integers(1, size - 1 - bh)) if size - 1 - bh > 1 else 1
-            c = int(rng.integers(1, size - 1 - bw)) if size - 1 - bw > 1 else 1
-            occ2[r : r + bh, c : c + bw] = True
+        occ2 = _scatter_blocks(size, obstacle_density, rng)
         if not _connected(~occ2):
             continue
         grid2 = Grid(occ2, resolution)
@@ -1019,8 +1033,10 @@ def _lock_step(states: list[EpisodeState]) -> None:
     share one model, and each draws only from its own rng, so an episode's
     draws do not depend on the episodes it runs beside. The random draws of
     an episode's cycle come in this order: the learned planner's x0, one
-    `standard_normal` draw of 3n values, when it plans; then one
-    `rng.normal` call of (steps, 7) values. The expert draws nothing. An
+    `standard_normal` draw of 3n values, when it plans; then the noise, one
+    `standard_normal` draw of 7 values per executed step, which
+    `_cycle_noise` scales to the values one `rng.normal` call of (steps, 7)
+    would give, bit for bit. The expert draws nothing. An
     episode that ends before its execute phase draws nothing more in it."""
     for state in states:
         if not state.done and (state.executed >= state.budget
@@ -1089,16 +1105,39 @@ def _expert_phase(states: list[EpisodeState]) -> None:
             state.expert.follow(path, state.est_pose)
 
 
+def _cycle_noise(rng: np.random.Generator, steps: list, config: NavConfig) -> list[tuple]:
+    """The noise of a cycle's executed `steps`: one row per step, in the
+    order of the steps, of the executed x, y and heading noise, the wheel
+    x, y and heading noise and the IMU noise.
+
+    All of it is one `rng.standard_normal` draw of 7 values per step, and
+    each value z is scaled as `0.0 + s * z`. A translation column's sigma s
+    is the planned step length times its sigma, plus 0.0, and a rotation
+    column's is the length times 0.0, plus its sigma: the scale array that
+    `rng.normal(0.0, scale)` would take. That call computes `loc + scale *
+    z` per value in C order from the same stream, so the rows are its
+    values bit for bit; with `loc` 0.0 a fused multiply-add rounds the same,
+    whatever the build."""
+    z = rng.standard_normal(7 * len(steps)).tolist()
+    et, wt = config.exec_trans_sigma, config.wheel_trans_sigma
+    er, wr, imu = config.exec_rot_sigma, config.wheel_rot_sigma, config.imu_sigma
+    noise = []
+    for k, (dx, dy, _) in enumerate(steps):
+        length = math.hypot(dx, dy)
+        e, w, r = length * et + 0.0, length * wt + 0.0, length * 0.0
+        z0, z1, z2, z3, z4, z5, z6 = z[7 * k : 7 * k + 7]
+        noise.append((0.0 + e * z0, 0.0 + e * z1, 0.0 + (r + er) * z2, 0.0 + w * z3,
+                      0.0 + w * z4, 0.0 + (r + wr) * z5, 0.0 + (r + imu) * z6))
+    return noise
+
+
 def _execute(state: EpisodeState, rows: list) -> None:
     """The execute phase of one episode's cycle: the planned `rows` (the
     learned plan's, or the expert's), split into executed steps
-    (`_split_action`), their noise drawn at once and the steps run one by
-    one; the episode ends stuck when progress stalls.
-
-    The noise is one `rng.normal` call of (steps, 7) values, row by row in
-    the order of the steps, each row the executed x, y and heading noise,
-    the wheel x, y and heading noise and the IMU noise. Rows past a
-    goal-reached break go unused, and the episode ends there.
+    (`_split_action`), their noise drawn at once (`_cycle_noise`) and the
+    steps run one by one; the episode ends stuck when progress stalls.
+    Noise rows past a goal-reached break go unused, and the episode ends
+    there.
 
     Both poses are plain floats: each step composes the executed increment
     onto the true pose and the fused wheel + IMU increment onto the
@@ -1110,14 +1149,7 @@ def _execute(state: EpisodeState, rows: list) -> None:
     config, report = state.config, state.report
     est = state.est_pose
     steps = [s for row in rows for s in _split_action(row, _MAX_STEP)]
-    lengths = [math.hypot(dx, dy) for dx, dy, _ in steps]
-    # per step, the sigmas of exec x, y, theta, wheel x, y, theta and imu: the
-    # step length times the translation sigmas, plus the rotation sigmas
-    per_metre = np.array([config.exec_trans_sigma, config.exec_trans_sigma, 0.0,
-                          config.wheel_trans_sigma, config.wheel_trans_sigma, 0.0, 0.0])
-    fixed = np.array([0.0, 0.0, config.exec_rot_sigma, 0.0, 0.0, config.wheel_rot_sigma,
-                      config.imu_sigma])
-    noise = state.rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed).tolist()
+    noise = _cycle_noise(state.rng, steps, config)
     tx, ty, tth = state.true_pose.as_tuple()
     ex, ey, eth = est.as_tuple()
     gx, gy = state.goal.x, state.goal.y

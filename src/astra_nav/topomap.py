@@ -46,15 +46,16 @@ from .errors import MapError, check_landmark_text, is_finite_number, is_finite_t
 from .geom import Pose2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose6:
-    """Position (x, y, z) plus orientation quaternion (w, x, y, z)."""
+    """Position (x, y, z) plus orientation quaternion (w, x, y, z), each
+    converted once to a tuple of floats."""
 
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
     quaternion: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        position, quaternion = tuple(map(float, self.position)), tuple(map(float, self.quaternion))
+    def __init__(self, position=(0.0, 0.0, 0.0), quaternion=(1.0, 0.0, 0.0, 0.0)):
+        position, quaternion = tuple(map(float, position)), tuple(map(float, quaternion))
         if len(position) != 3 or len(quaternion) != 4:
             raise ValueError(f"a pose needs three position and four quaternion numbers, got "
                              f"{position!r} and {quaternion!r}")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astra_nav import localization, topomap
@@ -453,6 +453,46 @@ class TestFine:
         )
         assert pose == Pose2(0, 0, 0)
         assert built == [m.nodes["a"].pose]  # the chosen reference's pose alone
+
+    _score = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, 2.0**53]),
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from([0, 1, 2**53 + 1, -(2**63)]),
+        st.booleans(),
+        st.floats(-2.0, 2.0).map(np.float64),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(scores=st.one_of(
+        st.lists(_score, min_size=1, max_size=12),
+        st.lists(st.sampled_from([0.0, 1.0, math.nan]), min_size=1, max_size=12),
+        st.lists(st.booleans(), min_size=1, max_size=12),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    ))
+    @example(scores=[2**53, 2**53 + 1])  # ints that compare equal as floats
+    @example(scores=[2.0**53, 2**53 + 1])  # but as floats beside a float
+    @example(scores=[0.5, math.nan, 1.0, math.nan])
+    @example(scores=[True, 1, 1.0])
+    def test_nearest_mode_takes_numpy_max_and_argmax(self, scores):
+        # ties keep the first, a NaN is the maximum and the first NaN wins,
+        # ints compare exactly unless a float joins them
+        m = TopoMap()
+        for i in range(len(scores)):
+            m.add_node(node(f"n{i:02d}", i, 0))
+        pose, confidence = fine_localize(QueryContext(), list(m.nodes)[::-1],
+                                         lambda c, n: scores[int(n.id[1:])], m, mode="nearest")
+        array = np.array(scores)
+        want = float(np.max(array))
+        assert pose == m.nodes[f"n{int(np.argmax(array)):02d}"].pose.planar()
+        assert type(confidence) is float
+        if math.isnan(want):
+            assert math.isnan(confidence)
+        elif want == 0.0:
+            # numpy's reduction gives either sign on a 0.0 / -0.0 tie
+            assert confidence == 0.0
+        else:
+            assert np.float64(confidence).tobytes() == np.float64(want).tobytes()
 
     def test_unknown_mode_is_refused(self):
         with pytest.raises(ValueError, match="unknown fine localization mode: 'bogus'"):

@@ -605,6 +605,36 @@ def test_worlds_match_pinned_digests(seed, size, resolution):
     assert world_digest(world) == WORLD_DIGESTS[seed, size, resolution]
 
 
+def ref_scatter_blocks(size, obstacle_density, rng):
+    """The block loop that re-sums the whole interior after every block."""
+    occ2 = np.zeros((size, size), dtype=bool)
+    occ2[0], occ2[-1], occ2[:, 0], occ2[:, -1] = True, True, True, True
+    interior = (size - 2) * (size - 2)
+    target = obstacle_density * interior
+    guard = 0
+    while (occ2[1:-1, 1:-1].sum()) < target and guard < 200:
+        guard += 1
+        bw = int(rng.integers(2, max(3, size // 6)))
+        bh = int(rng.integers(2, max(3, size // 6)))
+        r = int(rng.integers(1, size - 1 - bh)) if size - 1 - bh > 1 else 1
+        c = int(rng.integers(1, size - 1 - bw)) if size - 1 - bw > 1 else 1
+        occ2[r : r + bh, c : c + bw] = True
+    return occ2
+
+
+@pytest.mark.parametrize("size", [*range(3, 13), 48])
+def test_scatter_blocks_counts_as_the_re_summing_loop(size):
+    # at sizes 3 and 4 blocks reach the wall, whose cells the count must skip;
+    # at size 3 the one interior cell is covered by the first block
+    for density in (0.0, 0.05, 0.15, 0.3, 0.4):
+        for seed in range(12):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sim._scatter_blocks(size, density, got_rng)
+            want = ref_scatter_blocks(size, density, want_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_link_pairs_match_pairwise_reference(data):
@@ -2278,25 +2308,40 @@ def test_stepped_loop_matches_reference_on_an_instruction_goal(worlds48):
 # --- lock-step episodes: one plan phase per control cycle for every episode ------------
 
 class RecordingRng(np.random.Generator):
-    """A seeded generator that records every standard_normal draw, the
-    planner's x0, under its seed."""
+    """A seeded generator that records every standard_normal draw under its
+    kind and its seed: "noise" while `sim._cycle_noise` draws (see
+    `recording_cycle_noise`), else "x0", the planner's."""
 
     def __init__(self, seed, draws):
         super().__init__(np.random.PCG64(seed))
-        self.key, self.draws = seed, draws
+        self.key, self.draws, self.kind = seed, draws, "x0"
 
     def standard_normal(self, *args, **kwargs):
         out = super().standard_normal(*args, **kwargs)
-        self.draws.setdefault(self.key, []).append(out.tobytes())
+        self.draws[self.kind].setdefault(self.key, []).append(out.tobytes())
         return out
+
+
+def recording_cycle_noise(cycle_noise):
+    """`cycle_noise` with its generator's draws recorded as noise."""
+
+    def wrapper(rng, steps, config):
+        rng.kind = "noise"
+        try:
+            return cycle_noise(rng, steps, config)
+        finally:
+            rng.kind = "x0"
+
+    return wrapper
 
 
 @pytest.mark.parametrize("kind", sorted(LOOP_PLANNERS))
 def test_lock_step_suite_matches_episodes_run_alone(worlds48, eval_model, monkeypatch, kind):
     config = sim.NavConfig(**LOOP_PLANNERS[kind])
     model = eval_model if config.planner == "model" else None
-    draws = {"lock-step": {}, "alone": {}}
+    draws = {how: {"x0": {}, "noise": {}} for how in ("lock-step", "alone")}
     runs = {}
+    monkeypatch.setattr(sim, "_cycle_noise", recording_cycle_noise(sim._cycle_noise))
     for how in draws:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed, _d=draws[how]: RecordingRng(seed, _d))
@@ -2305,15 +2350,18 @@ def test_lock_step_suite_matches_episodes_run_alone(worlds48, eval_model, monkey
         else:
             runs[how] = one_at_a_time(sim.run_episode, worlds48, 9, config, model, 0)
     got, want = runs["lock-step"], runs["alone"]
+    # every episode draws the same x0s and the same noise, in lock-step and alone
+    assert draws["lock-step"] == draws["alone"]
+    assert len(draws["alone"]["noise"]) == 9
     if model is None:
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-        assert draws == {"lock-step": {}, "alone": {}}
+        assert draws["alone"]["x0"] == {}
     else:
         assert_same_outcomes(got, want)
-        # every episode draws the same x0s, one per plan
-        assert draws["lock-step"] == draws["alone"]
-        assert sum(map(len, draws["alone"].values())) == sum(r["planner_calls"] for r in want["reports"])
-        assert len(draws["alone"]) == 9
+        # one x0 per plan
+        x0 = draws["alone"]["x0"]
+        assert sum(map(len, x0.values())) == sum(r["planner_calls"] for r in want["reports"])
+        assert len(x0) == 9
 
 
 def test_eval_suite_needs_a_world():
@@ -2356,17 +2404,6 @@ def test_each_episode_logs_what_it_logs_alone(worlds48, eval_model, caplog, kind
         assert [re.sub(r"^episode \d+", "episode 0", m) for m in mine] == messages
 
 
-class ScriptedRng:
-    """Hands out the given (steps, 7) noise rows, once, for a cycle's one normal draw."""
-
-    def __init__(self, noise):
-        self.noise = np.array(noise, dtype=float)
-
-    def normal(self, loc, scale):
-        assert loc == 0.0 and np.shape(scale) == self.noise.shape
-        return self.noise
-
-
 class ScriptedExpert:
     def __init__(self, rows):
         self.rows = rows
@@ -2380,13 +2417,24 @@ class ScriptedExpert:
 
 def scripted_cycle(world, true_pose, est_pose, rows, noise, **config):
     """One control cycle of one episode (`sim._lock_step`) driven by the given
-    actions and noise."""
+    actions and (steps, 7) noise rows, which stand in for the cycle's one
+    `sim._cycle_noise` draw."""
     state = sim.EpisodeState(
         world, Pose2(100.0, 100.0, 0.0), sim.NavConfig(planner="oracle", **config),
-        ScriptedRng(noise), true_pose, est_pose, ScriptedExpert(rows), None,
+        np.random.default_rng(0), true_pose, est_pose, ScriptedExpert(rows), None,
         budget=1000, report=sim.EpisodeReport(False, "timeout"), best_goal_dist=1e9,
     )
-    sim._lock_step([state])
+    calls = []
+
+    def scripted_noise(rng, steps, cfg):
+        assert rng is state.rng and cfg is state.config and len(steps) == len(noise)
+        calls.append(steps)
+        return [tuple(map(float, row)) for row in noise]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_cycle_noise", scripted_noise)
+        sim._lock_step([state])
+    assert len(calls) == 1
     return state
 
 
@@ -2485,6 +2533,109 @@ def test_global_fix_re_anchors_the_position_only(world, monkeypatch):
     _, odometry_only = ref_cycle(start, start, rows, noise)
     assert (state.est_pose.x, state.est_pose.y) == (fix.x, fix.y)
     assert state.est_pose.theta == odometry_only.theta != fix.theta
+
+
+# --- a cycle's noise: one standard-normal block, the values of one rng.normal call -------
+
+SIGMAS = ("exec_trans_sigma", "exec_rot_sigma", "wheel_trans_sigma", "wheel_rot_sigma", "imu_sigma")
+
+
+def normal_cycle_noise(rng, steps, config):
+    """A cycle's noise as one `rng.normal` call over a (steps, 7) scale array:
+    the step length times the translation sigmas, plus the rotation sigmas."""
+    lengths = [math.hypot(dx, dy) for dx, dy, _ in steps]
+    per_metre = np.array([config.exec_trans_sigma, config.exec_trans_sigma, 0.0,
+                          config.wheel_trans_sigma, config.wheel_trans_sigma, 0.0, 0.0])
+    fixed = np.array([0.0, 0.0, config.exec_rot_sigma, 0.0, 0.0, config.wheel_rot_sigma,
+                      config.imu_sigma])
+    return rng.normal(0.0, np.array(lengths)[:, None] * per_metre + fixed)
+
+
+class CallCountingRng:
+    """A seeded generator that lists the name of every method called on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.Generator(np.random.PCG64(seed)), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+_offset = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.25, 0.25))
+_sigmas = st.one_of(st.sampled_from([(0.0,) * 5, (1.0,) * 5]),
+                    st.tuples(*[st.floats(0.0, 1.0)] * 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(_offset, _offset, st.floats(-0.5, 0.5)), max_size=12),
+       sigmas=_sigmas)
+def test_cycle_noise_is_one_normal_call_bit_for_bit(seed, steps, sigmas):
+    config = sim.NavConfig(planner="oracle", **dict(zip(SIGMAS, sigmas)))
+    got_rng, want_rng = CallCountingRng(seed), np.random.default_rng(seed)
+    got = sim._cycle_noise(got_rng, steps, config)
+    want = normal_cycle_noise(want_rng, steps, config)
+    assert got_rng.calls == ["standard_normal"]
+    assert all(type(row) is tuple and len(row) == 7 for row in got)
+    assert np.array(got, dtype=float).reshape(-1, 7).tobytes() == want.tobytes()
+    # both read the same stretch of the stream
+    assert got_rng.rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_cycle_noise_of_rotations_in_place_and_zero_sigmas():
+    # a turn beyond pi splits into a share with translation and rotations in place
+    steps = [tuple(s) for s in ref_split_action(np.array([0.1, -0.05, 3.5]), 0.25).tolist()]
+    steps += [(0.0, 0.0, 0.2), (-0.0, -0.0, -0.2)]
+    assert any(dx == dy == 0.0 for dx, dy, _ in steps)
+    for sigmas in [(0.0,) * 5, (1.0,) * 5, (0.02, 0.01, 0.02, 0.01, 0.005)]:
+        config = sim.NavConfig(planner="oracle", **dict(zip(SIGMAS, sigmas)))
+        got = sim._cycle_noise(np.random.default_rng(7), steps, config)
+        want = normal_cycle_noise(np.random.default_rng(7), steps, config)
+        assert np.array(got).tobytes() == want.tobytes()
+        # a rotation in place draws translation noise of +0.0, never -0.0
+        for (dx, dy, _), row in zip(steps, got):
+            if dx == dy == 0.0:
+                assert [math.copysign(1.0, v) for v in row[:2] + row[3:5]] == [1.0] * 4
+        if sigmas[0] == 0.0:
+            assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for row in got for v in row)
+
+
+def test_cycle_noise_of_non_finite_steps():
+    # an infinite step's length times 0.0 is NaN, so its rotation sigmas are too
+    steps = [(math.inf, 0.0, 0.1), (0.1, math.nan, 0.0), (0.2, 0.1, 0.0)]
+    config = sim.NavConfig(planner="oracle")
+    got = sim._cycle_noise(np.random.default_rng(3), steps, config)
+    with np.errstate(invalid="ignore"):
+        want = normal_cycle_noise(np.random.default_rng(3), steps, config)
+    assert np.isnan(got[0][2]) and np.isnan(got[1][6])
+    assert np.array_equal(np.array(got), want, equal_nan=True)
+
+
+def test_each_cycle_makes_one_generator_call(worlds48, monkeypatch):
+    world = worlds48[0]
+    start, goal = Pose2(*world.start_xy[0], 0.4), Pose2(*world.start_xy[-1], 0.0)
+    rngs, cycles = [], []
+    cycle_noise = sim._cycle_noise
+
+    def counting_noise(rng, steps, config):
+        cycles.append(len(steps))
+        return cycle_noise(rng, steps, config)
+
+    def counting_rng(seed):
+        rngs.append(CallCountingRng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(sim, "_cycle_noise", counting_noise)
+    report = sim.run_episode(world, goal, sim.NavConfig(planner="oracle"), seed=5, start=start)
+    assert report.success and len(cycles) >= 10 and len(rngs) == 1
+    assert rngs[0].calls == ["standard_normal"] * len(cycles)
 
 
 # --- what the loop builds: per control cycle and per fix, never per step -----------------

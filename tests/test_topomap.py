@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -508,3 +509,53 @@ def test_pose6_planar_yaw():
     p = Pose6((1, 2, 3), q).planar()
     assert p.x == 1 and p.y == 2
     assert p.theta == pytest.approx(half)
+
+
+@dataclasses.dataclass(frozen=True)
+class PostInitPose6:
+    """Pose6 as a generated __init__ that sets both fields, then a
+    __post_init__ that converts them and sets them again."""
+
+    position: tuple = (0.0, 0.0, 0.0)
+    quaternion: tuple = (1.0, 0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        position, quaternion = tuple(map(float, self.position)), tuple(map(float, self.quaternion))
+        if len(position) != 3 or len(quaternion) != 4:
+            raise ValueError(f"a pose needs three position and four quaternion numbers, got "
+                             f"{position!r} and {quaternion!r}")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "quaternion", quaternion)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((), {}),
+    (((1, 2, 3),), {}),
+    (([1, 2.5, -0.0], [1, 0, 0, 0]), {}),
+    ((np.array([1, 2, 3]), (np.float32(0.5), np.int64(0), True, np.float64(-0.25))), {}),
+    ((), {"quaternion": [0, 0, 0, 1]}),
+    (((np.int8(4), 5, 6),), {"quaternion": np.array([1.0, 0.0, 0.0, 0.0])}),
+    ((range(3), range(1, 5)), {}),
+])
+def test_pose6_converts_as_the_post_init_form(args, kwargs):
+    got, want = Pose6(*args, **kwargs), PostInitPose6(*args, **kwargs)
+    assert (got.position, got.quaternion) == (want.position, want.quaternion)
+    assert all(type(v) is float for v in got.position + got.quaternion)
+    assert np.array(got.position + got.quaternion).tobytes() == \
+        np.array(want.position + want.quaternion).tobytes()
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want).replace("PostInitPose6", "Pose6", 1)
+    assert got == Pose6(*args, **kwargs) and got != want
+    assert dataclasses.replace(got) == got and [f.name for f in dataclasses.fields(got)] == [
+        "position", "quaternion"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.position = (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("position,quaternion", [((1, 2), (1, 0, 0, 0)), ((1, 2, 3, 4), (1, 0, 0, 0, 0))])
+def test_pose6_refuses_as_the_post_init_form(position, quaternion):
+    with pytest.raises(ValueError) as want:
+        PostInitPose6(position, quaternion)
+    with pytest.raises(ValueError) as got:
+        Pose6(position, quaternion)
+    assert str(got.value) == str(want.value)
