@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import AstraError, check_landmark_text, is_finite_number, read_json
 from .geom import Pose2
-from .topomap import MapNode, TopoMap
+from .topomap import MapNode, TopoMap, nearest_node
 
 log = logging.getLogger(__name__)
 
@@ -360,16 +360,10 @@ def goal_localize(
     if not goals:
         raise GoalNotFoundError(f"no landmark matching {instruction_terms!r} within {r_max} m")
     nodes = topo.nodes
-    best = min(
-        goals,
-        key=lambda nid: (
-            math.hypot(
-                nodes[nid].pose.position[0] - current_pose.x,
-                nodes[nid].pose.position[1] - current_pose.y,
-            ),
-            nid,
-        ),
-    )
+    ids = sorted(goals)
+    xs = [nodes[nid].pose.position[0] for nid in ids]
+    ys = [nodes[nid].pose.position[1] for nid in ids]
+    best, _ = nearest_node(ids, xs, ys, current_pose.x, current_pose.y)
     return best, nodes[best].pose.planar()
 
 

@@ -13,9 +13,11 @@ footprint radius. Clearance along straight segments is checked in batches:
 `_segments_clear` samples every candidate segment of a smoothing round that
 shares a world and a clearance, or every candidate link of the lattice map,
 in one bilinear lookup. The lattice map makes two lookups in all: one
-places every node, one checks every link. Its candidate links come
-from one box test over all nodes, swept a block of rows at a time
-(`_link_pairs`). Node count and connectivity are checked on the index pairs
+places every node, one checks every link. Generated worlds have 0.25 m
+cells and a 1 m node lattice on every 4th cell, so node coordinates are
+whole metres and the candidate links, the node pairs under 2 m apart, are
+the lattice's 8-neighbor pairs, read off a lattice-shaped array of node
+ranks. Node count and connectivity are checked on the index pairs
 of the clear links (`topomap.node_components`), so a rejected candidate
 builds no map object; an accepted one builds one node and pose per node and
 one edge per link, with one shared pose per distinct link offset.
@@ -145,7 +147,7 @@ from .planner import (  # noqa: F401
     plans_collide,
 )
 from .planner import sample as plan_sample
-from .topomap import Landmark, MapNode, Pose6, TopoMap, node_components
+from .topomap import Landmark, MapNode, Pose6, TopoMap, nearest_node, node_components
 
 log = logging.getLogger(__name__)
 
@@ -299,41 +301,10 @@ def _segments_clear(dist: Grid, a, b, clearance: float) -> np.ndarray:
     return ~np.logical_or.reduceat(too_close, first)
 
 
-def _link_pairs(xy: np.ndarray, radius: float, block: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, in row-major order, of the points of `xy`
-    (N, 2) closer than `radius`.
-
-    The box test |dx| < radius and |dy| < radius finds the candidates and
-    `math.hypot` on the same differences decides. The points are swept in
-    order of y, a block of rows at a time, against the later points whose y
-    can pass the box test, so no N x N array is built."""
-    order = np.argsort(xy[:, 1], kind="stable")
-    xs, ys = xy[order, 0], xy[order, 1]
-    found_p, found_q = [], []
-    for s in range(0, len(order), block):
-        e = min(s + block, len(order))
-        # ys - ys[e - 1] grows along the sweep, so the points past the block
-        # that pass |dy| < radius for some row are a prefix of them
-        stop = e + int(np.count_nonzero(ys[e:] - ys[e - 1] < radius))
-        box = np.abs(xs[s + 1 : stop] - xs[s:e, None]) < radius
-        box &= np.abs(ys[s + 1 : stop] - ys[s:e, None]) < radius
-        r, c = np.nonzero(box)
-        upper = c >= r  # column c is point s + 1 + c, row r is point s + r
-        found_p.append(order[s + r[upper]])
-        found_q.append(order[s + 1 + c[upper]])
-    p = np.concatenate(found_p or [np.zeros(0, np.intp)])
-    q = np.concatenate(found_q or [np.zeros(0, np.intp)])
-    i, j = np.minimum(p, q), np.maximum(p, q)
-    row_major = np.lexsort((j, i))
-    i, j = i[row_major], j[row_major]
-    d = xy[j] - xy[i]
-    near = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()))) < radius
-    return i[near], j[near]
-
-
 def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMap | None:
-    """Nodes on a 1 m lattice over free space; lattice-neighbor edges plus
-    proximity links under 2 m, all requiring a clear straight segment.
+    """Nodes on the 1 m lattice (every 4th cell) over free space; links
+    between 8-neighbor nodes, the node pairs under 2 m apart, each requiring
+    a clear straight segment.
 
     One `sample_bilinear` call places every node, one `_segments_clear`
     call checks every candidate link, and one `add_edges` call adds every
@@ -342,9 +313,8 @@ def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMa
     leave it disconnected, is rejected (None) before any map object is
     built."""
     res = grid2.resolution
-    step_cells = max(1, round(1.0 / res))
-    rows = np.arange(0, grid2.height, step_cells)
-    cols = np.arange(0, grid2.width, step_cells)
+    rows = np.arange(0, grid2.height, _LATTICE_STEP)
+    cols = np.arange(0, grid2.width, _LATTICE_STEP)
     r, c = np.repeat(rows, len(cols)), np.tile(cols, len(rows))
     lattice = np.stack([grid2.origin[0] + c * res, grid2.origin[1] + r * res], axis=1)
     keep = ~grid2.values[r, c] & (sample_bilinear(dist, lattice) >= node_clearance)
@@ -355,7 +325,19 @@ def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMa
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     sorted_ids = [ids[k] for k in by_id]
     sorted_xy = xy[by_id]
-    i, j = _link_pairs(sorted_xy, 2.0)
+    # each lattice point's rank in the sorted ids, or -1; every neighbor pair
+    # is at one of the forward offsets right, down-left, down and down-right
+    rank = np.full(len(lattice), -1)
+    rank[np.flatnonzero(keep)[by_id]] = np.arange(len(ids))
+    rank = rank.reshape(len(rows), len(cols))
+    forward = [(rank[:, :-1], rank[:, 1:]), (rank[:-1, 1:], rank[1:, :-1]),
+               (rank[:-1], rank[1:]), (rank[:-1, :-1], rank[1:, 1:])]
+    p = np.concatenate([a.ravel() for a, _ in forward])
+    q = np.concatenate([b.ravel() for _, b in forward])
+    both = (p >= 0) & (q >= 0)
+    i, j = np.minimum(p[both], q[both]), np.maximum(p[both], q[both])
+    row_major = np.lexsort((j, i))
+    i, j = i[row_major], j[row_major]
     clear = _segments_clear(dist, sorted_xy[i], sorted_xy[j], node_clearance)
     i, j = i[clear], j[clear]
     if len(ids) < 4 or node_components(len(ids), i, j).any():
@@ -431,6 +413,8 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
 # m: a pose closer than this to an obstacle collides; lattice nodes and links
 # keep this clearance too
 _FOOTPRINT_RADIUS = 0.3
+_RESOLUTION = 0.25  # m: the cell size of every generated world
+_LATTICE_STEP = 4  # cells: from the origin, so lattice nodes sit on whole metres
 
 
 def _scatter_blocks(size: int, obstacle_density: float, rng) -> np.ndarray:
@@ -457,14 +441,15 @@ def _scatter_blocks(size: int, obstacle_density: float, rng) -> np.ndarray:
 
 
 def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
-                   landmark_count: int = 10, resolution: float = 0.25) -> World:
-    """Deterministic random world: bordered room with rectangular obstacles,
-    connected free space, a connected node lattice, and wall-side landmarks.
+                   landmark_count: int = 10) -> World:
+    """Deterministic random world: bordered room of size x size 0.25 m
+    cells with rectangular obstacles, connected free space, a connected node
+    lattice (1 m, on every 4th cell), and wall-side landmarks.
 
     At most one landmark is placed per wall-side free cell, so a world has
     `landmark_count` landmarks or, when it has fewer such cells, one per
-    cell. The world keeps the 2-D occupancy and distance field its map was
-    built on."""
+    cell. The start points are the landmark-bearing nodes, in id order. The
+    world keeps the 2-D occupancy and distance field its map was built on."""
     if not 0.0 <= obstacle_density <= 0.4:
         raise SimError("obstacle density must lie in [0, 0.4]")
     if size < 3:
@@ -472,14 +457,12 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
     if landmark_count < 1:
         # start points are the landmark nodes, so no landmark means no world
         raise SimError(f"landmark count must be >= 1, got {landmark_count}")
-    if not (is_finite_number(resolution) and resolution > 0):
-        raise SimError(f"resolution must be positive and finite, got {resolution!r}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         occ2 = _scatter_blocks(size, obstacle_density, rng)
         if not _connected(~occ2):
             continue
-        grid2 = Grid(occ2, resolution)
+        grid2 = Grid(occ2, _RESOLUTION)
         dist = distance_field(grid2)
         topo = _build_lattice_map(grid2, dist, _FOOTPRINT_RADIUS)
         if topo is None:
@@ -488,12 +471,9 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
         topo.validate().require("generated map", SimError)
         # random per-column obstacle heights of 1-3 levels; the z-max is occ2
         heights = rng.integers(1, 4, size=occ2.shape)
-        grid3 = Grid(occ2 & (heights > np.arange(3)[:, None, None]), resolution)
-        start_xy = [
-            (n.pose.position[0], n.pose.position[1])
-            for n in sorted(topo.nodes.values(), key=lambda n: n.id)
-            if n.landmark_ids
-        ]
+        grid3 = Grid(occ2 & (heights > np.arange(3)[:, None, None]), _RESOLUTION)
+        sightings = topo.sightings()
+        start_xy = list(zip(sightings.x, sightings.y))
         if len(start_xy) < 2:
             continue
         world = World(grid3, topo, start_xy, seed)
@@ -522,12 +502,15 @@ _MOVES = [
 ]
 
 
-def _in_cells(grid: Grid, x: float, y: float) -> bool:
-    """Whether (x, y) lies in the grid's cell area: no farther than half a
-    cell from the centers of its edge cells. False for a non-finite point."""
-    half, (ox, oy) = grid.resolution / 2.0, grid.origin
-    return (ox - half <= x <= ox - half + grid.width * grid.resolution
-            and oy - half <= y <= oy - half + grid.height * grid.resolution)
+def _cell_of(grid2: Grid, x: float, y: float) -> tuple[int, int] | None:
+    """The cell that (x, y) lies in, or None when the point lies outside the
+    grid's cell area, farther than half a cell from the centers of its edge
+    cells, or is not finite."""
+    half, (ox, oy) = grid2.resolution / 2.0, grid2.origin
+    if not (ox - half <= x <= ox - half + grid2.width * grid2.resolution
+            and oy - half <= y <= oy - half + grid2.height * grid2.resolution):
+        return None
+    return _to_cell(grid2, x, y)
 
 
 def _to_cell(grid2: Grid, x: float, y: float) -> tuple[int, int]:
@@ -855,13 +838,11 @@ def observations_at(world: World, pose: Pose2):
     through them is seen on the next call; each distance is `math.hypot` of
     the node's planar offset."""
     table = world.map.sightings()
-    x, y = pose.x, pose.y
-    d = list(map(math.hypot, [a - x for a in table.x], [b - y for b in table.y]))
-    nearest = min(d, default=math.inf)
-    if nearest > 6.0:
+    nid, d = nearest_node(table.ids, table.x, table.y, pose.x, pose.y)
+    if d > 6.0:
         return []
     landmarks = world.map.landmarks
-    node = world.map.nodes[table.ids[d.index(nearest)]]
+    node = world.map.nodes[nid]
     return [
         LandmarkObservation(landmarks[lid].category, dict(landmarks[lid].visual_attributes))
         for lid in sorted(node.landmark_ids)
@@ -881,7 +862,7 @@ def _global_fix(world: World, true_pose: Pose2, radius: float) -> Pose2 | None:
 def _nearest_node(topo: TopoMap, pose: Pose2) -> str:
     """The node nearest to the pose in the plane, the first in id order on a tie."""
     index = topo.node_index()
-    return index.ids[int(np.argmin(index.planar_distances(pose.x, pose.y)))]
+    return nearest_node(index.ids, *index.positions[:, :2].T.tolist(), pose.x, pose.y)[0]
 
 
 _MAX_TURN = 0.5  # rad per executed step
@@ -1210,10 +1191,11 @@ def _end_episode(state: EpisodeState) -> EpisodeState:
 
 def _require_free(world: World, pose: Pose2, what: str) -> None:
     """Raise SimError unless the pose lies in a free cell of the world's grid."""
-    if not _in_cells(world.grid, pose.x, pose.y):
-        raise SimError(f"{what} pose {list(pose.as_tuple())} lies outside the world's grid")
     grid2 = world.grid2d()
-    if grid2.values[_to_cell(grid2, pose.x, pose.y)]:
+    cell = _cell_of(grid2, pose.x, pose.y)
+    if cell is None:
+        raise SimError(f"{what} pose {list(pose.as_tuple())} lies outside the world's grid")
+    if grid2.values[cell]:
         raise SimError(f"{what} pose {list(pose.as_tuple())} lies in an occupied cell")
 
 
@@ -1656,8 +1638,10 @@ def load_world(world_dir) -> World:
     if not isinstance(start_xy, list) or not start_xy:
         raise SimError(f"{meta_path}: start_xy must be a non-empty list of [x, y] points, got {start_xy!r}")
     for p in start_xy:
-        if not (isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p)) and _in_cells(grid, *p)):
+        finite = isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))
+        cell = _cell_of(grid, *p) if finite else None
+        if cell is None:
             raise SimError(f"{meta_path}: start point {p!r} is not two finite numbers [x, y] inside the grid")
-        if grid.values[_to_cell(grid, *p)]:
+        if grid.values[cell]:
             raise SimError(f"{meta_path}: start point {p!r} lies in an occupied cell")
     return World(grid, topo, [(float(x), float(y)) for x, y in start_xy], seed, source_dir=str(world_dir))

@@ -141,12 +141,6 @@ class _NodeIndex:
         with np.errstate(over="ignore"):
             return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
-    def planar_distances(self, x: float, y: float) -> np.ndarray:
-        """`math.hypot` of every node's (x, y) offset from (x, y), (N,)."""
-        dx = (self.positions[:, 0] - x).tolist()
-        dy = (self.positions[:, 1] - y).tolist()
-        return np.array(list(map(math.hypot, dx, dy)))
-
 
 @dataclass(frozen=True)
 class _Sightings:
@@ -160,6 +154,17 @@ class _Sightings:
     x: tuple[float, ...]
     y: tuple[float, ...]
     matches: dict[tuple, tuple[tuple[str, float], ...]] = field(default_factory=dict, compare=False)
+
+
+def nearest_node(ids, xs, ys, x: float, y: float) -> tuple[str | None, float]:
+    """Of the nodes ids[k] at (xs[k], ys[k]), given in id order, the one
+    nearest (x, y) in the plane by `math.hypot`, the first (lowest id) on a
+    tie, and its distance; (None, inf) when there is no node."""
+    d = list(map(math.hypot, [a - x for a in xs], [b - y for b in ys]))
+    if not d:
+        return None, math.inf
+    k = d.index(min(d))
+    return ids[k], d[k]
 
 
 def node_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:

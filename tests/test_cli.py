@@ -684,10 +684,8 @@ def test_too_small_world_exits_1(files, capsys, size):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"landmark_count": -1}, {"landmark_count": 0}, {"resolution": 0.0},
-     {"resolution": -0.25}, {"resolution": float("nan")}, {"resolution": float("inf")}],
-    ids=["landmarks-negative", "landmarks-0", "resolution-0", "resolution-negative",
-         "resolution-nan", "resolution-inf"],
+    [{"landmark_count": -1}, {"landmark_count": 0}],
+    ids=["landmarks-negative", "landmarks-0"],
 )
 def test_generate_world_rejects_bad_parameters(kwargs):
     with pytest.raises(sim.SimError):

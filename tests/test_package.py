@@ -162,7 +162,6 @@ def test_every_public_name_has_a_caller():
 # Defaulted parameters that no call in src/ or bench/ passes, each with why it stays.
 UNPASSED_DEFAULTS = {
     "cli.main.argv": "the console script runs main() on sys.argv; tests pass argument lists",
-    "sim.generate_world.resolution": "the pinned world digests use the 0.25 m default; tests vary it",
     "sim.build_planning_dataset.n_actions": "16-action windows everywhere, `sim dataset` too; "
     "tests and the CLI fixtures build shorter ones",
     "sim.run_episode.start": "`sim run` draws the start from the seed and eval_suite sets its "
@@ -175,14 +174,14 @@ FORWARDERS = {"_call": 2}  # bench/workloads.py: _call(round_, what, fn, *args, 
 
 def defaulted_parameters(tree):
     """(called name, parameter, positional index or None) of every defaulted
-    parameter of a public function or method; a method's index counts from
-    the first argument after self or cls, and __init__ is called by its class
-    name."""
+    parameter of a module-level function or a method, private ones included;
+    a method's index counts from the first argument after self or cls, and
+    __init__ is called by its class name."""
     def visit(body, owner):
         for node in body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.ClassDef):
                 yield from visit(node.body, node)
-            elif isinstance(node, ast.FunctionDef) and (not node.name.startswith("_") or node.name == "__init__"):
+            elif isinstance(node, ast.FunctionDef):
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
                 skip = 1 if owner is not None and not static else 0
                 name = owner.name if node.name == "__init__" else node.name

@@ -369,16 +369,6 @@ def ref_place_landmarks(world_map, grid2, count, rng):
             world_map.register_landmark(nid, lm)
 
 
-def ref_link_pairs(xy, radius):
-    """Every pair (i, j), i < j, closer than radius, one pair at a time."""
-    return [
-        (i, j)
-        for i in range(len(xy))
-        for j in range(i + 1, len(xy))
-        if math.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1]) < radius
-    ]
-
-
 def ref_connected(free):
     """The stack-based flood fill that the dilation replaced."""
     total = int(free.sum())
@@ -540,9 +530,9 @@ def test_lattice_map_matches_pairwise_reference(monkeypatch, worlds48, seed, siz
     assert got.map.to_jsonable() == want
 
 
-# sha256 (see world_digest) of generate_world(seed, size, resolution=...) as
-# the per-node link search built it; 0 at 160 has over 1000 nodes, so its
-# sorted ids ("n-100" < "n-1000" < "n-101") are not in lattice order
+# sha256 (see world_digest) of generate_world(seed, size), at the 0.25 m
+# resolution, as the per-node link search built it; 0 at 160 has over 1000
+# nodes, so its sorted ids ("n-100" < "n-1000" < "n-101") are not in lattice order
 WORLD_DIGESTS = {
     (0, 48, 0.25): "091c4c3c49342ab8308490f235c3ed20fbf35fb60bd34f69383ed6384246c1a8",
     (1, 48, 0.25): "917ae4e0bd6303655182920e462990c49fa0d996e7b12de751f78ed460b90aa9",
@@ -560,30 +550,6 @@ WORLD_DIGESTS = {
     (5, 96, 0.25): "2590d8db67f64f1449a17fcd3dec4d529665912e64bb5816fa280a256e362000",
     (6, 96, 0.25): "b22e550fe6a40927da60919033ad4842d67592cce708816575e00777d850729f",
     (7, 96, 0.25): "48ab58764f8f3ddaf1e7f33c73ee2ef5770c80ab5689a163be55c541b45e3bcd",
-    (0, 40, 0.2): "f97703f1523466535689f742fdc4aa915c569144b762004928e4edc88cdcd9fb",
-    (1, 40, 0.2): "7a58a54907b03eb0c91305ac7d66b04042a1b8c07279fe8a9b1f2e077e8023c3",
-    (2, 40, 0.2): "9f80aaebfea934f9a65ec7870a9b45551100114ab2546d0c60dd855801e29779",
-    (3, 40, 0.2): "cdf6d4ce86bfc91fbd6aa38b11f0afd991fbe65d020131b9d7e36167d733d508",
-    (4, 40, 0.2): "df7e51dec0c526a5b0c508985d6ce66355d399884b1ae6d0c669e6abf354a9d8",
-    (5, 40, 0.2): "273a3255be0a959415afa48afb450f60d1b3b9405b5fa9ef12a2ff11c241caa4",
-    (6, 40, 0.2): "d50227d355602214a2cbfc5453736813939463864ea52add0a17ccfd33ef87e8",
-    (7, 40, 0.2): "dce0b10a1efcc02e5e2965fee9e1927bd9edc5d4537f6deab0734ef0da0e6ee7",
-    (0, 40, 0.3): "d828ff64b76abca68925d27c062408c115f498292ada66a724e50962c8a48b04",
-    (1, 40, 0.3): "94d0aea276a83dedfaab286359c82488383267547b3b3c0718119b11e7743ec8",
-    (2, 40, 0.3): "9b3e8a09bf0b10a73577460d20c068d70b487e9b88d861796b93b637901953b2",
-    (3, 40, 0.3): "579776b6d952d5ca0c4a50d0eb15ad68fbf5047412e9e05d1679d9de948e2a6f",
-    (4, 40, 0.3): "a1ffc8cdc4bb352edeec8aa9de4c7dbbd01f518276994a3fa9adb5aa7ecd9777",
-    (5, 40, 0.3): "41f9ca5ec30fa37eeeb879df8fbffc24fd6b9d2177257efbe03236f555004991",
-    (6, 40, 0.3): "3a72954fce2fe00ca6e1107607a62230d952ccc9568d4b23c3356683c7712303",
-    (7, 40, 0.3): "55790d6de75ea29943018bd8f3d3b990b2b79df941e50228b6e56971b176badd",
-    (0, 40, 0.5): "60e55ac5cc0f20e37ac81ce57e25fd86d9419b293c0e8a6cd189d9caf0510834",
-    (1, 40, 0.5): "081b619830acf22abacc9780dc8e9040ef15e725e8eace1720c12d043e4904a1",
-    (2, 40, 0.5): "1949a2030430c1ee55234f043ea6cd495e6f829e03c205fecdcadc70f37a30fe",
-    (3, 40, 0.5): "4be9d115ca05bbce4a44eed3d82875679a4a9409147cfd836243d78cf3858a3a",
-    (4, 40, 0.5): "de806400503225c6a761bfa9e44d78c2e8baa28d89a0f8bce285f0b5a6a3da14",
-    (5, 40, 0.5): "d09495b1c5f3b65267e046d2631c921b8d4d81c91936a91c60b4fa2416fe997b",
-    (6, 40, 0.5): "29c147e1b2d4a6480d1860d6b9f5079e2bc14c3305c45fe4a5a3a64ac2b40bd0",
-    (7, 40, 0.5): "6a206a5ee5ee23f905db56c9c6376d7c3689bd01b5d8067467859e344c73b419",
     (0, 160, 0.25): "b446b89dfce52863389252d2c9eef6241711af24aedd4174388fed91b4876658",
 }
 
@@ -601,7 +567,8 @@ def world_digest(world) -> str:
 @pytest.mark.parametrize("seed,size,resolution", sorted(WORLD_DIGESTS),
                          ids=[f"{s}-{n}-{r}" for s, n, r in sorted(WORLD_DIGESTS)])
 def test_worlds_match_pinned_digests(seed, size, resolution):
-    world = sim.generate_world(seed, size, resolution=resolution)
+    world = sim.generate_world(seed, size)
+    assert world.grid.resolution == resolution
     assert world_digest(world) == WORLD_DIGESTS[seed, size, resolution]
 
 
@@ -635,26 +602,28 @@ def test_scatter_blocks_counts_as_the_re_summing_loop(size):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_link_pairs_match_pairwise_reference(data):
-    # coordinates on a 0.1 m lattice put points exactly radius apart on one
-    # axis and repeat points; free floats cover everything between
-    coord = st.one_of(st.integers(-20, 20).map(lambda k: k * 0.1), st.floats(-3.0, 3.0))
-    points = data.draw(st.lists(st.tuples(coord, coord), max_size=40), label="points")
-    xy = np.array(points, dtype=float).reshape(-1, 2)
-    radius = data.draw(st.sampled_from([0.2, 0.5, 1.0, 2.0]), label="radius")
-    block = data.draw(st.integers(1, 8), label="block")
-    i, j = sim._link_pairs(xy, radius, block)
-    assert list(zip(i.tolist(), j.tolist())) == ref_link_pairs(xy, radius)
-
-
-def test_link_pairs_on_points_exactly_radius_apart():
-    xy = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]])
-    i, j = sim._link_pairs(xy, 2.0, block=2)
-    assert list(zip(i.tolist(), j.tolist())) == ref_link_pairs(xy, 2.0) == [
-        (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)
-    ]
+def test_lattice_map_matches_pairwise_reference_on_random_grids(data):
+    # random 0.25 m grids of rooms or scattered cells, with node clearances from
+    # none (every free lattice point a node, every neighbor pair a link) up;
+    # every pair under 2 m must be a lattice-neighbor pair
+    h, w = data.draw(st.integers(8, 48), label="h"), data.draw(st.integers(8, 48), label="w")
+    density = data.draw(st.floats(0.0, 0.4), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="rooms"):
+        occ = sim._scatter_blocks(max(h, w), density, rng)[:h, :w]
+    else:
+        occ = rng.random((h, w)) < density
+    clearance = data.draw(st.sampled_from([0.0, 0.1, sim._FOOTPRINT_RADIUS, 0.6]), label="clearance")
+    grid2 = Grid(occ, sim._RESOLUTION)
+    dist = planner.distance_field(grid2)
+    got = sim._build_lattice_map(grid2, dist, clearance)
+    want = ref_build_lattice_map(grid2, dist, clearance)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.to_jsonable() == want.to_jsonable()
+        assert list(got.edges) == list(want.edges)
 
 
 @settings(max_examples=300, deadline=None)
