@@ -19,8 +19,9 @@ whole metres and the candidate links, the node pairs under 2 m apart, are
 the lattice's 8-neighbor pairs, read off a lattice-shaped array of node
 ranks. Node count and connectivity are checked on the index pairs
 of the clear links (`topomap.node_components`), so a rejected candidate
-builds no map object; an accepted one builds one node and pose per node and
-one edge per link, with one shared pose per distinct link offset.
+builds no map object; an accepted one is built in one
+`TopoMap.from_lattice` call, node index included, from the ids, positions
+and link rows the lattice check already holds.
 
 What the expert planner needs of a world at one clearance is a function of
 the world alone, so `World.planning_grid(clearance)` builds it once and
@@ -147,7 +148,7 @@ from .planner import (  # noqa: F401
     plans_collide,
 )
 from .planner import sample as plan_sample
-from .topomap import Landmark, MapNode, Pose6, TopoMap, nearest_node, node_components
+from .topomap import Landmark, TopoMap, nearest_node, node_components
 
 log = logging.getLogger(__name__)
 
@@ -229,10 +230,6 @@ class World:
         return grid
 
 
-def _pose6(x: float, y: float) -> Pose6:
-    return Pose6((x, y, 0.0), (1.0, 0.0, 0.0, 0.0))
-
-
 def _component_labels(free: np.ndarray) -> np.ndarray:
     """The 8-connected component of every cell of `free`, as flat labels:
     each free cell carries the flat index of its component's first cell,
@@ -306,12 +303,15 @@ def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMa
     between 8-neighbor nodes, the node pairs under 2 m apart, each requiring
     a clear straight segment.
 
-    One `sample_bilinear` call places every node, one `_segments_clear`
-    call checks every candidate link, and one `add_edges` call adds every
-    kept link, in the order of the sorted ids, with one shared pose per
-    distinct offset. A lattice of fewer than 4 nodes, or one whose links
-    leave it disconnected, is rejected (None) before any map object is
-    built."""
+    One `sample_bilinear` call places every node and one `_segments_clear`
+    call checks every candidate link. A lattice of fewer than 4 nodes, or
+    one whose links leave it disconnected, is rejected (None) before any map
+    object is built. An accepted one is built by one `TopoMap.from_lattice`
+    call on the sorted ids, their positions and the kept link rows: the
+    nodes enter in lattice order, node k as "n-k" with image "frame-k", and
+    the links in the order of the sorted ids, with one shared pose per
+    distinct offset; the node index that `_place_landmarks` reads comes
+    with it."""
     res = grid2.resolution
     rows = np.arange(0, grid2.height, _LATTICE_STEP)
     cols = np.arange(0, grid2.width, _LATTICE_STEP)
@@ -342,19 +342,10 @@ def _build_lattice_map(grid2: Grid, dist: Grid, node_clearance: float) -> TopoMa
     i, j = i[clear], j[clear]
     if len(ids) < 4 or node_components(len(ids), i, j).any():
         return None
-    topo = TopoMap()
-    for k, (nid, (x, y)) in enumerate(zip(ids, xy.tolist())):
-        topo.add_node(MapNode(nid, _pose6(x, y), image_ref=f"frame-{k:04d}.jpg"))
-    # Pose6 is frozen, so links with the same offset share one; no coordinate
-    # is -0.0, so offsets that compare equal have equal bits
-    offsets, links = {}, []
-    d = sorted_xy[j] - sorted_xy[i]
-    for a, b, dx, dy in zip(i.tolist(), j.tolist(), d[:, 0].tolist(), d[:, 1].tolist()):
-        pose = offsets.get((dx, dy))
-        if pose is None:
-            pose = offsets[dx, dy] = _pose6(dx, dy)
-        links.append((sorted_ids[a], sorted_ids[b], pose))
-    return topo.add_edges(links)
+    order = np.empty(len(ids), dtype=np.intp)
+    order[by_id] = np.arange(len(ids))
+    return TopoMap.from_lattice(sorted_ids, sorted_xy, [f"frame-{k:04d}.jpg" for k in by_id],
+                                order, i, j)
 
 
 # node distances per block of landmark cells in `_place_landmarks`, so that

@@ -2,12 +2,15 @@
 
 Nodes carry full 6-DoF poses (position + quaternion) as given by the mapping
 stage; landmarks keep a centralized registry of every node they are visible
-from, and nodes hold the symmetric back-references. Edges enter in batches
-through `add_edges`, and an edge's weight is the Euclidean norm of its
-relative translation. A map file gives each edge's length, and
-`from_jsonable` refuses one that is negative, NaN or infinite, as no path
-cost over it would mean anything; `validate` flags such a length, and a
-non-finite node pose, on a map built in code.
+from, and nodes hold the symmetric back-references. Nodes enter one at a
+time through `add_node` and edges in batches through `add_edges`, each
+checked as it comes; a generated lattice enters whole through
+`from_lattice`, which checks its batch once. An edge's weight is the
+Euclidean norm of its relative translation. A map file gives each edge's
+length, and `from_jsonable` refuses one that is negative, NaN or infinite,
+as no path cost over it would mean anything; `validate` flags such a
+length, and a non-finite node pose, on a map built in code. It also refuses
+a file whose ids, id lists or records are not of their JSON types.
 
 A map keeps three caches, each built on first use and dropped by the
 methods that change what it is built from:
@@ -16,9 +19,10 @@ methods that change what it is built from:
   localization's reference nodes, the simulator's nearest node): the sorted
   node ids with their positions (N, 3) and quaternions (N, 4) as arrays, and
   the reference nodes localization has ranked for each node it was asked
-  about, since a ranking depends on node poses alone. `add_node`, the one
-  way nodes enter a map (`from_jsonable` goes through it too), drops it;
-  node poses are not reassigned after.
+  about, since a ranking depends on node poses alone. `from_lattice`
+  builds it with the map, from the arrays it is given; any other map builds
+  it on first use. `add_node` (`from_jsonable` goes through it too) drops
+  it; node poses are not reassigned after.
 - The sightings, built from the landmark registry: the landmark-bearing
   nodes in id order with their planar positions, which the simulator's
   observations read, and the match memo, which localization fills with the
@@ -35,6 +39,7 @@ methods that change what it is built from:
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import math
@@ -80,12 +85,26 @@ class Pose6:
     def from_jsonable(cls, data: dict) -> "Pose6":
         """A JSON pose: "position" a list of three finite numbers and
         "quaternion" a list of four. Anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a pose must be a JSON object, got {data!r}")
         position, quaternion = data["position"], data["quaternion"]
         if not (is_finite_triple(position) and isinstance(quaternion, list)
                 and len(quaternion) == 4 and all(map(is_finite_number, quaternion))):
             raise ValueError(f"a pose needs three finite position and four finite quaternion "
                              f"numbers, got {data!r}")
         return cls(tuple(position), tuple(quaternion))
+
+
+_NO_ROTATION = (1.0, 0.0, 0.0, 0.0)
+
+
+def _pose(position: tuple, quaternion: tuple) -> Pose6:
+    """The Pose6 of a tuple of three floats and one of four, taken as they
+    are, without `Pose6.__init__`'s conversion and checks."""
+    pose = object.__new__(Pose6)
+    object.__setattr__(pose, "position", position)
+    object.__setattr__(pose, "quaternion", quaternion)
+    return pose
 
 
 @dataclass
@@ -206,6 +225,61 @@ class TopoMap:
         self.nodes[node.id] = node
         self._index = self._graph = self._sightings = None
         return self
+
+    @classmethod
+    def from_lattice(cls, ids, xy: np.ndarray, image_refs, order, i: np.ndarray,
+                     j: np.ndarray) -> "TopoMap":
+        """A map of planar nodes and straight links, built in one pass.
+
+        The nodes are given in id order: `ids` sorted and unique, `xy` (N, 2)
+        their positions on the ground plane (z 0, no rotation) and
+        `image_refs` their image references; `order` lists their rows in the
+        order they enter the map. Link k joins rows i[k] < j[k]; the links
+        enter in the order given, each with the pose of its translation
+        xy[j[k]] - xy[i[k]], one shared pose and one `np.linalg.norm` length
+        per distinct translation, as `add_edges` computes them. The node
+        index is built here too, from the same arrays.
+
+        Raises MapError, before any map is built, unless the ids are sorted
+        and unique, `order` is a permutation of the rows and every link's
+        rows are in range with i < j; a link given twice raises it too."""
+        ids = tuple(ids)
+        n = len(ids)
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        order, i, j = (np.asarray(a, dtype=np.intp).ravel() for a in (order, i, j))
+        if not len(xy) == len(image_refs) == len(order) == n or len(i) != len(j):
+            raise MapError(f"a lattice of {n} ids needs as many positions, image references and "
+                           f"rows in order, and one j per i; got {len(xy)}, {len(image_refs)} and "
+                           f"{len(order)}, and {len(j)} j for {len(i)} i")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise MapError("lattice node ids must be sorted and unique")
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise MapError("lattice node order must list every row once")
+        if len(i) and not (i.min() >= 0 and (i < j).all() and j.max() < n):
+            raise MapError(f"lattice links must join rows i < j of the {n} nodes")
+        m = cls()
+        x, y = xy.T.tolist()
+        nodes = m.nodes
+        for k in order.tolist():
+            nid = ids[k]
+            nodes[nid] = MapNode(nid, _pose((x[k], y[k], 0.0), _NO_ROTATION), image_refs[k], set())
+        poses, edges = {}, m.edges
+        d = xy[j] - xy[i]
+        for a, b, dx, dy in zip(i.tolist(), j.tolist(), d[:, 0].tolist(), d[:, 1].tolist()):
+            shared = poses.get((dx, dy))
+            if shared is None:
+                position = (dx, dy, 0.0)
+                shared = poses[dx, dy] = (_pose(position, _NO_ROTATION),
+                                          float(np.linalg.norm(position)))
+            a_id, b_id = ids[a], ids[b]
+            edges[a_id, b_id] = MapEdge(a_id, b_id, *shared)
+        if len(edges) != len(i):
+            raise MapError(f"lattice links must be distinct: {len(i)} given, {len(edges)} distinct")
+        positions = np.zeros((n, 3))
+        positions[:, :2] = xy
+        m._index = _NodeIndex(ids, dict(zip(ids, range(n))), positions,
+                              np.tile(np.array(_NO_ROTATION), (n, 1)))
+        return m
 
     def add_edges(self, edges) -> "TopoMap":
         """Add each (a id, b id, relative pose) of `edges` as an undirected
@@ -468,48 +542,54 @@ class TopoMap:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "TopoMap":
+        """The map of a JSON document. Its "nodes", "edges" and "landmarks"
+        are lists of objects; node, landmark and edge-end ids are strings,
+        and a node's "landmark_ids" and a landmark's "node_ids" are lists of
+        them. Anything else raises MapError naming the record, as
+        `nodes[i]`, `edges[i]` or `landmarks[i]`."""
         if not isinstance(data, dict):
             raise MapError(f"map document must be a JSON object, got {type(data).__name__}")
         m = cls()
-        try:
-            for i, nd in enumerate(data.get("nodes", [])):
+        for i, nd in enumerate(_records(data, "nodes")):
+            with _reading(f"nodes[{i}]"):
                 node = MapNode(
-                    nd["id"],
+                    _string(nd["id"], "id"),
                     Pose6.from_jsonable(nd["pose"]),
-                    nd.get("image_ref", ""),
-                    set(nd.get("landmark_ids", [])),
+                    _string(nd.get("image_ref", ""), "image_ref"),
+                    _string_set(nd.get("landmark_ids", []), "landmark_ids"),
                 )
                 if node.id in m.nodes:
                     raise MapError(f"duplicate node id {node.id!r} (nodes[{i}])")
                 m.add_node(node)
-            for i, ed in enumerate(data.get("edges", [])):
-                a, b = ed["nodes"]
-                key = tuple(sorted((a, b)))
+        for i, ed in enumerate(_records(data, "edges")):
+            with _reading(f"edges[{i}]"):
+                ends = ed["nodes"]
+                if not (isinstance(ends, list) and len(ends) == 2
+                        and all(isinstance(e, str) for e in ends)):
+                    raise ValueError(f"nodes must be a list of two strings, got {ends!r}")
+                key = tuple(sorted(ends))
                 if key in m.edges:
                     raise MapError(f"duplicate edge {key!r} (edges[{i}])")
-                length = float(ed["length"])
-                if not 0.0 <= length < math.inf:
-                    raise MapError(f"edge length must be finite and >= 0, got {ed['length']!r} "
+                length = ed["length"]
+                if not (is_finite_number(length) and length >= 0):
+                    raise MapError(f"edge length must be finite and >= 0, got {length!r} "
                                    f"(edges[{i}])")
                 m.edges[key] = MapEdge(
-                    key[0], key[1], Pose6.from_jsonable(ed["relative_pose"]), length
+                    key[0], key[1], Pose6.from_jsonable(ed["relative_pose"]), float(length)
                 )
-            for i, ld in enumerate(data.get("landmarks", [])):
+        for i, ld in enumerate(_records(data, "landmarks")):
+            with _reading(f"landmarks[{i}]"):
                 attributes = ld.get("visual_attributes", {})
                 check_landmark_text(ld["category"], attributes)
                 description = ld.get("functional_description")
                 if description is not None and not isinstance(description, str):
                     raise ValueError(f"functional_description must be a string or null, got "
-                                     f"{description!r} (landmarks[{i}])")
-                lm = Landmark(ld["id"], ld["category"], dict(attributes), description,
-                              set(ld.get("node_ids", [])))
+                                     f"{description!r}")
+                lm = Landmark(_string(ld["id"], "id"), ld["category"], dict(attributes),
+                              description, _string_set(ld.get("node_ids", []), "node_ids"))
                 if lm.id in m.landmarks:
                     raise MapError(f"duplicate landmark id {lm.id!r} (landmarks[{i}])")
                 m.landmarks[lm.id] = lm
-        except KeyError as e:
-            raise MapError(f"map document missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError) as e:
-            raise MapError(f"malformed map document: {e}") from e
         return m
 
     @classmethod
@@ -523,6 +603,42 @@ class TopoMap:
             and self.edges == other.edges
             and self.landmarks == other.landmarks
         )
+
+
+def _records(data: dict, name: str) -> list:
+    """The list `name` of a map document, [] if it has none; MapError
+    unless it is a list of JSON objects."""
+    records = data.get(name, [])
+    if not isinstance(records, list):
+        raise MapError(f"map document field {name!r} must be a list, got {type(records).__name__}")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise MapError(f"{name}[{i}] must be a JSON object, got {type(record).__name__}")
+    return records
+
+
+@contextlib.contextmanager
+def _reading(where: str):
+    """Turn a missing field or a malformed value met while reading the record
+    `where` of a map document into a MapError naming it."""
+    try:
+        yield
+    except KeyError as e:
+        raise MapError(f"map document missing field {e.args[0]!r} ({where})") from e
+    except (TypeError, ValueError) as e:
+        raise MapError(f"malformed map document: {e} ({where})") from e
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _string_set(value, name: str) -> set[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return set(value)
 
 
 @dataclass

@@ -1115,6 +1115,87 @@ def test_map_with_a_number_for_a_list_exits_1(files, capsys, doc):
     assert json.loads(err)["error"] == "MapError"
 
 
+# Map files whose records or ids are not of their JSON types: (the change,
+# the record the error names). Each once ended `map validate`, `map path`
+# and `goal` in a traceback, or, for an id list given as a string, read it
+# as the set of its characters.
+MALFORMED_MAPS = {
+    "node-id-number": (lambda doc: doc["nodes"][0].update(id=5), "nodes[0]"),
+    "node-id-null": (lambda doc: doc["nodes"][0].update(id=None), "nodes[0]"),
+    "landmark-string": (lambda doc: doc.update(landmarks=["x"]), "landmarks[0]"),
+    "landmark-number": (lambda doc: doc.update(landmarks=[5]), "landmarks[0]"),
+    "landmarks-object": (lambda doc: doc.update(landmarks={"a": 1}), "'landmarks'"),
+    "landmark-ids-string": (lambda doc: doc["nodes"][0].update(landmark_ids="lm-000"), "nodes[0]"),
+    "node-ids-string": (lambda doc: doc["landmarks"][0].update(node_ids="n-000"), "landmarks[0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MAPS))
+def test_malformed_map_exits_1(files, capsys, name):
+    change, where = MALFORMED_MAPS[name]
+    doc = json.loads(files["map"].read_text())
+    change(doc)
+    path = files["root"] / f"map-malformed-{name}.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("map", "validate", path),
+                 ("map", "path", path, "--from", files["node_ids"][0], "--to", files["node_ids"][-1]),
+                 ("goal", "--map", path, "--terms", files["category"])):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert out == "" and len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "MapError" and where in doc["message"]
+
+
+def _json_paths(value, path=()):
+    """The path (keys and indices) of every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    if value is None or isinstance(value, (bool, str, list, dict)):
+        return type(value).__name__
+    return "number"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats()
+    | st.sampled_from(["", "n-000", "lm-000", "sofa"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "a"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_map_structure(files, capsys, data):
+    # one field of a `sim gen` map, at any depth of its first node, edge or
+    # landmark, or a whole list or record, becomes a value of another JSON type
+    doc = json.loads(files["map"].read_text())
+    first = {name: doc[name][:1] for name in ("nodes", "edges", "landmarks")}
+    path = data.draw(st.sampled_from(sorted(_json_paths(first), key=repr)), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)),
+                                 label="value")
+    map_path = files["root"] / "map-fuzz.json"
+    map_path.write_text(json.dumps(doc))
+    for argv in (("map", "validate", map_path), ("goal", "--map", map_path, "--terms", files["category"])):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+        assert "Traceback" not in out + err
+        if err:
+            assert code == 1 and out == "" and len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
+        else:
+            json.loads(out)
+
+
 # Query observations whose text the matching cannot read.
 BAD_OBSERVATIONS = {
     "category-number": {"category": 5, "visual_attributes": {}},

@@ -28,7 +28,12 @@ from astra_nav.geom import (
     relative_xyt,
 )
 from astra_nav.odometry import SensorIncrement, fuse_increment, fuse_sources
-from astra_nav.topomap import Landmark
+from astra_nav.topomap import Landmark, MapNode, Pose6
+
+
+def pose6(x, y):
+    """A planar node or link pose: (x, y, 0) with no rotation."""
+    return Pose6((x, y, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
 def compose(a, b):
@@ -297,7 +302,7 @@ def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
             y = grid2.origin[1] + r * res
             if not grid2.values[r, c] and sample_bilinear(dist, [(x, y)])[0] >= node_clearance:
                 nid = f"n-{idx:03d}"
-                topo.add_node(sim.MapNode(nid, sim._pose6(x, y), image_ref=f"frame-{idx:04d}.jpg"))
+                topo.add_node(MapNode(nid, pose6(x, y), image_ref=f"frame-{idx:04d}.jpg"))
                 positions[nid] = (x, y)
                 idx += 1
     ids = sorted(positions)
@@ -308,7 +313,7 @@ def ref_build_lattice_map(grid2, dist, node_clearance, link_radius=2.0):
             if math.hypot(bx - ax, by - ay) >= link_radius:
                 continue
             if ref_segment_clear(dist, (ax, ay), (bx, by), node_clearance):
-                topo.add_edges([(a, b, sim._pose6(bx - ax, by - ay))])
+                topo.add_edges([(a, b, pose6(bx - ax, by - ay))])
     if len(topo.nodes) < 4 or not ref_node_graph_connected(topo):
         return None
     return topo
@@ -635,8 +640,8 @@ def test_pairs_connected_matches_graph_reference(data):
     pairs = [(a, b) for a, b in data.draw(st.lists(pair, max_size=20), label="links") if a != b]
     topo = sim.TopoMap()
     for k in range(n):
-        topo.add_node(sim.MapNode(f"n-{k:03d}", sim._pose6(k, 0.0)))
-    topo.add_edges((f"n-{a:03d}", f"n-{b:03d}", sim._pose6(1.0, 0.0)) for a, b in pairs)
+        topo.add_node(MapNode(f"n-{k:03d}", pose6(k, 0.0)))
+    topo.add_edges((f"n-{a:03d}", f"n-{b:03d}", pose6(1.0, 0.0)) for a, b in pairs)
     i = np.array([a for a, _ in pairs], dtype=np.intp)
     j = np.array([b for _, b in pairs], dtype=np.intp)
     connected = n > 0 and not sim.node_components(n, i, j).any()
@@ -652,31 +657,19 @@ def test_edge_ends_are_the_node_keys(worlds48):
 
 
 def counted_map_objects(monkeypatch):
-    """Record every node, pose, `add_edges` call and edge the lattice map
-    makes, and every map it returns."""
-    counts = {"add_node": 0, "_pose6": 0, "add_edges": 0, "edges": 0}
+    """Record every `TopoMap.from_lattice` call the lattice map makes, with
+    the number of nodes and links it was given, and every map it returns."""
+    counts = {"from_lattice": 0, "nodes": 0, "links": 0}
     built = []
+    from_lattice = sim.TopoMap.from_lattice
 
-    def counting(owner, name):
-        original = getattr(owner, name)
+    def counting(ids, xy, image_refs, order, i, j):
+        counts["from_lattice"] += 1
+        counts["nodes"] += len(ids)
+        counts["links"] += len(i)
+        return from_lattice(ids, xy, image_refs, order, i, j)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(sim.TopoMap, "add_node")
-    counting(sim, "_pose6")
-    add_edges = sim.TopoMap.add_edges
-
-    def counting_edges(topo, edges):
-        edges = list(edges)
-        counts["add_edges"] += 1
-        counts["edges"] += len(edges)
-        return add_edges(topo, edges)
-
-    monkeypatch.setattr(sim.TopoMap, "add_edges", counting_edges)
+    monkeypatch.setattr(sim.TopoMap, "from_lattice", counting)
     build = sim._build_lattice_map
 
     def recording(*args, **kwargs):
@@ -692,11 +685,12 @@ def test_rejected_candidate_builds_no_map_objects(monkeypatch):
     # seed 0 at 48 rejects its first candidate: its node graph is disconnected
     world = sim.generate_world(0, 48)
     assert len(built) == 2 and built[0] is None and built[1] is world.map
-    assert counts["add_node"] == len(world.map.nodes)
-    assert counts["add_edges"] == 1 and counts["edges"] == len(world.map.edges)
+    assert counts == {"from_lattice": 1, "nodes": len(world.map.nodes),
+                      "links": len(world.map.edges)}
     # one pose per node and one per distinct link offset
     offsets = {e.relative_pose.position for e in world.map.edges.values()}
-    assert counts["_pose6"] == len(world.map.nodes) + len(offsets)
+    node_poses = {id(n.pose) for n in world.map.nodes.values()}
+    assert len(node_poses) == len(world.map.nodes)
     assert len({id(e.relative_pose) for e in world.map.edges.values()}) == len(offsets)
 
 
@@ -710,13 +704,90 @@ def test_rejected_lattice_returns_none(monkeypatch, rooms):
     grid2 = Grid(occ, 0.25)
     counts, _ = counted_map_objects(monkeypatch)
     assert sim._build_lattice_map(grid2, planner.distance_field(grid2), node_clearance=0.1) is None
-    assert counts == {"add_node": 0, "_pose6": 0, "add_edges": 0, "edges": 0}
+    assert counts == {"from_lattice": 0, "nodes": 0, "links": 0}
     if rooms:
         # with the wall gone, the same eight nodes form one graph
         occ[:, 9:11] = False
         topo = sim._build_lattice_map(grid2, planner.distance_field(grid2), node_clearance=0.1)
-        assert len(topo.nodes) == 8 and counts["add_node"] == 8
-        assert counts["add_edges"] == 1 and counts["edges"] == len(topo.edges)
+        assert counts == {"from_lattice": 1, "nodes": 8, "links": len(topo.edges)}
+        assert len(topo.nodes) == 8
+
+
+def ref_from_lattice(ids, xy, image_refs, order, i, j):
+    """`TopoMap.from_lattice` as the lattice map once built it: one `add_node`
+    and pose per node, in `order`, then one `add_edges` call on the links,
+    with one shared pose per distinct offset."""
+    topo = sim.TopoMap()
+    for k in order:
+        x, y = xy[k].tolist()
+        topo.add_node(MapNode(ids[k], pose6(x, y), image_ref=image_refs[k]))
+    offsets, links = {}, []
+    d = xy[j] - xy[i]
+    for a, b, dx, dy in zip(i.tolist(), j.tolist(), d[:, 0].tolist(), d[:, 1].tolist()):
+        pose = offsets.get((dx, dy))
+        if pose is None:
+            pose = offsets[dx, dy] = pose6(dx, dy)
+        links.append((ids[a], ids[b], pose))
+    return topo.add_edges(links)
+
+
+@pytest.mark.parametrize(
+    "seed,size",
+    [(s, n) for n in (48, 96) for s in range(8)] + [(0, 160)],  # 0 at 160: ids out of lattice order
+    ids=[f"{s}-{n}" for n in (48, 96) for s in range(8)] + ["0-160"],
+)
+def test_from_lattice_matches_per_node_reference(monkeypatch, seed, size):
+    calls = []
+    from_lattice = sim.TopoMap.from_lattice
+
+    def recording(*args):
+        calls.append(args)
+        return from_lattice(*args)
+
+    monkeypatch.setattr(sim.TopoMap, "from_lattice", recording)
+    world = sim.generate_world(seed, size)
+    assert calls
+    if size == 160:
+        assert len(world.map.nodes) > 1000 and list(world.map.nodes) != sorted(world.map.nodes)
+    for args in calls:
+        got, want = from_lattice(*args), ref_from_lattice(*args)
+        assert got == want
+        assert list(got.nodes) == list(want.nodes)
+        assert list(got.edges) == list(want.edges)
+        got_index, want_index = got.node_index(), want.node_index()
+        assert got_index.ids == want_index.ids and got_index.row == want_index.row
+        assert got_index.positions.tobytes() == want_index.positions.tobytes()
+        assert got_index.quaternions.tobytes() == want_index.quaternions.tobytes()
+        assert [e.relative_pose for e in got.edges.values()] == \
+            [e.relative_pose for e in want.edges.values()]
+
+
+@pytest.mark.parametrize("change,words", [
+    (lambda a: {**a, "ids": a["ids"][::-1]}, "sorted and unique"),
+    (lambda a: {**a, "ids": [a["ids"][0]] * len(a["ids"])}, "sorted and unique"),
+    (lambda a: {**a, "xy": a["xy"][:-1]}, "needs as many"),
+    (lambda a: {**a, "image_refs": a["image_refs"][:-1]}, "needs as many"),
+    (lambda a: {**a, "order": a["order"][:-1]}, "needs as many"),
+    (lambda a: {**a, "order": [0] * len(a["order"])}, "every row once"),
+    (lambda a: {**a, "j": a["j"][:-1]}, "one j per i"),
+    (lambda a: {**a, "i": a["j"], "j": a["i"]}, "rows i < j"),
+    (lambda a: {**a, "i": a["i"] * 0, "j": a["i"] * 0}, "rows i < j"),
+    (lambda a: {**a, "i": a["i"] - 1}, "rows i < j"),
+    (lambda a: {**a, "j": a["j"] + 4}, "rows i < j"),
+    (lambda a: {**a, "i": np.append(a["i"], 0), "j": np.append(a["j"], 1)}, "distinct"),
+], ids=["unsorted", "repeated", "short-xy", "short-image-refs", "short-order", "order-repeats",
+        "short-j", "i-above-j", "self-loop", "negative", "past-the-end", "twice"])
+def test_from_lattice_refuses_a_bad_batch(change, words):
+    # four nodes on a unit square entered in reverse, with its four sides
+    good = {"ids": ["a", "b", "c", "d"], "xy": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            "image_refs": ["fa", "fb", "fc", "fd"], "order": [3, 2, 1, 0],
+            "i": np.array([0, 0, 1, 2]), "j": np.array([1, 2, 3, 3])}
+    topo = sim.TopoMap.from_lattice(**good)
+    assert list(topo.nodes) == ["d", "c", "b", "a"] and list(topo.edges) == [
+        ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    assert topo.validate().ok
+    with pytest.raises(MapError, match=words):
+        sim.TopoMap.from_lattice(**change(good))
 
 
 @pytest.mark.parametrize("seed,size,landmarks,rejects", [
@@ -751,7 +822,7 @@ def test_landmark_nodes_at_equal_distance_rank_in_id_order(far):
     radius = 3.0 if far else 1.0  # beyond the 2.5 m sight range, or within it
     topo = sim.TopoMap()
     for nid, (x, y) in zip("dbca", [(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)]):
-        topo.add_node(sim.MapNode(nid, sim._pose6(x, y)))
+        topo.add_node(MapNode(nid, pose6(x, y)))
     want = sim.TopoMap.from_jsonable(topo.to_jsonable())
     sim._place_landmarks(topo, grid2, 5, np.random.default_rng(0))
     ref_place_landmarks(want, grid2, 5, np.random.default_rng(0))
@@ -1883,9 +1954,9 @@ def tie_world(ids):
     from the origin, and a bare node nearer still."""
     topo = sim.TopoMap()
     for nid, (x, y) in zip(ids, ((1.0, 0.0), (-1.0, 0.0))):
-        topo.add_node(sim.MapNode(nid, sim._pose6(x, y)))
+        topo.add_node(MapNode(nid, pose6(x, y)))
         topo.register_landmark(nid, Landmark(f"lm-{nid}", nid, {"color": "red"}))
-    topo.add_node(sim.MapNode("bare", sim._pose6(0.0, 0.5)))
+    topo.add_node(MapNode("bare", pose6(0.0, 0.5)))
     return sim.World(Grid(np.zeros((2, 2), dtype=bool), 0.25), topo, [])
 
 
@@ -1935,8 +2006,8 @@ def test_planar_ties_round_as_math_hypot():
         dx, dy = rng.uniform(0.1, 3.0, 2)
         for a_id, b_id in (("a", "b"), ("b", "a")):
             topo = sim.TopoMap()
-            topo.add_node(sim.MapNode(a_id, sim._pose6(dx, dy)))
-            topo.add_node(sim.MapNode(b_id, sim._pose6(math.hypot(dx, dy), 0.0)))
+            topo.add_node(MapNode(a_id, pose6(dx, dy)))
+            topo.add_node(MapNode(b_id, pose6(math.hypot(dx, dy), 0.0)))
             for nid in (a_id, b_id):
                 topo.register_landmark(nid, Landmark(f"lm-{nid}", "sofa" if nid == "a" else "door"))
             assert sim._nearest_node(topo, Pose2()) == "a"
@@ -2845,10 +2916,10 @@ def test_shortest_path_matches_reference_on_ties_and_zero_lengths(data):
     ids = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True), label="ids")
     topo = sim.TopoMap()
     for nid in ids:
-        topo.add_node(sim.MapNode(nid, sim._pose6(0.0, 0.0)))
+        topo.add_node(MapNode(nid, pose6(0.0, 0.0)))
     pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([0.0, 0.5, 1.0, 1.5]))
     edges = data.draw(st.lists(pair, max_size=16), label="edges")
-    topo.add_edges((a, b, sim._pose6(length, 0.0)) for a, b, length in edges if a != b)
+    topo.add_edges((a, b, pose6(length, 0.0)) for a, b, length in edges if a != b)
     for a in ids:
         for b in ids:
             want = ref_shortest_path(topo, a, b)
@@ -2859,14 +2930,14 @@ def test_shortest_path_matches_reference_on_ties_and_zero_lengths(data):
 def test_graph_queries_follow_new_nodes_and_edges():
     topo = sim.TopoMap()
     for nid in ("a", "b", "c"):
-        topo.add_node(sim.MapNode(nid, sim._pose6(0.0, 0.0)))
-    topo.add_edges([("a", "b", sim._pose6(1.0, 0.0))])
+        topo.add_node(MapNode(nid, pose6(0.0, 0.0)))
+    topo.add_edges([("a", "b", pose6(1.0, 0.0))])
     assert topo.shortest_path("a", "c") == [] and not topo.connected("a", "c")
-    topo.add_edges([("b", "c", sim._pose6(1.0, 0.0))])
+    topo.add_edges([("b", "c", pose6(1.0, 0.0))])
     assert topo.shortest_path("a", "c") == ["a", "b", "c"] and topo.connected("a", "c")
-    topo.add_edges([("a", "c", sim._pose6(1.5, 0.0))])
+    topo.add_edges([("a", "c", pose6(1.5, 0.0))])
     assert topo.shortest_path("a", "c") == ["a", "c"]
-    topo.add_node(sim.MapNode("d", sim._pose6(0.0, 0.0)))
+    topo.add_node(MapNode("d", pose6(0.0, 0.0)))
     assert not topo.connected("a", "d") and topo.shortest_path("d", "a") == []
     with pytest.raises(MapError, match="missing node"):
         topo.connected("a", "zz")
