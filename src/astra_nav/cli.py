@@ -253,7 +253,7 @@ def _cmd_odom_eval(args) -> int:
             continue
         try:
             increments.append(_increment(json.loads(line)))
-        except (AttributeError, ValueError) as e:
+        except (AttributeError, RecursionError, ValueError) as e:
             raise odometry.OdometryError(f"{args.log}:{line_no}: malformed record: {e!r}") from e
     gt = _load_json(args.gt, PoseTrajectory.from_jsonable)
     if len(gt) == 0:

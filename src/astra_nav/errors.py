@@ -46,11 +46,17 @@ def read_text(path, error: type[AstraError]) -> str:
 
 def read_json(path, error: type[AstraError]):
     """Parse the JSON file at `path`; raise `error` naming the file when it cannot
-    be read or parsed."""
+    be read or parsed. Valid JSON that Python cannot hold is refused too: an
+    integer of more digits than the interpreter converts (`ValueError`), and
+    arrays or objects nested deeper than its recursion limit."""
     try:
         return json.loads(read_text(path, error))
     except json.JSONDecodeError as e:
         raise error(f"{path}: invalid JSON at line {e.lineno} col {e.colno}") from e
+    except ValueError as e:
+        raise error(f"{path}: unreadable JSON: {e}") from e
+    except RecursionError as e:
+        raise error(f"{path}: unreadable JSON: nested too deeply") from e
 
 
 def is_finite_number(value) -> bool:

@@ -34,10 +34,11 @@ indexed by a cell's flat offset from the goal (`_heuristic_table`). A plan
 then pays only for its own search, smoothing and resampling, and
 starts no search when its snapped start and goal carry different labels:
 A* moves to all 8 neighbors with no corner rule, so such a search could
-only exhaust the start's component and fail. One label propagation
-(`_component_labels`) gives these labels and `generate_world`'s test that
-the free space is one component. Nothing that depends on the start or
-goal of a plan is kept.
+only exhaust the start's component and fail. One labelling of the runs of
+free cells in each row (`_component_labels`, through
+`topomap.node_components` on the graph of runs that touch) gives these
+labels and `generate_world`'s test that the free space is one component.
+Nothing that depends on the start or goal of a plan is kept.
 
 The navigation loop mirrors the intended deployment: locate the goal
 (optionally from a language instruction), self-localize, plan a global node
@@ -235,32 +236,29 @@ def _component_labels(free: np.ndarray) -> np.ndarray:
     each free cell carries the flat index of its component's first cell,
     each blocked cell h * w.
 
-    Each free cell starts labelled with its flat index. A pass gives every
-    free cell the lowest label in its 3x3 neighborhood, blocked cells
-    labelled h * w, then the label of its label, as `topomap.node_components`
-    does on a node graph; at the fixed point every component carries the
-    index of its first cell.
-
-    The grid keeps this shifted-minimum form rather than passing its
-    8-neighbor cell pairs to `node_components`: on the free cells of worlds
-    0-5 at 96 it took 0.76-1.81 ms a call, the pair form 2.65-5.62 ms with
-    the same labels (timeit minima, 2-core Xeon VM); `generate_world` calls
-    it once per candidate grid and each planning grid once."""
+    The free cells of each row form runs, found by one `np.diff` over the
+    grid with a blocked cell after each row and numbered in row-major
+    order. A run [c0, c1) in row r touches a run [d0, d1) in row r - 1
+    exactly when d1 >= c0 and d0 <= c1, corner contacts included; the touched
+    runs are one slice of the previous row's runs, found by two
+    `searchsorted` calls on the runs' (row, end) and (row, start) keys.
+    `topomap.node_components` labels this run graph with the lowest run of
+    each component, whose first cell is the component's first cell, and each
+    run's cells take that cell's flat index."""
     h, w = free.shape
-    cells = np.flatnonzero(free)
+    edge = np.diff(np.pad(free.astype(np.int8), ((0, 0), (0, 1))).ravel(), prepend=0)
+    # keys r * (w + 1) + c of the padded grid: a run's first cell and the cell after it
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    length = ends - starts
+    above = starts - (w + 1)  # (r - 1, c0); above + length is (r - 1, c1)
+    lo = np.searchsorted(ends, above)
+    touched = np.searchsorted(starts, above + length, side="right") - lo
+    i = np.repeat(np.arange(len(starts)), touched)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(touched) - touched - lo, touched)
+    first = starts - starts // (w + 1)  # the flat index r * w + c0 in the grid
     label = np.full(h * w, h * w)
-    label[cells] = cells
-    padded = np.full((h + 2, w + 2), h * w)
-    while True:
-        padded[1:-1, 1:-1] = label.reshape(h, w)
-        rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-        low = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:]).ravel()
-        new = label.copy()
-        new[cells] = low[cells]
-        new[cells] = new[new[cells]]
-        if np.array_equal(new, label):
-            return label
-        label = new
+    label[free.ravel()] = np.repeat(first[node_components(len(starts), i, j)], length)
+    return label
 
 
 def _connected(free: np.ndarray) -> bool:
@@ -406,6 +404,7 @@ def _place_landmarks(world_map: TopoMap, grid2: Grid, count: int, rng) -> None:
 _FOOTPRINT_RADIUS = 0.3
 _RESOLUTION = 0.25  # m: the cell size of every generated world
 _LATTICE_STEP = 4  # cells: from the origin, so lattice nodes sit on whole metres
+_MAX_WORLD_SIZE = 4096  # cells a side: `generate_world` refuses a larger world up front
 
 
 def _scatter_blocks(size: int, obstacle_density: float, rng) -> np.ndarray:
@@ -440,23 +439,39 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
     At most one landmark is placed per wall-side free cell, so a world has
     `landmark_count` landmarks or, when it has fewer such cells, one per
     cell. The start points are the landmark-bearing nodes, in id order. The
-    world keeps the 2-D occupancy and distance field its map was built on."""
+    world keeps the 2-D occupancy and distance field its map was built on.
+
+    Up to 100 candidates are drawn. Each rejected one is logged at debug
+    level with the check it failed: its free space is split, its lattice is
+    rejected, or it has fewer than 2 start points; the `SimError` after the
+    last one counts them. A size above `_MAX_WORLD_SIZE` (4096 cells, 1 km)
+    is refused before anything is allocated: a build's peak memory grows by
+    about 160 bytes a cell (163 MB at 1024), so the bound already needs
+    about 2.7 GB, and 3,000,000 would start with an 8 TiB grid."""
     if not 0.0 <= obstacle_density <= 0.4:
         raise SimError("obstacle density must lie in [0, 0.4]")
-    if size < 3:
-        raise SimError(f"world size must be at least 3 cells, got {size}")
+    if not 3 <= size <= _MAX_WORLD_SIZE:
+        raise SimError(f"world size must lie in [3, {_MAX_WORLD_SIZE}] cells, got {size}")
     if landmark_count < 1:
         # start points are the landmark nodes, so no landmark means no world
         raise SimError(f"landmark count must be >= 1, got {landmark_count}")
     rng = np.random.default_rng(seed)
-    for _ in range(100):
+    rejected = dict.fromkeys(("free space split", "lattice rejected", "fewer than 2 start points"), 0)
+
+    def reject(candidate: int, reason: str) -> None:
+        rejected[reason] += 1
+        log.debug("world %d: candidate %d rejected, %s", seed, candidate, reason)
+
+    for candidate in range(100):
         occ2 = _scatter_blocks(size, obstacle_density, rng)
         if not _connected(~occ2):
+            reject(candidate, "free space split")
             continue
         grid2 = Grid(occ2, _RESOLUTION)
         dist = distance_field(grid2)
         topo = _build_lattice_map(grid2, dist, _FOOTPRINT_RADIUS)
         if topo is None:
+            reject(candidate, "lattice rejected")
             continue
         _place_landmarks(topo, grid2, landmark_count, rng)
         topo.validate().require("generated map", SimError)
@@ -466,11 +481,14 @@ def generate_world(seed: int, size: int = 48, obstacle_density: float = 0.15,
         sightings = topo.sightings()
         start_xy = list(zip(sightings.x, sightings.y))
         if len(start_xy) < 2:
+            reject(candidate, "fewer than 2 start points")
             continue
         world = World(grid3, topo, start_xy, seed)
         world._grid2d, world._dist = grid2, dist
         return world
-    raise SimError(f"could not generate a connected world at density {obstacle_density}")
+    counts = ", ".join(f"{reason}: {n}" for reason, n in rejected.items())
+    raise SimError(f"could not generate a connected world at density {obstacle_density} "
+                   f"(100 candidates rejected; {counts})")
 
 
 # --- expert planner ----------------------------------------------------------
@@ -1540,7 +1558,7 @@ def load_dataset(path):
             actions = np.array(rec["actions"], dtype=float)
             condition = PlanningCondition.from_jsonable(rec["condition"])
             start = gt[0]
-        except (IndexError, KeyError, TypeError, ValueError) as e:
+        except (IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
             raise SimError(f"{path}:{line_no}: malformed dataset record: {e!r}") from e
         record_shape = (len(actions), condition.vector().size)
         shape = shape or record_shape

@@ -33,8 +33,10 @@ methods that change what it is built from:
   and the connected-component label of each node, dropped by `add_node` and
   `add_edges`; `from_jsonable` fills in the edges and landmarks before any
   query. The labels come from `node_components`, the one component
-  labelling of a node graph, which the simulator's lattice check calls on
-  index pairs too.
+  labelling of a graph given as index pairs, which the simulator calls too:
+  on the links of a candidate lattice, and on the graph of the runs of free
+  cells in a grid's rows that touch, whose labels are the grid's
+  8-connected components.
 """
 
 from __future__ import annotations
@@ -191,19 +193,29 @@ def node_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     i[k]-j[k], as labels (n,): every node carries the lowest index in its
     component.
 
-    Each node starts labelled with its own index. A pass lowers both ends of
-    every link to the smaller of their labels, then gives each node the label
-    of its label, until a pass changes nothing."""
+    Each node starts labelled with its own index, and a label is never above
+    its node. A pass hooks the higher of the two labels of every link whose
+    ends still differ to the lower one, then jumps pointers (each node takes
+    the label of its label) until no label changes, so every label is again
+    a node labelled with itself (hooking and pointer jumping, Shiloach &
+    Vishkin, J. Algorithms 1982). A chain of hooks collapses within one pass:
+    a path takes one pass numbered in order and log2 n numbered in
+    bit-reversed order, which each pass halves, where one-hop propagation
+    takes a pass per link of its length. The passes stop when both ends of
+    every link carry one label, the component's lowest index: its lowest
+    node can be hooked to nothing lower, and every node of the component
+    ends on its label."""
     label = np.arange(n)
     while True:
-        low = np.minimum(label[i], label[j])
-        new = label.copy()
-        np.minimum.at(new, i, low)
-        np.minimum.at(new, j, low)
-        new = new[new]
-        if np.array_equal(new, label):
+        li, lj = label[i], label[j]
+        differ = li != lj
+        if not differ.any():
             return label
-        label = new
+        li, lj = li[differ], lj[differ]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 class TopoMap:

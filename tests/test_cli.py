@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -248,11 +249,19 @@ FILE_ARGS = {
     "sim-eval:config": lambda f, p: ("sim", "eval", "--worlds", f["worlds"], "--config", p),
     "sim-eval:model": lambda f, p: ("sim", "eval", "--worlds", f["worlds"], "--model", p),
 }
+# Valid JSON that Python's parser cannot hold: an integer past its 4300-digit
+# int-to-string limit (ValueError), and arrays nested past its recursion
+# limit (RecursionError).
+UNREADABLE_JSON = {
+    "huge-int": "[" + "9" * 5001 + "]\n",
+    "deep-nesting": "[" * 100_000 + "]" * 100_000 + "\n",
+}
 BAD_FILES = {
     "missing": None,
     "directory": "",
     "not-json": "{not json\n",
     "wrong-shape": "[1, 2]\n",
+    **UNREADABLE_JSON,
 }
 
 
@@ -265,6 +274,52 @@ def test_bad_input_file_exits_1(files, capsys, arg, bad):
     elif BAD_FILES[bad] is not None:
         path.write_text(BAD_FILES[bad])
     assert_json_error(*run(capsys, *FILE_ARGS[arg](files, path)))
+
+
+@pytest.mark.parametrize("bad", sorted(UNREADABLE_JSON))
+def test_unreadable_map_or_world_file_exits_1(files, capsys, tmp_path, bad):
+    # the map, world and world-list inputs, each given a file that parses as
+    # no Python value; every verb names that file
+    bad_map = tmp_path / "map.json"
+    bad_map.write_text(UNREADABLE_JSON[bad])
+    first, last = files["node_ids"][0], files["node_ids"][-1]
+    cases = [
+        (bad_map, ("map", "validate", bad_map)),
+        (bad_map, ("map", "path", bad_map, "--from", first, "--to", last)),
+        (bad_map, ("localize", "--map", bad_map, "--query", files["query.json"])),
+        (bad_map, ("goal", "--map", bad_map, "--terms", files["category"])),
+    ]
+    for name in ("map.json", "world.json"):
+        worlds = tmp_path / f"worlds-{name}"
+        world = worlds / "w0"
+        shutil.copytree(files["world"], world)
+        (world / name).write_text(UNREADABLE_JSON[bad])
+        cases += [
+            (world / name, ("sim", "run", "--world", world, "--goal", files["goal.json"])),
+            (world / name, ("sim", "eval", "--worlds", worlds, "--episodes", 1)),
+            (world / name, ("sim", "dataset", "--worlds", worlds, "--samples", 1,
+                            "--out", tmp_path / "d.jsonl")),
+            (world / name, ("plan", "eval", "--model", files["model.json"], "--worlds", worlds)),
+        ]
+    for path, argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert str(path) in json.loads(err)["message"], argv
+
+
+@pytest.mark.parametrize("bad", sorted(UNREADABLE_JSON))
+def test_unreadable_json_exits_1_from_the_command_line(tmp_path, bad):
+    # the reported reproduction, in a process of its own at its own stack depth
+    path = tmp_path / "map.json"
+    path.write_text(UNREADABLE_JSON[bad])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "astra_nav.cli", "map", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+    doc = json.loads(done.stderr)
+    assert doc["error"] == "MapError" and doc["message"].startswith(f"{path}: unreadable JSON")
 
 
 # Goal files that parse as JSON but hold no usable goal.
@@ -680,6 +735,34 @@ def test_too_small_world_exits_1(files, capsys, size):
     assert_json_error(code, out, err)
     assert json.loads(err)["error"] == "SimError"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("size", [3_000_000, sim._MAX_WORLD_SIZE + 1], ids=["3000000", "bound+1"])
+def test_too_large_world_exits_1_before_allocating(files, capsys, size):
+    # 3,000,000 cells a side would be an 8.19 TiB grid; the refusal comes
+    # before any array: numpy reports its buffers to tracemalloc
+    out_dir = files["root"] / f"huge{size}"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "sim", "gen", "--size", size, "--out", out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_json_error(code, out, err)
+    doc = json.loads(err)
+    assert doc["error"] == "SimError" and f"[3, {sim._MAX_WORLD_SIZE}]" in doc["message"]
+    assert peak < 1 << 20
+    assert not out_dir.exists()
+
+
+def test_largest_world_size_passes_the_check(monkeypatch):
+    # the bound itself is accepted: the first candidate is drawn
+    def drawn(*args):
+        raise AssertionError("candidate drawn")
+
+    monkeypatch.setattr(sim, "_scatter_blocks", drawn)
+    with pytest.raises(AssertionError, match="candidate drawn"):
+        sim.generate_world(0, sim._MAX_WORLD_SIZE)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -901,7 +902,7 @@ def test_connected_edge_cases():
         np.array([[1, 0, 1]], dtype=bool),  # two free cells a cell apart
         np.array([[1, 0, 0], [0, 0, 1]], dtype=bool),  # a knight's move apart
     ]
-    # a serpentine corridor: the dilation needs one step per cell along it
+    # a serpentine corridor: each free row one run, joined to the next at one end
     snake = np.zeros((9, 9), bool)
     snake[::2] = True
     snake[1::4, -1] = True
@@ -928,6 +929,151 @@ def test_connected_keeps_its_results_on_world_generation_grids(monkeypatch):
             sim.generate_world(seed, size)
     assert len(seen) == 19
     assert [got for _, got in seen] == [ref_connected(free) for free, _ in seen]
+
+
+REJECTIONS = ("free space split", "lattice rejected", "fewer than 2 start points")
+
+
+def rejections(caplog):
+    """The check named by each candidate-rejected debug record of `sim`."""
+    return [rec.getMessage().rsplit(", ", 1)[1] for rec in caplog.records
+            if rec.name == "astra_nav.sim" and "rejected" in rec.getMessage()]
+
+
+def test_generate_world_logs_each_rejected_candidate(caplog):
+    # world 3 at 48 keeps its 3rd candidate; world 0 at 32 and density 0.4
+    # rejects all 100, and its error counts them by check
+    with caplog.at_level(logging.DEBUG, logger="astra_nav.sim"):
+        sim.generate_world(3, 48)
+    assert rejections(caplog) == ["lattice rejected"] * 2
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="astra_nav.sim"):
+        with pytest.raises(sim.SimError) as err:
+            sim.generate_world(0, 32, 0.4)
+    seen = rejections(caplog)
+    assert len(seen) == 100
+    message = str(err.value)
+    assert message.startswith("could not generate a connected world at density 0.4 (")
+    assert message.endswith(", ".join(f"{check}: {seen.count(check)}" for check in REJECTIONS) + ")")
+    assert seen.count("free space split") and seen.count("lattice rejected")
+
+
+def test_generate_world_counts_candidates_with_too_few_start_points(monkeypatch, caplog):
+    # every landmark seen from one node only: one start point per candidate
+    def one_node(world_map, grid2, count, rng):
+        lm = Landmark("lm-000", "sofa", {"color": "gray"}, sim._FUNCTIONS["sofa"])
+        world_map.register_landmark(sorted(world_map.nodes)[0], lm)
+
+    monkeypatch.setattr(sim, "_place_landmarks", one_node)
+    with caplog.at_level(logging.DEBUG, logger="astra_nav.sim"):
+        with pytest.raises(sim.SimError) as err:
+            sim.generate_world(0, 24)
+    seen = rejections(caplog)
+    assert len(seen) == 100
+    assert err.value.args[0].endswith(f"fewer than 2 start points: {seen.count(REJECTIONS[2])})")
+    assert seen.count(REJECTIONS[2]) > 0
+
+
+def ref_component_labels(free):
+    """Breadth-first search over 8-connected free cells, started from each
+    unlabelled free cell in row-major order, so each component is labelled
+    with its first flat index; a blocked cell is labelled h * w."""
+    h, w = free.shape
+    label = np.full(h * w, h * w)
+    for start in np.flatnonzero(free).tolist():
+        if label[start] < h * w:
+            continue
+        label[start] = start
+        queue = collections.deque([divmod(start, w)])
+        while queue:
+            r, c = queue.popleft()
+            for rr in range(max(r - 1, 0), min(r + 2, h)):
+                for cc in range(max(c - 1, 0), min(c + 2, w)):
+                    if free[rr, cc] and label[rr * w + cc] == h * w:
+                        label[rr * w + cc] = start
+                        queue.append((rr, cc))
+    return label
+
+
+def serpentine(size, vertical):
+    """A serpentine corridor at `size`: every other column (row) free, joined
+    alternately at the bottom and the top, so one component whose free cells
+    all lie on its one path."""
+    free = np.zeros((size, size), bool)
+    free[:, ::2] = True
+    free[-1, 1::4] = True
+    free[0, 3::4] = True
+    return free if vertical else free.T
+
+
+def checkerboard(h, w, parity):
+    return np.indices((h, w)).sum(axis=0) % 2 == parity
+
+
+# grids with the 8-connected component count the reference gives them
+COMPONENT_GRIDS = {
+    "1x1-free": (np.ones((1, 1), bool), 1),
+    "1x1-blocked": (np.zeros((1, 1), bool), 0),
+    "1xN": (np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], bool), 4),
+    "Nx1": (np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], bool).T, 4),
+    "1xN-free": (np.ones((1, 30), bool), 1),
+    "Nx1-free": (np.ones((30, 1), bool), 1),
+    "all-free": (np.ones((17, 23), bool), 1),
+    "all-blocked": (np.zeros((17, 23), bool), 0),
+    "checkerboard-even": (checkerboard(9, 8, 0), 1),
+    "checkerboard-odd": (checkerboard(8, 9, 1), 1),
+    "checkerboard-wide": (checkerboard(2, 31, 0), 1),
+    "diagonal": (np.eye(12, dtype=bool), 1),
+    "anti-diagonal": (np.eye(12, dtype=bool)[::-1], 1),
+    "snake-vertical-96": (serpentine(96, True), 1),
+    "snake-horizontal-96": (serpentine(96, False), 1),
+    "snake-broken-96": (serpentine(96, True) & ~np.eye(96, dtype=bool), 48),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_GRIDS))
+def test_component_labels_match_bfs_reference_on_edge_grids(name):
+    free, count = COMPONENT_GRIDS[name]
+    labels = ref_component_labels(free)
+    assert np.array_equal(sim._component_labels(free), labels)
+    assert len(np.unique(labels[free.ravel()])) == count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_component_labels_match_bfs_reference(data):
+    h = data.draw(st.integers(1, 24), label="h")
+    w = data.draw(st.integers(1, 24), label="w")
+    density = data.draw(st.sampled_from([0.2, 0.5, 0.8]), label="density")
+    cells = data.draw(st.lists(st.floats(0, 1), min_size=h * w, max_size=h * w), label="cells")
+    free = np.array(cells).reshape(h, w) < density
+    assert np.array_equal(sim._component_labels(free), ref_component_labels(free))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_runs_in_adjacent_rows_join_only_when_they_touch(data):
+    # a run [c0, c1) in row 1 and a two-cell run in row 0 that ends at
+    # d1 = c0 + gap or starts at d0 = c1 - gap: they join exactly at
+    # gap >= 0, gap 0 being a corner contact (d1 = c0 or d0 = c1)
+    w = data.draw(st.integers(16, 30), label="w")
+    gap = data.draw(st.integers(-3, 3), label="gap")
+    length = data.draw(st.integers(1, 3), label="length")
+    left = data.draw(st.booleans(), label="upper run left")
+    free = np.zeros((3, w), bool)
+    c0 = w // 2 - 1
+    c1 = c0 + length
+    free[1, c0:c1] = True
+    if left:
+        d1 = c0 + gap
+        free[0, d1 - 2 : d1] = True
+    else:
+        d0 = c1 - gap
+        free[0, d0 : d0 + 2] = True
+    labels = sim._component_labels(free)
+    assert np.array_equal(labels, ref_component_labels(free))
+    upper, lower = labels[:w][free[0]], labels[w : 2 * w][free[1]]
+    assert (upper[0] == lower[0]) == (gap >= 0)
 
 
 @pytest.fixture(scope="module")

@@ -306,6 +306,40 @@ class TestNodeComponents:
         assert node_components(0, empty, empty).tolist() == []
         assert node_components(3, empty, empty).tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("numbering", ["reversed", "bit-reversed", "shuffled"])
+    def test_chains_numbered_against_their_order(self, numbering):
+        # two chains of 128 nodes whose walk along the chain does not follow
+        # their numbering, so the lowest label must travel against the links
+        n = 256
+        walk = {
+            "reversed": np.arange(n)[::-1],
+            "bit-reversed": np.array([int(f"{k:08b}"[::-1], 2) for k in range(n)]),
+            "shuffled": np.random.default_rng(3).permutation(n),
+        }[numbering]
+        links = [(int(a), int(b)) for chain in (walk[: n // 2], walk[n // 2 :])
+                 for a, b in zip(chain[:-1], chain[1:])]
+        i, j = np.array(links).T
+        got = node_components(n, i, j).tolist()
+        assert got == ref_components(n, links)
+        assert len(set(got)) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_repeated_links_and_self_loops_change_nothing(self, data):
+        n = data.draw(st.integers(1, 15), label="n")
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        links = data.draw(st.lists(pair, max_size=20), label="links")
+        repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(links), max_size=len(links)),
+                            label="repeats")
+        loops = data.draw(st.lists(st.integers(0, n - 1), max_size=10), label="self-loops")
+        more = [link for link, k in zip(links, repeats) for _ in range(k)]
+        more += [(b, a) for a, b in links] + [(v, v) for v in loops]
+        order = data.draw(st.permutations(range(len(more))), label="order")
+        more = [more[k] for k in order]
+        i = np.array([a for a, _ in more], dtype=np.intp)
+        j = np.array([b for _, b in more], dtype=np.intp)
+        assert node_components(n, i, j).tolist() == ref_components(n, links)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_a_stack_search(self, data):
