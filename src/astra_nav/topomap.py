@@ -5,12 +5,15 @@ stage; landmarks keep a centralized registry of every node they are visible
 from, and nodes hold the symmetric back-references. Nodes enter one at a
 time through `add_node` and edges in batches through `add_edges`, each
 checked as it comes; a generated lattice enters whole through
-`from_lattice`, which checks its batch once. An edge's weight is the
-Euclidean norm of its relative translation. A map file gives each edge's
-length, and `from_jsonable` refuses one that is negative, NaN or infinite,
-as no path cost over it would mean anything; `validate` flags such a
-length, and a non-finite node pose, on a map built in code. It also refuses
-a file whose ids, id lists or records are not of their JSON types.
+`from_lattice`, which checks its batch once. An edge is a frozen `MapEdge`
+value, its relative pose and its length (the Euclidean norm of its
+translation), held in `edges` under its sorted end-id key, the one place
+its ends are kept; a lattice shares one value per distinct translation. A
+map file gives each edge's length, and `from_jsonable` refuses one that is
+negative, NaN or infinite, as no path cost over it would mean anything;
+`validate` flags such a length, and a non-finite node pose, on a map built
+in code. It also refuses a file whose ids, id lists or records are not of
+their JSON types.
 
 A map keeps three caches, each built on first use and dropped by the
 methods that change what it is built from:
@@ -117,17 +120,15 @@ class MapNode:
     landmark_ids: set[str] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapEdge:
-    """Undirected edge; endpoints are stored sorted so (a, b) == (b, a)."""
+    """The value of an undirected edge, held in `TopoMap.edges` under its
+    sorted end-id key (a, b), a < b, which is the one place its ends are
+    kept. Being frozen, one value may stand for many edges: a lattice
+    shares one per distinct translation."""
 
-    a: str
-    b: str
     relative_pose: Pose6
     length: float
-
-    def key(self) -> tuple[str, str]:
-        return (self.a, self.b)
 
 
 @dataclass
@@ -247,14 +248,15 @@ class TopoMap:
         their positions on the ground plane (z 0, no rotation) and
         `image_refs` their image references; `order` lists their rows in the
         order they enter the map. Link k joins rows i[k] < j[k]; the links
-        enter in the order given, each with the pose of its translation
-        xy[j[k]] - xy[i[k]], one shared pose and one `np.linalg.norm` length
-        per distinct translation, as `add_edges` computes them. The node
+        enter in the order given, under their keys (ids[i[k]], ids[j[k]]),
+        and share one `MapEdge` per distinct translation xy[j[k]] - xy[i[k]]:
+        that of its first link, with its `np.linalg.norm` length. The node
         index is built here too, from the same arrays.
 
         Raises MapError, before any map is built, unless the ids are sorted
-        and unique, `order` is a permutation of the rows and every link's
-        rows are in range with i < j; a link given twice raises it too."""
+        and unique, the positions finite, `order` a permutation of the rows
+        and every link's rows in range with i < j; a link given twice raises
+        it too."""
         ids = tuple(ids)
         n = len(ids)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -269,22 +271,22 @@ class TopoMap:
             raise MapError("lattice node order must list every row once")
         if len(i) and not (i.min() >= 0 and (i < j).all() and j.max() < n):
             raise MapError(f"lattice links must join rows i < j of the {n} nodes")
+        if not np.isfinite(xy).all():
+            raise MapError("lattice positions must be finite")
         m = cls()
         x, y = xy.T.tolist()
         nodes = m.nodes
         for k in order.tolist():
             nid = ids[k]
             nodes[nid] = MapNode(nid, _pose((x[k], y[k], 0.0), _NO_ROTATION), image_refs[k], set())
-        poses, edges = {}, m.edges
         d = xy[j] - xy[i]
-        for a, b, dx, dy in zip(i.tolist(), j.tolist(), d[:, 0].tolist(), d[:, 1].tolist()):
-            shared = poses.get((dx, dy))
-            if shared is None:
-                position = (dx, dy, 0.0)
-                shared = poses[dx, dy] = (_pose(position, _NO_ROTATION),
-                                          float(np.linalg.norm(position)))
-            a_id, b_id = ids[a], ids[b]
-            edges[a_id, b_id] = MapEdge(a_id, b_id, *shared)
+        # a translation viewed as one complex number, so that np.unique groups equal ones
+        _, first, group = np.unique(d.view(complex).ravel(), return_index=True, return_inverse=True)
+        translations = [(dx, dy, 0.0) for dx, dy in d[first].tolist()]
+        values = np.array([MapEdge(_pose(t, _NO_ROTATION), float(np.linalg.norm(t)))
+                           for t in translations], dtype=object)
+        ends = np.array(ids, dtype=object)
+        edges = m.edges = dict(zip(zip(ends[i].tolist(), ends[j].tolist()), values[group].tolist()))
         if len(edges) != len(i):
             raise MapError(f"lattice links must be distinct: {len(i)} given, {len(edges)} distinct")
         positions = np.zeros((n, 3))
@@ -315,7 +317,7 @@ class TopoMap:
                 length = lengths.get(position)
                 if length is None:
                     length = lengths[position] = float(np.linalg.norm(position))
-                stored[a, b] = MapEdge(a, b, relative_pose, length)
+                stored[a, b] = MapEdge(relative_pose, length)
         finally:
             self._graph = None
         return self
@@ -489,8 +491,8 @@ class TopoMap:
             violations.append(f"node {index.ids[k]!r} has a non-finite pose")
         nodes = self.nodes
         for key, edge in self.edges.items():
-            a, b = edge.a, edge.b
-            if key != (a, b) or a > b:
+            a, b = key
+            if a > b:
                 violations.append(f"edge key {key!r} not in canonical sorted form")
             if a == b:
                 violations.append(f"self-loop edge on {a!r}")
@@ -529,11 +531,11 @@ class TopoMap:
             ],
             "edges": [
                 {
-                    "nodes": [e.a, e.b],
+                    "nodes": list(key),
                     "relative_pose": e.relative_pose.to_jsonable(),
                     "length": e.length,
                 }
-                for e in sorted(self.edges.values(), key=lambda e: e.key())
+                for key, e in sorted(self.edges.items())
             ],
             "landmarks": [
                 {
@@ -586,9 +588,7 @@ class TopoMap:
                 if not (is_finite_number(length) and length >= 0):
                     raise MapError(f"edge length must be finite and >= 0, got {length!r} "
                                    f"(edges[{i}])")
-                m.edges[key] = MapEdge(
-                    key[0], key[1], Pose6.from_jsonable(ed["relative_pose"]), float(length)
-                )
+                m.edges[key] = MapEdge(Pose6.from_jsonable(ed["relative_pose"]), float(length))
         for i, ld in enumerate(_records(data, "landmarks")):
             with _reading(f"landmarks[{i}]"):
                 attributes = ld.get("visual_attributes", {})

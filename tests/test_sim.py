@@ -4,6 +4,7 @@ import functools
 import hashlib
 import heapq
 import importlib
+import itertools
 import json
 import logging
 import math
@@ -652,9 +653,8 @@ def test_pairs_connected_matches_graph_reference(data):
 def test_edge_ends_are_the_node_keys(worlds48):
     for world in worlds48:
         keys = {nid: nid for nid in world.map.nodes}
-        for (a, b), edge in world.map.edges.items():
-            assert edge.a is keys[edge.a] and edge.b is keys[edge.b]
-            assert a is edge.a and b is edge.b
+        for a, b in world.map.edges:
+            assert a is keys[a] and b is keys[b]
 
 
 def counted_map_objects(monkeypatch):
@@ -688,10 +688,11 @@ def test_rejected_candidate_builds_no_map_objects(monkeypatch):
     assert len(built) == 2 and built[0] is None and built[1] is world.map
     assert counts == {"from_lattice": 1, "nodes": len(world.map.nodes),
                       "links": len(world.map.edges)}
-    # one pose per node and one per distinct link offset
+    # one pose per node, and one edge value and pose per distinct link offset
     offsets = {e.relative_pose.position for e in world.map.edges.values()}
     node_poses = {id(n.pose) for n in world.map.nodes.values()}
     assert len(node_poses) == len(world.map.nodes)
+    assert len({id(e) for e in world.map.edges.values()}) == len(offsets)
     assert len({id(e.relative_pose) for e in world.map.edges.values()}) == len(offsets)
 
 
@@ -761,6 +762,38 @@ def test_from_lattice_matches_per_node_reference(monkeypatch, seed, size):
         assert got_index.quaternions.tobytes() == want_index.quaternions.tobytes()
         assert [e.relative_pose for e in got.edges.values()] == \
             [e.relative_pose for e in want.edges.values()]
+        offsets = {e.relative_pose.position for e in got.edges.values()}
+        assert len({id(e) for e in got.edges.values()}) == len(offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_lattice_matches_per_node_reference_on_random_positions(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    ids = [f"n-{k:03d}" for k in range(n)]
+    # coordinates from a few values, both zeros among them, so that nodes
+    # coincide and links repeat a translation, to the sign of a zero or not
+    values = [0.0, -0.0] + data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=3),
+                                     label="values")
+    coordinate = st.sampled_from(values)
+    xy = np.array(data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n),
+                            label="xy")).reshape(n, 2)
+    order = np.array(data.draw(st.permutations(range(n)), label="order"), dtype=np.intp)
+    pairs = list(itertools.combinations(range(n), 2))
+    links = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="links") if pairs else []
+    i = np.array([a for a, _ in links], dtype=np.intp)
+    j = np.array([b for _, b in links], dtype=np.intp)
+    args = (ids, xy, [f"frame-{k}" for k in range(n)], order, i, j)
+    got, want = sim.TopoMap.from_lattice(*args), ref_from_lattice(*args)
+    assert got == want
+    assert list(got.nodes) == list(want.nodes) and list(got.edges) == list(want.edges)
+    # the same translation to the sign of each zero, the first link's
+    assert [repr(e) for e in got.edges.values()] == [repr(e) for e in want.edges.values()]
+    offsets = {e.relative_pose.position for e in got.edges.values()}
+    assert len({id(e) for e in got.edges.values()}) == len(offsets)
+    for edge in got.edges.values():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edge.length = 1.0
 
 
 @pytest.mark.parametrize("change,words", [
@@ -776,8 +809,12 @@ def test_from_lattice_matches_per_node_reference(monkeypatch, seed, size):
     (lambda a: {**a, "i": a["i"] - 1}, "rows i < j"),
     (lambda a: {**a, "j": a["j"] + 4}, "rows i < j"),
     (lambda a: {**a, "i": np.append(a["i"], 0), "j": np.append(a["j"], 1)}, "distinct"),
+    (lambda a: {**a, "xy": a["xy"] + [[0, 0], [0, 0], [0, 0], [math.nan, 0]]}, "finite"),
+    (lambda a: {**a, "xy": a["xy"] + [[0, 0], [0, math.inf], [0, 0], [0, 0]]}, "finite"),
+    (lambda a: {**a, "xy": a["xy"] - [[0, 0], [0, 0], [math.inf, 0], [0, 0]]}, "finite"),
 ], ids=["unsorted", "repeated", "short-xy", "short-image-refs", "short-order", "order-repeats",
-        "short-j", "i-above-j", "self-loop", "negative", "past-the-end", "twice"])
+        "short-j", "i-above-j", "self-loop", "negative", "past-the-end", "twice", "nan-position",
+        "inf-position", "minus-inf-position"])
 def test_from_lattice_refuses_a_bad_batch(change, words):
     # four nodes on a unit square entered in reverse, with its four sides
     good = {"ids": ["a", "b", "c", "d"], "xy": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),

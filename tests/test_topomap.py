@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astra_nav.errors import MapError
-from astra_nav.topomap import Landmark, MapNode, Pose6, TopoMap, node_components
+from astra_nav.topomap import Landmark, MapEdge, MapNode, Pose6, TopoMap, node_components
 
 
 def node(nid, x=0.0, y=0.0, z=0.0):
@@ -496,7 +496,7 @@ class TestValidateAndPersistence:
 
     def test_validate_reports_a_negative_length_set_in_code(self):
         m = simple_map()
-        m.edges[("a", "b")].length = -1.0
+        m.edges[("a", "b")] = MapEdge(m.edges[("a", "b")].relative_pose, -1.0)
         assert m.validate().violations == ["edge ('a', 'b') has negative length"]
 
     @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
